@@ -10,6 +10,10 @@
 #include <utility>
 #include <vector>
 
+#if defined(__x86_64__) && defined(__GNUC__)
+#include <immintrin.h>
+#endif
+
 #include "data/dataset.hpp"
 #include "util/log.hpp"
 #include "util/matrix.hpp"
@@ -187,6 +191,119 @@ inline SampleBlockFn resolve_sample_block_chains() {
 inline const SampleBlockFn sample_block_chains = resolve_sample_block_chains();
 #else
 inline constexpr auto sample_block_chains = &sample_block_chains_generic;
+#endif
+
+// ---------------------------------------------------------------------------
+// k-means++ distance sweep
+
+/// Samples a k-means++ sweep scores at once: one independent accumulation
+/// chain each, enough to cover FP add latency.
+inline constexpr std::size_t kSweepChains = 8;
+
+/// The k-means++ distance sweep: for `count` contiguous row-major samples
+/// `x` (d floats each), nearest[i] = min(nearest[i], squared_distance(x_i,
+/// c)). Samples go kSweepChains at a time, each with its own ascending-u
+/// chain of separate sub, mul and add — the exact operation sequence of
+/// squared_distance, so every distance is bit-identical to it; the ragged
+/// tail calls squared_distance itself.
+inline void nearest_sweep_generic(const float* __restrict__ x,
+                                  std::size_t count, std::size_t d,
+                                  std::span<const float> c,
+                                  double* __restrict__ nearest) {
+  std::size_t i = 0;
+  for (; i + kSweepChains <= count; i += kSweepChains) {
+    const float* block = x + i * d;
+    double acc[kSweepChains] = {};
+    for (std::size_t u = 0; u < d; ++u) {
+      const double cu = static_cast<double>(c[u]);
+      for (std::size_t s = 0; s < kSweepChains; ++s) {
+        const double diff = static_cast<double>(block[s * d + u]) - cu;
+        acc[s] += diff * diff;
+      }
+    }
+    for (std::size_t s = 0; s < kSweepChains; ++s) {
+      nearest[i + s] = std::min(nearest[i + s], acc[s]);
+    }
+  }
+  for (; i < count; ++i) {
+    nearest[i] = std::min(nearest[i], squared_distance({x + i * d, d}, c));
+  }
+}
+
+#if defined(SWHKM_KERNEL_DISPATCH)
+/// AVX2 build of nearest_sweep: lane s of the two 4-wide accumulators is
+/// sample s's chain. Each step loads four consecutive floats of each of the
+/// 8 samples, widens them to double (exact) and transposes each 4 x 4 block
+/// so that one vector holds one u of four samples. Per lane that is the
+/// scalar chain's sub, mul and add in ascending u (the avx2 target has no
+/// FMA to contract them); the last d % 4 columns finish in scalar code.
+__attribute__((target("avx2"))) inline void nearest_sweep_avx2(
+    const float* __restrict__ x, std::size_t count, std::size_t d,
+    std::span<const float> c, double* __restrict__ nearest) {
+  static_assert(kSweepChains == 8, "two 4-wide halves");
+  const std::size_t d4 = d - d % 4;
+  std::size_t i = 0;
+  for (; i + kSweepChains <= count; i += kSweepChains) {
+    const float* block = x + i * d;
+    __m256d acc[2] = {_mm256_setzero_pd(), _mm256_setzero_pd()};
+    for (std::size_t u = 0; u < d4; u += 4) {
+      const __m256d cu = _mm256_cvtps_pd(_mm_loadu_ps(c.data() + u));
+      const __m256d cb[4] = {
+          _mm256_permute4x64_pd(cu, 0x00), _mm256_permute4x64_pd(cu, 0x55),
+          _mm256_permute4x64_pd(cu, 0xAA), _mm256_permute4x64_pd(cu, 0xFF)};
+      for (std::size_t h = 0; h < 2; ++h) {
+        const float* r = block + 4 * h * d + u;
+        const __m256d r0 = _mm256_cvtps_pd(_mm_loadu_ps(r));
+        const __m256d r1 = _mm256_cvtps_pd(_mm_loadu_ps(r + d));
+        const __m256d r2 = _mm256_cvtps_pd(_mm_loadu_ps(r + 2 * d));
+        const __m256d r3 = _mm256_cvtps_pd(_mm_loadu_ps(r + 3 * d));
+        // t0 = {r0[0], r1[0], r0[2], r1[2]}, t1 = {r0[1], r1[1], r0[3],
+        // r1[3]}; likewise t2, t3 for rows 2 and 3.
+        const __m256d t0 = _mm256_unpacklo_pd(r0, r1);
+        const __m256d t1 = _mm256_unpackhi_pd(r0, r1);
+        const __m256d t2 = _mm256_unpacklo_pd(r2, r3);
+        const __m256d t3 = _mm256_unpackhi_pd(r2, r3);
+        const __m256d col[4] = {_mm256_permute2f128_pd(t0, t2, 0x20),
+                                _mm256_permute2f128_pd(t1, t3, 0x20),
+                                _mm256_permute2f128_pd(t0, t2, 0x31),
+                                _mm256_permute2f128_pd(t1, t3, 0x31)};
+        for (std::size_t v = 0; v < 4; ++v) {
+          const __m256d diff = _mm256_sub_pd(col[v], cb[v]);
+          acc[h] = _mm256_add_pd(acc[h], _mm256_mul_pd(diff, diff));
+        }
+      }
+    }
+    double chain[kSweepChains];
+    _mm256_storeu_pd(chain, acc[0]);
+    _mm256_storeu_pd(chain + 4, acc[1]);
+    for (std::size_t u = d4; u < d; ++u) {
+      const double cu = static_cast<double>(c[u]);
+      for (std::size_t s = 0; s < kSweepChains; ++s) {
+        const double diff = static_cast<double>(block[s * d + u]) - cu;
+        chain[s] += diff * diff;
+      }
+    }
+    for (std::size_t s = 0; s < kSweepChains; ++s) {
+      nearest[i + s] = std::min(nearest[i + s], chain[s]);
+    }
+  }
+  for (; i < count; ++i) {
+    nearest[i] = std::min(nearest[i], squared_distance({x + i * d, d}, c));
+  }
+}
+
+using SweepFn = void (*)(const float*, std::size_t, std::size_t,
+                         std::span<const float>, double*);
+inline SweepFn resolve_nearest_sweep() {
+  if (__builtin_cpu_supports("avx2")) {
+    return &nearest_sweep_avx2;
+  }
+  return &nearest_sweep_generic;
+}
+/// Resolved once per process; both candidates are bit-identical.
+inline const SweepFn nearest_sweep = resolve_nearest_sweep();
+#else
+inline constexpr auto nearest_sweep = &nearest_sweep_generic;
 #endif
 
 /// Score centroids [j_begin, j_end) against `count` samples named by

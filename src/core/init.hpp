@@ -9,8 +9,19 @@ namespace swhkm::core {
 /// Produce the k x d initial centroid matrix for `config`. Deterministic in
 /// (dataset, config) — every engine level and the serial baseline start
 /// from bit-identical centroids, which is what lets the tests demand
-/// identical trajectories.
+/// identical trajectories. Throws InvalidArgument, naming the row and
+/// column, if any sample holds a NaN or an infinity.
 util::Matrix init_centroids(const data::Dataset& dataset,
                             const KmeansConfig& config);
+
+namespace detail {
+
+/// The k-means++ path of init_centroids with its distance sweep split over
+/// `threads` host threads (init_centroids sizes the team from n * d and the
+/// host). The result is byte-identical for every `threads` >= 1.
+util::Matrix init_plus_plus(const data::Dataset& dataset, std::size_t k,
+                            std::uint64_t seed, std::size_t threads);
+
+}  // namespace detail
 
 }  // namespace swhkm::core

@@ -68,12 +68,10 @@ util::Matrix init_out_of_core(const data::BinaryDatasetReader& reader,
         double total = 0;
         reader.for_each_chunk(
             chunk_rows, [&](const util::Matrix& chunk, std::size_t first) {
+              detail::nearest_sweep(chunk.data(), chunk.rows(), d, latest,
+                                    nearest.data() + first);
               for (std::size_t r = 0; r < chunk.rows(); ++r) {
-                const std::size_t i = first + r;
-                nearest[i] = std::min(
-                    nearest[i],
-                    detail::squared_distance(chunk.row(r), latest));
-                total += nearest[i];
+                total += nearest[first + r];
               }
             });
         std::size_t pick = n - 1;

@@ -1,12 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "core/engine_util.hpp"
 #include "core/init.hpp"
 #include "core/lloyd.hpp"
 #include "core/metrics.hpp"
 #include "data/synthetic.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace swhkm::core {
 namespace {
@@ -100,6 +107,188 @@ TEST(Init, PlusPlusCoincidentPointsSeedDistinctRows) {
       want.insert({ds.sample(j)[0], ds.sample(j)[1]});
     }
     EXPECT_EQ(got, want) << "seed " << seed;
+  }
+}
+
+// A frozen copy of the one-thread, one-distance-at-a-time k-means++ loop
+// that init_centroids ran before its sweep was split into chains and
+// threads. The new path must reproduce it byte for byte.
+double frozen_squared_distance(std::span<const float> a,
+                               std::span<const float> b) {
+  double sum = 0;
+  for (std::size_t u = 0; u < a.size(); ++u) {
+    const double diff = static_cast<double>(a[u]) - static_cast<double>(b[u]);
+    sum += diff * diff;
+  }
+  return sum;
+}
+
+util::Matrix frozen_plus_plus(const data::Dataset& dataset, std::size_t k,
+                              std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  std::vector<std::size_t> rows;
+  std::vector<char> taken(dataset.n(), 0);
+  rows.push_back(rng.below(dataset.n()));
+  taken[rows.back()] = 1;
+  std::vector<double> nearest(dataset.n(),
+                              std::numeric_limits<double>::max());
+  while (rows.size() < k) {
+    const auto latest = dataset.sample(rows.back());
+    double total = 0;
+    for (std::size_t i = 0; i < dataset.n(); ++i) {
+      nearest[i] = std::min(nearest[i],
+                            frozen_squared_distance(dataset.sample(i), latest));
+      total += nearest[i];
+    }
+    if (total <= 0) {
+      std::size_t pick = rng.below(dataset.n());
+      while (taken[pick]) {
+        pick = rng.below(dataset.n());
+      }
+      rows.push_back(pick);
+      taken[pick] = 1;
+      continue;
+    }
+    std::size_t fallback = 0;
+    for (std::size_t i = 0; i < dataset.n(); ++i) {
+      if (!taken[i]) {
+        fallback = i;
+      }
+    }
+    double target = rng.uniform() * total;
+    std::size_t chosen = fallback;
+    for (std::size_t i = 0; i < dataset.n(); ++i) {
+      if (taken[i]) {
+        continue;
+      }
+      target -= nearest[i];
+      if (target <= 0) {
+        chosen = i;
+        break;
+      }
+    }
+    rows.push_back(chosen);
+    taken[chosen] = 1;
+  }
+  util::Matrix centroids(rows.size(), dataset.d());
+  for (std::size_t j = 0; j < rows.size(); ++j) {
+    const auto src = dataset.sample(rows[j]);
+    std::copy(src.begin(), src.end(), centroids.row(j).begin());
+  }
+  return centroids;
+}
+
+bool same_bytes(const util::Matrix& a, const util::Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.rows() * a.cols() * sizeof(float)) ==
+             0;
+}
+
+data::Dataset repeated_rows(std::size_t distinct, std::size_t copies,
+                            std::size_t d) {
+  const data::Dataset base = data::make_uniform(distinct, d, 9);
+  util::Matrix m(distinct * copies, d);
+  for (std::size_t i = 0; i < m.rows(); ++i) {
+    const auto src = base.sample(i % distinct);
+    std::copy(src.begin(), src.end(), m.row(i).begin());
+  }
+  return data::Dataset("repeated", std::move(m));
+}
+
+TEST(Init, PlusPlusMatchesFrozenSerial) {
+  struct Case {
+    std::string what;
+    data::Dataset ds;
+    std::size_t k;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"ilsvrc-like d=3072", data::make_ilsvrc_like(61, 32, 2), 12});
+  cases.push_back({"road-like d=4", data::make_road_like(3001, 3), 40});
+  cases.push_back({"uniform", data::make_uniform(700, 16, 4), 64});
+  cases.push_back({"census-like", data::make_census_like(517, 5), 30});
+  cases.push_back({"n < 8", data::make_uniform(5, 3, 6), 4});
+  cases.push_back({"n not a multiple of threads x chains",
+                   data::make_uniform(157, 7, 7), 20});
+  cases.push_back({"d = 1", data::make_uniform(203, 1, 8), 25});
+  cases.push_back({"k == n", data::make_uniform(37, 5, 10), 37});
+  cases.push_back({"all-duplicate rows", repeated_rows(1, 45, 6), 9});
+  cases.push_back({"4 points, 10 copies each", repeated_rows(4, 10, 3), 12});
+  for (const Case& c : cases) {
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+      const util::Matrix want = frozen_plus_plus(c.ds, c.k, seed);
+      for (std::size_t threads : {1u, 2u, 3u, 4u, 5u, 8u}) {
+        EXPECT_TRUE(same_bytes(
+            detail::init_plus_plus(c.ds, c.k, seed, threads), want))
+            << c.what << ", seed " << seed << ", " << threads << " threads";
+      }
+    }
+    KmeansConfig config;
+    config.k = c.k;
+    config.init = InitMethod::kPlusPlus;
+    EXPECT_TRUE(same_bytes(init_centroids(c.ds, config),
+                           frozen_plus_plus(c.ds, c.k, config.seed)))
+        << c.what << " through init_centroids";
+  }
+}
+
+TEST(Init, SweepKernelsMatchSquaredDistance) {
+  // Every sweep build, on every count / d remainder, folds exactly
+  // squared_distance into the running minimum (all values are positive
+  // and finite, so == is bit equality). Values span 2^-20..2^20, so the
+  // squared terms round differently in any other summation order.
+  util::Xoshiro256 rng(17);
+  for (std::size_t d : {1u, 3u, 4u, 5u, 8u, 13u, 37u}) {
+    util::Matrix m(26, d);
+    for (float& v : m.flat()) {
+      v = static_cast<float>(std::ldexp(rng.uniform(-1.0, 1.0),
+                                        static_cast<int>(rng.below(41)) - 20));
+    }
+    const data::Dataset ds("wide", std::move(m));
+    const auto c = ds.sample(25);
+    for (std::size_t count = 0; count <= 25; ++count) {
+      std::vector<double> start(count);
+      std::vector<double> want(count);
+      for (std::size_t i = 0; i < count; ++i) {
+        start[i] = i % 3 == 0 ? 1e-3 : 1e30;
+        want[i] =
+            std::min(start[i], detail::squared_distance(ds.sample(i), c));
+      }
+      for (const auto sweep :
+           {detail::nearest_sweep, &detail::nearest_sweep_generic}) {
+        std::vector<double> got = start;
+        sweep(ds.samples().data(), count, d, c, got.data());
+        EXPECT_EQ(got, want) << "d " << d << ", count " << count;
+      }
+    }
+  }
+}
+
+TEST(Init, NonFiniteSampleRejectedWithRowAndColumn) {
+  const float bad_values[] = {std::numeric_limits<float>::quiet_NaN(),
+                              std::numeric_limits<float>::infinity(),
+                              -std::numeric_limits<float>::infinity()};
+  for (const float bad : bad_values) {
+    for (const auto& [row, col] : {std::pair<std::size_t, std::size_t>{0, 0},
+                                   std::pair<std::size_t, std::size_t>{11, 2}}) {
+      data::Dataset ds = data::make_uniform(12, 3, 1);
+      ds.samples().at(row, col) = bad;
+      for (const InitMethod init :
+           {InitMethod::kFirstK, InitMethod::kRandom, InitMethod::kPlusPlus}) {
+        KmeansConfig config;
+        config.k = 4;
+        config.init = init;
+        try {
+          (void)init_centroids(ds, config);
+          ADD_FAILURE() << "accepted " << bad << " at row " << row;
+        } catch (const swhkm::InvalidArgument& e) {
+          const std::string what = e.what();
+          EXPECT_NE(what.find("row " + std::to_string(row) + " column " +
+                              std::to_string(col)),
+                    std::string::npos)
+              << what;
+        }
+      }
+    }
   }
 }
 
