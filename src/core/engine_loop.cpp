@@ -1,0 +1,591 @@
+#include "core/engine_loop.hpp"
+
+#include <algorithm>
+#include <cmath>
+#include <string>
+
+#include "core/metrics.hpp"
+#include "simarch/trace.hpp"
+#include "swmpi/collectives.hpp"
+#include "swmpi/runtime.hpp"
+#include "util/crc32.hpp"
+#include "util/error.hpp"
+
+namespace swhkm::core::detail {
+
+namespace {
+
+/// The engines never see init_centroids' checks when a caller hands them
+/// its own matrix: a short one overruns the kernels, a non-finite value
+/// poisons every bound and converges to garbage. Same contract as the
+/// sample check in init_centroids (DESIGN.md §15).
+void require_valid_centroids(const util::Matrix& centroids, std::size_t k,
+                             std::size_t d) {
+  if (centroids.rows() != k || centroids.cols() != d) {
+    throw InvalidArgument(
+        "initial centroids are " + std::to_string(centroids.rows()) + " x " +
+        std::to_string(centroids.cols()) + " but the run needs k x d = " +
+        std::to_string(k) + " x " + std::to_string(d));
+  }
+  for (std::size_t j = 0; j < k; ++j) {
+    const std::span<const float> row = centroids.row(j);
+    const auto bad = std::find_if(row.begin(), row.end(),
+                                  [](float v) { return !std::isfinite(v); });
+    if (bad != row.end()) {
+      throw InvalidArgument(
+          "initial centroid row " + std::to_string(j) + " column " +
+          std::to_string(bad - row.begin()) + " is not finite (" +
+          std::to_string(*bad) + "); clustering needs finite centroids");
+    }
+  }
+}
+
+}  // namespace
+
+EngineRank::EngineRank(const EngineRun& run_, swmpi::Comm& world_)
+    : run(run_),
+      world(world_),
+      cg(static_cast<std::size_t>(world_.rank())),
+      tel(run_.config.telemetry),
+      tshard(tel != nullptr ? &tel->metrics().shard(world_.global_rank())
+                            : nullptr),
+      flight(tshard != nullptr ? tshard->flight() : nullptr),
+      survivor_hist(tshard != nullptr
+                        ? &tshard->histogram("engine.gate.survivor_tile")
+                        : nullptr),
+      overlap_hist(tshard != nullptr
+                       ? &tshard->histogram("engine.pipeline.overlap_s")
+                       : nullptr),
+      spans_on(tel != nullptr && tel->config().wall_spans),
+      gate(run_.config.gate_assign),
+      acc(run_.config.k, run_.dataset.d()) {
+  if (gate) {
+    upper.assign(run.dataset.n(), 0.0);
+    lower.assign(run.dataset.n(), 0.0);
+    drift.assign(run.config.k, 0.0);
+  }
+  if (run.config.sdc_checks) {
+    gemm_sdc.check = true;
+    gemm_sdc.flip = [this](std::span<std::byte> bytes) {
+      world.memory_fault_point(swmpi::MemorySite::kTileScratch, global_iter,
+                               bytes);
+    };
+    gemm_hooks = &gemm_sdc;
+  }
+}
+
+void EngineRank::record_tile(telemetry::FlightEventKind kind, std::size_t t0,
+                             std::size_t t1) const {
+  if (flight != nullptr) {
+    flight->record(kind, static_cast<std::uint32_t>(global_iter), 0, t0, t1);
+  }
+}
+
+void EngineRank::charge_gate_and_sdc(std::uint64_t unresolved,
+                                     double sweep_row_s) {
+  const std::size_t k = run.config.k;
+  const std::size_t d = run.dataset.d();
+  const simarch::MachineConfig& machine = run.machine;
+  if (gating) {
+    // Safe radii: k(k-1)/2 centroid-pair rows from the shared snapshot,
+    // recomputed by every CG each iteration.
+    tally.compute_s +=
+        static_cast<double>(k * (k - 1) / 2) * machine.assign_row_seconds(d);
+    tally.flops += k * (k - 1) * d;
+  }
+  if (!run.config.sdc_checks) {
+    return;
+  }
+  // Charged only when the defense is armed, so defense-off model numbers
+  // stay pinned.
+  const std::size_t num_cgs = machine.num_cgs();
+  const std::size_t eb = machine.elem_bytes;
+  const std::size_t accum_bytes = (k * d + k) * eb;
+  tally.compute_s += static_cast<double>(unresolved) * sweep_row_s * 0.125;
+  tally.compute_s +=
+      static_cast<double>(k * d * eb + accum_bytes) / machine.dma_bandwidth;
+  const std::uint64_t sdc_net = 16 * 2 * num_cgs + sizeof(double);
+  tally.net_comm_s += run.topo.allgather_time(sdc_net, 0, num_cgs);
+  tally.net_bytes += sdc_net;
+  tally.net_rounds += 1;  // the counts-conservation allreduce
+  tally.sdc_recomputed += gemm_sdc.recomputed - abft_recomputed_before;
+  if (tshard != nullptr && gemm_sdc.recomputed != abft_recomputed_before) {
+    tshard->counter("sdc.abft.detected")
+        .add(gemm_sdc.recomputed - abft_recomputed_before);
+  }
+}
+
+namespace {
+
+/// Snapshot scrub. Protocol: capture the reference CRC (cold start only —
+/// warm iterations captured it right after the update published the
+/// rows), barrier, expose the shared snapshot to flip_memory (at most one
+/// rank writes), barrier, then every rank re-reads and verifies. The
+/// barriers run on the world communicator and order the injected write
+/// against every rank's reads; capture-after-update needs none (the
+/// update's closing allreduce orders the writes, and the next update's
+/// entry allgather orders this read before new writes).
+void scrub_snapshot(EngineRank& rank, std::uint32_t& snap_crc,
+                    bool& snap_crc_valid) {
+  const std::span<float> snap = rank.run.centroids.flat();
+  if (!snap_crc_valid) {
+    snap_crc = util::crc32(std::as_bytes(snap));
+    snap_crc_valid = true;
+  }
+  swmpi::barrier(rank.world);
+  rank.world.memory_fault_point(swmpi::MemorySite::kSnapshot,
+                                rank.global_iter,
+                                std::as_writable_bytes(snap));
+  swmpi::barrier(rank.world);
+  if (util::crc32(std::as_bytes(snap)) != snap_crc) {
+    if (rank.tshard != nullptr) {
+      rank.tshard->counter("sdc.snapshot.crc_fail").add(1);
+    }
+    throw SilentCorruptionError(
+        "sdc: centroid snapshot CRC mismatch at iteration " +
+        std::to_string(rank.global_iter) +
+        " — published centroid bits were corrupted in memory");
+  }
+}
+
+/// Accumulator scrub: capture the sums CRC at accumulation end, expose the
+/// (sums, counts) pair to flip_memory — the modeled DRAM flip between
+/// accumulation and fold — and verify the sums before they enter the
+/// reduction. Counts are deliberately left out of the CRC: a counts flip
+/// is caught by the Σcounts == n conservation guard inside
+/// reduce_and_update, keeping both detectors honest.
+void scrub_accumulator(EngineRank& rank) {
+  const std::span<double> sums(rank.acc.sums.data(), rank.acc.sums.size());
+  const std::span<double> counts(rank.acc.counts.data(),
+                                 rank.acc.counts.size());
+  const std::uint32_t sums_crc = util::crc32(std::as_bytes(sums));
+  rank.world.memory_fault_point(swmpi::MemorySite::kUpdateAccum,
+                                rank.global_iter, std::as_writable_bytes(sums),
+                                std::as_writable_bytes(counts));
+  if (util::crc32(std::as_bytes(sums)) != sums_crc) {
+    if (rank.tshard != nullptr) {
+      rank.tshard->counter("sdc.accum.crc_fail").add(1);
+    }
+    throw SilentCorruptionError(
+        "sdc: update accumulator CRC mismatch on rank " +
+        std::to_string(rank.world.global_rank()) + " at iteration " +
+        std::to_string(rank.global_iter) +
+        " — accumulator sums were corrupted before the fold");
+  }
+}
+
+/// Update-phase network charge: the machine-wide sharded phase —
+/// reduce_scatter of the fused accumulator, every CG applying its own
+/// shard of rows, then one allgather publishing the refreshed rows with
+/// the (shift, empties) stats riding as a 16-byte per-rank header (plus
+/// the k-double drift vector when gating).
+void charge_update_collectives(EngineRank& rank) {
+  const EngineRun& run = rank.run;
+  const std::size_t k = run.config.k;
+  const std::size_t d = run.dataset.d();
+  const std::size_t num_cgs = run.machine.num_cgs();
+  const std::size_t eb = run.machine.elem_bytes;
+  const std::size_t accum_bytes = (k * d + k) * eb;
+  const std::size_t publish_bytes =
+      k * d * eb + 16 * num_cgs + (rank.gate ? k * sizeof(double) : 0);
+  simarch::CostTally& tally = rank.tally;
+  if (run.config.hier_collectives) {
+    const simarch::CollectiveCharge rs = run.topo.hier_reduce_scatter_charge(
+        accum_bytes, 0, num_cgs, run.xover);
+    const simarch::CollectiveCharge ag =
+        run.topo.hier_allgather_charge(publish_bytes, 0, num_cgs);
+    tally.net_comm_s += rs.seconds + ag.seconds;
+    tally.net_crossing_bytes += rs.crossing_bytes + ag.crossing_bytes;
+    if (rank.cg == 0) {
+      tick_collective_charge(rank.tshard, "sim.collective.update_rs", rs);
+      tick_collective_charge(rank.tshard, "sim.collective.update_ag", ag);
+    }
+  } else {
+    tally.net_comm_s +=
+        run.topo.reduce_scatter_time(accum_bytes, 0, num_cgs) +
+        run.topo.allgather_time(publish_bytes, 0, num_cgs);
+  }
+  tally.net_bytes += accum_bytes + publish_bytes;
+  tally.net_rounds += 2;  // reduce_scatter + allgather
+}
+
+}  // namespace
+
+KmeansResult run_engine(Level level, const char* name,
+                        const data::Dataset& dataset,
+                        const KmeansConfig& config,
+                        const simarch::MachineConfig& machine,
+                        const PartitionPlan& plan,
+                        util::Matrix initial_centroids,
+                        const PolicyFactory& make_policy) {
+  SWHKM_REQUIRE(plan.level == level,
+                std::string("plan is not a ") + level_name(level) + " plan");
+  SWHKM_REQUIRE(plan.shape.n == dataset.n() && plan.shape.d == dataset.d() &&
+                    plan.shape.k == config.k,
+                "plan shape does not match the dataset/config");
+  require_valid_centroids(initial_centroids, config.k, dataset.d());
+  validate_ldm_layout(plan, machine);
+
+  const std::size_t num_cgs = machine.num_cgs();
+  const std::size_t k = config.k;
+  const std::size_t d = dataset.d();
+  const std::size_t eb = machine.elem_bytes;
+  // GEMM output is byte-identical to the chain kernel, so an LDM too small
+  // for the candidate/norm scratch downgrades the kernel instead of
+  // rejecting a tile that fits without it; record-footprint overflow still
+  // throws through resolve_tile_samples.
+  const bool gemm =
+      config.gemm_assign && gemm_scratch_fits(config.tile_samples, plan,
+                                              machine, config.sstep_tiles);
+  const std::size_t tile_samples = resolve_tile_samples(
+      config.tile_samples, plan, machine, config.sstep_tiles, gemm);
+  if (config.gemm_assign && !gemm) {
+    SWHKM_WARN << name << ": GEMM scratch for tile_samples="
+               << config.tile_samples
+               << " overflows LDM; using the chain kernel (bit-identical)";
+  }
+  const simarch::Topology topo(machine);
+  // Hierarchical-collective schedule: one supernode's CGs form an intra
+  // group, the crossover is derived from the machine's inter-supernode
+  // latency/bandwidth terms. The guard installs the runtime schedule for
+  // the ranks this run_spmd launches and restores the previous one after.
+  const std::size_t xover = machine.collective_crossover_bytes();
+  const swmpi::ScopedCollectiveSchedule collective_guard(
+      config.hier_collectives ? swmpi::CollectiveSchedule::kHierarchical
+                              : swmpi::CollectiveSchedule::kFlat,
+      {static_cast<int>(machine.cgs_per_node * machine.supernode_nodes),
+       xover});
+
+  KmeansResult result;
+  result.assignments.assign(dataset.n(), 0);
+  // One shared read-only centroid snapshot for all ranks (refreshed only
+  // at the bulk-synchronous iteration edge inside reduce_and_update), so
+  // centroid memory is O(k*d) per run instead of per rank.
+  util::Matrix centroids = std::move(initial_centroids);
+  const EngineRun run{.dataset = dataset,
+                      .config = config,
+                      .machine = machine,
+                      .plan = plan,
+                      .topo = topo,
+                      .tile_samples = tile_samples,
+                      .gemm = gemm,
+                      .xover = xover,
+                      .centroids = centroids,
+                      .assignments = result.assignments};
+
+  std::size_t iterations = 0;
+  bool converged = false;
+  std::size_t empty_clusters = 0;
+  simarch::CostTally total_cost;
+  simarch::CostTally last_cost;
+  std::vector<IterationStats> history;
+  telemetry::Telemetry* const tel = config.telemetry;
+
+  swmpi::run_spmd(static_cast<int>(num_cgs), [&](swmpi::Comm& world) {
+    EngineRank rank(run, world);
+    const std::size_t cg = rank.cg;
+    // sim.* ledgers tick on cg 0 only, mirroring the history rows they
+    // reconcile against; gate counters tick on every rank.
+    telemetry::MetricsShard* const tshard = rank.tshard;
+    telemetry::Counter* const pruned_ctr =
+        tshard != nullptr ? &tshard->counter("engine.gate.pruned_samples")
+                          : nullptr;
+    telemetry::Counter* const swept_ctr =
+        tshard != nullptr ? &tshard->counter("engine.gate.swept_samples")
+                          : nullptr;
+    telemetry::Counter* const sim_net =
+        tshard != nullptr && cg == 0 ? &tshard->counter("sim.net_bytes")
+                                     : nullptr;
+    telemetry::Counter* const sim_dma =
+        tshard != nullptr && cg == 0 ? &tshard->counter("sim.dma_bytes")
+                                     : nullptr;
+    const std::unique_ptr<LevelPolicy> policy = make_policy(rank);
+    const bool sdc = config.sdc_checks;
+    std::uint32_t snap_crc = 0;
+    bool snap_crc_valid = false;
+    double rank_clock = 0;
+
+    for (std::size_t iter = 0; iter < config.max_iterations; ++iter) {
+      // Global iteration index: the RecoveryDriver runs this engine in
+      // legs, and fault schedules / trace rows are addressed globally.
+      const std::uint64_t global_iter = config.iteration_base + iter;
+      rank.global_iter = global_iter;
+      if (rank.flight != nullptr) {
+        rank.flight->record(telemetry::FlightEventKind::kIterationStart,
+                            static_cast<std::uint32_t>(global_iter), 0, 0, 0,
+                            rank_clock);
+      }
+      world.fault_point(swmpi::FaultSite::kAssign, global_iter);
+      if (sdc) {
+        scrub_snapshot(rank, snap_crc, snap_crc_valid);
+      }
+      const double assign_start_us = rank.spans_on ? tel->now_us() : 0.0;
+      rank.acc.reset();
+      rank.tally = simarch::CostTally{};
+      rank.abft_recomputed_before = rank.gemm_sdc.recomputed;
+
+      // Iteration 0 has no bounds yet — every sample sweeps (and the
+      // trajectory stays exact from the very first assignment).
+      rank.gating = rank.gate && iter > 0;
+      rank.digest = rank.gating ? drift_digest(rank.drift) : DriftDigest{};
+      if (rank.gating) {
+        compute_safe_radii(centroids, rank.safe);
+      }
+      if (gemm) {
+        // Gated iterations refresh only the rows the published drift marks
+        // moved — an unmoved row's stored float bits are unchanged, so its
+        // cached norm is still bit-exact. Without drift (ungated runs) the
+        // cache has no invalidation signal and recomputes all k rows.
+        const std::size_t norm_rows =
+            rank.gating
+                ? rank.norm_cache.refresh_from_drift(centroids, rank.drift)
+                : rank.norm_cache.refresh_full(centroids);
+        rank.tally.compute_s +=
+            static_cast<double>(norm_rows) * machine.gemm_row_seconds(d);
+        // Norm refresh seconds are charged above, but its O(k d) products
+        // stay out of `flops`, which keeps its exact 2nkd distance-work
+        // meaning (FlopAccountingMatches2nkd) and prices the FLOP *rate*
+        // from the panel product alone.
+      }
+      rank.norms = std::span<const double>(rank.norm_cache.norms.data(),
+                                           rank.norm_cache.norms.size());
+
+      const AssignSweep swept = policy->sweep(rank);
+      if (rank.spans_on) {
+        tel->spans().record("assign", static_cast<std::uint32_t>(cg),
+                            static_cast<std::uint32_t>(global_iter),
+                            assign_start_us, tel->now_us() - assign_start_us);
+      }
+      if (swept_ctr != nullptr) {
+        swept_ctr->add(swept.unresolved);
+        pruned_ctr->add(swept.samples - swept.unresolved);
+      }
+      policy->charge(rank);
+
+      // Update: reduce_scatter + allgather charged to net_comm_s; update_s
+      // only covers this CG's shard.
+      charge_update_collectives(rank);
+      world.fault_point(swmpi::FaultSite::kUpdate, global_iter);
+      if (sdc) {
+        scrub_accumulator(rank);
+      }
+      const double update_start_us = rank.spans_on ? tel->now_us() : 0.0;
+      const UpdateOutcome outcome = reduce_and_update(
+          world, centroids, rank.acc,
+          rank.gate ? std::span<double>(rank.drift.data(), rank.drift.size())
+                    : std::span<double>{},
+          sdc ? dataset.n() : 0);
+      if (sdc) {
+        // Re-capture the reference CRC from the freshly published rows (see
+        // scrub_snapshot for the ordering argument).
+        snap_crc = util::crc32(std::as_bytes(centroids.flat()));
+        snap_crc_valid = true;
+      }
+      if (rank.spans_on) {
+        tel->spans().record("update", static_cast<std::uint32_t>(cg),
+                            static_cast<std::uint32_t>(global_iter),
+                            update_start_us, tel->now_us() - update_start_us);
+      }
+      const double shift = outcome.shift;
+      const auto [u_begin, u_end] = block_range(k, num_cgs, cg);
+      const std::size_t shard_rows = u_end - u_begin;
+      rank.tally.update_s +=
+          static_cast<double>(2 * shard_rows * d) /
+              (machine.cg_flops() * machine.compute_efficiency) +
+          static_cast<double>(shard_rows * d * eb) / machine.dma_bandwidth;
+
+      if (config.trace != nullptr) {
+        config.trace->record_iteration(static_cast<std::uint32_t>(cg),
+                                       static_cast<std::uint32_t>(global_iter),
+                                       rank_clock, rank.tally);
+      }
+      world.fault_point(swmpi::FaultSite::kCollective, global_iter);
+      const simarch::CostTally combined = combine_tallies(world, rank.tally);
+      rank_clock += combined.total_s();  // bulk-synchronous iteration edge
+      if (rank.flight != nullptr) {
+        rank.flight->record(telemetry::FlightEventKind::kIterationEnd,
+                            static_cast<std::uint32_t>(global_iter), 0, 0, 0,
+                            rank_clock);
+      }
+      if (cg == 0) {
+        total_cost += combined;
+        last_cost = combined;
+        iterations = iter + 1;
+        empty_clusters = outcome.empty_clusters;
+        history.push_back({shift, combined.total_s(),
+                           static_cast<double>(combined.pruned_samples) /
+                               static_cast<double>(dataset.n()),
+                           combined.net_bytes, combined.dma_bytes,
+                           combined.flops, combined.net_rounds});
+        history.back().net_crossing_bytes = combined.net_crossing_bytes;
+        history.back().sdc_recomputed = combined.sdc_recomputed;
+        fill_phase_stats(history.back(), combined);
+        if (sim_net != nullptr) {
+          sim_net->add(combined.net_bytes);
+          sim_dma->add(combined.dma_bytes);
+        }
+      }
+      if (shift <= config.tolerance) {
+        if (cg == 0) {
+          converged = true;
+        }
+        break;
+      }
+    }
+
+    // Every rank leaves the loop at the same iteration (shift is
+    // replicated), so one closing collective folds the per-rank distance
+    // ledgers.
+    std::uint64_t counters[2] = {rank.distance_comps, rank.lloyd_equivalent};
+    swmpi::allreduce_sum(world, std::span<std::uint64_t>(counters, 2));
+    if (cg == 0) {
+      result.accel.distance_computations = counters[0];
+      result.accel.lloyd_equivalent = counters[1];
+    }
+  }, config.fault_plan,
+      tel != nullptr && tel->config().swmpi ? &tel->metrics() : nullptr);
+
+  warn_empty_clusters(empty_clusters, name);
+  result.centroids = std::move(centroids);
+  result.iterations = iterations;
+  result.converged = converged;
+  if (config.gate_assign && iterations > 1) {
+    // Safe-radius maintenance: k(k-1)/2 centroid pairs per gated
+    // iteration, counted once (the per-rank copies are replicas).
+    result.accel.centroid_distance_computations =
+        (iterations - 1) * config.k * (config.k - 1) / 2;
+  }
+  result.empty_clusters = empty_clusters;
+  result.cost = total_cost;
+  result.last_iteration_cost = last_cost;
+  result.history = std::move(history);
+  result.inertia = inertia(dataset, result.centroids, result.assignments);
+  return result;
+}
+
+// ------------------------------------------------------------- TileSweep
+
+TileSweep::TileSweep(const EngineRank& rank) {
+  for (Slot& s : slots_) {
+    s.scores.resize(rank.run.tile_samples);
+    if (rank.gate) {
+      s.ids.reserve(rank.run.tile_samples);
+    }
+  }
+}
+
+TileSweep::Block TileSweep::sweep(EngineRank& rank, std::size_t begin,
+                                  std::size_t end) {
+  Block block;
+  const std::size_t tile = rank.run.tile_samples;
+  int cur = 0;
+  for (std::size_t t0 = begin; t0 < end; t0 += tile) {
+    stage(rank, slots_[cur], t0, std::min(end, t0 + tile), block);
+    Slot& prev = slots_[cur ^ 1];
+    if (prev.valid) {
+      retire(rank, prev, block);
+    }
+    cur ^= 1;
+  }
+  if (slots_[cur ^ 1].valid) {
+    retire(rank, slots_[cur ^ 1], block);
+  }
+  return block;
+}
+
+void TileSweep::stage(EngineRank& rank, Slot& s, std::size_t t0,
+                      std::size_t t1, Block& block) {
+  const EngineRun& run = rank.run;
+  const std::size_t k = run.config.k;
+  s.t0 = t0;
+  s.t1 = t1;
+  s.valid = true;
+  rank.record_tile(telemetry::FlightEventKind::kTileStart, t0, t1);
+  if (!rank.gating) {
+    const std::span<TileScore2> scores(s.scores.data(), t1 - t0);
+    clear_scores(scores);
+    if (run.gemm) {
+      score_tile_gemm(run.dataset, t0, t1, run.centroids, rank.norms, 0, k,
+                      scores, rank.gemm_hooks);
+    } else {
+      score_tile(run.dataset, t0, t1, run.centroids, 0, k, scores);
+    }
+    return;
+  }
+  s.ids.clear();
+  // Level 2 tightens locally too: the sample is already replicated to the
+  // group and the assigned centroid's full row lives in one member's
+  // slice; the verdict rides the register bus.
+  block.tightened += gate_tile(run.dataset, run.centroids, t0, t1,
+                               run.assignments, rank.drift, rank.digest,
+                               rank.safe, rank.upper, rank.lower,
+                               /*tighten=*/true, s.ids);
+  if (rank.survivor_hist != nullptr) {
+    rank.survivor_hist->observe(static_cast<double>(s.ids.size()));
+  }
+  if (!s.ids.empty()) {
+    const std::span<TileScore2> scores(s.scores.data(), s.ids.size());
+    clear_scores(scores);
+    const std::span<const std::uint32_t> ids(s.ids.data(), s.ids.size());
+    if (run.gemm) {
+      score_tile_ids_gemm(run.dataset, ids, run.centroids, rank.norms, 0, k,
+                          scores, rank.gemm_hooks);
+    } else {
+      score_tile_ids(run.dataset, ids, run.centroids, 0, k, scores);
+    }
+  }
+}
+
+void TileSweep::retire(EngineRank& rank, Slot& s, Block& block) {
+  const data::Dataset& dataset = rank.run.dataset;
+  std::vector<std::uint32_t>& assignments = rank.run.assignments;
+  // Merge in ascending i: swept samples take the fresh argmin, gated ones
+  // accumulate under their stored assignment, so the fused sums keep the
+  // exact summation order of the ungated sweep. An ungated tile scored
+  // every sample in order; a gated one scored only its survivor ids.
+  std::size_t pos = 0;
+  for (std::size_t i = s.t0; i < s.t1; ++i) {
+    const TileScore2* rec = nullptr;
+    if (!rank.gating) {
+      rec = &s.scores[i - s.t0];
+    } else if (pos < s.ids.size() && s.ids[pos] == i) {
+      rec = &s.scores[pos++];
+    }
+    std::uint32_t j = assignments[i];
+    if (rec != nullptr) {
+      j = static_cast<std::uint32_t>(rec->index);
+      assignments[i] = j;
+      if (rank.gate) {
+        refresh_bounds(*rec, rank.upper[i], rank.lower[i]);
+      }
+    }
+    rank.acc.add_sample(j, dataset.sample(i));
+  }
+  block.unresolved += rank.gating ? s.ids.size() : s.t1 - s.t0;
+  s.valid = false;
+  rank.record_tile(telemetry::FlightEventKind::kTileEnd, s.t0, s.t1);
+}
+
+void TileSweep::hide_tile_dma(EngineRank& rank,
+                              std::uint64_t max_block_samples,
+                              double sweep_compute_s, double sample_dma_s,
+                              double centroid_dma_s) {
+  const std::size_t tile = rank.run.tile_samples;
+  const double tile_dma_s = sample_dma_s + centroid_dma_s;
+  if (max_block_samples <= tile || tile_dma_s <= 0) {
+    return;
+  }
+  const std::size_t ntiles = (max_block_samples + tile - 1) / tile;
+  const double window = sweep_compute_s * static_cast<double>(ntiles - 1) /
+                        static_cast<double>(ntiles);
+  const double hidden = std::min(tile_dma_s, window);
+  const double f = hidden / tile_dma_s;
+  rank.tally.sample_read_s -= f * sample_dma_s;
+  rank.tally.centroid_stream_s -= f * centroid_dma_s;
+  rank.tally.overlapped_dma_s += hidden;
+  if (rank.overlap_hist != nullptr) {
+    rank.overlap_hist->observe(hidden);
+  }
+}
+
+}  // namespace swhkm::core::detail

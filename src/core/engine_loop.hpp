@@ -1,0 +1,179 @@
+#pragma once
+
+/// The Lloyd iteration loop the three engine levels share.
+///
+/// The levels run the same bulk-synchronous iteration over three
+/// partitions (n / nk / nkd); they differ only in which samples, which
+/// centroid slice and which dimension slice each unit owns. run_engine
+/// owns everything else: entry checks and resolved settings, per-rank
+/// telemetry and SDC hooks, the bound-gate state, the norm cache, the
+/// sharded update phase, the iteration close and the KmeansResult. A
+/// LevelPolicy supplies the assign phase and its charges — one virtual
+/// call each per iteration, never per sample. DESIGN.md "Engine loop".
+
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <span>
+#include <vector>
+
+#include "core/engine_common.hpp"
+#include "telemetry/flight_recorder.hpp"
+#include "telemetry/telemetry.hpp"
+
+namespace swhkm::core::detail {
+
+/// Run-wide inputs and the settings resolved once at engine entry; every
+/// rank reads them, none writes them (the centroid snapshot and the
+/// assignment vector follow the engines' shared-memory write discipline).
+struct EngineRun {
+  const data::Dataset& dataset;
+  const KmeansConfig& config;
+  const simarch::MachineConfig& machine;
+  const PartitionPlan& plan;
+  const simarch::Topology& topo;
+  std::size_t tile_samples;  ///< resolve_tile_samples' validated value
+  bool gemm;                 ///< GEMM kernel on (off after an LDM downgrade)
+  std::size_t xover;         ///< hierarchical-collective crossover bytes
+  util::Matrix& centroids;   ///< the one shared centroid snapshot
+  std::vector<std::uint32_t>& assignments;  ///< KmeansResult::assignments
+};
+
+/// One rank's engine state. The loop fills the per-iteration fields
+/// before calling the policy; the policy charges `tally` and adds to the
+/// distance ledgers.
+struct EngineRank {
+  EngineRank(const EngineRun& run, swmpi::Comm& world);
+  EngineRank(const EngineRank&) = delete;  // the SDC flip hook holds `this`
+  EngineRank& operator=(const EngineRank&) = delete;
+
+  /// Flight-recorder tile edge (no-op when the recorder is off).
+  void record_tile(telemetry::FlightEventKind kind, std::size_t t0,
+                   std::size_t t1) const;
+
+  /// Safe-radius charge (gated iterations) followed by the modeled SDC
+  /// overhead (defense armed): ABFT checksum chains for `unresolved`
+  /// swept rows at 1/8 of `sweep_row_s`, one streaming pass for the
+  /// snapshot + accumulator scrubs, frame trailers and the conservation
+  /// allreduce. Each policy calls it once, at the point its own charge
+  /// order puts it (floating-point sums are order-sensitive).
+  void charge_gate_and_sdc(std::uint64_t unresolved, double sweep_row_s);
+
+  const EngineRun& run;
+  swmpi::Comm& world;
+  const std::size_t cg;
+
+  // Telemetry handles, resolved once per rank (null when off).
+  telemetry::Telemetry* const tel;
+  telemetry::MetricsShard* const tshard;
+  telemetry::FlightRing* const flight;
+  telemetry::Histogram* const survivor_hist;
+  telemetry::Histogram* const overlap_hist;
+  const bool spans_on;
+
+  // Bound-gated assign state: Hamerly upper/lower bounds per sample (only
+  // this rank's samples are ever touched), the published per-centroid
+  // drift and the safe radii.
+  const bool gate;
+  std::vector<double> upper;
+  std::vector<double> lower;
+  std::vector<double> drift;
+  std::vector<double> safe;
+
+  // Kernel state: ABFT hooks (null unless the SDC defense is armed) and
+  // the per-iteration ||c||^2 cache of the GEMM sweep.
+  GemmSdcHooks gemm_sdc;
+  GemmSdcHooks* gemm_hooks = nullptr;
+  CentroidNormCache norm_cache;
+
+  UpdateAccumulator acc;
+
+  // The current iteration.
+  std::uint64_t global_iter = 0;
+  bool gating = false;  ///< gate on and bounds exist (not iteration 0)
+  DriftDigest digest;
+  std::span<const double> norms;
+  simarch::CostTally tally;
+  std::uint64_t abft_recomputed_before = 0;
+
+  // Distance ledgers, folded machine-wide after the last iteration.
+  std::uint64_t distance_comps = 0;
+  std::uint64_t lloyd_equivalent = 0;
+};
+
+/// What one rank's assign sweep covered, for the gate counters.
+struct AssignSweep {
+  std::uint64_t samples = 0;     ///< samples this rank gated or swept
+  std::uint64_t unresolved = 0;  ///< of those, the ones swept
+};
+
+/// A level's assign phase.
+class LevelPolicy {
+ public:
+  LevelPolicy() = default;
+  LevelPolicy(const LevelPolicy&) = delete;
+  LevelPolicy& operator=(const LevelPolicy&) = delete;
+  virtual ~LevelPolicy() = default;
+  /// Gate, score and merge this rank's samples: winners go to
+  /// run.assignments, fused sums to rank.acc, in ascending sample order.
+  virtual AssignSweep sweep(EngineRank& rank) = 0;
+  /// Charge the swept iteration's assign phase to rank.tally, including
+  /// one call to rank.charge_gate_and_sdc.
+  virtual void charge(EngineRank& rank) = 0;
+};
+
+/// Builds a rank's policy inside the SPMD region (collective: every rank
+/// calls it once, before the first iteration).
+using PolicyFactory = std::function<std::unique_ptr<LevelPolicy>(EngineRank&)>;
+
+/// The engine loop. `name` labels warnings ("level1"); `initial_centroids`
+/// must be k x dataset.d() and finite (InvalidArgument otherwise).
+KmeansResult run_engine(Level level, const char* name,
+                        const data::Dataset& dataset,
+                        const KmeansConfig& config,
+                        const simarch::MachineConfig& machine,
+                        const PartitionPlan& plan,
+                        util::Matrix initial_centroids,
+                        const PolicyFactory& make_policy);
+
+/// Levels 1 and 2: sweep contiguous sample blocks against all k centroids
+/// through a double-buffered tile pair. Tile t+1 is gated and scored into
+/// the spare slot (modelling its DMA landing under tile t's sweep) before
+/// tile t's merge retires; retire order stays ascending, so the
+/// accumulator's summation order — and the centroid bits — cannot move.
+class TileSweep {
+ public:
+  explicit TileSweep(const EngineRank& rank);
+
+  struct Block {
+    std::uint64_t unresolved = 0;  ///< samples swept (the rest were gated)
+    std::uint64_t tightened = 0;   ///< one-row gate tightenings
+  };
+  /// Gate, score and merge samples [begin, end).
+  Block sweep(EngineRank& rank, std::size_t begin, std::size_t end);
+
+  /// Tile pipeline overlap: tile t+1's sample and centroid DMA land under
+  /// tile t's sweep, hiding up to a (T-1)/T share of it (T tiles in the
+  /// busiest block). Hidden seconds come proportionally out of the two
+  /// DMA phases and move into overlapped_dma_s, so total_s() shrinks by
+  /// exactly what the pipeline bought.
+  static void hide_tile_dma(EngineRank& rank, std::uint64_t max_block_samples,
+                            double sweep_compute_s, double sample_dma_s,
+                            double centroid_dma_s);
+
+ private:
+  struct Slot {
+    std::size_t t0 = 0;
+    std::size_t t1 = 0;
+    bool valid = false;
+    std::vector<std::uint32_t> ids;
+    std::vector<TileScore2> scores;
+  };
+  void stage(EngineRank& rank, Slot& s, std::size_t t0, std::size_t t1,
+             Block& block);
+  void retire(EngineRank& rank, Slot& s, Block& block);
+
+  Slot slots_[2];
+};
+
+}  // namespace swhkm::core::detail

@@ -67,15 +67,6 @@ struct KmeansConfig {
   /// to their centroid. Exact — trajectories stay bit-identical to serial
   /// Lloyd; off reproduces the seed engines' every-sample sweep.
   bool gate_assign = true;
-  /// Double-buffered tile pipeline in the engines' assign loop: tile t+1
-  /// is gated/scored while tile t's argmin combine drains (level 3 issues
-  /// the combine split-phase so the wait really overlaps; levels 1/2
-  /// overlap the modelled tile DMA), and the cost model moves the hidden
-  /// seconds into CostTally::overlapped_*. Exact — tiles are disjoint
-  /// sample ranges and the combine association is unchanged, so
-  /// trajectories stay bit-identical to serial Lloyd; off restores the
-  /// strictly sequential tile loop and the no-overlap cost model.
-  bool pipeline_tiles = true;
   /// GEMM-formulated survivor sweep: score unresolved tiles through the
   /// ||x||^2 + ||c||^2 - 2 X C^T panel product with per-iteration cached
   /// centroid norms, exact top-two rescore of each row's tau-bounded

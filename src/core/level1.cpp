@@ -2,620 +2,115 @@
 
 #include <algorithm>
 
-#include "core/engine_common.hpp"
-#include "core/metrics.hpp"
+#include "core/engine_loop.hpp"
 #include "simarch/regcomm.hpp"
-#include "simarch/topology.hpp"
-#include "simarch/trace.hpp"
-#include "swmpi/collectives.hpp"
-#include "swmpi/runtime.hpp"
-#include "telemetry/telemetry.hpp"
-#include "util/crc32.hpp"
-#include "util/error.hpp"
 
 namespace swhkm::core {
+
+namespace {
+
+/// Level 1 policy: each CPE of this CG streams its own contiguous block
+/// and scores all k centroids for the block's unresolved samples.
+class Level1Policy final : public detail::LevelPolicy {
+ public:
+  explicit Level1Policy(const detail::EngineRank& rank) : tiles_(rank) {}
+
+  detail::AssignSweep sweep(detail::EngineRank& rank) override {
+    const detail::EngineRun& run = rank.run;
+    const std::size_t cpes = run.machine.cpes_per_cg;
+    const std::size_t total_cpes = run.machine.total_cpes();
+    const std::size_t k = run.config.k;
+    const std::size_t d = run.dataset.d();
+    // Swept survivor rows run at the active kernel's rate; the gate's
+    // tighten rows are always single-row exact distances (multi-chain).
+    sweep_row_s_ = run.gemm ? run.machine.gemm_row_seconds(d)
+                            : run.machine.assign_row_seconds(d);
+    const double tighten_row_s = run.machine.assign_row_seconds(d);
+    sample_bytes_ = 0;
+    max_cpe_samples_ = 0;
+    max_cpe_sweep_s_ = 0;
+    samples_ = 0;
+    unresolved_ = 0;
+    tightened_ = 0;
+    cpes_with_sweep_ = 0;
+    for (std::size_t cpe = 0; cpe < cpes; ++cpe) {
+      const auto [begin, end] = detail::block_range(
+          run.dataset.n(), total_cpes, rank.cg * cpes + cpe);
+      const detail::TileSweep::Block block = tiles_.sweep(rank, begin, end);
+      const std::uint64_t count = end - begin;
+      sample_bytes_ += count * d * run.machine.elem_bytes;
+      samples_ += count;
+      unresolved_ += block.unresolved;
+      tightened_ += block.tightened;
+      max_cpe_samples_ = std::max(max_cpe_samples_, count);
+      max_cpe_sweep_s_ = std::max(
+          max_cpe_sweep_s_,
+          static_cast<double>(block.unresolved * k) * sweep_row_s_ +
+              static_cast<double>(block.tightened) * tighten_row_s);
+      if (block.unresolved > 0) {
+        ++cpes_with_sweep_;
+      }
+    }
+    return {samples_, unresolved_};
+  }
+
+  void charge(detail::EngineRank& rank) override {
+    const detail::EngineRun& run = rank.run;
+    const simarch::MachineConfig& machine = run.machine;
+    const std::size_t k = run.config.k;
+    const std::size_t d = run.dataset.d();
+    const std::size_t eb = machine.elem_bytes;
+    simarch::CostTally& tally = rank.tally;
+    // Only CPEs with unresolved work (re)load the full centroid set; a
+    // fully-gated CPE just accumulates from stored assignments. Every
+    // sample still streams once — the accumulator needs it regardless.
+    const std::size_t loading_cpes =
+        rank.gating ? cpes_with_sweep_ : machine.cpes_per_cg;
+    const double centroid_dma_s =
+        static_cast<double>(loading_cpes * k * d * eb) / machine.dma_bandwidth;
+    tally.centroid_stream_s += centroid_dma_s;
+    tally.dma_bytes += loading_cpes * k * d * eb;
+    const double sample_read_before = tally.sample_read_s;
+    detail::charge_sample_stream(tally, machine, sample_bytes_,
+                                 max_cpe_samples_);
+    const double sample_dma_s = tally.sample_read_s - sample_read_before;
+    tally.compute_s += max_cpe_sweep_s_;
+    detail::TileSweep::hide_tile_dma(rank, max_cpe_samples_, max_cpe_sweep_s_,
+                                     sample_dma_s, centroid_dma_s);
+    tally.flops += (unresolved_ * k + tightened_) * 2 * d;
+    tally.pruned_samples += samples_ - unresolved_;
+    rank.distance_comps += unresolved_ * k + tightened_;
+    rank.lloyd_equivalent += samples_ * k;
+    rank.charge_gate_and_sdc(unresolved_, sweep_row_s_);
+    // Register-comm reduce of the fused accumulator inside the CG.
+    simarch::RegComm reg(machine, tally);
+    reg.account_allreduce((k * d + k) * eb, machine.cpes_per_cg);
+  }
+
+ private:
+  detail::TileSweep tiles_;
+  double sweep_row_s_ = 0;
+  std::uint64_t sample_bytes_ = 0;
+  std::uint64_t max_cpe_samples_ = 0;
+  double max_cpe_sweep_s_ = 0;  ///< sweep + tighten seconds, slowest CPE
+  std::uint64_t samples_ = 0;
+  std::uint64_t unresolved_ = 0;
+  std::uint64_t tightened_ = 0;
+  std::size_t cpes_with_sweep_ = 0;
+};
+
+}  // namespace
 
 KmeansResult run_level1(const data::Dataset& dataset,
                         const KmeansConfig& config,
                         const simarch::MachineConfig& machine,
                         const PartitionPlan& plan,
                         util::Matrix initial_centroids) {
-  SWHKM_REQUIRE(plan.level == Level::kLevel1, "plan is not a Level 1 plan");
-  SWHKM_REQUIRE(plan.shape.n == dataset.n() && plan.shape.d == dataset.d() &&
-                    plan.shape.k == config.k,
-                "plan shape does not match the dataset/config");
-  detail::validate_ldm_layout(plan, machine);
-
-  const std::size_t num_cgs = machine.num_cgs();
-  const std::size_t cpes = machine.cpes_per_cg;
-  const std::size_t total_cpes = machine.total_cpes();
-  const std::size_t k = config.k;
-  const std::size_t d = dataset.d();
-  const std::size_t eb = machine.elem_bytes;
-  // GEMM output is byte-identical to the chain kernel, so an LDM too small
-  // for the candidate/norm scratch downgrades the kernel instead of
-  // rejecting a tile that fits without it; record-footprint overflow still
-  // throws through resolve_tile_samples.
-  const bool gemm_enabled =
-      config.gemm_assign &&
-      gemm_scratch_fits(config.tile_samples, plan, machine,
-                        config.sstep_tiles);
-  const std::size_t tile_samples = resolve_tile_samples(
-      config.tile_samples, plan, machine, config.sstep_tiles, gemm_enabled);
-  if (config.gemm_assign && !gemm_enabled) {
-    SWHKM_WARN << "level1: GEMM scratch for tile_samples="
-               << config.tile_samples
-               << " overflows LDM; using the chain kernel (bit-identical)";
-  }
-  const simarch::Topology topo(machine);
-  // Hierarchical-collective schedule: one supernode's CGs form an intra
-  // group, the crossover is derived from the machine's inter-supernode
-  // latency/bandwidth terms. The guard installs the runtime schedule for
-  // the ranks this run_spmd launches and restores the previous one after.
-  const bool hier = config.hier_collectives;
-  const std::size_t xover = machine.collective_crossover_bytes();
-  const swmpi::ScopedCollectiveSchedule collective_guard(
-      hier ? swmpi::CollectiveSchedule::kHierarchical
-           : swmpi::CollectiveSchedule::kFlat,
-      {static_cast<int>(machine.cgs_per_node * machine.supernode_nodes),
-       xover});
-
-  KmeansResult result;
-  result.assignments.assign(dataset.n(), 0);
-
-  // One shared read-only centroid snapshot for all ranks (refreshed only
-  // at the bulk-synchronous iteration edge inside reduce_and_update), so
-  // centroid memory is O(k*d) per run instead of per rank.
-  util::Matrix centroids = std::move(initial_centroids);
-  std::size_t iterations = 0;
-  bool converged = false;
-  std::size_t empty_clusters = 0;
-  simarch::CostTally total_cost;
-  simarch::CostTally last_cost;
-  std::vector<IterationStats> history;
-
-  telemetry::Telemetry* const tel = config.telemetry;
-
-  swmpi::run_spmd(static_cast<int>(num_cgs), [&](swmpi::Comm& world) {
-    const std::size_t cg = static_cast<std::size_t>(world.rank());
-    // Engine-side metric handles, resolved once per rank (name lookup is
-    // the slow path). sim.* ledgers tick on cg 0 only, mirroring the
-    // history rows they reconcile against.
-    telemetry::MetricsShard* const tshard =
-        tel != nullptr ? &tel->metrics().shard(world.global_rank()) : nullptr;
-    telemetry::FlightRing* const flight =
-        tshard != nullptr ? tshard->flight() : nullptr;
-    telemetry::Counter* const pruned_ctr =
-        tshard != nullptr ? &tshard->counter("engine.gate.pruned_samples")
-                          : nullptr;
-    telemetry::Counter* const swept_ctr =
-        tshard != nullptr ? &tshard->counter("engine.gate.swept_samples")
-                          : nullptr;
-    telemetry::Histogram* const survivor_hist =
-        tshard != nullptr ? &tshard->histogram("engine.gate.survivor_tile")
-                          : nullptr;
-    telemetry::Histogram* const overlap_hist =
-        tshard != nullptr ? &tshard->histogram("engine.pipeline.overlap_s")
-                          : nullptr;
-    telemetry::Counter* const sim_net =
-        tshard != nullptr && cg == 0 ? &tshard->counter("sim.net_bytes")
-                                     : nullptr;
-    telemetry::Counter* const sim_dma =
-        tshard != nullptr && cg == 0 ? &tshard->counter("sim.dma_bytes")
-                                     : nullptr;
-    const bool spans_on = tel != nullptr && tel->config().wall_spans;
-    double rank_clock = 0;
-    detail::UpdateAccumulator acc(k, d);
-    const std::size_t accum_bytes = (k * d + k) * eb;
-    const bool gate = config.gate_assign;
-    const bool pipeline = config.pipeline_tiles;
-    const bool gemm = gemm_enabled;
-    // SDC defense (KmeansConfig::sdc_checks): snapshot/accumulator CRC
-    // scrubbing, ABFT checksum columns on the GEMM panels, counts
-    // conservation in the sharded update. sdc_iter feeds the tile-scratch
-    // flip hook the current global iteration; snap_crc is this rank's
-    // reference CRC of the published snapshot bits.
-    const bool sdc = config.sdc_checks;
-    std::uint64_t sdc_iter = 0;
-    std::uint32_t snap_crc = 0;
-    bool snap_crc_valid = false;
-    detail::GemmSdcHooks gemm_sdc;
-    if (sdc) {
-      gemm_sdc.check = true;
-      gemm_sdc.flip = [&world, &sdc_iter](std::span<std::byte> bytes) {
-        world.memory_fault_point(swmpi::MemorySite::kTileScratch, sdc_iter,
-                                 bytes);
-      };
-    }
-    detail::GemmSdcHooks* const gemm_hooks = sdc ? &gemm_sdc : nullptr;
-    // Per-iteration ||c||^2 cache for the GEMM-formulated sweep. Gated
-    // iterations refresh only the rows the published drift marks moved —
-    // an unmoved row's stored float bits are unchanged, so its cached norm
-    // is still bit-exact.
-    detail::CentroidNormCache norm_cache;
-
-    // Double-buffered tile slots: the pipelined loop stages tile t+1
-    // (gate + score into the spare buffer, modelling the next tile's DMA
-    // landing under this sweep) before retiring tile t's merge. Retire
-    // order stays ascending within each CPE's block, so the accumulator's
-    // summation order — and the centroid bits — cannot move.
-    struct TileSlot {
-      std::size_t t0 = 0;
-      std::size_t t1 = 0;
-      bool valid = false;
-      std::vector<std::uint32_t> ids;
-      std::vector<detail::TileScore2> scores;
-    };
-    TileSlot slots[2];
-    for (TileSlot& s : slots) {
-      s.scores.resize(tile_samples);
-      if (gate) {
-        s.ids.reserve(tile_samples);
-      }
-    }
-
-    // Bound-gated assign state (per rank; only this rank's sample block is
-    // ever touched): Hamerly upper/lower bounds per sample, the published
-    // per-centroid drift, and the per-tile compaction scratch.
-    std::vector<double> upper;
-    std::vector<double> lower;
-    std::vector<double> drift;
-    std::vector<double> safe;
-    if (gate) {
-      upper.assign(dataset.n(), 0.0);
-      lower.assign(dataset.n(), 0.0);
-      drift.assign(k, 0.0);
-    }
-    std::uint64_t distance_comps = 0;
-    std::uint64_t lloyd_equivalent = 0;
-
-    for (std::size_t iter = 0; iter < config.max_iterations; ++iter) {
-      // Global iteration index: the RecoveryDriver runs this engine in
-      // legs, and fault schedules / trace rows are addressed globally.
-      const std::uint64_t global_iter = config.iteration_base + iter;
-      if (flight != nullptr) {
-        flight->record(telemetry::FlightEventKind::kIterationStart,
-                       static_cast<std::uint32_t>(global_iter), 0, 0, 0,
-                       rank_clock);
-      }
-      world.fault_point(swmpi::FaultSite::kAssign, global_iter);
-      if (sdc) {
-        // Snapshot scrub phase. Protocol: capture the reference CRC (cold
-        // start only — warm iterations captured it right after the update
-        // published the rows), barrier, expose the shared snapshot to
-        // flip_memory (at most one rank writes), barrier, then every rank
-        // re-reads and verifies. The barriers order the injected write
-        // against all ranks' reads; capture-after-update needs none (the
-        // update's closing allreduce orders the writes, and the next
-        // update's entry allgather orders this read before new writes).
-        sdc_iter = global_iter;
-        const std::span<float> snap = centroids.flat();
-        if (!snap_crc_valid) {
-          snap_crc = util::crc32(std::as_bytes(snap));
-          snap_crc_valid = true;
-        }
-        swmpi::barrier(world);
-        world.memory_fault_point(swmpi::MemorySite::kSnapshot, global_iter,
-                                 std::as_writable_bytes(snap));
-        swmpi::barrier(world);
-        if (util::crc32(std::as_bytes(snap)) != snap_crc) {
-          if (tshard != nullptr) {
-            tshard->counter("sdc.snapshot.crc_fail").add(1);
-          }
-          throw SilentCorruptionError(
-              "sdc: centroid snapshot CRC mismatch at iteration " +
-              std::to_string(global_iter) +
-              " — published centroid bits were corrupted in memory");
-        }
-      }
-      const double assign_start_us = spans_on ? tel->now_us() : 0.0;
-      acc.reset();
-      simarch::CostTally tally;
-      simarch::RegComm reg(machine, tally);
-      const std::uint64_t abft_recomputed_before = gemm_sdc.recomputed;
-
-      // Iteration 0 has no bounds yet — every sample sweeps (and the
-      // trajectory stays exact from the very first assignment).
-      const bool gating = gate && iter > 0;
-      const detail::DriftDigest digest =
-          gating ? detail::drift_digest(drift) : detail::DriftDigest{};
-      if (gating) {
-        detail::compute_safe_radii(centroids, safe);
-      }
-      std::size_t norm_rows = 0;
-      if (gemm) {
-        // Drift is only published on gated runs; without it the cache has
-        // no invalidation signal, so recompute all k rows each iteration.
-        norm_rows = gating ? norm_cache.refresh_from_drift(centroids, drift)
-                           : norm_cache.refresh_full(centroids);
-        tally.compute_s += static_cast<double>(norm_rows) *
-                           machine.gemm_row_seconds(d);
-        // Norm refresh seconds are charged above, but its O(k d) products
-        // stay out of `flops`, which keeps its exact 2nkd distance-work
-        // meaning (FlopAccountingMatches2nkd) and prices the FLOP *rate*
-        // from the panel product alone.
-      }
-      const std::span<const double> norms(norm_cache.norms.data(),
-                                          norm_cache.norms.size());
-
-      // Assign: each CPE streams its block, gates each tile against the
-      // bounds, and scores all k centroids for the unresolved survivors
-      // through the shared cache-blocked kernel. The merge walks the whole
-      // tile in ascending i — resolved samples accumulate under their
-      // stored assignment, swept ones under the fresh argmin — so the
-      // fused sums keep the exact summation order of the ungated sweep
-      // and the centroid bits cannot move.
-      // Swept survivor rows run at the active kernel's rate; the gate's
-      // tighten rows are always single-row exact distances (multi-chain).
-      const double sweep_row_s = gemm ? machine.gemm_row_seconds(d)
-                                      : machine.assign_row_seconds(d);
-      const double tighten_row_s = machine.assign_row_seconds(d);
-      std::uint64_t sample_bytes = 0;
-      std::uint64_t max_cpe_samples = 0;
-      double max_cpe_sweep_s = 0;  // sweep + tighten seconds, slowest CPE
-      std::uint64_t rank_samples = 0;
-      std::uint64_t rank_unresolved = 0;
-      std::uint64_t rank_tightened = 0;
-      std::size_t cpes_with_sweep = 0;
-      for (std::size_t cpe = 0; cpe < cpes; ++cpe) {
-        const auto [begin, end] =
-            detail::block_range(dataset.n(), total_cpes, cg * cpes + cpe);
-        std::uint64_t cpe_unresolved = 0;
-        std::uint64_t cpe_tightened = 0;
-
-        // Stage tile [t0, t1): gate + score it into the slot's buffers.
-        auto stage = [&](TileSlot& s, std::size_t t0, std::size_t t1) {
-          s.t0 = t0;
-          s.t1 = t1;
-          s.valid = true;
-          if (flight != nullptr) {
-            flight->record(telemetry::FlightEventKind::kTileStart,
-                           static_cast<std::uint32_t>(global_iter), 0, t0,
-                           t1);
-          }
-          if (!gating) {
-            const std::span<detail::TileScore2> scores(s.scores.data(),
-                                                       t1 - t0);
-            detail::clear_scores(scores);
-            if (gemm) {
-              detail::score_tile_gemm(dataset, t0, t1, centroids, norms, 0, k,
-                                      scores, gemm_hooks);
-            } else {
-              detail::score_tile(dataset, t0, t1, centroids, 0, k, scores);
-            }
-            return;
-          }
-          s.ids.clear();
-          cpe_tightened += detail::gate_tile(
-              dataset, centroids, t0, t1, result.assignments, drift, digest,
-              safe, upper, lower, /*tighten=*/true, s.ids);
-          if (survivor_hist != nullptr) {
-            survivor_hist->observe(static_cast<double>(s.ids.size()));
-          }
-          if (!s.ids.empty()) {
-            const std::span<detail::TileScore2> scores(s.scores.data(),
-                                                       s.ids.size());
-            detail::clear_scores(scores);
-            const std::span<const std::uint32_t> ids(s.ids.data(),
-                                                     s.ids.size());
-            if (gemm) {
-              detail::score_tile_ids_gemm(dataset, ids, centroids, norms, 0,
-                                          k, scores, gemm_hooks);
-            } else {
-              detail::score_tile_ids(dataset, ids, centroids, 0, k, scores);
-            }
-          }
-        };
-
-        // Retire tile [s.t0, s.t1): merge in ascending-i order.
-        auto retire = [&](TileSlot& s) {
-          if (!gating) {
-            const std::span<const detail::TileScore2> scores(s.scores.data(),
-                                                             s.t1 - s.t0);
-            for (std::size_t i = s.t0; i < s.t1; ++i) {
-              const detail::TileScore2& rec = scores[i - s.t0];
-              const auto j = static_cast<std::uint32_t>(rec.index);
-              result.assignments[i] = j;
-              if (gate) {
-                detail::refresh_bounds(rec, upper[i], lower[i]);
-              }
-              acc.add_sample(j, dataset.sample(i));
-            }
-            cpe_unresolved += s.t1 - s.t0;
-            s.valid = false;
-            if (flight != nullptr) {
-              flight->record(telemetry::FlightEventKind::kTileEnd,
-                             static_cast<std::uint32_t>(global_iter), 0,
-                             s.t0, s.t1);
-            }
-            return;
-          }
-          const std::span<const detail::TileScore2> scores(s.scores.data(),
-                                                           s.ids.size());
-          std::size_t pos = 0;
-          for (std::size_t i = s.t0; i < s.t1; ++i) {
-            std::uint32_t j;
-            if (pos < s.ids.size() && s.ids[pos] == i) {
-              const detail::TileScore2& rec = scores[pos];
-              j = static_cast<std::uint32_t>(rec.index);
-              result.assignments[i] = j;
-              detail::refresh_bounds(rec, upper[i], lower[i]);
-              ++pos;
-            } else {
-              j = result.assignments[i];
-            }
-            acc.add_sample(j, dataset.sample(i));
-          }
-          cpe_unresolved += s.ids.size();
-          s.valid = false;
-          if (flight != nullptr) {
-            flight->record(telemetry::FlightEventKind::kTileEnd,
-                           static_cast<std::uint32_t>(global_iter), 0, s.t0,
-                           s.t1);
-          }
-        };
-
-        int cur = 0;
-        for (std::size_t t0 = begin; t0 < end; t0 += tile_samples) {
-          const std::size_t t1 = std::min(end, t0 + tile_samples);
-          stage(slots[cur], t0, t1);
-          if (!pipeline) {
-            retire(slots[cur]);
-            continue;
-          }
-          TileSlot& prev = slots[cur ^ 1];
-          if (prev.valid) {
-            retire(prev);
-          }
-          cur ^= 1;
-        }
-        if (pipeline && slots[cur ^ 1].valid) {
-          retire(slots[cur ^ 1]);
-        }
-        const std::uint64_t count = end - begin;
-        sample_bytes += count * d * eb;
-        rank_samples += count;
-        rank_unresolved += cpe_unresolved;
-        rank_tightened += cpe_tightened;
-        max_cpe_samples = std::max(max_cpe_samples, count);
-        max_cpe_sweep_s = std::max(
-            max_cpe_sweep_s,
-            static_cast<double>(cpe_unresolved * k) * sweep_row_s +
-                static_cast<double>(cpe_tightened) * tighten_row_s);
-        if (cpe_unresolved > 0) {
-          ++cpes_with_sweep;
-        }
-      }
-      if (spans_on) {
-        tel->spans().record("assign", static_cast<std::uint32_t>(cg),
-                            static_cast<std::uint32_t>(global_iter),
-                            assign_start_us, tel->now_us() - assign_start_us);
-      }
-      if (swept_ctr != nullptr) {
-        swept_ctr->add(rank_unresolved);
-        pruned_ctr->add(rank_samples - rank_unresolved);
-      }
-
-      // Only CPEs with unresolved work (re)load the full centroid set; a
-      // fully-gated CPE just accumulates from stored assignments. Every
-      // sample still streams once — the accumulator needs it regardless.
-      const std::size_t loading_cpes = gating ? cpes_with_sweep : cpes;
-      const double centroid_dma_s =
-          static_cast<double>(loading_cpes * k * d * eb) /
-          machine.dma_bandwidth;
-      tally.centroid_stream_s += centroid_dma_s;
-      tally.dma_bytes += loading_cpes * k * d * eb;
-      const double sample_read_before = tally.sample_read_s;
-      detail::charge_sample_stream(tally, machine, sample_bytes,
-                                   max_cpe_samples);
-      const double sample_dma_s = tally.sample_read_s - sample_read_before;
-      const double sweep_compute_s = max_cpe_sweep_s;
-      tally.compute_s += sweep_compute_s;
-
-      // Tile pipeline overlap: the double buffer lets tile t+1's sample and
-      // centroid DMA land under tile t's distance sweep, hiding up to a
-      // (T-1)/T share of the sweep. Hidden seconds come proportionally out
-      // of the two DMA phases and move into overlapped_dma_s, so total_s()
-      // shrinks by exactly what the pipeline bought.
-      const double tile_dma_s = sample_dma_s + centroid_dma_s;
-      if (pipeline && max_cpe_samples > tile_samples && tile_dma_s > 0) {
-        const std::size_t ntiles =
-            (max_cpe_samples + tile_samples - 1) / tile_samples;
-        const double window = sweep_compute_s *
-                              static_cast<double>(ntiles - 1) /
-                              static_cast<double>(ntiles);
-        const double hidden = std::min(tile_dma_s, window);
-        const double f = hidden / tile_dma_s;
-        tally.sample_read_s -= f * sample_dma_s;
-        tally.centroid_stream_s -= f * centroid_dma_s;
-        tally.overlapped_dma_s += hidden;
-        if (overlap_hist != nullptr) {
-          overlap_hist->observe(hidden);
-        }
-      }
-      tally.flops += (rank_unresolved * k + rank_tightened) * 2 * d;
-      if (gating) {
-        // Safe radii: k(k-1)/2 centroid-pair rows from the shared
-        // snapshot, recomputed by every CG each iteration.
-        tally.compute_s += static_cast<double>(k * (k - 1) / 2) *
-                           machine.assign_row_seconds(d);
-        tally.flops += k * (k - 1) * d;
-      }
-      tally.pruned_samples += rank_samples - rank_unresolved;
-      distance_comps += rank_unresolved * k + rank_tightened;
-      lloyd_equivalent += rank_samples * k;
-      if (sdc) {
-        // Modeled SDC overhead, charged only when the defense is armed so
-        // defense-off model numbers stay pinned: the ABFT checksum adds two
-        // extra dot chains per 16-row panel (1/8 of the sweep rate), the
-        // snapshot + accumulator CRC scrubs stream their bytes once, and
-        // the frame trailers + conservation allreduce ride the network.
-        tally.compute_s +=
-            static_cast<double>(rank_unresolved) * sweep_row_s * 0.125;
-        tally.compute_s +=
-            static_cast<double>(k * d * eb + accum_bytes) /
-            machine.dma_bandwidth;
-        const std::uint64_t sdc_net = 16 * 2 * num_cgs + sizeof(double);
-        tally.net_comm_s += topo.allgather_time(sdc_net, 0, num_cgs);
-        tally.net_bytes += sdc_net;
-        tally.net_rounds += 1;  // the counts-conservation allreduce
-        tally.sdc_recomputed += gemm_sdc.recomputed - abft_recomputed_before;
-        if (tshard != nullptr &&
-            gemm_sdc.recomputed != abft_recomputed_before) {
-          tshard->counter("sdc.abft.detected")
-              .add(gemm_sdc.recomputed - abft_recomputed_before);
-        }
-      }
-
-      // Update: register-comm reduce inside the CG, then the machine-wide
-      // sharded phase — reduce_scatter of the fused accumulator, every CG
-      // applying its own shard of rows, then one allgather publishing the
-      // refreshed rows with the (shift, empties) stats riding as a 16-byte
-      // per-rank header (plus the k-double drift vector when gating). The
-      // collectives are charged to net_comm_s; update_s only covers this
-      // CG's shard.
-      reg.account_allreduce(accum_bytes, cpes);
-      const std::size_t publish_bytes =
-          k * d * eb + 16 * num_cgs + (gate ? k * sizeof(double) : 0);
-      if (hier) {
-        const simarch::CollectiveCharge rs =
-            topo.hier_reduce_scatter_charge(accum_bytes, 0, num_cgs, xover);
-        const simarch::CollectiveCharge ag =
-            topo.hier_allgather_charge(publish_bytes, 0, num_cgs);
-        tally.net_comm_s += rs.seconds + ag.seconds;
-        tally.net_crossing_bytes += rs.crossing_bytes + ag.crossing_bytes;
-        if (cg == 0) {
-          detail::tick_collective_charge(tshard, "sim.collective.update_rs",
-                                         rs);
-          detail::tick_collective_charge(tshard, "sim.collective.update_ag",
-                                         ag);
-        }
-      } else {
-        tally.net_comm_s +=
-            topo.reduce_scatter_time(accum_bytes, 0, num_cgs) +
-            topo.allgather_time(publish_bytes, 0, num_cgs);
-      }
-      tally.net_bytes += accum_bytes + publish_bytes;
-      tally.net_rounds += 2;  // reduce_scatter + allgather
-      world.fault_point(swmpi::FaultSite::kUpdate, global_iter);
-      if (sdc) {
-        // Accumulator scrub: capture the sums CRC at accumulation end,
-        // expose the (sums, counts) pair to flip_memory — the modeled DRAM
-        // flip between accumulation and fold — and verify the sums before
-        // they enter the reduction. Counts are deliberately left out of
-        // the CRC: a counts flip is caught by the Σcounts == n
-        // conservation guard inside reduce_and_update, keeping both
-        // detectors honest.
-        const std::span<double> sums(acc.sums.data(), acc.sums.size());
-        const std::span<double> counts(acc.counts.data(), acc.counts.size());
-        const std::uint32_t sums_crc = util::crc32(std::as_bytes(sums));
-        world.memory_fault_point(swmpi::MemorySite::kUpdateAccum, global_iter,
-                                 std::as_writable_bytes(sums),
-                                 std::as_writable_bytes(counts));
-        if (util::crc32(std::as_bytes(sums)) != sums_crc) {
-          if (tshard != nullptr) {
-            tshard->counter("sdc.accum.crc_fail").add(1);
-          }
-          throw SilentCorruptionError(
-              "sdc: update accumulator CRC mismatch on rank " +
-              std::to_string(world.global_rank()) + " at iteration " +
-              std::to_string(global_iter) +
-              " — accumulator sums were corrupted before the fold");
-        }
-      }
-      const double update_start_us = spans_on ? tel->now_us() : 0.0;
-      const detail::UpdateOutcome outcome = detail::reduce_and_update(
-          world, centroids, acc,
-          gate ? std::span<double>(drift.data(), drift.size())
-               : std::span<double>{},
-          sdc ? dataset.n() : 0);
-      if (sdc) {
-        // Re-capture the reference CRC from the freshly published rows (see
-        // the scrub-phase comment for the ordering argument).
-        snap_crc = util::crc32(std::as_bytes(centroids.flat()));
-        snap_crc_valid = true;
-      }
-      if (spans_on) {
-        tel->spans().record("update", static_cast<std::uint32_t>(cg),
-                            static_cast<std::uint32_t>(global_iter),
-                            update_start_us, tel->now_us() - update_start_us);
-      }
-      const double shift = outcome.shift;
-      const auto [u_begin, u_end] = detail::block_range(k, num_cgs, cg);
-      const std::size_t shard_rows = u_end - u_begin;
-      tally.update_s +=
-          static_cast<double>(2 * shard_rows * d) /
-              (machine.cg_flops() * machine.compute_efficiency) +
-          static_cast<double>(shard_rows * d * eb) / machine.dma_bandwidth;
-
-      if (config.trace != nullptr) {
-        config.trace->record_iteration(static_cast<std::uint32_t>(cg),
-                                       static_cast<std::uint32_t>(global_iter),
-                                       rank_clock, tally);
-      }
-      world.fault_point(swmpi::FaultSite::kCollective, global_iter);
-      const simarch::CostTally combined =
-          detail::combine_tallies(world, tally);
-      rank_clock += combined.total_s();  // bulk-synchronous iteration edge
-      if (flight != nullptr) {
-        flight->record(telemetry::FlightEventKind::kIterationEnd,
-                       static_cast<std::uint32_t>(global_iter), 0, 0, 0,
-                       rank_clock);
-      }
-      if (cg == 0) {
-        total_cost += combined;
-        last_cost = combined;
-        iterations = iter + 1;
-        empty_clusters = outcome.empty_clusters;
-        history.push_back({shift, combined.total_s(),
-                           static_cast<double>(combined.pruned_samples) /
-                               static_cast<double>(dataset.n()),
-                           combined.net_bytes, combined.dma_bytes,
-                           combined.flops, combined.net_rounds});
-        history.back().net_crossing_bytes = combined.net_crossing_bytes;
-        history.back().sdc_recomputed = combined.sdc_recomputed;
-        detail::fill_phase_stats(history.back(), combined);
-        if (sim_net != nullptr) {
-          sim_net->add(combined.net_bytes);
-          sim_dma->add(combined.dma_bytes);
-        }
-      }
-      if (shift <= config.tolerance) {
-        if (cg == 0) {
-          converged = true;
-        }
-        break;
-      }
-    }
-
-    // Every rank leaves the loop at the same iteration (shift is
-    // replicated), so one closing collective folds the per-rank distance
-    // ledgers.
-    std::uint64_t counters[2] = {distance_comps, lloyd_equivalent};
-    swmpi::allreduce_sum(world, std::span<std::uint64_t>(counters, 2));
-    if (cg == 0) {
-      result.accel.distance_computations = counters[0];
-      result.accel.lloyd_equivalent = counters[1];
-    }
-  }, config.fault_plan,
-      tel != nullptr && tel->config().swmpi ? &tel->metrics() : nullptr);
-
-  detail::warn_empty_clusters(empty_clusters, "level1");
-  result.centroids = std::move(centroids);
-  result.iterations = iterations;
-  result.converged = converged;
-  if (config.gate_assign && iterations > 1) {
-    // Safe-radius maintenance: k(k-1)/2 centroid pairs per gated
-    // iteration, counted once (the per-rank copies are replicas).
-    result.accel.centroid_distance_computations =
-        (iterations - 1) * config.k * (config.k - 1) / 2;
-  }
-  result.empty_clusters = empty_clusters;
-  result.cost = total_cost;
-  result.last_iteration_cost = last_cost;
-  result.history = std::move(history);
-  result.inertia = inertia(dataset, result.centroids, result.assignments);
-  return result;
+  return detail::run_engine(
+      Level::kLevel1, "level1", dataset, config, machine, plan,
+      std::move(initial_centroids), [](detail::EngineRank& rank) {
+        return std::make_unique<Level1Policy>(rank);
+      });
 }
 
 }  // namespace swhkm::core

@@ -2,611 +2,137 @@
 
 #include <algorithm>
 
-#include "core/engine_common.hpp"
-#include "core/metrics.hpp"
+#include "core/engine_loop.hpp"
 #include "simarch/regcomm.hpp"
-#include "simarch/topology.hpp"
-#include "simarch/trace.hpp"
-#include "swmpi/collectives.hpp"
-#include "swmpi/runtime.hpp"
-#include "telemetry/telemetry.hpp"
-#include "util/crc32.hpp"
-#include "util/error.hpp"
 
 namespace swhkm::core {
+
+namespace {
+
+/// Level 2 policy: each CPE group of this CG takes one flow unit's block;
+/// every member CPE reads the whole sample (replication factor g) and
+/// scores its centroid slice, with the group's register-bus argmin combine
+/// selecting the winner (priced in charge()). The g slices tile [0, k)
+/// contiguously, so functionally the combine is one ascending scan of all
+/// centroids — the shared TileSweep. A gated sample skips the replicated
+/// read, the slice sweep and the register combine, and is accumulated by
+/// its stored assignment's owner from a single read.
+class Level2Policy final : public detail::LevelPolicy {
+ public:
+  explicit Level2Policy(const detail::EngineRank& rank) : tiles_(rank) {}
+
+  detail::AssignSweep sweep(detail::EngineRank& rank) override {
+    const detail::EngineRun& run = rank.run;
+    const std::size_t g = run.plan.m_group;
+    const std::size_t groups_per_cg = run.machine.cpes_per_cg / g;
+    const std::size_t d = run.dataset.d();
+    const std::size_t eb = run.machine.elem_bytes;
+    sample_bytes_ = 0;
+    max_group_samples_ = 0;
+    max_group_unresolved_ = 0;
+    max_group_tightened_ = 0;
+    samples_ = 0;
+    unresolved_ = 0;
+    tightened_ = 0;
+    for (std::size_t grp = 0; grp < groups_per_cg; ++grp) {
+      const auto [begin, end] =
+          detail::block_range(run.dataset.n(), run.plan.num_flow_units,
+                              rank.cg * groups_per_cg + grp);
+      const detail::TileSweep::Block block = tiles_.sweep(rank, begin, end);
+      const std::uint64_t count = end - begin;
+      // Unresolved samples pay the replicated read (every member CPE of
+      // the group needs the vector to score its slice); gated ones are
+      // read once by the accumulating owner.
+      sample_bytes_ += rank.gating ? block.unresolved * d * eb * g +
+                                         (count - block.unresolved) * d * eb
+                                   : count * d * eb * g;
+      samples_ += count;
+      unresolved_ += block.unresolved;
+      tightened_ += block.tightened;
+      max_group_samples_ = std::max(max_group_samples_, count);
+      max_group_unresolved_ =
+          std::max(max_group_unresolved_, block.unresolved);
+      max_group_tightened_ = std::max(max_group_tightened_, block.tightened);
+    }
+    return {samples_, unresolved_};
+  }
+
+  void charge(detail::EngineRank& rank) override {
+    const detail::EngineRun& run = rank.run;
+    const simarch::MachineConfig& machine = run.machine;
+    const std::size_t k = run.config.k;
+    const std::size_t d = run.dataset.d();
+    const std::size_t eb = machine.elem_bytes;
+    const std::size_t g = run.plan.m_group;
+    const std::size_t k_local = run.plan.k_local;
+    simarch::CostTally& tally = rank.tally;
+    const double sample_read_before = tally.sample_read_s;
+    detail::charge_sample_stream(tally, machine, sample_bytes_,
+                                 max_group_samples_);
+    const double sample_dma_s = tally.sample_read_s - sample_read_before;
+    const double centroid_stream_before = tally.centroid_stream_s;
+    if (!rank.gating || max_group_unresolved_ > 0) {
+      detail::charge_centroid_traffic(tally, machine, run.plan,
+                                      max_group_unresolved_);
+    }
+    const double centroid_dma_s =
+        tally.centroid_stream_s - centroid_stream_before;
+    // Swept survivor slice-rows run at the active kernel's rate; tighten
+    // rows are always single-row exact distances (multi-chain).
+    const double sweep_row_s = run.gemm ? machine.gemm_row_seconds(d)
+                                        : machine.assign_row_seconds(d);
+    const double sweep_compute_s =
+        static_cast<double>(max_group_unresolved_ * k_local) * sweep_row_s +
+        static_cast<double>(max_group_tightened_) *
+            machine.assign_row_seconds(d);
+    tally.compute_s += sweep_compute_s;
+    // Tile t+1's replicated sample read and centroid re-stream land under
+    // tile t's slice sweep.
+    detail::TileSweep::hide_tile_dma(rank, max_group_samples_,
+                                     sweep_compute_s, sample_dma_s,
+                                     centroid_dma_s);
+    tally.flops += (unresolved_ * k + tightened_) * 2 * d;
+    tally.pruned_samples += samples_ - unresolved_;
+    rank.distance_comps += unresolved_ * k + tightened_;
+    rank.lloyd_equivalent += samples_ * k;
+    rank.charge_gate_and_sdc(unresolved_, sweep_row_s);
+
+    // Per-sample argmin combine on the register buses (groups of a CG run
+    // in parallel; charge the busiest group), compacted to the unresolved
+    // samples, then the same-slice CPEs' reduce across the CG's groups.
+    // Gated runs combine the 24-byte top-two record (the runner-up must
+    // survive the slice combine to seed the lower bound); ungated runs
+    // keep the seed's 16-byte argmin. Each tightening distance is one
+    // double broadcast from the slice owner over the same bus.
+    simarch::RegComm reg(machine, tally);
+    reg.account_allreduce(rank.gate ? 24 : 16, g, max_group_unresolved_);
+    reg.account_allreduce(8, g, max_group_tightened_);
+    reg.account_allreduce(k_local * d * eb, machine.cpes_per_cg / g);
+  }
+
+ private:
+  detail::TileSweep tiles_;
+  std::uint64_t sample_bytes_ = 0;
+  std::uint64_t max_group_samples_ = 0;
+  std::uint64_t max_group_unresolved_ = 0;
+  std::uint64_t max_group_tightened_ = 0;
+  std::uint64_t samples_ = 0;
+  std::uint64_t unresolved_ = 0;
+  std::uint64_t tightened_ = 0;
+};
+
+}  // namespace
 
 KmeansResult run_level2(const data::Dataset& dataset,
                         const KmeansConfig& config,
                         const simarch::MachineConfig& machine,
                         const PartitionPlan& plan,
                         util::Matrix initial_centroids) {
-  SWHKM_REQUIRE(plan.level == Level::kLevel2, "plan is not a Level 2 plan");
-  SWHKM_REQUIRE(plan.shape.n == dataset.n() && plan.shape.d == dataset.d() &&
-                    plan.shape.k == config.k,
-                "plan shape does not match the dataset/config");
-  detail::validate_ldm_layout(plan, machine);
-
-  const std::size_t num_cgs = machine.num_cgs();
-  const std::size_t cpes = machine.cpes_per_cg;
-  const std::size_t g = plan.m_group;
-  const std::size_t groups_per_cg = cpes / g;
-  const std::size_t flow_units = plan.num_flow_units;
-  const std::size_t k = config.k;
-  const std::size_t d = dataset.d();
-  const std::size_t k_local = plan.k_local;
-  const std::size_t eb = machine.elem_bytes;
-  // See level1: too-small LDM downgrades the (bit-identical) GEMM kernel
-  // rather than rejecting a tile that fits without its scratch.
-  const bool gemm_enabled =
-      config.gemm_assign &&
-      gemm_scratch_fits(config.tile_samples, plan, machine,
-                        config.sstep_tiles);
-  const std::size_t tile_samples = resolve_tile_samples(
-      config.tile_samples, plan, machine, config.sstep_tiles, gemm_enabled);
-  if (config.gemm_assign && !gemm_enabled) {
-    SWHKM_WARN << "level2: GEMM scratch for tile_samples="
-               << config.tile_samples
-               << " overflows LDM; using the chain kernel (bit-identical)";
-  }
-  const simarch::Topology topo(machine);
-  // Hierarchical-collective schedule (see level1.cpp): supernode-wide
-  // intra groups, machine-derived crossover, RAII runtime install.
-  const bool hier = config.hier_collectives;
-  const std::size_t xover = machine.collective_crossover_bytes();
-  const swmpi::ScopedCollectiveSchedule collective_guard(
-      hier ? swmpi::CollectiveSchedule::kHierarchical
-           : swmpi::CollectiveSchedule::kFlat,
-      {static_cast<int>(machine.cgs_per_node * machine.supernode_nodes),
-       xover});
-
-  KmeansResult result;
-  result.assignments.assign(dataset.n(), 0);
-
-  // One shared read-only centroid snapshot for all ranks (refreshed only
-  // at the bulk-synchronous iteration edge inside reduce_and_update), so
-  // centroid memory is O(k*d) per run instead of per rank.
-  util::Matrix centroids = std::move(initial_centroids);
-  std::size_t iterations = 0;
-  bool converged = false;
-  std::size_t empty_clusters = 0;
-  simarch::CostTally total_cost;
-  simarch::CostTally last_cost;
-  std::vector<IterationStats> history;
-
-  telemetry::Telemetry* const tel = config.telemetry;
-
-  swmpi::run_spmd(static_cast<int>(num_cgs), [&](swmpi::Comm& world) {
-    const std::size_t cg = static_cast<std::size_t>(world.rank());
-    // Engine-side metric handles, resolved once per rank (name lookup is
-    // the slow path). sim.* ledgers tick on cg 0 only, mirroring the
-    // history rows they reconcile against.
-    telemetry::MetricsShard* const tshard =
-        tel != nullptr ? &tel->metrics().shard(world.global_rank()) : nullptr;
-    telemetry::FlightRing* const flight =
-        tshard != nullptr ? tshard->flight() : nullptr;
-    telemetry::Counter* const pruned_ctr =
-        tshard != nullptr ? &tshard->counter("engine.gate.pruned_samples")
-                          : nullptr;
-    telemetry::Counter* const swept_ctr =
-        tshard != nullptr ? &tshard->counter("engine.gate.swept_samples")
-                          : nullptr;
-    telemetry::Histogram* const survivor_hist =
-        tshard != nullptr ? &tshard->histogram("engine.gate.survivor_tile")
-                          : nullptr;
-    telemetry::Histogram* const overlap_hist =
-        tshard != nullptr ? &tshard->histogram("engine.pipeline.overlap_s")
-                          : nullptr;
-    telemetry::Counter* const sim_net =
-        tshard != nullptr && cg == 0 ? &tshard->counter("sim.net_bytes")
-                                     : nullptr;
-    telemetry::Counter* const sim_dma =
-        tshard != nullptr && cg == 0 ? &tshard->counter("sim.dma_bytes")
-                                     : nullptr;
-    const bool spans_on = tel != nullptr && tel->config().wall_spans;
-    double rank_clock = 0;
-    detail::UpdateAccumulator acc(k, d);
-    const std::size_t accum_bytes = (k * d + k) * eb;
-    const bool gate = config.gate_assign;
-    const bool pipeline = config.pipeline_tiles;
-    const bool gemm = gemm_enabled;
-    // SDC defense (KmeansConfig::sdc_checks) — see level1.cpp for the full
-    // protocol: snapshot/accumulator CRC scrubbing, ABFT checksum columns
-    // on the GEMM panels, counts conservation in the sharded update.
-    const bool sdc = config.sdc_checks;
-    std::uint64_t sdc_iter = 0;
-    std::uint32_t snap_crc = 0;
-    bool snap_crc_valid = false;
-    detail::GemmSdcHooks gemm_sdc;
-    if (sdc) {
-      gemm_sdc.check = true;
-      gemm_sdc.flip = [&world, &sdc_iter](std::span<std::byte> bytes) {
-        world.memory_fault_point(swmpi::MemorySite::kTileScratch, sdc_iter,
-                                 bytes);
-      };
-    }
-    detail::GemmSdcHooks* const gemm_hooks = sdc ? &gemm_sdc : nullptr;
-    // Per-iteration ||c||^2 cache for the GEMM-formulated sweep (see
-    // level1.cpp): gated iterations refresh only the drift-marked rows.
-    detail::CentroidNormCache norm_cache;
-
-    // Double-buffered tile slots (see level1.cpp): tile t+1 stages into
-    // the spare buffer before tile t's merge retires; ascending retire
-    // order keeps the accumulator's summation order and the centroid bits.
-    struct TileSlot {
-      std::size_t t0 = 0;
-      std::size_t t1 = 0;
-      bool valid = false;
-      std::vector<std::uint32_t> ids;
-      std::vector<detail::TileScore2> scores;
-    };
-    TileSlot slots[2];
-    for (TileSlot& s : slots) {
-      s.scores.resize(tile_samples);
-      if (gate) {
-        s.ids.reserve(tile_samples);
-      }
-    }
-
-    // Bound-gated assign state (per rank; only this rank's flow units'
-    // blocks are ever touched) — see level1.cpp.
-    std::vector<double> upper;
-    std::vector<double> lower;
-    std::vector<double> drift;
-    std::vector<double> safe;
-    if (gate) {
-      upper.assign(dataset.n(), 0.0);
-      lower.assign(dataset.n(), 0.0);
-      drift.assign(k, 0.0);
-    }
-    std::uint64_t distance_comps = 0;
-    std::uint64_t lloyd_equivalent = 0;
-
-    for (std::size_t iter = 0; iter < config.max_iterations; ++iter) {
-      // Global iteration index: the RecoveryDriver runs this engine in
-      // legs, and fault schedules / trace rows are addressed globally.
-      const std::uint64_t global_iter = config.iteration_base + iter;
-      if (flight != nullptr) {
-        flight->record(telemetry::FlightEventKind::kIterationStart,
-                       static_cast<std::uint32_t>(global_iter), 0, 0, 0,
-                       rank_clock);
-      }
-      world.fault_point(swmpi::FaultSite::kAssign, global_iter);
-      if (sdc) {
-        // Snapshot scrub: capture / barrier / flip point / barrier /
-        // verify — see level1.cpp for the ordering argument.
-        sdc_iter = global_iter;
-        const std::span<float> snap = centroids.flat();
-        if (!snap_crc_valid) {
-          snap_crc = util::crc32(std::as_bytes(snap));
-          snap_crc_valid = true;
-        }
-        swmpi::barrier(world);
-        world.memory_fault_point(swmpi::MemorySite::kSnapshot, global_iter,
-                                 std::as_writable_bytes(snap));
-        swmpi::barrier(world);
-        if (util::crc32(std::as_bytes(snap)) != snap_crc) {
-          if (tshard != nullptr) {
-            tshard->counter("sdc.snapshot.crc_fail").add(1);
-          }
-          throw SilentCorruptionError(
-              "sdc: centroid snapshot CRC mismatch at iteration " +
-              std::to_string(global_iter) +
-              " — published centroid bits were corrupted in memory");
-        }
-      }
-      const double assign_start_us = spans_on ? tel->now_us() : 0.0;
-      acc.reset();
-      simarch::CostTally tally;
-      simarch::RegComm reg(machine, tally);
-      const std::uint64_t abft_recomputed_before = gemm_sdc.recomputed;
-
-      const bool gating = gate && iter > 0;
-      const detail::DriftDigest digest =
-          gating ? detail::drift_digest(drift) : detail::DriftDigest{};
-      if (gating) {
-        detail::compute_safe_radii(centroids, safe);
-      }
-      std::size_t norm_rows = 0;
-      if (gemm) {
-        norm_rows = gating ? norm_cache.refresh_from_drift(centroids, drift)
-                           : norm_cache.refresh_full(centroids);
-        tally.compute_s += static_cast<double>(norm_rows) *
-                           machine.gemm_row_seconds(d);
-        // Norm refresh seconds are charged above, but its O(k d) products
-        // stay out of `flops`, which keeps its exact 2nkd distance-work
-        // meaning (FlopAccountingMatches2nkd) and prices the FLOP *rate*
-        // from the panel product alone.
-      }
-      const std::span<const double> norms(norm_cache.norms.data(),
-                                          norm_cache.norms.size());
-
-      // Assign: each CPE group of this CG takes one flow unit's block;
-      // every member CPE reads the whole sample (replication factor g) and
-      // scores its centroid slice, with the group's register-bus argmin
-      // combine selecting the winner (priced below). The g slices tile
-      // [0, k) contiguously, so functionally the combine is one ascending
-      // scan of all centroids — done here a tile of samples at a time
-      // through the shared cache-blocked kernel. The bound gate compacts
-      // each tile first: a gated sample skips the replicated read, the
-      // slice sweep and the register combine, and is accumulated by its
-      // stored assignment's owner from a single read. The merge walks the
-      // tile in ascending i, so the fused sums keep the exact summation
-      // order of the ungated sweep.
-      std::uint64_t sample_bytes = 0;
-      std::uint64_t max_group_samples = 0;
-      std::uint64_t max_group_unresolved = 0;
-      std::uint64_t max_group_tightened = 0;
-      std::uint64_t rank_samples = 0;
-      std::uint64_t rank_unresolved = 0;
-      std::uint64_t rank_tightened = 0;
-      for (std::size_t grp = 0; grp < groups_per_cg; ++grp) {
-        const std::size_t flow_unit = cg * groups_per_cg + grp;
-        const auto [begin, end] =
-            detail::block_range(dataset.n(), flow_units, flow_unit);
-        std::uint64_t group_unresolved = 0;
-        std::uint64_t group_tightened = 0;
-
-        // Stage tile [t0, t1): gate + score it into the slot's buffers.
-        auto stage = [&](TileSlot& s, std::size_t t0, std::size_t t1) {
-          s.t0 = t0;
-          s.t1 = t1;
-          s.valid = true;
-          if (flight != nullptr) {
-            flight->record(telemetry::FlightEventKind::kTileStart,
-                           static_cast<std::uint32_t>(global_iter), 0, t0,
-                           t1);
-          }
-          if (!gating) {
-            const std::span<detail::TileScore2> scores(s.scores.data(),
-                                                       t1 - t0);
-            detail::clear_scores(scores);
-            if (gemm) {
-              detail::score_tile_gemm(dataset, t0, t1, centroids, norms, 0, k,
-                                      scores, gemm_hooks);
-            } else {
-              detail::score_tile(dataset, t0, t1, centroids, 0, k, scores);
-            }
-            return;
-          }
-          s.ids.clear();
-          // Tightening is local here: the sample is already replicated to
-          // the group and the assigned centroid's full row lives in one
-          // member's slice; the verdict rides the register bus.
-          group_tightened += detail::gate_tile(
-              dataset, centroids, t0, t1, result.assignments, drift, digest,
-              safe, upper, lower, /*tighten=*/true, s.ids);
-          if (survivor_hist != nullptr) {
-            survivor_hist->observe(static_cast<double>(s.ids.size()));
-          }
-          if (!s.ids.empty()) {
-            const std::span<detail::TileScore2> scores(s.scores.data(),
-                                                       s.ids.size());
-            detail::clear_scores(scores);
-            const std::span<const std::uint32_t> ids(s.ids.data(),
-                                                     s.ids.size());
-            if (gemm) {
-              detail::score_tile_ids_gemm(dataset, ids, centroids, norms, 0,
-                                          k, scores, gemm_hooks);
-            } else {
-              detail::score_tile_ids(dataset, ids, centroids, 0, k, scores);
-            }
-          }
-        };
-
-        // Retire tile [s.t0, s.t1): merge in ascending-i order.
-        auto retire = [&](TileSlot& s) {
-          if (!gating) {
-            const std::span<const detail::TileScore2> scores(s.scores.data(),
-                                                             s.t1 - s.t0);
-            for (std::size_t i = s.t0; i < s.t1; ++i) {
-              const detail::TileScore2& rec = scores[i - s.t0];
-              const auto best_j = static_cast<std::uint32_t>(rec.index);
-              result.assignments[i] = best_j;
-              if (gate) {
-                detail::refresh_bounds(rec, upper[i], lower[i]);
-              }
-              acc.add_sample(best_j, dataset.sample(i));
-            }
-            group_unresolved += s.t1 - s.t0;
-            s.valid = false;
-            if (flight != nullptr) {
-              flight->record(telemetry::FlightEventKind::kTileEnd,
-                             static_cast<std::uint32_t>(global_iter), 0,
-                             s.t0, s.t1);
-            }
-            return;
-          }
-          const std::span<const detail::TileScore2> scores(s.scores.data(),
-                                                           s.ids.size());
-          std::size_t pos = 0;
-          for (std::size_t i = s.t0; i < s.t1; ++i) {
-            std::uint32_t best_j;
-            if (pos < s.ids.size() && s.ids[pos] == i) {
-              const detail::TileScore2& rec = scores[pos];
-              best_j = static_cast<std::uint32_t>(rec.index);
-              result.assignments[i] = best_j;
-              detail::refresh_bounds(rec, upper[i], lower[i]);
-              ++pos;
-            } else {
-              best_j = result.assignments[i];
-            }
-            acc.add_sample(best_j, dataset.sample(i));
-          }
-          group_unresolved += s.ids.size();
-          s.valid = false;
-          if (flight != nullptr) {
-            flight->record(telemetry::FlightEventKind::kTileEnd,
-                           static_cast<std::uint32_t>(global_iter), 0, s.t0,
-                           s.t1);
-          }
-        };
-
-        int cur = 0;
-        for (std::size_t t0 = begin; t0 < end; t0 += tile_samples) {
-          const std::size_t t1 = std::min(end, t0 + tile_samples);
-          stage(slots[cur], t0, t1);
-          if (!pipeline) {
-            retire(slots[cur]);
-            continue;
-          }
-          TileSlot& prev = slots[cur ^ 1];
-          if (prev.valid) {
-            retire(prev);
-          }
-          cur ^= 1;
-        }
-        if (pipeline && slots[cur ^ 1].valid) {
-          retire(slots[cur ^ 1]);
-        }
-        const std::uint64_t count = end - begin;
-        // Unresolved samples pay the replicated read (every member CPE of
-        // the group needs the vector to score its slice); gated ones are
-        // read once by the accumulating owner.
-        sample_bytes += gating ? group_unresolved * d * eb * g +
-                                     (count - group_unresolved) * d * eb
-                               : count * d * eb * g;
-        rank_samples += count;
-        rank_unresolved += group_unresolved;
-        rank_tightened += group_tightened;
-        max_group_samples = std::max(max_group_samples, count);
-        max_group_unresolved =
-            std::max(max_group_unresolved, group_unresolved);
-        max_group_tightened =
-            std::max(max_group_tightened, group_tightened);
-      }
-      if (spans_on) {
-        tel->spans().record("assign", static_cast<std::uint32_t>(cg),
-                            static_cast<std::uint32_t>(global_iter),
-                            assign_start_us, tel->now_us() - assign_start_us);
-      }
-      if (swept_ctr != nullptr) {
-        swept_ctr->add(rank_unresolved);
-        pruned_ctr->add(rank_samples - rank_unresolved);
-      }
-      const double sample_read_before = tally.sample_read_s;
-      detail::charge_sample_stream(tally, machine, sample_bytes,
-                                   max_group_samples);
-      const double sample_dma_s = tally.sample_read_s - sample_read_before;
-      const double centroid_stream_before = tally.centroid_stream_s;
-      if (!gating || max_group_unresolved > 0) {
-        detail::charge_centroid_traffic(tally, machine, plan,
-                                        max_group_unresolved);
-      }
-      const double centroid_dma_s =
-          tally.centroid_stream_s - centroid_stream_before;
-      // Swept survivor slice-rows run at the active kernel's rate; tighten
-      // rows are always single-row exact distances (multi-chain).
-      const double sweep_compute_s =
-          static_cast<double>(max_group_unresolved * k_local) *
-              (gemm ? machine.gemm_row_seconds(d)
-                    : machine.assign_row_seconds(d)) +
-          static_cast<double>(max_group_tightened) *
-              machine.assign_row_seconds(d);
-      tally.compute_s += sweep_compute_s;
-
-      // Tile pipeline overlap (see level1.cpp): tile t+1's replicated
-      // sample read and centroid re-stream land under tile t's slice
-      // sweep; hidden seconds move into overlapped_dma_s.
-      const double tile_dma_s = sample_dma_s + centroid_dma_s;
-      if (pipeline && max_group_samples > tile_samples && tile_dma_s > 0) {
-        const std::size_t ntiles =
-            (max_group_samples + tile_samples - 1) / tile_samples;
-        const double window = sweep_compute_s *
-                              static_cast<double>(ntiles - 1) /
-                              static_cast<double>(ntiles);
-        const double hidden = std::min(tile_dma_s, window);
-        const double f = hidden / tile_dma_s;
-        tally.sample_read_s -= f * sample_dma_s;
-        tally.centroid_stream_s -= f * centroid_dma_s;
-        tally.overlapped_dma_s += hidden;
-        if (overlap_hist != nullptr) {
-          overlap_hist->observe(hidden);
-        }
-      }
-      tally.flops += (rank_unresolved * k + rank_tightened) * 2 * d;
-      if (gating) {
-        // Safe radii: k(k-1)/2 centroid-pair rows from the shared
-        // snapshot, recomputed by every CG each iteration.
-        tally.compute_s += static_cast<double>(k * (k - 1) / 2) *
-                           machine.assign_row_seconds(d);
-        tally.flops += k * (k - 1) * d;
-      }
-      tally.pruned_samples += rank_samples - rank_unresolved;
-      distance_comps += rank_unresolved * k + rank_tightened;
-      lloyd_equivalent += rank_samples * k;
-      if (sdc) {
-        // Modeled SDC overhead (see level1.cpp): ABFT checksum chains at
-        // 1/8 of the sweep rate, one streaming pass for the snapshot +
-        // accumulator scrubs, frame trailers + the conservation allreduce
-        // on the network. Charged only when the defense is armed.
-        tally.compute_s += static_cast<double>(rank_unresolved) *
-                           (gemm ? machine.gemm_row_seconds(d)
-                                 : machine.assign_row_seconds(d)) *
-                           0.125;
-        tally.compute_s += static_cast<double>(k * d * eb + accum_bytes) /
-                           machine.dma_bandwidth;
-        const std::uint64_t sdc_net = 16 * 2 * num_cgs + sizeof(double);
-        tally.net_comm_s += topo.allgather_time(sdc_net, 0, num_cgs);
-        tally.net_bytes += sdc_net;
-        tally.net_rounds += 1;  // the counts-conservation allreduce
-        tally.sdc_recomputed += gemm_sdc.recomputed - abft_recomputed_before;
-        if (tshard != nullptr &&
-            gemm_sdc.recomputed != abft_recomputed_before) {
-          tshard->counter("sdc.abft.detected")
-              .add(gemm_sdc.recomputed - abft_recomputed_before);
-        }
-      }
-
-      // Per-sample argmin combine on the register buses (groups of a CG
-      // run in parallel; charge the busiest group) — compacted to the
-      // unresolved samples — then the update-phase reductions: same-slice
-      // CPEs across the CG's groups, and the machine-wide sharded phase —
-      // reduce_scatter of the fused accumulator, per-CG shard apply, then
-      // one allgather publishing the refreshed rows with the (shift,
-      // empties) stats riding as a 16-byte per-rank header (plus the
-      // k-double drift vector when gating).
-      // Gated runs combine the 24-byte top-two record (the runner-up must
-      // survive the slice combine to seed the lower bound); ungated runs
-      // keep the seed's 16-byte argmin. Each tightening distance is one
-      // double broadcast from the slice owner over the same bus.
-      reg.account_allreduce(gate ? 24 : 16, g, max_group_unresolved);
-      reg.account_allreduce(8, g, max_group_tightened);
-      reg.account_allreduce(k_local * d * eb, groups_per_cg);
-      const std::size_t publish_bytes =
-          k * d * eb + 16 * num_cgs + (gate ? k * sizeof(double) : 0);
-      if (hier) {
-        const simarch::CollectiveCharge rs =
-            topo.hier_reduce_scatter_charge(accum_bytes, 0, num_cgs, xover);
-        const simarch::CollectiveCharge ag =
-            topo.hier_allgather_charge(publish_bytes, 0, num_cgs);
-        tally.net_comm_s += rs.seconds + ag.seconds;
-        tally.net_crossing_bytes += rs.crossing_bytes + ag.crossing_bytes;
-        if (cg == 0) {
-          detail::tick_collective_charge(tshard, "sim.collective.update_rs",
-                                         rs);
-          detail::tick_collective_charge(tshard, "sim.collective.update_ag",
-                                         ag);
-        }
-      } else {
-        tally.net_comm_s +=
-            topo.reduce_scatter_time(accum_bytes, 0, num_cgs) +
-            topo.allgather_time(publish_bytes, 0, num_cgs);
-      }
-      tally.net_bytes += accum_bytes + publish_bytes;
-      tally.net_rounds += 2;  // reduce_scatter + allgather
-
-      world.fault_point(swmpi::FaultSite::kUpdate, global_iter);
-      if (sdc) {
-        // Accumulator scrub (see level1.cpp): CRC covers the sums only;
-        // counts flips fall to the Σcounts == n guard in the fold.
-        const std::span<double> sums(acc.sums.data(), acc.sums.size());
-        const std::span<double> counts(acc.counts.data(), acc.counts.size());
-        const std::uint32_t sums_crc = util::crc32(std::as_bytes(sums));
-        world.memory_fault_point(swmpi::MemorySite::kUpdateAccum, global_iter,
-                                 std::as_writable_bytes(sums),
-                                 std::as_writable_bytes(counts));
-        if (util::crc32(std::as_bytes(sums)) != sums_crc) {
-          if (tshard != nullptr) {
-            tshard->counter("sdc.accum.crc_fail").add(1);
-          }
-          throw SilentCorruptionError(
-              "sdc: update accumulator CRC mismatch on rank " +
-              std::to_string(world.global_rank()) + " at iteration " +
-              std::to_string(global_iter) +
-              " — accumulator sums were corrupted before the fold");
-        }
-      }
-      const double update_start_us = spans_on ? tel->now_us() : 0.0;
-      const detail::UpdateOutcome outcome = detail::reduce_and_update(
-          world, centroids, acc,
-          gate ? std::span<double>(drift.data(), drift.size())
-               : std::span<double>{},
-          sdc ? dataset.n() : 0);
-      if (sdc) {
-        snap_crc = util::crc32(std::as_bytes(centroids.flat()));
-        snap_crc_valid = true;
-      }
-      if (spans_on) {
-        tel->spans().record("update", static_cast<std::uint32_t>(cg),
-                            static_cast<std::uint32_t>(global_iter),
-                            update_start_us, tel->now_us() - update_start_us);
-      }
-      const double shift = outcome.shift;
-      const auto [u_begin, u_end] = detail::block_range(k, num_cgs, cg);
-      const std::size_t shard_rows = u_end - u_begin;
-      tally.update_s +=
-          static_cast<double>(2 * shard_rows * d) /
-              (machine.cg_flops() * machine.compute_efficiency) +
-          static_cast<double>(shard_rows * d * eb) / machine.dma_bandwidth;
-
-      if (config.trace != nullptr) {
-        config.trace->record_iteration(static_cast<std::uint32_t>(cg),
-                                       static_cast<std::uint32_t>(global_iter),
-                                       rank_clock, tally);
-      }
-      world.fault_point(swmpi::FaultSite::kCollective, global_iter);
-      const simarch::CostTally combined =
-          detail::combine_tallies(world, tally);
-      rank_clock += combined.total_s();  // bulk-synchronous iteration edge
-      if (flight != nullptr) {
-        flight->record(telemetry::FlightEventKind::kIterationEnd,
-                       static_cast<std::uint32_t>(global_iter), 0, 0, 0,
-                       rank_clock);
-      }
-      if (cg == 0) {
-        total_cost += combined;
-        last_cost = combined;
-        iterations = iter + 1;
-        empty_clusters = outcome.empty_clusters;
-        history.push_back({shift, combined.total_s(),
-                           static_cast<double>(combined.pruned_samples) /
-                               static_cast<double>(dataset.n()),
-                           combined.net_bytes, combined.dma_bytes,
-                           combined.flops, combined.net_rounds});
-        history.back().net_crossing_bytes = combined.net_crossing_bytes;
-        history.back().sdc_recomputed = combined.sdc_recomputed;
-        detail::fill_phase_stats(history.back(), combined);
-        if (sim_net != nullptr) {
-          sim_net->add(combined.net_bytes);
-          sim_dma->add(combined.dma_bytes);
-        }
-      }
-      if (shift <= config.tolerance) {
-        if (cg == 0) {
-          converged = true;
-        }
-        break;
-      }
-    }
-
-    // Every rank leaves the loop at the same iteration (shift is
-    // replicated), so one closing collective folds the per-rank distance
-    // ledgers.
-    std::uint64_t counters[2] = {distance_comps, lloyd_equivalent};
-    swmpi::allreduce_sum(world, std::span<std::uint64_t>(counters, 2));
-    if (cg == 0) {
-      result.accel.distance_computations = counters[0];
-      result.accel.lloyd_equivalent = counters[1];
-    }
-  }, config.fault_plan,
-      tel != nullptr && tel->config().swmpi ? &tel->metrics() : nullptr);
-
-  detail::warn_empty_clusters(empty_clusters, "level2");
-  result.centroids = std::move(centroids);
-  result.iterations = iterations;
-  result.converged = converged;
-  if (config.gate_assign && iterations > 1) {
-    // Safe-radius maintenance: k(k-1)/2 centroid pairs per gated
-    // iteration, counted once (the per-rank copies are replicas).
-    result.accel.centroid_distance_computations =
-        (iterations - 1) * config.k * (config.k - 1) / 2;
-  }
-  result.empty_clusters = empty_clusters;
-  result.cost = total_cost;
-  result.last_iteration_cost = last_cost;
-  result.history = std::move(history);
-  result.inertia = inertia(dataset, result.centroids, result.assignments);
-  return result;
+  return detail::run_engine(
+      Level::kLevel2, "level2", dataset, config, machine, plan,
+      std::move(initial_centroids), [](detail::EngineRank& rank) {
+        return std::make_unique<Level2Policy>(rank);
+      });
 }
 
 }  // namespace swhkm::core

@@ -2,726 +2,400 @@
 
 #include <algorithm>
 
-#include "core/engine_common.hpp"
-#include "core/metrics.hpp"
+#include "core/engine_loop.hpp"
 #include "simarch/regcomm.hpp"
-#include "simarch/topology.hpp"
-#include "simarch/trace.hpp"
 #include "swmpi/collectives.hpp"
-#include "swmpi/runtime.hpp"
-#include "telemetry/telemetry.hpp"
-#include "util/crc32.hpp"
-#include "util/error.hpp"
 
 namespace swhkm::core {
+
+namespace {
+
+/// Level 3 policy: every CG of a CG group reads each unresolved sample
+/// (its CPEs taking d_local dims each) and scores its own centroid slice,
+/// a span of `sstep_tiles` tiles at a time; one batched argmin combine
+/// across the group then resolves the whole compacted span, and a
+/// fully-gated span skips the collective outright (every rank computed the
+/// same empty compaction, so the collective discipline holds). The
+/// simulated cost still prices the paper's per-sample combine; only the
+/// wall-clock synchronisation is batched. The winner's slice owner
+/// accumulates, in ascending-i order — resolved samples under their
+/// stored assignment — so the fused sums keep the exact summation order
+/// of the ungated sweep.
+class Level3Policy final : public detail::LevelPolicy {
+ public:
+  explicit Level3Policy(detail::EngineRank& rank)
+      : p_(rank.run.plan.mprime_group),
+        group_(rank.cg / p_),
+        within_(rank.cg % p_),
+        group_comm_(rank.world.split(static_cast<int>(group_),
+                                     static_cast<int>(within_))),
+        j_begin_(std::min(within_ * rank.run.plan.k_local, rank.run.config.k)),
+        j_end_(std::min(rank.run.config.k, j_begin_ + rank.run.plan.k_local)),
+        span_samples_(rank.run.tile_samples * rank.run.config.sstep_tiles) {
+    const detail::EngineRun& run = rank.run;
+    // Group argmin combine price per sample: tiny payloads, so the
+    // hierarchical charge's size-adaptive stage always lands on the
+    // binomial tree (and degenerates to the exact flat charge whenever the
+    // group sits inside one supernode — every group at paper placements).
+    // Gated tiles carry MinLoc2 records — 8 bytes per sample more than the
+    // plain argmin, the price of the exact global runner-up distance.
+    const bool hier = run.config.hier_collectives;
+    group_charge_ =
+        run.topo.hier_allreduce_charge(16, group_ * p_, p_, run.xover);
+    group_combine_time_ = hier ? group_charge_.seconds
+                               : run.topo.allreduce_time(16, group_ * p_, p_);
+    group_charge2_ = run.topo.hier_allreduce_charge(
+        sizeof(swmpi::MinLoc2), group_ * p_, p_, run.xover);
+    group_combine_time2_ =
+        hier ? group_charge2_.seconds
+             : run.topo.allreduce_time(sizeof(swmpi::MinLoc2), group_ * p_,
+                                       p_);
+    for (SpanSlot& s : slots_) {
+      if (rank.gate) {
+        s.dc2.reserve(span_samples_);
+        s.ids.reserve(span_samples_);
+      } else {
+        s.dc1.reserve(span_samples_);
+      }
+    }
+    // Every rank of the group keeps a *private* replica of the group's
+    // assignments for the gate: its inputs (combined MinLoc2 records,
+    // published drift) are replicated bit-identically, so the replicas
+    // never diverge, every rank computes the same tile compaction with no
+    // extra exchange, and no rank reads a vector another rank writes.
+    if (rank.gate) {
+      local_assign_.assign(run.dataset.n(), 0);
+    }
+  }
+
+  detail::AssignSweep sweep(detail::EngineRank& rank) override {
+    const auto [begin, end] = detail::block_range(
+        rank.run.dataset.n(), rank.run.plan.num_flow_units, group_);
+    count_ = end - begin;
+    unresolved_ = 0;
+    owned_resolved_ = 0;
+    drain_first_us_ = -1.0;
+    drain_wall_us_ = 0.0;
+    // Span t-1 retires only after span t is staged: its combine kept
+    // draining under this span's gate + sweep, and this span's combine is
+    // already in flight before we block.
+    int cur = 0;
+    for (std::size_t t0 = begin; t0 < end; t0 += span_samples_) {
+      stage(rank, slots_[cur], t0, std::min(end, t0 + span_samples_));
+      SpanSlot& prev = slots_[cur ^ 1];
+      if (prev.valid) {
+        retire(rank, prev);
+      }
+      cur ^= 1;
+    }
+    if (slots_[cur ^ 1].valid) {
+      retire(rank, slots_[cur ^ 1]);
+    }
+    if (rank.spans_on && drain_first_us_ >= 0 && p_ > 1) {
+      rank.tel->spans().record("combine_drain",
+                               static_cast<std::uint32_t>(rank.cg),
+                               static_cast<std::uint32_t>(rank.global_iter),
+                               drain_first_us_, drain_wall_us_);
+    }
+    return {count_, unresolved_};
+  }
+
+  void charge(detail::EngineRank& rank) override {
+    const detail::EngineRun& run = rank.run;
+    const simarch::MachineConfig& machine = run.machine;
+    const std::size_t d = run.dataset.d();
+    const std::size_t eb = machine.elem_bytes;
+    const std::size_t k_local = run.plan.k_local;
+    const std::size_t d_local = run.plan.d_local;
+    const bool gate = rank.gate;
+    simarch::CostTally& tally = rank.tally;
+    // DMA: unresolved samples stream into every CG of the group; a
+    // resolved sample is read only by the CG owning its assigned slice
+    // (for the accumulator).
+    const std::uint64_t streamed =
+        gate ? unresolved_ + owned_resolved_ : count_;
+    detail::charge_sample_stream(tally, machine, streamed * d * eb, streamed);
+    const double centroid_stream_before = tally.centroid_stream_s;
+    if (!gate || unresolved_ > 0) {
+      detail::charge_centroid_traffic(tally, machine, run.plan, unresolved_);
+    }
+    const double tile_dma_s =
+        tally.centroid_stream_s - centroid_stream_before;
+    const double sweep_row_s = run.gemm
+                                   ? machine.gemm_row_seconds(d_local)
+                                   : machine.assign_row_seconds(d_local);
+    const double sweep_compute_s = static_cast<double>(unresolved_) *
+                                   static_cast<double>(k_local) * sweep_row_s;
+    tally.compute_s += sweep_compute_s;
+    const std::size_t slice = j_end_ - j_begin_;
+    tally.flops += unresolved_ * 2 * slice * d;
+    // The group's ranks gate the same samples, so only the slice-0 rank
+    // reports the prune count (volume counters sum across ranks).
+    if (within_ == 0) {
+      tally.pruned_samples += count_ - unresolved_;
+    }
+    // Slice widths tile [0, k) within each group, so the machine-wide sums
+    // are exactly swept-samples x k.
+    rank.distance_comps += unresolved_ * slice;
+    rank.lloyd_equivalent += count_ * slice;
+    rank.charge_gate_and_sdc(unresolved_, sweep_row_s);
+
+    // Per-sample mesh reduce of the CPEs' distance partials, then the
+    // per-sample network argmin across the CG group — both compacted to
+    // the unresolved samples.
+    simarch::RegComm reg(machine, tally);
+    reg.account_allreduce(k_local * eb, machine.cpes_per_cg, unresolved_);
+    const double tile_net_s =
+        static_cast<double>(unresolved_) *
+        (gate ? group_combine_time2_ : group_combine_time_);
+    tally.net_comm_s += tile_net_s;
+    tally.net_bytes +=
+        unresolved_ *
+        (gate ? sizeof(swmpi::MinLoc2) : sizeof(swmpi::MinLoc)) * (p_ - 1);
+    if (run.config.hier_collectives) {
+      const simarch::CollectiveCharge& gc =
+          gate ? group_charge2_ : group_charge_;
+      tally.net_crossing_bytes += unresolved_ * gc.crossing_bytes;
+      if (rank.cg == 0 && p_ > 1 && unresolved_ > 0) {
+        detail::tick_collective_charge(rank.tshard,
+                                       "sim.collective.group_argmin", gc);
+      }
+    }
+
+    // Tile pipeline overlap: all but the first span's combine drain (and
+    // centroid reload) issue under another span's distance sweep, so up to
+    // a (T-1)/T share of the sweep hides that traffic. The combine is
+    // hidden first (it is the phase the split-phase start/finish really
+    // overlaps); leftover window hides the modelled centroid re-stream.
+    // Hidden seconds move into the overlapped_* ledgers — total_s()
+    // shrinks by exactly what the pipeline bought.
+    if (count_ > span_samples_) {
+      const std::size_t nspans = (count_ + span_samples_ - 1) / span_samples_;
+      const double window = sweep_compute_s *
+                            static_cast<double>(nspans - 1) /
+                            static_cast<double>(nspans);
+      const double hide_net = std::min(tile_net_s, window);
+      const double hide_dma = std::min(tile_dma_s, window - hide_net);
+      tally.net_comm_s -= hide_net;
+      tally.overlapped_net_s += hide_net;
+      tally.centroid_stream_s -= hide_dma;
+      tally.overlapped_dma_s += hide_dma;
+      if (rank.overlap_hist != nullptr) {
+        rank.overlap_hist->observe(hide_net + hide_dma);
+      }
+    }
+  }
+
+ private:
+  /// Double-buffered span slots: span t+1 is gated and scored (one
+  /// deferred-combine launch) while span t's combine drains. Two slots is
+  /// exactly the depth the overlap needs.
+  struct SpanSlot {
+    std::size_t t0 = 0;
+    std::size_t t1 = 0;
+    bool valid = false;
+    std::vector<std::uint32_t> ids;
+    swmpi::DeferredCombine<swmpi::MinLoc, swmpi::ops::Min> dc1;
+    swmpi::DeferredCombine<swmpi::MinLoc2, swmpi::CombineMinLoc2> dc2;
+  };
+
+  /// Score this CG's slice for samples [i0, i1) into `scores`.
+  template <typename MinLocT>
+  void score_range(const detail::EngineRank& rank, std::size_t i0,
+                   std::size_t i1, std::span<MinLocT> scores) const {
+    detail::clear_scores(scores);
+    const detail::EngineRun& run = rank.run;
+    if (j_begin_ >= j_end_) {
+      return;
+    }
+    if (run.gemm) {
+      detail::score_tile_gemm(run.dataset, i0, i1, run.centroids, rank.norms,
+                              j_begin_, j_end_, scores, rank.gemm_hooks);
+    } else {
+      detail::score_tile(run.dataset, i0, i1, run.centroids, j_begin_, j_end_,
+                         scores);
+    }
+  }
+
+  /// Score this CG's slice for the samples `ids` into `scores`.
+  template <typename MinLocT>
+  void score_ids(const detail::EngineRank& rank,
+                 std::span<const std::uint32_t> ids,
+                 std::span<MinLocT> scores) const {
+    detail::clear_scores(scores);
+    const detail::EngineRun& run = rank.run;
+    if (j_begin_ >= j_end_) {
+      return;
+    }
+    if (run.gemm) {
+      detail::score_tile_ids_gemm(run.dataset, ids, run.centroids, rank.norms,
+                                  j_begin_, j_end_, scores, rank.gemm_hooks);
+    } else {
+      detail::score_tile_ids(run.dataset, ids, run.centroids, j_begin_,
+                             j_end_, scores);
+    }
+  }
+
+  /// Stage span [t0, t1): gate + score each of its sub-tiles into the
+  /// slot's deferred-combine store, then *launch* the span's single argmin
+  /// combine (the binomial up-phase send posts without waiting) so the
+  /// drain can overlap the next span's sweep. Sub-tiles claim records in
+  /// ascending order, so the combined store maps 1:1 onto the span's
+  /// survivors in ascending i.
+  void stage(detail::EngineRank& rank, SpanSlot& s, std::size_t t0,
+             std::size_t t1) {
+    const std::size_t tile = rank.run.tile_samples;
+    s.t0 = t0;
+    s.t1 = t1;
+    s.valid = true;
+    rank.record_tile(telemetry::FlightEventKind::kTileStart, t0, t1);
+    if (!rank.gate) {
+      s.dc1.reset();
+      for (std::size_t sub0 = t0; sub0 < t1; sub0 += tile) {
+        const std::size_t sub1 = std::min(t1, sub0 + tile);
+        score_range(rank, sub0, sub1, s.dc1.claim(sub1 - sub0));
+      }
+      if (s.dc1.launch(group_comm_, swmpi::ops::Min{}) && p_ > 1) {
+        rank.tally.net_rounds += 1;
+      }
+      return;
+    }
+    s.ids.clear();
+    s.dc2.reset();
+    for (std::size_t sub0 = t0; sub0 < t1; sub0 += tile) {
+      const std::size_t sub1 = std::min(t1, sub0 + tile);
+      const std::size_t before = s.ids.size();
+      if (!rank.gating) {
+        for (std::size_t i = sub0; i < sub1; ++i) {
+          s.ids.push_back(static_cast<std::uint32_t>(i));
+        }
+      } else {
+        // No tightening at this level: the assigned centroid's row is
+        // dimension-split across the group's CPEs and slice-split across
+        // its CGs, so one exact distance would cost the combine the gate
+        // exists to skip. Bounds + safe radii only.
+        detail::gate_tile(rank.run.dataset, rank.run.centroids, sub0, sub1,
+                          local_assign_, rank.drift, rank.digest, rank.safe,
+                          rank.upper, rank.lower, /*tighten=*/false, s.ids);
+      }
+      const std::size_t fresh = s.ids.size() - before;
+      if (rank.survivor_hist != nullptr && rank.gating) {
+        rank.survivor_hist->observe(static_cast<double>(fresh));
+      }
+      if (fresh == 0) {
+        continue;
+      }
+      score_ids(rank,
+                std::span<const std::uint32_t>(s.ids.data() + before, fresh),
+                s.dc2.claim(fresh));
+    }
+    // A fully-gated span claimed nothing: launch() skips the collective
+    // and no round is charged.
+    if (s.dc2.launch(group_comm_, swmpi::CombineMinLoc2{}) && p_ > 1) {
+      rank.tally.net_rounds += 1;
+    }
+  }
+
+  /// Drain a span's combine, timing the wait for the combine_drain span.
+  template <typename Combine>
+  void drain(const detail::EngineRank& rank, Combine& dc) {
+    if (!dc.active()) {
+      return;
+    }
+    const double t_us = rank.spans_on ? rank.tel->now_us() : 0.0;
+    dc.finish();
+    if (rank.spans_on) {
+      if (drain_first_us_ < 0) {
+        drain_first_us_ = t_us;
+      }
+      drain_wall_us_ += rank.tel->now_us() - t_us;
+    }
+  }
+
+  /// Retire span [s.t0, s.t1): drain its combine, then merge the resolved
+  /// winners in ascending-i order (the bit-identity invariant).
+  void retire(detail::EngineRank& rank, SpanSlot& s) {
+    const data::Dataset& dataset = rank.run.dataset;
+    std::vector<std::uint32_t>& assignments = rank.run.assignments;
+    if (!rank.gate) {
+      drain(rank, s.dc1);
+      const std::span<const swmpi::MinLoc> scores = s.dc1.records();
+      for (std::size_t i = s.t0; i < s.t1; ++i) {
+        const auto winner =
+            static_cast<std::uint32_t>(scores[i - s.t0].index);
+        if (winner >= j_begin_ && winner < j_end_) {
+          rank.acc.add_sample(winner, dataset.sample(i));
+        }
+        if (within_ == 0) {
+          assignments[i] = winner;
+        }
+      }
+      unresolved_ += s.t1 - s.t0;
+    } else {
+      drain(rank, s.dc2);
+      const std::span<const swmpi::MinLoc2> scores = s.dc2.records();
+      std::size_t pos = 0;
+      for (std::size_t i = s.t0; i < s.t1; ++i) {
+        std::uint32_t winner;
+        if (pos < s.ids.size() && s.ids[pos] == i) {
+          const swmpi::MinLoc2& rec = scores[pos];
+          winner = static_cast<std::uint32_t>(rec.index);
+          local_assign_[i] = winner;
+          detail::refresh_bounds(rec, rank.upper[i], rank.lower[i]);
+          if (within_ == 0) {
+            assignments[i] = winner;
+          }
+          ++pos;
+        } else {
+          winner = local_assign_[i];
+          if (winner >= j_begin_ && winner < j_end_) {
+            ++owned_resolved_;
+          }
+        }
+        if (winner >= j_begin_ && winner < j_end_) {
+          rank.acc.add_sample(winner, dataset.sample(i));
+        }
+      }
+      unresolved_ += s.ids.size();
+    }
+    s.valid = false;
+    rank.record_tile(telemetry::FlightEventKind::kTileEnd, s.t0, s.t1);
+  }
+
+  const std::size_t p_;       ///< CGs per group (m'_group)
+  const std::size_t group_;   ///< this CG's group (flow unit)
+  const std::size_t within_;  ///< slice holder index inside the group
+  swmpi::Comm group_comm_;
+  const std::size_t j_begin_;  ///< this CG's centroid slice [j_begin, j_end)
+  const std::size_t j_end_;
+  const std::size_t span_samples_;  ///< tiles per deferred combine x tile
+  simarch::CollectiveCharge group_charge_;
+  simarch::CollectiveCharge group_charge2_;
+  double group_combine_time_ = 0;
+  double group_combine_time2_ = 0;
+  SpanSlot slots_[2];
+  std::vector<std::uint32_t> local_assign_;
+
+  // The current iteration.
+  std::uint64_t count_ = 0;
+  std::uint64_t unresolved_ = 0;
+  std::uint64_t owned_resolved_ = 0;
+  double drain_first_us_ = -1.0;
+  double drain_wall_us_ = 0.0;
+};
+
+}  // namespace
 
 KmeansResult run_level3(const data::Dataset& dataset,
                         const KmeansConfig& config,
                         const simarch::MachineConfig& machine,
                         const PartitionPlan& plan,
                         util::Matrix initial_centroids) {
-  SWHKM_REQUIRE(plan.level == Level::kLevel3, "plan is not a Level 3 plan");
-  SWHKM_REQUIRE(plan.shape.n == dataset.n() && plan.shape.d == dataset.d() &&
-                    plan.shape.k == config.k,
-                "plan shape does not match the dataset/config");
-  detail::validate_ldm_layout(plan, machine);
-
-  const std::size_t num_cgs = machine.num_cgs();
-  const std::size_t cpes = machine.cpes_per_cg;
-  const std::size_t p = plan.mprime_group;
-  const std::size_t cg_groups = plan.num_flow_units;
-  const std::size_t k = config.k;
-  const std::size_t d = dataset.d();
-  const std::size_t k_local = plan.k_local;
-  const std::size_t d_local = plan.d_local;
-  const std::size_t eb = machine.elem_bytes;
-  // See level1: too-small LDM downgrades the (bit-identical) GEMM kernel
-  // rather than rejecting a tile that fits without its scratch.
-  const bool gemm_enabled =
-      config.gemm_assign &&
-      gemm_scratch_fits(config.tile_samples, plan, machine,
-                        config.sstep_tiles);
-  const std::size_t tile_samples = resolve_tile_samples(
-      config.tile_samples, plan, machine, config.sstep_tiles, gemm_enabled);
-  if (config.gemm_assign && !gemm_enabled) {
-    SWHKM_WARN << "level3: GEMM scratch for tile_samples="
-               << config.tile_samples
-               << " overflows LDM; using the chain kernel (bit-identical)";
-  }
-  // s-step deferred reduction: one combine launch per span of `sstep`
-  // consecutive tiles instead of one per tile. The fold stays element-wise
-  // over disjoint sample ranges, so any span size is bit-identical; only
-  // the collective *round* count moves.
-  const std::size_t sstep = config.sstep_tiles;
-  const std::size_t span_samples = tile_samples * sstep;
-  const simarch::Topology topo(machine);
-  // Hierarchical-collective schedule (see level1.cpp): supernode-wide
-  // intra groups, machine-derived crossover, RAII runtime install.
-  const bool hier = config.hier_collectives;
-  const std::size_t xover = machine.collective_crossover_bytes();
-  const swmpi::ScopedCollectiveSchedule collective_guard(
-      hier ? swmpi::CollectiveSchedule::kHierarchical
-           : swmpi::CollectiveSchedule::kFlat,
-      {static_cast<int>(machine.cgs_per_node * machine.supernode_nodes),
-       xover});
-
-  KmeansResult result;
-  result.assignments.assign(dataset.n(), 0);
-
-  // One shared read-only centroid snapshot for all ranks (refreshed only
-  // at the bulk-synchronous iteration edge inside reduce_and_update), so
-  // centroid memory is O(k*d) per run instead of per rank.
-  util::Matrix centroids = std::move(initial_centroids);
-  std::size_t iterations = 0;
-  bool converged = false;
-  std::size_t empty_clusters = 0;
-  simarch::CostTally total_cost;
-  simarch::CostTally last_cost;
-  std::vector<IterationStats> history;
-
-  telemetry::Telemetry* const tel = config.telemetry;
-
-  swmpi::run_spmd(static_cast<int>(num_cgs), [&](swmpi::Comm& world) {
-    const std::size_t cg = static_cast<std::size_t>(world.rank());
-    // Engine-side metric handles, resolved once per rank (name lookup is
-    // the slow path). Gate counters tick on every rank — replicated gate
-    // work is real per-rank work — while the sim.* ledgers tick on cg 0
-    // only, mirroring the history rows they reconcile against.
-    telemetry::MetricsShard* const tshard =
-        tel != nullptr ? &tel->metrics().shard(world.global_rank()) : nullptr;
-    telemetry::FlightRing* const flight =
-        tshard != nullptr ? tshard->flight() : nullptr;
-    telemetry::Counter* const pruned_ctr =
-        tshard != nullptr ? &tshard->counter("engine.gate.pruned_samples")
-                          : nullptr;
-    telemetry::Counter* const swept_ctr =
-        tshard != nullptr ? &tshard->counter("engine.gate.swept_samples")
-                          : nullptr;
-    telemetry::Histogram* const survivor_hist =
-        tshard != nullptr ? &tshard->histogram("engine.gate.survivor_tile")
-                          : nullptr;
-    telemetry::Histogram* const overlap_hist =
-        tshard != nullptr ? &tshard->histogram("engine.pipeline.overlap_s")
-                          : nullptr;
-    telemetry::Counter* const sim_net =
-        tshard != nullptr && cg == 0 ? &tshard->counter("sim.net_bytes")
-                                     : nullptr;
-    telemetry::Counter* const sim_dma =
-        tshard != nullptr && cg == 0 ? &tshard->counter("sim.dma_bytes")
-                                     : nullptr;
-    const bool spans_on = tel != nullptr && tel->config().wall_spans;
-    const std::size_t group = cg / p;        // CG-group index (flow unit)
-    const std::size_t within = cg % p;       // slice holder index
-    swmpi::Comm group_comm =
-        world.split(static_cast<int>(group), static_cast<int>(within));
-
-    // This CG's centroid slice [j_begin, j_end) for the assign phase.
-    const std::size_t j_begin = std::min(within * k_local, k);
-    const std::size_t j_end = std::min(k, j_begin + k_local);
-    // Group argmin combine price per sample: tiny payloads, so the
-    // hierarchical charge's size-adaptive stage always lands on the
-    // binomial tree (and degenerates to the exact flat charge whenever the
-    // group sits inside one supernode — every group at paper placements).
-    const simarch::CollectiveCharge group_charge =
-        topo.hier_allreduce_charge(16, group * p, p, xover);
-    const double group_combine_time =
-        hier ? group_charge.seconds : topo.allreduce_time(16, group * p, p);
-    // Gated tiles carry MinLoc2 records — 8 bytes per sample more than the
-    // plain argmin, the price of the exact global runner-up distance.
-    const simarch::CollectiveCharge group_charge2 =
-        topo.hier_allreduce_charge(sizeof(swmpi::MinLoc2), group * p, p,
-                                   xover);
-    const double group_combine_time2 =
-        hier ? group_charge2.seconds
-             : topo.allreduce_time(sizeof(swmpi::MinLoc2), group * p, p);
-    const std::size_t accum_bytes = (k * d + k) * eb;
-
-    double rank_clock = 0;
-    // Full k x d accumulator (rows outside this rank's slice stay zero) so
-    // the world reduce keeps the seed engines' exact summation tree —
-    // shrinking it to k_local rows would change the association order and
-    // with it the centroid bits.
-    detail::UpdateAccumulator acc(k, d);
-    const bool gate = config.gate_assign;
-    const bool gemm = gemm_enabled;
-    // SDC defense (KmeansConfig::sdc_checks) — see level1.cpp for the full
-    // protocol. Scrub barriers and flip points run on `world` (the group
-    // split only covers the assign-phase argmin): the snapshot and the
-    // accumulators are machine-wide state, and the barrier must order the
-    // injected write against *every* rank's reads.
-    const bool sdc = config.sdc_checks;
-    std::uint64_t sdc_iter = 0;
-    std::uint32_t snap_crc = 0;
-    bool snap_crc_valid = false;
-    detail::GemmSdcHooks gemm_sdc;
-    if (sdc) {
-      gemm_sdc.check = true;
-      gemm_sdc.flip = [&world, &sdc_iter](std::span<std::byte> bytes) {
-        world.memory_fault_point(swmpi::MemorySite::kTileScratch, sdc_iter,
-                                 bytes);
-      };
-    }
-    detail::GemmSdcHooks* const gemm_hooks = sdc ? &gemm_sdc : nullptr;
-    // Per-iteration ||c||^2 cache for the GEMM-formulated slice sweep (see
-    // level1.cpp): gated iterations refresh only the drift-marked rows.
-    detail::CentroidNormCache norm_cache;
-    // Double-buffered span slots: the pipelined loop stages span t+1
-    // (gate + score each sub-tile, one deferred-combine launch) while span
-    // t's combine drains. Two slots is exactly the depth the overlap
-    // needs; the retire order stays ascending, so the accumulator's
-    // summation order — and with it the centroid bits — cannot move.
-    struct SpanSlot {
-      std::size_t t0 = 0;
-      std::size_t t1 = 0;
-      bool valid = false;
-      std::vector<std::uint32_t> ids;
-      swmpi::DeferredCombine<swmpi::MinLoc, swmpi::ops::Min> dc1;
-      swmpi::DeferredCombine<swmpi::MinLoc2, swmpi::CombineMinLoc2> dc2;
-    };
-    SpanSlot slots[2];
-    for (SpanSlot& s : slots) {
-      if (gate) {
-        s.dc2.reserve(span_samples);
-        s.ids.reserve(span_samples);
-      } else {
-        s.dc1.reserve(span_samples);
-      }
-    }
-    const bool pipeline = config.pipeline_tiles;
-
-    // Bound-gated assign state. Every rank of the group keeps a *private*
-    // replica of the bounds and assignments for the group's samples: the
-    // gate inputs (combined MinLoc2 records, published drift) are
-    // replicated bit-identically, so the replicas never diverge and every
-    // rank computes the same tile compaction with no extra exchange — and
-    // no rank ever reads a vector another rank writes.
-    std::vector<double> upper;
-    std::vector<double> lower;
-    std::vector<double> drift;
-    std::vector<double> safe;
-    std::vector<std::uint32_t> local_assign;
-    if (gate) {
-      upper.assign(dataset.n(), 0.0);
-      lower.assign(dataset.n(), 0.0);
-      drift.assign(k, 0.0);
-      local_assign.assign(dataset.n(), 0);
-    }
-    std::uint64_t distance_comps = 0;
-    std::uint64_t lloyd_equivalent = 0;
-
-    for (std::size_t iter = 0; iter < config.max_iterations; ++iter) {
-      // Global iteration index: the RecoveryDriver runs this engine in
-      // legs, and fault schedules / trace rows are addressed globally.
-      const std::uint64_t global_iter = config.iteration_base + iter;
-      if (flight != nullptr) {
-        flight->record(telemetry::FlightEventKind::kIterationStart,
-                       static_cast<std::uint32_t>(global_iter), 0, 0, 0,
-                       rank_clock);
-      }
-      world.fault_point(swmpi::FaultSite::kAssign, global_iter);
-      if (sdc) {
-        // Snapshot scrub: capture / barrier / flip point / barrier /
-        // verify — see level1.cpp for the ordering argument.
-        sdc_iter = global_iter;
-        const std::span<float> snap = centroids.flat();
-        if (!snap_crc_valid) {
-          snap_crc = util::crc32(std::as_bytes(snap));
-          snap_crc_valid = true;
-        }
-        swmpi::barrier(world);
-        world.memory_fault_point(swmpi::MemorySite::kSnapshot, global_iter,
-                                 std::as_writable_bytes(snap));
-        swmpi::barrier(world);
-        if (util::crc32(std::as_bytes(snap)) != snap_crc) {
-          if (tshard != nullptr) {
-            tshard->counter("sdc.snapshot.crc_fail").add(1);
-          }
-          throw SilentCorruptionError(
-              "sdc: centroid snapshot CRC mismatch at iteration " +
-              std::to_string(global_iter) +
-              " — published centroid bits were corrupted in memory");
-        }
-      }
-      const double assign_start_us = spans_on ? tel->now_us() : 0.0;
-      acc.reset();
-      simarch::CostTally tally;
-      simarch::RegComm reg(machine, tally);
-      const std::uint64_t abft_recomputed_before = gemm_sdc.recomputed;
-
-      const auto [begin, end] =
-          detail::block_range(dataset.n(), cg_groups, group);
-      const std::uint64_t count = end - begin;
-      const bool gating = gate && iter > 0;
-      const detail::DriftDigest digest =
-          gating ? detail::drift_digest(drift) : detail::DriftDigest{};
-      if (gating) {
-        detail::compute_safe_radii(centroids, safe);
-      }
-      std::size_t norm_rows = 0;
-      if (gemm) {
-        norm_rows = gating ? norm_cache.refresh_from_drift(centroids, drift)
-                           : norm_cache.refresh_full(centroids);
-        tally.compute_s += static_cast<double>(norm_rows) *
-                           machine.gemm_row_seconds(d);
-        // Norm refresh seconds are charged above, but its O(k d) products
-        // stay out of `flops`, which keeps its exact 2nkd distance-work
-        // meaning (FlopAccountingMatches2nkd) and prices the FLOP *rate*
-        // from the panel product alone.
-      }
-      const std::span<const double> norms(norm_cache.norms.data(),
-                                          norm_cache.norms.size());
-
-      // Assign: every CG of the group reads each unresolved sample (its
-      // CPEs taking d_local dims each) and scores its own slice, a tile of
-      // samples at a time; one batched argmin combine then resolves the
-      // whole compacted tile — and a fully-gated tile skips the collective
-      // outright (every rank computed the same empty compaction, so the
-      // collective discipline holds). The simulated cost below still
-      // prices the paper's per-sample combine; only the wall-clock
-      // synchronisation is batched. The winner's slice owner accumulates,
-      // in the same ascending-i order as before — resolved samples under
-      // their stored assignment — so the fused sums keep the exact
-      // summation order of the ungated sweep.
-      std::uint64_t unresolved = 0;
-      std::uint64_t owned_resolved = 0;
-      double drain_first_us = -1.0;
-      double drain_wall_us = 0.0;
-
-      // Stage span [t0, t1): gate + score each of its sub-tiles into the
-      // slot's deferred-combine store, then *launch* the span's single
-      // argmin combine (the binomial up-phase send posts without waiting)
-      // so the drain can overlap the next span's sweep. Sub-tiles claim
-      // records in ascending order, so the combined store maps 1:1 onto
-      // the span's survivors in ascending i.
-      auto stage = [&](SpanSlot& s, std::size_t t0, std::size_t t1) {
-        s.t0 = t0;
-        s.t1 = t1;
-        s.valid = true;
-        if (flight != nullptr) {
-          flight->record(telemetry::FlightEventKind::kTileStart,
-                         static_cast<std::uint32_t>(global_iter), 0, t0, t1);
-        }
-        if (!gate) {
-          s.dc1.reset();
-          for (std::size_t sub0 = t0; sub0 < t1; sub0 += tile_samples) {
-            const std::size_t sub1 = std::min(t1, sub0 + tile_samples);
-            const std::span<swmpi::MinLoc> scores = s.dc1.claim(sub1 - sub0);
-            detail::clear_scores(scores);
-            if (j_begin < j_end) {
-              if (gemm) {
-                detail::score_tile_gemm(dataset, sub0, sub1, centroids, norms,
-                                        j_begin, j_end, scores, gemm_hooks);
-              } else {
-                detail::score_tile(dataset, sub0, sub1, centroids, j_begin,
-                                   j_end, scores);
-              }
-            }
-          }
-          if (s.dc1.launch(group_comm, swmpi::ops::Min{}) && p > 1) {
-            tally.net_rounds += 1;
-          }
-          return;
-        }
-        s.ids.clear();
-        s.dc2.reset();
-        for (std::size_t sub0 = t0; sub0 < t1; sub0 += tile_samples) {
-          const std::size_t sub1 = std::min(t1, sub0 + tile_samples);
-          const std::size_t before = s.ids.size();
-          if (!gating) {
-            for (std::size_t i = sub0; i < sub1; ++i) {
-              s.ids.push_back(static_cast<std::uint32_t>(i));
-            }
-          } else {
-            // No tightening at this level: the assigned centroid's row is
-            // dimension-split across the group's CPEs and slice-split
-            // across its CGs, so one exact distance would cost the combine
-            // the gate exists to skip. Bounds + safe radii only.
-            detail::gate_tile(dataset, centroids, sub0, sub1, local_assign,
-                              drift, digest, safe, upper, lower,
-                              /*tighten=*/false, s.ids);
-          }
-          const std::size_t fresh = s.ids.size() - before;
-          if (survivor_hist != nullptr && gating) {
-            survivor_hist->observe(static_cast<double>(fresh));
-          }
-          if (fresh == 0) {
-            continue;
-          }
-          const std::span<swmpi::MinLoc2> scores = s.dc2.claim(fresh);
-          detail::clear_scores(scores);
-          if (j_begin < j_end) {
-            const std::span<const std::uint32_t> ids(s.ids.data() + before,
-                                                     fresh);
-            if (gemm) {
-              detail::score_tile_ids_gemm(dataset, ids, centroids, norms,
-                                          j_begin, j_end, scores, gemm_hooks);
-            } else {
-              detail::score_tile_ids(dataset, ids, centroids, j_begin, j_end,
-                                     scores);
-            }
-          }
-        }
-        // A fully-gated span claimed nothing: launch() skips the
-        // collective (every rank computed the same empty compaction, so
-        // the collective discipline holds) and no round is charged.
-        if (s.dc2.launch(group_comm, swmpi::CombineMinLoc2{}) && p > 1) {
-          tally.net_rounds += 1;
-        }
-      };
-
-      // Retire span [s.t0, s.t1): drain its combine, then merge the
-      // resolved winners in ascending-i order (the bit-identity invariant).
-      auto retire = [&](SpanSlot& s) {
-        if (!gate) {
-          if (s.dc1.active()) {
-            const double t_us = spans_on ? tel->now_us() : 0.0;
-            s.dc1.finish();
-            if (spans_on) {
-              if (drain_first_us < 0) {
-                drain_first_us = t_us;
-              }
-              drain_wall_us += tel->now_us() - t_us;
-            }
-          }
-          const std::span<const swmpi::MinLoc> scores = s.dc1.records();
-          for (std::size_t i = s.t0; i < s.t1; ++i) {
-            const auto winner =
-                static_cast<std::uint32_t>(scores[i - s.t0].index);
-            if (winner >= j_begin && winner < j_end) {
-              acc.add_sample(winner, dataset.sample(i));
-            }
-            if (within == 0) {
-              result.assignments[i] = winner;
-            }
-          }
-          unresolved += s.t1 - s.t0;
-          s.valid = false;
-          if (flight != nullptr) {
-            flight->record(telemetry::FlightEventKind::kTileEnd,
-                           static_cast<std::uint32_t>(global_iter), 0, s.t0,
-                           s.t1);
-          }
-          return;
-        }
-        if (s.dc2.active()) {
-          const double t_us = spans_on ? tel->now_us() : 0.0;
-          s.dc2.finish();
-          if (spans_on) {
-            if (drain_first_us < 0) {
-              drain_first_us = t_us;
-            }
-            drain_wall_us += tel->now_us() - t_us;
-          }
-        }
-        const std::span<const swmpi::MinLoc2> scores = s.dc2.records();
-        std::size_t pos = 0;
-        for (std::size_t i = s.t0; i < s.t1; ++i) {
-          std::uint32_t winner;
-          if (pos < s.ids.size() && s.ids[pos] == i) {
-            const swmpi::MinLoc2& rec = scores[pos];
-            winner = static_cast<std::uint32_t>(rec.index);
-            local_assign[i] = winner;
-            detail::refresh_bounds(rec, upper[i], lower[i]);
-            if (within == 0) {
-              result.assignments[i] = winner;
-            }
-            ++pos;
-          } else {
-            winner = local_assign[i];
-            if (winner >= j_begin && winner < j_end) {
-              ++owned_resolved;
-            }
-          }
-          if (winner >= j_begin && winner < j_end) {
-            acc.add_sample(winner, dataset.sample(i));
-          }
-        }
-        unresolved += s.ids.size();
-        s.valid = false;
-        if (flight != nullptr) {
-          flight->record(telemetry::FlightEventKind::kTileEnd,
-                         static_cast<std::uint32_t>(global_iter), 0, s.t0,
-                         s.t1);
-        }
-      };
-
-      int cur = 0;
-      for (std::size_t t0 = begin; t0 < end; t0 += span_samples) {
-        const std::size_t t1 = std::min(end, t0 + span_samples);
-        stage(slots[cur], t0, t1);
-        if (!pipeline) {
-          retire(slots[cur]);
-          continue;
-        }
-        // Span t-1 retires only after span t is staged: its combine kept
-        // draining under this span's gate + sweep, and this span's combine
-        // is already in flight before we block.
-        SpanSlot& prev = slots[cur ^ 1];
-        if (prev.valid) {
-          retire(prev);
-        }
-        cur ^= 1;
-      }
-      if (pipeline && slots[cur ^ 1].valid) {
-        retire(slots[cur ^ 1]);
-      }
-      if (spans_on && drain_first_us >= 0 && p > 1) {
-        tel->spans().record("combine_drain", static_cast<std::uint32_t>(cg),
-                            static_cast<std::uint32_t>(global_iter),
-                            drain_first_us, drain_wall_us);
-      }
-      if (spans_on) {
-        tel->spans().record("assign", static_cast<std::uint32_t>(cg),
-                            static_cast<std::uint32_t>(global_iter),
-                            assign_start_us, tel->now_us() - assign_start_us);
-      }
-      if (swept_ctr != nullptr) {
-        swept_ctr->add(unresolved);
-        pruned_ctr->add(count - unresolved);
-      }
-
-      // DMA: unresolved samples stream into every CG of the group; a
-      // resolved sample is read only by the CG owning its assigned slice
-      // (for the accumulator).
-      const std::uint64_t streamed = gate ? unresolved + owned_resolved
-                                          : count;
-      detail::charge_sample_stream(tally, machine, streamed * d * eb,
-                                   streamed);
-      const double centroid_stream_before = tally.centroid_stream_s;
-      if (!gate || unresolved > 0) {
-        detail::charge_centroid_traffic(tally, machine, plan, unresolved);
-      }
-      const double tile_dma_s =
-          tally.centroid_stream_s - centroid_stream_before;
-      const double sweep_compute_s =
-          static_cast<double>(unresolved) * static_cast<double>(k_local) *
-          (gemm ? machine.gemm_row_seconds(d_local)
-                : machine.assign_row_seconds(d_local));
-      tally.compute_s += sweep_compute_s;
-      tally.flops += unresolved * 2 * (j_end - j_begin) * d;
-      if (gating) {
-        // Safe radii: k(k-1)/2 centroid-pair rows from the shared
-        // snapshot, recomputed by every CG each iteration.
-        tally.compute_s += static_cast<double>(k * (k - 1) / 2) *
-                           machine.assign_row_seconds(d);
-        tally.flops += k * (k - 1) * d;
-      }
-      // The group's ranks gate the same samples, so only the slice-0 rank
-      // reports the prune count (volume counters sum across ranks).
-      if (within == 0) {
-        tally.pruned_samples += count - unresolved;
-      }
-      distance_comps += unresolved * (j_end - j_begin);
-      lloyd_equivalent += count * (j_end - j_begin);
-      if (sdc) {
-        // Modeled SDC overhead (see level1.cpp): ABFT checksum chains at
-        // 1/8 of the slice-sweep rate, one streaming pass for the snapshot
-        // + accumulator scrubs, frame trailers + the conservation allreduce
-        // on the network. Charged only when the defense is armed.
-        tally.compute_s += static_cast<double>(unresolved) *
-                           (gemm ? machine.gemm_row_seconds(d_local)
-                                 : machine.assign_row_seconds(d_local)) *
-                           0.125;
-        tally.compute_s += static_cast<double>(k * d * eb + accum_bytes) /
-                           machine.dma_bandwidth;
-        const std::uint64_t sdc_net = 16 * 2 * num_cgs + sizeof(double);
-        tally.net_comm_s += topo.allgather_time(sdc_net, 0, num_cgs);
-        tally.net_bytes += sdc_net;
-        tally.net_rounds += 1;  // the counts-conservation allreduce
-        tally.sdc_recomputed += gemm_sdc.recomputed - abft_recomputed_before;
-        if (tshard != nullptr &&
-            gemm_sdc.recomputed != abft_recomputed_before) {
-          tshard->counter("sdc.abft.detected")
-              .add(gemm_sdc.recomputed - abft_recomputed_before);
-        }
-      }
-
-      // Per-sample mesh reduce of the CPEs' distance partials, then the
-      // per-sample network argmin across the CG group — both compacted to
-      // the unresolved samples.
-      reg.account_allreduce(k_local * eb, cpes, unresolved);
-      const double tile_net_s =
-          static_cast<double>(unresolved) *
-          (gate ? group_combine_time2 : group_combine_time);
-      tally.net_comm_s += tile_net_s;
-      tally.net_bytes +=
-          unresolved * (gate ? sizeof(swmpi::MinLoc2) : sizeof(swmpi::MinLoc)) *
-          (p - 1);
-      if (hier) {
-        const simarch::CollectiveCharge& gc =
-            gate ? group_charge2 : group_charge;
-        tally.net_crossing_bytes += unresolved * gc.crossing_bytes;
-        if (cg == 0 && p > 1 && unresolved > 0) {
-          detail::tick_collective_charge(tshard, "sim.collective.group_argmin",
-                                         gc);
-        }
-      }
-
-      // Tile pipeline overlap: all but the first tile's combine drain (and
-      // centroid reload) issue under another tile's distance sweep, so up
-      // to a (T-1)/T share of the sweep hides that traffic. The combine is
-      // hidden first (it is the phase the split-phase start/finish really
-      // overlaps); leftover window hides the modelled centroid re-stream.
-      // Hidden seconds move into the overlapped_* ledgers — total_s()
-      // shrinks by exactly what the pipeline bought.
-      if (pipeline && count > span_samples) {
-        const std::size_t ntiles =
-            (count + span_samples - 1) / span_samples;
-        const double window = sweep_compute_s *
-                              static_cast<double>(ntiles - 1) /
-                              static_cast<double>(ntiles);
-        const double hide_net = std::min(tile_net_s, window);
-        const double hide_dma = std::min(tile_dma_s, window - hide_net);
-        tally.net_comm_s -= hide_net;
-        tally.overlapped_net_s += hide_net;
-        tally.centroid_stream_s -= hide_dma;
-        tally.overlapped_dma_s += hide_dma;
-        if (overlap_hist != nullptr) {
-          overlap_hist->observe(hide_net + hide_dma);
-        }
-      }
-
-      // Update: the machine-wide sharded phase — reduce_scatter of the
-      // fused accumulator (each sample was accumulated exactly once
-      // machine-wide, so the world collective is the functional truth),
-      // per-CG shard apply, then one allgather publishing the refreshed
-      // rows with the (shift, empties) stats riding as a 16-byte per-rank
-      // header (plus the k-double drift vector when gating).
-      const std::size_t publish_bytes =
-          k * d * eb + 16 * num_cgs + (gate ? k * sizeof(double) : 0);
-      if (hier) {
-        const simarch::CollectiveCharge rs =
-            topo.hier_reduce_scatter_charge(accum_bytes, 0, num_cgs, xover);
-        const simarch::CollectiveCharge ag =
-            topo.hier_allgather_charge(publish_bytes, 0, num_cgs);
-        tally.net_comm_s += rs.seconds + ag.seconds;
-        tally.net_crossing_bytes += rs.crossing_bytes + ag.crossing_bytes;
-        if (cg == 0) {
-          detail::tick_collective_charge(tshard, "sim.collective.update_rs",
-                                         rs);
-          detail::tick_collective_charge(tshard, "sim.collective.update_ag",
-                                         ag);
-        }
-      } else {
-        tally.net_comm_s +=
-            topo.reduce_scatter_time(accum_bytes, 0, num_cgs) +
-            topo.allgather_time(publish_bytes, 0, num_cgs);
-      }
-      tally.net_bytes += accum_bytes + publish_bytes;
-      tally.net_rounds += 2;  // reduce_scatter + allgather
-      world.fault_point(swmpi::FaultSite::kUpdate, global_iter);
-      if (sdc) {
-        // Accumulator scrub (see level1.cpp): CRC covers the sums only;
-        // counts flips fall to the Σcounts == n guard in the fold.
-        const std::span<double> sums(acc.sums.data(), acc.sums.size());
-        const std::span<double> counts(acc.counts.data(), acc.counts.size());
-        const std::uint32_t sums_crc = util::crc32(std::as_bytes(sums));
-        world.memory_fault_point(swmpi::MemorySite::kUpdateAccum, global_iter,
-                                 std::as_writable_bytes(sums),
-                                 std::as_writable_bytes(counts));
-        if (util::crc32(std::as_bytes(sums)) != sums_crc) {
-          if (tshard != nullptr) {
-            tshard->counter("sdc.accum.crc_fail").add(1);
-          }
-          throw SilentCorruptionError(
-              "sdc: update accumulator CRC mismatch on rank " +
-              std::to_string(world.global_rank()) + " at iteration " +
-              std::to_string(global_iter) +
-              " — accumulator sums were corrupted before the fold");
-        }
-      }
-      const double update_start_us = spans_on ? tel->now_us() : 0.0;
-      const detail::UpdateOutcome outcome = detail::reduce_and_update(
-          world, centroids, acc,
-          gate ? std::span<double>(drift.data(), drift.size())
-               : std::span<double>{},
-          sdc ? dataset.n() : 0);
-      if (sdc) {
-        snap_crc = util::crc32(std::as_bytes(centroids.flat()));
-        snap_crc_valid = true;
-      }
-      if (spans_on) {
-        tel->spans().record("update", static_cast<std::uint32_t>(cg),
-                            static_cast<std::uint32_t>(global_iter),
-                            update_start_us, tel->now_us() - update_start_us);
-      }
-      const double shift = outcome.shift;
-      const auto [u_begin, u_end] = detail::block_range(k, num_cgs, cg);
-      const std::size_t shard_rows = u_end - u_begin;
-      tally.update_s +=
-          static_cast<double>(2 * shard_rows * d) /
-              (machine.cg_flops() * machine.compute_efficiency) +
-          static_cast<double>(shard_rows * d * eb) / machine.dma_bandwidth;
-
-      if (config.trace != nullptr) {
-        config.trace->record_iteration(static_cast<std::uint32_t>(cg),
-                                       static_cast<std::uint32_t>(global_iter),
-                                       rank_clock, tally);
-      }
-      world.fault_point(swmpi::FaultSite::kCollective, global_iter);
-      const simarch::CostTally combined =
-          detail::combine_tallies(world, tally);
-      rank_clock += combined.total_s();  // bulk-synchronous iteration edge
-      if (flight != nullptr) {
-        flight->record(telemetry::FlightEventKind::kIterationEnd,
-                       static_cast<std::uint32_t>(global_iter), 0, 0, 0,
-                       rank_clock);
-      }
-      if (cg == 0) {
-        total_cost += combined;
-        last_cost = combined;
-        iterations = iter + 1;
-        empty_clusters = outcome.empty_clusters;
-        history.push_back({shift, combined.total_s(),
-                           static_cast<double>(combined.pruned_samples) /
-                               static_cast<double>(dataset.n()),
-                           combined.net_bytes, combined.dma_bytes,
-                           combined.flops, combined.net_rounds});
-        history.back().net_crossing_bytes = combined.net_crossing_bytes;
-        history.back().sdc_recomputed = combined.sdc_recomputed;
-        detail::fill_phase_stats(history.back(), combined);
-        if (sim_net != nullptr) {
-          sim_net->add(combined.net_bytes);
-          sim_dma->add(combined.dma_bytes);
-        }
-      }
-      if (shift <= config.tolerance) {
-        if (cg == 0) {
-          converged = true;
-        }
-        break;
-      }
-    }
-
-    // Every rank leaves the loop at the same iteration (shift is
-    // replicated), so one closing collective folds the per-rank distance
-    // ledgers. Slice widths tile [0, k) within each group, so the sum is
-    // exactly swept-samples x k.
-    std::uint64_t counters[2] = {distance_comps, lloyd_equivalent};
-    swmpi::allreduce_sum(world, std::span<std::uint64_t>(counters, 2));
-    if (cg == 0) {
-      result.accel.distance_computations = counters[0];
-      result.accel.lloyd_equivalent = counters[1];
-    }
-  }, config.fault_plan,
-      tel != nullptr && tel->config().swmpi ? &tel->metrics() : nullptr);
-
-  detail::warn_empty_clusters(empty_clusters, "level3");
-  result.centroids = std::move(centroids);
-  result.iterations = iterations;
-  result.converged = converged;
-  if (config.gate_assign && iterations > 1) {
-    // Safe-radius maintenance: k(k-1)/2 centroid pairs per gated
-    // iteration, counted once (the per-rank copies are replicas).
-    result.accel.centroid_distance_computations =
-        (iterations - 1) * config.k * (config.k - 1) / 2;
-  }
-  result.empty_clusters = empty_clusters;
-  result.cost = total_cost;
-  result.last_iteration_cost = last_cost;
-  result.history = std::move(history);
-  result.inertia = inertia(dataset, result.centroids, result.assignments);
-  return result;
+  return detail::run_engine(
+      Level::kLevel3, "level3", dataset, config, machine, plan,
+      std::move(initial_centroids), [](detail::EngineRank& rank) {
+        return std::make_unique<Level3Policy>(rank);
+      });
 }
 
 }  // namespace swhkm::core

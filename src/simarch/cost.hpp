@@ -26,8 +26,10 @@ struct CostTally {
   // previous tile's distance sweep. Already subtracted from the phase
   // fields above, so total_s() — still the plain sum of those fields —
   // reflects the shortened critical path; these ledgers only record how
-  // much the overlap bought. Zero when KmeansConfig::pipeline_tiles is
-  // off, which restores the strict no-overlap model.
+  // much the overlap bought. The strict no-overlap model is a cost
+  // function of any engine run: total_s() + overlapped_dma_s +
+  // overlapped_net_s, with net_comm_s + overlapped_net_s as its network
+  // share.
   double overlapped_dma_s = 0;   ///< tile DMA hidden under compute
   double overlapped_net_s = 0;   ///< tile combine traffic hidden under compute
 

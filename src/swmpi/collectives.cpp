@@ -6,10 +6,9 @@ namespace swhkm::swmpi {
 
 namespace {
 
-// Process-global schedule selection, the same A/B idiom as the mailbox
-// MailboxMode toggle: relaxed atomics because the schedule is configured
-// before ranks launch (run_spmd publishes with a stronger edge) and only
-// read inside collectives.
+// Process-global schedule selection: relaxed atomics because the schedule
+// is configured before ranks launch (run_spmd publishes with a stronger
+// edge) and only read inside collectives.
 std::atomic<CollectiveSchedule> g_schedule{CollectiveSchedule::kFlat};
 std::atomic<int> g_ranks_per_group{1};
 std::atomic<std::size_t> g_crossover_bytes{HierarchySpec{}.crossover_bytes};

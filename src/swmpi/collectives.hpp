@@ -76,8 +76,8 @@ class CollectiveScope {
 /// Which schedule the reduction-shaped collectives (allreduce and friends,
 /// reduce_scatter_ranges, allgatherv, SplitAllreduce/DeferredCombine) run.
 /// kFlat is the original single binomial / recursive pattern over the whole
-/// world and stays available as the A/B baseline, the same way the mutex
-/// mailboxes stayed behind MailboxMode::kMutexQueue.
+/// world; it stays available as the A/B baseline the hierarchical schedule
+/// is measured against (KmeansConfig::hier_collectives = false).
 enum class CollectiveSchedule {
   kFlat,
   kHierarchical,

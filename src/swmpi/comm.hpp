@@ -175,7 +175,9 @@ class Comm {
     SWHKM_REQUIRE(raw.size() % sizeof(T) == 0,
                   "received payload is not a whole number of elements");
     std::vector<T> out(raw.size() / sizeof(T));
-    std::memcpy(out.data(), raw.data(), raw.size());
+    if (!raw.empty()) {  // an empty vector's data() may be null
+      std::memcpy(out.data(), raw.data(), raw.size());
+    }
     return out;
   }
 

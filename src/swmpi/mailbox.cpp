@@ -32,25 +32,13 @@ int sender_spin_budget() {
   return budget;
 }
 
-std::atomic<MailboxMode> g_default_mode{MailboxMode::kSpscRings};
-
 }  // namespace
 
-MailboxMode default_mailbox_mode() {
-  return g_default_mode.load(std::memory_order_relaxed);
-}
-
-void set_default_mailbox_mode(MailboxMode mode) {
-  g_default_mode.store(mode, std::memory_order_relaxed);
-}
-
-Mailbox::Mailbox(int num_senders, MailboxMode mode) : mode_(mode) {
+Mailbox::Mailbox(int num_senders) {
   SWHKM_REQUIRE(num_senders >= 1, "mailbox needs at least one sender lane");
-  if (mode_ == MailboxMode::kSpscRings) {
-    lanes_.reserve(static_cast<std::size_t>(num_senders));
-    for (int s = 0; s < num_senders; ++s) {
-      lanes_.emplace_back(kLaneCapacity);
-    }
+  lanes_.reserve(static_cast<std::size_t>(num_senders));
+  for (int s = 0; s < num_senders; ++s) {
+    lanes_.emplace_back(kLaneCapacity);
   }
 }
 
@@ -62,15 +50,6 @@ void Mailbox::throw_aborted() const {
 // ---------------------------------------------------------------- senders
 
 bool Mailbox::push(Message message) {
-  if (mode_ == MailboxMode::kMutexQueue) {
-    {
-      std::lock_guard lock(legacy_mutex_);
-      legacy_queue_.push_back(std::move(message));
-    }
-    legacy_arrived_.notify_all();
-    return false;
-  }
-
   SWHKM_REQUIRE(message.source >= 0 &&
                     message.source < static_cast<int>(lanes_.size()),
                 "message source has no mailbox lane");
@@ -161,7 +140,7 @@ bool Mailbox::pop_ring(int source, int tag,
     }
     if (deadline != nullptr &&
         std::chrono::steady_clock::now() >= *deadline) {
-      // Final re-check after expiry — the race the old mutex mailbox lost:
+      // Final re-check after expiry — the classic condvar-timeout race:
       // a message pushed between the last scan and the timeout return must
       // be taken, not dropped into a spurious WatchdogTimeout.
       return drain_and_take(source, tag, out);
@@ -194,57 +173,11 @@ bool Mailbox::pop_ring(int source, int tag,
   }
 }
 
-// ------------------------------------------------------ legacy transport
-
-bool Mailbox::pop_legacy(int source, int tag,
-                         const std::chrono::steady_clock::time_point* deadline,
-                         Message& out, bool* parked) {
-  std::unique_lock lock(legacy_mutex_);
-  const auto take = [&] {
-    auto it = std::find_if(legacy_queue_.begin(), legacy_queue_.end(),
-                           [&](const Message& m) {
-                             return matches(m, source, tag);
-                           });
-    if (it == legacy_queue_.end()) {
-      return false;
-    }
-    out = std::move(*it);
-    legacy_queue_.erase(it);
-    return true;
-  };
-  for (;;) {
-    if (take()) {
-      return true;
-    }
-    if (legacy_aborted_) {
-      throw_aborted();
-    }
-    if (parked != nullptr) {
-      *parked = true;
-    }
-    if (deadline != nullptr) {
-      if (legacy_arrived_.wait_until(lock, *deadline) ==
-          std::cv_status::timeout) {
-        // One final scan holding the lock: a push that slipped in between
-        // the last predicate check and the timed-out wakeup is still
-        // delivered instead of becoming a spurious WatchdogTimeout.
-        return take();
-      }
-    } else {
-      legacy_arrived_.wait(lock);
-    }
-  }
-}
-
 // ------------------------------------------------------------ public API
 
 Message Mailbox::pop_matching(int source, int tag, bool* parked) {
   Message out;
-  if (mode_ == MailboxMode::kMutexQueue) {
-    (void)pop_legacy(source, tag, nullptr, out, parked);
-  } else {
-    (void)pop_ring(source, tag, nullptr, out, parked);
-  }
+  (void)pop_ring(source, tag, nullptr, out, parked);
   return out;
 }
 
@@ -252,39 +185,14 @@ bool Mailbox::pop_matching_for(int source, int tag,
                                std::chrono::milliseconds timeout,
                                Message& out, bool* parked) {
   const auto deadline = std::chrono::steady_clock::now() + timeout;
-  if (mode_ == MailboxMode::kMutexQueue) {
-    return pop_legacy(source, tag, &deadline, out, parked);
-  }
   return pop_ring(source, tag, &deadline, out, parked);
 }
 
 bool Mailbox::try_pop_matching(int source, int tag, Message& out) {
-  if (mode_ == MailboxMode::kMutexQueue) {
-    std::lock_guard lock(legacy_mutex_);
-    auto it = std::find_if(legacy_queue_.begin(), legacy_queue_.end(),
-                           [&](const Message& m) {
-                             return matches(m, source, tag);
-                           });
-    if (it == legacy_queue_.end()) {
-      return false;
-    }
-    out = std::move(*it);
-    legacy_queue_.erase(it);
-    return true;
-  }
   return drain_and_take(source, tag, out);
 }
 
 void Mailbox::abort() {
-  if (mode_ == MailboxMode::kMutexQueue) {
-    // Audited ordering: flag set and waiters notified while the mutex is
-    // held — a waiter is either at its predicate (sees the flag) or parked
-    // in wait() (reached by the notify). Nothing to reorder.
-    std::lock_guard lock(legacy_mutex_);
-    legacy_aborted_ = true;
-    legacy_arrived_.notify_all();
-    return;
-  }
   // Same doorbell handshake as push(): the flag plus a doorbell bump makes
   // a parked receiver's wake predicate true, and the seq_cst pairing with
   // parked_ guarantees either we see it parked (and notify under the
@@ -299,10 +207,6 @@ void Mailbox::abort() {
 }
 
 std::size_t Mailbox::pending() const {
-  if (mode_ == MailboxMode::kMutexQueue) {
-    std::lock_guard lock(legacy_mutex_);
-    return legacy_queue_.size();
-  }
   std::size_t n = stash_.size();
   for (const SpscRing<Message>& lane : lanes_) {
     n += lane.size_approx();

@@ -23,25 +23,13 @@ struct Message {
 
 inline constexpr int kAnySource = -1;
 
-/// Which transport a Mailbox uses. kSpscRings is the production path; the
-/// kMutexQueue path is the pre-ring mutex/condvar implementation kept
-/// alive (with the timeout race fixed) as the A/B baseline for the
-/// mailbox-stall bench cell and for cross-implementation regression tests.
-enum class MailboxMode { kSpscRings, kMutexQueue };
-
-/// Process-wide default for newly constructed mailboxes. Bench/test knob
-/// only — flip it around a run to compare transports on the same shape;
-/// never change it while communicators are live.
-MailboxMode default_mailbox_mode();
-void set_default_mailbox_mode(MailboxMode mode);
-
 /// Per-rank inbound queue. Senders push from any thread; the owning rank
 /// blocks in pop_matching until a message with the requested source/tag
 /// arrives. Matching is out-of-order (a later-arrived matching message can
 /// be taken while earlier non-matching ones wait), which is what MPI's
 /// (source, tag) envelope semantics require.
 ///
-/// Transport (kSpscRings): one bounded lock-free SPSC ring per sender rank
+/// Transport: one bounded lock-free SPSC ring per sender rank
 /// — each sender rank is one thread, so every (sender, receiver) pair is a
 /// true single-producer/single-consumer channel. The receiver drains the
 /// rings into a receiver-private stash deque and matches against the
@@ -64,8 +52,7 @@ class Mailbox {
   /// so this bounds memory without ever stalling a healthy run.
   static constexpr std::size_t kLaneCapacity = 64;
 
-  explicit Mailbox(int num_senders = kDefaultSenders,
-                   MailboxMode mode = default_mailbox_mode());
+  explicit Mailbox(int num_senders = kDefaultSenders);
 
   /// Deliver a message (caller must be the single sending thread for
   /// message.source). Returns true when the push had to wait for ring
@@ -106,7 +93,7 @@ class Mailbox {
   std::size_t pending() const;
 
  private:
-  // Ring-mode internals (consumer thread only unless noted).
+  // Consumer-thread internals.
   bool drain_and_take(int source, int tag, Message& out);
   bool take_from_stash(int source, int tag, Message& out);
   bool pop_ring(int source, int tag,
@@ -114,14 +101,6 @@ class Mailbox {
                 Message& out, bool* parked);
   [[noreturn]] void throw_aborted() const;
 
-  // Legacy-mode internals.
-  bool pop_legacy(int source, int tag,
-                  const std::chrono::steady_clock::time_point* deadline,
-                  Message& out, bool* parked);
-
-  MailboxMode mode_;
-
-  // --- kSpscRings state ---
   std::vector<SpscRing<Message>> lanes_;  ///< lane index == source rank
   std::deque<Message> stash_;             ///< consumer-private overflow of
                                           ///< drained-but-unmatched messages
@@ -130,12 +109,6 @@ class Mailbox {
   std::atomic<bool> aborted_{false};
   std::mutex park_mutex_;
   std::condition_variable park_cv_;
-
-  // --- kMutexQueue state (legacy baseline) ---
-  mutable std::mutex legacy_mutex_;
-  std::condition_variable legacy_arrived_;
-  std::deque<Message> legacy_queue_;
-  bool legacy_aborted_ = false;
 };
 
 }  // namespace swhkm::swmpi

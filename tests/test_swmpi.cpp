@@ -85,9 +85,7 @@ TEST(Mailbox, AbortStillDeliversQueued) {
   EXPECT_THROW(box.pop_matching(0, 1), RuntimeFault);
 }
 
-class MailboxModeTest : public ::testing::TestWithParam<MailboxMode> {};
-
-TEST_P(MailboxModeTest, TimedPopRechecksQueueAfterDeadline) {
+TEST(Mailbox, TimedPopRechecksQueueAfterDeadline) {
   // Regression for the watchdog-timeout race: a push that *completes*
   // before the pop's deadline must be delivered, even when the wakeup
   // races the timeout (the old code returned false straight off the cv
@@ -98,7 +96,7 @@ TEST_P(MailboxModeTest, TimedPopRechecksQueueAfterDeadline) {
   constexpr int kRounds = 100;
   const auto timeout = std::chrono::milliseconds(4);
   for (int round = 0; round < kRounds; ++round) {
-    Mailbox box(4, GetParam());
+    Mailbox box(4);
     box.push({1, 99, {}});  // non-matching noise lengthens the scan
     std::chrono::steady_clock::time_point push_done_at;
     // The pop's internal deadline is taken at or after `entry`, so
@@ -123,10 +121,6 @@ TEST_P(MailboxModeTest, TimedPopRechecksQueueAfterDeadline) {
     }
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(Modes, MailboxModeTest,
-                         ::testing::Values(MailboxMode::kSpscRings,
-                                           MailboxMode::kMutexQueue));
 
 // ------------------------------------------------------------------- comm
 
