@@ -29,9 +29,9 @@ inline constexpr int kAnySource = -1;
 /// be taken while earlier non-matching ones wait), which is what MPI's
 /// (source, tag) envelope semantics require.
 ///
-/// Transport: one bounded lock-free SPSC ring per sender rank
-/// — each sender rank is one thread, so every (sender, receiver) pair is a
-/// true single-producer/single-consumer channel. The receiver drains the
+/// Transport: one bounded lock-free SPSC ring per sender rank — each
+/// sender rank is one thread, so every (sender, receiver) pair is a true
+/// single-producer/single-consumer channel. The receiver drains the
 /// rings into a receiver-private stash deque and matches against the
 /// stash; per-source FIFO order is preserved (ring order + in-order
 /// drain), cross-source order never was guaranteed. Waiting is
