@@ -5,6 +5,7 @@
 #include <string>
 
 #include "core/metrics.hpp"
+#include "simarch/regcomm.hpp"
 #include "simarch/trace.hpp"
 #include "swmpi/collectives.hpp"
 #include "swmpi/runtime.hpp"
@@ -41,6 +42,12 @@ void require_valid_centroids(const util::Matrix& centroids, std::size_t k,
 }
 
 }  // namespace
+
+std::size_t safe_radius_block_rows(const simarch::MachineConfig& machine,
+                                   std::size_t d) {
+  return std::max<std::size_t>(
+      1, machine.ldm_bytes / 2 / (d * machine.elem_bytes));
+}
 
 EngineRank::EngineRank(const EngineRun& run_, swmpi::Comm& world_)
     : run(run_),
@@ -87,10 +94,19 @@ void EngineRank::charge_gate_and_sdc(std::uint64_t unresolved,
   const std::size_t d = run.dataset.d();
   const simarch::MachineConfig& machine = run.machine;
   if (gating) {
-    // Safe radii: k(k-1)/2 centroid-pair rows from the shared snapshot,
-    // recomputed by every CG each iteration.
-    tally.compute_s +=
-        static_cast<double>(k * (k - 1) / 2) * machine.assign_row_seconds(d);
+    // Safe radii, recomputed by every CG from the shared snapshot: the
+    // slowest CPE's pairs at chain rate, the rows its CPEs stream over the
+    // CG's DMA channel, and one mesh min-fold of the k radii. The pass
+    // precedes the sweep it gates, so the tile pipeline hides none of it.
+    tally.compute_s += static_cast<double>(radius_work.max_cpe_pairs()) *
+                       machine.assign_row_seconds(d);
+    const std::uint64_t radius_bytes =
+        radius_work.streamed_rows * d * machine.elem_bytes;
+    tally.centroid_stream_s +=
+        static_cast<double>(radius_bytes) / machine.dma_bandwidth;
+    tally.dma_bytes += radius_bytes;
+    simarch::RegComm(machine, tally)
+        .account_allreduce(k * sizeof(double), machine.cpes_per_cg);
     tally.flops += k * (k - 1) * d;
   }
   if (!run.config.sdc_checks) {
@@ -329,7 +345,9 @@ KmeansResult run_engine(Level level, const char* name,
       rank.gating = rank.gate && iter > 0;
       rank.digest = rank.gating ? drift_digest(rank.drift) : DriftDigest{};
       if (rank.gating) {
-        compute_safe_radii(centroids, rank.safe);
+        rank.radius_work =
+            compute_safe_radii(centroids, rank.safe, machine.cpes_per_cg,
+                               safe_radius_block_rows(machine, d));
       }
       if (gemm) {
         // Gated iterations refresh only the rows the published drift marks

@@ -39,6 +39,14 @@ struct EngineRun {
   std::vector<std::uint32_t>& assignments;  ///< KmeansResult::assignments
 };
 
+/// Own rows a CPE keeps in half its LDM during the safe-radius pass; the
+/// other half takes the rows it streams past them. A row wider than half
+/// the LDM streams in chunks: the row's chunk, then the matching chunk of
+/// each partner, every chain advancing in ascending u. That reads the same
+/// rows as a block of one.
+std::size_t safe_radius_block_rows(const simarch::MachineConfig& machine,
+                                   std::size_t d);
+
 /// One rank's engine state. The loop fills the per-iteration fields
 /// before calling the policy; the policy charges `tally` and adds to the
 /// distance ledgers.
@@ -51,7 +59,8 @@ struct EngineRank {
   void record_tile(telemetry::FlightEventKind kind, std::size_t t0,
                    std::size_t t1) const;
 
-  /// Safe-radius charge (gated iterations) followed by the modeled SDC
+  /// Safe-radius charge (gated iterations: the pass `radius_work`
+  /// recorded, DESIGN.md §7) followed by the modeled SDC
   /// overhead (defense armed): ABFT checksum chains for `unresolved`
   /// swept rows at 1/8 of `sweep_row_s`, one streaming pass for the
   /// snapshot + accumulator scrubs, frame trailers and the conservation
@@ -73,12 +82,13 @@ struct EngineRank {
 
   // Bound-gated assign state: Hamerly upper/lower bounds per sample (only
   // this rank's samples are ever touched), the published per-centroid
-  // drift and the safe radii.
+  // drift, the safe radii and what this iteration's radius pass executed.
   const bool gate;
   std::vector<double> upper;
   std::vector<double> lower;
   std::vector<double> drift;
   std::vector<double> safe;
+  SafeRadiusWork radius_work;
 
   // Kernel state: ABFT hooks (null unless the SDC defense is armed) and
   // the per-iteration ||c||^2 cache of the GEMM sweep.

@@ -159,6 +159,10 @@ inline void sample_block_chains_generic(const float* __restrict__ x,
   }
 }
 
+/// A panel-chain kernel build (generic or dispatched; same bits).
+using SampleBlockFn = void (*)(const float*, const double*, std::size_t,
+                               double*);
+
 #if defined(__x86_64__) && defined(__GNUC__)
 #define SWHKM_KERNEL_DISPATCH 1
 /// AVX2 build of the same source. 4-wide doubles are the same IEEE
@@ -179,8 +183,6 @@ __attribute__((target("avx2"))) inline void sample_block_chains_avx2(
   }
 }
 
-using SampleBlockFn = void (*)(const float*, const double*, std::size_t,
-                               double*);
 inline SampleBlockFn resolve_sample_block_chains() {
   if (__builtin_cpu_supports("avx2")) {
     return &sample_block_chains_avx2;
@@ -760,6 +762,74 @@ inline double drift_excluding(const DriftDigest& digest, std::size_t j) {
   return j == digest.argmax ? digest.max2 : digest.max1;
 }
 
+/// Contiguous block [begin, end) of `total` items for worker `index` of
+/// `workers` — the dataflow partition rule all levels share. Remainder
+/// items go to the lowest-index workers.
+inline std::pair<std::size_t, std::size_t> block_range(std::size_t total,
+                                                       std::size_t workers,
+                                                       std::size_t index) {
+  const std::size_t base = total / workers;
+  const std::size_t extra = total % workers;
+  const std::size_t begin =
+      index * base + (index < extra ? index : extra);
+  const std::size_t length = base + (index < extra ? 1 : 0);
+  return {begin, begin + length};
+}
+
+/// Columns a safe-radius chain advances per call: the panel's 8 KiB span
+/// stays in L1 while the rows stream past it.
+inline constexpr std::size_t kSafeRadiusSpan = 64;
+
+/// The safe-radius pass's split of the k(k-1)/2 centroid pairs over one
+/// CG's CPEs. Pair (a, b), a < b, is scored by row a's CPE. Unit u joins
+/// row u (k-1-u pairs) with row k-1-u (u pairs), k-1 pairs in all, and the
+/// middle row of an odd k is a unit of its own; CPE p takes the units
+/// block_range(ceil(k/2), cpes, p). So every row has one owner, every pair
+/// is scored once, and the slowest CPE scores within k-1 pairs of the
+/// mean k(k-1)/(2 cpes). A CPE walks its rows in ascending order in
+/// LDM blocks of `block_rows` rows.
+struct SafeRadiusPartition {
+  SafeRadiusPartition(std::size_t k, std::size_t cpes, std::size_t block_rows)
+      : owner(k), opens_block(k) {
+    const std::size_t units = (k + 1) / 2;
+    for (std::size_t p = 0; p < cpes; ++p) {
+      const auto [u0, u1] = block_range(units, cpes, p);
+      std::size_t held = 0;
+      const auto take = [&](std::size_t row) {
+        owner[row] = static_cast<std::uint32_t>(p);
+        opens_block[row] = held % block_rows == 0;
+        ++held;
+      };
+      for (std::size_t u = u0; u < u1; ++u) {
+        take(u);
+      }
+      for (std::size_t u = u1; u-- > u0;) {
+        if (k - 1 - u != u) {
+          take(k - 1 - u);
+        }
+      }
+    }
+  }
+  std::vector<std::uint32_t> owner;  ///< the CPE of each row
+  std::vector<bool> opens_block;     ///< row is the first of its LDM block
+};
+
+/// What one CG's safe-radius pass executed: the inputs of its modeled
+/// charge (EngineRank::charge_gate_and_sdc).
+struct SafeRadiusWork {
+  std::vector<std::uint64_t> cpe_pairs;  ///< pairs each CPE scored
+  /// Centroid rows the CPEs read from DDR: each row once into its owner,
+  /// plus, per LDM block, every row paired with the block's lowest row
+  /// (the union of the rows the block needs).
+  std::uint64_t streamed_rows = 0;
+
+  std::uint64_t max_cpe_pairs() const {
+    return cpe_pairs.empty()
+               ? 0
+               : *std::max_element(cpe_pairs.begin(), cpe_pairs.end());
+  }
+};
+
 /// Half the distance from each centroid to its nearest other centroid —
 /// Hamerly's "safe radius": a sample strictly closer to its centroid than
 /// this cannot have any other centroid nearer. Depends only on the shared
@@ -767,21 +837,78 @@ inline double drift_excluding(const DriftDigest& digest, std::size_t j) {
 /// refreshed rows), so every rank computes identical bits with no
 /// exchange. k == 1 leaves the single radius at +inf, like the serial
 /// baseline.
-inline void compute_safe_radii(const util::Matrix& centroids,
-                               std::vector<double>& safe) {
+///
+/// The pairs are split over `cpes` CPEs by SafeRadiusPartition. The host
+/// scores them panel by panel: rows b >= 1 go into kCentroidRowBlock-wide
+/// u-major panels, each built once, and every row a < b runs `chains`
+/// against the panel, its lanes b <= a ignored. Each chain is exactly
+/// squared_distance's operation sequence, (a[u]-b[u])^2 == (b[u]-a[u])^2
+/// in IEEE, and min is exact, so `safe` is bit-identical to a scalar scan
+/// of every directed pair. A panel's distances fold into `safe` as soon
+/// as its chains finish, and the per-CPE pair and streamed-row counts are
+/// tallied as they fold.
+inline SafeRadiusWork compute_safe_radii(
+    const util::Matrix& centroids, std::vector<double>& safe,
+    std::size_t cpes, std::size_t block_rows,
+    SampleBlockFn chains = sample_block_chains) {
   const std::size_t k = centroids.rows();
+  const std::size_t d = centroids.cols();
   safe.assign(k, std::numeric_limits<double>::max());
-  // Each pair once — (a[u]-b[u])^2 == (b[u]-a[u])^2 exactly in IEEE, so
-  // the symmetric reuse is bit-identical to two directed scans and matches
-  // the engines' k(k-1)/2-row charge.
-  for (std::size_t a = 0; a < k; ++a) {
-    for (std::size_t b = a + 1; b < k; ++b) {
-      const double half =
-          std::sqrt(squared_distance(centroids.row(a), centroids.row(b))) / 2;
-      safe[a] = std::min(safe[a], half);
-      safe[b] = std::min(safe[b], half);
+  const SafeRadiusPartition partition(k, cpes, block_rows);
+  SafeRadiusWork work;
+  work.cpe_pairs.assign(cpes, 0);
+  std::vector<double> panel(kCentroidRowBlock * d);
+  std::vector<double> acc(kCentroidRowBlock * k);
+  for (std::size_t jb = 1; jb < k; jb += kCentroidRowBlock) {
+    // A short last panel's spare lanes are zeroed and ignored.
+    const std::size_t bw = std::min(k - jb, kCentroidRowBlock);
+    if (bw < kCentroidRowBlock) {
+      std::fill(panel.begin(), panel.end(), 0.0);
+    }
+    for (std::size_t u = 0; u < d; ++u) {
+      for (std::size_t jj = 0; jj < bw; ++jj) {
+        panel[u * kCentroidRowBlock + jj] =
+            static_cast<double>(centroids.at(jb + jj, u));
+      }
+    }
+    // Rows a < jb + bw - 1 have a partner in the panel. Their chains run
+    // kSafeRadiusSpan columns per call, still in ascending u.
+    const std::size_t rows = jb + bw - 1;
+    std::fill(acc.begin(), acc.begin() + rows * kCentroidRowBlock, 0.0);
+    for (std::size_t u0 = 0; u0 < d; u0 += kSafeRadiusSpan) {
+      const std::size_t span = std::min(kSafeRadiusSpan, d - u0);
+      for (std::size_t a = 0; a < rows; ++a) {
+        chains(centroids.row(a).data() + u0,
+               panel.data() + u0 * kCentroidRowBlock, span,
+               acc.data() + a * kCentroidRowBlock);
+      }
+    }
+    for (std::size_t a = 0; a < rows; ++a) {
+      const std::size_t first = a < jb ? 0 : a + 1 - jb;  // first b > a
+      for (std::size_t jj = first; jj < bw; ++jj) {
+        const double half = std::sqrt(acc[a * kCentroidRowBlock + jj]) / 2;
+        safe[a] = std::min(safe[a], half);
+        safe[jb + jj] = std::min(safe[jb + jj], half);
+      }
+      const std::size_t pairs = bw - first;
+      work.cpe_pairs[partition.owner[a]] += pairs;
+      if (a + 1 >= jb) {
+        ++work.streamed_rows;  // row a lands with its first panel
+      }
+      if (partition.opens_block[a]) {
+        work.streamed_rows += pairs;
+      }
     }
   }
+  return work;
+}
+
+/// The same radii for a caller that needs no CPE split (serial Hamerly,
+/// the benches).
+inline void compute_safe_radii(const util::Matrix& centroids,
+                               std::vector<double>& safe) {
+  compute_safe_radii(centroids, safe, 1, std::max<std::size_t>(
+                                             centroids.rows(), 1));
 }
 
 /// Gate one tile of samples [t0, t1): advance each sample's Hamerly bounds
@@ -959,20 +1086,6 @@ inline void warn_empty_clusters(std::size_t count, const char* engine) {
         << " empty cluster(s) kept their previous position in the "
            "final iteration; consider k-means|| seeding or smaller k";
   }
-}
-
-/// Contiguous block [begin, end) of `total` items for worker `index` of
-/// `workers` — the dataflow partition rule all levels share. Remainder
-/// items go to the lowest-index workers.
-inline std::pair<std::size_t, std::size_t> block_range(std::size_t total,
-                                                       std::size_t workers,
-                                                       std::size_t index) {
-  const std::size_t base = total / workers;
-  const std::size_t extra = total % workers;
-  const std::size_t begin =
-      index * base + (index < extra ? index : extra);
-  const std::size_t length = base + (index < extra ? 1 : 0);
-  return {begin, begin + length};
 }
 
 }  // namespace swhkm::core::detail

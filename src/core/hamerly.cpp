@@ -37,7 +37,7 @@ KmeansResult hamerly_serial_from(const data::Dataset& dataset,
   std::vector<double> upper(n, 0.0);
   std::vector<double> lower(n, 0.0);  // bound on the second-closest centroid
   std::vector<double> drift(k, 0.0);
-  std::vector<double> safe(k, 0.0);  // half distance to nearest other centre
+  std::vector<double> safe;  // half distance to nearest other centre
   detail::UpdateAccumulator acc(k, dataset.d());
   util::Matrix previous = centroids;
 
@@ -62,30 +62,13 @@ KmeansResult hamerly_serial_from(const data::Dataset& dataset,
     lower[i] = second;
   };
 
-  auto refresh_safe_radii = [&] {
-    for (std::size_t a = 0; a < k; ++a) {
-      safe[a] = std::numeric_limits<double>::max();
-      for (std::size_t b = 0; b < k; ++b) {
-        if (a == b) {
-          continue;
-        }
-        if (b > a) {
-          ++st.centroid_distance_computations;
-        }
-        safe[a] = std::min(safe[a],
-                           euclidean(centroids.row(a), centroids.row(b)) / 2);
-      }
-    }
-  };
-
   for (std::size_t iter = 0; iter < config.max_iterations; ++iter) {
     acc.reset();
     st.lloyd_equivalent += static_cast<std::uint64_t>(n) * k;
-    if (k > 1) {
-      refresh_safe_radii();
-    } else {
-      safe[0] = std::numeric_limits<double>::max();
-    }
+    // Each unordered pair once: sqrt(squared_distance) / 2 is symmetric
+    // bit for bit, so this is the directed scan's result.
+    detail::compute_safe_radii(centroids, safe);
+    st.centroid_distance_computations += k * (k - 1) / 2;
 
     // The lower bound tracks the second-closest centroid, which is never
     // the assigned one — so it only needs to absorb the largest drift

@@ -8,10 +8,14 @@
 #include <utility>
 #include <vector>
 
+#include "core/engine_loop.hpp"
+#include "core/engine_util.hpp"
 #include "core/hkmeans.hpp"
+#include "simarch/regcomm.hpp"
 #include "simarch/trace.hpp"
 #include "swmpi/collectives.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace swhkm::core {
 namespace {
@@ -312,6 +316,205 @@ TEST(GatedAssign, MinLoc2CombineMatchesSerialTopTwo) {
       EXPECT_EQ(a.value, ref.value);
       EXPECT_EQ(a.index, ref.index);
       EXPECT_EQ(a.second, ref.second);
+    }
+  }
+}
+
+/// The scalar safe-radius loop the multi-chain kernel replaced, frozen:
+/// one squared_distance per unordered pair, folded into both rows.
+void frozen_safe_radii(const util::Matrix& centroids,
+                       std::vector<double>& safe) {
+  const std::size_t k = centroids.rows();
+  safe.assign(k, std::numeric_limits<double>::max());
+  for (std::size_t a = 0; a < k; ++a) {
+    for (std::size_t b = a + 1; b < k; ++b) {
+      const double half = std::sqrt(detail::squared_distance(
+                              centroids.row(a), centroids.row(b))) /
+                          2;
+      safe[a] = std::min(safe[a], half);
+      safe[b] = std::min(safe[b], half);
+    }
+  }
+}
+
+TEST(SafeRadii, KernelMatchesFrozenScalarLoop) {
+  // Values span 2^-20..2^20, so the squared terms round differently in any
+  // other summation order; every seventh row repeats the one before it
+  // (radius 0). Both kernel builds, several CPE splits and LDM blocks.
+  util::Xoshiro256 rng(29);
+  for (const std::size_t k : {1u, 2u, 3u, 15u, 16u, 17u, 33u, 256u}) {
+    for (const std::size_t d : {1u, 3u, 4u, 5u, 64u, 3072u}) {
+      util::Matrix c(k, d);
+      for (float& v : c.flat()) {
+        v = static_cast<float>(std::ldexp(
+            rng.uniform(-1.0, 1.0), static_cast<int>(rng.below(41)) - 20));
+      }
+      for (std::size_t j = 7; j < k; j += 7) {
+        std::copy(c.row(j - 1).begin(), c.row(j - 1).end(),
+                  c.flat().begin() + static_cast<std::ptrdiff_t>(j * d));
+      }
+      std::vector<double> want;
+      frozen_safe_radii(c, want);
+      const auto same_bits = [&](const std::vector<double>& got) {
+        return got.size() == want.size() &&
+               std::memcmp(got.data(), want.data(),
+                           want.size() * sizeof(double)) == 0;
+      };
+      std::vector<double> got;
+      detail::compute_safe_radii(c, got);
+      EXPECT_TRUE(same_bits(got)) << "k " << k << ", d " << d;
+      for (const detail::SampleBlockFn chains :
+           {detail::sample_block_chains, &detail::sample_block_chains_generic}) {
+        for (const auto& [cpes, block_rows] :
+             {std::pair<std::size_t, std::size_t>{4, 1},
+              std::pair<std::size_t, std::size_t>{64, 3}}) {
+          (void)detail::compute_safe_radii(c, got, cpes, block_rows, chains);
+          EXPECT_TRUE(same_bits(got))
+              << "k " << k << ", d " << d << ", cpes " << cpes;
+        }
+      }
+    }
+  }
+}
+
+/// Records every (a, b) lane a chain call scores with b > a, for a d = 1
+/// matrix whose row r holds the value r (so a lane's value names its row;
+/// a short panel's zero padding never counts, as row 0 is never a b).
+std::vector<std::uint32_t> g_pair_seen;
+std::size_t g_pair_k = 0;
+void spy_chains(const float* x, const double* panel, std::size_t d,
+                double* acc) {
+  detail::sample_block_chains_generic(x, panel, d, acc);
+  const auto a = static_cast<std::size_t>(x[0]);
+  for (std::size_t jj = 0; jj < detail::kCentroidRowBlock; ++jj) {
+    const auto b = static_cast<std::size_t>(panel[jj]);
+    if (b > a) {
+      ++g_pair_seen[a * g_pair_k + b];
+    }
+  }
+}
+
+TEST(SafeRadii, PartitionScoresEveryPairOnceAndBalancesCpes) {
+  for (const std::size_t cpes :
+       {MachineConfig::tiny(1, 1).cpes_per_cg,
+        MachineConfig::tiny(1, 4).cpes_per_cg,
+        MachineConfig::sw26010(1).cpes_per_cg}) {
+    for (const std::size_t k : {1u, 2u, 3u, 64u, 65u, 256u}) {
+      for (const std::size_t block_rows : {1u, 2u, 1000u}) {
+        util::Matrix c(k, 1);
+        for (std::size_t r = 0; r < k; ++r) {
+          c.at(r, 0) = static_cast<float>(r);
+        }
+        g_pair_k = k;
+        g_pair_seen.assign(k * k, 0);
+        std::vector<double> safe;
+        const detail::SafeRadiusWork work =
+            detail::compute_safe_radii(c, safe, cpes, block_rows, &spy_chains);
+        const detail::SafeRadiusPartition partition(k, cpes, block_rows);
+        const std::string where = "cpes " + std::to_string(cpes) + ", k " +
+                                  std::to_string(k) + ", block " +
+                                  std::to_string(block_rows);
+
+        // Every pair a < b scored exactly once, by row a's CPE.
+        std::vector<std::uint64_t> by_owner(cpes, 0);
+        for (std::size_t a = 0; a < k; ++a) {
+          for (std::size_t b = a + 1; b < k; ++b) {
+            EXPECT_EQ(g_pair_seen[a * k + b], 1u)
+                << where << ": pair " << a << ", " << b;
+            by_owner[partition.owner[a]] += g_pair_seen[a * k + b];
+          }
+        }
+        EXPECT_EQ(work.cpe_pairs, by_owner) << where;
+        std::uint64_t sum = 0;
+        for (const std::uint64_t pairs : work.cpe_pairs) {
+          sum += pairs;
+        }
+        EXPECT_EQ(sum, k * (k - 1) / 2) << where;
+        const double mean =
+            static_cast<double>(sum) / static_cast<double>(cpes);
+        EXPECT_LE(static_cast<double>(work.max_cpe_pairs()),
+                  mean + static_cast<double>(k > 0 ? k - 1 : 0))
+            << where;
+
+        // Streamed rows: each row with a partner lands once in its owner,
+        // and each LDM block streams every row above its lowest row.
+        std::uint64_t streamed = k > 0 ? k - 1 : 0;
+        for (std::size_t a = 0; a + 1 < k; ++a) {
+          if (partition.opens_block[a]) {
+            streamed += k - 1 - a;
+          }
+        }
+        EXPECT_EQ(work.streamed_rows, streamed) << where;
+      }
+    }
+  }
+}
+
+TEST(SafeRadii, GatedIterationChargesTheExecutedCounts) {
+  // Each cluster is its centre (one of the first k rows, so first-k seeding
+  // picks it) plus the centre +-1 along both axes: the means are exact, no
+  // centroid drifts, and iteration 1 resolves every sample at the gate.
+  // Level 1 then charges no sweep, so the iteration's compute and centroid
+  // stream are the radius pass alone, and its mesh time is the radius
+  // min-fold followed by the accumulator fold.
+  for (const MachineConfig& machine :
+       {MachineConfig::tiny(1, 1, 8192), MachineConfig::tiny(1, 4, 8192),
+        MachineConfig::sw26010(1)}) {
+    for (const std::size_t k : {2u, 3u, 64u, 65u, 256u}) {
+      const std::size_t d = 2;
+      util::Matrix samples(5 * k, d);
+      for (std::size_t j = 0; j < k; ++j) {
+        const float x = 16.0f * static_cast<float>(j);
+        const float offsets[4][2] = {{1, 0}, {-1, 0}, {0, 1}, {0, -1}};
+        samples.at(j, 0) = x;
+        samples.at(j, 1) = 0;
+        for (std::size_t o = 0; o < 4; ++o) {
+          samples.at(k + 4 * j + o, 0) = x + offsets[o][0];
+          samples.at(k + 4 * j + o, 1) = offsets[o][1];
+        }
+      }
+      const data::Dataset ds("centres", samples);
+      KmeansConfig config;
+      config.k = k;
+      config.max_iterations = 2;
+      config.tolerance = -1;
+      config.tile_samples = 16;  // fits a single 8 KiB CPE
+      const KmeansResult r = run_level(Level::kLevel1, ds, config, machine);
+      const std::string where = "cpes " +
+                                std::to_string(machine.cpes_per_cg) +
+                                ", k " + std::to_string(k);
+      ASSERT_EQ(r.history.size(), 2u) << where;
+      const IterationStats& it = r.history[1];
+      ASSERT_EQ(it.prune_rate, 1.0) << where;
+
+      // No centroid moved, so the final centroids are iteration 1's snapshot.
+      std::vector<double> safe;
+      const detail::SafeRadiusWork work = detail::compute_safe_radii(
+          r.centroids, safe, machine.cpes_per_cg,
+          detail::safe_radius_block_rows(machine, d));
+      EXPECT_EQ(it.compute_s, static_cast<double>(work.max_cpe_pairs()) *
+                                  machine.assign_row_seconds(d))
+          << where;
+      EXPECT_EQ(it.centroid_stream_s,
+                static_cast<double>(work.streamed_rows * d *
+                                    machine.elem_bytes) /
+                    machine.dma_bandwidth)
+          << where;
+      simarch::CostTally mesh;
+      simarch::RegComm reg(machine, mesh);
+      reg.account_allreduce(k * sizeof(double), machine.cpes_per_cg);
+      reg.account_allreduce((k * d + k) * machine.elem_bytes,
+                            machine.cpes_per_cg);
+      EXPECT_EQ(it.mesh_comm_s, mesh.mesh_comm_s) << where;
+      // The same pass on iteration 0's (unchanged) snapshot moved the
+      // centroid reloads out of the DMA volume and the streamed rows in.
+      const std::uint64_t reloads = machine.num_cgs() * machine.cpes_per_cg *
+                                    k * d * machine.elem_bytes;
+      EXPECT_EQ(it.dma_bytes + reloads,
+                r.history[0].dma_bytes +
+                    machine.num_cgs() * work.streamed_rows * d *
+                        machine.elem_bytes)
+          << where;
     }
   }
 }
