@@ -141,19 +141,19 @@ std::vector<LedgerCell> ledger_cells() {
   const LevelPins pins[] = {
       {Level::kLevel1,
        "L1",
-       {0x98add15d, 0x144cdad9, 0x7e505018, 0x44846b13},
-       {0x41015f10, 0x39da828b},
-       0x8f83b37c},
+       {0x98add15d, 0x144cdad9, 0xeabbc9db, 0xf1867b28},
+       {0x9ade3e8c, 0xc686197f},
+       0xd035cd8a},
       {Level::kLevel2,
        "L2",
-       {0xdac8cbc8, 0x29f80a2c, 0x0064cb67, 0x00c8afd5},
-       {0xc19a5d4a, 0xf7963e71},
-       0xa6313730},
+       {0xdac8cbc8, 0x29f80a2c, 0x99800cca, 0x7a3b0845},
+       {0x7956807e, 0xb8dea24a},
+       0xcb0ac57d},
       {Level::kLevel3,
        "L3",
-       {0xba01fd8b, 0x9f21d354, 0x0235bfd3, 0xa1700091},
-       {0x29399696, 0x53af655a},
-       0x3640f3fe},
+       {0xba01fd8b, 0x9f21d354, 0x2d7621c0, 0x61165c81},
+       {0xd3050ae3, 0x56e6c0ea},
+       0xdc5c903e},
   };
   for (const LevelPins& p : pins) {
     const std::size_t mprime = p.level == Level::kLevel3 ? 2 : 0;
@@ -191,7 +191,7 @@ std::vector<LedgerCell> ledger_cells() {
     config.sstep_tiles = sstep;
     cells.push_back({"L3_sstep" + std::to_string(sstep), Level::kLevel3,
                      one_supernode, config, 2, blobs,
-                     sstep == 1 ? 0x7b596429u : 0x58617010u});
+                     sstep == 1 ? 0x2e8538eeu : 0x11e9bb11u});
   }
   return cells;
 }
