@@ -907,8 +907,8 @@ inline SafeRadiusWork compute_safe_radii(
 /// the benches).
 inline void compute_safe_radii(const util::Matrix& centroids,
                                std::vector<double>& safe) {
-  compute_safe_radii(centroids, safe, 1, std::max<std::size_t>(
-                                             centroids.rows(), 1));
+  compute_safe_radii(centroids, safe, 1,
+                     std::max<std::size_t>(centroids.rows(), 1));
 }
 
 /// Gate one tile of samples [t0, t1): advance each sample's Hamerly bounds

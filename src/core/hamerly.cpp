@@ -65,8 +65,8 @@ KmeansResult hamerly_serial_from(const data::Dataset& dataset,
   for (std::size_t iter = 0; iter < config.max_iterations; ++iter) {
     acc.reset();
     st.lloyd_equivalent += static_cast<std::uint64_t>(n) * k;
-    // Each unordered pair once: sqrt(squared_distance) / 2 is symmetric
-    // bit for bit, so this is the directed scan's result.
+    // Each unordered pair is scored once; its distance is symmetric bit
+    // for bit, so both rows get the exact radius.
     detail::compute_safe_radii(centroids, safe);
     st.centroid_distance_computations += k * (k - 1) / 2;
 
