@@ -11,21 +11,13 @@
 /// and engine agree on the mechanics.
 
 #include <cstdio>
-#include <ctime>
 #include <filesystem>
 #include <iostream>
 #include <optional>
 #include <string>
 
-#if defined(_WIN32)
-#include <winsock2.h>
-#else
-#include <unistd.h>
-#endif
-
 #include "core/hkmeans.hpp"
 #include "util/csv.hpp"
-#include "util/json.hpp"
 #include "util/log.hpp"
 #include "util/stopwatch.hpp"
 #include "util/units.hpp"
@@ -39,36 +31,6 @@ inline void banner(const std::string& id, const std::string& paper_setup) {
             << "paper setup: " << paper_setup << "\n"
             << "==============================================================="
                "=\n";
-}
-
-/// Run provenance, stamped into every BENCH_*.json as a "meta" object so
-/// archived artifacts are self-describing: the commit the binary was built
-/// from (SWHKM_GIT_SHA, baked in at configure time; "unknown" outside a
-/// git checkout), the UTC timestamp of the run, and the host that ran it.
-/// Call inside an open JSON object.
-inline void emit_run_metadata(util::JsonWriter& w) {
-  w.key("meta").begin_object();
-#ifdef SWHKM_GIT_SHA
-  w.kv("git_sha", SWHKM_GIT_SHA);
-#else
-  w.kv("git_sha", "unknown");
-#endif
-  const std::time_t now = std::time(nullptr);
-  std::tm tm{};
-#if defined(_WIN32)
-  gmtime_s(&tm, &now);
-#else
-  gmtime_r(&now, &tm);
-#endif
-  char stamp[32] = "unknown";
-  (void)std::strftime(stamp, sizeof(stamp), "%Y-%m-%dT%H:%M:%SZ", &tm);
-  w.kv("utc_date", stamp);
-  char host[256] = {};
-  if (gethostname(host, sizeof(host) - 1) != 0 || host[0] == '\0') {
-    std::snprintf(host, sizeof(host), "unknown");
-  }
-  w.kv("host", host);
-  w.end_object();
 }
 
 /// Write `table` to bench_results/<name>.csv next to the binary's CWD and

@@ -21,7 +21,7 @@ namespace swhkm::telemetry {
 /// phase's maximum across core groups (the same doubles, the same max,
 /// the same sum order as CostTally::total_s()), which is why
 /// `critical_s == IterationStats::simulated_s` holds bit-for-bit on a
-/// clean run — the acceptance cross-check in bench/wallclock_engines.
+/// clean run — the acceptance cross-check in tests/test_critical_path.cpp.
 ///
 /// Blame is charged per iteration to the *gating* rank — the core group
 /// with the largest per-rank total — as (gating − mean) rank-seconds: the

@@ -3,6 +3,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -281,81 +283,88 @@ TEST(FlightRecorder, ResultsAreBitIdenticalWithRecorderOnAndOff) {
   }
 }
 
+/// Reads a whole file; empty when it cannot be opened.
+std::string slurp(const std::string& path) {
+  std::ifstream in(path);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
 TEST(FlightRecorder, FaultDrillCapturesEveryRankInThePostmortem) {
   const auto machine = simarch::MachineConfig::tiny(2, 4, 8192);
   const data::Dataset ds = data::make_blobs(512, 6, 4, 77);
-  core::KmeansConfig config;
-  config.k = 4;
-  config.max_iterations = 8;
-  config.tolerance = -1;
-  config.checkpoint_every = 4;
-  swmpi::FaultPlan plan;
-  plan.crash(/*rank=*/1, /*iteration=*/5, swmpi::FaultSite::kUpdate);
-  config.fault_plan = &plan;
-  telemetry::Telemetry session;
-  config.telemetry = &session;
+  for (core::Level level : {core::Level::kLevel1, core::Level::kLevel2,
+                            core::Level::kLevel3}) {
+    SCOPED_TRACE(core::level_name(level));
+    const std::string tag = std::to_string(static_cast<int>(level));
+    core::KmeansConfig config;
+    config.k = 4;
+    config.max_iterations = 8;
+    config.tolerance = -1;
+    config.checkpoint_every = 4;
+    swmpi::FaultPlan plan;
+    plan.crash(/*rank=*/1, /*iteration=*/5, swmpi::FaultSite::kUpdate);
+    config.fault_plan = &plan;
+    telemetry::Telemetry session;
+    config.telemetry = &session;
 
-  core::RecoveryOptions options;
-  options.checkpoint_path = "test_critical_path.ckpt";
-  core::RecoveryDriver driver(machine, options);
-  const core::KmeansResult result =
-      driver.run(core::Level::kLevel3, ds, config);
-  std::remove(options.checkpoint_path.c_str());
-  EXPECT_EQ(result.iterations, 8u);
+    // The driver writes the run's report, fault story and postmortems
+    // included, to report_faults_L<n>.json in the working directory; CI
+    // validates these files against schemas/report_faults.schema.json.
+    core::RecoveryOptions options;
+    options.checkpoint_path = "test_critical_path_L" + tag + ".ckpt";
+    options.report_path = "report_faults_L" + tag + ".json";
+    core::RecoveryDriver driver(machine, options);
+    const core::KmeansResult result = driver.run(level, ds, config);
+    std::remove(options.checkpoint_path.c_str());
+    EXPECT_EQ(result.iterations, 8u);
 
-  ASSERT_FALSE(driver.postmortems().empty());
-  const telemetry::FaultPostmortem& pm = driver.postmortems().front();
-  EXPECT_EQ(pm.iteration, 4u);  // the leg that died started after ckpt 4
-  EXPECT_FALSE(pm.what.empty());
+    ASSERT_FALSE(driver.postmortems().empty());
+    const telemetry::FaultPostmortem& pm = driver.postmortems().front();
+    EXPECT_EQ(pm.iteration, 4u);  // the leg that died started after ckpt 4
+    EXPECT_FALSE(pm.what.empty());
 
-  // Every rank that ran is in the postmortem — the host ring plus one
-  // ring per core group — and none of them is empty.
-  ASSERT_GE(pm.ranks.size(), 2u);
-  bool host_seen = false;
-  std::size_t workers = 0;
-  for (const auto& snap : pm.ranks) {
-    EXPECT_FALSE(snap.events.empty()) << "rank " << snap.rank;
-    EXPECT_GE(snap.total, snap.events.size());
-    if (snap.rank == telemetry::MetricsRegistry::kHostRank) {
-      host_seen = true;
-    } else {
-      ++workers;
+    // Every rank that ran is in the postmortem — the host ring plus one
+    // ring per core group — and none of them is empty.
+    ASSERT_GE(pm.ranks.size(), 2u);
+    bool host_seen = false;
+    std::size_t workers = 0;
+    for (const auto& snap : pm.ranks) {
+      EXPECT_FALSE(snap.events.empty()) << "rank " << snap.rank;
+      EXPECT_GE(snap.total, snap.events.size());
+      if (snap.rank == telemetry::MetricsRegistry::kHostRank) {
+        host_seen = true;
+      } else {
+        ++workers;
+      }
     }
+    EXPECT_TRUE(host_seen);
+    EXPECT_EQ(workers, driver.report().final_cgs);
+
+    // The crashed rank's ring ends mid-flight — its last retained events
+    // include the doomed iteration's start.
+    bool rank1_saw_iteration_5 = false;
+    for (const auto& snap : pm.ranks) {
+      if (snap.rank != 1) {
+        continue;
+      }
+      for (const auto& e : snap.events) {
+        rank1_saw_iteration_5 =
+            rank1_saw_iteration_5 ||
+            (e.kind == FlightEventKind::kIterationStart && e.iteration == 5);
+      }
+    }
+    EXPECT_TRUE(rank1_saw_iteration_5);
+
+    // The postmortem lands in the report JSON as the flight_recorder
+    // section, one entry per caught fault with every rank's events.
+    const std::string json = slurp(options.report_path);
+    EXPECT_NE(json.find("\"recovery\""), std::string::npos);
+    EXPECT_NE(json.find("\"flight_recorder\""), std::string::npos);
+    EXPECT_NE(json.find("\"iteration_start\""), std::string::npos);
+    EXPECT_NE(json.find("\"total_events\""), std::string::npos);
+    EXPECT_NE(json.find("\"rank\": -1"), std::string::npos);  // host ring
   }
-  EXPECT_TRUE(host_seen);
-  EXPECT_EQ(workers, driver.report().final_cgs);
-
-  // The crashed rank's ring ends mid-flight — its last retained events
-  // include the doomed iteration's start.
-  bool rank1_saw_iteration_5 = false;
-  for (const auto& snap : pm.ranks) {
-    if (snap.rank != 1) {
-      continue;
-    }
-    for (const auto& e : snap.events) {
-      rank1_saw_iteration_5 =
-          rank1_saw_iteration_5 ||
-          (e.kind == FlightEventKind::kIterationStart && e.iteration == 5);
-    }
-  }
-  EXPECT_TRUE(rank1_saw_iteration_5);
-
-  // The postmortem lands in the report JSON as the flight_recorder
-  // section, one entry per caught fault with every rank's events.
-  telemetry::RunReport report;
-  report.run_id = "fault-drill";
-  report.set_result(result);
-  report.has_recovery = true;
-  report.recovery = driver.report();
-  report.postmortems = driver.postmortems();
-  report.metrics = session.metrics().merged();
-  std::ostringstream out;
-  report.write_json(out);
-  const std::string json = out.str();
-  EXPECT_NE(json.find("\"flight_recorder\""), std::string::npos);
-  EXPECT_NE(json.find("\"iteration_start\""), std::string::npos);
-  EXPECT_NE(json.find("\"total_events\""), std::string::npos);
-  EXPECT_NE(json.find("\"rank\": -1"), std::string::npos);  // host ring
 }
 
 TEST(CriticalPath, ReportAndTraceCarryCriticalPathSections) {
@@ -372,17 +381,32 @@ TEST(CriticalPath, ReportAndTraceCarryCriticalPathSections) {
   const core::KmeansResult result =
       core::run_level(core::Level::kLevel3, ds, config, machine);
 
+  // Every field schemas/report.schema.json requires is filled, so the
+  // report.json written below validates as a complete RunReport.
   telemetry::RunReport report;
   report.run_id = "cp-sections";
+  report.shape = core::ProblemShape{ds.n(), config.k, ds.d()};
+  report.level = core::Level::kLevel3;
+  report.config = config;
+  report.machine_summary = machine.summary();
+  const auto choice =
+      core::best_plan_for_level(core::Level::kLevel3, report.shape, machine);
+  ASSERT_TRUE(choice.has_value());
+  report.plan_summary = choice->plan.describe();
   report.set_result(result);
   report.metrics = session.metrics().merged();
   report.has_critical_path = true;
   report.critical_path = telemetry::analyze_critical_path(trace);
   ASSERT_FALSE(report.critical_path.iterations.empty());
+  ASSERT_FALSE(report.critical_path.stragglers.empty());
+  EXPECT_TRUE(telemetry::reconciles(report));
 
   std::ostringstream report_out;
   report.write_json(report_out);
   const std::string report_json = report_out.str();
+  // The artifact pair CI validates against schemas/: report.json and
+  // trace.json in the working directory.
+  std::ofstream("report.json") << report_json;
   for (const char* key :
        {"\"critical_path\"", "\"gating_cg\"", "\"stragglers\"", "\"blame_s\"",
         "\"phases\"", "\"net_crossing_bytes\""}) {
@@ -394,6 +418,7 @@ TEST(CriticalPath, ReportAndTraceCarryCriticalPathSections) {
   telemetry::write_chrome_trace(trace_out, &trace, &session.spans(), {},
                                 &report.critical_path);
   const std::string trace_json = trace_out.str();
+  std::ofstream("trace.json") << trace_json;
   EXPECT_NE(trace_json.find("\"ph\": \"s\""), std::string::npos);
   EXPECT_NE(trace_json.find("\"ph\": \"f\""), std::string::npos);
   EXPECT_NE(trace_json.find("\"bp\": \"e\""), std::string::npos);

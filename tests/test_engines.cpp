@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -282,6 +283,47 @@ TEST(Level3, KSmallerThanGroupLeavesIdleSliceHolders) {
   const KmeansResult ref = lloyd_serial(ds, config);
   const KmeansResult got = run_level(Level::kLevel3, ds, config, machine, 0, 4);
   EXPECT_EQ(assignment_agreement(got.assignments, ref.assignments), 1.0);
+}
+
+TEST(Level3, TilePipelineCutsModeledNetShareAtLeastTwofold) {
+  // High-d shape on purpose: the MinLoc2 combine carries 24 bytes per
+  // sample regardless of d, while the sweep that hides it grows with d*k.
+  // m'_group = 4 makes every tile's combine a real 4-way allreduce and
+  // 64-sample tiles give each rank a deep pipeline. The chain kernel is
+  // pinned because the faster modeled GEMM sweep shrinks the compute
+  // window that hides the combine. The no-overlap
+  // baseline is a cost function of the same run: adding the seconds the
+  // pipeline hid back into the net and total ledgers gives the strictly
+  // sequential model's net share.
+  const MachineConfig machine = MachineConfig::tiny(2, 4, 8192);
+  const data::Dataset ds = data::make_blobs(4096, 256, 8, 515);
+  KmeansConfig config;
+  config.k = 96;
+  config.max_iterations = 6;
+  config.tolerance = -1;
+  config.gate_assign = false;
+  config.gemm_assign = false;
+  config.tile_samples = 64;
+  const KmeansResult got =
+      run_level(Level::kLevel3, ds, config, machine, 0, 4);
+  const KmeansResult ref = lloyd_serial(ds, config);
+  ASSERT_EQ(got.iterations, ref.iterations);
+  EXPECT_EQ(got.assignments, ref.assignments);
+  ASSERT_EQ(got.centroids.size(), ref.centroids.size());
+  EXPECT_EQ(std::memcmp(got.centroids.data(), ref.centroids.data(),
+                        ref.centroids.size() * sizeof(float)),
+            0);
+
+  const simarch::CostTally& cost = got.last_iteration_cost;
+  ASSERT_GT(cost.total_s(), 0.0);
+  const double pipelined_share = cost.net_comm_s / cost.total_s();
+  const double no_overlap_share =
+      (cost.net_comm_s + cost.overlapped_net_s) /
+      (cost.total_s() + cost.overlapped_net_s + cost.overlapped_dma_s);
+  // Floor the denominator: a fully hidden combine models zero net stall.
+  EXPECT_GE(no_overlap_share / std::max(pipelined_share, 1e-12), 2.0)
+      << "no-overlap " << no_overlap_share << " pipelined "
+      << pipelined_share;
 }
 
 TEST(Level1, LdmOverflowCaughtByEngine) {

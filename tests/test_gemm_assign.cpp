@@ -354,5 +354,33 @@ TEST(GemmEngine, SstepCutsCollectiveRoundsByTheFoldFactor) {
   }
 }
 
+TEST(GemmEngine, ModeledFlopRateBeatsTheChainKernel) {
+  // Same fixed-iteration ungated Level 3 run, GEMM sweep vs chain kernel.
+  // The flop count is the same; the GEMM path's sustained efficiency and
+  // per-row overhead parameters differ, so its modeled flops per modeled
+  // compute second must be higher. m' = 4 forces the sliced plan.
+  const data::Dataset ds = data::make_blobs(2048, 16, 12, 616);
+  const MachineConfig machine = MachineConfig::tiny(2, 4, 8192);
+  KmeansConfig config;
+  config.k = 24;
+  config.max_iterations = 6;
+  config.tolerance = -1;
+  config.gate_assign = false;
+  config.tile_samples = 64;
+  KmeansConfig chain = config;
+  chain.gemm_assign = false;
+  const KmeansResult gemm_run =
+      run_level(Level::kLevel3, ds, config, machine, 0, 4);
+  const KmeansResult chain_run =
+      run_level(Level::kLevel3, ds, chain, machine, 0, 4);
+  ASSERT_GT(gemm_run.cost.compute_s, 0.0);
+  ASSERT_GT(chain_run.cost.compute_s, 0.0);
+  const double gemm_rate =
+      static_cast<double>(gemm_run.cost.flops) / gemm_run.cost.compute_s;
+  const double chain_rate =
+      static_cast<double>(chain_run.cost.flops) / chain_run.cost.compute_s;
+  EXPECT_GT(gemm_rate, chain_rate);
+}
+
 }  // namespace
 }  // namespace swhkm::core

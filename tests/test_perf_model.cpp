@@ -102,6 +102,24 @@ TEST(PerfModel, Fig7CrossoverExists) {
   EXPECT_GT(l2(3072), l3(3072));
 }
 
+TEST(PerfModel, Fig7HierScheduleCutsCrossingBytesAtLeastTwofold) {
+  // sw26010(512) spans two supernodes, so the flat collectives push every
+  // rank's payload through the central switch. The two-level schedule
+  // must cut the modeled supernode-crossing bytes of the fig7 Level 3
+  // iteration at least 2x.
+  const MachineConfig machine = MachineConfig::sw26010(512);
+  const PartitionPlan plan =
+      make_plan(Level::kLevel3, {1265723, 2000, 196608}, machine, 0, 16);
+  const CostTally hier =
+      model_iteration(plan, machine, Placement::kPacked, true);
+  const CostTally flat =
+      model_iteration(plan, machine, Placement::kPacked, false);
+  ASSERT_GT(hier.net_crossing_bytes, 0u);
+  EXPECT_GE(static_cast<double>(flat.net_crossing_bytes) /
+                static_cast<double>(hier.net_crossing_bytes),
+            2.0);
+}
+
 TEST(PerfModel, Fig8Level3AlwaysWinsAt4096Dims) {
   // "Since the number of d is fixed at 4096, the Level 3 approach actually
   // always outperforms Level 2, with the gap increasing as k increases."

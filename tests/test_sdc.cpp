@@ -369,6 +369,30 @@ TEST_P(SdcEngineMatrix, DefenseOnCleanRunIsBitIdenticalToDefenseOff) {
   EXPECT_DOUBLE_EQ(got.inertia, ref.inertia);
 }
 
+TEST(SdcEngine, ArmedDefenseModeledOverheadIsBounded) {
+  // A clean Level 3 run with the defense armed vs off: the scrub and ABFT
+  // charges must land in the cost model (overhead above zero) and stay
+  // cheap enough to always arm (below 15%).
+  const MachineConfig machine = MachineConfig::tiny(2, 4, 8192);
+  const data::Dataset ds = data::make_blobs(2048, 6, 10, 4242);
+  KmeansConfig off;
+  off.k = 8;
+  off.max_iterations = 10;
+  off.tolerance = -1;
+  off.checkpoint_every = 4;
+  off.gate_assign = false;  // every iteration builds ABFT-checked panels
+  KmeansConfig on = off;
+  on.sdc_checks = true;
+  const KmeansResult ref =
+      core::HierarchicalKmeans(machine).fit_level(Level::kLevel3, ds, off);
+  const KmeansResult armed =
+      core::HierarchicalKmeans(machine).fit_level(Level::kLevel3, ds, on);
+  ASSERT_GT(ref.cost.total_s(), 0.0);
+  const double overhead = armed.cost.total_s() / ref.cost.total_s() - 1.0;
+  EXPECT_GT(overhead, 0.0);
+  EXPECT_LT(overhead, 0.15);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllLevels, SdcEngineMatrix,
                          ::testing::Values(Level::kLevel1, Level::kLevel2,
                                            Level::kLevel3),

@@ -251,6 +251,12 @@ TEST(ShardedUpdate, HierCollectivesBitIdenticalAcrossSupernodes) {
     flat_cfg.hier_collectives = false;
     const KmeansResult hier = run_level(level, ds, hier_cfg, machine);
     const KmeansResult flat = run_level(level, ds, flat_cfg, machine);
+    // The inter-supernode stage ran, so it was priced.
+    std::uint64_t crossing = 0;
+    for (const IterationStats& it : hier.history) {
+      crossing += it.net_crossing_bytes;
+    }
+    EXPECT_GT(crossing, 0u) << level_name(level);
     EXPECT_EQ(hier.iterations, ref.iterations) << level_name(level);
     EXPECT_EQ(hier.assignments, ref.assignments) << level_name(level);
     EXPECT_EQ(flat.iterations, hier.iterations) << level_name(level);
