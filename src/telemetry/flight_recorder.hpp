@@ -17,9 +17,10 @@ namespace swhkm::telemetry {
 /// locks, no allocation after construction) and survives a dead SPMD leg —
 /// the rings live in the MetricsRegistry's shards, which the RecoveryDriver
 /// still holds after run_spmd unwound. On a fault the last events of every
-/// rank become the postmortem in report_faults.json; on a clean run they
-/// are simply dropped (the ring is diagnosis storage, not an artifact the
-/// exporters always emit).
+/// rank become the postmortem in the report the RecoveryDriver writes to
+/// RecoveryOptions::report_path; on a clean run they are simply dropped
+/// (the ring is diagnosis storage, not an artifact the exporters always
+/// emit).
 ///
 /// Like every other telemetry primitive, recording is read-only with
 /// respect to algorithm state: results are bit-identical with the recorder
@@ -136,8 +137,8 @@ struct FaultPostmortem {
 void write_flight_snapshots(util::JsonWriter& w,
                             const std::vector<FlightSnapshot>& ranks);
 
-/// JSON array of postmortems — the "flight_recorder" section of
-/// report_faults.json.
+/// JSON array of postmortems — the "flight_recorder" section of the
+/// report written to RecoveryOptions::report_path.
 void write_postmortems(util::JsonWriter& w,
                        const std::vector<FaultPostmortem>& postmortems);
 

@@ -284,6 +284,11 @@ TEST(FlightRecorder, ResultsAreBitIdenticalWithRecorderOnAndOff) {
 }
 
 /// Reads a whole file; empty when it cannot be opened.
+/// Where the schema-validated artifacts go: the test's build directory.
+std::string artifact_path(const std::string& name) {
+  return std::string(SWHKM_ARTIFACT_DIR) + "/" + name;
+}
+
 std::string slurp(const std::string& path) {
   std::ifstream in(path);
   return std::string(std::istreambuf_iterator<char>(in),
@@ -309,11 +314,11 @@ TEST(FlightRecorder, FaultDrillCapturesEveryRankInThePostmortem) {
     config.telemetry = &session;
 
     // The driver writes the run's report, fault story and postmortems
-    // included, to report_faults_L<n>.json in the working directory; CI
+    // included, to report_faults_L<n>.json in the artifact directory; CI
     // validates these files against schemas/report_faults.schema.json.
     core::RecoveryOptions options;
     options.checkpoint_path = "test_critical_path_L" + tag + ".ckpt";
-    options.report_path = "report_faults_L" + tag + ".json";
+    options.report_path = artifact_path("report_faults_L" + tag + ".json");
     core::RecoveryDriver driver(machine, options);
     const core::KmeansResult result = driver.run(level, ds, config);
     std::remove(options.checkpoint_path.c_str());
@@ -405,8 +410,8 @@ TEST(CriticalPath, ReportAndTraceCarryCriticalPathSections) {
   report.write_json(report_out);
   const std::string report_json = report_out.str();
   // The artifact pair CI validates against schemas/: report.json and
-  // trace.json in the working directory.
-  std::ofstream("report.json") << report_json;
+  // trace.json in the artifact directory.
+  std::ofstream(artifact_path("report.json")) << report_json;
   for (const char* key :
        {"\"critical_path\"", "\"gating_cg\"", "\"stragglers\"", "\"blame_s\"",
         "\"phases\"", "\"net_crossing_bytes\""}) {
@@ -418,7 +423,7 @@ TEST(CriticalPath, ReportAndTraceCarryCriticalPathSections) {
   telemetry::write_chrome_trace(trace_out, &trace, &session.spans(), {},
                                 &report.critical_path);
   const std::string trace_json = trace_out.str();
-  std::ofstream("trace.json") << trace_json;
+  std::ofstream(artifact_path("trace.json")) << trace_json;
   EXPECT_NE(trace_json.find("\"ph\": \"s\""), std::string::npos);
   EXPECT_NE(trace_json.find("\"ph\": \"f\""), std::string::npos);
   EXPECT_NE(trace_json.find("\"bp\": \"e\""), std::string::npos);

@@ -3,11 +3,13 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "core/engine_common.hpp"
 #include "core/engine_util.hpp"
 #include "core/hkmeans.hpp"
+#include "data/synthetic.hpp"
 #include "swmpi/collectives.hpp"
 #include "swmpi/runtime.hpp"
 #include "util/matrix.hpp"
@@ -275,6 +277,45 @@ TEST(ShardedUpdate, HierCollectivesBitIdenticalAcrossSupernodes) {
       }
     }
   }
+
+  // Level 3 with a multi-CG group (m' = 4, so every tile runs an assign
+  // combine), gate and GEMM on, and s-step spans of two tiles draining
+  // through the hierarchical SplitAllreduce, run to convergence.
+  const data::Dataset blobs = data::make_blobs(2048, 16, 12, 717);
+  KmeansConfig l3_cfg;
+  l3_cfg.k = 24;
+  l3_cfg.max_iterations = 30;
+  l3_cfg.tolerance = 0;
+  l3_cfg.sstep_tiles = 2;
+  l3_cfg.tile_samples = 64;
+  ASSERT_TRUE(l3_cfg.gate_assign);
+  ASSERT_TRUE(l3_cfg.gemm_assign);
+  constexpr std::size_t kMprime = 4;
+  const KmeansResult l3_ref = lloyd_serial(blobs, l3_cfg);
+  l3_cfg.hier_collectives = true;
+  const KmeansResult l3_hier =
+      run_level(Level::kLevel3, blobs, l3_cfg, machine, 0, kMprime);
+  l3_cfg.hier_collectives = false;
+  const KmeansResult l3_flat =
+      run_level(Level::kLevel3, blobs, l3_cfg, machine, 0, kMprime);
+  std::uint64_t l3_crossing = 0;
+  for (const IterationStats& it : l3_hier.history) {
+    l3_crossing += it.net_crossing_bytes;
+  }
+  EXPECT_GT(l3_crossing, 0u);
+  EXPECT_EQ(l3_hier.iterations, l3_ref.iterations);
+  EXPECT_EQ(l3_flat.iterations, l3_ref.iterations);
+  EXPECT_EQ(l3_hier.assignments, l3_ref.assignments);
+  EXPECT_EQ(l3_flat.assignments, l3_ref.assignments);
+  ASSERT_EQ(l3_hier.centroids.size(), l3_ref.centroids.size());
+  ASSERT_EQ(l3_flat.centroids.size(), l3_ref.centroids.size());
+  const std::size_t l3_bytes = l3_ref.centroids.size() * sizeof(float);
+  EXPECT_EQ(std::memcmp(l3_hier.centroids.data(), l3_ref.centroids.data(),
+                        l3_bytes),
+            0);
+  EXPECT_EQ(std::memcmp(l3_hier.centroids.data(), l3_flat.centroids.data(),
+                        l3_bytes),
+            0);
 }
 
 /// Duplicate first-k seeds leave the duplicate centroids with no members:
