@@ -37,10 +37,10 @@ simarch::CostTally combine_tallies(swmpi::Comm& comm,
 /// reduce_scatter is a zero-copy binomial fold — an allgather publishes
 /// each accumulator by address and every rank folds its own shard reading
 /// the peers' partials in place (the same shared-memory idiom the engines
-/// use for the centroid snapshot). A message-passing deployment would call
-/// swmpi::reduce_scatter_ranges + allgatherv instead (same bits — the
-/// collectives are tested bit-identical to the fold); the engines charge
-/// the distributed cost either way through the topology model.
+/// use for the centroid snapshot). swmpi has no message-passing
+/// reduce_scatter: the runtime never moves the partials through the
+/// mailbox, and the engines charge the distributed reduce_scatter +
+/// allgather through the topology model instead.
 ///
 /// Bit-deterministic AND bit-identical to the former root-serialized
 /// update: the fold combines per element in the root-0 binomial

@@ -21,10 +21,10 @@ namespace detail {
 /// RAII instrumentation for one collective entry: ticks the calling rank's
 /// (kind → calls/bytes) ledger at construction and observes the wall
 /// latency at destruction. `bytes` is the collective's logical payload
-/// volume from this rank's perspective, not wire traffic — composite
-/// collectives also tick their building blocks, so the per-kind counters
-/// describe every layer rather than a disjoint partition. Free (two null
-/// checks) when the communicator carries no metrics registry.
+/// volume from this rank's perspective, not wire traffic — allgather also
+/// ticks the bcast it is built on, so the per-kind counters describe every
+/// layer rather than a disjoint partition. Free (two null checks) when the
+/// communicator carries no metrics registry.
 class CollectiveScope {
  public:
   CollectiveScope(const Comm& comm, telemetry::CollectiveKind kind,
@@ -73,64 +73,6 @@ class CollectiveScope {
 
 }  // namespace detail
 
-/// Which schedule the reduction-shaped collectives (allreduce and friends,
-/// reduce_scatter_ranges, allgatherv, SplitAllreduce/DeferredCombine) run.
-/// kFlat is the original single binomial / recursive pattern over the whole
-/// world; it stays available as the A/B baseline the hierarchical schedule
-/// is measured against (KmeansConfig::hier_collectives = false).
-enum class CollectiveSchedule {
-  kFlat,
-  kHierarchical,
-};
-
-/// Shape and tuning of the two-level schedule. `ranks_per_group` is how
-/// many consecutive ranks share a supernode (the engines pass
-/// cgs_per_node * supernode_nodes); the intra stage folds within aligned
-/// power-of-two blocks of that width, so any value — including non-powers
-/// of two and values larger than the world — yields a valid grouping.
-/// `crossover_bytes` is the payload size above which the inter-group stage
-/// switches from the latency-optimal binomial tree to the
-/// bandwidth-optimal reduce_scatter+allgather exchange; the engines derive
-/// it from MachineConfig::collective_crossover_bytes() instead of
-/// hard-coding it.
-struct HierarchySpec {
-  int ranks_per_group = 1;
-  std::size_t crossover_bytes = 128 * 1024;
-};
-
-/// Process-global schedule selection, read at every collective entry. Set
-/// before ranks launch (or between run_spmd invocations); toggling while
-/// ranks are inside a collective is undefined.
-CollectiveSchedule default_collective_schedule();
-void set_default_collective_schedule(CollectiveSchedule schedule);
-HierarchySpec default_hierarchy_spec();
-void set_default_hierarchy_spec(const HierarchySpec& spec);
-
-/// RAII schedule override: installs (schedule, spec), restores the previous
-/// pair on destruction. The engines wrap each run_spmd in one of these so a
-/// failed run cannot leak a hierarchical default into later flat tests.
-class ScopedCollectiveSchedule {
- public:
-  ScopedCollectiveSchedule(CollectiveSchedule schedule,
-                           const HierarchySpec& spec)
-      : prev_schedule_(default_collective_schedule()),
-        prev_spec_(default_hierarchy_spec()) {
-    set_default_collective_schedule(schedule);
-    set_default_hierarchy_spec(spec);
-  }
-  ScopedCollectiveSchedule(const ScopedCollectiveSchedule&) = delete;
-  ScopedCollectiveSchedule& operator=(const ScopedCollectiveSchedule&) =
-      delete;
-  ~ScopedCollectiveSchedule() {
-    set_default_collective_schedule(prev_schedule_);
-    set_default_hierarchy_spec(prev_spec_);
-  }
-
- private:
-  CollectiveSchedule prev_schedule_;
-  HierarchySpec prev_spec_;
-};
-
 /// Dissemination barrier: log2(size) rounds of token passing.
 void barrier(Comm& comm);
 
@@ -161,9 +103,9 @@ struct Max {
 
 /// (distance, index) pair with the tie-break-toward-lower-index ordering
 /// that keeps partitioned argmin identical to a serial scan. The ordering
-/// is element-wise, so one vector-shaped allreduce_minloc resolves a whole
-/// tile of samples in a single barrier — the engines batch their assign
-/// phase over this rather than combining per sample.
+/// is element-wise, so one vector-shaped allreduce(…, ops::Min{}) resolves
+/// a whole tile of samples in a single barrier — the engines batch their
+/// assign phase over this rather than combining per sample.
 struct MinLoc {
   double value = 0;
   std::uint64_t index = 0;
@@ -291,8 +233,8 @@ inline std::uint32_t ceil_log2(int v) {
 /// How a rank sits in the two-level schedule. Groups are *aligned blocks*
 /// of width `width = floor_pow2(ranks_per_group)`: rounding the configured
 /// group width down to a power of two and aligning blocks at multiples of
-/// it is what makes the nested fold bit-identical to the flat root-0
-/// binomial tree for every world size — in the flat fold, every rank that
+/// it is what makes the nested fold bit-identical to reduce()'s root-0
+/// binomial tree for every world size — in that tree, every rank that
 /// survives the steps below `width` is congruent to 0 mod the step, so
 /// after those steps the survivors are exactly the block leaders, and the
 /// remaining steps pair leaders by group index (see DESIGN.md §12).
@@ -376,7 +318,7 @@ inline void tick_hier_counters(Comm& comm, const char* algo_counter,
 
 /// Leader half of the intra stage: collect the member buffer pointers and
 /// fold all group streams into the leader's own buffer with the shared
-/// binomial association (local index j == flat rank leader + j). Members
+/// binomial association (local index j == world rank leader + j). Members
 /// stay parked in their down-phase receive, so every published pointer
 /// outlives the fold.
 template <typename T, typename Op>
@@ -398,7 +340,7 @@ void hier_intra_fold(Comm& comm, const HierLayout& l, const HierTags& tags,
 
 /// Latency-optimal inter stage: binomial tree over group indices (reduce
 /// to group 0's leader, broadcast back down). Group G absorbing group
-/// G + step with the incoming operand on the right is exactly the flat
+/// G + step with the incoming operand on the right is exactly reduce()'s
 /// tree's steps >= width, so the association is unchanged.
 template <typename T, typename Op>
 void hier_inter_tree(Comm& comm, const HierLayout& l, const HierTags& tags,
@@ -454,10 +396,12 @@ inline std::vector<std::size_t> even_offsets(std::size_t len, int parts) {
 
 /// Bandwidth-optimal inter stage (power-of-two group counts): recursive
 /// halving reduce-scatter over an even element partition, then recursive
-/// doubling allgather. Processing the lowest group bit first with the
-/// lower subtree as the inout operand reproduces the binomial tree's
-/// association element-wise — the same argument as reduce_scatter_ranges —
-/// so switching algorithms by payload size never changes a bit.
+/// doubling allgather. Before the halving round for bit `s`, a leader
+/// holds, for every block b sharing its processed low bits, the fold of
+/// the binomial subtree those bits name; the round combines with the
+/// lower subtree as the inout operand — the tree's own pairing and operand
+/// order, element-wise — so switching algorithms by payload size never
+/// changes a bit.
 template <typename T, typename Op>
 void hier_inter_rsag(Comm& comm, const HierLayout& l, const HierTags& tags,
                      std::span<T> buf, Op op) {
@@ -526,277 +470,6 @@ inline bool inter_uses_rsag(const HierLayout& l, std::size_t payload_bytes,
                             std::size_t crossover_bytes) {
   return l.num_groups > 1 && payload_bytes > crossover_bytes &&
          (l.num_groups & (l.num_groups - 1)) == 0;
-}
-
-/// Blocking tail of the hierarchical allreduce: everything after the
-/// member's pointer publish. Split out so SplitAllreduce can post the
-/// publish in start() and run the rest in finish().
-template <typename T, typename Op>
-void hier_allreduce_finish(Comm& comm, const HierLayout& l,
-                           const HierTags& tags, const HierarchySpec& spec,
-                           std::span<T> buf, Op op) {
-  if (l.local != 0) {
-    // Parked here until the leader's fold + inter stage finish; the
-    // publish above keeps this rank's buffer valid for the leader to read.
-    const T* result = recv_ptr<T>(comm, l.leader, tags.down);
-    std::copy(result, result + buf.size(), buf.begin());
-    comm.send_value<std::uint8_t>(l.leader, tags.ack, 1);
-    return;
-  }
-  hier_intra_fold(comm, l, tags, buf, op);
-  const bool rsag = inter_uses_rsag(l, buf.size_bytes(), spec.crossover_bytes);
-  if (l.num_groups > 1) {
-    if (rsag) {
-      hier_inter_rsag(comm, l, tags, buf, op);
-    } else {
-      hier_inter_tree(comm, l, tags, buf, op);
-    }
-  }
-  for (int j = 1; j < l.group_size; ++j) {
-    publish_ptr(comm, l.leader + j, tags.down, buf.data());
-  }
-  for (int j = 1; j < l.group_size; ++j) {
-    (void)comm.recv_value<std::uint8_t>(l.leader + j, tags.ack);
-  }
-  tick_hier_counters(comm,
-                     rsag ? "swmpi.hier.allreduce.algo_rsag"
-                          : "swmpi.hier.allreduce.algo_tree",
-                     "swmpi.hier.allreduce.intra_rounds",
-                     "swmpi.hier.allreduce.inter_rounds",
-                     2 * ceil_log2(l.group_size),
-                     l.num_groups > 1 ? 2 * ceil_log2(l.num_groups) : 0);
-}
-
-/// Two-level allreduce: intra-group zero-copy fold into the leaders, a
-/// size-adaptive inter stage among leaders, then the result pointer fans
-/// back down and members copy it out. Bit-identical to the flat schedule
-/// for every op and world shape (the callers' contract).
-template <typename T, typename Op>
-void hier_allreduce(Comm& comm, std::span<T> buf, Op op,
-                    const HierarchySpec& spec) {
-  const HierLayout l = hier_layout(comm.rank(), comm.size(),
-                                   spec.ranks_per_group);
-  const HierTags tags = reserve_hier_tags(comm);
-  if (l.local != 0) {
-    publish_ptr(comm, l.leader, tags.ptr, buf.data());
-  }
-  hier_allreduce_finish(comm, l, tags, spec, buf, op);
-}
-
-/// Two-level reduce_scatter_ranges: intra fold into the leaders, inter
-/// stage over *group ranges* (each group's range is the concatenation of
-/// its members' ranges), then each leader hands members their slice as
-/// plain bytes — members need no ack since they only receive.
-template <typename T, typename Op>
-std::vector<T> hier_reduce_scatter_ranges(
-    Comm& comm, std::span<T> buf, std::span<const std::size_t> offsets,
-    Op op, const HierarchySpec& spec) {
-  const int size = comm.size();
-  const int rank = comm.rank();
-  const HierLayout l = hier_layout(rank, size, spec.ranks_per_group);
-  const HierTags tags = reserve_hier_tags(comm);
-  if (l.local != 0) {
-    publish_ptr(comm, l.leader, tags.ptr, buf.data());
-    std::vector<T> mine = comm.recv<T>(l.leader, tags.down);
-    SWHKM_REQUIRE(mine.size() == offsets[rank + 1] - offsets[rank],
-                  "hier reduce_scatter_ranges slice size mismatch");
-    return mine;
-  }
-  hier_intra_fold(comm, l, tags, buf, op);
-  const int ng = l.num_groups;
-  // Group q's range covers its member ranges: [goff(q), goff(q + 1)).
-  const auto goff = [&](int q) {
-    return offsets[std::min(static_cast<std::size_t>(q) *
-                                static_cast<std::size_t>(l.width),
-                            static_cast<std::size_t>(size))];
-  };
-  const bool rsag = inter_uses_rsag(l, buf.size_bytes(), spec.crossover_bytes);
-  if (ng > 1) {
-    const int g = l.group;
-    if (rsag) {
-      // Recursive halving over group ranges, lowest group bit first — the
-      // flat pow2 path of reduce_scatter_ranges transposed to group space.
-      std::vector<T> pack;
-      for (int s = 1; s < ng; s <<= 1) {
-        const int peer = (g ^ s) * l.width;
-        pack.clear();
-        for (int b = 0; b < ng; ++b) {
-          if ((b & (s - 1)) == (g & (s - 1)) && (b & s) != (g & s)) {
-            pack.insert(
-                pack.end(),
-                buf.begin() + static_cast<std::ptrdiff_t>(goff(b)),
-                buf.begin() + static_cast<std::ptrdiff_t>(goff(b + 1)));
-          }
-        }
-        comm.send<T>(peer, tags.inter_a,
-                     std::span<const T>(pack.data(), pack.size()));
-        const std::vector<T> incoming = comm.recv<T>(peer, tags.inter_a);
-        std::size_t at = 0;
-        for (int b = 0; b < ng; ++b) {
-          if ((b & (s - 1)) != (g & (s - 1)) || (b & s) != (g & s)) {
-            continue;
-          }
-          T* mine = buf.data() + goff(b);
-          const std::size_t len = goff(b + 1) - goff(b);
-          SWHKM_REQUIRE(at + len <= incoming.size(),
-                        "hier group-halving block mismatch");
-          if ((g & s) == 0) {
-            for (std::size_t i = 0; i < len; ++i) {
-              op(mine[i], incoming[at + i]);
-            }
-          } else {
-            for (std::size_t i = 0; i < len; ++i) {
-              T merged = incoming[at + i];
-              op(merged, mine[i]);
-              mine[i] = merged;
-            }
-          }
-          at += len;
-        }
-        SWHKM_REQUIRE(at == incoming.size(),
-                      "hier group-halving payload mismatch");
-      }
-    } else {
-      // Tree reduce over group indices to group 0's leader, which then
-      // sends every other leader its group range.
-      for (int step = 1; step < ng; step <<= 1) {
-        if (g & step) {
-          comm.send<T>(binomial_parent(g) * l.width, tags.inter_a,
-                       std::span<const T>(buf.data(), buf.size()));
-          break;
-        }
-        if (g + step < ng) {
-          std::vector<T> incoming =
-              comm.recv<T>((g + step) * l.width, tags.inter_a);
-          SWHKM_REQUIRE(incoming.size() == buf.size(),
-                        "hier inter-tree payload size mismatch");
-          for (std::size_t i = 0; i < buf.size(); ++i) {
-            op(buf[i], incoming[i]);
-          }
-        }
-      }
-      if (g == 0) {
-        for (int q = 1; q < ng; ++q) {
-          comm.send<T>(q * l.width, tags.inter_b,
-                       std::span<const T>(buf.data() + goff(q),
-                                          goff(q + 1) - goff(q)));
-        }
-      } else {
-        std::vector<T> range = comm.recv<T>(0, tags.inter_b);
-        SWHKM_REQUIRE(range.size() == goff(g + 1) - goff(g),
-                      "hier group range size mismatch");
-        std::copy(range.begin(), range.end(),
-                  buf.begin() + static_cast<std::ptrdiff_t>(goff(g)));
-      }
-    }
-  }
-  for (int j = 1; j < l.group_size; ++j) {
-    const int r = l.leader + j;
-    comm.send<T>(r, tags.down,
-                 std::span<const T>(buf.data() + offsets[r],
-                                    offsets[r + 1] - offsets[r]));
-  }
-  tick_hier_counters(
-      comm,
-      rsag ? "swmpi.hier.reduce_scatter_ranges.algo_rsag"
-           : "swmpi.hier.reduce_scatter_ranges.algo_tree",
-      "swmpi.hier.reduce_scatter_ranges.intra_rounds",
-      "swmpi.hier.reduce_scatter_ranges.inter_rounds",
-      ceil_log2(l.group_size),
-      ng > 1 ? (rsag ? ceil_log2(ng) : ceil_log2(ng) + 1) : 0);
-  return std::vector<T>(
-      buf.begin() + static_cast<std::ptrdiff_t>(offsets[rank]),
-      buf.begin() + static_cast<std::ptrdiff_t>(offsets[rank + 1]));
-}
-
-/// Two-level allgatherv: members publish their contribution pointers, each
-/// leader assembles its group block straight from the member buffers, the
-/// leaders exchange blocks (recursive doubling when the group count is a
-/// power of two, direct exchange otherwise — concatenation has no
-/// reduction op, so the bandwidth schedule is always the right one), and
-/// the assembled result fans back down by pointer. `all` arrives with the
-/// caller's own contribution already placed and leaves fully assembled.
-template <typename T>
-void hier_allgatherv_fill(Comm& comm, std::span<const T> mine,
-                          std::span<const std::size_t> offsets,
-                          std::vector<T>& all, const HierarchySpec& spec) {
-  const int size = comm.size();
-  const int rank = comm.rank();
-  const HierLayout l = hier_layout(rank, size, spec.ranks_per_group);
-  const HierTags tags = reserve_hier_tags(comm);
-  if (l.local != 0) {
-    publish_ptr(comm, l.leader, tags.ptr, mine.data());
-    const T* result = recv_ptr<T>(comm, l.leader, tags.down);
-    std::copy(result, result + all.size(), all.begin());
-    comm.send_value<std::uint8_t>(l.leader, tags.ack, 1);
-    return;
-  }
-  for (int j = 1; j < l.group_size; ++j) {
-    const int r = l.leader + j;
-    const T* src = recv_ptr<T>(comm, r, tags.ptr);
-    std::copy(src, src + (offsets[r + 1] - offsets[r]),
-              all.begin() + static_cast<std::ptrdiff_t>(offsets[r]));
-  }
-  const int ng = l.num_groups;
-  const auto goff = [&](int q) {
-    return offsets[std::min(static_cast<std::size_t>(q) *
-                                static_cast<std::size_t>(l.width),
-                            static_cast<std::size_t>(size))];
-  };
-  const bool doubling = ng > 1 && (ng & (ng - 1)) == 0;
-  if (ng > 1) {
-    const int g = l.group;
-    if (doubling) {
-      for (int s = 1; s < ng; s <<= 1) {
-        const int peer_group = g ^ s;
-        const int peer = peer_group * l.width;
-        const int base = g & ~(s - 1);
-        const int pbase = peer_group & ~(s - 1);
-        comm.send<T>(peer, tags.inter_a,
-                     std::span<const T>(all.data() + goff(base),
-                                        goff(base + s) - goff(base)));
-        const std::vector<T> incoming = comm.recv<T>(peer, tags.inter_a);
-        SWHKM_REQUIRE(incoming.size() == goff(pbase + s) - goff(pbase),
-                      "hier allgatherv round length mismatch");
-        std::copy(incoming.begin(), incoming.end(),
-                  all.begin() + static_cast<std::ptrdiff_t>(goff(pbase)));
-      }
-    } else {
-      for (int q = 0; q < ng; ++q) {
-        if (q != g) {
-          comm.send<T>(q * l.width, tags.inter_a,
-                       std::span<const T>(all.data() + goff(g),
-                                          goff(g + 1) - goff(g)));
-        }
-      }
-      for (int q = 0; q < ng; ++q) {
-        if (q == g) {
-          continue;
-        }
-        const std::vector<T> incoming =
-            comm.recv<T>(q * l.width, tags.inter_a);
-        SWHKM_REQUIRE(incoming.size() == goff(q + 1) - goff(q),
-                      "hier allgatherv block length mismatch");
-        std::copy(incoming.begin(), incoming.end(),
-                  all.begin() + static_cast<std::ptrdiff_t>(goff(q)));
-      }
-    }
-  }
-  for (int j = 1; j < l.group_size; ++j) {
-    publish_ptr(comm, l.leader + j, tags.down, all.data());
-  }
-  for (int j = 1; j < l.group_size; ++j) {
-    (void)comm.recv_value<std::uint8_t>(l.leader + j, tags.ack);
-  }
-  tick_hier_counters(comm,
-                     doubling ? "swmpi.hier.allgatherv.algo_doubling"
-                              : "swmpi.hier.allgatherv.algo_direct",
-                     "swmpi.hier.allgatherv.intra_rounds",
-                     "swmpi.hier.allgatherv.inter_rounds",
-                     2 * ceil_log2(l.group_size),
-                     ng > 1 ? (doubling ? ceil_log2(ng)
-                                        : static_cast<std::uint32_t>(1))
-                            : 0);
 }
 
 }  // namespace detail
@@ -869,51 +542,15 @@ void reduce(Comm& comm, int root, std::span<T> buf, Op op) {
   }
 }
 
-/// AllReduce: reduce to rank 0, then broadcast. Every rank ends up with the
-/// identical (bit-for-bit) combined buffer. Under the hierarchical
-/// schedule the same bits come from the two-level path instead (intra
-/// zero-copy fold, size-adaptive inter stage); the flat path is the A/B
-/// baseline.
-template <typename T, typename Op>
-void allreduce(Comm& comm, std::span<T> buf, Op op) {
-  detail::CollectiveScope scope(comm, telemetry::CollectiveKind::kAllreduce,
-                                buf.size_bytes());
-  if (comm.size() > 1 &&
-      default_collective_schedule() == CollectiveSchedule::kHierarchical) {
-    detail::hier_allreduce(comm, buf, op, default_hierarchy_spec());
-    return;
-  }
-  reduce(comm, 0, buf, op);
-  bcast(comm, 0, buf);
-}
-
-/// Convenience: sum-allreduce.
-template <typename T>
-void allreduce_sum(Comm& comm, std::span<T> buf) {
-  allreduce(comm, buf, ops::Plus{});
-}
-
-/// AllReduce of MinLoc pairs: after the call every rank holds, per element,
-/// the smallest (value, index) contribution across ranks.
-inline void allreduce_minloc(Comm& comm, std::span<MinLoc> buf) {
-  allreduce(comm, buf, ops::Min{});
-}
-
-/// AllReduce of MinLoc2 records: per element, every rank ends up with the
-/// global best (value, index) and the exact global second-best distance.
-inline void allreduce_minloc2(Comm& comm, std::span<MinLoc2> buf) {
-  allreduce(comm, buf, CombineMinLoc2{});
-}
-
-/// Split-phase allreduce for software-pipelined loops: start() posts every
-/// up-tree send this rank can issue without waiting (a childless rank's
-/// contribution goes into flight immediately) and reserves the op's tags;
-/// finish() performs the remaining child receives, the walk to the root
-/// and the broadcast down, then leaves `buf` holding the combined result.
-/// The fold is byte-for-byte the root-0 binomial association of
-/// allreduce() = reduce(root 0) + bcast(root 0) — same child order, same
-/// operand order — so pipelined and unpipelined calls produce identical
-/// bits.
+/// Split-phase allreduce for software-pipelined loops, and the one body of
+/// allreduce() (which runs start() then finish()). start() reserves the
+/// op's tags and posts a group member's whole up phase — one pointer
+/// publish, so its contribution goes into flight immediately. finish()
+/// runs the rest: the leader's zero-copy intra fold, the size-adaptive
+/// inter stage among leaders, then the result pointer fans back down and
+/// members copy it out. A leader's receives all block, so its whole part
+/// defers to finish(). `buf` must stay untouched between the phases: the
+/// leader reads it in place.
 ///
 /// Discipline: every rank must call start/finish for the same ops in the
 /// same interleaved order (start t; start t+1; finish t; ... is fine —
@@ -938,44 +575,14 @@ class SplitAllreduce {
     comm_ = &comm;
     buf_ = buf;
     op_ = op;
-    hier_ = comm.size() > 1 && default_collective_schedule() ==
-                                   CollectiveSchedule::kHierarchical;
-    if (hier_) {
-      // Hierarchical split-phase: a member's entire up phase is one
-      // pointer publish, so its contribution goes into flight immediately
-      // — the overlap start() exists for. The leader's receives all
-      // block, so its whole schedule defers to finish(). `buf` must stay
-      // untouched between the phases: the leader reads it in place.
-      spec_ = default_hierarchy_spec();
-      layout_ = detail::hier_layout(comm.rank(), comm.size(),
-                                    spec_.ranks_per_group);
-      tags_ = detail::reserve_hier_tags(comm);
-      if (layout_.local != 0) {
-        detail::publish_ptr(comm, layout_.leader, tags_.ptr, buf_.data());
-      }
+    if (comm.size() <= 1) {
       return;
     }
-    reduce_tag_ = comm.next_collective_tag();
-    bcast_tag_ = comm.next_collective_tag();
-    resume_step_ = 0;  // 0 = up phase already complete
-    const int size = comm.size();
-    if (size <= 1) {
-      return;
-    }
-    const int vrank = comm.rank();  // root is rank 0: vrank == rank
-    for (int step = 1; step < size; step <<= 1) {
-      if (vrank & step) {
-        // Everything below this bit is already folded in (no children
-        // remain), so the contribution can leave now — this send is the
-        // overlap start() exists for.
-        comm.send<T>(detail::binomial_parent(vrank), reduce_tag_,
-                     std::span<const T>(buf_.data(), buf_.size()));
-        return;
-      }
-      if (vrank + step < size) {
-        resume_step_ = step;  // first blocking child recv: defer to finish
-        return;
-      }
+    layout_ = detail::hier_layout(comm.rank(), comm.size(),
+                                  comm.hierarchy().ranks_per_group);
+    tags_ = detail::reserve_hier_tags(comm);
+    if (layout_.local != 0) {
+      detail::publish_ptr(comm, layout_.leader, tags_.ptr, buf_.data());
     }
   }
 
@@ -984,69 +591,72 @@ class SplitAllreduce {
     Comm& comm = *comm_;
     detail::CollectiveScope scope(comm, telemetry::CollectiveKind::kAllreduce,
                                   buf_.size_bytes());
-    if (hier_) {
-      detail::hier_allreduce_finish(comm, layout_, tags_, spec_, buf_, op_);
-      comm_ = nullptr;
+    comm_ = nullptr;
+    if (comm.size() <= 1) {
       return;
     }
-    const int size = comm.size();
-    const int vrank = comm.rank();
-    if (size > 1) {
-      // Resume reduce()'s loop exactly where start() left off: identical
-      // step sequence, child order and operand order keep the association.
-      if (resume_step_ > 0) {
-        for (int step = resume_step_; step < size; step <<= 1) {
-          if (vrank & step) {
-            comm.send<T>(detail::binomial_parent(vrank), reduce_tag_,
-                         std::span<const T>(buf_.data(), buf_.size()));
-            break;
-          }
-          const int child = vrank + step;
-          if (child < size) {
-            std::vector<T> incoming = comm.recv<T>(child, reduce_tag_);
-            SWHKM_REQUIRE(incoming.size() == buf_.size(),
-                          "split allreduce payload size mismatch");
-            for (std::size_t i = 0; i < buf_.size(); ++i) {
-              op_(buf_[i], incoming[i]);
-            }
-          }
-        }
-      }
-      // Broadcast down from rank 0 — bcast()'s body with the reserved tag.
-      int top = 1;
-      while (top < size) {
-        top <<= 1;
-      }
-      const int lsb = vrank == 0 ? top : (vrank & (-vrank));
-      if (vrank != 0) {
-        std::vector<T> incoming =
-            comm.recv<T>(detail::binomial_parent(vrank), bcast_tag_);
-        SWHKM_REQUIRE(incoming.size() == buf_.size(),
-                      "split allreduce bcast size mismatch");
-        std::copy(incoming.begin(), incoming.end(), buf_.begin());
-      }
-      for (int m = lsb >> 1; m >= 1; m >>= 1) {
-        if (vrank + m < size) {
-          comm.send<T>(vrank + m, bcast_tag_,
-                       std::span<const T>(buf_.data(), buf_.size()));
-        }
-      }
+    const detail::HierLayout& l = layout_;
+    if (l.local != 0) {
+      // Parked here until the leader's fold + inter stage finish; the
+      // publish in start() keeps this rank's buffer valid for the leader.
+      const T* result = detail::recv_ptr<T>(comm, l.leader, tags_.down);
+      std::copy(result, result + buf_.size(), buf_.begin());
+      comm.send_value<std::uint8_t>(l.leader, tags_.ack, 1);
+      return;
     }
-    comm_ = nullptr;
+    detail::hier_intra_fold(comm, l, tags_, buf_, op_);
+    const bool rsag = detail::inter_uses_rsag(
+        l, buf_.size_bytes(), comm.hierarchy().crossover_bytes);
+    if (rsag) {
+      detail::hier_inter_rsag(comm, l, tags_, buf_, op_);
+    } else if (l.num_groups > 1) {
+      detail::hier_inter_tree(comm, l, tags_, buf_, op_);
+    }
+    for (int j = 1; j < l.group_size; ++j) {
+      detail::publish_ptr(comm, l.leader + j, tags_.down, buf_.data());
+    }
+    for (int j = 1; j < l.group_size; ++j) {
+      (void)comm.recv_value<std::uint8_t>(l.leader + j, tags_.ack);
+    }
+    detail::tick_hier_counters(
+        comm,
+        rsag ? "swmpi.hier.allreduce.algo_rsag"
+             : "swmpi.hier.allreduce.algo_tree",
+        "swmpi.hier.allreduce.intra_rounds",
+        "swmpi.hier.allreduce.inter_rounds",
+        2 * detail::ceil_log2(l.group_size),
+        l.num_groups > 1 ? 2 * detail::ceil_log2(l.num_groups) : 0);
   }
 
  private:
   Comm* comm_ = nullptr;
   std::span<T> buf_;
   Op op_{};
-  int reduce_tag_ = 0;
-  int bcast_tag_ = 0;
-  int resume_step_ = 0;
-  bool hier_ = false;  ///< schedule captured at start(); finish() replays it
-  HierarchySpec spec_{};
   detail::HierLayout layout_{};
   detail::HierTags tags_{};
 };
+
+/// AllReduce over the world's layout: every rank ends up with the identical
+/// combined buffer, bit-for-bit equal to reduce(root 0) + bcast(root 0)
+/// for every op, layout and payload size (DESIGN.md §12).
+template <typename T, typename Op>
+void allreduce(Comm& comm, std::span<T> buf, Op op) {
+  SplitAllreduce<T, Op> combine;
+  combine.start(comm, buf, op);
+  combine.finish();
+}
+
+/// Convenience: sum-allreduce.
+template <typename T>
+void allreduce_sum(Comm& comm, std::span<T> buf) {
+  allreduce(comm, buf, ops::Plus{});
+}
+
+/// AllReduce of MinLoc2 records: per element, every rank ends up with the
+/// global best (value, index) and the exact global second-best distance.
+inline void allreduce_minloc2(Comm& comm, std::span<MinLoc2> buf) {
+  allreduce(comm, buf, CombineMinLoc2{});
+}
 
 /// s-step deferred reduction: accumulate several tiles' combine records in
 /// one store and ride them on a single SplitAllreduce, cutting collective
@@ -1151,269 +761,20 @@ std::vector<T> allgather(Comm& comm, const T& mine) {
   return all;
 }
 
-/// Gather one value per rank at `root`; root receives the vector indexed
-/// by rank, other ranks receive an empty vector.
-template <typename T>
-std::vector<T> gather(Comm& comm, int root, const T& mine) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  const int size = comm.size();
-  detail::CollectiveScope scope(
-      comm, telemetry::CollectiveKind::kGather,
-      static_cast<std::size_t>(size) * sizeof(T));
-  const int tag = comm.next_collective_tag();
-  if (comm.rank() != root) {
-    comm.send_value<T>(root, tag, mine);
-    return {};
-  }
-  std::vector<T> all(static_cast<std::size_t>(size));
-  all[static_cast<std::size_t>(root)] = mine;
-  for (int r = 0; r < size; ++r) {
-    if (r != root) {
-      all[static_cast<std::size_t>(r)] = comm.recv_value<T>(r, tag);
-    }
-  }
-  return all;
-}
-
-/// Scatter one value per rank from `root`; rank r receives values[r].
-/// Non-root callers pass an empty span.
-template <typename T>
-T scatter(Comm& comm, int root, std::span<const T> values) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  const int size = comm.size();
-  detail::CollectiveScope scope(
-      comm, telemetry::CollectiveKind::kScatter,
-      static_cast<std::size_t>(size) * sizeof(T));
-  const int tag = comm.next_collective_tag();
-  if (comm.rank() == root) {
-    SWHKM_REQUIRE(values.size() == static_cast<std::size_t>(size),
-                  "scatter needs one value per rank at the root");
-    for (int r = 0; r < size; ++r) {
-      if (r != root) {
-        comm.send_value<T>(r, tag, values[static_cast<std::size_t>(r)]);
-      }
-    }
-    return values[static_cast<std::size_t>(root)];
-  }
-  return comm.recv_value<T>(root, tag);
-}
-
-/// Personalised all-to-all: rank r sends sendbuf[q] to rank q and receives
-/// what every rank addressed to it, indexed by source rank.
-template <typename T>
-std::vector<T> alltoall(Comm& comm, std::span<const T> sendbuf) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  const int size = comm.size();
-  detail::CollectiveScope scope(comm, telemetry::CollectiveKind::kAlltoall,
-                                sendbuf.size_bytes());
-  SWHKM_REQUIRE(sendbuf.size() == static_cast<std::size_t>(size),
-                "alltoall needs one value per destination");
-  const int tag = comm.next_collective_tag();
-  std::vector<T> recvbuf(static_cast<std::size_t>(size));
-  recvbuf[static_cast<std::size_t>(comm.rank())] =
-      sendbuf[static_cast<std::size_t>(comm.rank())];
-  for (int q = 0; q < size; ++q) {
-    if (q != comm.rank()) {
-      comm.send_value<T>(q, tag, sendbuf[static_cast<std::size_t>(q)]);
-    }
-  }
-  for (int q = 0; q < size; ++q) {
-    if (q != comm.rank()) {
-      recvbuf[static_cast<std::size_t>(q)] = comm.recv_value<T>(q, tag);
-    }
-  }
-  return recvbuf;
-}
-
-/// Combined send+receive with a single peer (or two different peers) —
-/// the deadlock-free building block for ring exchanges. Send never
-/// blocks in this runtime, so the operation is trivially safe, but the
-/// call keeps user code shaped like its MPI counterpart.
-template <typename T>
-std::vector<T> sendrecv(Comm& comm, int dest, std::span<const T> payload,
-                        int source) {
-  detail::CollectiveScope scope(comm, telemetry::CollectiveKind::kSendrecv,
-                                payload.size_bytes());
-  const int tag = comm.next_collective_tag();
-  comm.send<T>(dest, tag, payload);
-  return comm.recv<T>(source, tag);
-}
-
-/// Reduce-scatter: element-wise reduce `buf` (one block of `block` values
-/// per rank, so buf.size() == block * size) and hand rank r its reduced
-/// block r. The bandwidth-optimal first half of large AllReduces.
-template <typename T, typename Op>
-std::vector<T> reduce_scatter(Comm& comm, std::span<const T> buf,
-                              std::size_t block, Op op) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  detail::CollectiveScope scope(
-      comm, telemetry::CollectiveKind::kReduceScatter, buf.size_bytes());
-  const int size = comm.size();
-  SWHKM_REQUIRE(buf.size() == block * static_cast<std::size_t>(size),
-                "reduce_scatter needs one block per rank");
-  const int tag = comm.next_collective_tag();
-  // Ring algorithm: size-1 steps, each passing one partially-reduced
-  // block to the right neighbour; deterministic combine order by rank.
-  const int right = (comm.rank() + 1) % size;
-  const int left = (comm.rank() - 1 + size) % size;
-  // Step s: this rank sends block (rank - s) and receives + reduces block
-  // (rank - s - 1), so after size-1 steps it holds block (rank + 1) % ...
-  // Simplify with explicit working copy.
-  // Offset -1 so that after size-1 steps rank r holds exactly block r,
-  // matching MPI_Reduce_scatter_block semantics.
-  std::vector<T> work(buf.begin(), buf.end());
-  for (int step = 0; step < size - 1; ++step) {
-    const int send_block = ((comm.rank() - step - 1) % size + size) % size;
-    const int recv_block = ((comm.rank() - step - 2) % size + size) % size;
-    comm.send<T>(right, tag,
-                 std::span<const T>(work.data() + send_block * block, block));
-    const std::vector<T> incoming = comm.recv<T>(left, tag);
-    SWHKM_REQUIRE(incoming.size() == block, "reduce_scatter block mismatch");
-    T* mine = work.data() + recv_block * block;
-    for (std::size_t i = 0; i < block; ++i) {
-      op(mine[i], incoming[i]);
-    }
-  }
-  return std::vector<T>(
-      work.begin() + static_cast<std::ptrdiff_t>(comm.rank() * block),
-      work.begin() + static_cast<std::ptrdiff_t>((comm.rank() + 1) * block));
-}
-
-/// Reduce-scatter with ragged ranges and *binomial* summation order.
-/// Element-wise, the combine association is exactly the root-0 binomial
-/// tree of reduce(), so the reduced values are bit-identical to a
-/// reduce-to-root followed by a scatter — unlike the ring reduce_scatter
-/// above, whose rank-sequential combine order changes FP bits. Rank r
-/// receives the sub-range [offsets[r], offsets[r+1]) of the reduction.
-/// `offsets` must be identical on every rank, ascending, with
-/// offsets.size() == size + 1 and covering buf exactly; empty ranges are
-/// allowed (k < ranks).
-///
-/// Power-of-two sizes run a recursive-halving exchange — processing the
-/// lowest rank bit first pairs (0,1),(2,3),… then (0,2),(1,3),…, which is
-/// the binomial tree's own pairing, so each rank moves O(buf/2) bytes and
-/// the combine work spreads over all ranks without changing a single
-/// association. Other sizes fall back to binomial reduce + scatter, which
-/// has the same association by construction.
-///
-/// This overload consumes `buf` as scratch (contents are destroyed) —
-/// callers holding a freshly packed payload avoid a full-buffer copy.
-template <typename T, typename Op>
-std::vector<T> reduce_scatter_ranges(Comm& comm, std::span<T> buf,
-                                     std::span<const std::size_t> offsets,
-                                     Op op) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  detail::CollectiveScope scope(
-      comm, telemetry::CollectiveKind::kReduceScatterRanges,
-      buf.size_bytes());
-  const int size = comm.size();
-  const int rank = comm.rank();
-  SWHKM_REQUIRE(offsets.size() == static_cast<std::size_t>(size) + 1,
-                "reduce_scatter_ranges needs size+1 offsets");
-  SWHKM_REQUIRE(offsets.front() == 0 && offsets.back() == buf.size(),
-                "reduce_scatter_ranges offsets must cover the buffer");
-  if (size == 1) {
-    return std::vector<T>(buf.begin(), buf.end());
-  }
-  if (default_collective_schedule() == CollectiveSchedule::kHierarchical) {
-    return detail::hier_reduce_scatter_ranges(comm, buf, offsets, op,
-                                              default_hierarchy_spec());
-  }
-  const bool pow2 = (size & (size - 1)) == 0;
-  if (!pow2) {
-    // Binomial reduce to rank 0, then scatter the ranges. The combine
-    // association is the definition of what the halving path reproduces.
-    reduce(comm, 0, buf, op);
-    const int tag = comm.next_collective_tag();
-    if (rank == 0) {
-      for (int r = 1; r < size; ++r) {
-        comm.send<T>(r, tag,
-                     std::span<const T>(buf.data() + offsets[r],
-                                        offsets[r + 1] - offsets[r]));
-      }
-      return std::vector<T>(buf.begin() + static_cast<std::ptrdiff_t>(
-                                              offsets[0]),
-                            buf.begin() + static_cast<std::ptrdiff_t>(
-                                              offsets[1]));
-    }
-    std::vector<T> mine = comm.recv<T>(0, tag);
-    SWHKM_REQUIRE(mine.size() == offsets[rank + 1] - offsets[rank],
-                  "reduce_scatter_ranges scatter size mismatch");
-    return mine;
-  }
-  // Recursive halving, lowest bit first. Before the step for bit `s`, rank
-  // r holds, for every range b with (b & (s-1)) == (r & (s-1)), the fold
-  // of the 2^(steps done) ranks that share r's processed low bits — the
-  // binomial subtree partial. The step exchanges the halves whose bit s
-  // disagrees and combines with the lower subtree as the inout operand,
-  // exactly reduce()'s operand order.
-  const int tag = comm.next_collective_tag();
-  std::vector<T> pack;
-  for (int s = 1; s < size; s <<= 1) {
-    const int peer = rank ^ s;
-    pack.clear();
-    for (int b = 0; b < size; ++b) {
-      if ((b & (s - 1)) == (rank & (s - 1)) && (b & s) != (rank & s)) {
-        pack.insert(pack.end(), buf.begin() + static_cast<std::ptrdiff_t>(
-                                                  offsets[b]),
-                    buf.begin() + static_cast<std::ptrdiff_t>(
-                                      offsets[b + 1]));
-      }
-    }
-    comm.send<T>(peer, tag, std::span<const T>(pack.data(), pack.size()));
-    const std::vector<T> incoming = comm.recv<T>(peer, tag);
-    std::size_t at = 0;
-    for (int b = 0; b < size; ++b) {
-      if ((b & (s - 1)) != (rank & (s - 1)) || (b & s) != (rank & s)) {
-        continue;  // not a range this rank keeps after the step
-      }
-      T* mine = buf.data() + offsets[b];
-      const std::size_t len = offsets[b + 1] - offsets[b];
-      SWHKM_REQUIRE(at + len <= incoming.size(),
-                    "reduce_scatter_ranges block mismatch");
-      if ((rank & s) == 0) {
-        for (std::size_t i = 0; i < len; ++i) {
-          op(mine[i], incoming[at + i]);
-        }
-      } else {
-        // The peer's subtree is the lower one: it must be the inout
-        // operand so a non-commutative op still matches reduce().
-        for (std::size_t i = 0; i < len; ++i) {
-          T merged = incoming[at + i];
-          op(merged, mine[i]);
-          mine[i] = merged;
-        }
-      }
-      at += len;
-    }
-    SWHKM_REQUIRE(at == incoming.size(),
-                  "reduce_scatter_ranges payload mismatch");
-  }
-  return std::vector<T>(
-      buf.begin() + static_cast<std::ptrdiff_t>(offsets[rank]),
-      buf.begin() + static_cast<std::ptrdiff_t>(offsets[rank + 1]));
-}
-
-/// Non-destructive overload: copies `buf` into scratch and delegates.
-template <typename T, typename Op>
-std::vector<T> reduce_scatter_ranges(Comm& comm, std::span<const T> buf,
-                                     std::span<const std::size_t> offsets,
-                                     Op op) {
-  std::vector<T> work(buf.begin(), buf.end());
-  return reduce_scatter_ranges(comm, std::span<T>(work.data(), work.size()),
-                               offsets, op);
-}
-
 /// Variable-length allgather with caller-known lengths: every rank
 /// contributes `mine` (== counts[rank] elements; zero allowed) and
 /// receives the rank-order concatenation of all contributions. `counts`
 /// must be identical on every rank.
 ///
-/// Power-of-two sizes run the recursive-doubling hypercube exchange —
-/// log2(size) rounds, each sending the contiguous aligned group of blocks
-/// the rank has assembled so far — so the latency-critical round count is
-/// logarithmic. Other sizes fall back to a direct exchange (send never
-/// blocks in this runtime, so the all-to-all post is deadlock-free).
+/// Runs the world's two-level layout: members publish their contribution
+/// pointers, each leader assembles its group block straight from the
+/// member buffers, the leaders exchange blocks, and the assembled result
+/// fans back down by pointer. The leader exchange is recursive doubling
+/// when the group count is a power of two (log2 rounds, each sending the
+/// contiguous aligned run of blocks assembled so far) and a direct
+/// exchange otherwise (send never blocks in this runtime, so the
+/// all-to-all post is deadlock-free); concatenation has no reduction op,
+/// so the crossover does not apply.
 template <typename T>
 std::vector<T> allgatherv(Comm& comm, std::span<const T> mine,
                           std::span<const std::size_t> counts) {
@@ -1437,47 +798,75 @@ std::vector<T> allgatherv(Comm& comm, std::span<const T> mine,
   if (size == 1) {
     return all;
   }
-  if (default_collective_schedule() == CollectiveSchedule::kHierarchical) {
-    detail::hier_allgatherv_fill(
-        comm, mine,
-        std::span<const std::size_t>(offsets.data(), offsets.size()), all,
-        default_hierarchy_spec());
+  const detail::HierLayout l =
+      detail::hier_layout(rank, size, comm.hierarchy().ranks_per_group);
+  const detail::HierTags tags = detail::reserve_hier_tags(comm);
+  if (l.local != 0) {
+    detail::publish_ptr(comm, l.leader, tags.ptr, mine.data());
+    const T* result = detail::recv_ptr<T>(comm, l.leader, tags.down);
+    std::copy(result, result + all.size(), all.begin());
+    comm.send_value<std::uint8_t>(l.leader, tags.ack, 1);
     return all;
   }
-  const int tag = comm.next_collective_tag();
-  if ((size & (size - 1)) == 0) {
-    // Recursive doubling: before the round for bit `s`, this rank holds
-    // the aligned block group [rank & ~(s-1), +s) — contiguous in `all`,
-    // so rounds send straight out of the output buffer without packing.
-    for (int s = 1; s < size; s <<= 1) {
-      const int peer = rank ^ s;
-      const int base = rank & ~(s - 1);
-      const int pbase = peer & ~(s - 1);
-      comm.send<T>(peer, tag,
-                   std::span<const T>(all.data() + offsets[base],
-                                      offsets[base + s] - offsets[base]));
-      const std::vector<T> incoming = comm.recv<T>(peer, tag);
-      SWHKM_REQUIRE(incoming.size() == offsets[pbase + s] - offsets[pbase],
+  for (int j = 1; j < l.group_size; ++j) {
+    const int r = l.leader + j;
+    const T* src = detail::recv_ptr<T>(comm, r, tags.ptr);
+    std::copy(src, src + counts[r],
+              all.begin() + static_cast<std::ptrdiff_t>(offsets[r]));
+  }
+  const int ng = l.num_groups;
+  const int g = l.group;
+  // Group q's block covers its member ranges: [goff(q), goff(q + 1)).
+  const auto goff = [&](int q) { return offsets[std::min(q * l.width, size)]; };
+  const bool doubling = ng > 1 && (ng & (ng - 1)) == 0;
+  if (doubling) {
+    for (int s = 1; s < ng; s <<= 1) {
+      const int peer_group = g ^ s;
+      const int base = g & ~(s - 1);
+      const int pbase = peer_group & ~(s - 1);
+      comm.send<T>(peer_group * l.width, tags.inter_a,
+                   std::span<const T>(all.data() + goff(base),
+                                      goff(base + s) - goff(base)));
+      const std::vector<T> incoming =
+          comm.recv<T>(peer_group * l.width, tags.inter_a);
+      SWHKM_REQUIRE(incoming.size() == goff(pbase + s) - goff(pbase),
                     "allgatherv round length mismatch");
       std::copy(incoming.begin(), incoming.end(),
-                all.begin() + static_cast<std::ptrdiff_t>(offsets[pbase]));
+                all.begin() + static_cast<std::ptrdiff_t>(goff(pbase)));
     }
-    return all;
-  }
-  for (int q = 0; q < size; ++q) {
-    if (q != rank) {
-      comm.send<T>(q, tag, mine);
+  } else if (ng > 1) {
+    for (int q = 0; q < ng; ++q) {
+      if (q != g) {
+        comm.send<T>(q * l.width, tags.inter_a,
+                     std::span<const T>(all.data() + goff(g),
+                                        goff(g + 1) - goff(g)));
+      }
+    }
+    for (int q = 0; q < ng; ++q) {
+      if (q == g) {
+        continue;
+      }
+      const std::vector<T> incoming = comm.recv<T>(q * l.width, tags.inter_a);
+      SWHKM_REQUIRE(incoming.size() == goff(q + 1) - goff(q),
+                    "allgatherv block length mismatch");
+      std::copy(incoming.begin(), incoming.end(),
+                all.begin() + static_cast<std::ptrdiff_t>(goff(q)));
     }
   }
-  for (int q = 0; q < size; ++q) {
-    if (q == rank) {
-      continue;
-    }
-    const std::vector<T> incoming = comm.recv<T>(q, tag);
-    SWHKM_REQUIRE(incoming.size() == counts[q], "allgatherv length mismatch");
-    std::copy(incoming.begin(), incoming.end(),
-              all.begin() + static_cast<std::ptrdiff_t>(offsets[q]));
+  for (int j = 1; j < l.group_size; ++j) {
+    detail::publish_ptr(comm, l.leader + j, tags.down, all.data());
   }
+  for (int j = 1; j < l.group_size; ++j) {
+    (void)comm.recv_value<std::uint8_t>(l.leader + j, tags.ack);
+  }
+  detail::tick_hier_counters(
+      comm,
+      doubling ? "swmpi.hier.allgatherv.algo_doubling"
+               : "swmpi.hier.allgatherv.algo_direct",
+      "swmpi.hier.allgatherv.intra_rounds",
+      "swmpi.hier.allgatherv.inter_rounds",
+      2 * detail::ceil_log2(l.group_size),
+      ng > 1 ? (doubling ? detail::ceil_log2(ng) : std::uint32_t{1}) : 0);
   return all;
 }
 
@@ -1494,26 +883,6 @@ std::vector<T> allgatherv(Comm& comm, std::span<const T> mine) {
   return allgatherv(comm, mine,
                     std::span<const std::size_t>(counts.data(),
                                                  counts.size()));
-}
-
-/// Inclusive prefix reduction: rank r receives op-fold of ranks 0..r's
-/// contributions, combined in rank order (deterministic).
-template <typename T, typename Op>
-T scan(Comm& comm, const T& mine, Op op) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  detail::CollectiveScope scope(comm, telemetry::CollectiveKind::kScan,
-                                sizeof(T));
-  const int tag = comm.next_collective_tag();
-  T accumulated = mine;
-  if (comm.rank() > 0) {
-    const T from_left = comm.recv_value<T>(comm.rank() - 1, tag);
-    accumulated = from_left;
-    op(accumulated, mine);
-  }
-  if (comm.rank() + 1 < comm.size()) {
-    comm.send_value<T>(comm.rank() + 1, tag, accumulated);
-  }
-  return accumulated;
 }
 
 }  // namespace swhkm::swmpi

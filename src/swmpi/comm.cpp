@@ -1,13 +1,54 @@
 #include "swmpi/comm.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <limits>
 
 #include "telemetry/flight_recorder.hpp"
 #include "util/crc32.hpp"
 
 namespace swhkm::swmpi {
 
+namespace {
+
+// Process-global schedule selection: relaxed atomics because it is only
+// read once per root world, by Comm::create_world before ranks launch
+// (run_spmd publishes the world to them with a stronger edge).
+std::atomic<CollectiveSchedule> g_schedule{CollectiveSchedule::kFlat};
+std::atomic<int> g_ranks_per_group{1};
+std::atomic<std::size_t> g_crossover_bytes{HierarchySpec{}.crossover_bytes};
+
+}  // namespace
+
+CollectiveSchedule default_collective_schedule() {
+  return g_schedule.load(std::memory_order_relaxed);
+}
+
+void set_default_collective_schedule(CollectiveSchedule schedule) {
+  g_schedule.store(schedule, std::memory_order_relaxed);
+}
+
+HierarchySpec default_hierarchy_spec() {
+  HierarchySpec spec;
+  spec.ranks_per_group = g_ranks_per_group.load(std::memory_order_relaxed);
+  spec.crossover_bytes = g_crossover_bytes.load(std::memory_order_relaxed);
+  return spec;
+}
+
+void set_default_hierarchy_spec(const HierarchySpec& spec) {
+  g_ranks_per_group.store(spec.ranks_per_group, std::memory_order_relaxed);
+  g_crossover_bytes.store(spec.crossover_bytes, std::memory_order_relaxed);
+}
+
 namespace detail {
+
+HierarchySpec resolve_hierarchy(CollectiveSchedule schedule,
+                                const HierarchySpec& spec) {
+  if (schedule == CollectiveSchedule::kHierarchical) {
+    return spec;
+  }
+  return {1, std::numeric_limits<std::size_t>::max()};
+}
 
 /// Corrupted sends retained for resend, per world. A ring this small is
 /// plenty: only FaultPlan-corrupted payloads land here, and a receiver
@@ -297,6 +338,7 @@ Comm Comm::split(int color, int key) {
       sub = std::make_shared<detail::World>(static_cast<int>(members.size()),
                                             world_->fault_plan,
                                             world_->metrics);
+      sub->hierarchy = world_->hierarchy;
       sub->pickups_remaining = static_cast<int>(members.size());
       world_->splits.live.emplace(registry_key, sub);
     } else {
@@ -325,6 +367,8 @@ std::vector<Comm> Comm::create_world(int size, FaultPlan* faults,
                                      telemetry::MetricsRegistry* metrics) {
   SWHKM_REQUIRE(size >= 1, "world needs at least one rank");
   auto world = std::make_shared<detail::World>(size, faults, metrics);
+  world->hierarchy = detail::resolve_hierarchy(default_collective_schedule(),
+                                               default_hierarchy_spec());
   std::vector<Comm> comms;
   comms.reserve(static_cast<std::size_t>(size));
   for (int r = 0; r < size; ++r) {

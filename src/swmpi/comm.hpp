@@ -22,7 +22,73 @@ namespace swhkm::swmpi {
 /// point-to-point traffic must stay below it.
 inline constexpr int kReservedTagBase = 1 << 24;
 
+/// Which schedule the reduction-shaped collectives (allreduce and its
+/// MinLoc2 wrapper, allgatherv, SplitAllreduce/DeferredCombine) run. Both
+/// run the one two-level code path: kFlat is its one-rank-per-group layout
+/// (every rank is a leader and the inter stage is always the binomial
+/// tree), which sends exactly the whole-world root-0 binomial pattern;
+/// kHierarchical folds each supernode's ranks first. The results are
+/// bit-identical either way (DESIGN.md §12).
+enum class CollectiveSchedule {
+  kFlat,
+  kHierarchical,
+};
+
+/// Shape and tuning of the two-level schedule. `ranks_per_group` is how
+/// many consecutive ranks share a supernode (the engines pass
+/// cgs_per_node * supernode_nodes); the intra stage folds within aligned
+/// power-of-two blocks of that width, so any value — including non-powers
+/// of two and values larger than the world — yields a valid grouping.
+/// `crossover_bytes` is the payload size above which the inter-group stage
+/// switches from the latency-optimal binomial tree to the
+/// bandwidth-optimal reduce_scatter+allgather exchange; the engines derive
+/// it from MachineConfig::collective_crossover_bytes() instead of
+/// hard-coding it.
+struct HierarchySpec {
+  int ranks_per_group = 1;
+  std::size_t crossover_bytes = 128 * 1024;
+};
+
+/// Process-global schedule selection. Comm::create_world snapshots it into
+/// the new world, whose collectives (and those of every sub-communicator
+/// split from it) run that snapshot for their whole lifetime, so changing
+/// the default never reaches a world that already exists.
+CollectiveSchedule default_collective_schedule();
+void set_default_collective_schedule(CollectiveSchedule schedule);
+HierarchySpec default_hierarchy_spec();
+void set_default_hierarchy_spec(const HierarchySpec& spec);
+
+/// RAII schedule override: installs (schedule, spec), restores the previous
+/// pair on destruction. The engines wrap each run_spmd in one of these so a
+/// failed run cannot leak a hierarchical default into later flat tests.
+class ScopedCollectiveSchedule {
+ public:
+  ScopedCollectiveSchedule(CollectiveSchedule schedule,
+                           const HierarchySpec& spec)
+      : prev_schedule_(default_collective_schedule()),
+        prev_spec_(default_hierarchy_spec()) {
+    set_default_collective_schedule(schedule);
+    set_default_hierarchy_spec(spec);
+  }
+  ScopedCollectiveSchedule(const ScopedCollectiveSchedule&) = delete;
+  ScopedCollectiveSchedule& operator=(const ScopedCollectiveSchedule&) =
+      delete;
+  ~ScopedCollectiveSchedule() {
+    set_default_collective_schedule(prev_schedule_);
+    set_default_hierarchy_spec(prev_spec_);
+  }
+
+ private:
+  CollectiveSchedule prev_schedule_;
+  HierarchySpec prev_spec_;
+};
+
 namespace detail {
+
+/// The layout a (schedule, spec) pair runs: kHierarchical keeps `spec`,
+/// kFlat is one rank per group that never takes the rs+ag inter stage.
+HierarchySpec resolve_hierarchy(CollectiveSchedule schedule,
+                                const HierarchySpec& spec);
 
 struct World;
 
@@ -81,6 +147,12 @@ struct World {
   /// rank's traffic lands in one shard no matter which sub-communicator
   /// carried it.
   telemetry::MetricsRegistry* metrics = nullptr;
+
+  /// Collective layout, resolved from the process-global schedule once
+  /// when the root world is created. Sub-worlds inherit it, so every rank
+  /// of a world tree runs the same layout for the same collective even if
+  /// the global default changes mid-run.
+  HierarchySpec hierarchy;
 
   /// How many members still have to pick this world up out of the parent's
   /// split registry (only meaningful while registered there).
@@ -219,10 +291,15 @@ class Comm {
   /// hang named metrics off it too.
   telemetry::MetricsShard* metrics_shard() const { return tshard_; }
 
+  /// The collective layout this communicator's world snapshotted at
+  /// creation (see detail::World::hierarchy).
+  const HierarchySpec& hierarchy() const { return world_->hierarchy; }
+
   /// Create the root communicator for `size` ranks; runtime.cpp hands each
   /// spawned thread its rank's handle. `faults` (not owned, may be null)
   /// arms deterministic fault injection for the whole communicator tree;
   /// `metrics` (not owned, may be null) arms wall-clock instrumentation.
+  /// The world runs the collective schedule installed at this call.
   static std::vector<Comm> create_world(
       int size, FaultPlan* faults = nullptr,
       telemetry::MetricsRegistry* metrics = nullptr);

@@ -47,22 +47,8 @@ const char* collective_name(CollectiveKind kind) {
       return "allreduce";
     case CollectiveKind::kAllgather:
       return "allgather";
-    case CollectiveKind::kGather:
-      return "gather";
-    case CollectiveKind::kScatter:
-      return "scatter";
-    case CollectiveKind::kAlltoall:
-      return "alltoall";
-    case CollectiveKind::kSendrecv:
-      return "sendrecv";
-    case CollectiveKind::kReduceScatter:
-      return "reduce_scatter";
-    case CollectiveKind::kReduceScatterRanges:
-      return "reduce_scatter_ranges";
     case CollectiveKind::kAllgatherv:
       return "allgatherv";
-    case CollectiveKind::kScan:
-      return "scan";
   }
   return "unknown";
 }

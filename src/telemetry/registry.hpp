@@ -109,25 +109,17 @@ class Histogram {
 };
 
 /// The swmpi collective kinds the fast-path instrumentation distinguishes.
-/// Composite collectives also tick their building blocks (allreduce counts
-/// one reduce and one bcast too) — the counters describe traffic at every
-/// layer, not a disjoint partition of it.
+/// allgather also ticks the bcast it is built on — the counters describe
+/// traffic at every layer, not a disjoint partition of it.
 enum class CollectiveKind : int {
   kBarrier = 0,
   kBcast,
   kReduce,
   kAllreduce,
   kAllgather,
-  kGather,
-  kScatter,
-  kAlltoall,
-  kSendrecv,
-  kReduceScatter,
-  kReduceScatterRanges,
   kAllgatherv,
-  kScan,
 };
-inline constexpr int kCollectiveKindCount = 13;
+inline constexpr int kCollectiveKindCount = 6;
 const char* collective_name(CollectiveKind kind);
 
 /// Per-kind ledger: entry count, payload bytes, wall latency distribution.

@@ -44,45 +44,6 @@ std::vector<double> binomial_fold(std::vector<std::vector<double>> parts) {
 
 class ShardedCollectiveTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(ShardedCollectiveTest, ReduceScatterRangesMatchesBinomialReduceBits) {
-  const int size = GetParam();
-  // 23 elements: ragged over every size here; 3 elements: empty ranges
-  // once size > 3 (the k < ranks shape).
-  for (const std::size_t total : {std::size_t{23}, std::size_t{3}}) {
-    swmpi::run_spmd(size, [&](swmpi::Comm& comm) {
-      const auto rank = static_cast<std::size_t>(comm.rank());
-      std::vector<double> buf(total);
-      for (std::size_t i = 0; i < total; ++i) {
-        buf[i] = spread_value(rank, i);
-      }
-      std::vector<std::size_t> offsets(static_cast<std::size_t>(size) + 1, 0);
-      for (int r = 0; r < size; ++r) {
-        offsets[static_cast<std::size_t>(r) + 1] =
-            detail::block_range(total, static_cast<std::size_t>(size),
-                                static_cast<std::size_t>(r))
-                .second;
-      }
-      const std::vector<double> mine = swmpi::reduce_scatter_ranges(
-          comm, std::span<const double>(buf.data(), buf.size()),
-          std::span<const std::size_t>(offsets.data(), offsets.size()),
-          swmpi::ops::Plus{});
-
-      // Reference: the binomial reduce-to-root this must be bit-identical
-      // to, published with a bcast and sliced to this rank's range.
-      std::vector<double> work = buf;
-      swmpi::reduce(comm, 0, std::span<double>(work.data(), work.size()),
-                    swmpi::ops::Plus{});
-      swmpi::bcast(comm, 0, std::span<double>(work.data(), work.size()));
-      ASSERT_EQ(mine.size(), offsets[rank + 1] - offsets[rank]);
-      for (std::size_t i = 0; i < mine.size(); ++i) {
-        EXPECT_EQ(bits(mine[i]), bits(work[offsets[rank] + i]))
-            << "size=" << size << " total=" << total << " rank=" << rank
-            << " i=" << i;
-      }
-    });
-  }
-}
-
 TEST_P(ShardedCollectiveTest, AllgathervConcatenatesInRankOrder) {
   const int size = GetParam();
   swmpi::run_spmd(size, [&](swmpi::Comm& comm) {

@@ -244,7 +244,7 @@ TEST_P(CollectiveTest, MinlocFindsGlobalWinner) {
     // Rank r contributes value |r - 2| so rank 2 (or nearest) wins.
     MinLoc mine{std::abs(comm.rank() - 2) + 0.5,
                 static_cast<std::uint64_t>(comm.rank())};
-    allreduce_minloc(comm, std::span<MinLoc>(&mine, 1));
+    allreduce(comm, std::span<MinLoc>(&mine, 1), ops::Min{});
     const int expected = size <= 2 ? size - 1 : 2;
     EXPECT_EQ(mine.index, static_cast<std::uint64_t>(expected));
   });
@@ -253,7 +253,7 @@ TEST_P(CollectiveTest, MinlocFindsGlobalWinner) {
 TEST_P(CollectiveTest, MinlocTieBreaksTowardLowerIndex) {
   run_spmd(GetParam(), [](Comm& comm) {
     MinLoc mine{1.0, static_cast<std::uint64_t>(comm.rank())};
-    allreduce_minloc(comm, std::span<MinLoc>(&mine, 1));
+    allreduce(comm, std::span<MinLoc>(&mine, 1), ops::Min{});
     EXPECT_EQ(mine.index, 0u);
   });
 }

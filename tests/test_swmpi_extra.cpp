@@ -17,178 +17,6 @@
 namespace swhkm::swmpi {
 namespace {
 
-class ExtraCollectiveTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(ExtraCollectiveTest, GatherCollectsAtRoot) {
-  const int size = GetParam();
-  for (int root = 0; root < size; ++root) {
-    run_spmd(size, [&](Comm& comm) {
-      const std::vector<int> got = gather(comm, root, comm.rank() * 10);
-      if (comm.rank() == root) {
-        ASSERT_EQ(got.size(), static_cast<std::size_t>(size));
-        for (int r = 0; r < size; ++r) {
-          EXPECT_EQ(got[r], r * 10);
-        }
-      } else {
-        EXPECT_TRUE(got.empty());
-      }
-    });
-  }
-}
-
-TEST_P(ExtraCollectiveTest, ScatterDistributesFromRoot) {
-  const int size = GetParam();
-  run_spmd(size, [&](Comm& comm) {
-    std::vector<double> values;
-    if (comm.rank() == 0) {
-      for (int r = 0; r < size; ++r) {
-        values.push_back(r + 0.5);
-      }
-    }
-    const double mine = scatter(comm, 0, std::span<const double>(values));
-    EXPECT_DOUBLE_EQ(mine, comm.rank() + 0.5);
-  });
-}
-
-TEST_P(ExtraCollectiveTest, AlltoallTransposes) {
-  const int size = GetParam();
-  run_spmd(size, [&](Comm& comm) {
-    // Rank r sends r*100 + q to rank q; so it must receive q*100 + r.
-    std::vector<int> sendbuf(static_cast<std::size_t>(size));
-    for (int q = 0; q < size; ++q) {
-      sendbuf[static_cast<std::size_t>(q)] = comm.rank() * 100 + q;
-    }
-    const std::vector<int> got =
-        alltoall(comm, std::span<const int>(sendbuf));
-    for (int q = 0; q < size; ++q) {
-      EXPECT_EQ(got[static_cast<std::size_t>(q)], q * 100 + comm.rank());
-    }
-  });
-}
-
-TEST_P(ExtraCollectiveTest, ScanComputesPrefixSums) {
-  const int size = GetParam();
-  run_spmd(size, [&](Comm& comm) {
-    const int prefix = scan(comm, comm.rank() + 1, ops::Plus{});
-    EXPECT_EQ(prefix, (comm.rank() + 1) * (comm.rank() + 2) / 2);
-  });
-}
-
-TEST_P(ExtraCollectiveTest, ScanWithMaxIsRunningMax) {
-  const int size = GetParam();
-  run_spmd(size, [&](Comm& comm) {
-    // Contribution |r - 1|: running max is max(1, r-1... ) computed naively.
-    const int mine = std::abs(comm.rank() - 1);
-    const int prefix = scan(comm, mine, ops::Max{});
-    int expected = 0;
-    for (int r = 0; r <= comm.rank(); ++r) {
-      expected = std::max(expected, std::abs(r - 1));
-    }
-    EXPECT_EQ(prefix, expected);
-  });
-}
-
-
-TEST_P(ExtraCollectiveTest, SendrecvRingRotation) {
-  const int size = GetParam();
-  run_spmd(size, [&](Comm& comm) {
-    const int right = (comm.rank() + 1) % size;
-    const int left = (comm.rank() - 1 + size) % size;
-    const std::vector<int> payload{comm.rank() * 7};
-    const std::vector<int> got =
-        sendrecv(comm, right, std::span<const int>(payload), left);
-    ASSERT_EQ(got.size(), 1u);
-    EXPECT_EQ(got[0], left * 7);
-  });
-}
-
-TEST_P(ExtraCollectiveTest, ReduceScatterSumsBlocks) {
-  const int size = GetParam();
-  const std::size_t block = 3;
-  run_spmd(size, [&](Comm& comm) {
-    // Rank r contributes value (r+1) to every slot of every block.
-    std::vector<std::int64_t> buf(block * static_cast<std::size_t>(size),
-                                  comm.rank() + 1);
-    const std::vector<std::int64_t> mine = reduce_scatter(
-        comm, std::span<const std::int64_t>(buf), block, ops::Plus{});
-    ASSERT_EQ(mine.size(), block);
-    const std::int64_t expected = size * (size + 1) / 2;
-    for (std::int64_t v : mine) {
-      EXPECT_EQ(v, expected);
-    }
-  });
-}
-
-TEST_P(ExtraCollectiveTest, ReduceScatterDistinctBlocks) {
-  const int size = GetParam();
-  run_spmd(size, [&](Comm& comm) {
-    // Block b gets contribution (r+1)*(b+1) from rank r; the reduced
-    // block handed to rank r must be block r's total.
-    std::vector<std::int64_t> buf(static_cast<std::size_t>(size));
-    for (int b = 0; b < size; ++b) {
-      buf[static_cast<std::size_t>(b)] =
-          static_cast<std::int64_t>(comm.rank() + 1) * (b + 1);
-    }
-    const std::vector<std::int64_t> mine = reduce_scatter(
-        comm, std::span<const std::int64_t>(buf), 1, ops::Plus{});
-    const std::int64_t rank_sum = size * (size + 1) / 2;
-    EXPECT_EQ(mine[0], rank_sum * (comm.rank() + 1));
-  });
-}
-
-TEST(ExtraCollectives, ReduceScatterWrongSizeRejected) {
-  EXPECT_THROW(run_spmd(2,
-                        [](Comm& comm) {
-                          std::vector<int> buf(3);  // not 2 * block
-                          reduce_scatter(comm, std::span<const int>(buf), 2,
-                                         ops::Plus{});
-                        }),
-               swhkm::Error);
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, ExtraCollectiveTest,
-                         ::testing::Values(1, 2, 3, 5, 8));
-
-TEST(ExtraCollectives, ScatterWrongCountRejected) {
-  EXPECT_THROW(run_spmd(3,
-                        [](Comm& comm) {
-                          std::vector<int> values(2);  // need 3 at root
-                          if (comm.rank() == 0) {
-                            scatter(comm, 0, std::span<const int>(values));
-                          } else {
-                            scatter(comm, 0, std::span<const int>());
-                          }
-                        }),
-               swhkm::Error);
-}
-
-TEST(ExtraCollectives, AlltoallWrongCountRejected) {
-  EXPECT_THROW(run_spmd(2,
-                        [](Comm& comm) {
-                          std::vector<int> sendbuf(5);
-                          alltoall(comm, std::span<const int>(sendbuf));
-                        }),
-               swhkm::Error);
-}
-
-TEST(ExtraCollectives, MixedSequenceStaysInSync) {
-  // Interleave old and new collectives; tag sequencing must hold up.
-  run_spmd(4, [](Comm& comm) {
-    for (int round = 0; round < 5; ++round) {
-      const int prefix = scan(comm, 1, ops::Plus{});
-      EXPECT_EQ(prefix, comm.rank() + 1);
-      std::vector<int> buf{prefix};
-      allreduce_sum(comm, std::span<int>(buf));
-      EXPECT_EQ(buf[0], 1 + 2 + 3 + 4);
-      const std::vector<int> all = gather(comm, round % 4, buf[0]);
-      if (comm.rank() == round % 4) {
-        EXPECT_EQ(all.size(), 4u);
-      }
-      barrier(comm);
-    }
-  });
-}
-
 // ---------------------------------------------------------- SPSC ring
 
 TEST(SpscRing, FifoAndWraparound) {
@@ -390,8 +218,8 @@ TEST_P(SplitAllreduceTest, TwoOutstandingOpsRetireInOrder) {
     op_b.start(comm, std::span<MinLoc>(b), ops::Min{});
     op_a.finish();
     op_b.finish();
-    allreduce_minloc(comm, std::span<MinLoc>(a_ref));
-    allreduce_minloc(comm, std::span<MinLoc>(b_ref));
+    allreduce(comm, std::span<MinLoc>(a_ref), ops::Min{});
+    allreduce(comm, std::span<MinLoc>(b_ref), ops::Min{});
     for (std::size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(a[i].value, a_ref[i].value);
       EXPECT_EQ(a[i].index, a_ref[i].index);
@@ -518,6 +346,15 @@ std::vector<std::byte> to_bytes(const std::vector<T>& v) {
   return b;
 }
 
+/// The independent reference for the allreduce cases: reduce()'s root-0
+/// binomial tree then bcast(), which share no code with the layout path.
+std::vector<double> reduce_bcast_reference(Comm& comm,
+                                           std::vector<double> buf) {
+  reduce(comm, 0, std::span<double>(buf), ops::Plus{});
+  bcast(comm, 0, std::span<double>(buf));
+  return buf;
+}
+
 /// Run `body` on `world` ranks under (schedule, spec) and collect each
 /// rank's serialized result, so a flat-schedule reference run and a
 /// hierarchical run of the same body can be compared bit for bit.
@@ -575,7 +412,9 @@ TEST_P(HierScheduleTest, AllreduceDoublesMatchesFlatBitForBit) {
           for (std::size_t i = 0; i < len; ++i) {
             buf[i] = hier_spread(comm.rank(), i);
           }
+          const std::vector<double> ref = reduce_bcast_reference(comm, buf);
           allreduce(comm, std::span<double>(buf), ops::Plus{});
+          EXPECT_EQ(to_bytes(buf), to_bytes(ref)) << "rank " << comm.rank();
           return to_bytes(buf);
         },
         "allreduce");
@@ -601,31 +440,6 @@ TEST_P(HierScheduleTest, Minloc2MatchesFlat) {
       "minloc2");
 }
 
-TEST_P(HierScheduleTest, ReduceScatterRangesMatchesFlat) {
-  // 23 elements: ragged block ranges over every world here, empty ranges
-  // once the world outgrows the payload.
-  expect_hier_matches_flat(
-      [](Comm& comm) {
-        const std::size_t total = 23;
-        std::vector<double> buf(total);
-        for (std::size_t i = 0; i < total; ++i) {
-          buf[i] = hier_spread(comm.rank(), i);
-        }
-        std::vector<std::size_t> offsets(
-            static_cast<std::size_t>(comm.size()) + 1);
-        for (int r = 0; r <= comm.size(); ++r) {
-          offsets[static_cast<std::size_t>(r)] =
-              static_cast<std::size_t>(r) * total /
-              static_cast<std::size_t>(comm.size());
-        }
-        return to_bytes(reduce_scatter_ranges(
-            comm, std::span<const double>(buf.data(), buf.size()),
-            std::span<const std::size_t>(offsets.data(), offsets.size()),
-            ops::Plus{}));
-      },
-      "reduce_scatter_ranges");
-}
-
 TEST_P(HierScheduleTest, AllgathervMatchesFlat) {
   expect_hier_matches_flat(
       [](Comm& comm) {
@@ -648,9 +462,11 @@ TEST_P(HierScheduleTest, SplitAllreduceMatchesFlat) {
         for (std::size_t i = 0; i < buf.size(); ++i) {
           buf[i] = hier_spread(comm.rank(), i);
         }
+        const std::vector<double> ref = reduce_bcast_reference(comm, buf);
         SplitAllreduce<double, ops::Plus> op;
         op.start(comm, std::span<double>(buf), ops::Plus{});
         op.finish();
+        EXPECT_EQ(to_bytes(buf), to_bytes(ref)) << "rank " << comm.rank();
         return to_bytes(buf);
       },
       "split_allreduce");
@@ -704,6 +520,65 @@ TEST(HierSchedule, ScopedGuardInstallsAndRestores) {
             before_spec.ranks_per_group);
   EXPECT_EQ(default_hierarchy_spec().crossover_bytes,
             before_spec.crossover_bytes);
+}
+
+TEST(HierSchedule, WorldKeepsItsScheduleWhileTheDefaultToggles) {
+  // Two fits running at once (in different threads, or for machines with
+  // different ranks_per_group) each install their own schedule guard. A
+  // world must run the layout it was created under on every rank: ranks
+  // that read the toggling default at each collective entry would run
+  // different layouts of one collective and hang. The watchdog turns such
+  // a hang into a WatchdogTimeout instead of a ctest timeout.
+  constexpr int kRanks = 4;
+  constexpr int kRounds = 2000;
+  constexpr std::size_t kLen = 16;      // 128 B: above the 64 B crossover
+  constexpr std::size_t kXover = 64;
+  std::vector<std::vector<double>> inputs(kRanks, std::vector<double>(kLen));
+  for (int r = 0; r < kRanks; ++r) {
+    for (std::size_t i = 0; i < kLen; ++i) {
+      inputs[static_cast<std::size_t>(r)][i] = hier_spread(r, i);
+    }
+  }
+  std::vector<double> expected(kLen);
+  std::vector<std::vector<double>> scratch(kRanks);
+  fold_binomial_slices(
+      expected.data(), kLen, kRanks, scratch,
+      [&](int r) { return inputs[static_cast<std::size_t>(r)].data(); },
+      ops::Plus{});
+
+  FaultPlan plan;
+  plan.watchdog(std::chrono::seconds(10));
+  const ScopedCollectiveSchedule guard(CollectiveSchedule::kHierarchical,
+                                       {2, kXover});
+  std::atomic<bool> done{false};
+  std::thread toggler([&] {
+    while (!done.load(std::memory_order_relaxed)) {
+      {
+        const ScopedCollectiveSchedule flat(CollectiveSchedule::kFlat, {});
+        std::this_thread::yield();
+      }
+      const ScopedCollectiveSchedule wide(CollectiveSchedule::kHierarchical,
+                                          {4, kXover});
+      std::this_thread::yield();
+    }
+  });
+  std::atomic<int> mismatches{0};
+  EXPECT_NO_THROW(run_spmd(
+      kRanks,
+      [&](Comm& comm) {
+        for (int round = 0; round < kRounds; ++round) {
+          std::vector<double> buf = inputs[static_cast<std::size_t>(
+              comm.rank())];
+          allreduce(comm, std::span<double>(buf), ops::Plus{});
+          if (to_bytes(buf) != to_bytes(expected)) {
+            mismatches.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      },
+      &plan));
+  done.store(true, std::memory_order_relaxed);
+  toggler.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 }  // namespace

@@ -373,10 +373,10 @@ TEST(Telemetry, SwmpiRuntimeTicksCollectiveAndMailboxCounters) {
             static_cast<std::uint64_t>(kRanks));
   EXPECT_EQ(snap.counter_or_zero("swmpi.allreduce.bytes"),
             static_cast<std::uint64_t>(kRanks) * sizeof(int));
-  // Composite collectives tick their building blocks too.
-  EXPECT_EQ(snap.counter_or_zero("swmpi.reduce.calls"),
-            static_cast<std::uint64_t>(kRanks));
-  EXPECT_EQ(snap.counter_or_zero("swmpi.bcast.calls"),
+  // allreduce runs no reduce: at kFlat every rank leads its own one-rank
+  // group, and each group leader ticks the inter algorithm once.
+  EXPECT_EQ(snap.counter_or_zero("swmpi.reduce.calls"), 0u);
+  EXPECT_EQ(snap.counter_or_zero("swmpi.hier.allreduce.algo_tree"),
             static_cast<std::uint64_t>(kRanks));
   EXPECT_EQ(snap.counter_or_zero("swmpi.barrier.calls"),
             static_cast<std::uint64_t>(kRanks));
