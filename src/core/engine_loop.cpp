@@ -4,6 +4,7 @@
 #include <cmath>
 #include <string>
 
+#include "core/init.hpp"
 #include "core/metrics.hpp"
 #include "simarch/regcomm.hpp"
 #include "simarch/trace.hpp"
@@ -64,13 +65,13 @@ EngineRank::EngineRank(const EngineRun& run_, swmpi::Comm& world_)
                        ? &tshard->histogram("engine.pipeline.overlap_s")
                        : nullptr),
       spans_on(tel != nullptr && tel->config().wall_spans),
-      gate(run_.config.gate_assign),
+      upper(run_.dataset.n(), 0.0),
+      lower(run_.dataset.n(), 0.0),
+      drift(run_.config.k, 0.0),
+      radius_work(safe_radius_work(
+          run_.config.k, run_.machine.cpes_per_cg,
+          safe_radius_block_rows(run_.machine, run_.dataset.d()))),
       acc(run_.config.k, run_.dataset.d()) {
-  if (gate) {
-    upper.assign(run.dataset.n(), 0.0);
-    lower.assign(run.dataset.n(), 0.0);
-    drift.assign(run.config.k, 0.0);
-  }
   if (run.config.sdc_checks) {
     gemm_sdc.check = true;
     gemm_sdc.flip = [this](std::span<std::byte> bytes) {
@@ -88,32 +89,39 @@ void EngineRank::record_tile(telemetry::FlightEventKind kind, std::size_t t0,
   }
 }
 
-void EngineRank::charge_gate_and_sdc(std::uint64_t unresolved,
-                                     double sweep_row_s) {
+void EngineRank::charge_radius_pass(simarch::CostTally& t) const {
+  // Safe radii, recomputed by every CG from the shared snapshot: the
+  // slowest CPE's pairs at chain rate, the rows its CPEs stream over the
+  // CG's DMA channel, and one mesh min-fold of the k radii. The pass
+  // precedes the sweep it gates, so the tile pipeline hides none of it.
   const std::size_t k = run.config.k;
   const std::size_t d = run.dataset.d();
   const simarch::MachineConfig& machine = run.machine;
+  t.compute_s += static_cast<double>(radius_work.max_cpe_pairs()) *
+                 machine.assign_row_seconds(d);
+  const std::uint64_t radius_bytes =
+      radius_work.streamed_rows * d * machine.elem_bytes;
+  t.centroid_stream_s +=
+      static_cast<double>(radius_bytes) / machine.dma_bandwidth;
+  t.dma_bytes += radius_bytes;
+  simarch::RegComm(machine, t)
+      .account_allreduce(k * sizeof(double), machine.cpes_per_cg);
+  t.flops += k * (k - 1) * d;
+}
+
+void EngineRank::charge_gate_and_sdc(std::uint64_t unresolved,
+                                     double sweep_row_s) {
   if (gating) {
-    // Safe radii, recomputed by every CG from the shared snapshot: the
-    // slowest CPE's pairs at chain rate, the rows its CPEs stream over the
-    // CG's DMA channel, and one mesh min-fold of the k radii. The pass
-    // precedes the sweep it gates, so the tile pipeline hides none of it.
-    tally.compute_s += static_cast<double>(radius_work.max_cpe_pairs()) *
-                       machine.assign_row_seconds(d);
-    const std::uint64_t radius_bytes =
-        radius_work.streamed_rows * d * machine.elem_bytes;
-    tally.centroid_stream_s +=
-        static_cast<double>(radius_bytes) / machine.dma_bandwidth;
-    tally.dma_bytes += radius_bytes;
-    simarch::RegComm(machine, tally)
-        .account_allreduce(k * sizeof(double), machine.cpes_per_cg);
-    tally.flops += k * (k - 1) * d;
+    charge_radius_pass(tally);
   }
   if (!run.config.sdc_checks) {
     return;
   }
   // Charged only when the defense is armed, so defense-off model numbers
   // stay pinned.
+  const std::size_t k = run.config.k;
+  const std::size_t d = run.dataset.d();
+  const simarch::MachineConfig& machine = run.machine;
   const std::size_t num_cgs = machine.num_cgs();
   const std::size_t eb = machine.elem_bytes;
   const std::size_t accum_bytes = (k * d + k) * eb;
@@ -193,8 +201,8 @@ void scrub_accumulator(EngineRank& rank) {
 /// Update-phase network charge: the machine-wide sharded phase —
 /// reduce_scatter of the fused accumulator, every CG applying its own
 /// shard of rows, then one allgather publishing the refreshed rows with
-/// the (shift, empties) stats riding as a 16-byte per-rank header (plus
-/// the k-double drift vector when gating).
+/// the (shift, empties) stats riding as a 16-byte per-rank header and the
+/// k-double drift vector.
 void charge_update_collectives(EngineRank& rank) {
   const EngineRun& run = rank.run;
   const std::size_t k = run.config.k;
@@ -203,7 +211,7 @@ void charge_update_collectives(EngineRank& rank) {
   const std::size_t eb = run.machine.elem_bytes;
   const std::size_t accum_bytes = (k * d + k) * eb;
   const std::size_t publish_bytes =
-      k * d * eb + 16 * num_cgs + (rank.gate ? k * sizeof(double) : 0);
+      k * d * eb + 16 * num_cgs + k * sizeof(double);
   simarch::CostTally& tally = rank.tally;
   if (run.config.hier_collectives) {
     const simarch::CollectiveCharge rs = run.topo.hier_reduce_scatter_charge(
@@ -240,6 +248,9 @@ KmeansResult run_engine(Level level, const char* name,
                     plan.shape.k == config.k,
                 "plan shape does not match the dataset/config");
   require_valid_centroids(initial_centroids, config.k, dataset.d());
+  // A non-finite sample would keep its record's sentinel index and
+  // overrun the accumulator.
+  require_finite(dataset);
   validate_ldm_layout(plan, machine);
 
   const std::size_t num_cgs = machine.num_cgs();
@@ -250,12 +261,11 @@ KmeansResult run_engine(Level level, const char* name,
   // for the candidate/norm scratch downgrades the kernel instead of
   // rejecting a tile that fits without it; record-footprint overflow still
   // throws through resolve_tile_samples.
-  const bool gemm =
-      config.gemm_assign && gemm_scratch_fits(config.tile_samples, plan,
-                                              machine, config.sstep_tiles);
+  const bool gemm = gemm_scratch_fits(config.tile_samples, plan, machine,
+                                      config.sstep_tiles);
   const std::size_t tile_samples = resolve_tile_samples(
       config.tile_samples, plan, machine, config.sstep_tiles, gemm);
-  if (config.gemm_assign && !gemm) {
+  if (!gemm) {
     SWHKM_WARN << name << ": GEMM scratch for tile_samples="
                << config.tile_samples
                << " overflows LDM; using the chain kernel (bit-identical)";
@@ -295,6 +305,8 @@ KmeansResult run_engine(Level level, const char* name,
   simarch::CostTally total_cost;
   simarch::CostTally last_cost;
   std::vector<IterationStats> history;
+  bool bounds = false;
+  std::size_t gated_iterations = 0;
   telemetry::Telemetry* const tel = config.telemetry;
 
   swmpi::run_spmd(static_cast<int>(num_cgs), [&](swmpi::Comm& world) {
@@ -341,19 +353,19 @@ KmeansResult run_engine(Level level, const char* name,
       rank.abft_recomputed_before = rank.gemm_sdc.recomputed;
 
       // Iteration 0 has no bounds yet — every sample sweeps (and the
-      // trajectory stays exact from the very first assignment).
-      rank.gating = rank.gate && iter > 0;
+      // trajectory stays exact from the very first assignment). Later
+      // iterations gate only if iteration 0 kept the bounds.
+      rank.gating = rank.bounds && iter > 0;
       rank.digest = rank.gating ? drift_digest(rank.drift) : DriftDigest{};
       if (rank.gating) {
-        rank.radius_work =
-            compute_safe_radii(centroids, rank.safe, machine.cpes_per_cg,
-                               safe_radius_block_rows(machine, d));
+        compute_safe_radii(centroids, rank.safe);
       }
       if (gemm) {
         // Gated iterations refresh only the rows the published drift marks
         // moved — an unmoved row's stored float bits are unchanged, so its
-        // cached norm is still bit-exact. Without drift (ungated runs) the
-        // cache has no invalidation signal and recomputes all k rows.
+        // cached norm is still bit-exact. Iteration 0 and bounds-off runs
+        // recompute all k rows, so a bounds-off iteration prices exactly
+        // the sweep the bounds decision weighed.
         const std::size_t norm_rows =
             rank.gating
                 ? rank.norm_cache.refresh_from_drift(centroids, rank.drift)
@@ -390,8 +402,7 @@ KmeansResult run_engine(Level level, const char* name,
       const double update_start_us = rank.spans_on ? tel->now_us() : 0.0;
       const UpdateOutcome outcome = reduce_and_update(
           world, centroids, rank.acc,
-          rank.gate ? std::span<double>(rank.drift.data(), rank.drift.size())
-                    : std::span<double>{},
+          std::span<double>(rank.drift.data(), rank.drift.size()),
           sdc ? dataset.n() : 0);
       if (sdc) {
         // Re-capture the reference CRC from the freshly published rows (see
@@ -420,6 +431,14 @@ KmeansResult run_engine(Level level, const char* name,
       world.fault_point(swmpi::FaultSite::kCollective, global_iter);
       const simarch::CostTally combined = combine_tallies(world, rank.tally);
       rank_clock += combined.total_s();  // bulk-synchronous iteration edge
+      if (iter == 0) {
+        // The bounds can pay for themselves only if one safe-radius pass
+        // costs less than the whole sweep it could skip. Both numbers are
+        // replicated, so every rank decides alike with no exchange.
+        simarch::CostTally pass;
+        rank.charge_radius_pass(pass);
+        rank.bounds = pass.total_s() < combined.compute_s;
+      }
       if (rank.flight != nullptr) {
         rank.flight->record(telemetry::FlightEventKind::kIterationEnd,
                             static_cast<std::uint32_t>(global_iter), 0, 0, 0,
@@ -430,6 +449,8 @@ KmeansResult run_engine(Level level, const char* name,
         last_cost = combined;
         iterations = iter + 1;
         empty_clusters = outcome.empty_clusters;
+        bounds = rank.bounds;
+        gated_iterations += rank.gating ? 1 : 0;
         history.push_back({shift, combined.total_s(),
                            static_cast<double>(combined.pruned_samples) /
                                static_cast<double>(dataset.n()),
@@ -467,12 +488,12 @@ KmeansResult run_engine(Level level, const char* name,
   result.centroids = std::move(centroids);
   result.iterations = iterations;
   result.converged = converged;
-  if (config.gate_assign && iterations > 1) {
-    // Safe-radius maintenance: k(k-1)/2 centroid pairs per gated
-    // iteration, counted once (the per-rank copies are replicas).
-    result.accel.centroid_distance_computations =
-        (iterations - 1) * config.k * (config.k - 1) / 2;
-  }
+  // Safe-radius maintenance: k(k-1)/2 centroid pairs per gated
+  // iteration, counted once (the per-rank copies are replicas).
+  result.accel.centroid_distance_computations =
+      gated_iterations * config.k * (config.k - 1) / 2;
+  result.assign_kernel = gemm ? "gemm" : "chain";
+  result.bound_gate = bounds;
   result.empty_clusters = empty_clusters;
   result.cost = total_cost;
   result.last_iteration_cost = last_cost;
@@ -486,9 +507,7 @@ KmeansResult run_engine(Level level, const char* name,
 TileSweep::TileSweep(const EngineRank& rank) {
   for (Slot& s : slots_) {
     s.scores.resize(rank.run.tile_samples);
-    if (rank.gate) {
-      s.ids.reserve(rank.run.tile_samples);
-    }
+    s.ids.reserve(rank.run.tile_samples);
   }
 }
 
@@ -559,7 +578,7 @@ void TileSweep::retire(EngineRank& rank, Slot& s, Block& block) {
   std::vector<std::uint32_t>& assignments = rank.run.assignments;
   // Merge in ascending i: swept samples take the fresh argmin, gated ones
   // accumulate under their stored assignment, so the fused sums keep the
-  // exact summation order of the ungated sweep. An ungated tile scored
+  // exact summation order of a full sweep. Without bounds a tile scored
   // every sample in order; a gated one scored only its survivor ids.
   std::size_t pos = 0;
   for (std::size_t i = s.t0; i < s.t1; ++i) {
@@ -573,9 +592,7 @@ void TileSweep::retire(EngineRank& rank, Slot& s, Block& block) {
     if (rec != nullptr) {
       j = static_cast<std::uint32_t>(rec->index);
       assignments[i] = j;
-      if (rank.gate) {
-        refresh_bounds(*rec, rank.upper[i], rank.lower[i]);
-      }
+      refresh_bounds(*rec, rank.upper[i], rank.lower[i]);
     }
     rank.acc.add_sample(j, dataset.sample(i));
   }

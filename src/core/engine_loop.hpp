@@ -33,7 +33,7 @@ struct EngineRun {
   const PartitionPlan& plan;
   const simarch::Topology& topo;
   std::size_t tile_samples;  ///< resolve_tile_samples' validated value
-  bool gemm;                 ///< GEMM kernel on (off after an LDM downgrade)
+  bool gemm;                 ///< GEMM kernel (chain when its scratch overflows)
   std::size_t xover;         ///< hierarchical-collective crossover bytes
   util::Matrix& centroids;   ///< the one shared centroid snapshot
   std::vector<std::uint32_t>& assignments;  ///< KmeansResult::assignments
@@ -59,8 +59,12 @@ struct EngineRank {
   void record_tile(telemetry::FlightEventKind kind, std::size_t t0,
                    std::size_t t1) const;
 
-  /// Safe-radius charge (gated iterations: the pass `radius_work`
-  /// recorded, DESIGN.md §7) followed by the modeled SDC
+  /// One safe-radius pass's modeled charge (DESIGN.md §7), added to `t`:
+  /// the price a gated iteration pays and the one the iteration-0 bounds
+  /// decision weighs against the sweep.
+  void charge_radius_pass(simarch::CostTally& t) const;
+
+  /// Safe-radius charge (gated iterations) followed by the modeled SDC
   /// overhead (defense armed): ABFT checksum chains for `unresolved`
   /// swept rows at 1/8 of `sweep_row_s`, one streaming pass for the
   /// snapshot + accumulator scrubs, frame trailers and the conservation
@@ -82,13 +86,14 @@ struct EngineRank {
 
   // Bound-gated assign state: Hamerly upper/lower bounds per sample (only
   // this rank's samples are ever touched), the published per-centroid
-  // drift, the safe radii and what this iteration's radius pass executed.
-  const bool gate;
+  // drift, the safe radii and the radius pass's per-CPE work. `bounds` is
+  // decided after iteration 0 and holds for the rest of the run.
   std::vector<double> upper;
   std::vector<double> lower;
   std::vector<double> drift;
   std::vector<double> safe;
-  SafeRadiusWork radius_work;
+  const SafeRadiusWork radius_work;
+  bool bounds = true;
 
   // Kernel state: ABFT hooks (null unless the SDC defense is armed) and
   // the per-iteration ||c||^2 cache of the GEMM sweep.
@@ -100,7 +105,7 @@ struct EngineRank {
 
   // The current iteration.
   std::uint64_t global_iter = 0;
-  bool gating = false;  ///< gate on and bounds exist (not iteration 0)
+  bool gating = false;  ///< bounds kept and past iteration 0
   DriftDigest digest;
   std::span<const double> norms;
   simarch::CostTally tally;
@@ -137,7 +142,8 @@ class LevelPolicy {
 using PolicyFactory = std::function<std::unique_ptr<LevelPolicy>(EngineRank&)>;
 
 /// The engine loop. `name` labels warnings ("level1"); `initial_centroids`
-/// must be k x dataset.d() and finite (InvalidArgument otherwise).
+/// must be k x dataset.d() and finite, and so must every sample
+/// (InvalidArgument otherwise).
 KmeansResult run_engine(Level level, const char* name,
                         const data::Dataset& dataset,
                         const KmeansConfig& config,

@@ -78,10 +78,10 @@ inline constexpr std::size_t kAssignTileSamples = 256;
 /// saturate the FP pipes without spilling vector registers.
 inline constexpr std::size_t kCentroidRowBlock = 16;
 
-/// Local (distance, centroid-index) argmin record. Layout-compatible with
-/// swmpi::MinLoc so Level 3 can hand a tile of these straight to the
-/// batched allreduce; the tile kernels are templated so serial callers do
-/// not need the swmpi headers.
+/// Local (distance, centroid-index) argmin record: the serial baselines'
+/// tile record (the engines score TileScore2 / swmpi::MinLoc2). The tile
+/// kernels are templated over both widths so serial callers do not need
+/// the swmpi headers.
 struct TileScore {
   double value = 0;
   std::uint64_t index = 0;
@@ -428,9 +428,9 @@ inline double row_squared_norm(std::span<const float> c) {
 /// computed from the *stored float positions* (see apply_update_rows), so
 /// drift[j] == 0 implies every coordinate's double diff was exactly 0.0 —
 /// i.e. the stored bits are unchanged up to -0.0 vs +0.0, whose squares
-/// are the same +0.0 — and the cached norm is still bit-exact. Gated runs
-/// therefore refresh only the drifted rows; ungated runs (no drift
-/// published) recompute every norm each iteration.
+/// are the same +0.0 — and the cached norm is still bit-exact. Gated
+/// iterations therefore refresh only the drifted rows; iteration 0 and
+/// bounds-off runs recompute every norm.
 struct CentroidNormCache {
   std::vector<double> norms;
   bool valid = false;
@@ -814,10 +814,10 @@ struct SafeRadiusPartition {
   std::vector<bool> opens_block;     ///< row is the first of its LDM block
 };
 
-/// What one CG's safe-radius pass executed: the inputs of its modeled
-/// charge (EngineRank::charge_gate_and_sdc).
+/// What one CG's safe-radius pass executes: the inputs of its modeled
+/// charge (EngineRank::charge_radius_pass).
 struct SafeRadiusWork {
-  std::vector<std::uint64_t> cpe_pairs;  ///< pairs each CPE scored
+  std::vector<std::uint64_t> cpe_pairs;  ///< pairs each CPE scores
   /// Centroid rows the CPEs read from DDR: each row once into its owner,
   /// plus, per LDM block, every row paired with the block's lowest row
   /// (the union of the rows the block needs).
@@ -830,6 +830,24 @@ struct SafeRadiusWork {
   }
 };
 
+/// The pass's work under SafeRadiusPartition. It depends only on k, the
+/// CPE count and the LDM block, not on the centroids, so an engine prices
+/// the pass before running it. Row a scores its k-1-a pairs b > a; each
+/// row with a partner lands once, and a row that opens a block streams
+/// its partners too.
+inline SafeRadiusWork safe_radius_work(std::size_t k, std::size_t cpes,
+                                       std::size_t block_rows) {
+  const SafeRadiusPartition partition(k, cpes, block_rows);
+  SafeRadiusWork work;
+  work.cpe_pairs.assign(cpes, 0);
+  for (std::size_t a = 0; a + 1 < k; ++a) {
+    const std::size_t pairs = k - 1 - a;
+    work.cpe_pairs[partition.owner[a]] += pairs;
+    work.streamed_rows += 1 + (partition.opens_block[a] ? pairs : 0);
+  }
+  return work;
+}
+
 /// Half the distance from each centroid to its nearest other centroid —
 /// Hamerly's "safe radius": a sample strictly closer to its centroid than
 /// this cannot have any other centroid nearer. Depends only on the shared
@@ -838,25 +856,20 @@ struct SafeRadiusWork {
 /// exchange. k == 1 leaves the single radius at +inf, like the serial
 /// baseline.
 ///
-/// The pairs are split over `cpes` CPEs by SafeRadiusPartition. The host
-/// scores them panel by panel: rows b >= 1 go into kCentroidRowBlock-wide
-/// u-major panels, each built once, and every row a < b runs `chains`
-/// against the panel, its lanes b <= a ignored. Each chain is exactly
-/// squared_distance's operation sequence, (a[u]-b[u])^2 == (b[u]-a[u])^2
-/// in IEEE, and min is exact, so `safe` is bit-identical to a scalar scan
-/// of every directed pair. A panel's distances fold into `safe` as soon
-/// as its chains finish, and the per-CPE pair and streamed-row counts are
-/// tallied as they fold.
-inline SafeRadiusWork compute_safe_radii(
-    const util::Matrix& centroids, std::vector<double>& safe,
-    std::size_t cpes, std::size_t block_rows,
-    SampleBlockFn chains = sample_block_chains) {
+/// The host scores the pairs panel by panel: rows b >= 1 go into
+/// kCentroidRowBlock-wide u-major panels, each built once, and every row
+/// a < b runs `chains` against the panel, its lanes b <= a ignored. Each
+/// chain is exactly squared_distance's operation sequence, (a[u]-b[u])^2
+/// == (b[u]-a[u])^2 in IEEE, and min is exact, so `safe` is bit-identical
+/// to a scalar scan of every directed pair. A panel's distances fold into
+/// `safe` as soon as its chains finish. The modeled machine splits the
+/// same pairs over a CG's CPEs (safe_radius_work).
+inline void compute_safe_radii(const util::Matrix& centroids,
+                               std::vector<double>& safe,
+                               SampleBlockFn chains = sample_block_chains) {
   const std::size_t k = centroids.rows();
   const std::size_t d = centroids.cols();
   safe.assign(k, std::numeric_limits<double>::max());
-  const SafeRadiusPartition partition(k, cpes, block_rows);
-  SafeRadiusWork work;
-  work.cpe_pairs.assign(cpes, 0);
   std::vector<double> panel(kCentroidRowBlock * d);
   std::vector<double> acc(kCentroidRowBlock * k);
   for (std::size_t jb = 1; jb < k; jb += kCentroidRowBlock) {
@@ -890,25 +903,8 @@ inline SafeRadiusWork compute_safe_radii(
         safe[a] = std::min(safe[a], half);
         safe[jb + jj] = std::min(safe[jb + jj], half);
       }
-      const std::size_t pairs = bw - first;
-      work.cpe_pairs[partition.owner[a]] += pairs;
-      if (a + 1 >= jb) {
-        ++work.streamed_rows;  // row a lands with its first panel
-      }
-      if (partition.opens_block[a]) {
-        work.streamed_rows += pairs;
-      }
     }
   }
-  return work;
-}
-
-/// The same radii for a caller that needs no CPE split (serial Hamerly,
-/// the benches).
-inline void compute_safe_radii(const util::Matrix& centroids,
-                               std::vector<double>& safe) {
-  compute_safe_radii(centroids, safe, 1,
-                     std::max<std::size_t>(centroids.rows(), 1));
 }
 
 /// Gate one tile of samples [t0, t1): advance each sample's Hamerly bounds

@@ -96,8 +96,10 @@ class Handoff {
   std::atomic<std::uint64_t> phase_{0};
 };
 
-/// Rejects NaN and +-inf: a non-finite sample turns its D^2 weight into
-/// NaN or inf, and the weighted pick then lands on it almost surely.
+}  // namespace
+
+namespace detail {
+
 void require_finite(const data::Dataset& dataset) {
   for (std::size_t i = 0; i < dataset.n(); ++i) {
     const auto x = dataset.sample(i);
@@ -115,10 +117,6 @@ void require_finite(const data::Dataset& dataset) {
     }
   }
 }
-
-}  // namespace
-
-namespace detail {
 
 util::Matrix init_plus_plus(const data::Dataset& dataset, std::size_t k,
                             std::uint64_t seed, std::size_t threads) {
@@ -227,7 +225,7 @@ util::Matrix init_centroids(const data::Dataset& dataset,
   SWHKM_REQUIRE(config.k > 0, "k must be positive");
   SWHKM_REQUIRE(config.k <= dataset.n(),
                 "cannot seed more centroids than samples");
-  require_finite(dataset);
+  detail::require_finite(dataset);
   switch (config.init) {
     case InitMethod::kFirstK:
       return init_first_k(dataset, config.k);

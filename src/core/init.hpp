@@ -16,6 +16,13 @@ util::Matrix init_centroids(const data::Dataset& dataset,
 
 namespace detail {
 
+/// Throws InvalidArgument naming the row and column of the first NaN or
+/// infinity among the samples. Seeding needs it (a non-finite sample's
+/// D^2 weight is NaN or inf, and the weighted pick then lands on it almost
+/// surely), and so do the engines, which take caller-supplied centroids
+/// and never see init_centroids.
+void require_finite(const data::Dataset& dataset);
+
 /// The k-means++ path of init_centroids with its distance sweep split over
 /// `threads` host threads (init_centroids sizes the team from n * d and the
 /// host). The result is byte-identical for every `threads` >= 1.

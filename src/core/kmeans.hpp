@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/accel_stats.hpp"
@@ -62,21 +63,9 @@ struct KmeansConfig {
   /// machine by the planner (resolve_tile_samples); serial baselines keep
   /// the static kAssignTileSamples default and ignore this field.
   std::size_t tile_samples = 256;
-  /// Bound-gated assign phase: maintain per-sample Hamerly bounds and skip
-  /// the distance sweep + collective for samples provably still assigned
-  /// to their centroid. Exact — trajectories stay bit-identical to serial
-  /// Lloyd; off reproduces the seed engines' every-sample sweep.
-  bool gate_assign = true;
-  /// GEMM-formulated survivor sweep: score unresolved tiles through the
-  /// ||x||^2 + ||c||^2 - 2 X C^T panel product with per-iteration cached
-  /// centroid norms, exact top-two rescore of each row's tau-bounded
-  /// candidate set. Exact — records are byte-identical to the multi-chain
-  /// kernel and serial Lloyd (see engine_util.hpp); off restores the
-  /// multi-chain (x-c)^2 kernel and its cost model.
-  bool gemm_assign = true;
   /// s-step deferred reduction (Level 3 only — the other levels resolve
   /// tiles on the register bus, not the network): fold this many
-  /// consecutive tiles' MinLoc/MinLoc2 partials locally and ride them on
+  /// consecutive tiles' MinLoc2 partials locally and ride them on
   /// one split-phase combine, cutting per-iteration collective *rounds* by
   /// the same factor while bytes stay put. Any value is bit-identical (the
   /// combine stays element-wise over disjoint sample ranges); the record
@@ -196,9 +185,17 @@ struct KmeansResult {
   /// zero for the serial baseline).
   std::vector<IterationStats> history;
   /// Distance-evaluation ledger of the bound-gated assign phase (zero for
-  /// the serial Lloyd baseline; engines fill it whether gating is on or
-  /// off, so savings() reads 0 for an ungated run).
+  /// the serial Lloyd baseline; savings() reads 0 for an engine run whose
+  /// bounds stayed off).
   AccelStats accel;
+  /// What the engine resolved (empty / false for the serial baselines):
+  /// the assign kernel that ran, "gemm" or "chain" (the chain kernel when
+  /// the GEMM scratch does not fit the LDM), and whether the Hamerly
+  /// bounds ran from iteration 1 on — the engine turns them off when one
+  /// safe-radius pass costs more than iteration 0's whole distance sweep
+  /// (DESIGN.md §7).
+  std::string assign_kernel;
+  bool bound_gate = false;
 };
 
 }  // namespace swhkm::core

@@ -100,12 +100,12 @@ class Level2Policy final : public detail::LevelPolicy {
     // Per-sample argmin combine on the register buses (groups of a CG run
     // in parallel; charge the busiest group), compacted to the unresolved
     // samples, then the same-slice CPEs' reduce across the CG's groups.
-    // Gated runs combine the 24-byte top-two record (the runner-up must
-    // survive the slice combine to seed the lower bound); ungated runs
-    // keep the seed's 16-byte argmin. Each tightening distance is one
-    // double broadcast from the slice owner over the same bus.
+    // The combine carries the 24-byte top-two record (the runner-up must
+    // survive the slice combine to seed the lower bound). Each tightening
+    // distance is one double broadcast from the slice owner over the same
+    // bus.
     simarch::RegComm reg(machine, tally);
-    reg.account_allreduce(rank.gate ? 24 : 16, g, max_group_unresolved_);
+    reg.account_allreduce(24, g, max_group_unresolved_);
     reg.account_allreduce(8, g, max_group_tightened_);
     reg.account_allreduce(k_local * d * eb, machine.cpes_per_cg / g);
   }

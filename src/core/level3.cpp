@@ -20,7 +20,7 @@ namespace {
 /// wall-clock synchronisation is batched. The winner's slice owner
 /// accumulates, in ascending-i order — resolved samples under their
 /// stored assignment — so the fused sums keep the exact summation order
-/// of the ungated sweep.
+/// of a full sweep.
 class Level3Policy final : public detail::LevelPolicy {
  public:
   explicit Level3Policy(detail::EngineRank& rank)
@@ -37,35 +37,25 @@ class Level3Policy final : public detail::LevelPolicy {
     // hierarchical charge's size-adaptive stage always lands on the
     // binomial tree (and degenerates to the exact flat charge whenever the
     // group sits inside one supernode — every group at paper placements).
-    // Gated tiles carry MinLoc2 records — 8 bytes per sample more than the
-    // plain argmin, the price of the exact global runner-up distance.
-    const bool hier = run.config.hier_collectives;
-    group_charge_ =
-        run.topo.hier_allreduce_charge(16, group_ * p_, p_, run.xover);
-    group_combine_time_ = hier ? group_charge_.seconds
-                               : run.topo.allreduce_time(16, group_ * p_, p_);
-    group_charge2_ = run.topo.hier_allreduce_charge(
+    // Records are MinLoc2 — 8 bytes per sample more than a plain argmin,
+    // the price of the exact global runner-up distance.
+    group_charge_ = run.topo.hier_allreduce_charge(
         sizeof(swmpi::MinLoc2), group_ * p_, p_, run.xover);
-    group_combine_time2_ =
-        hier ? group_charge2_.seconds
-             : run.topo.allreduce_time(sizeof(swmpi::MinLoc2), group_ * p_,
-                                       p_);
+    group_combine_time_ =
+        run.config.hier_collectives
+            ? group_charge_.seconds
+            : run.topo.allreduce_time(sizeof(swmpi::MinLoc2), group_ * p_,
+                                      p_);
     for (SpanSlot& s : slots_) {
-      if (rank.gate) {
-        s.dc2.reserve(span_samples_);
-        s.ids.reserve(span_samples_);
-      } else {
-        s.dc1.reserve(span_samples_);
-      }
+      s.dc.reserve(span_samples_);
+      s.ids.reserve(span_samples_);
     }
     // Every rank of the group keeps a *private* replica of the group's
     // assignments for the gate: its inputs (combined MinLoc2 records,
     // published drift) are replicated bit-identically, so the replicas
     // never diverge, every rank computes the same tile compaction with no
     // extra exchange, and no rank reads a vector another rank writes.
-    if (rank.gate) {
-      local_assign_.assign(run.dataset.n(), 0);
-    }
+    local_assign_.assign(run.dataset.n(), 0);
   }
 
   detail::AssignSweep sweep(detail::EngineRank& rank) override {
@@ -107,16 +97,14 @@ class Level3Policy final : public detail::LevelPolicy {
     const std::size_t eb = machine.elem_bytes;
     const std::size_t k_local = run.plan.k_local;
     const std::size_t d_local = run.plan.d_local;
-    const bool gate = rank.gate;
     simarch::CostTally& tally = rank.tally;
     // DMA: unresolved samples stream into every CG of the group; a
     // resolved sample is read only by the CG owning its assigned slice
     // (for the accumulator).
-    const std::uint64_t streamed =
-        gate ? unresolved_ + owned_resolved_ : count_;
+    const std::uint64_t streamed = unresolved_ + owned_resolved_;
     detail::charge_sample_stream(tally, machine, streamed * d * eb, streamed);
     const double centroid_stream_before = tally.centroid_stream_s;
-    if (!gate || unresolved_ > 0) {
+    if (unresolved_ > 0) {
       detail::charge_centroid_traffic(tally, machine, run.plan, unresolved_);
     }
     const double tile_dma_s =
@@ -146,19 +134,14 @@ class Level3Policy final : public detail::LevelPolicy {
     simarch::RegComm reg(machine, tally);
     reg.account_allreduce(k_local * eb, machine.cpes_per_cg, unresolved_);
     const double tile_net_s =
-        static_cast<double>(unresolved_) *
-        (gate ? group_combine_time2_ : group_combine_time_);
+        static_cast<double>(unresolved_) * group_combine_time_;
     tally.net_comm_s += tile_net_s;
-    tally.net_bytes +=
-        unresolved_ *
-        (gate ? sizeof(swmpi::MinLoc2) : sizeof(swmpi::MinLoc)) * (p_ - 1);
+    tally.net_bytes += unresolved_ * sizeof(swmpi::MinLoc2) * (p_ - 1);
     if (run.config.hier_collectives) {
-      const simarch::CollectiveCharge& gc =
-          gate ? group_charge2_ : group_charge_;
-      tally.net_crossing_bytes += unresolved_ * gc.crossing_bytes;
+      tally.net_crossing_bytes += unresolved_ * group_charge_.crossing_bytes;
       if (rank.cg == 0 && p_ > 1 && unresolved_ > 0) {
-        detail::tick_collective_charge(rank.tshard,
-                                       "sim.collective.group_argmin", gc);
+        detail::tick_collective_charge(
+            rank.tshard, "sim.collective.group_argmin", group_charge_);
       }
     }
 
@@ -190,38 +173,20 @@ class Level3Policy final : public detail::LevelPolicy {
   /// Double-buffered span slots: span t+1 is gated and scored (one
   /// deferred-combine launch) while span t's combine drains. Two slots is
   /// exactly the depth the overlap needs.
+  using Combine =
+      swmpi::DeferredCombine<swmpi::MinLoc2, swmpi::CombineMinLoc2>;
   struct SpanSlot {
     std::size_t t0 = 0;
     std::size_t t1 = 0;
     bool valid = false;
     std::vector<std::uint32_t> ids;
-    swmpi::DeferredCombine<swmpi::MinLoc, swmpi::ops::Min> dc1;
-    swmpi::DeferredCombine<swmpi::MinLoc2, swmpi::CombineMinLoc2> dc2;
+    Combine dc;
   };
 
-  /// Score this CG's slice for samples [i0, i1) into `scores`.
-  template <typename MinLocT>
-  void score_range(const detail::EngineRank& rank, std::size_t i0,
-                   std::size_t i1, std::span<MinLocT> scores) const {
-    detail::clear_scores(scores);
-    const detail::EngineRun& run = rank.run;
-    if (j_begin_ >= j_end_) {
-      return;
-    }
-    if (run.gemm) {
-      detail::score_tile_gemm(run.dataset, i0, i1, run.centroids, rank.norms,
-                              j_begin_, j_end_, scores, rank.gemm_hooks);
-    } else {
-      detail::score_tile(run.dataset, i0, i1, run.centroids, j_begin_, j_end_,
-                         scores);
-    }
-  }
-
   /// Score this CG's slice for the samples `ids` into `scores`.
-  template <typename MinLocT>
   void score_ids(const detail::EngineRank& rank,
                  std::span<const std::uint32_t> ids,
-                 std::span<MinLocT> scores) const {
+                 std::span<swmpi::MinLoc2> scores) const {
     detail::clear_scores(scores);
     const detail::EngineRun& run = rank.run;
     if (j_begin_ >= j_end_) {
@@ -249,19 +214,8 @@ class Level3Policy final : public detail::LevelPolicy {
     s.t1 = t1;
     s.valid = true;
     rank.record_tile(telemetry::FlightEventKind::kTileStart, t0, t1);
-    if (!rank.gate) {
-      s.dc1.reset();
-      for (std::size_t sub0 = t0; sub0 < t1; sub0 += tile) {
-        const std::size_t sub1 = std::min(t1, sub0 + tile);
-        score_range(rank, sub0, sub1, s.dc1.claim(sub1 - sub0));
-      }
-      if (s.dc1.launch(group_comm_, swmpi::ops::Min{}) && p_ > 1) {
-        rank.tally.net_rounds += 1;
-      }
-      return;
-    }
     s.ids.clear();
-    s.dc2.reset();
+    s.dc.reset();
     for (std::size_t sub0 = t0; sub0 < t1; sub0 += tile) {
       const std::size_t sub1 = std::min(t1, sub0 + tile);
       const std::size_t before = s.ids.size();
@@ -287,17 +241,16 @@ class Level3Policy final : public detail::LevelPolicy {
       }
       score_ids(rank,
                 std::span<const std::uint32_t>(s.ids.data() + before, fresh),
-                s.dc2.claim(fresh));
+                s.dc.claim(fresh));
     }
     // A fully-gated span claimed nothing: launch() skips the collective
     // and no round is charged.
-    if (s.dc2.launch(group_comm_, swmpi::CombineMinLoc2{}) && p_ > 1) {
+    if (s.dc.launch(group_comm_, swmpi::CombineMinLoc2{}) && p_ > 1) {
       rank.tally.net_rounds += 1;
     }
   }
 
   /// Drain a span's combine, timing the wait for the combine_drain span.
-  template <typename Combine>
   void drain(const detail::EngineRank& rank, Combine& dc) {
     if (!dc.active()) {
       return;
@@ -317,47 +270,31 @@ class Level3Policy final : public detail::LevelPolicy {
   void retire(detail::EngineRank& rank, SpanSlot& s) {
     const data::Dataset& dataset = rank.run.dataset;
     std::vector<std::uint32_t>& assignments = rank.run.assignments;
-    if (!rank.gate) {
-      drain(rank, s.dc1);
-      const std::span<const swmpi::MinLoc> scores = s.dc1.records();
-      for (std::size_t i = s.t0; i < s.t1; ++i) {
-        const auto winner =
-            static_cast<std::uint32_t>(scores[i - s.t0].index);
-        if (winner >= j_begin_ && winner < j_end_) {
-          rank.acc.add_sample(winner, dataset.sample(i));
-        }
+    drain(rank, s.dc);
+    const std::span<const swmpi::MinLoc2> scores = s.dc.records();
+    std::size_t pos = 0;
+    for (std::size_t i = s.t0; i < s.t1; ++i) {
+      std::uint32_t winner;
+      if (pos < s.ids.size() && s.ids[pos] == i) {
+        const swmpi::MinLoc2& rec = scores[pos];
+        winner = static_cast<std::uint32_t>(rec.index);
+        local_assign_[i] = winner;
+        detail::refresh_bounds(rec, rank.upper[i], rank.lower[i]);
         if (within_ == 0) {
           assignments[i] = winner;
         }
-      }
-      unresolved_ += s.t1 - s.t0;
-    } else {
-      drain(rank, s.dc2);
-      const std::span<const swmpi::MinLoc2> scores = s.dc2.records();
-      std::size_t pos = 0;
-      for (std::size_t i = s.t0; i < s.t1; ++i) {
-        std::uint32_t winner;
-        if (pos < s.ids.size() && s.ids[pos] == i) {
-          const swmpi::MinLoc2& rec = scores[pos];
-          winner = static_cast<std::uint32_t>(rec.index);
-          local_assign_[i] = winner;
-          detail::refresh_bounds(rec, rank.upper[i], rank.lower[i]);
-          if (within_ == 0) {
-            assignments[i] = winner;
-          }
-          ++pos;
-        } else {
-          winner = local_assign_[i];
-          if (winner >= j_begin_ && winner < j_end_) {
-            ++owned_resolved_;
-          }
-        }
+        ++pos;
+      } else {
+        winner = local_assign_[i];
         if (winner >= j_begin_ && winner < j_end_) {
-          rank.acc.add_sample(winner, dataset.sample(i));
+          ++owned_resolved_;
         }
       }
-      unresolved_ += s.ids.size();
+      if (winner >= j_begin_ && winner < j_end_) {
+        rank.acc.add_sample(winner, dataset.sample(i));
+      }
     }
+    unresolved_ += s.ids.size();
     s.valid = false;
     rank.record_tile(telemetry::FlightEventKind::kTileEnd, s.t0, s.t1);
   }
@@ -370,9 +307,7 @@ class Level3Policy final : public detail::LevelPolicy {
   const std::size_t j_end_;
   const std::size_t span_samples_;  ///< tiles per deferred combine x tile
   simarch::CollectiveCharge group_charge_;
-  simarch::CollectiveCharge group_charge2_;
   double group_combine_time_ = 0;
-  double group_combine_time2_ = 0;
   SpanSlot slots_[2];
   std::vector<std::uint32_t> local_assign_;
 

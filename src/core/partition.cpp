@@ -457,7 +457,7 @@ std::string PartitionPlan::describe() const {
 std::size_t resolve_tile_samples(std::size_t requested,
                                  const PartitionPlan& plan,
                                  const simarch::MachineConfig& machine,
-                                 std::size_t sstep_tiles, bool gemm_assign) {
+                                 std::size_t sstep_tiles, bool gemm) {
   constexpr std::size_t kScoreBytes = 24;  // sizeof(swmpi::MinLoc2)
   if (sstep_tiles == 0) {
     throw InfeasibleError(
@@ -470,9 +470,9 @@ std::size_t resolve_tile_samples(std::size_t requested,
       plan.level == Level::kLevel3 ? sstep_tiles : 1;
   const std::size_t record_bytes = requested * kScoreBytes * live_tiles;
   const std::size_t gemm_bytes =
-      gemm_assign ? requested * kGemmSampleScratchBytes +
-                        static_cast<std::size_t>(plan.k_local) * sizeof(double)
-                  : 0;
+      gemm ? requested * kGemmSampleScratchBytes +
+                 static_cast<std::size_t>(plan.k_local) * sizeof(double)
+           : 0;
   const std::size_t need = record_bytes + gemm_bytes;
   const std::size_t budget = plan.cpes_per_cg * machine.ldm_bytes;
   if (requested == 0 || need > budget) {

@@ -125,7 +125,7 @@ std::size_t resolve_tile_samples(std::size_t requested,
                                  const PartitionPlan& plan,
                                  const simarch::MachineConfig& machine,
                                  std::size_t sstep_tiles = 1,
-                                 bool gemm_assign = true);
+                                 bool gemm = true);
 
 /// Whether the GEMM sweep's candidate/norm scratch fits in LDM alongside
 /// the tile's records. The GEMM kernel is an optimisation with

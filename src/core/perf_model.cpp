@@ -322,8 +322,8 @@ CostTally sdc_defense_overhead(const PartitionPlan& plan,
   // ABFT checksum chains: 1/8 of the level's assign-sweep compute, and the
   // per-rank scrub footprint (the full snapshot plus this rank's (sums,
   // counts) accumulator) streamed once — the same shapes the engines
-  // charge, with the ungated full sweep standing in for the engines'
-  // per-iteration unresolved count.
+  // charge, with a full sweep of every sample standing in for the
+  // engines' per-iteration unresolved count.
   double sweep_s = 0;
   std::size_t accum_bytes = 0;
   switch (plan.level) {

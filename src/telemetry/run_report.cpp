@@ -28,6 +28,8 @@ void RunReport::set_result(const core::KmeansResult& result) {
   empty_clusters = result.empty_clusters;
   inertia = result.inertia;
   history = result.history;
+  assign_kernel = result.assign_kernel;
+  bound_gate = result.bound_gate;
 }
 
 void RunReport::write_json(std::ostream& out) const {
@@ -49,9 +51,11 @@ void RunReport::write_json(std::ostream& out) const {
   w.kv("init", init_name(config.init));
   w.kv("seed", config.seed);
   w.kv("tile_samples", static_cast<std::uint64_t>(config.tile_samples));
-  w.kv("gate_assign", config.gate_assign);
-  w.kv("gemm_assign", config.gemm_assign);
   w.kv("sstep_tiles", static_cast<std::uint64_t>(config.sstep_tiles));
+  w.kv("hier_collectives", config.hier_collectives);
+  w.kv("sdc_checks", config.sdc_checks);
+  w.kv("assign_kernel", std::string_view(assign_kernel));
+  w.kv("bound_gate", bound_gate);
   w.kv("iteration_base", static_cast<std::uint64_t>(config.iteration_base));
   w.kv("checkpoint_every",
        static_cast<std::uint64_t>(config.checkpoint_every));

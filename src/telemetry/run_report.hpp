@@ -27,6 +27,10 @@ struct RunReport {
   core::KmeansConfig config;       ///< pointers inside are not serialized
   std::string machine_summary;     ///< simarch::MachineConfig::summary()
   std::string plan_summary;        ///< core::PartitionPlan::describe()
+  /// What the engine resolved (KmeansResult::assign_kernel, bound_gate),
+  /// written into the "config" section next to the requested fields.
+  std::string assign_kernel;
+  bool bound_gate = false;
 
   // Outcome.
   std::size_t iterations = 0;

@@ -30,6 +30,23 @@ void expect_matches_serial(Level level, const data::Dataset& ds,
       << level_name(level);
 }
 
+/// Run `level`'s engine directly on caller-supplied centroids.
+KmeansResult run_with_centroids(Level level, const data::Dataset& ds,
+                                const KmeansConfig& config,
+                                const MachineConfig& machine,
+                                const PartitionPlan& plan,
+                                util::Matrix centroids) {
+  switch (level) {
+    case Level::kLevel1:
+      return run_level1(ds, config, machine, plan, std::move(centroids));
+    case Level::kLevel2:
+      return run_level2(ds, config, machine, plan, std::move(centroids));
+    case Level::kLevel3:
+      return run_level3(ds, config, machine, plan, std::move(centroids));
+  }
+  return {};
+}
+
 class EngineLevelTest : public ::testing::TestWithParam<Level> {};
 
 TEST_P(EngineLevelTest, MatchesSerialOnBlobs) {
@@ -135,19 +152,14 @@ TEST_P(EngineLevelTest, PipelinedTilesMatchSerialAndHideTraffic) {
   config.max_iterations = 10;
   config.tile_samples = 8;  // force several tiles per worker at every level
   const KmeansResult ref = lloyd_serial(ds, config);
-  for (const bool gate : {false, true}) {
-    config.gate_assign = gate;
-    const KmeansResult got = run_level(GetParam(), ds, config, machine);
-    ASSERT_EQ(got.iterations, ref.iterations) << "gate=" << gate;
-    EXPECT_EQ(got.assignments, ref.assignments) << "gate=" << gate;
-    ASSERT_EQ(got.centroids.size(), ref.centroids.size());
-    EXPECT_EQ(std::memcmp(got.centroids.data(), ref.centroids.data(),
-                          got.centroids.size() * sizeof(float)),
-              0)
-        << "gate=" << gate;
-    EXPECT_GT(got.cost.overlapped_dma_s + got.cost.overlapped_net_s, 0.0)
-        << "gate=" << gate;
-  }
+  const KmeansResult got = run_level(GetParam(), ds, config, machine);
+  ASSERT_EQ(got.iterations, ref.iterations);
+  EXPECT_EQ(got.assignments, ref.assignments);
+  ASSERT_EQ(got.centroids.size(), ref.centroids.size());
+  EXPECT_EQ(std::memcmp(got.centroids.data(), ref.centroids.data(),
+                        got.centroids.size() * sizeof(float)),
+            0);
+  EXPECT_GT(got.cost.overlapped_dma_s + got.cost.overlapped_net_s, 0.0);
 }
 
 TEST_P(EngineLevelTest, FlopAccountingMatches2nkd) {
@@ -171,24 +183,9 @@ TEST_P(EngineLevelTest, WrongPlanLevelRejected) {
   const Level other = GetParam() == Level::kLevel1 ? Level::kLevel2
                                                    : Level::kLevel1;
   const PartitionPlan plan = make_plan(other, shape, machine);
-  util::Matrix centroids(2, 2);
-  switch (GetParam()) {
-    case Level::kLevel1:
-      EXPECT_THROW(
-          run_level1(ds, config, machine, plan, std::move(centroids)),
-          swhkm::InvalidArgument);
-      break;
-    case Level::kLevel2:
-      EXPECT_THROW(
-          run_level2(ds, config, machine, plan, std::move(centroids)),
-          swhkm::InvalidArgument);
-      break;
-    case Level::kLevel3:
-      EXPECT_THROW(
-          run_level3(ds, config, machine, plan, std::move(centroids)),
-          swhkm::InvalidArgument);
-      break;
-  }
+  EXPECT_THROW(run_with_centroids(GetParam(), ds, config, machine, plan,
+                                  util::Matrix(2, 2)),
+               swhkm::InvalidArgument);
 }
 
 TEST_P(EngineLevelTest, InitialCentroidsValidatedAtEntry) {
@@ -204,17 +201,8 @@ TEST_P(EngineLevelTest, InitialCentroidsValidatedAtEntry) {
   const auto expect_rejected = [&](util::Matrix centroids,
                                    const std::string& needle) {
     try {
-      switch (GetParam()) {
-        case Level::kLevel1:
-          run_level1(ds, config, machine, plan, std::move(centroids));
-          break;
-        case Level::kLevel2:
-          run_level2(ds, config, machine, plan, std::move(centroids));
-          break;
-        case Level::kLevel3:
-          run_level3(ds, config, machine, plan, std::move(centroids));
-          break;
-      }
+      (void)run_with_centroids(GetParam(), ds, config, machine, plan,
+                               std::move(centroids));
       ADD_FAILURE() << "accepted centroids that should fail: " << needle;
     } catch (const swhkm::InvalidArgument& e) {
       EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
@@ -230,6 +218,37 @@ TEST_P(EngineLevelTest, InitialCentroidsValidatedAtEntry) {
     util::Matrix centroids(4, 3);
     centroids.row(2)[1] = bad;
     expect_rejected(std::move(centroids), "row 2 column 1 is not finite");
+  }
+}
+
+TEST_P(EngineLevelTest, NonFiniteSamplesRejectedAtEntry) {
+  // Finite caller-supplied centroids skip init_centroids, and with it the
+  // sample check: a NaN or +Inf sample's record keeps its sentinel index,
+  // which would index past the update accumulator. The engine entry
+  // rejects it by row and column instead.
+  const MachineConfig machine = MachineConfig::tiny(1, 4, 8192);
+  KmeansConfig config;
+  config.k = 4;
+  const PartitionPlan plan =
+      make_plan(GetParam(), ProblemShape{64, 4, 3}, machine);
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity()}) {
+    util::Matrix samples = data::make_uniform(64, 3, 4).samples();
+    samples.row(37)[2] = bad;
+    const data::Dataset ds("non-finite", std::move(samples));
+    util::Matrix centroids(4, 3);
+    for (std::size_t j = 0; j < 4; ++j) {
+      centroids.row(j)[0] = static_cast<float>(j);
+    }
+    try {
+      (void)run_with_centroids(GetParam(), ds, config, machine, plan,
+                               std::move(centroids));
+      ADD_FAILURE() << "accepted a non-finite sample (" << bad << ")";
+    } catch (const swhkm::InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("row 37 column 2 is not finite"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 
@@ -288,24 +307,23 @@ TEST(Level3, KSmallerThanGroupLeavesIdleSliceHolders) {
 TEST(Level3, TilePipelineCutsModeledNetShareAtLeastTwofold) {
   // High-d shape on purpose: the MinLoc2 combine carries 24 bytes per
   // sample regardless of d, while the sweep that hides it grows with d*k.
-  // m'_group = 4 makes every tile's combine a real 4-way allreduce and
-  // 64-sample tiles give each rank a deep pipeline. The chain kernel is
-  // pinned because the faster modeled GEMM sweep shrinks the compute
-  // window that hides the combine. The no-overlap
-  // baseline is a cost function of the same run: adding the seconds the
-  // pipeline hid back into the net and total ledgers gives the strictly
-  // sequential model's net share.
+  // m'_group = 4 makes every tile's combine a real 4-way allreduce, and
+  // iteration 0 sweeps every sample through eight 512-sample tiles. Tiles
+  // that large overflow the GEMM scratch, so the engine downgrades to the
+  // chain kernel, whose slower modeled sweep is the wider window that
+  // hides the combine. The no-overlap baseline is a cost function of the
+  // same run: adding the seconds the pipeline hid back into the net and
+  // total ledgers gives the strictly sequential model's net share.
   const MachineConfig machine = MachineConfig::tiny(2, 4, 8192);
   const data::Dataset ds = data::make_blobs(4096, 256, 8, 515);
   KmeansConfig config;
   config.k = 96;
-  config.max_iterations = 6;
+  config.max_iterations = 1;
   config.tolerance = -1;
-  config.gate_assign = false;
-  config.gemm_assign = false;
-  config.tile_samples = 64;
+  config.tile_samples = 512;
   const KmeansResult got =
       run_level(Level::kLevel3, ds, config, machine, 0, 4);
+  ASSERT_EQ(got.assign_kernel, "chain");
   const KmeansResult ref = lloyd_serial(ds, config);
   ASSERT_EQ(got.iterations, ref.iterations);
   EXPECT_EQ(got.assignments, ref.assignments);
@@ -361,16 +379,14 @@ TEST(Engines, CostTalliesScaleWithMachineShrink) {
   config.k = 4;
   config.max_iterations = 2;
   config.tolerance = -1;
-  // Ungated: the bound gate prunes this workload to zero distance work by
-  // the second iteration (compute_s == 0 on both machines), which is
+  // Iteration 0: the bound gate prunes this workload to zero distance work
+  // by the second iteration (compute_s == 0 on both machines), which is
   // covered by the gated-assign tests; this one pins the sweep scaling.
-  config.gate_assign = false;
   const KmeansResult small =
       run_level(Level::kLevel1, ds, config, MachineConfig::tiny(1, 4, 8192));
   const KmeansResult large =
       run_level(Level::kLevel1, ds, config, MachineConfig::tiny(4, 4, 8192));
-  EXPECT_GT(small.last_iteration_cost.compute_s,
-            large.last_iteration_cost.compute_s);
+  EXPECT_GT(small.history[0].compute_s, large.history[0].compute_s);
 }
 
 }  // namespace

@@ -237,12 +237,12 @@ void expect_bit_identical(const KmeansResult& got, const KmeansResult& ref,
 
 class GemmEngineTest : public ::testing::TestWithParam<Level> {};
 
-TEST_P(GemmEngineTest, BitIdenticalToSerialAcrossGateAndSstep) {
-  // The acceptance matrix: each engine level, gate on and off, s-step fold
-  // factors 1/2/4 (a Level 3 knob the other levels must ignore), all
-  // landing byte-identical to serial Lloyd. d = 13 keeps every panel
-  // unaligned; k = 17 leaves a one-row partial centroid block; tile 48
-  // leaves a ragged final tile per rank.
+TEST_P(GemmEngineTest, BitIdenticalToSerialAcrossSstep) {
+  // The acceptance matrix: each engine level, s-step fold factors 1/2/4
+  // (a Level 3 knob the other levels must ignore), all landing
+  // byte-identical to serial Lloyd. d = 13 keeps every panel unaligned;
+  // k = 17 leaves a one-row partial centroid block; tile 48 leaves a
+  // ragged final tile per rank.
   const Level level = GetParam();
   const data::Dataset ds = data::make_blobs(420, 13, 6, 77);
   KmeansConfig config;
@@ -250,19 +250,16 @@ TEST_P(GemmEngineTest, BitIdenticalToSerialAcrossGateAndSstep) {
   config.max_iterations = 14;
   const KmeansResult ref = lloyd_serial(ds, config);
   const MachineConfig machine = MachineConfig::tiny(2, 4, 8192);
-  for (const bool gate : {false, true}) {
-    for (const std::size_t sstep : {1u, 2u, 4u}) {
-      KmeansConfig cfg = config;
-      cfg.gate_assign = gate;
-      cfg.sstep_tiles = sstep;
-      cfg.tile_samples = 48;
-      const std::size_t mprime = level == Level::kLevel3 ? 2 : 0;
-      const KmeansResult got = run_level(level, ds, cfg, machine, 0, mprime);
-      expect_bit_identical(got, ref,
-                           std::string(level_name(level)) +
-                               (gate ? " gated" : " ungated") + " sstep=" +
-                               std::to_string(sstep));
-    }
+  for (const std::size_t sstep : {1u, 2u, 4u}) {
+    KmeansConfig cfg = config;
+    cfg.sstep_tiles = sstep;
+    cfg.tile_samples = 48;
+    const std::size_t mprime = level == Level::kLevel3 ? 2 : 0;
+    const KmeansResult got = run_level(level, ds, cfg, machine, 0, mprime);
+    EXPECT_EQ(got.assign_kernel, "gemm");
+    expect_bit_identical(got, ref,
+                         std::string(level_name(level)) +
+                             " sstep=" + std::to_string(sstep));
   }
 }
 
@@ -273,8 +270,9 @@ TEST_P(GemmEngineTest, GemmOffAndOnAgreeOnCoincidentSeeds) {
   // position (zero drift — its cached norm must stay bit-exact across
   // iterations) while cluster 0's mean walks away; once samples near the
   // old seed are closer to the parked centroid than to the drifted one,
-  // cluster 1 fills and both move. GEMM on, GEMM off, and serial must
-  // track this trajectory bit for bit.
+  // cluster 1 fills and both move. The GEMM kernel, the chain kernel and
+  // serial must track this trajectory bit for bit; 512-sample tiles
+  // overflow the GEMM scratch, so that run downgrades to the chain kernel.
   const std::size_t d = 2;
   std::vector<float> xs;
   auto push = [&](float a, float b) {
@@ -295,18 +293,17 @@ TEST_P(GemmEngineTest, GemmOffAndOnAgreeOnCoincidentSeeds) {
   KmeansConfig config;
   config.k = 2;
   config.max_iterations = 10;
-  config.gate_assign = true;
   const KmeansResult ref = lloyd_serial(ds, config);
   const MachineConfig machine = MachineConfig::tiny(2, 4, 8192);
-  KmeansConfig gemm_cfg = config;
-  gemm_cfg.gemm_assign = true;
   KmeansConfig chain_cfg = config;
-  chain_cfg.gemm_assign = false;
+  chain_cfg.tile_samples = 512;
   const std::size_t mprime = GetParam() == Level::kLevel3 ? 2 : 0;
   const KmeansResult gemm_run =
-      run_level(GetParam(), ds, gemm_cfg, machine, 0, mprime);
+      run_level(GetParam(), ds, config, machine, 0, mprime);
   const KmeansResult chain_run =
       run_level(GetParam(), ds, chain_cfg, machine, 0, mprime);
+  ASSERT_EQ(gemm_run.assign_kernel, "gemm");
+  ASSERT_EQ(chain_run.assign_kernel, "chain");
   expect_bit_identical(gemm_run, ref, "gemm");
   expect_bit_identical(chain_run, ref, "chain");
   // The trajectory must actually exercise the regression: cluster 1 ends
@@ -331,18 +328,18 @@ INSTANTIATE_TEST_SUITE_P(AllLevels, GemmEngineTest,
                          });
 
 TEST(GemmEngine, SstepCutsCollectiveRoundsByTheFoldFactor) {
-  // Fixed-iteration ungated Level 3 runs: per iteration the assign phase
-  // posts one combine per span, so s = 4 must cut assign-phase rounds by
-  // exactly 4 while staying byte-identical. tiny(2, 4) has 8 CGs; p = 2
-  // makes 4 slice groups of 256 samples each -> 4 tiles of 64 per
-  // iteration, folding into exactly 1 span at s = 4.
+  // Fixed-iteration Level 3 runs: iteration 0 sweeps every sample and
+  // posts one combine per span, so s = 4 must cut its assign-phase rounds
+  // by exactly 4 while the runs stay byte-identical. tiny(2, 4) has 8
+  // CGs; p = 2 makes 4 slice groups of 256 samples each -> 4 tiles of 64
+  // per iteration, folding into exactly 1 span at s = 4. (Later
+  // iterations gate, and a fully gated span posts no combine.)
   const data::Dataset ds = data::make_blobs(1024, 8, 4, 31);
   const MachineConfig machine = MachineConfig::tiny(2, 4, 8192);
   KmeansConfig base;
   base.k = 6;
   base.max_iterations = 5;
   base.tolerance = -1;  // fixed length
-  base.gate_assign = false;
   base.tile_samples = 64;
   KmeansConfig s1 = base;
   s1.sstep_tiles = 1;
@@ -352,14 +349,12 @@ TEST(GemmEngine, SstepCutsCollectiveRoundsByTheFoldFactor) {
   const KmeansResult r4 = run_level(Level::kLevel3, ds, s4, machine, 0, 2);
   expect_bit_identical(r4, r1, "sstep4 vs sstep1");
   ASSERT_EQ(r1.history.size(), r4.history.size());
-  for (std::size_t t = 0; t < r1.history.size(); ++t) {
-    // Each iteration: 2 update rounds + assign rounds; the assign part
-    // folds by exactly 4 (256 samples/rank / 64 per tile = 4 tiles).
-    const std::uint64_t assign1 = r1.history[t].net_rounds - 2;
-    const std::uint64_t assign4 = r4.history[t].net_rounds - 2;
-    EXPECT_EQ(assign1, 4u * assign4) << "iteration " << t;
-    EXPECT_GT(assign4, 0u) << "iteration " << t;
-  }
+  // 2 update rounds + assign rounds; the assign part folds by exactly 4
+  // (256 samples/rank / 64 per tile = 4 tiles).
+  const std::uint64_t assign1 = r1.history[0].net_rounds - 2;
+  const std::uint64_t assign4 = r4.history[0].net_rounds - 2;
+  EXPECT_EQ(assign1, 4u * assign4);
+  EXPECT_GT(assign4, 0u);
 }
 
 }  // namespace

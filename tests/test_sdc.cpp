@@ -238,21 +238,23 @@ TEST_P(SdcEngineMatrix, MemoryFlipsAreDetectedNeverAbsorbed) {
   const Level level = GetParam();
   const MachineConfig machine = MachineConfig::tiny(2, 4, 8192);
   const data::Dataset ds = data::make_blobs(160, 6, 4, 11);
-  KmeansConfig config = sdc_config();
-  config.gate_assign = false;  // every iteration builds GEMM panels
+  const KmeansConfig config = sdc_config();
   const std::size_t sums_bytes = config.k * ds.d() * sizeof(double);
 
   struct FlipCase {
     const char* name;
     swmpi::MemorySite site;
     std::size_t offset;
+    std::size_t iteration;
     bool throws;  // detector escalates vs ABFT repairs in place
   };
+  // The tile-scratch flip lands in iteration 0, whose full sweep builds
+  // GEMM panels on every rank; a gated iteration may build none.
   const std::vector<FlipCase> cases = {
-      {"snapshot", swmpi::MemorySite::kSnapshot, 0, true},
-      {"tile_scratch", swmpi::MemorySite::kTileScratch, 0, false},
-      {"accum_sums", swmpi::MemorySite::kUpdateAccum, 0, true},
-      {"accum_counts", swmpi::MemorySite::kUpdateAccum, sums_bytes, true},
+      {"snapshot", swmpi::MemorySite::kSnapshot, 0, 1, true},
+      {"tile_scratch", swmpi::MemorySite::kTileScratch, 0, 0, false},
+      {"accum_sums", swmpi::MemorySite::kUpdateAccum, 0, 1, true},
+      {"accum_counts", swmpi::MemorySite::kUpdateAccum, sums_bytes, 1, true},
   };
   KmeansConfig clean = config;
   clean.sdc_checks = false;
@@ -262,7 +264,7 @@ TEST_P(SdcEngineMatrix, MemoryFlipsAreDetectedNeverAbsorbed) {
   for (const FlipCase& c : cases) {
     SCOPED_TRACE(c.name);
     swmpi::FaultPlan plan;
-    plan.flip_memory(/*rank=*/1, /*iteration=*/1, c.site, c.offset,
+    plan.flip_memory(/*rank=*/1, c.iteration, c.site, c.offset,
                      kExponentMask);
     KmeansConfig faulty = config;
     faulty.fault_plan = &plan;
@@ -382,7 +384,6 @@ TEST(SdcEngine, ArmedDefenseModeledOverheadIsBounded) {
   off.max_iterations = 10;
   off.tolerance = -1;
   off.checkpoint_every = 4;
-  off.gate_assign = false;  // every iteration builds ABFT-checked panels
   KmeansConfig on = off;
   on.sdc_checks = true;
   const KmeansResult ref =

@@ -249,8 +249,6 @@ TEST(ShardedUpdate, HierCollectivesBitIdenticalAcrossSupernodes) {
   l3_cfg.tolerance = 0;
   l3_cfg.sstep_tiles = 2;
   l3_cfg.tile_samples = 64;
-  ASSERT_TRUE(l3_cfg.gate_assign);
-  ASSERT_TRUE(l3_cfg.gemm_assign);
   constexpr std::size_t kMprime = 4;
   const KmeansResult l3_ref = lloyd_serial(blobs, l3_cfg);
   l3_cfg.hier_collectives = true;
@@ -259,6 +257,10 @@ TEST(ShardedUpdate, HierCollectivesBitIdenticalAcrossSupernodes) {
   l3_cfg.hier_collectives = false;
   const KmeansResult l3_flat =
       run_level(Level::kLevel3, blobs, l3_cfg, machine, 0, kMprime);
+  EXPECT_EQ(l3_hier.assign_kernel, "gemm");
+  EXPECT_TRUE(l3_hier.bound_gate);
+  EXPECT_EQ(l3_flat.assign_kernel, "gemm");
+  EXPECT_TRUE(l3_flat.bound_gate);
   std::uint64_t l3_crossing = 0;
   for (const IterationStats& it : l3_hier.history) {
     l3_crossing += it.net_crossing_bytes;
