@@ -305,7 +305,6 @@ KmeansResult run_engine(Level level, const char* name,
   simarch::CostTally total_cost;
   simarch::CostTally last_cost;
   std::vector<IterationStats> history;
-  bool bounds = false;
   std::size_t gated_iterations = 0;
   telemetry::Telemetry* const tel = config.telemetry;
 
@@ -332,6 +331,8 @@ KmeansResult run_engine(Level level, const char* name,
     std::uint32_t snap_crc = 0;
     bool snap_crc_valid = false;
     double rank_clock = 0;
+    double ungated_s = 0;      // iteration 0's total_s: a bounds-off price
+    double bound_savings = 0;  // running sum of (ungated_s - gated total_s)
 
     for (std::size_t iter = 0; iter < config.max_iterations; ++iter) {
       // Global iteration index: the RecoveryDriver runs this engine in
@@ -354,7 +355,7 @@ KmeansResult run_engine(Level level, const char* name,
 
       // Iteration 0 has no bounds yet — every sample sweeps (and the
       // trajectory stays exact from the very first assignment). Later
-      // iterations gate only if iteration 0 kept the bounds.
+      // iterations gate while the savings ledger keeps the bounds on.
       rank.gating = rank.bounds && iter > 0;
       rank.digest = rank.gating ? drift_digest(rank.drift) : DriftDigest{};
       if (rank.gating) {
@@ -433,11 +434,20 @@ KmeansResult run_engine(Level level, const char* name,
       rank_clock += combined.total_s();  // bulk-synchronous iteration edge
       if (iter == 0) {
         // The bounds can pay for themselves only if one safe-radius pass
-        // costs less than the whole sweep it could skip. Both numbers are
-        // replicated, so every rank decides alike with no exchange.
+        // costs less than the whole sweep it could skip. Every later
+        // bounds-off iteration prices exactly like this one.
         simarch::CostTally pass;
         rank.charge_radius_pass(pass);
         rank.bounds = pass.total_s() < combined.compute_s;
+        ungated_s = combined.total_s();
+      } else if (rank.gating) {
+        // Savings ledger: the bounds stay on while the gated iterations,
+        // summed, still beat that price. A running sum rides out one
+        // weak iteration between good ones. Every input is replicated, so
+        // every rank decides alike with no exchange; once off, the bounds
+        // stay off for the rest of the run.
+        bound_savings += ungated_s - combined.total_s();
+        rank.bounds = bound_savings > 0;
       }
       if (rank.flight != nullptr) {
         rank.flight->record(telemetry::FlightEventKind::kIterationEnd,
@@ -449,7 +459,6 @@ KmeansResult run_engine(Level level, const char* name,
         last_cost = combined;
         iterations = iter + 1;
         empty_clusters = outcome.empty_clusters;
-        bounds = rank.bounds;
         gated_iterations += rank.gating ? 1 : 0;
         history.push_back({shift, combined.total_s(),
                            static_cast<double>(combined.pruned_samples) /
@@ -458,6 +467,7 @@ KmeansResult run_engine(Level level, const char* name,
                            combined.flops, combined.net_rounds});
         history.back().net_crossing_bytes = combined.net_crossing_bytes;
         history.back().sdc_recomputed = combined.sdc_recomputed;
+        history.back().gated = rank.gating;
         fill_phase_stats(history.back(), combined);
         if (sim_net != nullptr) {
           sim_net->add(combined.net_bytes);
@@ -493,7 +503,7 @@ KmeansResult run_engine(Level level, const char* name,
   result.accel.centroid_distance_computations =
       gated_iterations * config.k * (config.k - 1) / 2;
   result.assign_kernel = gemm ? "gemm" : "chain";
-  result.bound_gate = bounds;
+  result.gated_iterations = gated_iterations;
   result.empty_clusters = empty_clusters;
   result.cost = total_cost;
   result.last_iteration_cost = last_cost;

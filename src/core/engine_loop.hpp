@@ -61,7 +61,7 @@ struct EngineRank {
 
   /// One safe-radius pass's modeled charge (DESIGN.md §7), added to `t`:
   /// the price a gated iteration pays and the one the iteration-0 bounds
-  /// decision weighs against the sweep.
+  /// check weighs against the sweep.
   void charge_radius_pass(simarch::CostTally& t) const;
 
   /// Safe-radius charge (gated iterations) followed by the modeled SDC
@@ -87,7 +87,8 @@ struct EngineRank {
   // Bound-gated assign state: Hamerly upper/lower bounds per sample (only
   // this rank's samples are ever touched), the published per-centroid
   // drift, the safe radii and the radius pass's per-CPE work. `bounds` is
-  // decided after iteration 0 and holds for the rest of the run.
+  // decided after iteration 0, re-decided after each gated iteration by the
+  // savings ledger in run_engine, and never turns back on (DESIGN.md §7).
   std::vector<double> upper;
   std::vector<double> lower;
   std::vector<double> drift;
@@ -105,7 +106,7 @@ struct EngineRank {
 
   // The current iteration.
   std::uint64_t global_iter = 0;
-  bool gating = false;  ///< bounds kept and past iteration 0
+  bool gating = false;  ///< bounds on and past iteration 0
   DriftDigest digest;
   std::span<const double> norms;
   simarch::CostTally tally;

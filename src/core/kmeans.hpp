@@ -164,6 +164,11 @@ struct IterationStats {
   double mesh_comm_s = 0;
   double net_comm_s = 0;
   double update_s = 0;
+  /// Whether this iteration ran the Hamerly bounds (the engines' gated
+  /// assign; DESIGN.md §7). False for every first iteration, for every
+  /// iteration after the engine turned the bounds off, and for the serial
+  /// baselines.
+  bool gated = false;
 };
 
 struct KmeansResult {
@@ -188,14 +193,14 @@ struct KmeansResult {
   /// the serial Lloyd baseline; savings() reads 0 for an engine run whose
   /// bounds stayed off).
   AccelStats accel;
-  /// What the engine resolved (empty / false for the serial baselines):
+  /// What the engine resolved (empty / zero for the serial baselines):
   /// the assign kernel that ran, "gemm" or "chain" (the chain kernel when
-  /// the GEMM scratch does not fit the LDM), and whether the Hamerly
-  /// bounds ran from iteration 1 on — the engine turns them off when one
-  /// safe-radius pass costs more than iteration 0's whole distance sweep
-  /// (DESIGN.md §7).
+  /// the GEMM scratch does not fit the LDM), and how many iterations ran
+  /// the Hamerly bounds — the engine keeps them on only while the gated
+  /// iterations, summed, cost less than iteration 0's bounds-off price
+  /// (DESIGN.md §7). The RecoveryDriver sums it over its legs.
   std::string assign_kernel;
-  bool bound_gate = false;
+  std::size_t gated_iterations = 0;
 };
 
 }  // namespace swhkm::core

@@ -110,6 +110,7 @@ KmeansResult RecoveryDriver::run(Level level, const data::Dataset& dataset,
   std::vector<IterationStats> history;
   simarch::CostTally total_cost;
   AccelStats accel;
+  std::size_t gated_iterations = 0;
   KmeansResult leg;
   // Failure bookkeeping for the in-flight leg: attempts burned at the
   // current topology, and the retry count / recovery wall clock to stamp
@@ -276,6 +277,7 @@ KmeansResult RecoveryDriver::run(Level level, const data::Dataset& dataset,
     accel.lloyd_equivalent += leg.accel.lloyd_equivalent;
     accel.centroid_distance_computations +=
         leg.accel.centroid_distance_computations;
+    gated_iterations += leg.gated_iterations;
     if (!leg.history.empty() && retries_pending > 0) {
       leg.history.front().retries = retries_pending;
       leg.history.front().recover_s = recover_pending_s;
@@ -312,6 +314,7 @@ KmeansResult RecoveryDriver::run(Level level, const data::Dataset& dataset,
   result.cost = total_cost;
   result.history = std::move(history);
   result.accel = accel;
+  result.gated_iterations = gated_iterations;
   report_.final_cgs = machine_.num_cgs();
 
   if (!options_.report_path.empty()) {

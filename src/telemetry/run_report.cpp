@@ -29,7 +29,7 @@ void RunReport::set_result(const core::KmeansResult& result) {
   inertia = result.inertia;
   history = result.history;
   assign_kernel = result.assign_kernel;
-  bound_gate = result.bound_gate;
+  gated_iterations = result.gated_iterations;
 }
 
 void RunReport::write_json(std::ostream& out) const {
@@ -55,7 +55,6 @@ void RunReport::write_json(std::ostream& out) const {
   w.kv("hier_collectives", config.hier_collectives);
   w.kv("sdc_checks", config.sdc_checks);
   w.kv("assign_kernel", std::string_view(assign_kernel));
-  w.kv("bound_gate", bound_gate);
   w.kv("iteration_base", static_cast<std::uint64_t>(config.iteration_base));
   w.kv("checkpoint_every",
        static_cast<std::uint64_t>(config.checkpoint_every));
@@ -69,6 +68,7 @@ void RunReport::write_json(std::ostream& out) const {
   w.kv("converged", converged);
   w.kv("empty_clusters", static_cast<std::uint64_t>(empty_clusters));
   w.kv("inertia", inertia);
+  w.kv("gated_iterations", static_cast<std::uint64_t>(gated_iterations));
   w.end_object();
 
   w.key("history").begin_array();
@@ -86,6 +86,7 @@ void RunReport::write_json(std::ostream& out) const {
     w.kv("recover_s", it.recover_s);
     w.kv("sdc_retries", it.sdc_retries);
     w.kv("sdc_recomputed", it.sdc_recomputed);
+    w.kv("gated", it.gated);
     w.key("phases").begin_object();
     w.kv("sample_read_s", it.sample_read_s);
     w.kv("centroid_stream_s", it.centroid_stream_s);

@@ -27,13 +27,13 @@ struct RunReport {
   core::KmeansConfig config;       ///< pointers inside are not serialized
   std::string machine_summary;     ///< simarch::MachineConfig::summary()
   std::string plan_summary;        ///< core::PartitionPlan::describe()
-  /// What the engine resolved (KmeansResult::assign_kernel, bound_gate),
+  /// The kernel the engine resolved (KmeansResult::assign_kernel),
   /// written into the "config" section next to the requested fields.
   std::string assign_kernel;
-  bool bound_gate = false;
 
   // Outcome.
   std::size_t iterations = 0;
+  std::size_t gated_iterations = 0;  ///< KmeansResult::gated_iterations
   bool converged = false;
   std::size_t empty_clusters = 0;
   double inertia = 0;

@@ -35,6 +35,37 @@ void expect_bit_identical(const KmeansResult& got, const KmeansResult& ref,
       << label;
 }
 
+/// Replays the bounds ledger (DESIGN.md §7) over history rows
+/// [begin, end), one engine run or RecoveryDriver leg. Row `begin` is the
+/// leg's bounds-off price; each gated row adds (price - its simulated_s)
+/// to a running sum, and the next row may gate only while the sum is > 0.
+/// A bounds-off row prices exactly like row `begin` and prunes nothing.
+/// Returns the rows the leg gated.
+std::size_t replay_bounds_ledger(const std::vector<IterationStats>& history,
+                                 std::size_t begin, std::size_t end,
+                                 const std::string& where) {
+  EXPECT_FALSE(history[begin].gated) << where << ": row " << begin;
+  const double price = history[begin].simulated_s;
+  // Whether row begin + 1 gates is the iteration-0 check, which this
+  // replay takes as given; from then on the ledger alone decides.
+  bool on = end > begin + 1 && history[begin + 1].gated;
+  double savings = 0;
+  std::size_t gated = 0;
+  for (std::size_t i = begin + 1; i < end; ++i) {
+    const IterationStats& row = history[i];
+    EXPECT_EQ(row.gated, on) << where << ": row " << i;
+    if (!row.gated) {
+      EXPECT_EQ(row.simulated_s, price) << where << ": row " << i;
+      EXPECT_EQ(row.prune_rate, 0.0) << where << ": row " << i;
+      continue;
+    }
+    ++gated;
+    savings += price - row.simulated_s;
+    on = savings > 0;
+  }
+  return gated;
+}
+
 class GatedLevelTest : public ::testing::TestWithParam<Level> {};
 
 TEST_P(GatedLevelTest, PruneRateZeroOnFirstIterationPositiveLater) {
@@ -54,7 +85,7 @@ TEST_P(GatedLevelTest, PruneRateZeroOnFirstIterationPositiveLater) {
     best_rate = std::max(best_rate, it.prune_rate);
   }
   // Well-separated blobs converge geometrically; the gate must bite.
-  EXPECT_TRUE(result.bound_gate);
+  EXPECT_EQ(result.gated_iterations, result.iterations - 1);
   EXPECT_GT(best_rate, 0.5);
   // And the ledger must agree with the gate: savings only come from
   // skipped sweeps.
@@ -106,7 +137,7 @@ TEST_P(GatedLevelTest, BoundsOffWhenTheRadiusPassCostsMoreThanTheSweep) {
   config.tolerance = -1;
   const KmeansResult ref = lloyd_serial(ds, config);
   const KmeansResult got = run_level(GetParam(), ds, config, machine);
-  EXPECT_FALSE(got.bound_gate);
+  EXPECT_EQ(got.gated_iterations, 0u);
   expect_bit_identical(got, ref, level_name(GetParam()));
   ASSERT_EQ(got.history.size(), 6u);
   for (const IterationStats& it : got.history) {
@@ -115,6 +146,93 @@ TEST_P(GatedLevelTest, BoundsOffWhenTheRadiusPassCostsMoreThanTheSweep) {
   }
   EXPECT_EQ(got.accel.centroid_distance_computations, 0u);
   EXPECT_EQ(got.accel.distance_computations, got.accel.lloyd_equivalent);
+}
+
+TEST_P(GatedLevelTest, BoundsTurnOffOnceTheGatedIterationsStopPaying) {
+  // Uniform noise: the gate resolves a few percent of the samples, so the
+  // first gated iteration costs more than a bounds-off one and the ledger
+  // turns the bounds off. The rest of the run is serial Lloyd bit for bit
+  // and prices every iteration like iteration 0.
+  const MachineConfig machine = MachineConfig::tiny(2, 4, 8192);
+  const data::Dataset ds = data::make_uniform(600, 8, 11);
+  KmeansConfig config;
+  config.k = 12;
+  config.max_iterations = 12;
+  const KmeansResult ref = lloyd_serial(ds, config);
+  const KmeansResult got = run_level(GetParam(), ds, config, machine);
+  const std::string where = level_name(GetParam());
+  expect_bit_identical(got, ref, where.c_str());
+  ASSERT_EQ(got.history.size(), got.iterations);
+  // The bounds ran, then switched off before the run ended.
+  EXPECT_GT(got.gated_iterations, 0u);
+  EXPECT_LT(got.gated_iterations, got.iterations - 1);
+  EXPECT_TRUE(got.history[1].gated);
+  EXPECT_FALSE(got.history.back().gated);
+  EXPECT_EQ(replay_bounds_ledger(got.history, 0, got.history.size(), where),
+            got.gated_iterations);
+  EXPECT_EQ(got.accel.centroid_distance_computations,
+            got.gated_iterations * config.k * (config.k - 1) / 2);
+}
+
+TEST_P(GatedLevelTest, BlobsGateEveryIterationAfterTheFirst) {
+  // Well-separated blobs from k-means++ seeds: the gate resolves most
+  // samples on every iteration, so the savings never run out.
+  const MachineConfig machine = MachineConfig::tiny(2, 4, 8192);
+  const data::Dataset ds = data::make_blobs(600, 8, 4, 11, 3.0);
+  KmeansConfig config;
+  config.k = 6;
+  config.max_iterations = 12;
+  config.init = InitMethod::kPlusPlus;
+  const KmeansResult ref = lloyd_serial(ds, config);
+  const KmeansResult got = run_level(GetParam(), ds, config, machine);
+  const std::string where = level_name(GetParam());
+  expect_bit_identical(got, ref, where.c_str());
+  ASSERT_GT(got.iterations, 2u);
+  EXPECT_EQ(got.gated_iterations, got.iterations - 1);
+  for (std::size_t i = 1; i < got.history.size(); ++i) {
+    EXPECT_TRUE(got.history[i].gated) << where << ": row " << i;
+  }
+  EXPECT_EQ(replay_bounds_ledger(got.history, 0, got.history.size(), where),
+            got.gated_iterations);
+}
+
+TEST_P(GatedLevelTest, RecoveryLegsDecideTheBoundsOnTheirOwn) {
+  // The RecoveryDriver runs the uniform shape in legs of 4 and one rank
+  // crashes in the second leg. Every leg restarts its bounds from a full
+  // sweep and keeps its own ledger, the failed attempt's rows never reach
+  // the result, and gated_iterations sums the finished legs.
+  const MachineConfig machine = MachineConfig::tiny(2, 4, 8192);
+  const data::Dataset ds = data::make_uniform(600, 8, 11);
+  KmeansConfig config;
+  config.k = 12;
+  config.max_iterations = 12;
+  config.tolerance = -1;
+  config.checkpoint_every = 4;
+  const KmeansResult ref = lloyd_serial(ds, config);
+  swmpi::FaultPlan plan;
+  plan.crash(1, /*iteration=*/6, swmpi::FaultSite::kUpdate);
+  KmeansConfig faulty = config;
+  faulty.fault_plan = &plan;
+  RecoveryOptions options;
+  options.checkpoint_path = ::testing::TempDir() + "/swhkm_gated_legs_" +
+                            level_name(GetParam()) + ".ckpt";
+  RecoveryDriver driver(machine, options);
+  const KmeansResult got = driver.run(GetParam(), ds, faulty);
+  const std::string where = level_name(GetParam());
+  EXPECT_EQ(plan.fired_crashes(), 1u);
+  expect_bit_identical(got, ref, where.c_str());
+  ASSERT_EQ(got.history.size(), 12u);
+  std::size_t legs_gated = 0;
+  for (std::size_t begin = 0; begin < got.history.size(); begin += 4) {
+    const std::size_t leg = replay_bounds_ledger(
+        got.history, begin, begin + 4,
+        where + " leg " + std::to_string(begin / 4));
+    EXPECT_GT(leg, 0u) << where << ": leg " << begin / 4;
+    legs_gated += leg;
+  }
+  EXPECT_EQ(got.gated_iterations, legs_gated);
+  EXPECT_EQ(got.accel.centroid_distance_computations,
+            legs_gated * config.k * (config.k - 1) / 2);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllLevels, GatedLevelTest,
@@ -173,17 +291,20 @@ TEST(GatedAssign, BoundsResetAcrossCheckpointRestore) {
 TEST(GatedAssign, EngineDistancesAtMostSerialHamerly) {
   // The engine gate skips a sample at zero cost; serial Hamerly pays an
   // upper-bound tightening distance for every sample that fails its first
-  // check. On a workload that keeps moving, the engine's ledger must not
-  // exceed the serial accelerated baseline's.
-  const data::Dataset ds = data::make_uniform(600, 8, 11);
+  // check. On a workload that keeps moving and keeps its bounds on every
+  // iteration after the first, the engine's ledger must not exceed the
+  // serial accelerated baseline's.
+  const data::Dataset ds = data::make_blobs(2000, 8, 8, 11, 3.0);
   KmeansConfig config;
   config.k = 12;
   config.max_iterations = 12;
+  config.init = InitMethod::kRandom;
   AccelStats hamerly_stats;
   const KmeansResult ref = hamerly_serial(ds, config, &hamerly_stats);
   const MachineConfig machine = MachineConfig::tiny(2, 4, 8192);
   const KmeansResult got = run_level(Level::kLevel1, ds, config, machine);
   ASSERT_EQ(got.iterations, ref.iterations);
+  ASSERT_EQ(got.gated_iterations, got.iterations - 1);
   EXPECT_EQ(got.accel.lloyd_equivalent, hamerly_stats.lloyd_equivalent);
   EXPECT_LE(got.accel.distance_computations,
             hamerly_stats.distance_computations);
@@ -205,7 +326,7 @@ TEST(GatedAssign, Level3ChargesCompactedCollectiveVolumes) {
   config.tolerance = -1;
   const KmeansResult gated = run_level(Level::kLevel3, ds, config, machine,
                                        0, p);
-  ASSERT_TRUE(gated.bound_gate);
+  ASSERT_EQ(gated.gated_iterations, gated.iterations - 1);
   ASSERT_GT(gated.history.size(), 1u);
 
   double total_rate = 0;
@@ -484,7 +605,7 @@ TEST(SafeRadii, GatedIterationChargesTheExecutedCounts) {
                                 std::to_string(machine.cpes_per_cg) +
                                 ", k " + std::to_string(k);
       ASSERT_EQ(r.history.size(), 2u) << where;
-      ASSERT_TRUE(r.bound_gate) << where;
+      ASSERT_TRUE(r.history[1].gated) << where;
       const IterationStats& it = r.history[1];
       ASSERT_EQ(it.prune_rate, 1.0) << where;
 
