@@ -142,12 +142,12 @@ std::vector<LedgerCell> ledger_cells() {
       {Level::kLevel1,
        "L1",
        {0xeabbc9db, 0xf1867b28},
-       {0x9ade3e8c, 0xc686197f},
+       {0xb68e8bcc, 0x5b4fb9de},
        0xd035cd8a},
       {Level::kLevel2,
        "L2",
        {0x99800cca, 0x7a3b0845},
-       {0x7956807e, 0xb8dea24a},
+       {0x08278aed, 0xcc507cda},
        0xcb0ac57d},
       {Level::kLevel3,
        "L3",
