@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <exception>
 #include <span>
 #include <vector>
 
@@ -294,6 +295,27 @@ const T* recv_ptr(Comm& comm, int source, int tag) {
       comm.recv_value<std::uintptr_t>(source, tag));
 }
 
+/// Covers a stretch in which peers may read this rank's buffers in place,
+/// or this rank reads theirs. Leaving it by exception holds the rank
+/// (and the buffers its stack owns) until every rank has departed
+/// (Comm::hold_until_all_depart); leaving it normally costs nothing.
+class ZeroCopyGuard {
+ public:
+  explicit ZeroCopyGuard(Comm& comm)
+      : comm_(comm), uncaught_(std::uncaught_exceptions()) {}
+  ZeroCopyGuard(const ZeroCopyGuard&) = delete;
+  ZeroCopyGuard& operator=(const ZeroCopyGuard&) = delete;
+  ~ZeroCopyGuard() {
+    if (std::uncaught_exceptions() > uncaught_) {
+      comm_.hold_until_all_depart();
+    }
+  }
+
+ private:
+  Comm& comm_;
+  int uncaught_;
+};
+
 /// Per-collective schedule telemetry, ticked once per collective by the
 /// group leaders (not once per rank): which inter algorithm ran and how
 /// many stages each level took. Named counters are the slow path of the
@@ -319,8 +341,9 @@ inline void tick_hier_counters(Comm& comm, const char* algo_counter,
 /// Leader half of the intra stage: collect the member buffer pointers and
 /// fold all group streams into the leader's own buffer with the shared
 /// binomial association (local index j == world rank leader + j). Members
-/// stay parked in their down-phase receive, so every published pointer
-/// outlives the fold.
+/// stay parked in their down-phase receive, or after an abort in
+/// Comm::hold_until_all_depart, so every published pointer outlives the
+/// fold.
 template <typename T, typename Op>
 void hier_intra_fold(Comm& comm, const HierLayout& l, const HierTags& tags,
                      std::span<T> buf, Op op) {
@@ -561,12 +584,23 @@ void reduce(Comm& comm, int root, std::span<T> buf, Op op) {
 /// Instrumentation: calls/bytes and the wall histogram tick in finish(),
 /// so allreduce.wall_s measures the blocking drain, not the overlapped
 /// compute between the phases.
+///
+/// Peers read `buf` and the leader's result in place from start() until
+/// finish() returns. An op that never finishes — an exception between the
+/// phases or out of finish() — holds its rank in the destructor until
+/// every rank has departed (Comm::hold_until_all_depart), so neither
+/// buffer can die under a peer still reading it.
 template <typename T, typename Op>
 class SplitAllreduce {
  public:
   SplitAllreduce() = default;
   SplitAllreduce(const SplitAllreduce&) = delete;
   SplitAllreduce& operator=(const SplitAllreduce&) = delete;
+  ~SplitAllreduce() {
+    if (active()) {
+      comm_->hold_until_all_depart();
+    }
+  }
 
   bool active() const { return comm_ != nullptr; }
 
@@ -591,10 +625,14 @@ class SplitAllreduce {
     Comm& comm = *comm_;
     detail::CollectiveScope scope(comm, telemetry::CollectiveKind::kAllreduce,
                                   buf_.size_bytes());
-    comm_ = nullptr;
-    if (comm.size() <= 1) {
-      return;
+    if (comm.size() > 1) {
+      exchange(comm);
     }
+    comm_ = nullptr;  // a throw above leaves the op to the destructor
+  }
+
+ private:
+  void exchange(Comm& comm) {
     const detail::HierLayout& l = layout_;
     if (l.local != 0) {
       // Parked here until the leader's fold + inter stage finish; the
@@ -628,7 +666,6 @@ class SplitAllreduce {
         l.num_groups > 1 ? 2 * detail::ceil_log2(l.num_groups) : 0);
   }
 
- private:
   Comm* comm_ = nullptr;
   std::span<T> buf_;
   Op op_{};
@@ -801,6 +838,8 @@ std::vector<T> allgatherv(Comm& comm, std::span<const T> mine,
   const detail::HierLayout l =
       detail::hier_layout(rank, size, comm.hierarchy().ranks_per_group);
   const detail::HierTags tags = detail::reserve_hier_tags(comm);
+  // Declared after `all`, so a throw holds the rank before `all` dies.
+  const detail::ZeroCopyGuard guard(comm);
   if (l.local != 0) {
     detail::publish_ptr(comm, l.leader, tags.ptr, mine.data());
     const T* result = detail::recv_ptr<T>(comm, l.leader, tags.down);

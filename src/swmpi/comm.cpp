@@ -339,6 +339,7 @@ Comm Comm::split(int color, int key) {
                                             world_->fault_plan,
                                             world_->metrics);
       sub->hierarchy = world_->hierarchy;
+      sub->root = world_->root != nullptr ? world_->root : world_;
       sub->pickups_remaining = static_cast<int>(members.size());
       world_->splits.live.emplace(registry_key, sub);
     } else {
@@ -369,6 +370,7 @@ std::vector<Comm> Comm::create_world(int size, FaultPlan* faults,
   auto world = std::make_shared<detail::World>(size, faults, metrics);
   world->hierarchy = detail::resolve_hierarchy(default_collective_schedule(),
                                                default_hierarchy_spec());
+  world->departed.assign(static_cast<std::size_t>(size), false);
   std::vector<Comm> comms;
   comms.reserve(static_cast<std::size_t>(size));
   for (int r = 0; r < size; ++r) {
@@ -382,6 +384,35 @@ void Comm::abort_world() {
     return;
   }
   world_->abort_all();
+}
+
+void Comm::depart() {
+  if (!world_) {
+    return;
+  }
+  detail::World& root = world_->tree_root();
+  {
+    std::lock_guard lock(root.departure_mutex);
+    const auto me = static_cast<std::size_t>(global_rank_);
+    if (!root.departed[me]) {
+      root.departed[me] = true;
+      ++root.departures;
+    }
+  }
+  root.departure_cv.notify_all();
+}
+
+void Comm::hold_until_all_depart() {
+  if (!world_) {
+    return;
+  }
+  detail::World& root = world_->tree_root();
+  // Every rank still running now fails its next blocking call and
+  // departs; a rank copying out of this one's buffer finishes first.
+  root.abort_all();
+  depart();
+  std::unique_lock lock(root.departure_mutex);
+  root.departure_cv.wait(lock, [&] { return root.departures == root.size; });
 }
 
 namespace detail {

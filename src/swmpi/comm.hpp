@@ -1,6 +1,7 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -188,6 +189,17 @@ struct World {
   std::vector<std::weak_ptr<World>> children;
   bool aborted = false;
 
+  /// The root world this one was split from (null in a root world).
+  std::shared_ptr<World> root;
+  World& tree_root() { return root != nullptr ? *root : *this; }
+
+  /// Root worlds only: which ranks, by global rank, have departed (see
+  /// Comm::depart), guarded by departure_mutex.
+  std::mutex departure_mutex;
+  std::condition_variable departure_cv;
+  std::vector<bool> departed;
+  int departures = 0;
+
   /// Poison every mailbox (recursively) so blocked ranks unblock with a
   /// RuntimeFault instead of deadlocking after a peer died.
   void abort_all();
@@ -308,6 +320,20 @@ class Comm {
   /// blocked in recv wakes up with RuntimeFault. Called by the SPMD
   /// launcher when a rank dies so the others don't deadlock.
   void abort_world();
+
+  /// Mark this rank as departed: its body has returned or thrown, so it
+  /// will never again read a peer's buffer or expose one of its own.
+  /// run_spmd calls it for every rank; a launcher that drives
+  /// create_world's handles itself must do the same.
+  void depart();
+
+  /// The two-level collectives read peer buffers in place (DESIGN.md §12).
+  /// A rank that leaves such an exchange by exception calls this before
+  /// its stack unwinds. It aborts the whole world tree, so every blocked
+  /// rank wakes, departs, and then waits until every rank of the root
+  /// world has departed. Only then is no peer still reading this rank's
+  /// buffers, and this rank reading no peer's. It never throws.
+  void hold_until_all_depart();
 
  private:
   /// Strip and verify the integrity trailer of one popped mailbox payload.

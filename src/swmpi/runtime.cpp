@@ -24,13 +24,15 @@ void run_spmd(int nranks, const std::function<void(Comm&)>& body,
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(nranks));
 
   auto run_rank = [&](int rank) {
+    Comm& comm = comms[static_cast<std::size_t>(rank)];
     try {
-      body(comms[static_cast<std::size_t>(rank)]);
+      body(comm);
     } catch (...) {
       errors[static_cast<std::size_t>(rank)] = std::current_exception();
       // Unblock peers waiting on this rank.
-      comms[static_cast<std::size_t>(rank)].abort_world();
+      comm.abort_world();
     }
+    comm.depart();
   };
 
   std::vector<std::thread> threads;

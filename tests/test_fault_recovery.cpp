@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -9,6 +10,7 @@
 
 #include "core/hkmeans.hpp"
 #include "simarch/trace.hpp"
+#include "swmpi/collectives.hpp"
 #include "swmpi/fault.hpp"
 #include "swmpi/runtime.hpp"
 #include "util/error.hpp"
@@ -162,6 +164,60 @@ TEST(SwmpiAbort, SplitRacingAbortNeverDeadlocks) {
                         }),
         std::runtime_error);
   }
+}
+
+TEST(SwmpiAbort, ZeroCopyBuffersOutliveEveryThrow) {
+  // The two-level collectives read peer memory in place: a leader folds
+  // its members' published inputs, and members copy the result out of
+  // their leader's buffer. A rank that throws aborts the world, and no
+  // rank it wakes may free a buffer a peer can still read. Three shapes,
+  // on two groups of four ranks:
+  //   0: every rank throws as soon as its allreduce returns, while slower
+  //      members may still be copying their leader's result;
+  //   1: the same after an allgatherv;
+  //   2: members throw between SplitAllreduce::start and finish while
+  //      their leaders fold the inputs the members published.
+  // Buffers live on the heap, so ASan reports a read of a freed one; a
+  // wrong result counts as a failure without a sanitizer too. Looped
+  // because the bug class is a race.
+  constexpr int kRanks = 8;
+  constexpr int kGroup = 4;
+  constexpr std::size_t kLen = 1024;
+  constexpr double kSum = kRanks * (kRanks + 1) / 2;
+  const swmpi::ScopedCollectiveSchedule schedule(
+      swmpi::CollectiveSchedule::kHierarchical, {kGroup, 1 << 20});
+  std::atomic<int> wrong{0};
+  for (int round = 0; round < 300; ++round) {
+    const int shape = round % 3;
+    EXPECT_THROW(
+        swmpi::run_spmd(
+            kRanks,
+            [&](swmpi::Comm& world) {
+              std::vector<double> buf(kLen, world.rank() + 1.0);
+              if (shape == 0) {
+                swmpi::allreduce_sum(world, std::span<double>(buf));
+                if (buf.front() != kSum || buf.back() != kSum) {
+                  ++wrong;
+                }
+              } else if (shape == 1) {
+                const std::vector<double> all = swmpi::allgatherv(
+                    world, std::span<const double>(buf));
+                if (all.size() != kRanks * kLen || all.back() != kRanks) {
+                  ++wrong;
+                }
+              } else {
+                swmpi::SplitAllreduce<double, swmpi::ops::Plus> op;
+                op.start(world, std::span<double>(buf), {});
+                if (world.rank() % kGroup != 0) {
+                  throw std::runtime_error("member dies mid-collective");
+                }
+                op.finish();
+              }
+              throw std::runtime_error("every rank dies");
+            }),
+        std::runtime_error);
+  }
+  EXPECT_EQ(wrong.load(), 0);
 }
 
 // ------------------------------------------------------- atomic file I/O
