@@ -243,6 +243,33 @@ INSTANTIATE_TEST_SUITE_P(AllLevels, GatedLevelTest,
                                   std::to_string(static_cast<int>(info.param));
                          });
 
+TEST(GatedAssign, SavingsLedgerRidesOutADearGatedIteration) {
+  // k-means++ seeds, k = 16 over three blobs: gated iteration 2 models
+  // dearer than iteration 0, but iteration 1 saved more than that, so the
+  // running sum keeps the bounds on. A rule that looked only at the last
+  // gated iteration would turn them off there.
+  const MachineConfig machine = MachineConfig::tiny(2, 4, 8192);
+  const data::Dataset ds = data::make_blobs(600, 2, 3, 2, 4.0);
+  KmeansConfig config;
+  config.k = 16;
+  config.max_iterations = 20;
+  config.init = InitMethod::kPlusPlus;
+  config.seed = 2;
+  const KmeansResult ref = lloyd_serial(ds, config);
+  for (const Level level : {Level::kLevel1, Level::kLevel2}) {
+    const KmeansResult got = run_level(level, ds, config, machine);
+    const std::string where = level_name(level);
+    expect_bit_identical(got, ref, where.c_str());
+    ASSERT_GT(got.history.size(), 3u) << where;
+    EXPECT_TRUE(got.history[2].gated) << where;
+    EXPECT_GT(got.history[2].simulated_s, got.history[0].simulated_s)
+        << where;
+    EXPECT_TRUE(got.history[3].gated) << where;
+    EXPECT_EQ(replay_bounds_ledger(got.history, 0, got.history.size(), where),
+              got.gated_iterations);
+  }
+}
+
 TEST(GatedAssign, BoundsResetAcrossCheckpointRestore) {
   // Interrupt a gated engine run at iteration 3, checkpoint, restore, and
   // finish with a fresh engine. The restored leg must re-seed its bounds
