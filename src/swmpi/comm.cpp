@@ -339,7 +339,7 @@ Comm Comm::split(int color, int key) {
                                             world_->fault_plan,
                                             world_->metrics);
       sub->hierarchy = world_->hierarchy;
-      sub->root = world_->root != nullptr ? world_->root : world_;
+      sub->root = &world_->tree_root();
       sub->pickups_remaining = static_cast<int>(members.size());
       world_->splits.live.emplace(registry_key, sub);
     } else {

@@ -189,8 +189,10 @@ struct World {
   std::vector<std::weak_ptr<World>> children;
   bool aborted = false;
 
-  /// The root world this one was split from (null in a root world).
-  std::shared_ptr<World> root;
+  /// The root world this one was split from (null in a root world). Not
+  /// owned: the root's split registry may hold this world, and run_spmd's
+  /// handles keep the root alive until every rank has joined.
+  World* root = nullptr;
   World& tree_root() { return root != nullptr ? *root : *this; }
 
   /// Root worlds only: which ranks, by global rank, have departed (see
@@ -330,9 +332,9 @@ class Comm {
   /// The two-level collectives read peer buffers in place (DESIGN.md §12).
   /// A rank that leaves such an exchange by exception calls this before
   /// its stack unwinds. It aborts the whole world tree, so every blocked
-  /// rank wakes, departs, and then waits until every rank of the root
-  /// world has departed. Only then is no peer still reading this rank's
-  /// buffers, and this rank reading no peer's. It never throws.
+  /// rank wakes; then it departs and waits until every rank of the root
+  /// world has departed too. Only then is no peer still reading this
+  /// rank's buffers, and this rank reading no peer's. It never throws.
   void hold_until_all_depart();
 
  private:
