@@ -195,6 +195,51 @@ void charge_sample_stream(simarch::CostTally& tally,
   tally.dma_bytes += bytes;
 }
 
+StreamRuns::StreamRuns(std::size_t readers, std::size_t batch)
+    : batch_(std::max<std::size_t>(batch, 1)), readers_(readers) {}
+
+void StreamRuns::reset() {
+  std::fill(readers_.begin(), readers_.end(), Reader{});
+}
+
+void StreamRuns::pull(Reader& r, std::uint64_t begin,
+                      std::uint64_t end) const {
+  std::uint64_t len = end - begin;
+  if (r.descriptors > 0 && begin == r.next) {
+    // The run continues: top up the open descriptor first.
+    const std::uint64_t take = std::min(len, batch_ - r.fill);
+    r.fill += take;
+    len -= take;
+  }
+  if (len > 0) {
+    const std::uint64_t fresh = (len + batch_ - 1) / batch_;
+    r.descriptors += fresh;
+    r.fill = len - (fresh - 1) * batch_;
+  }
+  r.next = end;
+}
+
+void StreamRuns::pull_all(std::uint64_t begin, std::uint64_t end) {
+  if (begin >= end) {
+    return;
+  }
+  for (Reader& r : readers_) {
+    pull(r, begin, end);
+  }
+}
+
+void StreamRuns::pull_one(std::size_t reader, std::uint64_t i) {
+  pull(readers_[reader], i, i + 1);
+}
+
+std::uint64_t StreamRuns::critical() const {
+  std::uint64_t out = 0;
+  for (const Reader& r : readers_) {
+    out = std::max(out, r.descriptors);
+  }
+  return out;
+}
+
 void charge_centroid_traffic(simarch::CostTally& tally,
                              const simarch::MachineConfig& machine,
                              const PartitionPlan& plan,
@@ -228,7 +273,8 @@ void charge_centroid_traffic(simarch::CostTally& tally,
 }
 
 void validate_ldm_layout(const PartitionPlan& plan,
-                         const simarch::MachineConfig& machine) {
+                         const simarch::MachineConfig& machine,
+                         std::size_t sample_batch) {
   simarch::LdmAllocator ldm(machine.ldm_bytes);
   const std::size_t eb = machine.elem_bytes;
   ldm.alloc("sample", plan.ldm.sample_elems * eb);
@@ -238,6 +284,10 @@ void validate_ldm_layout(const PartitionPlan& plan,
               plan.ldm.slice_elems * eb);
   }
   ldm.alloc("scratch", plan.ldm.scratch_elems * eb);
+  if (sample_batch > 1) {
+    ldm.alloc("sample batch buffers",
+              2 * sample_batch * plan.ldm.sample_elems * eb);
+  }
   // Destructor discards; reaching here means the layout fits.
 }
 

@@ -1,5 +1,8 @@
 #pragma once
 
+#include <cstdint>
+#include <vector>
+
 #include "core/engine_util.hpp"
 #include "core/kmeans.hpp"
 #include "core/partition.hpp"
@@ -76,12 +79,41 @@ UpdateOutcome reduce_and_update(swmpi::Comm& comm, util::Matrix& centroids,
                                 std::uint64_t sdc_expect_count = 0);
 
 /// Charge a per-CG sample stream: `bytes` through the CG's DMA at
-/// bandwidth B, plus `critical_transfers` issue overheads (transfers on
-/// the longest per-CPE chain; issue overlaps across CPEs).
+/// bandwidth B, plus `critical_transfers` issue overheads (descriptors on
+/// the busiest reader's chain; issue overlaps across readers).
 void charge_sample_stream(simarch::CostTally& tally,
                           const simarch::MachineConfig& machine,
                           std::uint64_t bytes,
                           std::uint64_t critical_transfers);
+
+/// Sample-stream DMA descriptors of one block's readers (the CPEs of a
+/// Level 2 group, or a single CPE or CG). Each reader pulls some of the
+/// block's samples in ascending order and pays one descriptor per run of
+/// at most `batch` consecutive samples it pulls (LdmLayout::sample_batch),
+/// so a reader that pulls all S samples pays ceil(S / batch).
+class StreamRuns {
+ public:
+  StreamRuns(std::size_t readers, std::size_t batch);
+  /// Start a new block: every reader's count and open run go to zero.
+  void reset();
+  /// Every reader pulls samples [begin, end).
+  void pull_all(std::uint64_t begin, std::uint64_t end);
+  /// Only `reader` pulls sample i.
+  void pull_one(std::size_t reader, std::uint64_t i);
+  /// The busiest reader's descriptor count.
+  std::uint64_t critical() const;
+
+ private:
+  struct Reader {
+    std::uint64_t descriptors = 0;
+    std::uint64_t next = 0;  ///< one past the last sample pulled
+    std::uint64_t fill = 0;  ///< samples in the open descriptor
+  };
+  void pull(Reader& r, std::uint64_t begin, std::uint64_t end) const;
+
+  std::uint64_t batch_;
+  std::vector<Reader> readers_;
+};
 
 /// Charge centroid traffic for one iteration on one CG under `plan`:
 /// a single slice (re)load when resident, otherwise the cheaper of
@@ -109,9 +141,11 @@ void tick_collective_charge(telemetry::MetricsShard* shard,
 void fill_phase_stats(IterationStats& stats, const simarch::CostTally& combined);
 
 /// Validate that the plan's LDM layout actually fits by allocating it
-/// through the scratchpad allocator — throws CapacityError on a planner
-/// bug rather than silently pretending.
+/// through the scratchpad allocator, with the double-buffered sample
+/// batch of `sample_batch` samples (none extra for a batch of one) —
+/// throws CapacityError on a planner bug rather than silently pretending.
 void validate_ldm_layout(const PartitionPlan& plan,
-                         const simarch::MachineConfig& machine);
+                         const simarch::MachineConfig& machine,
+                         std::size_t sample_batch);
 
 }  // namespace swhkm::core::detail

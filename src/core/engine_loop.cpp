@@ -6,6 +6,7 @@
 
 #include "core/init.hpp"
 #include "core/metrics.hpp"
+#include "core/perf_model.hpp"
 #include "simarch/regcomm.hpp"
 #include "simarch/trace.hpp"
 #include "swmpi/collectives.hpp"
@@ -122,16 +123,13 @@ void EngineRank::charge_gate_and_sdc(std::uint64_t unresolved,
   const std::size_t k = run.config.k;
   const std::size_t d = run.dataset.d();
   const simarch::MachineConfig& machine = run.machine;
-  const std::size_t num_cgs = machine.num_cgs();
   const std::size_t eb = machine.elem_bytes;
   const std::size_t accum_bytes = (k * d + k) * eb;
   tally.compute_s += static_cast<double>(unresolved) * sweep_row_s * 0.125;
   tally.compute_s +=
       static_cast<double>(k * d * eb + accum_bytes) / machine.dma_bandwidth;
-  const std::uint64_t sdc_net = 16 * 2 * num_cgs + sizeof(double);
-  tally.net_comm_s += run.topo.allgather_time(sdc_net, 0, num_cgs);
-  tally.net_bytes += sdc_net;
-  tally.net_rounds += 1;  // the counts-conservation allreduce
+  // The scrub verdicts and the counts-conservation word ride the update
+  // allgather's header (charge_update_collectives).
   tally.sdc_recomputed += gemm_sdc.recomputed - abft_recomputed_before;
   if (tshard != nullptr && gemm_sdc.recomputed != abft_recomputed_before) {
     tshard->counter("sdc.abft.detected")
@@ -202,7 +200,8 @@ void scrub_accumulator(EngineRank& rank) {
 /// reduce_scatter of the fused accumulator, every CG applying its own
 /// shard of rows, then one allgather publishing the refreshed rows with
 /// the (shift, empties) stats riding as a 16-byte per-rank header and the
-/// k-double drift vector.
+/// k-double drift vector. With the SDC defense armed the scrub verdicts
+/// and the counts-conservation word lengthen that header.
 void charge_update_collectives(EngineRank& rank) {
   const EngineRun& run = rank.run;
   const std::size_t k = run.config.k;
@@ -211,7 +210,8 @@ void charge_update_collectives(EngineRank& rank) {
   const std::size_t eb = run.machine.elem_bytes;
   const std::size_t accum_bytes = (k * d + k) * eb;
   const std::size_t publish_bytes =
-      k * d * eb + 16 * num_cgs + k * sizeof(double);
+      update_publish_bytes(run.plan.shape, run.machine) +
+      (run.config.sdc_checks ? sdc_verdict_bytes(run.machine) : 0);
   simarch::CostTally& tally = rank.tally;
   if (run.config.hier_collectives) {
     const simarch::CollectiveCharge rs = run.topo.hier_reduce_scatter_charge(
@@ -251,7 +251,6 @@ KmeansResult run_engine(Level level, const char* name,
   // A non-finite sample would keep its record's sentinel index and
   // overrun the accumulator.
   require_finite(dataset);
-  validate_ldm_layout(plan, machine);
 
   const std::size_t num_cgs = machine.num_cgs();
   const std::size_t k = config.k;
@@ -270,6 +269,10 @@ KmeansResult run_engine(Level level, const char* name,
                << config.tile_samples
                << " overflows LDM; using the chain kernel (bit-identical)";
   }
+  const std::size_t batch = std::min(
+      plan.ldm.sample_batch,
+      sample_batch(plan, machine, tile_samples, config.sstep_tiles, gemm));
+  validate_ldm_layout(plan, machine, batch);
   const simarch::Topology topo(machine);
   // Hierarchical-collective schedule: one supernode's CGs form an intra
   // group, the crossover is derived from the machine's inter-supernode
@@ -295,6 +298,7 @@ KmeansResult run_engine(Level level, const char* name,
                       .topo = topo,
                       .tile_samples = tile_samples,
                       .gemm = gemm,
+                      .sample_batch = batch,
                       .xover = xover,
                       .centroids = centroids,
                       .assignments = result.assignments};
@@ -514,7 +518,8 @@ KmeansResult run_engine(Level level, const char* name,
 
 // ------------------------------------------------------------- TileSweep
 
-TileSweep::TileSweep(const EngineRank& rank) {
+TileSweep::TileSweep(const EngineRank& rank)
+    : runs_(rank.run.plan.m_group, rank.run.sample_batch) {
   for (Slot& s : slots_) {
     s.scores.resize(rank.run.tile_samples);
     s.ids.reserve(rank.run.tile_samples);
@@ -524,6 +529,7 @@ TileSweep::TileSweep(const EngineRank& rank) {
 TileSweep::Block TileSweep::sweep(EngineRank& rank, std::size_t begin,
                                   std::size_t end) {
   Block block;
+  runs_.reset();
   const std::size_t tile = rank.run.tile_samples;
   int cur = 0;
   for (std::size_t t0 = begin; t0 < end; t0 += tile) {
@@ -537,6 +543,7 @@ TileSweep::Block TileSweep::sweep(EngineRank& rank, std::size_t begin,
   if (slots_[cur ^ 1].valid) {
     retire(rank, slots_[cur ^ 1], block);
   }
+  block.descriptors = runs_.critical();
   return block;
 }
 
@@ -589,7 +596,13 @@ void TileSweep::retire(EngineRank& rank, Slot& s, Block& block) {
   // Merge in ascending i: swept samples take the fresh argmin, gated ones
   // accumulate under their stored assignment, so the fused sums keep the
   // exact summation order of a full sweep. Without bounds a tile scored
-  // every sample in order; a gated one scored only its survivor ids.
+  // every sample in order; a gated one scored only its survivor ids. The
+  // same walk counts the readers' stream runs: a swept sample goes to
+  // every reader, a gated one to its centroid's owner only.
+  const std::size_t k_local = rank.run.plan.k_local;
+  if (!rank.gating) {
+    runs_.pull_all(s.t0, s.t1);
+  }
   std::size_t pos = 0;
   for (std::size_t i = s.t0; i < s.t1; ++i) {
     const TileScore2* rec = nullptr;
@@ -597,6 +610,9 @@ void TileSweep::retire(EngineRank& rank, Slot& s, Block& block) {
       rec = &s.scores[i - s.t0];
     } else if (pos < s.ids.size() && s.ids[pos] == i) {
       rec = &s.scores[pos++];
+      runs_.pull_all(i, i + 1);
+    } else {
+      runs_.pull_one(assignments[i] / k_local, i);
     }
     std::uint32_t j = assignments[i];
     if (rec != nullptr) {

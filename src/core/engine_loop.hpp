@@ -34,6 +34,9 @@ struct EngineRun {
   const simarch::Topology& topo;
   std::size_t tile_samples;  ///< resolve_tile_samples' validated value
   bool gemm;                 ///< GEMM kernel (chain when its scratch overflows)
+  /// Samples per sample-stream descriptor: the layout's batch, shrunk if
+  /// this run's tile scratch needs its LDM.
+  std::size_t sample_batch;
   std::size_t xover;         ///< hierarchical-collective crossover bytes
   util::Matrix& centroids;   ///< the one shared centroid snapshot
   std::vector<std::uint32_t>& assignments;  ///< KmeansResult::assignments
@@ -66,9 +69,9 @@ struct EngineRank {
 
   /// Safe-radius charge (gated iterations) followed by the modeled SDC
   /// overhead (defense armed): ABFT checksum chains for `unresolved`
-  /// swept rows at 1/8 of `sweep_row_s`, one streaming pass for the
-  /// snapshot + accumulator scrubs, frame trailers and the conservation
-  /// allreduce. Each policy calls it once, at the point its own charge
+  /// swept rows at 1/8 of `sweep_row_s` and one streaming pass for the
+  /// snapshot + accumulator scrubs (the verdicts ride the update
+  /// allgather). Each policy calls it once, at the point its own charge
   /// order puts it (floating-point sums are order-sensitive).
   void charge_gate_and_sdc(std::uint64_t unresolved, double sweep_row_s);
 
@@ -165,8 +168,13 @@ class TileSweep {
   struct Block {
     std::uint64_t unresolved = 0;  ///< samples swept (the rest were gated)
     std::uint64_t tightened = 0;   ///< one-row gate tightenings
+    /// Sample-stream descriptors of the block's busiest reader.
+    std::uint64_t descriptors = 0;
   };
-  /// Gate, score and merge samples [begin, end).
+  /// Gate, score and merge samples [begin, end). The block's readers are
+  /// the plan's m_group CPEs (one at Level 1), each owning k_local
+  /// consecutive centroids: a swept sample streams to every reader, a
+  /// gated one only to its assigned centroid's owner.
   Block sweep(EngineRank& rank, std::size_t begin, std::size_t end);
 
   /// Tile pipeline overlap: tile t+1's sample and centroid DMA land under
@@ -191,6 +199,7 @@ class TileSweep {
   void retire(EngineRank& rank, Slot& s, Block& block);
 
   Slot slots_[2];
+  StreamRuns runs_;
 };
 
 }  // namespace swhkm::core::detail

@@ -28,6 +28,7 @@ class Level1Policy final : public detail::LevelPolicy {
     const double tighten_row_s = run.machine.assign_row_seconds(d);
     sample_bytes_ = 0;
     max_cpe_samples_ = 0;
+    max_cpe_descriptors_ = 0;
     max_cpe_sweep_s_ = 0;
     samples_ = 0;
     unresolved_ = 0;
@@ -43,6 +44,7 @@ class Level1Policy final : public detail::LevelPolicy {
       unresolved_ += block.unresolved;
       tightened_ += block.tightened;
       max_cpe_samples_ = std::max(max_cpe_samples_, count);
+      max_cpe_descriptors_ = std::max(max_cpe_descriptors_, block.descriptors);
       max_cpe_sweep_s_ = std::max(
           max_cpe_sweep_s_,
           static_cast<double>(block.unresolved * k) * sweep_row_s_ +
@@ -72,7 +74,7 @@ class Level1Policy final : public detail::LevelPolicy {
     tally.dma_bytes += loading_cpes * k * d * eb;
     const double sample_read_before = tally.sample_read_s;
     detail::charge_sample_stream(tally, machine, sample_bytes_,
-                                 max_cpe_samples_);
+                                 max_cpe_descriptors_);
     const double sample_dma_s = tally.sample_read_s - sample_read_before;
     tally.compute_s += max_cpe_sweep_s_;
     detail::TileSweep::hide_tile_dma(rank, max_cpe_samples_, max_cpe_sweep_s_,
@@ -92,6 +94,7 @@ class Level1Policy final : public detail::LevelPolicy {
   double sweep_row_s_ = 0;
   std::uint64_t sample_bytes_ = 0;
   std::uint64_t max_cpe_samples_ = 0;
+  std::uint64_t max_cpe_descriptors_ = 0;
   double max_cpe_sweep_s_ = 0;  ///< sweep + tighten seconds, slowest CPE
   std::uint64_t samples_ = 0;
   std::uint64_t unresolved_ = 0;

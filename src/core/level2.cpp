@@ -29,6 +29,7 @@ class Level2Policy final : public detail::LevelPolicy {
     const std::size_t eb = run.machine.elem_bytes;
     sample_bytes_ = 0;
     max_group_samples_ = 0;
+    max_reader_descriptors_ = 0;
     max_group_unresolved_ = 0;
     max_group_tightened_ = 0;
     samples_ = 0;
@@ -50,6 +51,8 @@ class Level2Policy final : public detail::LevelPolicy {
       unresolved_ += block.unresolved;
       tightened_ += block.tightened;
       max_group_samples_ = std::max(max_group_samples_, count);
+      max_reader_descriptors_ =
+          std::max(max_reader_descriptors_, block.descriptors);
       max_group_unresolved_ =
           std::max(max_group_unresolved_, block.unresolved);
       max_group_tightened_ = std::max(max_group_tightened_, block.tightened);
@@ -68,7 +71,7 @@ class Level2Policy final : public detail::LevelPolicy {
     simarch::CostTally& tally = rank.tally;
     const double sample_read_before = tally.sample_read_s;
     detail::charge_sample_stream(tally, machine, sample_bytes_,
-                                 max_group_samples_);
+                                 max_reader_descriptors_);
     const double sample_dma_s = tally.sample_read_s - sample_read_before;
     const double centroid_stream_before = tally.centroid_stream_s;
     if (!rank.gating || max_group_unresolved_ > 0) {
@@ -114,6 +117,7 @@ class Level2Policy final : public detail::LevelPolicy {
   detail::TileSweep tiles_;
   std::uint64_t sample_bytes_ = 0;
   std::uint64_t max_group_samples_ = 0;
+  std::uint64_t max_reader_descriptors_ = 0;  ///< busiest member CPE's
   std::uint64_t max_group_unresolved_ = 0;
   std::uint64_t max_group_tightened_ = 0;
   std::uint64_t samples_ = 0;

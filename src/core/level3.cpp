@@ -31,7 +31,8 @@ class Level3Policy final : public detail::LevelPolicy {
                                      static_cast<int>(within_))),
         j_begin_(std::min(within_ * rank.run.plan.k_local, rank.run.config.k)),
         j_end_(std::min(rank.run.config.k, j_begin_ + rank.run.plan.k_local)),
-        span_samples_(rank.run.tile_samples * rank.run.config.sstep_tiles) {
+        span_samples_(rank.run.tile_samples * rank.run.config.sstep_tiles),
+        runs_(1, rank.run.sample_batch) {
     const detail::EngineRun& run = rank.run;
     // Group argmin combine price per sample: tiny payloads, so the
     // hierarchical charge's size-adaptive stage always lands on the
@@ -64,6 +65,7 @@ class Level3Policy final : public detail::LevelPolicy {
     count_ = end - begin;
     unresolved_ = 0;
     owned_resolved_ = 0;
+    runs_.reset();
     drain_first_us_ = -1.0;
     drain_wall_us_ = 0.0;
     // Span t-1 retires only after span t is staged: its combine kept
@@ -100,9 +102,11 @@ class Level3Policy final : public detail::LevelPolicy {
     simarch::CostTally& tally = rank.tally;
     // DMA: unresolved samples stream into every CG of the group; a
     // resolved sample is read only by the CG owning its assigned slice
-    // (for the accumulator).
+    // (for the accumulator). Each run of them is one strided descriptor
+    // over the CG's d_local slices.
     const std::uint64_t streamed = unresolved_ + owned_resolved_;
-    detail::charge_sample_stream(tally, machine, streamed * d * eb, streamed);
+    detail::charge_sample_stream(tally, machine, streamed * d * eb,
+                                 runs_.critical());
     const double centroid_stream_before = tally.centroid_stream_s;
     if (unresolved_ > 0) {
       detail::charge_centroid_traffic(tally, machine, run.plan, unresolved_);
@@ -266,7 +270,9 @@ class Level3Policy final : public detail::LevelPolicy {
   }
 
   /// Retire span [s.t0, s.t1): drain its combine, then merge the resolved
-  /// winners in ascending-i order (the bit-identity invariant).
+  /// winners in ascending-i order (the bit-identity invariant), counting
+  /// the stream runs of the samples this CG reads: the survivors and the
+  /// resolved samples its slice owns.
   void retire(detail::EngineRank& rank, SpanSlot& s) {
     const data::Dataset& dataset = rank.run.dataset;
     std::vector<std::uint32_t>& assignments = rank.run.assignments;
@@ -284,10 +290,12 @@ class Level3Policy final : public detail::LevelPolicy {
           assignments[i] = winner;
         }
         ++pos;
+        runs_.pull_all(i, i + 1);
       } else {
         winner = local_assign_[i];
         if (winner >= j_begin_ && winner < j_end_) {
           ++owned_resolved_;
+          runs_.pull_all(i, i + 1);
         }
       }
       if (winner >= j_begin_ && winner < j_end_) {
@@ -310,6 +318,7 @@ class Level3Policy final : public detail::LevelPolicy {
   double group_combine_time_ = 0;
   SpanSlot slots_[2];
   std::vector<std::uint32_t> local_assign_;
+  detail::StreamRuns runs_;  ///< this CG's sample-stream descriptors
 
   // The current iteration.
   std::uint64_t count_ = 0;

@@ -44,6 +44,12 @@ bool c3_l3(const ProblemShape& shape, std::size_t ldm_elems,
 /// centroid slice plus accumulators live in LDM; otherwise centroids are
 /// streamed from main memory in tiles of `tile_rows`, triple-buffered
 /// (tile in use, prefetch, accumulator writeback).
+///
+/// Samples stream in batches: one DMA descriptor moves a run of up to
+/// `sample_batch` consecutive samples into one half of a double buffer
+/// while the CPE scores the other half. The buffers live in the LDM the
+/// rest of the layout leaves free (sample_batch()), so they never change a
+/// plan's feasibility; a batch of one is the layout's own sample buffer.
 struct LdmLayout {
   bool resident = false;
   std::size_t tile_rows = 0;      ///< centroid rows per streamed tile
@@ -51,6 +57,9 @@ struct LdmLayout {
   std::size_t slice_elems = 0;    ///< resident centroid slice, 0 if streamed
   std::size_t scratch_elems = 0;  ///< counters / distance partials
   std::size_t total_elems = 0;    ///< peak LDM demand in elements
+  /// Samples per sample-stream DMA descriptor at the default tile size
+  /// (KmeansConfig{}.tile_samples) — what the performance model charges.
+  std::size_t sample_batch = 1;
 };
 
 /// A fully resolved partition: which level, how centroids and dimensions
@@ -126,6 +135,19 @@ std::size_t resolve_tile_samples(std::size_t requested,
                                  const simarch::MachineConfig& machine,
                                  std::size_t sstep_tiles = 1,
                                  bool gemm = true);
+
+/// Samples per sample-stream DMA descriptor: the largest B whose double
+/// buffer (2 x B x sample_elems) fits in the LDM the plan's layout leaves
+/// free once the CPE's share of what resolve_tile_samples budgets for the
+/// tile (argmin records, GEMM scratch) is taken out, and at least 1 (a
+/// batch of one is the layout's own sample buffer). make_plan stores the
+/// default tile's value in LdmLayout::sample_batch, which the performance
+/// model charges; the engines call this with their resolved tile and keep
+/// the smaller of the two.
+std::size_t sample_batch(const PartitionPlan& plan,
+                         const simarch::MachineConfig& machine,
+                         std::size_t tile_samples, std::size_t sstep_tiles,
+                         bool gemm);
 
 /// Whether the GEMM sweep's candidate/norm scratch fits in LDM alongside
 /// the tile's records. The GEMM kernel is an optimisation with

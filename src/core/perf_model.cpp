@@ -129,10 +129,12 @@ CostTally model_level1(const PartitionPlan& plan, const MachineConfig& mc,
   const std::size_t eb = mc.elem_bytes;
   const std::uint64_t n_cpe = ceil_div(s.n, mc.total_cpes());
 
-  // Per-CG DMA: every CPE streams its samples and (re)loads all centroids.
+  // Per-CG DMA: every CPE streams its samples, one descriptor per batch,
+  // and (re)loads all centroids.
   const double sample_bytes = dbl(mc.cpes_per_cg) * dbl(n_cpe) * dbl(s.d) * eb;
   t.sample_read_s = sample_bytes / mc.dma_bandwidth +
-                    dbl(n_cpe) * mc.dma_latency;
+                    dbl(ceil_div(n_cpe, plan.ldm.sample_batch)) *
+                        mc.dma_latency;
   const double centroid_bytes = dbl(mc.cpes_per_cg) * dbl(s.k) * dbl(s.d) * eb;
   t.centroid_stream_s = centroid_bytes / mc.dma_bandwidth;
   t.dma_bytes += static_cast<std::uint64_t>(
@@ -175,11 +177,12 @@ CostTally model_level2(const PartitionPlan& plan, const MachineConfig& mc,
 
   // Each sample is replicated to the m_group CPEs of its group; a CG hosts
   // cpes_per_cg/g groups, so per-CG sample traffic is cpes_per_cg * n_grp
-  // rows regardless of g — but issue overhead is per transfer per CPE.
+  // rows regardless of g — but issue overhead is per batch per CPE.
   const double sample_bytes =
       dbl(mc.cpes_per_cg) * dbl(n_grp) * dbl(s.d) * eb;
   t.sample_read_s = sample_bytes / mc.dma_bandwidth +
-                    dbl(n_grp) * mc.dma_latency;
+                    dbl(ceil_div(n_grp, plan.ldm.sample_batch)) *
+                        mc.dma_latency;
   t.dma_bytes += static_cast<std::uint64_t>(sample_bytes * mc.num_cgs());
 
   if (plan.ldm.resident) {
@@ -236,10 +239,12 @@ CostTally model_level3(const PartitionPlan& plan, const MachineConfig& mc,
   const double eff_flops = mc.cpe_flops() * mc.compute_efficiency;
 
   // Each CG of a group reads the full sample, its 64 CPEs taking d_local
-  // each; per-CG traffic is n_cgg rows of d elements.
+  // each; per-CG traffic is n_cgg rows of d elements, one strided
+  // descriptor per batch.
   const double sample_bytes = dbl(n_cgg) * dbl(s.d) * eb;
   t.sample_read_s = sample_bytes / mc.dma_bandwidth +
-                    dbl(n_cgg) * mc.dma_latency;
+                    dbl(ceil_div(n_cgg, plan.ldm.sample_batch)) *
+                        mc.dma_latency;
   t.dma_bytes += static_cast<std::uint64_t>(sample_bytes * mc.num_cgs());
 
   if (plan.ldm.resident) {
@@ -308,6 +313,16 @@ CostTally model_iteration(const PartitionPlan& plan,
   throw InvalidArgument("unknown level");
 }
 
+std::size_t update_publish_bytes(const ProblemShape& shape,
+                                 const MachineConfig& machine) {
+  return shape.k * shape.d * machine.elem_bytes + 16 * machine.num_cgs() +
+         shape.k * sizeof(double);
+}
+
+std::size_t sdc_verdict_bytes(const MachineConfig& machine) {
+  return 16 * 2 * machine.num_cgs() + sizeof(double);
+}
+
 CostTally sdc_defense_overhead(const PartitionPlan& plan,
                                const MachineConfig& machine) {
   machine.validate();
@@ -352,12 +367,15 @@ CostTally sdc_defense_overhead(const PartitionPlan& plan,
   t.compute_s +=
       dbl(s.k * s.d * eb + accum_bytes) / machine.dma_bandwidth;
 
-  // Scrub-verdict allgather (16 B CRC pair per CG) plus the
-  // counts-conservation word, one extra network round per iteration.
-  const std::uint64_t sdc_net = 16 * 2 * machine.num_cgs() + sizeof(double);
-  t.net_comm_s += topo.allgather_time(sdc_net, 0, machine.num_cgs());
+  // The scrub verdicts (16 B CRC pair per CG per scrub) and the
+  // counts-conservation word ride the update allgather's header: extra
+  // bytes on a round the iteration already pays, no extra round.
+  const std::size_t num_cgs = machine.num_cgs();
+  const std::size_t publish_bytes = update_publish_bytes(s, machine);
+  const std::size_t sdc_net = sdc_verdict_bytes(machine);
+  t.net_comm_s += topo.allgather_time(publish_bytes + sdc_net, 0, num_cgs) -
+                  topo.allgather_time(publish_bytes, 0, num_cgs);
   t.net_bytes += sdc_net;
-  t.net_rounds += 1;
   return t;
 }
 

@@ -49,14 +49,25 @@ simarch::CostTally model_iteration(const PartitionPlan& plan,
                                    Placement placement = Placement::kPacked,
                                    bool hier_collectives = true);
 
+/// Bytes of the update phase's publish allgather: the k refreshed rows, a
+/// 16-byte (shift, empties) header per CG and the k-double drift vector.
+std::size_t update_publish_bytes(const ProblemShape& shape,
+                                 const simarch::MachineConfig& machine);
+
+/// Bytes the armed SDC defense adds to that allgather's header: a 16-byte
+/// CRC pair per CG for each of the two scrubs, plus the
+/// counts-conservation word. They ride the existing round.
+std::size_t sdc_verdict_bytes(const simarch::MachineConfig& machine);
+
 /// Analytic per-iteration cost of arming the SDC defense (DESIGN.md §13),
 /// mirroring exactly what the engines charge when `sdc_checks` is on: the
 /// ABFT checksum chains add two extra dot evaluations per 16-row panel
 /// (1/8 of the assign sweep's modeled compute), the snapshot + accumulator
-/// CRC scrubs stream their bytes once at DMA bandwidth, and the
-/// scrub-verdict allgather plus the counts-conservation round ride the
-/// network. Additive on top of model_iteration — defense-off model numbers
-/// stay pinned because model_iteration never includes it.
+/// CRC scrubs stream their bytes once at DMA bandwidth, and the scrub
+/// verdicts plus the counts-conservation word lengthen the update
+/// allgather (sdc_verdict_bytes) without adding a round. Additive on top
+/// of model_iteration — defense-off model numbers stay pinned because
+/// model_iteration never includes it.
 simarch::CostTally sdc_defense_overhead(const PartitionPlan& plan,
                                         const simarch::MachineConfig& machine);
 

@@ -306,5 +306,76 @@ TEST(Layout, OurResidencyImpliesPaperC1Prime) {
   }
 }
 
+// ---------------------------------------------------------- sample batch
+
+TEST(SampleBatch, FillsTheLdmTheLayoutAndTileScratchLeaveFree) {
+  // Level 1 at d=4, k=64: the layout takes 580 of the 16,384 elements, and
+  // the CPE's share of the default tile's records and GEMM scratch
+  // (256 x (24 + 60) + 64 x 8 = 22,016 bytes over 64 CPEs) takes 86.
+  const MachineConfig machine = MachineConfig::sw26010(1);
+  const PartitionPlan plan =
+      make_plan(Level::kLevel1, {1u << 20, 64, 4}, machine);
+  EXPECT_EQ(plan.ldm.total_elems, 580u);
+  EXPECT_EQ(plan.ldm.sample_batch, (kLdm - 580 - 86) / (2 * 4));
+  EXPECT_EQ(plan.ldm.sample_batch,
+            sample_batch(plan, machine, KmeansConfig{}.tile_samples, 1, true));
+  // More tile scratch leaves a smaller batch; the chain kernel's lighter
+  // scratch leaves a larger one.
+  EXPECT_LT(sample_batch(plan, machine, 1024, 1, true), plan.ldm.sample_batch);
+  EXPECT_GT(sample_batch(plan, machine, 256, 1, false), plan.ldm.sample_batch);
+}
+
+TEST(SampleBatch, FullLayoutStreamsOneSampleADescriptor) {
+  // (16384, 512, 64) on one node: at m_group 2 the streamed centroid
+  // tiles take the whole LDM, so the batch is the one sample buffer; at
+  // m_group 8 the resident slice leaves room for 62 samples.
+  const MachineConfig machine = MachineConfig::sw26010(1);
+  const ProblemShape shape{16384, 512, 64};
+  const PartitionPlan streamed = make_plan(Level::kLevel2, shape, machine, 2);
+  EXPECT_FALSE(streamed.ldm.resident);
+  EXPECT_EQ(streamed.ldm.total_elems, kLdm);
+  EXPECT_EQ(streamed.ldm.sample_batch, 1u);
+  const PartitionPlan resident = make_plan(Level::kLevel2, shape, machine, 8);
+  EXPECT_TRUE(resident.ldm.resident);
+  EXPECT_EQ(resident.ldm.sample_batch, (kLdm - 8320 - 86) / (2 * 64));
+}
+
+TEST(SampleBatch, Level3BatchesDimensionSlices) {
+  // d=3072 over 64 CPEs: each batched sample is a 48-element slice.
+  const MachineConfig machine = MachineConfig::sw26010(1);
+  const PartitionPlan plan =
+      make_plan(Level::kLevel3, {2048, 256, 3072}, machine, 0, 4);
+  EXPECT_EQ(plan.ldm.sample_elems, 48u);
+  EXPECT_EQ(plan.ldm.sample_batch, (kLdm - 6256 - 86) / (2 * 48));
+  // Four live s-step tiles of records leave less room.
+  EXPECT_LT(sample_batch(plan, machine, 256, 4, true), plan.ldm.sample_batch);
+}
+
+TEST(SampleBatch, DescribeNamesTheBatch) {
+  const MachineConfig machine = MachineConfig::sw26010(1);
+  const PartitionPlan plan =
+      make_plan(Level::kLevel1, {1u << 20, 64, 4}, machine);
+  EXPECT_NE(plan.describe().find("sample batch 1964"), std::string::npos)
+      << plan.describe();
+}
+
+TEST(SampleBatch, FeasibilityAndCapabilityAreUnchanged) {
+  // The batch only takes LDM the layout leaves free, so the capability
+  // limits read what they read before batching.
+  for (std::size_t nodes : {1, 128}) {
+    const MachineConfig machine = MachineConfig::sw26010(nodes);
+    EXPECT_EQ(max_k_for_level(Level::kLevel1, 64, machine), 126u);
+    EXPECT_EQ(max_d_for_level(Level::kLevel1, 64, machine), 126u);
+    EXPECT_EQ(max_k_for_level(Level::kLevel2, 64, machine), 349525u);
+    EXPECT_EQ(max_d_for_level(Level::kLevel2, 64, machine), 5461u);
+  }
+  const MachineConfig one = MachineConfig::sw26010(1);
+  EXPECT_EQ(max_k_for_level(Level::kLevel3, 64, one), 65520u);
+  EXPECT_EQ(max_d_for_level(Level::kLevel3, 64, one), 261888u);
+  const MachineConfig many = MachineConfig::sw26010(128);
+  EXPECT_EQ(max_k_for_level(Level::kLevel3, 64, many), 8386560u);
+  EXPECT_EQ(max_d_for_level(Level::kLevel3, 64, many), 349504u);
+}
+
 }  // namespace
 }  // namespace swhkm::core

@@ -50,11 +50,12 @@ TEST(PerfModel, SdcDefenseOverheadIsSmallAndAdditive) {
     const CostTally base = model_iteration(plan, machine);
     const CostTally sdc = sdc_defense_overhead(plan, machine);
     // The armed defense always costs something (checksum chains, scrubs,
-    // one extra network round) but must stay a small fraction of the
-    // iteration — the always-on-defense argument of DESIGN.md section 13.
+    // verdict bytes on the update allgather) but must stay a small
+    // fraction of the iteration — the always-on-defense argument of
+    // DESIGN.md section 13. The verdicts ride an existing round.
     EXPECT_GT(sdc.total_s(), 0.0) << level_name(level);
     EXPECT_LT(sdc.total_s(), base.total_s() * 0.20) << level_name(level);
-    EXPECT_EQ(sdc.net_rounds, 1u) << level_name(level);
+    EXPECT_EQ(sdc.net_rounds, 0u) << level_name(level);
     EXPECT_GT(sdc.net_bytes, 0u) << level_name(level);
     // model_iteration itself never includes the defense: calling it twice
     // with the same plan stays byte-stable regardless of sdc arming.

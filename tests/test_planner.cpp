@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include "core/hkmeans.hpp"
 #include "core/planner.hpp"
+#include "data/synthetic.hpp"
 #include "util/error.hpp"
 
 namespace swhkm::core {
@@ -92,6 +94,29 @@ TEST(Planner, PredictionsSaneForPaperSetups) {
   EXPECT_TRUE(auto_plan({434874, 10000, 4}, machine).has_value());
   EXPECT_TRUE(auto_plan({2458285, 10000, 68}, machine).has_value());
   EXPECT_TRUE(auto_plan({1265723, 160000, 196608}, machine).has_value());
+}
+
+TEST(Planner, BatchedSampleStreamPicksTheResidentLevel2Group) {
+  // (16384, 512, 64) on one node. At m_group 2 the streamed centroid
+  // tiles fill the LDM and every sample is its own descriptor; at
+  // m_group 8 the slice is resident and 62 samples share one. The
+  // descriptors saved outweigh m_group 8's 4x replicated sample bytes.
+  const MachineConfig machine = MachineConfig::sw26010(1);
+  const ProblemShape shape{16384, 512, 64};
+  const auto choice = best_plan_for_level(Level::kLevel2, shape, machine);
+  ASSERT_TRUE(choice.has_value());
+  EXPECT_EQ(choice->plan.m_group, 8u);
+  // The engines price it the same way: iteration 0 is cheaper there.
+  const data::Dataset ds = data::make_uniform(16384, 64, 1);
+  KmeansConfig config;
+  config.k = 512;
+  config.max_iterations = 1;
+  const PartitionPlan streamed = make_plan(Level::kLevel2, shape, machine, 2);
+  const double at8 =
+      run_plan(choice->plan, ds, config, machine).history[0].simulated_s;
+  const double at2 =
+      run_plan(streamed, ds, config, machine).history[0].simulated_s;
+  EXPECT_LT(at8, at2);
 }
 
 }  // namespace
