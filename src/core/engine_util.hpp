@@ -202,63 +202,60 @@ inline constexpr auto sample_block_chains = &sample_block_chains_generic;
 /// chain each, enough to cover FP add latency.
 inline constexpr std::size_t kSweepChains = 8;
 
-/// The k-means++ distance sweep: for `count` contiguous row-major samples
-/// `x` (d floats each), nearest[i] = min(nearest[i], squared_distance(x_i,
-/// c)). Samples go kSweepChains at a time, each with its own ascending-u
-/// chain of separate sub, mul and add — the exact operation sequence of
-/// squared_distance, so every distance is bit-identical to it; the ragged
-/// tail calls squared_distance itself.
-inline void nearest_sweep_generic(const float* __restrict__ x,
-                                  std::size_t count, std::size_t d,
-                                  std::span<const float> c,
-                                  double* __restrict__ nearest) {
-  std::size_t i = 0;
-  for (; i + kSweepChains <= count; i += kSweepChains) {
-    const float* block = x + i * d;
+/// The rows of kSweepChains consecutive row-major samples, addressed like
+/// an array of row pointers (the chain kernels take either).
+struct BlockRows {
+  const float* base;
+  std::size_t d;
+  const float* operator[](std::size_t s) const { return base + s * d; }
+};
+
+/// The sweep's chain kernel: out[s] = squared_distance(rows[s], c) for the
+/// kSweepChains rows, each with its own ascending-u chain of separate sub,
+/// mul and add — the exact operation sequence of squared_distance, so
+/// every distance is bit-identical to it whichever rows share a call.
+struct SweepChainsGeneric {
+  template <typename Rows>
+  void operator()(const Rows& rows, std::size_t d, const float* c,
+                  double* out) const {
     double acc[kSweepChains] = {};
     for (std::size_t u = 0; u < d; ++u) {
       const double cu = static_cast<double>(c[u]);
       for (std::size_t s = 0; s < kSweepChains; ++s) {
-        const double diff = static_cast<double>(block[s * d + u]) - cu;
+        const double diff = static_cast<double>(rows[s][u]) - cu;
         acc[s] += diff * diff;
       }
     }
-    for (std::size_t s = 0; s < kSweepChains; ++s) {
-      nearest[i + s] = std::min(nearest[i + s], acc[s]);
-    }
+    std::copy(acc, acc + kSweepChains, out);
   }
-  for (; i < count; ++i) {
-    nearest[i] = std::min(nearest[i], squared_distance({x + i * d, d}, c));
-  }
-}
+};
 
 #if defined(SWHKM_KERNEL_DISPATCH)
-/// AVX2 build of nearest_sweep: lane s of the two 4-wide accumulators is
-/// sample s's chain. Each step loads four consecutive floats of each of the
-/// 8 samples, widens them to double (exact) and transposes each 4 x 4 block
-/// so that one vector holds one u of four samples. Per lane that is the
-/// scalar chain's sub, mul and add in ascending u (the avx2 target has no
-/// FMA to contract them); the last d % 4 columns finish in scalar code.
-__attribute__((target("avx2"))) inline void nearest_sweep_avx2(
-    const float* __restrict__ x, std::size_t count, std::size_t d,
-    std::span<const float> c, double* __restrict__ nearest) {
-  static_assert(kSweepChains == 8, "two 4-wide halves");
-  const std::size_t d4 = d - d % 4;
-  std::size_t i = 0;
-  for (; i + kSweepChains <= count; i += kSweepChains) {
-    const float* block = x + i * d;
+/// AVX2 build of the chain kernel: lane s of the two 4-wide accumulators
+/// is row s's chain. Each step loads four consecutive floats of each of the
+/// 8 rows, widens them to double (exact) and transposes each 4 x 4 block so
+/// that one vector holds one u of four rows. Per lane that is the scalar
+/// chain's sub, mul and add in ascending u (the avx2 target has no FMA to
+/// contract them); the last d % 4 columns finish in scalar code.
+struct SweepChainsAvx2 {
+  template <typename Rows>
+  __attribute__((target("avx2"))) void operator()(const Rows& rows,
+                                                  std::size_t d,
+                                                  const float* c,
+                                                  double* out) const {
+    static_assert(kSweepChains == 8, "two 4-wide halves");
+    const std::size_t d4 = d - d % 4;
     __m256d acc[2] = {_mm256_setzero_pd(), _mm256_setzero_pd()};
     for (std::size_t u = 0; u < d4; u += 4) {
-      const __m256d cu = _mm256_cvtps_pd(_mm_loadu_ps(c.data() + u));
+      const __m256d cu = _mm256_cvtps_pd(_mm_loadu_ps(c + u));
       const __m256d cb[4] = {
           _mm256_permute4x64_pd(cu, 0x00), _mm256_permute4x64_pd(cu, 0x55),
           _mm256_permute4x64_pd(cu, 0xAA), _mm256_permute4x64_pd(cu, 0xFF)};
       for (std::size_t h = 0; h < 2; ++h) {
-        const float* r = block + 4 * h * d + u;
-        const __m256d r0 = _mm256_cvtps_pd(_mm_loadu_ps(r));
-        const __m256d r1 = _mm256_cvtps_pd(_mm_loadu_ps(r + d));
-        const __m256d r2 = _mm256_cvtps_pd(_mm_loadu_ps(r + 2 * d));
-        const __m256d r3 = _mm256_cvtps_pd(_mm_loadu_ps(r + 3 * d));
+        const __m256d r0 = _mm256_cvtps_pd(_mm_loadu_ps(rows[4 * h] + u));
+        const __m256d r1 = _mm256_cvtps_pd(_mm_loadu_ps(rows[4 * h + 1] + u));
+        const __m256d r2 = _mm256_cvtps_pd(_mm_loadu_ps(rows[4 * h + 2] + u));
+        const __m256d r3 = _mm256_cvtps_pd(_mm_loadu_ps(rows[4 * h + 3] + u));
         // t0 = {r0[0], r1[0], r0[2], r1[2]}, t1 = {r0[1], r1[1], r0[3],
         // r1[3]}; likewise t2, t3 for rows 2 and 3.
         const __m256d t0 = _mm256_unpacklo_pd(r0, r1);
@@ -275,18 +272,34 @@ __attribute__((target("avx2"))) inline void nearest_sweep_avx2(
         }
       }
     }
-    double chain[kSweepChains];
-    _mm256_storeu_pd(chain, acc[0]);
-    _mm256_storeu_pd(chain + 4, acc[1]);
+    _mm256_storeu_pd(out, acc[0]);
+    _mm256_storeu_pd(out + 4, acc[1]);
     for (std::size_t u = d4; u < d; ++u) {
       const double cu = static_cast<double>(c[u]);
       for (std::size_t s = 0; s < kSweepChains; ++s) {
-        const double diff = static_cast<double>(block[s * d + u]) - cu;
-        chain[s] += diff * diff;
+        const double diff = static_cast<double>(rows[s][u]) - cu;
+        out[s] += diff * diff;
       }
     }
+  }
+};
+#endif
+
+/// The k-means++ distance sweep: for `count` contiguous row-major samples
+/// `x` (d floats each), nearest[i] = min(nearest[i], squared_distance(x_i,
+/// c)). Samples go kSweepChains at a time through `chains`; the ragged
+/// tail calls squared_distance itself.
+template <typename Chains>
+inline void nearest_sweep_with(Chains chains, const float* __restrict__ x,
+                               std::size_t count, std::size_t d,
+                               std::span<const float> c,
+                               double* __restrict__ nearest) {
+  std::size_t i = 0;
+  for (; i + kSweepChains <= count; i += kSweepChains) {
+    double dist[kSweepChains];
+    chains(BlockRows{x + i * d, d}, d, c.data(), dist);
     for (std::size_t s = 0; s < kSweepChains; ++s) {
-      nearest[i + s] = std::min(nearest[i + s], chain[s]);
+      nearest[i + s] = std::min(nearest[i + s], dist[s]);
     }
   }
   for (; i < count; ++i) {
@@ -294,18 +307,159 @@ __attribute__((target("avx2"))) inline void nearest_sweep_avx2(
   }
 }
 
+/// Multiplier of the k-means++ skip test: a sample whose nearest seed b
+/// lies at computed squared distance cc from the new seed c, with cc >=
+/// seeding_skip_scale(d) * nearest, cannot get a smaller computed distance
+/// to c. 4 is the triangle inequality's |b - c| >= 2 |x - b|; the margin
+/// absorbs every rounding of the three computed values (DESIGN.md §15).
+inline double seeding_skip_scale(std::size_t d) {
+  return 4.0 * (1.0 + 8.0 * static_cast<double>(d + 2) *
+                          std::numeric_limits<double>::epsilon());
+}
+
+/// One k-means++ pick as pruned_sweep sees it.
+struct SweepPick {
+  std::span<const float> c;  ///< the new seed
+  std::uint32_t id = 0;      ///< its index among the seeds
+  /// cc[j] = squared_distance(seed j, c) for every j < id; null runs the
+  /// skip test on no sample.
+  const double* cc = nullptr;
+  double scale = 0;  ///< seeding_skip_scale(d)
+};
+
+/// nearest_sweep that also keeps owner[i], the index of the first seed
+/// whose computed distance equals nearest[i], and skips every sample the
+/// triangle inequality rules out: cc[owner[i]] >= scale * nearest[i]
+/// proves that c cannot lower nearest[i] (DESIGN.md §15). Returns the
+/// number of samples skipped.
+///
+/// nearest[] and owner[] move only on a strict `<`, through a branchless
+/// epilogue. A block of kSweepChains samples that keeps every sample runs
+/// the chain kernel on the contiguous rows; the survivors of partly
+/// skipped blocks are gathered kSweepChains row pointers at a time into
+/// the same kernel, and the last fewer than kSweepChains go through
+/// squared_distance. Every computed distance is therefore squared_distance's
+/// bits, as in nearest_sweep.
+template <typename Chains>
+inline std::size_t pruned_sweep_with(Chains chains,
+                                     const float* __restrict__ x,
+                                     std::size_t count, std::size_t d,
+                                     const SweepPick& pick,
+                                     double* __restrict__ nearest,
+                                     std::uint32_t* __restrict__ owner) {
+  const auto skip = [&](std::size_t i) {
+    return pick.cc != nullptr && pick.cc[owner[i]] >= pick.scale * nearest[i];
+  };
+  const auto settle = [&](std::size_t i, double dist) {
+    const bool closer = dist < nearest[i];
+    nearest[i] = closer ? dist : nearest[i];
+    owner[i] = closer ? pick.id : owner[i];
+  };
+  const float* gathered[kSweepChains];
+  std::size_t at[kSweepChains];
+  std::size_t held = 0;
+  double dist[kSweepChains];
+  const auto hold = [&](std::size_t i) {
+    gathered[held] = x + i * d;
+    at[held] = i;
+    if (++held == kSweepChains) {
+      chains(gathered, d, pick.c.data(), dist);
+      for (std::size_t q = 0; q < kSweepChains; ++q) {
+        settle(at[q], dist[q]);
+      }
+      held = 0;
+    }
+  };
+  std::size_t skipped = 0;
+  std::size_t i = 0;
+  for (; i + kSweepChains <= count; i += kSweepChains) {
+    unsigned keep = 0;
+    for (std::size_t s = 0; s < kSweepChains; ++s) {
+      keep |= static_cast<unsigned>(!skip(i + s)) << s;
+    }
+    if (keep == (1u << kSweepChains) - 1) {
+      chains(BlockRows{x + i * d, d}, d, pick.c.data(), dist);
+      for (std::size_t s = 0; s < kSweepChains; ++s) {
+        settle(i + s, dist[s]);
+      }
+      continue;
+    }
+    for (std::size_t s = 0; s < kSweepChains; ++s) {
+      if ((keep >> s) & 1u) {
+        hold(i + s);
+      } else {
+        ++skipped;
+      }
+    }
+  }
+  for (; i < count; ++i) {
+    if (skip(i)) {
+      ++skipped;
+    } else {
+      hold(i);
+    }
+  }
+  for (std::size_t q = 0; q < held; ++q) {
+    settle(at[q], squared_distance({gathered[q], d}, pick.c));
+  }
+  return skipped;
+}
+
+inline void nearest_sweep_generic(const float* x, std::size_t count,
+                                  std::size_t d, std::span<const float> c,
+                                  double* nearest) {
+  nearest_sweep_with(SweepChainsGeneric{}, x, count, d, c, nearest);
+}
+
+inline std::size_t pruned_sweep_generic(const float* x, std::size_t count,
+                                        std::size_t d, const SweepPick& pick,
+                                        double* nearest,
+                                        std::uint32_t* owner) {
+  return pruned_sweep_with(SweepChainsGeneric{}, x, count, d, pick, nearest,
+                           owner);
+}
+
+#if defined(SWHKM_KERNEL_DISPATCH)
+// `flatten` inlines the shared sweep drivers and the AVX2 chain kernel
+// into these avx2-target entry points (a default-target driver could not
+// inline an avx2 kernel), so each compiles to one loop as if hand-written.
+__attribute__((target("avx2"), flatten)) inline void nearest_sweep_avx2(
+    const float* x, std::size_t count, std::size_t d,
+    std::span<const float> c, double* nearest) {
+  nearest_sweep_with(SweepChainsAvx2{}, x, count, d, c, nearest);
+}
+
+__attribute__((target("avx2"), flatten)) inline std::size_t
+pruned_sweep_avx2(const float* x, std::size_t count, std::size_t d,
+                  const SweepPick& pick, double* nearest,
+                  std::uint32_t* owner) {
+  return pruned_sweep_with(SweepChainsAvx2{}, x, count, d, pick, nearest,
+                           owner);
+}
+
 using SweepFn = void (*)(const float*, std::size_t, std::size_t,
                          std::span<const float>, double*);
+using PrunedSweepFn = std::size_t (*)(const float*, std::size_t, std::size_t,
+                                      const SweepPick&, double*,
+                                      std::uint32_t*);
 inline SweepFn resolve_nearest_sweep() {
   if (__builtin_cpu_supports("avx2")) {
     return &nearest_sweep_avx2;
   }
   return &nearest_sweep_generic;
 }
-/// Resolved once per process; both candidates are bit-identical.
+inline PrunedSweepFn resolve_pruned_sweep() {
+  if (__builtin_cpu_supports("avx2")) {
+    return &pruned_sweep_avx2;
+  }
+  return &pruned_sweep_generic;
+}
+/// Resolved once per process; both candidates of each are bit-identical.
 inline const SweepFn nearest_sweep = resolve_nearest_sweep();
+inline const PrunedSweepFn pruned_sweep = resolve_pruned_sweep();
 #else
 inline constexpr auto nearest_sweep = &nearest_sweep_generic;
+inline constexpr auto pruned_sweep = &pruned_sweep_generic;
 #endif
 
 /// Score centroids [j_begin, j_end) against `count` samples named by
@@ -532,6 +686,9 @@ struct GemmSdcHooks {
   bool check = false;
   std::uint64_t detected = 0;    ///< checksum mismatches observed
   std::uint64_t recomputed = 0;  ///< panels rebuilt + samples rescored
+  /// Rows whose candidate list overflowed into an exact full-slice sweep
+  /// (counted whether or not `check` is on).
+  std::uint64_t overflowed = 0;
 };
 
 /// Forward-error radius of the GEMM value: |g_j - d_j| <= tau_j where d_j
@@ -553,7 +710,10 @@ inline double gemm_tau_scale(std::size_t d) {
 /// top-two of the uppers (g + tau) gives U2; any j with g_j - tau_j <= U2
 /// is appended to the row's candidate list (ascending j by construction).
 /// The running U2 only tightens, so the list is a superset of every j
-/// whose exact distance can reach the final top-two.
+/// whose exact distance can reach the final top-two. A full list first
+/// evicts, in order, the entries whose stored g - tau now exceeds the bar:
+/// the bar only falls, so an evicted j could no more pass the final U2
+/// than a j never appended.
 ///
 /// Pass 2 (exact rescore): each row's candidates are offered to its record
 /// via squared_distance in ascending j — the serial operation sequence and
@@ -562,7 +722,8 @@ inline double gemm_tau_scale(std::size_t d) {
 /// therefore byte-identical to a full serial scan, independently of which
 /// dot kernel the dispatcher picked. Candidate overflow (more than
 /// kGemmCandidates) falls back to an exact sweep of the whole slice for
-/// that row.
+/// that row; a list that stays full after its eviction overflows for the
+/// rest of the tile.
 template <typename MinLocT, typename SampleIndexFn>
 inline void score_tile_gemm_gen(const data::Dataset& dataset,
                                 SampleIndexFn sample_index, std::size_t count,
@@ -578,6 +739,7 @@ inline void score_tile_gemm_gen(const data::Dataset& dataset,
   std::vector<double> u1(count, std::numeric_limits<double>::max());
   std::vector<double> u2(count, std::numeric_limits<double>::max());
   std::vector<std::uint32_t> cand(count * kGemmCandidates);
+  std::vector<double> cand_lo(count * kGemmCandidates);  ///< each g - tau
   std::vector<std::uint32_t> cand_n(count, 0);
   // ABFT checksum column of the current panel and its absolute-value twin
   // (the error-bound magnitude). Captured from the clean panel before the
@@ -677,12 +839,32 @@ inline void score_tile_gemm_gen(const data::Dataset& dataset,
         // A MinLoc record only needs the exact winner, so U1 suffices; the
         // top-two records screen against U2.
         const double bar = HasSecond<MinLocT> ? u2[t] : u1[t];
-        if (g - tau <= bar) {
-          if (cand_n[t] < kGemmCandidates) {
-            cand[t * kGemmCandidates + cand_n[t]] =
-                static_cast<std::uint32_t>(j);
+        const double lower = g - tau;
+        if (lower <= bar && cand_n[t] <= kGemmCandidates) {
+          std::uint32_t* const ids = cand.data() + t * kGemmCandidates;
+          double* const lows = cand_lo.data() + t * kGemmCandidates;
+          if (cand_n[t] == kGemmCandidates) {
+            // Full: evict, in order, every entry the bar has since passed.
+            std::uint32_t kept = 0;
+            for (std::uint32_t c = 0; c < kGemmCandidates; ++c) {
+              if (lows[c] <= bar) {
+                ids[kept] = ids[c];
+                lows[kept] = lows[c];
+                ++kept;
+              }
+            }
+            cand_n[t] = kept;
           }
-          ++cand_n[t];  // past capacity: counts on as the overflow marker
+          if (cand_n[t] < kGemmCandidates) {
+            ids[cand_n[t]] = static_cast<std::uint32_t>(j);
+            lows[cand_n[t]] = lower;
+            ++cand_n[t];
+          } else {
+            cand_n[t] = kGemmCandidates + 1;  // overflowed, for good
+            if (sdc != nullptr) {
+              ++sdc->overflowed;
+            }
+          }
         }
       }
     }
@@ -1080,7 +1262,7 @@ inline void warn_empty_clusters(std::size_t count, const char* engine) {
     SWHKM_WARN_AT(engine, -1, -1)
         << count
         << " empty cluster(s) kept their previous position in the "
-           "final iteration; consider k-means|| seeding or smaller k";
+           "final iteration; consider k-means++ seeding or smaller k";
   }
 }
 

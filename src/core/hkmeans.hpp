@@ -28,8 +28,6 @@
 #include "core/lloyd.hpp"
 #include "core/metrics.hpp"
 #include "core/minibatch.hpp"
-#include "core/out_of_core.hpp"
-#include "core/parallel_init.hpp"
 #include "core/partition.hpp"
 #include "core/perf_model.hpp"
 #include "core/planner.hpp"
@@ -39,7 +37,6 @@
 #include "data/image.hpp"
 #include "data/io.hpp"
 #include "data/normalize.hpp"
-#include "data/streaming.hpp"
 #include "data/synthetic.hpp"
 #include "simarch/machine_config.hpp"
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <latch>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "core/engine_util.hpp"
+#include "telemetry/telemetry.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -54,6 +56,10 @@ util::Matrix init_random(const data::Dataset& dataset, std::size_t k,
   }
   return take_rows(dataset, rows);
 }
+
+/// Distance elements one k-means++ skip test costs (a gather of cc, a
+/// multiply and a compare per sample), the unit of the seeding ledger.
+constexpr std::size_t kSkipTestCost = 8;
 
 /// Sample elements (n * d) per sweep thread: below this a thread's share
 /// of one sweep is too small to pay for its handoff.
@@ -119,8 +125,10 @@ void require_finite(const data::Dataset& dataset) {
 }
 
 util::Matrix init_plus_plus(const data::Dataset& dataset, std::size_t k,
-                            std::uint64_t seed, std::size_t threads) {
+                            std::uint64_t seed, std::size_t threads,
+                            SeedingStats* stats) {
   const std::size_t n = dataset.n();
+  const std::size_t d = dataset.d();
   util::Xoshiro256 rng(seed);
   std::vector<std::size_t> rows;
   rows.reserve(k);
@@ -140,10 +148,39 @@ util::Matrix init_plus_plus(const data::Dataset& dataset, std::size_t k,
   std::span<const float> latest = dataset.sample(rows.back());
   bool done = rows.size() == k;
 
+  // Triangle-inequality pruning (DESIGN.md §15) needs owner[i], the seed
+  // each nearest[i] came from, and cc[j], the distance from seed j to the
+  // latest. A skip test costs about kSkipTestCost distance elements, so at
+  // d <= kSkipTestCost it can never pay and the plain sweep runs alone.
+  const bool track = d > kSkipTestCost;
+  std::vector<std::uint32_t> owner(track ? n : 0, 0);
+  std::vector<double> cc(track ? k : 0);
+  const double scale = seeding_skip_scale(d);
+  // The savings ledger: a pruned pick pays when the distance elements it
+  // skipped outweigh its n skip tests and its cc row. While it pays the
+  // next pick prunes too; otherwise picks run plain sweeps (still keeping
+  // owner[]) and probe again when the new seed's index reaches the next
+  // power of two, so at most log2 k probes fail to pay.
+  bool prune = false;
+  bool paying = false;
+  std::vector<std::size_t> skipped(threads, 0);
+  SeedingStats tally;
+
   // Serial step between sweeps: the total and the weighted pick run in
   // index order exactly as a one-thread loop would, so the RNG draws and
-  // the chosen rows do not depend on how the sweep was split.
+  // the chosen rows do not depend on how the sweep was split or pruned.
   const auto pick = [&] {
+    std::size_t skips = 0;
+    for (const std::size_t s : skipped) {
+      skips += s;
+    }
+    tally.distances += n - skips;
+    tally.skipped += skips;
+    if (prune) {
+      ++tally.pruned_picks;
+      const std::size_t seeds = rows.size() - 1;
+      paying = skips * d > n * kSkipTestCost + seeds * d;
+    }
     double total = 0;
     for (const double w : nearest) {
       total += w;
@@ -180,21 +217,41 @@ util::Matrix init_plus_plus(const data::Dataset& dataset, std::size_t k,
     }
     latest = dataset.sample(rows.back());
     done = rows.size() == k;
+    const std::size_t id = rows.size() - 1;
+    prune = track && (paying || std::has_single_bit(id));
   };
 
   // The sweep team: the calling thread and threads - 1 workers each own a
   // contiguous slice of nearest[]. One handoff per pick — every member
   // sweeps its slice against `latest` and arrives, the last arrival runs
-  // `pick`, and the release publishes the new `latest`.
+  // `pick`, and the release publishes the new `latest`. A pruned pick
+  // first fills cc[] in blocks, one per member, and a second handoff with
+  // nothing to do publishes it before any member reads it.
   std::optional<Handoff<decltype(pick)>> sync;
+  const auto nothing = [] {};
+  std::optional<Handoff<decltype(nothing)>> publish_cc;
   std::size_t team = 1;
   std::latch ready(1);
   const auto member = [&](std::size_t t) {
     const auto [begin, end] = block_range(n, team, t);
-    const float* x = dataset.samples().data() + begin * dataset.d();
+    const float* x = dataset.samples().data() + begin * d;
     while (!done) {
-      nearest_sweep(x, end - begin, dataset.d(), latest,
-                    nearest.data() + begin);
+      if (!track) {
+        nearest_sweep(x, end - begin, d, latest, nearest.data() + begin);
+      } else {
+        SweepPick sweep{latest, static_cast<std::uint32_t>(rows.size() - 1)};
+        if (prune) {
+          const auto [jb, je] = block_range(sweep.id, team, t);
+          for (std::size_t j = jb; j < je; ++j) {
+            cc[j] = squared_distance(dataset.sample(rows[j]), latest);
+          }
+          publish_cc->arrive_and_wait();
+          sweep.cc = cc.data();
+          sweep.scale = scale;
+        }
+        skipped[t] = pruned_sweep(x, end - begin, d, sweep,
+                                  nearest.data() + begin, owner.data() + begin);
+      }
       sync->arrive_and_wait();
     }
   };
@@ -213,8 +270,12 @@ util::Matrix init_plus_plus(const data::Dataset& dataset, std::size_t k,
   }
   team = workers.size() + 1;
   sync.emplace(team, pick);
+  publish_cc.emplace(team, nothing);
   ready.count_down();
   member(0);
+  if (stats != nullptr) {
+    *stats = tally;
+  }
   return take_rows(dataset, rows);
 }
 
@@ -231,9 +292,20 @@ util::Matrix init_centroids(const data::Dataset& dataset,
       return init_first_k(dataset, config.k);
     case InitMethod::kRandom:
       return init_random(dataset, config.k, config.seed);
-    case InitMethod::kPlusPlus:
-      return detail::init_plus_plus(dataset, config.k, config.seed,
-                                    sweep_threads(dataset.n(), dataset.d()));
+    case InitMethod::kPlusPlus: {
+      detail::SeedingStats stats;
+      util::Matrix centroids = detail::init_plus_plus(
+          dataset, config.k, config.seed,
+          sweep_threads(dataset.n(), dataset.d()), &stats);
+      if (config.telemetry != nullptr) {
+        telemetry::MetricsShard& host =
+            config.telemetry->metrics().host_shard();
+        host.counter("init.sweep.distances").add(stats.distances);
+        host.counter("init.sweep.skipped").add(stats.skipped);
+        host.counter("init.sweep.pruned_picks").add(stats.pruned_picks);
+      }
+      return centroids;
+    }
   }
   throw InvalidArgument("unknown init method");
 }

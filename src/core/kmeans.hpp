@@ -72,14 +72,13 @@ struct KmeansConfig {
   /// buffer footprint scales with it and is validated at config time by
   /// resolve_tile_samples. 1 reproduces the per-tile combine.
   std::size_t sstep_tiles = 1;
-  /// Topology-aware hierarchical collectives: run the swmpi reduction
-  /// collectives on the two-level schedule (zero-copy intra-supernode
-  /// fold into per-supernode leaders, size-adaptive inter-supernode
-  /// stage) and charge the topology model's hierarchical costs, with the
-  /// crossover threshold derived from the machine's latency/bandwidth
-  /// terms (MachineConfig::collective_crossover_bytes). Bit-identical to
-  /// the flat schedule by construction (DESIGN.md §12); off restores the
-  /// flat collectives and flat charges as the A/B baseline.
+  /// Which modeled charge the collectives pay: on, the topology model's
+  /// hierarchical costs (intra-supernode fold into per-supernode leaders,
+  /// size-adaptive inter-supernode stage, crossover derived from
+  /// MachineConfig::collective_crossover_bytes) and the crossing-byte
+  /// ledger; off, the flat costs. swmpi runs one two-level code path
+  /// either way (off selects its one-rank-per-group layout), so results
+  /// are bit-identical and only the modeled seconds move (DESIGN.md §12).
   bool hier_collectives = true;
   /// Layered silent-data-corruption defense in the engines: CRC scrubbing
   /// of the published centroid snapshot and the update accumulators

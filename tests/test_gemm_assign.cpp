@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <random>
@@ -152,6 +153,117 @@ TEST(GemmKernel, CoincidentCentroidsOverflowCandidateListExactly) {
   EXPECT_EQ(recs[0].value, 0.0);
   EXPECT_EQ(recs[0].index, 0u);
   EXPECT_EQ(recs[0].second, 0.0);  // eleven more coincident at distance 0
+}
+
+/// Byte-compare the GEMM sweep with score_tile over every sample and the
+/// whole centroid range; returns the rows the GEMM selector overflowed.
+template <typename Rec>
+std::uint64_t gemm_overflows(const data::Dataset& ds,
+                             const util::Matrix& centroids,
+                             const std::string& label) {
+  const std::vector<double> norms = norms_of(centroids);
+  std::vector<Rec> ref(ds.n());
+  std::vector<Rec> got(ds.n());
+  detail::clear_scores(std::span<Rec>(ref));
+  detail::clear_scores(std::span<Rec>(got));
+  detail::score_tile(ds, 0, ds.n(), centroids, 0, centroids.rows(),
+                     std::span<Rec>(ref));
+  detail::GemmSdcHooks hooks;
+  detail::score_tile_gemm(ds, 0, ds.n(), centroids,
+                          std::span<const double>(norms), 0, centroids.rows(),
+                          std::span<Rec>(got), &hooks);
+  expect_records_equal(std::span<const Rec>(got), std::span<const Rec>(ref),
+                       label);
+  return hooks.overflowed;
+}
+
+TEST(GemmKernel, EvictionKeepsRunningRecordsExact) {
+  // Running-order records: each centroid lies closer to the samples than
+  // every centroid before it, so the running top-two changes at every j
+  // and, without eviction, every centroid would be appended. The gaps
+  // between distances dwarf tau, so eviction must keep every such row
+  // within kGemmCandidates. A tie pile of kGemmCandidates + 2 centroids
+  // after an improving prefix then forces rows that overflow after their
+  // evictions, which must still match score_tile byte for byte.
+  constexpr std::size_t d = 5;
+  std::mt19937 rng(4242);
+  std::normal_distribution<float> gauss(0.0f, 1.0f);
+  std::uniform_real_distribution<float> jitter(-1e-3f, 1e-3f);
+  const auto direction = [&] {
+    std::vector<float> v(d);
+    float norm = 0;
+    for (float& x : v) {
+      x = gauss(rng);
+      norm += x * x;
+    }
+    for (float& x : v) {
+      x /= std::sqrt(norm);
+    }
+    return v;
+  };
+  // Samples in a tiny ball around the origin: all of them see the same
+  // distance order.
+  const std::size_t n = 19;
+  std::vector<float> xs(n * d);
+  for (float& v : xs) {
+    v = jitter(rng);
+  }
+  const data::Dataset ds("ball", util::Matrix::from_vector(n, d, xs));
+  for (const std::size_t k : {8u, 9u, 64u, 512u}) {
+    // Centroid j at radius k - j: strictly improving in j.
+    std::vector<float> improving(k * d);
+    for (std::size_t j = 0; j < k; ++j) {
+      const std::vector<float> dir = direction();
+      for (std::size_t u = 0; u < d; ++u) {
+        improving[j * d + u] = static_cast<float>(k - j) * dir[u];
+      }
+    }
+    const util::Matrix centroids = util::Matrix::from_vector(k, d, improving);
+    const std::string label = "improving k=" + std::to_string(k);
+    EXPECT_EQ(gemm_overflows<TileScore>(ds, centroids, label), 0u) << label;
+    EXPECT_EQ(gemm_overflows<TileScore2>(ds, centroids, label + " top-two"),
+              0u)
+        << label;
+
+    if (k < 2 * detail::kGemmCandidates) {
+      continue;
+    }
+    // The last kGemmCandidates + 2 rows become one tie pile at radius 0.5,
+    // closer than the whole improving prefix: the prefix fills and evicts,
+    // then the pile fills the list with entries no bar can evict.
+    std::vector<float> piled = improving;
+    const std::vector<float> dir = direction();
+    for (std::size_t j = k - detail::kGemmCandidates - 2; j < k; ++j) {
+      for (std::size_t u = 0; u < d; ++u) {
+        piled[j * d + u] = 0.5f * dir[u];
+      }
+    }
+    const util::Matrix pile = util::Matrix::from_vector(k, d, piled);
+    const std::string pile_label = "evict then overflow k=" +
+                                   std::to_string(k);
+    EXPECT_EQ(gemm_overflows<TileScore>(ds, pile, pile_label), n)
+        << pile_label;
+    EXPECT_EQ(gemm_overflows<TileScore2>(ds, pile, pile_label + " top-two"),
+              n)
+        << pile_label;
+
+    // Random orders of the same improving set: whatever overflows, the
+    // records stay exact.
+    std::vector<std::size_t> order(k);
+    for (std::size_t j = 0; j < k; ++j) {
+      order[j] = j;
+    }
+    std::shuffle(order.begin(), order.end(), rng);
+    std::vector<float> shuffled(k * d);
+    for (std::size_t j = 0; j < k; ++j) {
+      std::copy_n(improving.begin() + order[j] * d, d,
+                  shuffled.begin() + j * d);
+    }
+    const util::Matrix mixed = util::Matrix::from_vector(k, d, shuffled);
+    gemm_overflows<TileScore>(ds, mixed, "shuffled k=" + std::to_string(k));
+    gemm_overflows<TileScore2>(ds, mixed,
+                               "shuffled top-two k=" + std::to_string(k));
+  }
 }
 
 TEST(GemmKernel, NormCacheRefreshTracksDriftExactly) {

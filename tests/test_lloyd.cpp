@@ -231,6 +231,149 @@ TEST(Init, PlusPlusMatchesFrozenSerial) {
   }
 }
 
+/// Samples along one axis at small integer positions (other coordinates
+/// 0), so every squared distance is an exact integer and many sample-seed-
+/// seed triples sit exactly on the skip test's 2x boundary: a sample
+/// halfway between two seeds has cc = 4 * nearest.
+data::Dataset lattice_on_a_line(std::size_t n, std::size_t d) {
+  util::Matrix m(n, d);
+  for (std::size_t i = 0; i < n; ++i) {
+    m.at(i, 0) = static_cast<float>(2 * (i % 17));
+  }
+  return data::Dataset("lattice", std::move(m));
+}
+
+/// Rows whose entries span 2^-20..2^20, so the rounding of every squared
+/// term matters, clustered around a few centres so that pruning pays.
+data::Dataset wide_range_clusters(std::size_t n, std::size_t d) {
+  util::Xoshiro256 rng(23);
+  util::Matrix centres(5, d);
+  for (float& v : centres.flat()) {
+    v = static_cast<float>(std::ldexp(rng.uniform(-1.0, 1.0),
+                                      static_cast<int>(rng.below(41)) - 20));
+  }
+  util::Matrix m(n, d);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t u = 0; u < d; ++u) {
+      const float c = centres.at(i % 5, u);
+      m.at(i, u) = c + c * static_cast<float>(rng.uniform(-1e-3, 1e-3));
+    }
+  }
+  return data::Dataset("wide", std::move(m));
+}
+
+/// A large common offset with a small spread: the differences cancel most
+/// of each value's bits.
+data::Dataset offset_clusters(std::size_t n, std::size_t d) {
+  data::Dataset base = data::make_blobs(n, d, 6, 31, 1.0, 0.05);
+  for (float& v : base.samples().flat()) {
+    v += 1.0e5f;
+  }
+  return base;
+}
+
+TEST(Init, PrunedSweepMatchesFrozenSerial) {
+  // The triangle-inequality skip must leave every chosen row as the frozen
+  // serial loop picks it, at every team size, on shapes where the skip
+  // really runs: clustered data at d >= 64 and k >= 32, samples exactly on
+  // the 2x bound, extreme magnitudes, large offsets, duplicate rows and
+  // k == n. d = 1 is below the skip test's cost, so it never prunes.
+  struct Case {
+    std::string what;
+    data::Dataset ds;
+    std::size_t k;
+    bool prunes;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"blobs d=64 k=40", data::make_blobs(640, 64, 8, 5, 6.0, 0.5),
+                   40, true});
+  cases.push_back({"blobs d=96 k=64", data::make_blobs(517, 96, 12, 6), 64,
+                   true});
+  cases.push_back({"samples on the 2x boundary", lattice_on_a_line(300, 12),
+                   17, true});
+  cases.push_back({"values 2^-20..2^20", wide_range_clusters(403, 33), 32,
+                   true});
+  cases.push_back({"offset 1e5, spread 0.05", offset_clusters(350, 64), 40,
+                   true});
+  cases.push_back({"4 points, 30 copies each", repeated_rows(4, 30, 16), 40,
+                   true});
+  cases.push_back({"k == n", data::make_blobs(61, 20, 3, 8), 61, true});
+  cases.push_back({"d = 1", data::make_uniform(203, 1, 8), 25, false});
+  for (const Case& c : cases) {
+    const std::uint64_t n = c.ds.n();
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+      const util::Matrix want = frozen_plus_plus(c.ds, c.k, seed);
+      for (std::size_t threads = 1; threads <= 8; ++threads) {
+        detail::SeedingStats stats;
+        EXPECT_TRUE(same_bytes(
+            detail::init_plus_plus(c.ds, c.k, seed, threads, &stats), want))
+            << c.what << ", seed " << seed << ", " << threads << " threads";
+        EXPECT_EQ(stats.distances + stats.skipped, n * (c.k - 1)) << c.what;
+        if (c.prunes) {
+          EXPECT_GT(stats.pruned_picks, 0u) << c.what;
+          EXPECT_GT(stats.skipped, 0u) << c.what;
+        } else {
+          EXPECT_EQ(stats.pruned_picks, 0u) << c.what;
+          EXPECT_EQ(stats.skipped, 0u) << c.what;
+        }
+      }
+    }
+  }
+}
+
+TEST(Init, PrunedSweepKernelsSkipOnlyWhatCannotMove) {
+  // Both builds of the pruned sweep against a direct evaluation of its
+  // contract, on every count / d remainder and every mix of skipped and
+  // kept samples inside a block: a kept sample folds exactly
+  // squared_distance into nearest and owner with a strict `<`, a skipped
+  // one is left alone, and the return value counts the skipped.
+  util::Xoshiro256 rng(29);
+  for (std::size_t d : {9u, 12u, 13u, 37u, 64u}) {
+    util::Matrix m(40, d);
+    for (float& v : m.flat()) {
+      v = static_cast<float>(std::ldexp(rng.uniform(-1.0, 1.0),
+                                        static_cast<int>(rng.below(41)) - 20));
+    }
+    const data::Dataset ds("wide", std::move(m));
+    const std::vector<double> cc = {1e30, 0.0, 1e-30};
+    detail::SweepPick pick{ds.sample(39), 3, cc.data(),
+                           detail::seeding_skip_scale(d)};
+    for (std::size_t count = 0; count <= 39; ++count) {
+      std::vector<double> start(count);
+      std::vector<std::uint32_t> start_owner(count);
+      std::vector<double> want(count);
+      std::vector<std::uint32_t> want_owner(count);
+      std::size_t want_skipped = 0;
+      for (std::size_t i = 0; i < count; ++i) {
+        start[i] = i % 3 == 0 ? 1e-3 : 1e30;
+        start_owner[i] = static_cast<std::uint32_t>(rng.below(3));
+        want[i] = start[i];
+        want_owner[i] = start_owner[i];
+        if (cc[start_owner[i]] >= pick.scale * start[i]) {
+          ++want_skipped;
+          continue;
+        }
+        const double dist = detail::squared_distance(ds.sample(i), pick.c);
+        if (dist < want[i]) {
+          want[i] = dist;
+          want_owner[i] = pick.id;
+        }
+      }
+      for (const auto sweep :
+           {detail::pruned_sweep, &detail::pruned_sweep_generic}) {
+        std::vector<double> got = start;
+        std::vector<std::uint32_t> got_owner = start_owner;
+        EXPECT_EQ(sweep(ds.samples().data(), count, d, pick, got.data(),
+                        got_owner.data()),
+                  want_skipped)
+            << "d " << d << ", count " << count;
+        EXPECT_EQ(got, want) << "d " << d << ", count " << count;
+        EXPECT_EQ(got_owner, want_owner) << "d " << d << ", count " << count;
+      }
+    }
+  }
+}
+
 TEST(Init, SweepKernelsMatchSquaredDistance) {
   // Every sweep build, on every count / d remainder, folds exactly
   // squared_distance into the running minimum (all values are positive

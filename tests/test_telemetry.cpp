@@ -547,6 +547,50 @@ TEST(Telemetry, ResultsAreBitIdenticalWithTelemetryOnAndOff) {
   }
 }
 
+TEST(Telemetry, SeedingCountersLandInTheRunReport) {
+  // k-means++ seeding reports its sweep counts on the host shard, and
+  // observing them changes no result byte.
+  const auto machine = simarch::MachineConfig::tiny(2, 4, 8192);
+  const data::Dataset ds = data::make_blobs(480, 24, 6, 19, 8.0, 0.5);
+  core::KmeansConfig off;
+  off.k = 12;
+  off.max_iterations = 3;
+  off.tolerance = -1;
+  off.init = core::InitMethod::kPlusPlus;
+  const core::KmeansResult plain =
+      core::run_level(core::Level::kLevel2, ds, off, machine);
+
+  core::KmeansConfig on = off;
+  telemetry::Telemetry session;
+  on.telemetry = &session;
+  const core::KmeansResult instrumented =
+      core::run_level(core::Level::kLevel2, ds, on, machine);
+  EXPECT_EQ(std::memcmp(plain.centroids.data(), instrumented.centroids.data(),
+                        plain.centroids.size() * sizeof(float)),
+            0);
+  EXPECT_EQ(plain.assignments, instrumented.assignments);
+  EXPECT_EQ(plain.inertia, instrumented.inertia);
+
+  telemetry::RunReport report;
+  report.config = on;
+  report.set_result(instrumented);
+  report.metrics = session.metrics().merged();
+  const std::uint64_t distances =
+      report.metrics.counter_or_zero("init.sweep.distances");
+  const std::uint64_t skipped =
+      report.metrics.counter_or_zero("init.sweep.skipped");
+  EXPECT_EQ(distances + skipped, ds.n() * (on.k - 1));
+  EXPECT_GT(skipped, 0u);
+  EXPECT_GT(report.metrics.counter_or_zero("init.sweep.pruned_picks"), 0u);
+  std::ostringstream out;
+  report.write_json(out);
+  for (const char* key :
+       {"\"init.sweep.distances\"", "\"init.sweep.skipped\"",
+        "\"init.sweep.pruned_picks\""}) {
+    EXPECT_NE(out.str().find(key), std::string::npos) << key;
+  }
+}
+
 TEST(Json, WriterEmitsStableStructure) {
   std::ostringstream out;
   util::JsonWriter w(out, 0);  // compact
