@@ -324,14 +324,13 @@ struct SweepPick {
   /// cc[j] = squared_distance(seed j, c) for every j < id; null runs the
   /// skip test on no sample.
   const double* cc = nullptr;
-  double scale = 0;  ///< seeding_skip_scale(d)
 };
 
 /// nearest_sweep that also keeps owner[i], the index of the first seed
 /// whose computed distance equals nearest[i], and skips every sample the
-/// triangle inequality rules out: cc[owner[i]] >= scale * nearest[i]
-/// proves that c cannot lower nearest[i] (DESIGN.md §15). Returns the
-/// number of samples skipped.
+/// triangle inequality rules out: cc[owner[i]] >= seeding_skip_scale(d) *
+/// nearest[i] proves that c cannot lower nearest[i] (DESIGN.md §15).
+/// Returns the number of samples skipped.
 ///
 /// nearest[] and owner[] move only on a strict `<`, through a branchless
 /// epilogue. A block of kSweepChains samples that keeps every sample runs
@@ -347,8 +346,9 @@ inline std::size_t pruned_sweep_with(Chains chains,
                                      const SweepPick& pick,
                                      double* __restrict__ nearest,
                                      std::uint32_t* __restrict__ owner) {
+  const double scale = seeding_skip_scale(d);
   const auto skip = [&](std::size_t i) {
-    return pick.cc != nullptr && pick.cc[owner[i]] >= pick.scale * nearest[i];
+    return pick.cc != nullptr && pick.cc[owner[i]] >= scale * nearest[i];
   };
   const auto settle = [&](std::size_t i, double dist) {
     const bool closer = dist < nearest[i];

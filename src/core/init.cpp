@@ -155,7 +155,6 @@ util::Matrix init_plus_plus(const data::Dataset& dataset, std::size_t k,
   const bool track = d > kSkipTestCost;
   std::vector<std::uint32_t> owner(track ? n : 0, 0);
   std::vector<double> cc(track ? k : 0);
-  const double scale = seeding_skip_scale(d);
   // The savings ledger: a pruned pick pays when the distance elements it
   // skipped outweigh its n skip tests and its cc row. While it pays the
   // next pick prunes too; otherwise picks run plain sweeps (still keeping
@@ -247,7 +246,6 @@ util::Matrix init_plus_plus(const data::Dataset& dataset, std::size_t k,
           }
           publish_cc->arrive_and_wait();
           sweep.cc = cc.data();
-          sweep.scale = scale;
         }
         skipped[t] = pruned_sweep(x, end - begin, d, sweep,
                                   nearest.data() + begin, owner.data() + begin);

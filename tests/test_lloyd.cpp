@@ -336,8 +336,8 @@ TEST(Init, PrunedSweepKernelsSkipOnlyWhatCannotMove) {
     }
     const data::Dataset ds("wide", std::move(m));
     const std::vector<double> cc = {1e30, 0.0, 1e-30};
-    detail::SweepPick pick{ds.sample(39), 3, cc.data(),
-                           detail::seeding_skip_scale(d)};
+    const detail::SweepPick pick{ds.sample(39), 3, cc.data()};
+    const double scale = detail::seeding_skip_scale(d);
     for (std::size_t count = 0; count <= 39; ++count) {
       std::vector<double> start(count);
       std::vector<std::uint32_t> start_owner(count);
@@ -349,7 +349,7 @@ TEST(Init, PrunedSweepKernelsSkipOnlyWhatCannotMove) {
         start_owner[i] = static_cast<std::uint32_t>(rng.below(3));
         want[i] = start[i];
         want_owner[i] = start_owner[i];
-        if (cc[start_owner[i]] >= pick.scale * start[i]) {
+        if (cc[start_owner[i]] >= scale * start[i]) {
           ++want_skipped;
           continue;
         }
