@@ -420,9 +420,9 @@ inline std::size_t pruned_sweep_generic(const float* x, std::size_t count,
 }
 
 #if defined(SWHKM_KERNEL_DISPATCH)
-// `flatten` inlines the shared sweep drivers and the AVX2 chain kernel
-// into these avx2-target entry points (a default-target driver could not
-// inline an avx2 kernel), so each compiles to one loop as if hand-written.
+// `flatten` inlines the shared sweep loops and the AVX2 chain kernel into
+// these avx2-target entry points (a default-target loop could not inline
+// an avx2 kernel), so each compiles to one loop as if hand-written.
 __attribute__((target("avx2"), flatten)) inline void nearest_sweep_avx2(
     const float* x, std::size_t count, std::size_t d,
     std::span<const float> c, double* nearest) {
