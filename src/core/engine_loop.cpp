@@ -43,6 +43,26 @@ void require_valid_centroids(const util::Matrix& centroids, std::size_t k,
   }
 }
 
+/// The contiguous samples a rank's flow units own: a Level 1/2 CG runs
+/// num_flow_units / num_cgs consecutive units, a Level 3 CG its group's
+/// one. The rank gates only these, so its bounds cover only these.
+std::pair<std::size_t, std::size_t> rank_samples(const EngineRun& run,
+                                                 std::size_t cg) {
+  const PartitionPlan& plan = run.plan;
+  const std::size_t n = run.dataset.n();
+  if (plan.level == Level::kLevel3) {
+    return block_range(n, plan.num_flow_units, cg / plan.mprime_group);
+  }
+  const std::size_t per_cg = plan.num_flow_units / plan.num_cgs;
+  return {block_range(n, plan.num_flow_units, cg * per_cg).first,
+          block_range(n, plan.num_flow_units, (cg + 1) * per_cg - 1).second};
+}
+
+/// Level 2's group bounds replace the safe-radius arm (DESIGN.md §7).
+bool runs_radius_pass(const PartitionPlan& plan) {
+  return plan.level != Level::kLevel2;
+}
+
 }  // namespace
 
 std::size_t safe_radius_block_rows(const simarch::MachineConfig& machine,
@@ -66,9 +86,13 @@ EngineRank::EngineRank(const EngineRun& run_, swmpi::Comm& world_)
                        ? &tshard->histogram("engine.pipeline.overlap_s")
                        : nullptr),
       spans_on(tel != nullptr && tel->config().wall_spans),
-      upper(run_.dataset.n(), 0.0),
-      lower(run_.dataset.n(), 0.0),
+      split{run_.config.k, run_.plan.bound_groups},
+      radius_pass(runs_radius_pass(run_.plan)),
+      bound_base(rank_samples(run_, cg).first),
+      upper(rank_samples(run_, cg).second - bound_base, 0.0),
+      lower(upper.size() * split.groups, 0.0),
       drift(run_.config.k, 0.0),
+      digests(split.groups),
       radius_work(safe_radius_work(
           run_.config.k, run_.machine.cpes_per_cg,
           safe_radius_block_rows(run_.machine, run_.dataset.d()))),
@@ -112,7 +136,7 @@ void EngineRank::charge_radius_pass(simarch::CostTally& t) const {
 
 void EngineRank::charge_gate_and_sdc(std::uint64_t unresolved,
                                      double sweep_row_s) {
-  if (gating) {
+  if (gating && radius_pass) {
     charge_radius_pass(tally);
   }
   if (!run.config.sdc_checks) {
@@ -361,8 +385,10 @@ KmeansResult run_engine(Level level, const char* name,
       // trajectory stays exact from the very first assignment). Later
       // iterations gate while the savings ledger keeps the bounds on.
       rank.gating = rank.bounds && iter > 0;
-      rank.digest = rank.gating ? drift_digest(rank.drift) : DriftDigest{};
       if (rank.gating) {
+        group_drift_digests(rank.drift, rank.split, rank.digests);
+      }
+      if (rank.gating && rank.radius_pass) {
         compute_safe_radii(centroids, rank.safe);
       }
       if (gemm) {
@@ -438,10 +464,13 @@ KmeansResult run_engine(Level level, const char* name,
       rank_clock += combined.total_s();  // bulk-synchronous iteration edge
       if (iter == 0) {
         // The bounds can pay for themselves only if one safe-radius pass
-        // costs less than the whole sweep it could skip. Every later
-        // bounds-off iteration prices exactly like this one.
+        // costs less than the whole sweep it could skip (Level 2 runs no
+        // pass, so it always tries them). Every later bounds-off
+        // iteration prices exactly like this one.
         simarch::CostTally pass;
-        rank.charge_radius_pass(pass);
+        if (rank.radius_pass) {
+          rank.charge_radius_pass(pass);
+        }
         rank.bounds = pass.total_s() < combined.compute_s;
         ungated_s = combined.total_s();
       } else if (rank.gating) {
@@ -505,8 +534,10 @@ KmeansResult run_engine(Level level, const char* name,
   // Safe-radius maintenance: k(k-1)/2 centroid pairs per gated
   // iteration, counted once (the per-rank copies are replicas).
   result.accel.centroid_distance_computations =
-      gated_iterations * config.k * (config.k - 1) / 2;
+      runs_radius_pass(plan) ? gated_iterations * config.k * (config.k - 1) / 2
+                             : 0;
   result.assign_kernel = gemm ? "gemm" : "chain";
+  result.bound_groups = plan.bound_groups;
   result.gated_iterations = gated_iterations;
   result.empty_clusters = empty_clusters;
   result.cost = total_cost;
@@ -519,10 +550,19 @@ KmeansResult run_engine(Level level, const char* name,
 // ------------------------------------------------------------- TileSweep
 
 TileSweep::TileSweep(const EngineRank& rank)
-    : runs_(rank.run.plan.m_group, rank.run.sample_batch) {
+    : runs_(rank.run.plan.m_group, rank.run.sample_batch),
+      group_scans_(rank.split.groups, 0),
+      tightened_at_(rank.run.config.k, 0) {
+  const std::size_t tile = rank.run.tile_samples;
+  const std::size_t groups = rank.split.groups;
   for (Slot& s : slots_) {
-    s.scores.resize(rank.run.tile_samples);
-    s.ids.reserve(rank.run.tile_samples);
+    s.scores.resize(tile * groups);
+    s.ids.reserve(tile);
+    if (groups > 1) {
+      s.scan.reserve(tile);
+      s.assigned_sq.reserve(tile);
+      s.group_ids.resize(tile * groups);
+    }
   }
 }
 
@@ -530,6 +570,8 @@ TileSweep::Block TileSweep::sweep(EngineRank& rank, std::size_t begin,
                                   std::size_t end) {
   Block block;
   runs_.reset();
+  std::fill(group_scans_.begin(), group_scans_.end(), 0);
+  std::fill(tightened_at_.begin(), tightened_at_.end(), 0);
   const std::size_t tile = rank.run.tile_samples;
   int cur = 0;
   for (std::size_t t0 = begin; t0 < end; t0 += tile) {
@@ -544,81 +586,145 @@ TileSweep::Block TileSweep::sweep(EngineRank& rank, std::size_t begin,
     retire(rank, slots_[cur ^ 1], block);
   }
   block.descriptors = runs_.critical();
+  // Member m owns centroids [m k_local, (m+1) k_local): it scores the part
+  // of each scanned group inside that slice and tightens on its own rows.
+  const std::size_t members = rank.run.plan.m_group;
+  const std::size_t k_local = rank.run.plan.k_local;
+  block.member_rows.assign(members, 0);
+  block.member_tightened.assign(members, 0);
+  for (std::size_t g = 0; g < rank.split.groups; ++g) {
+    const auto [gb, ge] = rank.split.range(g);
+    block.scanned_rows += group_scans_[g] * (ge - gb);
+    for (std::size_t m = 0; m < members; ++m) {
+      const std::size_t lo = std::max(gb, m * k_local);
+      const std::size_t hi = std::min(ge, (m + 1) * k_local);
+      block.member_rows[m] += lo < hi ? group_scans_[g] * (hi - lo) : 0;
+    }
+  }
+  for (std::size_t j = 0; j < tightened_at_.size(); ++j) {
+    block.member_tightened[j / k_local] += tightened_at_[j];
+  }
   return block;
 }
 
 void TileSweep::stage(EngineRank& rank, Slot& s, std::size_t t0,
                       std::size_t t1, Block& block) {
   const EngineRun& run = rank.run;
-  const std::size_t k = run.config.k;
+  const std::size_t tile = run.tile_samples;
+  const GroupSplit& split = rank.split;
   s.t0 = t0;
   s.t1 = t1;
   s.valid = true;
   rank.record_tile(telemetry::FlightEventKind::kTileStart, t0, t1);
-  if (!rank.gating) {
-    const std::span<TileScore2> scores(s.scores.data(), t1 - t0);
+  // Group g's records land at scores[g * tile, ...), one per sample it
+  // scores, in ascending sample order.
+  const auto records = [&](std::size_t g, std::size_t count) {
+    const std::span<TileScore2> scores(s.scores.data() + g * tile, count);
     clear_scores(scores);
-    if (run.gemm) {
-      score_tile_gemm(run.dataset, t0, t1, run.centroids, rank.norms, 0, k,
-                      scores, rank.gemm_hooks);
-    } else {
-      score_tile(run.dataset, t0, t1, run.centroids, 0, k, scores);
+    return scores;
+  };
+  if (!rank.gating) {
+    for (std::size_t g = 0; g < split.groups; ++g) {
+      const auto [gb, ge] = split.range(g);
+      const std::span<TileScore2> scores = records(g, t1 - t0);
+      if (run.gemm) {
+        score_tile_gemm(run.dataset, t0, t1, run.centroids, rank.norms, gb,
+                        ge, scores, rank.gemm_hooks);
+      } else {
+        score_tile(run.dataset, t0, t1, run.centroids, gb, ge, scores);
+      }
+      group_scans_[g] += t1 - t0;
     }
     return;
   }
   s.ids.clear();
+  s.scan.clear();
+  s.assigned_sq.clear();
   // Level 2 tightens locally too: the sample is already replicated to the
   // group and the assigned centroid's full row lives in one member's
   // slice; the verdict rides the register bus.
-  block.tightened += gate_tile(run.dataset, run.centroids, t0, t1,
-                               run.assignments, rank.drift, rank.digest,
-                               rank.safe, rank.upper, rank.lower,
-                               /*tighten=*/true, s.ids);
+  const bool grouped = split.groups > 1;
+  block.tightened += gate_groups(
+      run.dataset, run.centroids, t0, t1, run.assignments, rank.drift, split,
+      rank.digests, rank.safe, rank.bound_base, rank.upper, rank.lower,
+      /*tighten=*/true,
+      GateSurvivors{s.ids, grouped ? &s.scan : nullptr,
+                    grouped ? &s.assigned_sq : nullptr, tightened_at_});
   if (rank.survivor_hist != nullptr) {
     rank.survivor_hist->observe(static_cast<double>(s.ids.size()));
   }
-  if (!s.ids.empty()) {
-    const std::span<TileScore2> scores(s.scores.data(), s.ids.size());
-    clear_scores(scores);
-    const std::span<const std::uint32_t> ids(s.ids.data(), s.ids.size());
+  for (std::size_t g = 0; g < split.groups; ++g) {
+    // One group scores every survivor; otherwise compact the survivors
+    // whose group-g bound failed.
+    std::span<const std::uint32_t> ids(s.ids.data(), s.ids.size());
+    if (grouped) {
+      std::uint32_t* const out = s.group_ids.data() + g * tile;
+      std::size_t count = 0;
+      for (std::size_t p = 0; p < s.ids.size(); ++p) {
+        out[count] = s.ids[p];
+        count += s.scan[p] >> g & 1u;
+      }
+      ids = std::span<const std::uint32_t>(out, count);
+    }
+    if (ids.empty()) {
+      continue;
+    }
+    const auto [gb, ge] = split.range(g);
+    const std::span<TileScore2> scores = records(g, ids.size());
     if (run.gemm) {
-      score_tile_ids_gemm(run.dataset, ids, run.centroids, rank.norms, 0, k,
+      score_tile_ids_gemm(run.dataset, ids, run.centroids, rank.norms, gb, ge,
                           scores, rank.gemm_hooks);
     } else {
-      score_tile_ids(run.dataset, ids, run.centroids, 0, k, scores);
+      score_tile_ids(run.dataset, ids, run.centroids, gb, ge, scores);
     }
+    group_scans_[g] += ids.size();
   }
 }
 
 void TileSweep::retire(EngineRank& rank, Slot& s, Block& block) {
   const data::Dataset& dataset = rank.run.dataset;
   std::vector<std::uint32_t>& assignments = rank.run.assignments;
-  // Merge in ascending i: swept samples take the fresh argmin, gated ones
-  // accumulate under their stored assignment, so the fused sums keep the
-  // exact summation order of a full sweep. Without bounds a tile scored
-  // every sample in order; a gated one scored only its survivor ids. The
-  // same walk counts the readers' stream runs: a swept sample goes to
+  const GroupSplit& split = rank.split;
+  const std::size_t groups = split.groups;
+  const std::size_t tile = rank.run.tile_samples;
+  // Merge in ascending i: swept samples take the merged argmin of their
+  // scored groups, gated ones accumulate under their stored assignment,
+  // so the fused sums keep the exact summation order of a full sweep.
+  // Without bounds a tile scored every group for every sample in order; a
+  // gated one scored group g for its survivors with bit g set, in order.
+  // The same walk counts the readers' stream runs: a swept sample goes to
   // every reader, a gated one to its centroid's owner only.
   const std::size_t k_local = rank.run.plan.k_local;
+  const auto all = static_cast<std::uint8_t>((1u << groups) - 1);
+  const bool grouped = rank.gating && groups > 1;
   if (!rank.gating) {
     runs_.pull_all(s.t0, s.t1);
   }
+  std::size_t next[kMaxBoundGroups] = {};  // each group's next record
   std::size_t pos = 0;
   for (std::size_t i = s.t0; i < s.t1; ++i) {
-    const TileScore2* rec = nullptr;
-    if (!rank.gating) {
-      rec = &s.scores[i - s.t0];
-    } else if (pos < s.ids.size() && s.ids[pos] == i) {
-      rec = &s.scores[pos++];
-      runs_.pull_all(i, i + 1);
-    } else {
-      runs_.pull_one(assignments[i] / k_local, i);
-    }
     std::uint32_t j = assignments[i];
-    if (rec != nullptr) {
-      j = static_cast<std::uint32_t>(rec->index);
+    if (!rank.gating || (pos < s.ids.size() && s.ids[pos] == i)) {
+      const std::uint8_t scan = grouped ? s.scan[pos] : all;
+      const TileScore2* recs[kMaxBoundGroups] = {};
+      for (std::size_t g = 0; g < groups; ++g) {
+        if ((scan >> g & 1u) != 0) {
+          recs[g] = &s.scores[g * tile + next[g]++];
+        }
+      }
+      const std::size_t b = i - rank.bound_base;
+      j = merge_group_records<TileScore2>(
+          std::span<const TileScore2* const>(recs, groups), scan, split, j,
+          grouped ? s.assigned_sq[pos]
+                  : std::numeric_limits<double>::quiet_NaN(),
+          rank.upper[b], rank.lower.data() + b * groups);
       assignments[i] = j;
-      refresh_bounds(*rec, rank.upper[i], rank.lower[i]);
+      if (rank.gating) {
+        ++pos;
+        runs_.pull_all(i, i + 1);
+      }
+    } else {
+      runs_.pull_one(j / k_local, i);
     }
     rank.acc.add_sample(j, dataset.sample(i));
   }

@@ -87,14 +87,20 @@ struct EngineRank {
   telemetry::Histogram* const overlap_hist;
   const bool spans_on;
 
-  // Bound-gated assign state: Hamerly upper/lower bounds per sample (only
-  // this rank's samples are ever touched), the published per-centroid
-  // drift, the safe radii and the radius pass's per-CPE work. `bounds` is
-  // decided after iteration 0, re-decided after each gated iteration by the
-  // savings ledger in run_engine, and never turns back on (DESIGN.md §7).
+  // Bound-gated assign state (DESIGN.md §7): per sample of this rank's
+  // contiguous range [bound_base, ...), an upper bound and one lower bound
+  // per centroid group (plan.bound_groups); the published per-centroid
+  // drift and each group's drift digest; the safe radii and the radius
+  // pass's per-CPE work (Levels 1/3 only). `bounds` is decided after
+  // iteration 0, re-decided after each gated iteration by the savings
+  // ledger in run_engine, and never turns back on.
+  const GroupSplit split;
+  const bool radius_pass;
+  const std::size_t bound_base;
   std::vector<double> upper;
   std::vector<double> lower;
   std::vector<double> drift;
+  std::vector<DriftDigest> digests;
   std::vector<double> safe;
   const SafeRadiusWork radius_work;
   bool bounds = true;
@@ -110,7 +116,6 @@ struct EngineRank {
   // The current iteration.
   std::uint64_t global_iter = 0;
   bool gating = false;  ///< bounds on and past iteration 0
-  DriftDigest digest;
   std::span<const double> norms;
   simarch::CostTally tally;
   std::uint64_t abft_recomputed_before = 0;
@@ -156,11 +161,14 @@ KmeansResult run_engine(Level level, const char* name,
                         util::Matrix initial_centroids,
                         const PolicyFactory& make_policy);
 
-/// Levels 1 and 2: sweep contiguous sample blocks against all k centroids
+/// Levels 1 and 2: sweep contiguous sample blocks against the k centroids
 /// through a double-buffered tile pair. Tile t+1 is gated and scored into
 /// the spare slot (modelling its DMA landing under tile t's sweep) before
 /// tile t's merge retires; retire order stays ascending, so the
 /// accumulator's summation order — and the centroid bits — cannot move.
+/// Each centroid group (EngineRank::split) is scored on its own column
+/// range, for the samples whose group bound failed, and the group records
+/// merge in ascending group order (merge_group_records).
 class TileSweep {
  public:
   explicit TileSweep(const EngineRank& rank);
@@ -170,6 +178,12 @@ class TileSweep {
     std::uint64_t tightened = 0;   ///< one-row gate tightenings
     /// Sample-stream descriptors of the block's busiest reader.
     std::uint64_t descriptors = 0;
+    /// Centroid rows scored: each survivor times its scanned groups' sizes.
+    std::uint64_t scanned_rows = 0;
+    /// Per member CPE (m_group entries): the scanned rows in its centroid
+    /// slice, and the tighten rows on the centroids it owns.
+    std::vector<std::uint64_t> member_rows;
+    std::vector<std::uint64_t> member_tightened;
   };
   /// Gate, score and merge samples [begin, end). The block's readers are
   /// the plan's m_group CPEs (one at Level 1), each owning k_local
@@ -191,7 +205,14 @@ class TileSweep {
     std::size_t t0 = 0;
     std::size_t t1 = 0;
     bool valid = false;
-    std::vector<std::uint32_t> ids;
+    std::vector<std::uint32_t> ids;  ///< survivors (gated tiles)
+    /// Per survivor, with more than one group: its group mask and its
+    /// assigned centroid's exact squared distance.
+    std::vector<std::uint8_t> scan;
+    std::vector<double> assigned_sq;
+    /// Group-major, tile_samples apart: the survivors scoring group g and
+    /// their records.
+    std::vector<std::uint32_t> group_ids;
     std::vector<TileScore2> scores;
   };
   void stage(EngineRank& rank, Slot& s, std::size_t t0, std::size_t t1,
@@ -200,6 +221,8 @@ class TileSweep {
 
   Slot slots_[2];
   StreamRuns runs_;
+  std::vector<std::uint64_t> group_scans_;   ///< survivors per group, block
+  std::vector<std::uint64_t> tightened_at_;  ///< tighten rows per centroid
 };
 
 }  // namespace swhkm::core::detail

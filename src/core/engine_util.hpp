@@ -958,6 +958,41 @@ inline std::pair<std::size_t, std::size_t> block_range(std::size_t total,
   return {begin, begin + length};
 }
 
+/// Most centroid groups a sample's bounds can carry: a survivor's group
+/// mask is one byte.
+inline constexpr std::size_t kMaxBoundGroups = 8;
+
+/// The bound gate's split of the k centroids into G contiguous groups,
+/// group g = block_range(k, G, g) (Yinyang groups, Ding et al. ICML'15).
+/// Each sample keeps one lower bound per group and each group one
+/// top-two drift digest. G = 1 is Hamerly's single bound.
+struct GroupSplit {
+  std::size_t k = 0;
+  std::size_t groups = 1;
+
+  std::pair<std::size_t, std::size_t> range(std::size_t g) const {
+    return block_range(k, groups, g);
+  }
+  /// The group holding centroid j (block_range's inverse).
+  std::size_t group_of(std::size_t j) const {
+    const std::size_t base = k / groups;
+    const std::size_t cut = (k % groups) * (base + 1);
+    return j < cut ? j / (base + 1) : k % groups + (j - cut) / base;
+  }
+};
+
+/// Each group's top-two drift digest, argmax in global indices. With one
+/// group it is drift_digest(drift).
+inline void group_drift_digests(std::span<const double> drift,
+                                const GroupSplit& split,
+                                std::span<DriftDigest> out) {
+  for (std::size_t g = 0; g < split.groups; ++g) {
+    const auto [begin, end] = split.range(g);
+    out[g] = drift_digest(drift.subspan(begin, end - begin));
+    out[g].argmax += begin;
+  }
+}
+
 /// Columns a safe-radius chain advances per call: the panel's 8 KiB span
 /// stays in L1 while the rows stream past it.
 inline constexpr std::size_t kSafeRadiusSpan = 64;
@@ -1089,26 +1124,107 @@ inline void compute_safe_radii(const util::Matrix& centroids,
   }
 }
 
-/// Gate one tile of samples [t0, t1): advance each sample's Hamerly bounds
-/// by this iteration's drift (upper chases the assigned centroid, lower
-/// retreats by the worst *other* mover) and append the ids that remain
-/// unresolved to `ids` (caller-cleared). A sample is resolved — provably
-/// still assigned to its current centroid — only under a strict
-/// upper < max(safe[a], lower): strictness means a skip implies the argmin
+/// Where a gated tile's survivors go. `ids` takes the unresolved sample
+/// ids in ascending order (caller-cleared). The optional outputs run in
+/// step with it: `scan` takes each survivor's group mask (bit g: group g's
+/// bound failed, so group g must be scored) and `assigned_sq` the exact
+/// squared distance to its assigned centroid (NaN when not tightened);
+/// `tightened_at` (k entries, or empty) counts tighten rows per centroid.
+struct GateSurvivors {
+  std::vector<std::uint32_t>& ids;
+  std::vector<std::uint8_t>* scan = nullptr;
+  std::vector<double>* assigned_sq = nullptr;
+  std::span<std::uint64_t> tightened_at = {};
+};
+
+/// Gate one tile of samples [t0, t1) through G group bounds: advance each
+/// sample's upper bound by its assigned centroid's drift (upper chases the
+/// assigned centroid) and each group's lower bound by the worst *other*
+/// mover in that group (its digest excluding the assigned centroid; with
+/// G = 1 that is Hamerly's drift_excluding rule), then append the samples
+/// that remain unresolved to `out`. Bounds are indexed from `base`:
+/// sample i's upper is upper[i - base], its group-g lower
+/// lower[(i - base) * G + g].
+///
+/// A sample is resolved — provably still assigned to its current centroid
+/// — only under a strict upper < max(safe[a], min_g lower_g) (no radius
+/// arm when `safe` is empty): strictness means a skip implies the argmin
 /// is unique and unchanged (upper < safe[a] makes every rival strictly
-/// farther by the triangle inequality; upper < lower beats the true
-/// second-closest), so the left-to-right tie-break — and with it exact
-/// Lloyd bit-identity — survives coincident centroids. When `tighten` is
-/// set, a sample failing the bound test gets one exact distance to its
-/// assigned centroid (replacing the drift-inflated upper) and a second
-/// chance — worth one row where a sweep costs k. Levels 1/2 enable it (the
-/// assigned centroid's full row is local to the slice owner); Level 3
-/// does not (the row is split over the group, so the test would cost the
-/// very exchange it tries to skip). All inputs are deterministic,
-/// globally-consistent quantities (assignments from the replicated argmin,
-/// drift from the published allgather, radii from the shared snapshot), so
-/// every rank gating the same samples builds the identical compaction with
-/// no exchange. Returns the number of tightening distances spent.
+/// farther by the triangle inequality; upper < lower_g beats every
+/// centroid of group g but the assigned one), so the left-to-right
+/// tie-break — and with it exact Lloyd bit-identity — survives coincident
+/// centroids. When `tighten` is set, a sample failing the test gets one
+/// exact distance to its assigned centroid (replacing the drift-inflated
+/// upper) and a second chance — worth one row where a sweep costs k.
+/// Levels 1/2 enable it (the assigned centroid's full row is local to the
+/// slice owner); Level 3 does not (the row is split over the group, so the
+/// test would cost the very exchange it tries to skip). A survivor must
+/// score only the groups with lower_g <= upper: every other group's
+/// centroids are strictly farther than the assigned one. Grouping (G > 1)
+/// needs `tighten`, since a survivor's skipped assigned group offers its
+/// exact distance to the merge (merge_group_records).
+///
+/// All inputs are deterministic, globally-consistent quantities
+/// (assignments from the replicated argmin, drift from the published
+/// allgather, radii from the shared snapshot), so every rank gating the
+/// same samples builds the identical compaction with no exchange. Returns
+/// the number of tightening distances spent.
+inline std::size_t gate_groups(const data::Dataset& dataset,
+                               const util::Matrix& centroids, std::size_t t0,
+                               std::size_t t1,
+                               std::span<const std::uint32_t> assignments,
+                               std::span<const double> drift,
+                               const GroupSplit& split,
+                               std::span<const DriftDigest> digests,
+                               std::span<const double> safe, std::size_t base,
+                               std::span<double> upper,
+                               std::span<double> lower, bool tighten,
+                               const GateSurvivors& out) {
+  const std::size_t groups = split.groups;
+  std::size_t tightened = 0;
+  for (std::size_t i = t0; i < t1; ++i) {
+    const std::uint32_t a = assignments[i];
+    double& up = upper[i - base];
+    double* const lo = lower.data() + (i - base) * groups;
+    up += drift[a];
+    double least = std::numeric_limits<double>::max();
+    for (std::size_t g = 0; g < groups; ++g) {
+      lo[g] -= drift_excluding(digests[g], a);
+      least = std::min(least, lo[g]);
+    }
+    const double threshold = safe.empty() ? least : std::max(safe[a], least);
+    if (up < threshold) {
+      continue;
+    }
+    double sq = std::numeric_limits<double>::quiet_NaN();
+    if (tighten) {
+      sq = squared_distance(dataset.sample(i), centroids.row(a));
+      up = std::sqrt(sq);
+      ++tightened;
+      if (!out.tightened_at.empty()) {
+        ++out.tightened_at[a];
+      }
+      if (up < threshold) {
+        continue;
+      }
+    }
+    out.ids.push_back(static_cast<std::uint32_t>(i));
+    if (out.scan != nullptr) {
+      std::uint8_t mask = 0;
+      for (std::size_t g = 0; g < groups; ++g) {
+        mask |= static_cast<std::uint8_t>(lo[g] <= up ? 1u << g : 0u);
+      }
+      out.scan->push_back(mask);
+    }
+    if (out.assigned_sq != nullptr) {
+      out.assigned_sq->push_back(sq);
+    }
+  }
+  return tightened;
+}
+
+/// The single-bound gate (G = 1, bounds indexed by sample id): Hamerly's
+/// upper/lower pair under `digest` and the safe radii.
 inline std::size_t gate_tile(const data::Dataset& dataset,
                              const util::Matrix& centroids, std::size_t t0,
                              std::size_t t1,
@@ -1118,26 +1234,60 @@ inline std::size_t gate_tile(const data::Dataset& dataset,
                              std::span<const double> safe,
                              std::span<double> upper, std::span<double> lower,
                              bool tighten, std::vector<std::uint32_t>& ids) {
-  std::size_t tightened = 0;
-  for (std::size_t i = t0; i < t1; ++i) {
-    const std::uint32_t a = assignments[i];
-    upper[i] += drift[a];
-    lower[i] -= drift_excluding(digest, a);
-    const double threshold = std::max(safe[a], lower[i]);
-    if (upper[i] < threshold) {
-      continue;
-    }
-    if (tighten) {
-      upper[i] =
-          std::sqrt(squared_distance(dataset.sample(i), centroids.row(a)));
-      ++tightened;
-      if (upper[i] < threshold) {
-        continue;
+  return gate_groups(dataset, centroids, t0, t1, assignments, drift,
+                     GroupSplit{centroids.rows(), 1},
+                     std::span<const DriftDigest>(&digest, 1), safe, 0, upper,
+                     lower, tighten, GateSurvivors{ids});
+}
+
+/// Merge one sample's group records into its assignment and refresh its
+/// bounds. `records[g]` is group g's top-two record when bit g of `scan`
+/// is set (the group was scored), ignored otherwise. Groups merge in
+/// ascending order with a strict `<`, so ties go to the lowest index, as
+/// in a serial left-to-right scan. A skipped group offers nothing, except
+/// the group of the stored assignment `a`, which offers `a` at its exact
+/// squared distance `assigned_sq`: every other centroid of a skipped group
+/// is strictly farther than `a`, so the merge sees every centroid that can
+/// reach the minimum and the winner is bit-identical to a full scan.
+///
+/// Bounds: upper becomes the winner's exact distance. A scored group's
+/// lower becomes its runner-up's exact distance when it holds the winner,
+/// else its best's. A skipped group keeps its (decayed) bound, except that
+/// the group of `a` must now also cover `a` if the sample moved away:
+/// min(lower, old exact distance). With one group this is refresh_bounds.
+/// Returns the winner.
+template <typename MinLocT>
+  requires HasSecond<MinLocT>
+inline std::uint32_t merge_group_records(std::span<const MinLocT* const> records,
+                                         std::uint8_t scan,
+                                         const GroupSplit& split,
+                                         std::uint32_t a, double assigned_sq,
+                                         double& upper, double* lower) {
+  const std::size_t ga = split.group_of(a);
+  double best = std::numeric_limits<double>::max();
+  std::uint64_t winner = a;
+  for (std::size_t g = 0; g < split.groups; ++g) {
+    if ((scan >> g & 1u) != 0) {
+      if (records[g]->value < best) {
+        best = records[g]->value;
+        winner = records[g]->index;
       }
+    } else if (g == ga && assigned_sq < best) {
+      best = assigned_sq;
+      winner = a;
     }
-    ids.push_back(static_cast<std::uint32_t>(i));
   }
-  return tightened;
+  const double old_upper = upper;
+  upper = std::sqrt(best);
+  for (std::size_t g = 0; g < split.groups; ++g) {
+    if ((scan >> g & 1u) != 0) {
+      const MinLocT& rec = *records[g];
+      lower[g] = std::sqrt(rec.index == winner ? rec.second : rec.value);
+    } else if (g == ga && winner != a) {
+      lower[g] = std::min(lower[g], old_upper);
+    }
+  }
+  return static_cast<std::uint32_t>(winner);
 }
 
 /// Refresh a sample's bounds from a freshly swept top-two record: both

@@ -200,6 +200,9 @@ struct KmeansResult {
   /// (DESIGN.md §7). The RecoveryDriver sums it over its legs.
   std::string assign_kernel;
   std::size_t gated_iterations = 0;
+  /// Lower bounds per sample the bound gate kept (PartitionPlan::
+  /// bound_groups): 1 at Levels 1/3, min(8, k) at Level 2.
+  std::size_t bound_groups = 0;
 };
 
 }  // namespace swhkm::core

@@ -232,9 +232,11 @@ class Level3Policy final : public detail::LevelPolicy {
         // dimension-split across the group's CPEs and slice-split across
         // its CGs, so one exact distance would cost the combine the gate
         // exists to skip. Bounds + safe radii only.
-        detail::gate_tile(rank.run.dataset, rank.run.centroids, sub0, sub1,
-                          local_assign_, rank.drift, rank.digest, rank.safe,
-                          rank.upper, rank.lower, /*tighten=*/false, s.ids);
+        detail::gate_groups(rank.run.dataset, rank.run.centroids, sub0, sub1,
+                            local_assign_, rank.drift, rank.split,
+                            rank.digests, rank.safe, rank.bound_base,
+                            rank.upper, rank.lower, /*tighten=*/false,
+                            detail::GateSurvivors{s.ids});
       }
       const std::size_t fresh = s.ids.size() - before;
       if (rank.survivor_hist != nullptr && rank.gating) {
@@ -285,7 +287,8 @@ class Level3Policy final : public detail::LevelPolicy {
         const swmpi::MinLoc2& rec = scores[pos];
         winner = static_cast<std::uint32_t>(rec.index);
         local_assign_[i] = winner;
-        detail::refresh_bounds(rec, rank.upper[i], rank.lower[i]);
+        detail::refresh_bounds(rec, rank.upper[i - rank.bound_base],
+                               rank.lower[i - rank.bound_base]);
         if (within_ == 0) {
           assignments[i] = winner;
         }

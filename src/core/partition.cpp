@@ -255,6 +255,7 @@ Feasibility try_level2(const ProblemShape& shape,
         machine.num_cgs() * (machine.cpes_per_cg / m_group);
     plan->k_local = k_local;
     plan->d_local = shape.d;
+    plan->bound_groups = std::min(kLevel2BoundGroups, shape.k);
     plan->ldm = *layout;
   }
   return ok();
@@ -451,7 +452,7 @@ std::string PartitionPlan::describe() const {
     out << ", m'_group=" << mprime_group;
   }
   out << ", flow units=" << num_flow_units << ", k_local=" << k_local
-      << ", d_local=" << d_local
+      << ", d_local=" << d_local << ", bound groups=" << bound_groups
       << (ldm.resident ? ", centroids resident"
                        : ", centroids streamed (tile_rows=" +
                              std::to_string(ldm.tile_rows) + ")")

@@ -62,6 +62,9 @@ struct LdmLayout {
   std::size_t sample_batch = 1;
 };
 
+/// Level 2's lower bounds per sample: one per contiguous centroid group.
+inline constexpr std::size_t kLevel2BoundGroups = 8;
+
 /// A fully resolved partition: which level, how centroids and dimensions
 /// are split, and what each simulated CPE must hold.
 struct PartitionPlan {
@@ -84,6 +87,10 @@ struct PartitionPlan {
   std::size_t k_local = 0;
   /// Dimensions per CPE: d for L1/L2, ceil(d/cpes_per_cg) for L3.
   std::size_t d_local = 0;
+  /// Centroid groups the bound gate keeps a lower bound for, per sample:
+  /// min(kLevel2BoundGroups, k) contiguous groups at Level 2, one (the
+  /// Hamerly bound) at Levels 1/3. DESIGN.md §7.
+  std::size_t bound_groups = 1;
 
   LdmLayout ldm;
 

@@ -29,6 +29,7 @@ void RunReport::set_result(const core::KmeansResult& result) {
   inertia = result.inertia;
   history = result.history;
   assign_kernel = result.assign_kernel;
+  bound_groups = result.bound_groups;
   gated_iterations = result.gated_iterations;
 }
 
@@ -55,6 +56,7 @@ void RunReport::write_json(std::ostream& out) const {
   w.kv("hier_collectives", config.hier_collectives);
   w.kv("sdc_checks", config.sdc_checks);
   w.kv("assign_kernel", std::string_view(assign_kernel));
+  w.kv("bound_groups", static_cast<std::uint64_t>(bound_groups));
   w.kv("iteration_base", static_cast<std::uint64_t>(config.iteration_base));
   w.kv("checkpoint_every",
        static_cast<std::uint64_t>(config.checkpoint_every));

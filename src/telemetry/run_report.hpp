@@ -30,6 +30,9 @@ struct RunReport {
   /// The kernel the engine resolved (KmeansResult::assign_kernel),
   /// written into the "config" section next to the requested fields.
   std::string assign_kernel;
+  /// Lower bounds per sample the gate kept (KmeansResult::bound_groups),
+  /// written into the "config" section too.
+  std::size_t bound_groups = 0;
 
   // Outcome.
   std::size_t iterations = 0;

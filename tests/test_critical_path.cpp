@@ -414,7 +414,7 @@ TEST(CriticalPath, ReportAndTraceCarryCriticalPathSections) {
   std::ofstream(artifact_path("report.json")) << report_json;
   for (const char* key :
        {"\"critical_path\"", "\"gating_cg\"", "\"stragglers\"", "\"blame_s\"",
-        "\"phases\"", "\"net_crossing_bytes\""}) {
+        "\"phases\"", "\"net_crossing_bytes\"", "\"bound_groups\": 1"}) {
     EXPECT_NE(report_json.find(key), std::string::npos) << key;
   }
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -64,6 +65,12 @@ std::size_t replay_bounds_ledger(const std::vector<IterationStats>& history,
     on = savings > 0;
   }
   return gated;
+}
+
+/// Centroid pairs one gated iteration's safe-radius pass scores: k(k-1)/2
+/// at Levels 1/3. Level 2's group bounds run no pass.
+std::size_t radius_pairs(Level level, std::size_t k) {
+  return level == Level::kLevel2 ? 0 : k * (k - 1) / 2;
 }
 
 class GatedLevelTest : public ::testing::TestWithParam<Level> {};
@@ -137,6 +144,19 @@ TEST_P(GatedLevelTest, BoundsOffWhenTheRadiusPassCostsMoreThanTheSweep) {
   config.tolerance = -1;
   const KmeansResult ref = lloyd_serial(ds, config);
   const KmeansResult got = run_level(GetParam(), ds, config, machine);
+  if (GetParam() == Level::kLevel2) {
+    // Level 2 runs no safe-radius pass, so no pass can price its bounds
+    // out: iteration 1 always gates, and from then on the savings ledger
+    // alone decides. The run is still serial Lloyd bit for bit.
+    const std::string where = level_name(GetParam());
+    expect_bit_identical(got, ref, where.c_str());
+    ASSERT_EQ(got.history.size(), 6u);
+    EXPECT_TRUE(got.history[1].gated);
+    EXPECT_EQ(replay_bounds_ledger(got.history, 0, got.history.size(), where),
+              got.gated_iterations);
+    EXPECT_EQ(got.accel.centroid_distance_computations, 0u);
+    return;
+  }
   EXPECT_EQ(got.gated_iterations, 0u);
   expect_bit_identical(got, ref, level_name(GetParam()));
   ASSERT_EQ(got.history.size(), 6u);
@@ -152,9 +172,11 @@ TEST_P(GatedLevelTest, BoundsTurnOffOnceTheGatedIterationsStopPaying) {
   // Uniform noise: the gate resolves a few percent of the samples, so the
   // first gated iteration costs more than a bounds-off one and the ledger
   // turns the bounds off. The rest of the run is serial Lloyd bit for bit
-  // and prices every iteration like iteration 0.
+  // and prices every iteration like iteration 0. Level 2's group bounds
+  // keep paying at d = 8, so it runs the same noise at d = 16.
   const MachineConfig machine = MachineConfig::tiny(2, 4, 8192);
-  const data::Dataset ds = data::make_uniform(600, 8, 11);
+  const data::Dataset ds =
+      data::make_uniform(600, GetParam() == Level::kLevel2 ? 16 : 8, 11);
   KmeansConfig config;
   config.k = 12;
   config.max_iterations = 12;
@@ -171,7 +193,7 @@ TEST_P(GatedLevelTest, BoundsTurnOffOnceTheGatedIterationsStopPaying) {
   EXPECT_EQ(replay_bounds_ledger(got.history, 0, got.history.size(), where),
             got.gated_iterations);
   EXPECT_EQ(got.accel.centroid_distance_computations,
-            got.gated_iterations * config.k * (config.k - 1) / 2);
+            got.gated_iterations * radius_pairs(GetParam(), config.k));
 }
 
 TEST_P(GatedLevelTest, BlobsGateEveryIterationAfterTheFirst) {
@@ -232,7 +254,7 @@ TEST_P(GatedLevelTest, RecoveryLegsDecideTheBoundsOnTheirOwn) {
   }
   EXPECT_EQ(got.gated_iterations, legs_gated);
   EXPECT_EQ(got.accel.centroid_distance_computations,
-            legs_gated * config.k * (config.k - 1) / 2);
+            legs_gated * radius_pairs(GetParam(), config.k));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllLevels, GatedLevelTest,
@@ -247,7 +269,9 @@ TEST(GatedAssign, SavingsLedgerRidesOutADearGatedIteration) {
   // k-means++ seeds, k = 16 over three blobs: gated iteration 2 models
   // dearer than iteration 0, but iteration 1 saved more than that, so the
   // running sum keeps the bounds on. A rule that looked only at the last
-  // gated iteration would turn them off there.
+  // gated iteration would turn them off there. Level 1 only: Level 2's
+  // group bounds make no gated iteration of this run dearer than
+  // iteration 0 (the ledger rule is the same code at every level).
   const MachineConfig machine = MachineConfig::tiny(2, 4, 8192);
   const data::Dataset ds = data::make_blobs(600, 2, 3, 2, 4.0);
   KmeansConfig config;
@@ -256,18 +280,15 @@ TEST(GatedAssign, SavingsLedgerRidesOutADearGatedIteration) {
   config.init = InitMethod::kPlusPlus;
   config.seed = 2;
   const KmeansResult ref = lloyd_serial(ds, config);
-  for (const Level level : {Level::kLevel1, Level::kLevel2}) {
-    const KmeansResult got = run_level(level, ds, config, machine);
-    const std::string where = level_name(level);
-    expect_bit_identical(got, ref, where.c_str());
-    ASSERT_GT(got.history.size(), 3u) << where;
-    EXPECT_TRUE(got.history[2].gated) << where;
-    EXPECT_GT(got.history[2].simulated_s, got.history[0].simulated_s)
-        << where;
-    EXPECT_TRUE(got.history[3].gated) << where;
-    EXPECT_EQ(replay_bounds_ledger(got.history, 0, got.history.size(), where),
-              got.gated_iterations);
-  }
+  const KmeansResult got = run_level(Level::kLevel1, ds, config, machine);
+  const std::string where = level_name(Level::kLevel1);
+  expect_bit_identical(got, ref, where.c_str());
+  ASSERT_GT(got.history.size(), 3u);
+  EXPECT_TRUE(got.history[2].gated);
+  EXPECT_GT(got.history[2].simulated_s, got.history[0].simulated_s);
+  EXPECT_TRUE(got.history[3].gated);
+  EXPECT_EQ(replay_bounds_ledger(got.history, 0, got.history.size(), where),
+            got.gated_iterations);
 }
 
 TEST(GatedAssign, BoundsResetAcrossCheckpointRestore) {
@@ -663,6 +684,298 @@ TEST(SafeRadii, GatedIterationChargesTheExecutedCounts) {
           << where;
     }
   }
+}
+
+// ------------------------------------------------------------ group gate
+
+/// Serial top-two of sample x over centroids [begin, end) minus `skip`:
+/// (least squared distance, its index, runner-up squared distance).
+detail::TileScore2 top_two(std::span<const float> x, const util::Matrix& c,
+                           std::size_t begin, std::size_t end,
+                           std::size_t skip) {
+  detail::TileScore2 rec;
+  detail::clear_scores(std::span<detail::TileScore2>(&rec, 1));
+  for (std::size_t j = begin; j < end; ++j) {
+    if (j != skip) {
+      detail::offer_score(rec, detail::squared_distance(x, c.row(j)), j);
+    }
+  }
+  return rec;
+}
+
+TEST(GroupGate, SkippedGroupsCannotHoldTheArgmin) {
+  // A hand-built tile: exact bounds against centroids c0, then every
+  // centroid moves a little (c1). For each k — a multiple of 8, not one,
+  // and fewer than 8 — the gate must decay each group's bound by that
+  // group's worst other mover, resolve only samples whose argmin under c1
+  // is unique and unchanged, and let a survivor skip only groups whose
+  // true minimum is at least its tightened upper. Merging the scored
+  // groups must then give a full scan's winner and exact bounds.
+  const std::size_t d = 5;
+  const std::size_t n = 256;
+  const data::Dataset ds = data::make_blobs(n, d, 24, 7, 3.0);
+  std::size_t resolved_total = 0;
+  std::size_t skipping_survivors = 0;
+  std::size_t left_skipped_group = 0;
+  for (const std::size_t k : {24u, 21u, 5u}) {
+    const detail::GroupSplit split{k, std::min<std::size_t>(8, k)};
+    const std::size_t groups = split.groups;
+    util::Matrix c0(k, d);
+    util::Matrix c1(k, d);
+    util::Xoshiro256 rng(k);
+    for (std::size_t j = 0; j < k; ++j) {
+      for (std::size_t u = 0; u < d; ++u) {
+        c0.at(j, u) = ds.sample(j * (n / k)).data()[u];
+        c1.at(j, u) = c0.at(j, u) + static_cast<float>(rng.uniform(-0.3, 0.3));
+      }
+    }
+    std::vector<std::uint32_t> assign(n);
+    std::vector<double> upper(n);
+    std::vector<double> lower(n * groups);
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto x = ds.sample(i);
+      const detail::TileScore2 best = top_two(x, c0, 0, k, k);
+      assign[i] = static_cast<std::uint32_t>(best.index);
+      upper[i] = std::sqrt(best.value);
+      for (std::size_t g = 0; g < groups; ++g) {
+        const auto [b, e] = split.range(g);
+        lower[i * groups + g] =
+            std::sqrt(top_two(x, c0, b, e, best.index).value);
+      }
+    }
+    std::vector<double> drift(k);
+    for (std::size_t j = 0; j < k; ++j) {
+      drift[j] = std::sqrt(detail::squared_distance(c0.row(j), c1.row(j)));
+    }
+    std::vector<detail::DriftDigest> digests(groups);
+    detail::group_drift_digests(drift, split, digests);
+
+    std::vector<double> up = upper;
+    std::vector<double> lo = lower;
+    std::vector<std::uint32_t> ids;
+    std::vector<std::uint8_t> scan;
+    std::vector<double> assigned_sq;
+    std::vector<std::uint64_t> tightened_at(k, 0);
+    const std::size_t tightened = detail::gate_groups(
+        ds, c1, 0, n, assign, drift, split, digests, {}, 0, up, lo,
+        /*tighten=*/true,
+        detail::GateSurvivors{ids, &scan, &assigned_sq, tightened_at});
+    EXPECT_EQ(std::accumulate(tightened_at.begin(), tightened_at.end(),
+                              std::uint64_t{0}),
+              tightened);
+
+    std::size_t pos = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::string where =
+          "k " + std::to_string(k) + ", sample " + std::to_string(i);
+      const auto x = ds.sample(i);
+      const std::uint32_t a = assign[i];
+      for (std::size_t g = 0; g < groups; ++g) {
+        const auto [b, e] = split.range(g);
+        double worst = 0;
+        for (std::size_t j = b; j < e; ++j) {
+          worst = j == a ? worst : std::max(worst, drift[j]);
+        }
+        EXPECT_EQ(lo[i * groups + g], lower[i * groups + g] - worst)
+            << where << ", group " << g;
+      }
+      const detail::TileScore2 truth = top_two(x, c1, 0, k, k);
+      if (pos == ids.size() || ids[pos] != i) {
+        ++resolved_total;
+        EXPECT_EQ(truth.index, a) << where;
+        EXPECT_LT(truth.value, truth.second) << where;
+        continue;
+      }
+      const double sq = detail::squared_distance(x, c1.row(a));
+      EXPECT_EQ(assigned_sq[pos], sq) << where;
+      EXPECT_EQ(up[i], std::sqrt(sq)) << where;
+      const detail::TileScore2* recs[detail::kMaxBoundGroups] = {};
+      std::vector<detail::TileScore2> scored(groups);
+      bool skipped = false;
+      for (std::size_t g = 0; g < groups; ++g) {
+        const auto [b, e] = split.range(g);
+        const bool bit = (scan[pos] >> g & 1u) != 0;
+        EXPECT_EQ(bit, lo[i * groups + g] <= up[i]) << where << ", group " << g;
+        if (bit) {
+          scored[g] = top_two(x, c1, b, e, k);
+          recs[g] = &scored[g];
+        } else {
+          skipped = true;
+          EXPECT_GE(std::sqrt(top_two(x, c1, b, e, a).value), up[i])
+              << where << ", group " << g;
+        }
+      }
+      skipping_survivors += skipped ? 1 : 0;
+      const std::uint32_t winner = detail::merge_group_records<
+          detail::TileScore2>(
+          std::span<const detail::TileScore2* const>(recs, groups), scan[pos],
+          split, a, assigned_sq[pos], up[i], lo.data() + i * groups);
+      EXPECT_EQ(winner, truth.index) << where;
+      EXPECT_EQ(up[i], std::sqrt(truth.value)) << where;
+      left_skipped_group +=
+          winner != a && (scan[pos] >> split.group_of(a) & 1u) == 0 ? 1 : 0;
+      for (std::size_t g = 0; g < groups; ++g) {
+        const auto [b, e] = split.range(g);
+        const double exact = std::sqrt(top_two(x, c1, b, e, winner).value);
+        if ((scan[pos] >> g & 1u) != 0) {
+          EXPECT_EQ(lo[i * groups + g], exact) << where << ", group " << g;
+        } else {
+          EXPECT_LE(lo[i * groups + g], exact) << where << ", group " << g;
+        }
+      }
+      ++pos;
+    }
+    EXPECT_EQ(pos, ids.size());
+  }
+  // The tile exercises every branch.
+  EXPECT_GT(resolved_total, 0u);
+  EXPECT_GT(skipping_survivors, 0u);
+  EXPECT_GT(left_skipped_group, 0u);
+}
+
+TEST(GroupGate, MergeBreaksTiesTowardTheLowerGroup) {
+  // Equal distances in groups 0 and 1 (a coincident pair straddling the
+  // boundary): the merge must keep group 0's index, as a serial scan
+  // would, and both groups' bounds must then read the tied distance.
+  const detail::GroupSplit split{4, 2};
+  const detail::TileScore2 g0{4.0, 1, 9.0};
+  const detail::TileScore2 g1{4.0, 2, 16.0};
+  const detail::TileScore2* recs[2] = {&g0, &g1};
+  double upper = 0;
+  double lower[2] = {};
+  const std::uint32_t winner = detail::merge_group_records<detail::TileScore2>(
+      std::span<const detail::TileScore2* const>(recs, 2), 0b11, split, 3,
+      std::numeric_limits<double>::quiet_NaN(), upper, lower);
+  EXPECT_EQ(winner, 1u);
+  EXPECT_EQ(upper, 2.0);
+  EXPECT_EQ(lower[0], 3.0);
+  EXPECT_EQ(lower[1], 2.0);
+  // A skipped assigned group offers its centroid at the exact distance:
+  // here it ties group 1's best and, being lower, wins.
+  double upper2 = 2.0;
+  double lower2[2] = {5.0, 1.0};
+  const std::uint32_t kept = detail::merge_group_records<detail::TileScore2>(
+      std::span<const detail::TileScore2* const>(recs, 2), 0b10, split, 0,
+      4.0, upper2, lower2);
+  EXPECT_EQ(kept, 0u);
+  EXPECT_EQ(upper2, 2.0);
+  EXPECT_EQ(lower2[0], 5.0);
+  EXPECT_EQ(lower2[1], 2.0);
+}
+
+TEST(GroupGate, CoincidentCentroidsAcrossGroupBoundaries) {
+  // First-k seeding on rows that repeat across group boundaries (k = 16,
+  // groups of two: rows 1|2, 5|6 and 9|10 coincide) over a tiny set of
+  // repeated points: every sample ties exactly between the two sides of a
+  // boundary, so only a lowest-group-first merge reproduces serial Lloyd.
+  const std::size_t d = 3;
+  const std::size_t k = 16;
+  const std::size_t distinct = 13;
+  std::vector<float> points;
+  for (std::size_t q = 0; q < distinct; ++q) {
+    for (std::size_t u = 0; u < d; ++u) {
+      points.push_back(static_cast<float>((q * (u + 2)) % 7) +
+                       0.25f * static_cast<float>(q % 3));
+    }
+  }
+  // Row r of the first k picks distinct point p[r]; coincident pairs share.
+  const std::size_t first[k] = {0, 1, 1, 2, 3, 4, 4, 5, 6, 7, 7, 8, 9, 10, 11, 12};
+  std::vector<float> values;
+  for (std::size_t r = 0; r < k; ++r) {
+    values.insert(values.end(), points.begin() + first[r] * d,
+                  points.begin() + (first[r] + 1) * d);
+  }
+  for (std::size_t rep = 0; rep < 24; ++rep) {
+    for (std::size_t q = 0; q < distinct; ++q) {
+      values.insert(values.end(), points.begin() + q * d,
+                    points.begin() + (q + 1) * d);
+    }
+  }
+  const data::Dataset ds("boundary_ties", util::Matrix::from_vector(
+                                              values.size() / d, d, values));
+  KmeansConfig config;
+  config.k = k;
+  config.max_iterations = 10;
+  config.tolerance = -1;
+  const KmeansResult ref = lloyd_serial(ds, config);
+  const MachineConfig machine = MachineConfig::tiny(2, 4, 8192);
+  const KmeansResult got = run_level(Level::kLevel2, ds, config, machine);
+  EXPECT_EQ(got.bound_groups, 8u);
+  EXPECT_GT(got.gated_iterations, 0u);
+  expect_bit_identical(got, ref, "level2");
+}
+
+TEST(GroupGate, GroupCountFollowsTheLevelAndK) {
+  // group_of inverts block_range for every k and group count.
+  for (std::size_t k = 1; k <= 40; ++k) {
+    for (std::size_t groups = 1; groups <= std::min<std::size_t>(8, k);
+         ++groups) {
+      const detail::GroupSplit split{k, groups};
+      for (std::size_t g = 0; g < groups; ++g) {
+        const auto [b, e] = split.range(g);
+        ASSERT_LT(b, e);
+        for (std::size_t j = b; j < e; ++j) {
+          ASSERT_EQ(split.group_of(j), g) << k << " / " << groups;
+        }
+      }
+    }
+  }
+  // Level 2 keeps min(8, k) groups, Levels 1/3 one; k not a multiple of 8
+  // and k < 8 stay serial Lloyd bit for bit.
+  const MachineConfig machine = MachineConfig::tiny(2, 4, 8192);
+  const data::Dataset ds = data::make_blobs(480, 6, 7, 5, 3.0);
+  for (const std::size_t k : {3u, 5u, 7u, 8u, 13u, 21u}) {
+    KmeansConfig config;
+    config.k = k;
+    config.max_iterations = 10;
+    config.init = InitMethod::kPlusPlus;
+    const KmeansResult ref = lloyd_serial(ds, config);
+    for (const Level level : {Level::kLevel1, Level::kLevel2, Level::kLevel3}) {
+      const std::string where =
+          std::string(level_name(level)) + ", k " + std::to_string(k);
+      const KmeansResult got = run_level(level, ds, config, machine);
+      EXPECT_EQ(got.bound_groups,
+                level == Level::kLevel2 ? std::min<std::size_t>(8, k) : 1u)
+          << where;
+      expect_bit_identical(got, ref, where.c_str());
+    }
+  }
+}
+
+TEST(GroupGate, Level2MatchesSerialAtEveryMemberCount) {
+  // m_group 1..16 on 16-CPE CGs: at 16 members k_local = 2, so each of the
+  // eight 3-centroid groups spans two members. Then the same shape under
+  // the RecoveryDriver with a crash in the second leg.
+  const MachineConfig machine = MachineConfig::tiny(2, 16, 8192);
+  const data::Dataset ds = data::make_blobs(960, 6, 9, 13, 2.5);
+  KmeansConfig config;
+  config.k = 24;
+  config.max_iterations = 12;
+  config.tolerance = -1;
+  config.init = InitMethod::kPlusPlus;
+  const KmeansResult ref = lloyd_serial(ds, config);
+  for (const std::size_t m : {1u, 2u, 4u, 8u, 16u}) {
+    const std::string where = "m_group " + std::to_string(m);
+    const KmeansResult got =
+        run_level(Level::kLevel2, ds, config, machine, m);
+    EXPECT_GT(got.gated_iterations, 0u) << where;
+    EXPECT_EQ(got.bound_groups, 8u) << where;
+    expect_bit_identical(got, ref, where.c_str());
+  }
+  swmpi::FaultPlan plan;
+  plan.crash(1, /*iteration=*/5, swmpi::FaultSite::kUpdate);
+  KmeansConfig faulty = config;
+  faulty.fault_plan = &plan;
+  faulty.checkpoint_every = 4;
+  RecoveryOptions options;
+  options.checkpoint_path =
+      ::testing::TempDir() + "/swhkm_group_gate_legs.ckpt";
+  RecoveryDriver driver(machine, options);
+  const KmeansResult got = driver.run(Level::kLevel2, ds, faulty);
+  EXPECT_EQ(plan.fired_crashes(), 1u);
+  EXPECT_GT(got.gated_iterations, 0u);
+  EXPECT_EQ(got.bound_groups, 8u);
+  expect_bit_identical(got, ref, "recovery");
 }
 
 }  // namespace

@@ -205,8 +205,11 @@ TEST_P(StreamDescriptorTest, FullyGatedIterationChargesTheOwnersRuns) {
                 }));
           }
         }
-        expected = std::max(
-            expected, stream_seconds(machine, samples * row, descriptors));
+        // Every gated sample also reads and writes its group bounds.
+        const std::uint64_t bounds = 2 * p.bound_groups * sizeof(double);
+        expected = std::max(expected,
+                            stream_seconds(machine, samples * (row + bounds),
+                                           descriptors));
       }
       break;
     }

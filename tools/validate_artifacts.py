@@ -2,8 +2,8 @@
 """Validate observability artifacts against the checked-in JSON schemas.
 
 Pure-stdlib validator for the JSON-Schema subset the schemas/ directory
-uses: type, properties, required, items, enum, minItems, and $ref into the
-document-local #/$defs table. Deliberately not a full Draft 2020-12
+uses: type, properties, required, items, enum, minItems, minimum, maximum
+and $ref into the document-local #/$defs table. Deliberately not a full Draft 2020-12
 implementation — CI must not need pip.
 
 Usage:
@@ -65,6 +65,14 @@ def _check(value, schema, root, path):
         if not ok:
             raise ValidationError(
                 path, f"expected {expected}, got {type(value).__name__}")
+
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if "minimum" in schema and value < schema["minimum"]:
+            raise ValidationError(
+                path, f"{value!r} < minimum {schema['minimum']}")
+        if "maximum" in schema and value > schema["maximum"]:
+            raise ValidationError(
+                path, f"{value!r} > maximum {schema['maximum']}")
 
     if isinstance(value, dict):
         for key in schema.get("required", ()):
