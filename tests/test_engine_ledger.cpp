@@ -146,9 +146,9 @@ std::vector<LedgerCell> ledger_cells() {
        0xd035cd8a},
       {Level::kLevel2,
        "L2",
-       {0xaebdffc2, 0xe9e23ca8},
-       {0x573adb32, 0xc15b6d5a},
-       0xcb0ac57d},
+       {0x92ea8e2d, 0xadce34d5},
+       {0xba0b549c, 0x69a34c66},
+       0x2b95b988},
       {Level::kLevel3,
        "L3",
        {0x3545891f, 0x42180d93},
