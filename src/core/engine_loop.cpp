@@ -58,6 +58,9 @@ std::pair<std::size_t, std::size_t> rank_samples(const EngineRun& run,
           block_range(n, plan.num_flow_units, (cg + 1) * per_cg - 1).second};
 }
 
+static_assert(kLevel2BoundGroups <= kMaxBoundGroups,
+              "a survivor's group mask is one byte");
+
 /// Level 2's group bounds replace the safe-radius arm (DESIGN.md §7).
 bool runs_radius_pass(const PartitionPlan& plan) {
   return plan.level != Level::kLevel2;
@@ -561,7 +564,6 @@ TileSweep::TileSweep(const EngineRank& rank)
     if (groups > 1) {
       s.scan.reserve(tile);
       s.assigned_sq.reserve(tile);
-      s.group_ids.resize(tile * groups);
     }
   }
 }
@@ -610,30 +612,33 @@ TileSweep::Block TileSweep::sweep(EngineRank& rank, std::size_t begin,
 void TileSweep::stage(EngineRank& rank, Slot& s, std::size_t t0,
                       std::size_t t1, Block& block) {
   const EngineRun& run = rank.run;
-  const std::size_t tile = run.tile_samples;
+  const std::size_t k = run.config.k;
   const GroupSplit& split = rank.split;
   s.t0 = t0;
   s.t1 = t1;
   s.valid = true;
   rank.record_tile(telemetry::FlightEventKind::kTileStart, t0, t1);
-  // Group g's records land at scores[g * tile, ...), one per sample it
-  // scores, in ascending sample order.
-  const auto records = [&](std::size_t g, std::size_t count) {
-    const std::span<TileScore2> scores(s.scores.data() + g * tile, count);
+  // Group g's record of the tile's p-th scored sample lands at
+  // scores[g * stride + p] (TileGroups).
+  const auto records = [&](std::size_t count, std::size_t groups) {
+    s.stride = count;
+    const std::span<TileScore2> scores(s.scores.data(), count * groups);
     clear_scores(scores);
     return scores;
   };
   if (!rank.gating) {
-    for (std::size_t g = 0; g < split.groups; ++g) {
-      const auto [gb, ge] = split.range(g);
-      const std::span<TileScore2> scores = records(g, t1 - t0);
-      if (run.gemm) {
-        score_tile_gemm(run.dataset, t0, t1, run.centroids, rank.norms, gb,
-                        ge, scores, rank.gemm_hooks);
-      } else {
-        score_tile(run.dataset, t0, t1, run.centroids, gb, ge, scores);
-      }
-      group_scans_[g] += t1 - t0;
+    // Every group scores every sample. Once the bounds are off for good no
+    // group record is needed: one record over all k.
+    const TileGroups groups{rank.bounds ? split.groups : 1};
+    const std::span<TileScore2> scores = records(t1 - t0, groups.groups);
+    if (run.gemm) {
+      score_tile_gemm(run.dataset, t0, t1, run.centroids, rank.norms, 0, k,
+                      scores, rank.gemm_hooks, groups);
+    } else {
+      score_tile(run.dataset, t0, t1, run.centroids, 0, k, scores, groups);
+    }
+    for (std::uint64_t& scans : group_scans_) {
+      scans += t1 - t0;
     }
     return;
   }
@@ -653,31 +658,23 @@ void TileSweep::stage(EngineRank& rank, Slot& s, std::size_t t0,
   if (rank.survivor_hist != nullptr) {
     rank.survivor_hist->observe(static_cast<double>(s.ids.size()));
   }
-  for (std::size_t g = 0; g < split.groups; ++g) {
-    // One group scores every survivor; otherwise compact the survivors
-    // whose group-g bound failed.
-    std::span<const std::uint32_t> ids(s.ids.data(), s.ids.size());
-    if (grouped) {
-      std::uint32_t* const out = s.group_ids.data() + g * tile;
-      std::size_t count = 0;
-      for (std::size_t p = 0; p < s.ids.size(); ++p) {
-        out[count] = s.ids[p];
-        count += s.scan[p] >> g & 1u;
-      }
-      ids = std::span<const std::uint32_t>(out, count);
+  if (s.ids.empty()) {
+    return;
+  }
+  // A survivor scores only the groups whose bound it failed.
+  const TileGroups groups{split.groups, s.scan};
+  const std::span<const std::uint32_t> ids(s.ids.data(), s.ids.size());
+  const std::span<TileScore2> scores = records(ids.size(), split.groups);
+  if (run.gemm) {
+    score_tile_ids_gemm(run.dataset, ids, run.centroids, rank.norms, 0, k,
+                        scores, rank.gemm_hooks, groups);
+  } else {
+    score_tile_ids(run.dataset, ids, run.centroids, 0, k, scores, groups);
+  }
+  for (std::size_t p = 0; p < ids.size(); ++p) {
+    for (std::size_t g = 0; g < split.groups; ++g) {
+      group_scans_[g] += groups.scores(p, g) ? 1 : 0;
     }
-    if (ids.empty()) {
-      continue;
-    }
-    const auto [gb, ge] = split.range(g);
-    const std::span<TileScore2> scores = records(g, ids.size());
-    if (run.gemm) {
-      score_tile_ids_gemm(run.dataset, ids, run.centroids, rank.norms, gb, ge,
-                          scores, rank.gemm_hooks);
-    } else {
-      score_tile_ids(run.dataset, ids, run.centroids, gb, ge, scores);
-    }
-    group_scans_[g] += ids.size();
   }
 }
 
@@ -686,12 +683,12 @@ void TileSweep::retire(EngineRank& rank, Slot& s, Block& block) {
   std::vector<std::uint32_t>& assignments = rank.run.assignments;
   const GroupSplit& split = rank.split;
   const std::size_t groups = split.groups;
-  const std::size_t tile = rank.run.tile_samples;
   // Merge in ascending i: swept samples take the merged argmin of their
   // scored groups, gated ones accumulate under their stored assignment,
   // so the fused sums keep the exact summation order of a full sweep.
-  // Without bounds a tile scored every group for every sample in order; a
-  // gated one scored group g for its survivors with bit g set, in order.
+  // Without bounds a tile scored every sample in order (one full-range
+  // record once the bounds are off for good, with no bounds to refresh);
+  // a gated one scored its survivors, each on the groups its mask names.
   // The same walk counts the readers' stream runs: a swept sample goes to
   // every reader, a gated one to its centroid's owner only.
   const std::size_t k_local = rank.run.plan.k_local;
@@ -700,22 +697,23 @@ void TileSweep::retire(EngineRank& rank, Slot& s, Block& block) {
   if (!rank.gating) {
     runs_.pull_all(s.t0, s.t1);
   }
-  std::size_t next[kMaxBoundGroups] = {};  // each group's next record
   std::size_t pos = 0;
   for (std::size_t i = s.t0; i < s.t1; ++i) {
     std::uint32_t j = assignments[i];
-    if (!rank.gating || (pos < s.ids.size() && s.ids[pos] == i)) {
-      const std::uint8_t scan = grouped ? s.scan[pos] : all;
+    if (!rank.bounds) {
+      j = static_cast<std::uint32_t>(s.scores[i - s.t0].index);
+      assignments[i] = j;
+    } else if (!rank.gating || (pos < s.ids.size() && s.ids[pos] == i)) {
+      const std::size_t p = rank.gating ? pos : i - s.t0;
+      const std::uint8_t scan = grouped ? s.scan[p] : all;
       const TileScore2* recs[kMaxBoundGroups] = {};
       for (std::size_t g = 0; g < groups; ++g) {
-        if ((scan >> g & 1u) != 0) {
-          recs[g] = &s.scores[g * tile + next[g]++];
-        }
+        recs[g] = &s.scores[g * s.stride + p];
       }
       const std::size_t b = i - rank.bound_base;
       j = merge_group_records<TileScore2>(
           std::span<const TileScore2* const>(recs, groups), scan, split, j,
-          grouped ? s.assigned_sq[pos]
+          grouped ? s.assigned_sq[p]
                   : std::numeric_limits<double>::quiet_NaN(),
           rank.upper[b], rank.lower.data() + b * groups);
       assignments[i] = j;

@@ -210,10 +210,10 @@ class TileSweep {
     /// assigned centroid's exact squared distance.
     std::vector<std::uint8_t> scan;
     std::vector<double> assigned_sq;
-    /// Group-major, tile_samples apart: the survivors scoring group g and
-    /// their records.
-    std::vector<std::uint32_t> group_ids;
+    /// Group-major records: group g's record of the p-th scored sample at
+    /// scores[g * stride + p].
     std::vector<TileScore2> scores;
+    std::size_t stride = 0;
   };
   void stage(EngineRank& rank, Slot& s, std::size_t t0, std::size_t t1,
              Block& block);

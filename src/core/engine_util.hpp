@@ -64,6 +64,20 @@ inline std::pair<double, std::uint32_t> nearest_in_slice(
   return {best, best_j};
 }
 
+/// Contiguous block [begin, end) of `total` items for worker `index` of
+/// `workers` — the dataflow partition rule all levels share. Remainder
+/// items go to the lowest-index workers.
+inline std::pair<std::size_t, std::size_t> block_range(std::size_t total,
+                                                       std::size_t workers,
+                                                       std::size_t index) {
+  const std::size_t base = total / workers;
+  const std::size_t extra = total % workers;
+  const std::size_t begin =
+      index * base + (index < extra ? index : extra);
+  const std::size_t length = base + (index < extra ? 1 : 0);
+  return {begin, begin + length};
+}
+
 /// Samples per assign-phase tile. A tile is the unit the engines batch
 /// their argmin state over: one collective (Level 3) or one accumulation
 /// sweep per tile instead of per sample. Any value gives bit-identical
@@ -462,10 +476,59 @@ inline constexpr auto nearest_sweep = &nearest_sweep_generic;
 inline constexpr auto pruned_sweep = &pruned_sweep_generic;
 #endif
 
+/// Exact squared distances of one sample to kSweepChains gathered rows:
+/// out[s] = squared_distance(x, rows[s]) bit for bit, through the sweep's
+/// chain kernel with the roles swapped (each chain subtracts x from the
+/// row; the negated difference squares to the same bits).
+using GatherChainsFn = void (*)(const float* const*, std::size_t,
+                                const float*, double*);
+
+inline void gather_chains_generic(const float* const* rows, std::size_t d,
+                                  const float* x, double* out) {
+  SweepChainsGeneric{}(rows, d, x, out);
+}
+
+#if defined(SWHKM_KERNEL_DISPATCH)
+__attribute__((target("avx2"), flatten)) inline void gather_chains_avx2(
+    const float* const* rows, std::size_t d, const float* x, double* out) {
+  SweepChainsAvx2{}(rows, d, x, out);
+}
+inline GatherChainsFn resolve_gather_chains() {
+  if (__builtin_cpu_supports("avx2")) {
+    return &gather_chains_avx2;
+  }
+  return &gather_chains_generic;
+}
+/// Resolved once per process; both candidates are bit-identical.
+inline const GatherChainsFn gather_chains = resolve_gather_chains();
+#else
+inline constexpr auto gather_chains = &gather_chains_generic;
+#endif
+
+/// The column groups a tile sweep scores: [j_begin, j_end) split into
+/// `groups` blocks (block_range), each with its own record per sample at
+/// scores[g * count + t], and per sample a mask of the groups it scores
+/// (bit g of scan[t]; an empty `scan` scores every group). The default is
+/// one group: one record per sample over the whole range.
+struct TileGroups {
+  std::size_t groups = 1;
+  std::span<const std::uint8_t> scan = {};
+
+  bool scores(std::size_t t, std::size_t g) const {
+    return scan.empty() || (scan[t] >> g & 1u) != 0;
+  }
+  std::pair<std::size_t, std::size_t> range(std::size_t j_begin,
+                                            std::size_t j_end,
+                                            std::size_t g) const {
+    const auto [b, e] = block_range(j_end - j_begin, groups, g);
+    return {j_begin + b, j_begin + e};
+  }
+};
+
 /// Score centroids [j_begin, j_end) against `count` samples named by
 /// `sample_index(0..count-1)` and combine into `scores` (one record per
-/// sample, caller-initialised — see clear_scores). Shared by the serial
-/// baseline and all three engines, through the score_tile /
+/// sample and group, caller-initialised — see clear_scores). Shared by the
+/// serial baseline and all three engines, through the score_tile /
 /// score_tile_ids entry points below.
 ///
 /// Structure: centroid rows are processed in blocks of kCentroidRowBlock,
@@ -473,7 +536,8 @@ inline constexpr auto pruned_sweep = &pruned_sweep_generic;
 /// while the tile's samples stream past it. Per sample the block runs one
 /// independent accumulation chain per centroid (sample_block_chains),
 /// which hides FP add latency — the seed's one-distance-at-a-time loop
-/// was serial-dependency bound, not flop bound.
+/// was serial-dependency bound, not flop bound. Blocks never straddle a
+/// group.
 ///
 /// Bit-exactness: each chain is the exact operation sequence of
 /// squared_distance (see sample_block_chains; float->double conversion is
@@ -486,35 +550,41 @@ template <typename MinLocT, typename SampleIndexFn>
 inline void score_tile_gen(const data::Dataset& dataset,
                            SampleIndexFn sample_index, std::size_t count,
                            const util::Matrix& centroids, std::size_t j_begin,
-                           std::size_t j_end, std::span<MinLocT> scores) {
+                           std::size_t j_end, std::span<MinLocT> scores,
+                           const TileGroups& groups = {}) {
   const std::size_t d = centroids.cols();
   std::vector<double> panel(kCentroidRowBlock * d);
-  for (std::size_t jb = j_begin; jb < j_end; jb += kCentroidRowBlock) {
-    const std::size_t bw = std::min(j_end - jb, kCentroidRowBlock);
-    for (std::size_t u = 0; u < d; ++u) {
-      for (std::size_t jj = 0; jj < bw; ++jj) {
-        panel[u * bw + jj] =
-            static_cast<double>(centroids.at(jb + jj, u));
-      }
-    }
-    for (std::size_t t = 0; t < count; ++t) {
-      const auto x = dataset.sample(sample_index(t));
-      double acc[kCentroidRowBlock] = {};
-      if (bw == kCentroidRowBlock) {
-        sample_block_chains(x.data(), panel.data(), d, acc);
-      } else {
-        for (std::size_t u = 0; u < d; ++u) {
-          const double xu = static_cast<double>(x[u]);
-          const double* row = panel.data() + u * bw;
-          for (std::size_t jj = 0; jj < bw; ++jj) {
-            const double diff = xu - row[jj];
-            acc[jj] += diff * diff;
-          }
+  for (std::size_t g = 0; g < groups.groups; ++g) {
+    const auto [gb, ge] = groups.range(j_begin, j_end, g);
+    for (std::size_t jb = gb; jb < ge; jb += kCentroidRowBlock) {
+      const std::size_t bw = std::min(ge - jb, kCentroidRowBlock);
+      for (std::size_t u = 0; u < d; ++u) {
+        for (std::size_t jj = 0; jj < bw; ++jj) {
+          panel[u * bw + jj] = static_cast<double>(centroids.at(jb + jj, u));
         }
       }
-      MinLocT& best = scores[t];
-      for (std::size_t jj = 0; jj < bw; ++jj) {
-        offer_score(best, acc[jj], jb + jj);
+      for (std::size_t t = 0; t < count; ++t) {
+        if (!groups.scores(t, g)) {
+          continue;
+        }
+        const auto x = dataset.sample(sample_index(t));
+        double acc[kCentroidRowBlock] = {};
+        if (bw == kCentroidRowBlock) {
+          sample_block_chains(x.data(), panel.data(), d, acc);
+        } else {
+          for (std::size_t u = 0; u < d; ++u) {
+            const double xu = static_cast<double>(x[u]);
+            const double* row = panel.data() + u * bw;
+            for (std::size_t jj = 0; jj < bw; ++jj) {
+              const double diff = xu - row[jj];
+              acc[jj] += diff * diff;
+            }
+          }
+        }
+        MinLocT& best = scores[g * count + t];
+        for (std::size_t jj = 0; jj < bw; ++jj) {
+          offer_score(best, acc[jj], jb + jj);
+        }
       }
     }
   }
@@ -525,10 +595,11 @@ template <typename MinLocT>
 inline void score_tile(const data::Dataset& dataset, std::size_t i_begin,
                        std::size_t i_end, const util::Matrix& centroids,
                        std::size_t j_begin, std::size_t j_end,
-                       std::span<MinLocT> scores) {
+                       std::span<MinLocT> scores,
+                       const TileGroups& groups = {}) {
   score_tile_gen(
       dataset, [i_begin](std::size_t t) { return i_begin + t; },
-      i_end - i_begin, centroids, j_begin, j_end, scores);
+      i_end - i_begin, centroids, j_begin, j_end, scores, groups);
 }
 
 /// Compacted entry point: score only the samples listed in `ids` (the
@@ -539,10 +610,11 @@ template <typename MinLocT>
 inline void score_tile_ids(const data::Dataset& dataset,
                            std::span<const std::uint32_t> ids,
                            const util::Matrix& centroids, std::size_t j_begin,
-                           std::size_t j_end, std::span<MinLocT> scores) {
+                           std::size_t j_end, std::span<MinLocT> scores,
+                           const TileGroups& groups = {}) {
   score_tile_gen(
       dataset, [ids](std::size_t t) { return static_cast<std::size_t>(ids[t]); },
-      ids.size(), centroids, j_begin, j_end, scores);
+      ids.size(), centroids, j_begin, j_end, scores, groups);
 }
 
 // ---------------------------------------------------------------------------
@@ -562,6 +634,8 @@ inline void score_tile_ids(const data::Dataset& dataset,
 /// exact full-slice sweep for that row — the adversarial coincident-
 /// centroid case, where the GEMM path would rescore everything anyway.
 inline constexpr std::size_t kGemmCandidates = 8;
+static_assert(kGemmCandidates == kSweepChains,
+              "a row's candidates rescore in one gathered chain call");
 
 /// ||c||^2 of one row in double: ascending-u sum of exact float squares
 /// (a float's square is exact in double), the canonical norm the cache and
@@ -702,28 +776,30 @@ inline double gemm_tau_scale(std::size_t d) {
 }
 
 /// GEMM-selected, exactly-rescored tile sweep: same contract as
-/// score_tile_gen (centroids [j_begin, j_end) against `count` samples,
-/// records combined into caller-cleared `scores`), byte-identical output.
+/// score_tile_gen (centroids [j_begin, j_end) against `count` samples, per
+/// group, records combined into caller-cleared `scores`), byte-identical
+/// output.
 ///
-/// Pass 1 (selector): per sample, stream the u-major dot panels and form
-/// g_j = ||x||^2 + ||c_j||^2 - 2 x.c_j with error radius tau_j. A running
-/// top-two of the uppers (g + tau) gives U2; any j with g_j - tau_j <= U2
-/// is appended to the row's candidate list (ascending j by construction).
-/// The running U2 only tightens, so the list is a superset of every j
-/// whose exact distance can reach the final top-two. A full list first
-/// evicts, in order, the entries whose stored g - tau now exceeds the bar:
-/// the bar only falls, so an evicted j could no more pass the final U2
-/// than a j never appended.
+/// Pass 1 (selector), one column group at a time: per sample, stream the
+/// u-major dot panels and form g_j = ||x||^2 + ||c_j||^2 - 2 x.c_j with
+/// error radius tau_j. A running top-two of the uppers (g + tau) gives U2;
+/// any j with g_j - tau_j <= U2 is appended to the row's candidate list
+/// (ascending j by construction). The running U2 only tightens, so the
+/// list is a superset of every j whose exact distance can reach the
+/// group's final top-two. A full list first evicts, in order, the entries
+/// whose stored g - tau now exceeds the bar: the bar only falls, so an
+/// evicted j could no more pass the final U2 than a j never appended.
 ///
-/// Pass 2 (exact rescore): each row's candidates are offered to its record
-/// via squared_distance in ascending j — the serial operation sequence and
-/// tie-break. Omitted centroids satisfy d_j > U2_final >= (exact second
-/// smallest), so they cannot change value, index or second; the record is
-/// therefore byte-identical to a full serial scan, independently of which
-/// dot kernel the dispatcher picked. Candidate overflow (more than
-/// kGemmCandidates) falls back to an exact sweep of the whole slice for
-/// that row; a list that stays full after its eviction overflows for the
-/// rest of the tile.
+/// Pass 2 (exact rescore): each row's candidates are offered to its
+/// group's record in ascending j at their exact squared_distance bits —
+/// the serial operation sequence and tie-break. Omitted centroids satisfy
+/// d_j > U2_final >= (exact second smallest), so they cannot change value,
+/// index or second; the record is therefore byte-identical to a full
+/// serial scan, independently of which dot kernel the dispatcher picked.
+/// Candidate overflow (more than kGemmCandidates) falls back to an exact
+/// sweep of the whole group for that row; a list that stays full after
+/// its eviction overflows for the rest of the group. Rescored distances
+/// run kSweepChains at a time through the gathered chain kernel.
 template <typename MinLocT, typename SampleIndexFn>
 inline void score_tile_gemm_gen(const data::Dataset& dataset,
                                 SampleIndexFn sample_index, std::size_t count,
@@ -731,16 +807,17 @@ inline void score_tile_gemm_gen(const data::Dataset& dataset,
                                 std::span<const double> norms,
                                 std::size_t j_begin, std::size_t j_end,
                                 std::span<MinLocT> scores,
-                                GemmSdcHooks* sdc = nullptr) {
+                                GemmSdcHooks* sdc = nullptr,
+                                const TileGroups& groups = {}) {
   const std::size_t d = centroids.cols();
   const double tau_scale = gemm_tau_scale(d);
   std::vector<double> panel(kCentroidRowBlock * d);
   std::vector<double> nx(count);
-  std::vector<double> u1(count, std::numeric_limits<double>::max());
-  std::vector<double> u2(count, std::numeric_limits<double>::max());
+  std::vector<double> u1(count);
+  std::vector<double> u2(count);
   std::vector<std::uint32_t> cand(count * kGemmCandidates);
   std::vector<double> cand_lo(count * kGemmCandidates);  ///< each g - tau
-  std::vector<std::uint32_t> cand_n(count, 0);
+  std::vector<std::uint32_t> cand_n(count);
   // ABFT checksum column of the current panel and its absolute-value twin
   // (the error-bound magnitude). Captured from the clean panel before the
   // flip hook can damage it.
@@ -749,138 +826,173 @@ inline void score_tile_gemm_gen(const data::Dataset& dataset,
   for (std::size_t t = 0; t < count; ++t) {
     nx[t] = row_squared_norm(dataset.sample(sample_index(t)));
   }
-  for (std::size_t jb = j_begin; jb < j_end; jb += kCentroidRowBlock) {
-    const std::size_t bw = std::min(j_end - jb, kCentroidRowBlock);
-    const auto build_panel = [&] {
-      for (std::size_t u = 0; u < d; ++u) {
-        for (std::size_t jj = 0; jj < bw; ++jj) {
-          panel[u * bw + jj] = static_cast<double>(centroids.at(jb + jj, u));
-        }
-      }
-    };
-    const auto capture_checksums = [&] {
-      chk.assign(d, 0.0);
-      chkabs.assign(d, 0.0);
-      for (std::size_t u = 0; u < d; ++u) {
-        for (std::size_t jj = 0; jj < bw; ++jj) {
-          const double v = panel[u * bw + jj];
-          chk[u] += v;
-          chkabs[u] += std::abs(v);
-        }
-      }
-    };
-    build_panel();
-    if (sdc != nullptr && sdc->check) {
-      capture_checksums();
+  // Offer up to kSweepChains centroids `js` (ascending) to `rec` at their
+  // exact distances: one squared_distance, or one gathered chain call
+  // whose spare lanes repeat the last row and are ignored.
+  const auto rescore = [&](std::span<const float> x, MinLocT& rec,
+                           const std::uint32_t* js, std::size_t held) {
+    if (held == 1) {
+      offer_score(rec, squared_distance(x, centroids.row(js[0])), js[0]);
+      return;
     }
-    if (sdc != nullptr && sdc->flip) {
-      sdc->flip(std::as_writable_bytes(
-          std::span<double>(panel.data(), bw * d)));
+    const float* rows[kSweepChains];
+    for (std::size_t c = 0; c < kSweepChains; ++c) {
+      rows[c] = centroids.row(js[std::min(c, held - 1)]).data();
     }
-    for (std::size_t t = 0; t < count; ++t) {
-      const auto x = dataset.sample(sample_index(t));
-      double dots[kCentroidRowBlock] = {};
-      const auto sweep_dots = [&] {
-        if (bw == kCentroidRowBlock) {
-          dot_block_chains(x.data(), panel.data(), d, dots);
-        } else {
-          for (std::size_t u = 0; u < d; ++u) {
-            const double xu = static_cast<double>(x[u]);
-            const double* row = panel.data() + u * bw;
-            for (std::size_t jj = 0; jj < bw; ++jj) {
-              dots[jj] += xu * row[jj];
-            }
+    double dist[kSweepChains];
+    gather_chains(rows, d, x.data(), dist);
+    for (std::size_t c = 0; c < held; ++c) {
+      offer_score(rec, dist[c], js[c]);
+    }
+  };
+  for (std::size_t g = 0; g < groups.groups; ++g) {
+    const auto [gb, ge] = groups.range(j_begin, j_end, g);
+    std::fill(u1.begin(), u1.end(), std::numeric_limits<double>::max());
+    std::fill(u2.begin(), u2.end(), std::numeric_limits<double>::max());
+    std::fill(cand_n.begin(), cand_n.end(), 0);
+    for (std::size_t jb = gb; jb < ge; jb += kCentroidRowBlock) {
+      const std::size_t bw = std::min(ge - jb, kCentroidRowBlock);
+      const auto build_panel = [&] {
+        for (std::size_t u = 0; u < d; ++u) {
+          for (std::size_t jj = 0; jj < bw; ++jj) {
+            panel[u * bw + jj] = static_cast<double>(centroids.at(jb + jj, u));
           }
         }
       };
-      sweep_dots();
-      if (sdc != nullptr && sdc->check) {
-        // sum_jj dots[jj] and x . chk are two summation orders of the same
-        // real bilinear form sum_{u,jj} x[u] * panel[u*bw+jj]; their spread
-        // is bounded by (d + bw) roundings against the absolute-value
-        // magnitude, with a 64x margin. A violation means the panel's bits
-        // are not the centroid bits the checksum saw — rebuild and rescore
-        // this sample through the identical kernel (bit-identical repair;
-        // samples after this one see the clean panel too).
-        double got = 0;
-        for (std::size_t jj = 0; jj < bw; ++jj) {
-          got += dots[jj];
-        }
-        double ref = 0;
-        double mag = 0;
+      const auto capture_checksums = [&] {
+        chk.assign(d, 0.0);
+        chkabs.assign(d, 0.0);
         for (std::size_t u = 0; u < d; ++u) {
-          const double xu = static_cast<double>(x[u]);
-          ref += xu * chk[u];
-          mag += std::abs(xu) * chkabs[u];
+          for (std::size_t jj = 0; jj < bw; ++jj) {
+            const double v = panel[u * bw + jj];
+            chk[u] += v;
+            chkabs[u] += std::abs(v);
+          }
         }
-        const double tol = 64.0 * static_cast<double>(d + bw) *
-                           std::numeric_limits<double>::epsilon() * mag;
-        if (!(std::abs(got - ref) <= tol)) {
-          ++sdc->detected;
-          build_panel();
-          capture_checksums();
-          std::fill(dots, dots + kCentroidRowBlock, 0.0);
-          sweep_dots();
-          ++sdc->recomputed;
-        }
+      };
+      build_panel();
+      if (sdc != nullptr && sdc->check) {
+        capture_checksums();
       }
-      for (std::size_t jj = 0; jj < bw; ++jj) {
-        const std::size_t j = jb + jj;
-        const double scale = nx[t] + norms[j];
-        const double g = scale - 2.0 * dots[jj];
-        const double tau = tau_scale * scale;
-        const double up = g + tau;
-        if (up < u1[t]) {
-          u2[t] = u1[t];
-          u1[t] = up;
-        } else if (up < u2[t]) {
-          u2[t] = up;
+      if (sdc != nullptr && sdc->flip) {
+        sdc->flip(std::as_writable_bytes(
+            std::span<double>(panel.data(), bw * d)));
+      }
+      for (std::size_t t = 0; t < count; ++t) {
+        if (!groups.scores(t, g)) {
+          continue;
         }
-        // A MinLoc record only needs the exact winner, so U1 suffices; the
-        // top-two records screen against U2.
-        const double bar = HasSecond<MinLocT> ? u2[t] : u1[t];
-        const double lower = g - tau;
-        if (lower <= bar && cand_n[t] <= kGemmCandidates) {
-          std::uint32_t* const ids = cand.data() + t * kGemmCandidates;
-          double* const lows = cand_lo.data() + t * kGemmCandidates;
-          if (cand_n[t] == kGemmCandidates) {
-            // Full: evict, in order, every entry the bar has since passed.
-            std::uint32_t kept = 0;
-            for (std::uint32_t c = 0; c < kGemmCandidates; ++c) {
-              if (lows[c] <= bar) {
-                ids[kept] = ids[c];
-                lows[kept] = lows[c];
-                ++kept;
+        const auto x = dataset.sample(sample_index(t));
+        double dots[kCentroidRowBlock] = {};
+        const auto sweep_dots = [&] {
+          if (bw == kCentroidRowBlock) {
+            dot_block_chains(x.data(), panel.data(), d, dots);
+          } else {
+            for (std::size_t u = 0; u < d; ++u) {
+              const double xu = static_cast<double>(x[u]);
+              const double* row = panel.data() + u * bw;
+              for (std::size_t jj = 0; jj < bw; ++jj) {
+                dots[jj] += xu * row[jj];
               }
             }
-            cand_n[t] = kept;
           }
-          if (cand_n[t] < kGemmCandidates) {
-            ids[cand_n[t]] = static_cast<std::uint32_t>(j);
-            lows[cand_n[t]] = lower;
-            ++cand_n[t];
-          } else {
-            cand_n[t] = kGemmCandidates + 1;  // overflowed, for good
-            if (sdc != nullptr) {
-              ++sdc->overflowed;
+        };
+        sweep_dots();
+        if (sdc != nullptr && sdc->check) {
+          // sum_jj dots[jj] and x . chk are two summation orders of the
+          // same real bilinear form sum_{u,jj} x[u] * panel[u*bw+jj]; their
+          // spread is bounded by (d + bw) roundings against the
+          // absolute-value magnitude, with a 64x margin. A violation means
+          // the panel's bits are not the centroid bits the checksum saw —
+          // rebuild and rescore this sample through the identical kernel
+          // (bit-identical repair; samples after this one see the clean
+          // panel too).
+          double got = 0;
+          for (std::size_t jj = 0; jj < bw; ++jj) {
+            got += dots[jj];
+          }
+          double ref = 0;
+          double mag = 0;
+          for (std::size_t u = 0; u < d; ++u) {
+            const double xu = static_cast<double>(x[u]);
+            ref += xu * chk[u];
+            mag += std::abs(xu) * chkabs[u];
+          }
+          const double tol = 64.0 * static_cast<double>(d + bw) *
+                             std::numeric_limits<double>::epsilon() * mag;
+          if (!(std::abs(got - ref) <= tol)) {
+            ++sdc->detected;
+            build_panel();
+            capture_checksums();
+            std::fill(dots, dots + kCentroidRowBlock, 0.0);
+            sweep_dots();
+            ++sdc->recomputed;
+          }
+        }
+        for (std::size_t jj = 0; jj < bw; ++jj) {
+          const std::size_t j = jb + jj;
+          const double scale = nx[t] + norms[j];
+          const double gv = scale - 2.0 * dots[jj];
+          const double tau = tau_scale * scale;
+          const double up = gv + tau;
+          if (up < u1[t]) {
+            u2[t] = u1[t];
+            u1[t] = up;
+          } else if (up < u2[t]) {
+            u2[t] = up;
+          }
+          // A MinLoc record only needs the exact winner, so U1 suffices;
+          // the top-two records screen against U2.
+          const double bar = HasSecond<MinLocT> ? u2[t] : u1[t];
+          const double lower = gv - tau;
+          if (lower <= bar && cand_n[t] <= kGemmCandidates) {
+            std::uint32_t* const ids = cand.data() + t * kGemmCandidates;
+            double* const lows = cand_lo.data() + t * kGemmCandidates;
+            if (cand_n[t] == kGemmCandidates) {
+              // Full: evict, in order, every entry the bar has since
+              // passed.
+              std::uint32_t kept = 0;
+              for (std::uint32_t c = 0; c < kGemmCandidates; ++c) {
+                if (lows[c] <= bar) {
+                  ids[kept] = ids[c];
+                  lows[kept] = lows[c];
+                  ++kept;
+                }
+              }
+              cand_n[t] = kept;
+            }
+            if (cand_n[t] < kGemmCandidates) {
+              ids[cand_n[t]] = static_cast<std::uint32_t>(j);
+              lows[cand_n[t]] = lower;
+              ++cand_n[t];
+            } else {
+              cand_n[t] = kGemmCandidates + 1;  // overflowed, for good
+              if (sdc != nullptr) {
+                ++sdc->overflowed;
+              }
             }
           }
         }
       }
     }
-  }
-  for (std::size_t t = 0; t < count; ++t) {
-    MinLocT& rec = scores[t];
-    const auto x = dataset.sample(sample_index(t));
-    if (cand_n[t] > kGemmCandidates) {
-      for (std::size_t j = j_begin; j < j_end; ++j) {
-        offer_score(rec, squared_distance(x, centroids.row(j)), j);
+    for (std::size_t t = 0; t < count; ++t) {
+      if (!groups.scores(t, g) || cand_n[t] == 0) {
+        continue;
       }
-      continue;
-    }
-    for (std::size_t c = 0; c < cand_n[t]; ++c) {
-      const std::size_t j = cand[t * kGemmCandidates + c];
-      offer_score(rec, squared_distance(x, centroids.row(j)), j);
+      const auto x = dataset.sample(sample_index(t));
+      MinLocT& rec = scores[g * count + t];
+      if (cand_n[t] <= kGemmCandidates) {
+        rescore(x, rec, cand.data() + t * kGemmCandidates, cand_n[t]);
+        continue;
+      }
+      for (std::size_t jb = gb; jb < ge; jb += kSweepChains) {
+        std::uint32_t js[kSweepChains];
+        const std::size_t held = std::min(ge - jb, kSweepChains);
+        for (std::size_t c = 0; c < held; ++c) {
+          js[c] = static_cast<std::uint32_t>(jb + c);
+        }
+        rescore(x, rec, js, held);
+      }
     }
   }
 }
@@ -891,10 +1003,11 @@ inline void score_tile_gemm(const data::Dataset& dataset, std::size_t i_begin,
                             std::size_t i_end, const util::Matrix& centroids,
                             std::span<const double> norms, std::size_t j_begin,
                             std::size_t j_end, std::span<MinLocT> scores,
-                            GemmSdcHooks* sdc = nullptr) {
+                            GemmSdcHooks* sdc = nullptr,
+                            const TileGroups& groups = {}) {
   score_tile_gemm_gen(
       dataset, [i_begin](std::size_t t) { return i_begin + t; },
-      i_end - i_begin, centroids, norms, j_begin, j_end, scores, sdc);
+      i_end - i_begin, centroids, norms, j_begin, j_end, scores, sdc, groups);
 }
 
 /// Compacted GEMM entry point (mirrors score_tile_ids).
@@ -905,11 +1018,12 @@ inline void score_tile_ids_gemm(const data::Dataset& dataset,
                                 std::span<const double> norms,
                                 std::size_t j_begin, std::size_t j_end,
                                 std::span<MinLocT> scores,
-                                GemmSdcHooks* sdc = nullptr) {
+                                GemmSdcHooks* sdc = nullptr,
+                                const TileGroups& groups = {}) {
   score_tile_gemm_gen(
       dataset,
       [ids](std::size_t t) { return static_cast<std::size_t>(ids[t]); },
-      ids.size(), centroids, norms, j_begin, j_end, scores, sdc);
+      ids.size(), centroids, norms, j_begin, j_end, scores, sdc, groups);
 }
 
 /// Top-two centroid drifts of one update, with the argmax. What a Hamerly
@@ -942,20 +1056,6 @@ inline DriftDigest drift_digest(std::span<const double> drift) {
 /// exact.
 inline double drift_excluding(const DriftDigest& digest, std::size_t j) {
   return j == digest.argmax ? digest.max2 : digest.max1;
-}
-
-/// Contiguous block [begin, end) of `total` items for worker `index` of
-/// `workers` — the dataflow partition rule all levels share. Remainder
-/// items go to the lowest-index workers.
-inline std::pair<std::size_t, std::size_t> block_range(std::size_t total,
-                                                       std::size_t workers,
-                                                       std::size_t index) {
-  const std::size_t base = total / workers;
-  const std::size_t extra = total % workers;
-  const std::size_t begin =
-      index * base + (index < extra ? index : extra);
-  const std::size_t length = base + (index < extra ? 1 : 0);
-  return {begin, begin + length};
 }
 
 /// Most centroid groups a sample's bounds can carry: a survivor's group
@@ -1291,12 +1391,15 @@ inline std::uint32_t merge_group_records(std::span<const MinLocT* const> records
 }
 
 /// Refresh a sample's bounds from a freshly swept top-two record: both
-/// become exact (sqrt of the squared best / second-best distances).
+/// become exact (sqrt of the squared best / second-best distances). The
+/// one-group merge.
 template <typename MinLocT>
   requires HasSecond<MinLocT>
 inline void refresh_bounds(const MinLocT& rec, double& upper, double& lower) {
-  upper = std::sqrt(rec.value);
-  lower = std::sqrt(rec.second);
+  const MinLocT* const records[1] = {&rec};
+  merge_group_records<MinLocT>(records, 1, GroupSplit{1, 1}, 0,
+                               std::numeric_limits<double>::quiet_NaN(),
+                               upper, &lower);
 }
 
 /// Flat k x d accumulator plus per-centroid counts, in double.

@@ -833,6 +833,70 @@ TEST(GroupGate, SkippedGroupsCannotHoldTheArgmin) {
   EXPECT_GT(left_skipped_group, 0u);
 }
 
+TEST(GroupGate, GroupedKernelsMatchSerialPerGroup) {
+  // One grouped call, chain or GEMM, over samples with random group masks:
+  // each scored (sample, group) record is the serial top-two over that
+  // group's columns, and an unscored one stays cleared. The GEMM rescore
+  // runs its candidates through the gathered chain kernel, so this also
+  // pins those lanes to squared_distance.
+  const std::size_t d = 7;
+  const data::Dataset ds = data::make_blobs(96, d, 6, 3, 1.5);
+  util::Xoshiro256 rng(5);
+  for (const std::size_t k : {5u, 21u, 64u}) {
+    util::Matrix c(k, d);
+    for (std::size_t j = 0; j < k; ++j) {
+      for (std::size_t u = 0; u < d; ++u) {
+        c.at(j, u) = ds.sample((j * 11) % ds.n())[u] +
+                     static_cast<float>(rng.uniform(-0.5, 0.5));
+      }
+    }
+    // A repeated row makes exact ties inside and across groups.
+    for (std::size_t u = 0; u < d; ++u) {
+      c.at(k / 2, u) = c.at(k / 2 - 1, u);
+    }
+    detail::CentroidNormCache norms;
+    norms.refresh_full(c);
+    const detail::TileGroups split{std::min<std::size_t>(8, k)};
+    std::vector<std::uint32_t> ids;
+    std::vector<std::uint8_t> scan;
+    for (std::size_t i = 0; i < ds.n(); i += 2) {
+      ids.push_back(static_cast<std::uint32_t>(i));
+      scan.push_back(static_cast<std::uint8_t>(rng.uniform(0, 256)));
+    }
+    const detail::TileGroups groups{split.groups, scan};
+    for (const bool gemm : {false, true}) {
+      std::vector<detail::TileScore2> got(ids.size() * groups.groups);
+      detail::clear_scores(std::span<detail::TileScore2>(got));
+      if (gemm) {
+        detail::score_tile_ids_gemm(ds, ids, c, norms.norms, 0, k,
+                                    std::span<detail::TileScore2>(got),
+                                    nullptr, groups);
+      } else {
+        detail::score_tile_ids(ds, ids, c, 0, k,
+                               std::span<detail::TileScore2>(got), groups);
+      }
+      for (std::size_t t = 0; t < ids.size(); ++t) {
+        for (std::size_t g = 0; g < groups.groups; ++g) {
+          const std::string where = std::string(gemm ? "gemm" : "chain") +
+                                    ", k " + std::to_string(k) + ", row " +
+                                    std::to_string(t) + ", group " +
+                                    std::to_string(g);
+          const detail::TileScore2& rec = got[g * ids.size() + t];
+          detail::TileScore2 want;
+          detail::clear_scores(std::span<detail::TileScore2>(&want, 1));
+          if (groups.scores(t, g)) {
+            const auto [b, e] = groups.range(0, k, g);
+            want = top_two(ds.sample(ids[t]), c, b, e, k);
+          }
+          EXPECT_EQ(rec.value, want.value) << where;
+          EXPECT_EQ(rec.index, want.index) << where;
+          EXPECT_EQ(rec.second, want.second) << where;
+        }
+      }
+    }
+  }
+}
+
 TEST(GroupGate, MergeBreaksTiesTowardTheLowerGroup) {
   // Equal distances in groups 0 and 1 (a coincident pair straddling the
   // boundary): the merge must keep group 0's index, as a serial scan
