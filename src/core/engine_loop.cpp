@@ -61,12 +61,11 @@ std::pair<std::size_t, std::size_t> rank_samples(const EngineRun& run,
 static_assert(kLevel2BoundGroups <= kMaxBoundGroups,
               "a survivor's group mask is one byte");
 
-/// Level 2's group bounds replace the safe-radius arm (DESIGN.md §7).
-bool runs_radius_pass(const PartitionPlan& plan) {
-  return plan.level != Level::kLevel2;
-}
-
 }  // namespace
+
+bool runs_radius_pass(const PartitionPlan& plan) {
+  return plan.level == Level::kLevel1;
+}
 
 std::size_t safe_radius_block_rows(const simarch::MachineConfig& machine,
                                    std::size_t d) {
@@ -96,9 +95,12 @@ EngineRank::EngineRank(const EngineRun& run_, swmpi::Comm& world_)
       lower(upper.size() * split.groups, 0.0),
       drift(run_.config.k, 0.0),
       digests(split.groups),
-      radius_work(safe_radius_work(
-          run_.config.k, run_.machine.cpes_per_cg,
-          safe_radius_block_rows(run_.machine, run_.dataset.d()))),
+      radius_work(radius_pass
+                      ? safe_radius_work(run_.config.k,
+                                         run_.machine.cpes_per_cg,
+                                         safe_radius_block_rows(
+                                             run_.machine, run_.dataset.d()))
+                      : SafeRadiusWork{}),
       acc(run_.config.k, run_.dataset.d()) {
   if (run.config.sdc_checks) {
     gemm_sdc.check = true;
@@ -135,6 +137,10 @@ void EngineRank::charge_radius_pass(simarch::CostTally& t) const {
   simarch::RegComm(machine, t)
       .account_allreduce(k * sizeof(double), machine.cpes_per_cg);
   t.flops += k * (k - 1) * d;
+}
+
+std::uint64_t EngineRank::bound_bytes(std::uint64_t samples) const {
+  return gating ? samples * 2 * split.groups * sizeof(double) : 0;
 }
 
 void EngineRank::charge_gate_and_sdc(std::uint64_t unresolved,
@@ -467,8 +473,8 @@ KmeansResult run_engine(Level level, const char* name,
       rank_clock += combined.total_s();  // bulk-synchronous iteration edge
       if (iter == 0) {
         // The bounds can pay for themselves only if one safe-radius pass
-        // costs less than the whole sweep it could skip (Level 2 runs no
-        // pass, so it always tries them). Every later bounds-off
+        // costs less than the whole sweep it could skip (Levels 2/3 run no
+        // pass, so they always try them). Every later bounds-off
         // iteration prices exactly like this one.
         simarch::CostTally pass;
         if (rank.radius_pass) {
@@ -536,9 +542,10 @@ KmeansResult run_engine(Level level, const char* name,
   result.converged = converged;
   // Safe-radius maintenance: k(k-1)/2 centroid pairs per gated
   // iteration, counted once (the per-rank copies are replicas).
+  result.radius_pass = runs_radius_pass(plan);
   result.accel.centroid_distance_computations =
-      runs_radius_pass(plan) ? gated_iterations * config.k * (config.k - 1) / 2
-                             : 0;
+      result.radius_pass ? gated_iterations * config.k * (config.k - 1) / 2
+                         : 0;
   result.assign_kernel = gemm ? "gemm" : "chain";
   result.bound_groups = plan.bound_groups;
   result.gated_iterations = gated_iterations;
@@ -650,8 +657,10 @@ void TileSweep::stage(EngineRank& rank, Slot& s, std::size_t t0,
   // slice; the verdict rides the register bus.
   const bool grouped = split.groups > 1;
   block.tightened += gate_groups(
-      run.dataset, run.centroids, t0, t1, run.assignments, rank.drift, split,
-      rank.digests, rank.safe, rank.bound_base, rank.upper, rank.lower,
+      run.dataset, run.centroids, t0, t1,
+      std::span<const std::uint32_t>(run.assignments).subspan(rank.bound_base),
+      rank.drift, split, rank.digests, rank.safe, rank.bound_base, rank.upper,
+      rank.lower,
       /*tighten=*/true,
       GateSurvivors{s.ids, grouped ? &s.scan : nullptr,
                     grouped ? &s.assigned_sq : nullptr, tightened_at_});

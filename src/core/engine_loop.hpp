@@ -42,6 +42,12 @@ struct EngineRun {
   std::vector<std::uint32_t>& assignments;  ///< KmeansResult::assignments
 };
 
+/// Whether gated iterations run the safe-radius pass: Level 1 only. Level
+/// 2's group bounds and Level 3's single bound gate without it, so their
+/// iteration-0 check always passes and the savings ledger alone decides
+/// (DESIGN.md §7).
+bool runs_radius_pass(const PartitionPlan& plan);
+
 /// Own rows a CPE keeps in half its LDM during the safe-radius pass; the
 /// other half takes the rows it streams past them. A row wider than half
 /// the LDM streams in chunks: the row's chunk, then the matching chunk of
@@ -67,6 +73,11 @@ struct EngineRank {
   /// check weighs against the sweep.
   void charge_radius_pass(simarch::CostTally& t) const;
 
+  /// The gate's bound traffic on the sample stream: each of `samples`
+  /// gated samples reads and writes its split.groups lower bounds,
+  /// 2 x G x 8 B. Zero when this iteration does not gate.
+  std::uint64_t bound_bytes(std::uint64_t samples) const;
+
   /// Safe-radius charge (gated iterations) followed by the modeled SDC
   /// overhead (defense armed): ABFT checksum chains for `unresolved`
   /// swept rows at 1/8 of `sweep_row_s` and one streaming pass for the
@@ -91,7 +102,7 @@ struct EngineRank {
   // contiguous range [bound_base, ...), an upper bound and one lower bound
   // per centroid group (plan.bound_groups); the published per-centroid
   // drift and each group's drift digest; the safe radii and the radius
-  // pass's per-CPE work (Levels 1/3 only). `bounds` is decided after
+  // pass's per-CPE work (Level 1 only). `bounds` is decided after
   // iteration 0, re-decided after each gated iteration by the savings
   // ledger in run_engine, and never turns back on.
   const GroupSplit split;

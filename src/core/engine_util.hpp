@@ -1242,9 +1242,9 @@ struct GateSurvivors {
 /// assigned centroid) and each group's lower bound by the worst *other*
 /// mover in that group (its digest excluding the assigned centroid; with
 /// G = 1 that is Hamerly's drift_excluding rule), then append the samples
-/// that remain unresolved to `out`. Bounds are indexed from `base`:
-/// sample i's upper is upper[i - base], its group-g lower
-/// lower[(i - base) * G + g].
+/// that remain unresolved to `out`. Stored assignments and bounds are
+/// indexed from `base`: sample i's assignment is assignments[i - base],
+/// its upper upper[i - base], its group-g lower lower[(i - base) * G + g].
 ///
 /// A sample is resolved — provably still assigned to its current centroid
 /// — only under a strict upper < max(safe[a], min_g lower_g) (no radius
@@ -1283,7 +1283,7 @@ inline std::size_t gate_groups(const data::Dataset& dataset,
   const std::size_t groups = split.groups;
   std::size_t tightened = 0;
   for (std::size_t i = t0; i < t1; ++i) {
-    const std::uint32_t a = assignments[i];
+    const std::uint32_t a = assignments[i - base];
     double& up = upper[i - base];
     double* const lo = lower.data() + (i - base) * groups;
     up += drift[a];

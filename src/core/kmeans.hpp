@@ -106,7 +106,9 @@ struct KmeansConfig {
   /// iteration numbering contiguous across legs. 0 for standalone runs.
   std::size_t iteration_base = 0;
   /// RecoveryDriver checkpoint cadence: a checkpoint lands every this many
-  /// iterations (each leg boundary). Ignored by the engines themselves.
+  /// iterations (each leg boundary). 0 means no mid-run checkpoint: the
+  /// whole run is one leg, and a fault re-seeds from scratch. Ignored by
+  /// the engines themselves.
   std::size_t checkpoint_every = 8;
   /// Wall-clock observability session (not owned; null = every record call
   /// is a no-op). Instrumentation is always compiled in; this pointer is
@@ -203,6 +205,9 @@ struct KmeansResult {
   /// Lower bounds per sample the bound gate kept (PartitionPlan::
   /// bound_groups): 1 at Levels 1/3, min(8, k) at Level 2.
   std::size_t bound_groups = 0;
+  /// Whether the gated iterations ran the safe-radius pass: true only at
+  /// Level 1 (Levels 2/3 gate on their lower bounds alone, DESIGN.md §7).
+  bool radius_pass = false;
 };
 
 }  // namespace swhkm::core

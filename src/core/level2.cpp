@@ -55,11 +55,10 @@ class Level2Policy final : public detail::LevelPolicy {
       // the group needs the vector to score its slice); gated ones are
       // read once by the accumulating owner. A gated sample also reads
       // and writes its bound_groups lower bounds.
-      sample_bytes_ +=
-          rank.gating ? block.unresolved * d * eb * g +
-                            (count - block.unresolved) * d * eb +
-                            count * 2 * rank.split.groups * sizeof(double)
-                      : count * d * eb * g;
+      sample_bytes_ += (rank.gating ? block.unresolved * d * eb * g +
+                                          (count - block.unresolved) * d * eb
+                                    : count * d * eb * g) +
+                       rank.bound_bytes(count);
       samples_ += count;
       unresolved_ += block.unresolved;
       tightened_ += block.tightened;

@@ -20,7 +20,8 @@ namespace {
 /// wall-clock synchronisation is batched. The winner's slice owner
 /// accumulates, in ascending-i order — resolved samples under their
 /// stored assignment — so the fused sums keep the exact summation order
-/// of a full sweep.
+/// of a full sweep. The gate keeps one Hamerly lower bound per sample and
+/// runs no safe-radius pass: a sample is resolved iff upper < lower.
 class Level3Policy final : public detail::LevelPolicy {
  public:
   explicit Level3Policy(detail::EngineRank& rank)
@@ -55,8 +56,10 @@ class Level3Policy final : public detail::LevelPolicy {
     // assignments for the gate: its inputs (combined MinLoc2 records,
     // published drift) are replicated bit-identically, so the replicas
     // never diverge, every rank computes the same tile compaction with no
-    // extra exchange, and no rank reads a vector another rank writes.
-    local_assign_.assign(run.dataset.n(), 0);
+    // extra exchange, and no rank reads a vector another rank writes. It
+    // covers the group's block only, indexed from rank.bound_base like the
+    // bounds.
+    local_assign_.assign(rank.upper.size(), 0);
   }
 
   detail::AssignSweep sweep(detail::EngineRank& rank) override {
@@ -103,10 +106,12 @@ class Level3Policy final : public detail::LevelPolicy {
     // DMA: unresolved samples stream into every CG of the group; a
     // resolved sample is read only by the CG owning its assigned slice
     // (for the accumulator). Each run of them is one strided descriptor
-    // over the CG's d_local slices.
+    // over the CG's d_local slices. Every CG of the group gates the whole
+    // block, so each also reads and writes every sample's bounds.
     const std::uint64_t streamed = unresolved_ + owned_resolved_;
-    detail::charge_sample_stream(tally, machine, streamed * d * eb,
-                                 runs_.critical());
+    detail::charge_sample_stream(
+        tally, machine, streamed * d * eb + rank.bound_bytes(count_),
+        runs_.critical());
     const double centroid_stream_before = tally.centroid_stream_s;
     if (unresolved_ > 0) {
       detail::charge_centroid_traffic(tally, machine, run.plan, unresolved_);
@@ -231,7 +236,8 @@ class Level3Policy final : public detail::LevelPolicy {
         // No tightening at this level: the assigned centroid's row is
         // dimension-split across the group's CPEs and slice-split across
         // its CGs, so one exact distance would cost the combine the gate
-        // exists to skip. Bounds + safe radii only.
+        // exists to skip. No safe radii either (rank.safe stays empty):
+        // the one Hamerly bound alone decides.
         detail::gate_groups(rank.run.dataset, rank.run.centroids, sub0, sub1,
                             local_assign_, rank.drift, rank.split,
                             rank.digests, rank.safe, rank.bound_base,
@@ -282,20 +288,20 @@ class Level3Policy final : public detail::LevelPolicy {
     const std::span<const swmpi::MinLoc2> scores = s.dc.records();
     std::size_t pos = 0;
     for (std::size_t i = s.t0; i < s.t1; ++i) {
+      const std::size_t b = i - rank.bound_base;
       std::uint32_t winner;
       if (pos < s.ids.size() && s.ids[pos] == i) {
         const swmpi::MinLoc2& rec = scores[pos];
         winner = static_cast<std::uint32_t>(rec.index);
-        local_assign_[i] = winner;
-        detail::refresh_bounds(rec, rank.upper[i - rank.bound_base],
-                               rank.lower[i - rank.bound_base]);
+        local_assign_[b] = winner;
+        detail::refresh_bounds(rec, rank.upper[b], rank.lower[b]);
         if (within_ == 0) {
           assignments[i] = winner;
         }
         ++pos;
         runs_.pull_all(i, i + 1);
       } else {
-        winner = local_assign_[i];
+        winner = local_assign_[b];
         if (winner >= j_begin_ && winner < j_end_) {
           ++owned_resolved_;
           runs_.pull_all(i, i + 1);
@@ -320,7 +326,7 @@ class Level3Policy final : public detail::LevelPolicy {
   simarch::CollectiveCharge group_charge_;
   double group_combine_time_ = 0;
   SpanSlot slots_[2];
-  std::vector<std::uint32_t> local_assign_;
+  std::vector<std::uint32_t> local_assign_;  ///< from rank.bound_base
   detail::StreamRuns runs_;  ///< this CG's sample-stream descriptors
 
   // The current iteration.

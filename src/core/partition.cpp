@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "core/engine_loop.hpp"
 #include "util/error.hpp"
 #include "util/units.hpp"
 
@@ -453,6 +454,7 @@ std::string PartitionPlan::describe() const {
   }
   out << ", flow units=" << num_flow_units << ", k_local=" << k_local
       << ", d_local=" << d_local << ", bound groups=" << bound_groups
+      << ", radius pass=" << (detail::runs_radius_pass(*this) ? "on" : "off")
       << (ldm.resident ? ", centroids resident"
                        : ", centroids streamed (tile_rows=" +
                              std::to_string(ldm.tile_rows) + ")")

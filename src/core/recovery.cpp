@@ -76,7 +76,10 @@ KmeansResult RecoveryDriver::run(Level level, const data::Dataset& dataset,
                                  const KmeansConfig& config) {
   report_ = RecoveryReport{};
   const ProblemShape shape{dataset.n(), config.k, dataset.d()};
-  const std::size_t cadence = std::max<std::size_t>(1, config.checkpoint_every);
+  // checkpoint_every = 0: no mid-run checkpoint, the whole run is one leg.
+  const std::size_t cadence = config.checkpoint_every > 0
+                                  ? config.checkpoint_every
+                                  : config.max_iterations;
 
   auto plan_on = [&](const simarch::MachineConfig& machine)
       -> std::optional<PartitionPlan> {

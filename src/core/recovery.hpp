@@ -81,7 +81,10 @@ struct RecoveryReport {
 /// boundary, and when a leg dies with a RuntimeFault (injected crash,
 /// watchdog timeout, or a real peer failure) reloads the last good
 /// checkpoint and retries — degrading onto a smaller machine once retries
-/// at the current topology are exhausted.
+/// at the current topology are exhausted. checkpoint_every = 0 means no
+/// mid-run checkpoint: the whole run is one leg (one bounds ledger), and a
+/// fault in it re-seeds from scratch like any fault before the first
+/// checkpoint.
 ///
 /// Bit-identity: every Lloyd iteration is a deterministic function of the
 /// centroid snapshot, and the Hamerly gate is exact, so restarting a leg

@@ -30,6 +30,7 @@ void RunReport::set_result(const core::KmeansResult& result) {
   history = result.history;
   assign_kernel = result.assign_kernel;
   bound_groups = result.bound_groups;
+  radius_pass = result.radius_pass;
   gated_iterations = result.gated_iterations;
 }
 
@@ -57,6 +58,7 @@ void RunReport::write_json(std::ostream& out) const {
   w.kv("sdc_checks", config.sdc_checks);
   w.kv("assign_kernel", std::string_view(assign_kernel));
   w.kv("bound_groups", static_cast<std::uint64_t>(bound_groups));
+  w.kv("radius_pass", radius_pass);
   w.kv("iteration_base", static_cast<std::uint64_t>(config.iteration_base));
   w.kv("checkpoint_every",
        static_cast<std::uint64_t>(config.checkpoint_every));

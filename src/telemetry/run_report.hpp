@@ -33,6 +33,9 @@ struct RunReport {
   /// Lower bounds per sample the gate kept (KmeansResult::bound_groups),
   /// written into the "config" section too.
   std::size_t bound_groups = 0;
+  /// Whether gated iterations ran the safe-radius pass
+  /// (KmeansResult::radius_pass), written into the "config" section too.
+  bool radius_pass = false;
 
   // Outcome.
   std::size_t iterations = 0;

@@ -68,9 +68,9 @@ std::size_t replay_bounds_ledger(const std::vector<IterationStats>& history,
 }
 
 /// Centroid pairs one gated iteration's safe-radius pass scores: k(k-1)/2
-/// at Levels 1/3. Level 2's group bounds run no pass.
+/// at Level 1. Levels 2/3 run no pass.
 std::size_t radius_pairs(Level level, std::size_t k) {
-  return level == Level::kLevel2 ? 0 : k * (k - 1) / 2;
+  return level == Level::kLevel1 ? k * (k - 1) / 2 : 0;
 }
 
 class GatedLevelTest : public ::testing::TestWithParam<Level> {};
@@ -131,11 +131,12 @@ TEST_P(GatedLevelTest, BitIdenticalToSerialOnCoincidentTiedPoints) {
 }
 
 TEST_P(GatedLevelTest, BoundsOffWhenTheRadiusPassCostsMoreThanTheSweep) {
-  // 160 samples against k = 64 on 4 CGs: one safe-radius pass (k(k-1)/2
-  // pairs per CG, its DMA and mesh fold) costs more than iteration 0's
-  // whole sweep, so the engine runs every iteration without bounds. Such a
-  // run is still serial Lloyd bit for bit, prunes nothing, never runs the
-  // pass, and so prices every iteration exactly like iteration 0.
+  // 160 samples against k = 64 on 4 CGs: at Level 1 one safe-radius pass
+  // (k(k-1)/2 pairs per CG, its DMA and mesh fold) costs more than
+  // iteration 0's whole sweep, so the engine runs every iteration without
+  // bounds. Such a run is still serial Lloyd bit for bit, prunes nothing,
+  // never runs the pass, and so prices every iteration exactly like
+  // iteration 0.
   const MachineConfig machine = MachineConfig::tiny(2, 4, 8192);
   const data::Dataset ds = data::make_blobs(160, 12, 5, 17);
   KmeansConfig config;
@@ -144,10 +145,10 @@ TEST_P(GatedLevelTest, BoundsOffWhenTheRadiusPassCostsMoreThanTheSweep) {
   config.tolerance = -1;
   const KmeansResult ref = lloyd_serial(ds, config);
   const KmeansResult got = run_level(GetParam(), ds, config, machine);
-  if (GetParam() == Level::kLevel2) {
-    // Level 2 runs no safe-radius pass, so no pass can price its bounds
-    // out: iteration 1 always gates, and from then on the savings ledger
-    // alone decides. The run is still serial Lloyd bit for bit.
+  if (GetParam() != Level::kLevel1) {
+    // Levels 2/3 run no safe-radius pass, so no pass can price their
+    // bounds out: iteration 1 always gates, and from then on the savings
+    // ledger alone decides. The run is still serial Lloyd bit for bit.
     const std::string where = level_name(GetParam());
     expect_bit_identical(got, ref, where.c_str());
     ASSERT_EQ(got.history.size(), 6u);
@@ -255,6 +256,38 @@ TEST_P(GatedLevelTest, RecoveryLegsDecideTheBoundsOnTheirOwn) {
   EXPECT_EQ(got.gated_iterations, legs_gated);
   EXPECT_EQ(got.accel.centroid_distance_computations,
             legs_gated * radius_pairs(GetParam(), config.k));
+}
+
+TEST_P(GatedLevelTest, ExactTieAtTheBoundIsSwept) {
+  // One dimension, k = 2, first-k seeds c0 = -3 and c1 = 1. Sample 0 is
+  // assigned to c1 at distance 1 with its lower bound at 3. The update
+  // moves c0 to -2 and c1 to 2, both by exactly 1, so the decayed bounds
+  // meet (upper = lower = 2) at a true tie: serial Lloyd moves the sample
+  // to c0, the lower index. Only a strict upper < lower (and, at Level 1,
+  // upper < safe radius, also 2) leaves it to the sweep. Every value is an
+  // exact small integer, so the tie is exact in floating point too.
+  const std::size_t d = 4;
+  const float pattern[] = {-3, 1, 0, -1, 5};
+  util::Matrix samples(8 * std::size(pattern), d);
+  for (std::size_t i = 0; i < samples.rows(); ++i) {
+    samples.at(i, 0) = pattern[i % std::size(pattern)];
+  }
+  const data::Dataset ds("tie", samples);
+  KmeansConfig config;
+  config.k = 2;
+  config.max_iterations = 2;
+  config.tolerance = -1;
+  const KmeansResult ref = lloyd_serial(ds, config);
+  ASSERT_EQ(ref.assignments[2], 0u) << "the tie must go to c0";
+  const MachineConfig machine = MachineConfig::tiny(2, 4, 8192);
+  const KmeansResult got = run_level(GetParam(), ds, config, machine);
+  const std::string where = level_name(GetParam());
+  expect_bit_identical(got, ref, where.c_str());
+  if (GetParam() != Level::kLevel1) {
+    // Level 1's radius pass outprices this 40-sample sweep, so its run
+    // never gates; Levels 2/3 have no pass and gate iteration 1.
+    ASSERT_TRUE(got.history[1].gated) << where;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllLevels, GatedLevelTest,
@@ -394,6 +427,177 @@ TEST(GatedAssign, Level3ChargesCompactedCollectiveVolumes) {
     total_rate += it.prune_rate;
   }
   ASSERT_GT(total_rate, 0.0) << "workload never pruned; test is vacuous";
+}
+
+TEST(GatedAssign, Level3GatesPixelsWithoutARadiusPass) {
+  // ILSVRC-like pixels, the data Level 3 exists for. With no safe-radius
+  // pass to price, iteration 1 gates, no centroid pair is ever scored and
+  // the savings ledger keeps the bounds on (the gate resolves up to 2/3 of
+  // the samples); every CG-group size, both s-step depths and a
+  // RecoveryDriver run with a crash stay serial Lloyd bit for bit.
+  const MachineConfig machine = MachineConfig::tiny(2, 4, 8192);
+  const data::Dataset ds = data::make_ilsvrc_like(384, 8, 1);
+  KmeansConfig config;
+  config.k = 32;
+  config.max_iterations = 8;
+  config.tolerance = -1;
+  config.init = InitMethod::kPlusPlus;
+  config.tile_samples = 8;
+  const KmeansResult ref = lloyd_serial(ds, config);
+  const auto check = [&](const KmeansResult& got, const std::string& where,
+                         std::size_t leg) {
+    expect_bit_identical(got, ref, where.c_str());
+    EXPECT_FALSE(got.radius_pass) << where;
+    EXPECT_EQ(got.bound_groups, 1u) << where;
+    EXPECT_EQ(got.accel.centroid_distance_computations, 0u) << where;
+    ASSERT_EQ(got.history.size(), config.max_iterations) << where;
+    EXPECT_TRUE(got.history[1].gated) << where;
+    double best_rate = 0;
+    for (const IterationStats& it : got.history) {
+      best_rate = std::max(best_rate, it.prune_rate);
+    }
+    EXPECT_GT(best_rate, 0.5) << where;
+    std::size_t gated = 0;
+    for (std::size_t begin = 0; begin < got.history.size(); begin += leg) {
+      const std::size_t end = std::min(begin + leg, got.history.size());
+      EXPECT_EQ(replay_bounds_ledger(got.history, begin, end, where),
+                end - begin - 1)
+          << where << ": leg from row " << begin;
+      gated += end - begin - 1;
+    }
+    EXPECT_EQ(got.gated_iterations, gated) << where;
+  };
+  for (const std::size_t mprime : {1u, 2u, 4u}) {
+    for (const std::size_t sstep : {1u, 4u}) {
+      KmeansConfig c = config;
+      c.sstep_tiles = sstep;
+      const std::string where = "m'_group " + std::to_string(mprime) +
+                                ", sstep " + std::to_string(sstep);
+      check(run_level(Level::kLevel3, ds, c, machine, 0, mprime), where,
+            c.max_iterations);
+    }
+  }
+  swmpi::FaultPlan plan;
+  plan.crash(1, /*iteration=*/5, swmpi::FaultSite::kUpdate);
+  KmeansConfig faulty = config;
+  faulty.fault_plan = &plan;
+  faulty.checkpoint_every = 4;
+  RecoveryOptions options;
+  options.checkpoint_path =
+      ::testing::TempDir() + "/swhkm_level3_pixels_legs.ckpt";
+  RecoveryDriver driver(machine, options);
+  const KmeansResult got = driver.run(Level::kLevel3, ds, faulty);
+  EXPECT_EQ(plan.fired_crashes(), 1u);
+  check(got, "recovery", faulty.checkpoint_every);
+}
+
+TEST(GatedAssign, Level3GatedIterationWithoutPruningPricesTheSweepAndBounds) {
+  // k clusters, each its centre (one of the first k rows, so first-k
+  // seeding picks it) and copies at +8 along the second axis: every
+  // centroid moves by 8 * copies / (copies + 1), more than the gaps left
+  // by the bounds, so gated iteration 1 resolves no sample. Its assign
+  // phase is then iteration 0's sweep plus each gated sample's bound
+  // traffic on the CG's sample stream (2 x 8 B), and nothing else: no
+  // safe-radius pass, no other charge.
+  const std::size_t k = 6;
+  const std::size_t copies = 7;
+  const std::size_t d = 8;
+  util::Matrix samples(k * (1 + copies), d);
+  for (std::size_t j = 0; j < k; ++j) {
+    const float x = 10.0f * static_cast<float>(j);
+    samples.at(j, 0) = x;
+    for (std::size_t c = 0; c < copies; ++c) {
+      samples.at(k + j * copies + c, 0) = x;
+      samples.at(k + j * copies + c, 1) = 8;
+    }
+  }
+  const data::Dataset ds("drifting", samples);
+  KmeansConfig config;
+  config.k = k;
+  config.max_iterations = 2;
+  config.tolerance = -1;
+  const MachineConfig machine = MachineConfig::tiny(2, 4, 8192);
+  for (const std::size_t mprime : {1u, 2u}) {
+    const std::string where = "m'_group " + std::to_string(mprime);
+    const PartitionPlan plan = make_plan(
+        Level::kLevel3, ProblemShape{ds.n(), k, d}, machine, 0, mprime);
+    const KmeansResult r = run_plan(plan, ds, config, machine);
+    ASSERT_EQ(r.history.size(), 2u) << where;
+    const IterationStats& off = r.history[0];
+    const IterationStats& on = r.history[1];
+    ASSERT_TRUE(on.gated) << where;
+    ASSERT_EQ(on.prune_rate, 0.0) << where;
+    // Every CG gates its group's whole block; the blocks split n evenly.
+    const std::size_t groups = machine.num_cgs() / mprime;
+    ASSERT_EQ(ds.n() % groups, 0u) << where;
+    const std::uint64_t bound_bytes = 2 * sizeof(double);
+    const double bound_s =
+        static_cast<double>(ds.n() / groups * bound_bytes) /
+        machine.dma_bandwidth;
+    EXPECT_EQ(on.compute_s, off.compute_s) << where;
+    EXPECT_EQ(on.centroid_stream_s, off.centroid_stream_s) << where;
+    EXPECT_EQ(on.mesh_comm_s, off.mesh_comm_s) << where;
+    EXPECT_EQ(on.net_comm_s, off.net_comm_s) << where;
+    EXPECT_EQ(on.update_s, off.update_s) << where;
+    EXPECT_EQ(on.net_bytes, off.net_bytes) << where;
+    EXPECT_EQ(on.flops, off.flops) << where;
+    EXPECT_EQ(on.dma_bytes,
+              off.dma_bytes + machine.num_cgs() * (ds.n() / groups) *
+                                  bound_bytes)
+        << where;
+    EXPECT_DOUBLE_EQ(on.sample_read_s, off.sample_read_s + bound_s) << where;
+    EXPECT_DOUBLE_EQ(on.simulated_s, off.simulated_s + bound_s) << where;
+  }
+}
+
+TEST(GatedAssign, OneLegRecoveryRunGatesLikeTheEngine) {
+  // checkpoint_every = 0: the RecoveryDriver runs the whole fit as one
+  // leg, so its bounds ledger is the engine's. Structureless uniform data
+  // at Level 2 and d = 64, the uniform_l2 workload's shape scaled down:
+  // iteration 1 gates, then the ledger turns the bounds off. The
+  // driver's history must gate exactly where the direct run does, with
+  // and without a crash (which, before any checkpoint, re-seeds from
+  // scratch), and both stay serial Lloyd bit for bit.
+  const MachineConfig machine = MachineConfig::tiny(2, 4, 8192);
+  const data::Dataset ds = data::make_uniform(2048, 64, 1);
+  KmeansConfig config;
+  config.k = 64;
+  config.max_iterations = 8;
+  config.tolerance = -1;
+  config.init = InitMethod::kPlusPlus;
+  config.checkpoint_every = 0;
+  const KmeansResult ref = lloyd_serial(ds, config);
+  const auto choice = best_plan_for_level(
+      Level::kLevel2, ProblemShape{ds.n(), config.k, ds.d()}, machine);
+  ASSERT_TRUE(choice.has_value());
+  const KmeansResult direct = run_plan(choice->plan, ds, config, machine);
+  expect_bit_identical(direct, ref, "direct");
+  ASSERT_GT(direct.gated_iterations, 0u);
+  for (const bool crash : {false, true}) {
+    const std::string where = crash ? "crash" : "clean";
+    swmpi::FaultPlan plan;
+    if (crash) {
+      plan.crash(1, /*iteration=*/5, swmpi::FaultSite::kUpdate);
+    }
+    KmeansConfig c = config;
+    c.fault_plan = &plan;
+    RecoveryOptions options;
+    options.checkpoint_path =
+        ::testing::TempDir() + "/swhkm_one_leg_" + where + ".ckpt";
+    RecoveryDriver driver(machine, options);
+    const KmeansResult got = driver.run(Level::kLevel2, ds, c);
+    EXPECT_EQ(plan.fired_crashes(), crash ? 1u : 0u) << where;
+    EXPECT_FALSE(driver.report().resumed_from_checkpoint) << where;
+    expect_bit_identical(got, ref, where.c_str());
+    EXPECT_EQ(got.gated_iterations, direct.gated_iterations) << where;
+    ASSERT_EQ(got.history.size(), direct.history.size()) << where;
+    for (std::size_t i = 0; i < got.history.size(); ++i) {
+      EXPECT_EQ(got.history[i].gated, direct.history[i].gated)
+          << where << ": row " << i;
+      EXPECT_EQ(got.history[i].simulated_s, direct.history[i].simulated_s)
+          << where << ": row " << i;
+    }
+  }
 }
 
 TEST(GatedAssign, ResolveTileSamplesValidatesAgainstLdm) {

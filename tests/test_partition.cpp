@@ -224,6 +224,10 @@ TEST(MakePlan, DescribeIsInformative) {
   EXPECT_NE(desc.find("Level 3"), std::string::npos);
   EXPECT_NE(desc.find("m'_group"), std::string::npos);
   EXPECT_NE(desc.find("d_local=3072"), std::string::npos);
+  EXPECT_NE(desc.find("radius pass=off"), std::string::npos) << desc;
+  const std::string l1 =
+      make_plan(Level::kLevel1, {1265723, 64, 4}, machine).describe();
+  EXPECT_NE(l1.find("radius pass=on"), std::string::npos) << l1;
 }
 
 TEST(Candidates, MGroupsAreDivisorsOfCg) {

@@ -222,9 +222,12 @@ TEST_P(StreamDescriptorTest, FullyGatedIterationChargesTheOwnersRuns) {
         for (std::size_t i = b; i < e; ++i) {
           owned += owner_of(i) == within ? 1 : 0;
         }
+        // Every CG of the group gates the whole block, so each reads and
+        // writes every sample's bounds.
+        const std::uint64_t bounds = 2 * p.bound_groups * sizeof(double);
         expected = std::max(
             expected,
-            stream_seconds(machine, owned * row,
+            stream_seconds(machine, owned * row + (e - b) * bounds,
                            expected_descriptors(b, e, batch,
                                                 [&](std::size_t i) {
                                                   return owner_of(i) == within;

@@ -2,9 +2,12 @@
 """Validate observability artifacts against the checked-in JSON schemas.
 
 Pure-stdlib validator for the JSON-Schema subset the schemas/ directory
-uses: type, properties, required, items, enum, minItems, minimum, maximum
-and $ref into the document-local #/$defs table. Deliberately not a full Draft 2020-12
-implementation — CI must not need pip.
+uses: type, properties, required, items, enum, minItems, minimum, maximum,
+if/then/else and $ref into the document-local #/$defs table. Deliberately
+not a full Draft 2020-12 implementation — CI must not need pip.
+
+The report schemas use if/then/else for the one cross-field rule they pin:
+config.radius_pass is true exactly when workload.level is Level 1.
 
 Usage:
     validate_artifacts.py <schema.json> <artifact.json> [<artifact.json>...]
@@ -45,8 +48,21 @@ def _resolve(schema, root):
     return node
 
 
+def _passes(value, schema, root):
+    try:
+        _check(value, schema, root, "")
+    except ValidationError:
+        return False
+    return True
+
+
 def _check(value, schema, root, path):
     schema = _resolve(schema, root)
+
+    if "if" in schema:
+        branch = "then" if _passes(value, schema["if"], root) else "else"
+        if branch in schema:
+            _check(value, schema[branch], root, path)
 
     if "enum" in schema:
         if value not in schema["enum"]:
