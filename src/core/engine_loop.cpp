@@ -95,12 +95,9 @@ EngineRank::EngineRank(const EngineRun& run_, swmpi::Comm& world_)
       lower(upper.size() * split.groups, 0.0),
       drift(run_.config.k, 0.0),
       digests(split.groups),
-      radius_work(radius_pass
-                      ? safe_radius_work(run_.config.k,
-                                         run_.machine.cpes_per_cg,
-                                         safe_radius_block_rows(
-                                             run_.machine, run_.dataset.d()))
-                      : SafeRadiusWork{}),
+      radius_work(safe_radius_work(
+          run_.config.k, run_.machine.cpes_per_cg,
+          safe_radius_block_rows(run_.machine, run_.dataset.d()))),
       acc(run_.config.k, run_.dataset.d()) {
   if (run.config.sdc_checks) {
     gemm_sdc.check = true;
@@ -540,9 +537,9 @@ KmeansResult run_engine(Level level, const char* name,
   result.centroids = std::move(centroids);
   result.iterations = iterations;
   result.converged = converged;
+  result.radius_pass = runs_radius_pass(plan);
   // Safe-radius maintenance: k(k-1)/2 centroid pairs per gated
   // iteration, counted once (the per-rank copies are replicas).
-  result.radius_pass = runs_radius_pass(plan);
   result.accel.centroid_distance_computations =
       result.radius_pass ? gated_iterations * config.k * (config.k - 1) / 2
                          : 0;
