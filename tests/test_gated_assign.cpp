@@ -259,8 +259,9 @@ TEST_P(GatedLevelTest, RecoveryLegsDecideTheBoundsOnTheirOwn) {
 }
 
 TEST_P(GatedLevelTest, ExactTieAtTheBoundIsSwept) {
-  // One dimension, k = 2, first-k seeds c0 = -3 and c1 = 1. Sample 0 is
-  // assigned to c1 at distance 1 with its lower bound at 3. The update
+  // Samples on one axis (the other dimensions are 0), k = 2, first-k
+  // seeds c0 = -3 and c1 = 1. The sample at 0 (row 2) is assigned to c1
+  // at distance 1 with its lower bound at 3. The update
   // moves c0 to -2 and c1 to 2, both by exactly 1, so the decayed bounds
   // meet (upper = lower = 2) at a true tie: serial Lloyd moves the sample
   // to c0, the lower index. Only a strict upper < lower (and, at Level 1,
@@ -519,9 +520,8 @@ TEST(GatedAssign, Level3GatedIterationWithoutPruningPricesTheSweepAndBounds) {
   const MachineConfig machine = MachineConfig::tiny(2, 4, 8192);
   for (const std::size_t mprime : {1u, 2u}) {
     const std::string where = "m'_group " + std::to_string(mprime);
-    const PartitionPlan plan = make_plan(
-        Level::kLevel3, ProblemShape{ds.n(), k, d}, machine, 0, mprime);
-    const KmeansResult r = run_plan(plan, ds, config, machine);
+    const KmeansResult r =
+        run_level(Level::kLevel3, ds, config, machine, 0, mprime);
     ASSERT_EQ(r.history.size(), 2u) << where;
     const IterationStats& off = r.history[0];
     const IterationStats& on = r.history[1];
