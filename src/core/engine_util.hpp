@@ -1058,8 +1058,9 @@ inline double drift_excluding(const DriftDigest& digest, std::size_t j) {
   return j == digest.argmax ? digest.max2 : digest.max1;
 }
 
-/// Most centroid groups a sample's bounds can carry: a survivor's group
-/// mask is one byte.
+/// Most centroid groups a gate that skips groups can carry: a survivor's
+/// group mask is one byte. Level 3 scores every group of a survivor and
+/// keeps no mask (kLevel3BoundGroups).
 inline constexpr std::size_t kMaxBoundGroups = 8;
 
 /// The bound gate's split of the k centroids into G contiguous groups,
@@ -1260,9 +1261,11 @@ struct GateSurvivors {
 /// slice owner); Level 3 does not (the row is split over the group, so the
 /// test would cost the very exchange it tries to skip). A survivor must
 /// score only the groups with lower_g <= upper: every other group's
-/// centroids are strictly farther than the assigned one. Grouping (G > 1)
-/// needs `tighten`, since a survivor's skipped assigned group offers its
-/// exact distance to the merge (merge_group_records).
+/// centroids are strictly farther than the assigned one. Skipping groups
+/// (a `scan` mask) needs `tighten`, since a survivor's skipped assigned
+/// group offers its exact distance to the merge (merge_group_records).
+/// Without a mask (Level 3) every survivor scores every group, and G > 1
+/// needs no tightening.
 ///
 /// All inputs are deterministic, globally-consistent quantities
 /// (assignments from the replicated argmin, drift from the published
@@ -1359,7 +1362,7 @@ inline std::size_t gate_tile(const data::Dataset& dataset,
 template <typename MinLocT>
   requires HasSecond<MinLocT>
 inline std::uint32_t merge_group_records(std::span<const MinLocT* const> records,
-                                         std::uint8_t scan,
+                                         std::uint32_t scan,
                                          const GroupSplit& split,
                                          std::uint32_t a, double assigned_sq,
                                          double& upper, double* lower) {

@@ -203,7 +203,8 @@ struct KmeansResult {
   std::string assign_kernel;
   std::size_t gated_iterations = 0;
   /// Lower bounds per sample the bound gate kept (PartitionPlan::
-  /// bound_groups): 1 at Levels 1/3, min(8, k) at Level 2.
+  /// bound_groups): 1 at Level 1, min(8, k) at Level 2, min(16, k) at
+  /// Level 3.
   std::size_t bound_groups = 0;
   /// Whether the gated iterations ran the safe-radius pass: true only at
   /// Level 1 (Levels 2/3 gate on their lower bounds alone, DESIGN.md §7).

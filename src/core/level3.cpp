@@ -1,6 +1,7 @@
 #include "core/level3.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "core/engine_loop.hpp"
 #include "simarch/regcomm.hpp"
@@ -9,6 +10,8 @@
 namespace swhkm::core {
 
 namespace {
+
+static_assert(kLevel3BoundGroups < 32, "merge_group_records' scan mask");
 
 /// Level 3 policy: every CG of a CG group reads each unresolved sample
 /// (its CPEs taking d_local dims each) and scores its own centroid slice,
@@ -20,8 +23,11 @@ namespace {
 /// wall-clock synchronisation is batched. The winner's slice owner
 /// accumulates, in ascending-i order — resolved samples under their
 /// stored assignment — so the fused sums keep the exact summation order
-/// of a full sweep. The gate keeps one Hamerly lower bound per sample and
-/// runs no safe-radius pass: a sample is resolved iff upper < lower.
+/// of a full sweep. The gate keeps one lower bound per centroid group
+/// (plan.bound_groups) and runs no safe-radius pass: a sample is resolved
+/// iff upper < min_g lower_g. A survivor scores every group of the slice,
+/// and its combine carries one top-two record per group, so every CG of
+/// the group refreshes all of the sample's bounds exactly.
 class Level3Policy final : public detail::LevelPolicy {
  public:
   explicit Level3Policy(detail::EngineRank& rank)
@@ -34,22 +40,8 @@ class Level3Policy final : public detail::LevelPolicy {
         j_end_(std::min(rank.run.config.k, j_begin_ + rank.run.plan.k_local)),
         span_samples_(rank.run.tile_samples * rank.run.config.sstep_tiles),
         runs_(1, rank.run.sample_batch) {
-    const detail::EngineRun& run = rank.run;
-    // Group argmin combine price per sample: tiny payloads, so the
-    // hierarchical charge's size-adaptive stage always lands on the
-    // binomial tree (and degenerates to the exact flat charge whenever the
-    // group sits inside one supernode — every group at paper placements).
-    // Records are MinLoc2 — 8 bytes per sample more than a plain argmin,
-    // the price of the exact global runner-up distance.
-    group_charge_ = run.topo.hier_allreduce_charge(
-        sizeof(swmpi::MinLoc2), group_ * p_, p_, run.xover);
-    group_combine_time_ =
-        run.config.hier_collectives
-            ? group_charge_.seconds
-            : run.topo.allreduce_time(sizeof(swmpi::MinLoc2), group_ * p_,
-                                      p_);
     for (SpanSlot& s : slots_) {
-      s.dc.reserve(span_samples_);
+      s.dc.reserve(span_samples_ * rank.split.groups);
       s.ids.reserve(span_samples_);
     }
     // Every rank of the group keeps a *private* replica of the group's
@@ -65,6 +57,9 @@ class Level3Policy final : public detail::LevelPolicy {
   detail::AssignSweep sweep(detail::EngineRank& rank) override {
     const auto [begin, end] = detail::block_range(
         rank.run.dataset.n(), rank.run.plan.num_flow_units, group_);
+    // Once the bounds are off for good there are none to refresh: one
+    // record over the whole range, as the Level 1/2 tile sweep does.
+    records_ = rank.bounds ? rank.split.groups : 1;
     count_ = end - begin;
     unresolved_ = 0;
     owned_resolved_ = 0;
@@ -139,18 +134,32 @@ class Level3Policy final : public detail::LevelPolicy {
 
     // Per-sample mesh reduce of the CPEs' distance partials, then the
     // per-sample network argmin across the CG group — both compacted to
-    // the unresolved samples.
+    // the unresolved samples. The argmin carries one MinLoc2 per bound
+    // group (8 bytes per record more than a plain argmin: the exact
+    // runner-up distance the group's lower bound needs). Tiny payloads,
+    // so the hierarchical charge's size-adaptive stage always lands on
+    // the binomial tree (and degenerates to the exact flat charge whenever
+    // the group sits inside one supernode — every group at paper
+    // placements).
     simarch::RegComm reg(machine, tally);
     reg.account_allreduce(k_local * eb, machine.cpes_per_cg, unresolved_);
+    const std::size_t record_bytes = records_ * sizeof(swmpi::MinLoc2);
+    const simarch::CollectiveCharge group_charge =
+        run.topo.hier_allreduce_charge(record_bytes, group_ * p_, p_,
+                                       run.xover);
+    const double group_combine_time =
+        run.config.hier_collectives
+            ? group_charge.seconds
+            : run.topo.allreduce_time(record_bytes, group_ * p_, p_);
     const double tile_net_s =
-        static_cast<double>(unresolved_) * group_combine_time_;
+        static_cast<double>(unresolved_) * group_combine_time;
     tally.net_comm_s += tile_net_s;
-    tally.net_bytes += unresolved_ * sizeof(swmpi::MinLoc2) * (p_ - 1);
+    tally.net_bytes += unresolved_ * record_bytes * (p_ - 1);
     if (run.config.hier_collectives) {
-      tally.net_crossing_bytes += unresolved_ * group_charge_.crossing_bytes;
+      tally.net_crossing_bytes += unresolved_ * group_charge.crossing_bytes;
       if (rank.cg == 0 && p_ > 1 && unresolved_ > 0) {
         detail::tick_collective_charge(
-            rank.tshard, "sim.collective.group_argmin", group_charge_);
+            rank.tshard, "sim.collective.group_argmin", group_charge);
       }
     }
 
@@ -192,22 +201,69 @@ class Level3Policy final : public detail::LevelPolicy {
     Combine dc;
   };
 
-  /// Score this CG's slice for the samples `ids` into `scores`.
-  void score_ids(const detail::EngineRank& rank,
-                 std::span<const std::uint32_t> ids,
-                 std::span<swmpi::MinLoc2> scores) const {
+  /// Score centroids [j0, j1) of this CG's slice for the samples `ids`
+  /// into `scores` (one record per sample).
+  void score_range(const detail::EngineRank& rank,
+                   std::span<const std::uint32_t> ids, std::size_t j0,
+                   std::size_t j1, std::span<swmpi::MinLoc2> scores) const {
     detail::clear_scores(scores);
     const detail::EngineRun& run = rank.run;
-    if (j_begin_ >= j_end_) {
+    if (j0 >= j1) {
       return;
     }
     if (run.gemm) {
       detail::score_tile_ids_gemm(run.dataset, ids, run.centroids, rank.norms,
-                                  j_begin_, j_end_, scores, rank.gemm_hooks);
+                                  j0, j1, scores, rank.gemm_hooks);
     } else {
-      detail::score_tile_ids(run.dataset, ids, run.centroids, j_begin_,
-                             j_end_, scores);
+      detail::score_tile_ids(run.dataset, ids, run.centroids, j0, j1, scores);
     }
+  }
+
+  /// Score this CG's slice for the samples `ids` into `scores`, records_
+  /// records per sample (scores[t * records_ + g]): record g covers the
+  /// centroids of bound group g inside the slice (cleared when the slice
+  /// holds none of them), and the group combine's exact selection merges
+  /// the slices' partial records into group g's top two.
+  void score_ids(const detail::EngineRank& rank,
+                 std::span<const std::uint32_t> ids,
+                 std::span<swmpi::MinLoc2> scores) {
+    if (records_ == 1) {
+      score_range(rank, ids, j_begin_, j_end_, scores);
+      return;
+    }
+    detail::clear_scores(scores);
+    group_scores_.resize(ids.size());
+    for (std::size_t g = 0; g < records_; ++g) {
+      const auto [gb, ge] = rank.split.range(g);
+      const std::size_t j0 = std::max(gb, j_begin_);
+      const std::size_t j1 = std::min(ge, j_end_);
+      if (j0 >= j1) {
+        continue;
+      }
+      score_range(rank, ids, j0, j1, group_scores_);
+      for (std::size_t t = 0; t < ids.size(); ++t) {
+        scores[t * records_ + g] = group_scores_[t];
+      }
+    }
+  }
+
+  /// A swept sample's winner from its combined records; while the bounds
+  /// are on, also its exact upper and per-group lower bounds (every group
+  /// was scored, so the merge reads no stored assignment or distance).
+  std::uint32_t merge(detail::EngineRank& rank,
+                      std::span<const swmpi::MinLoc2> recs, std::size_t b) {
+    if (!rank.bounds) {
+      return static_cast<std::uint32_t>(recs[0].index);
+    }
+    const swmpi::MinLoc2* ptrs[kLevel3BoundGroups] = {};
+    for (std::size_t g = 0; g < records_; ++g) {
+      ptrs[g] = &recs[g];
+    }
+    return detail::merge_group_records<swmpi::MinLoc2>(
+        std::span<const swmpi::MinLoc2* const>(ptrs, records_),
+        (std::uint32_t{1} << records_) - 1, rank.split,
+        local_assign_[b], std::numeric_limits<double>::quiet_NaN(),
+        rank.upper[b], rank.lower.data() + b * records_);
   }
 
   /// Stage span [t0, t1): gate + score each of its sub-tiles into the
@@ -237,7 +293,7 @@ class Level3Policy final : public detail::LevelPolicy {
         // dimension-split across the group's CPEs and slice-split across
         // its CGs, so one exact distance would cost the combine the gate
         // exists to skip. No safe radii either (rank.safe stays empty):
-        // the one Hamerly bound alone decides.
+        // the group bounds alone decide, and no group is skipped.
         detail::gate_groups(rank.run.dataset, rank.run.centroids, sub0, sub1,
                             local_assign_, rank.drift, rank.split,
                             rank.digests, rank.safe, rank.bound_base,
@@ -253,7 +309,7 @@ class Level3Policy final : public detail::LevelPolicy {
       }
       score_ids(rank,
                 std::span<const std::uint32_t>(s.ids.data() + before, fresh),
-                s.dc.claim(fresh));
+                s.dc.claim(fresh * records_));
     }
     // A fully-gated span claimed nothing: launch() skips the collective
     // and no round is charged.
@@ -291,10 +347,8 @@ class Level3Policy final : public detail::LevelPolicy {
       const std::size_t b = i - rank.bound_base;
       std::uint32_t winner;
       if (pos < s.ids.size() && s.ids[pos] == i) {
-        const swmpi::MinLoc2& rec = scores[pos];
-        winner = static_cast<std::uint32_t>(rec.index);
+        winner = merge(rank, scores.subspan(pos * records_, records_), b);
         local_assign_[b] = winner;
-        detail::refresh_bounds(rec, rank.upper[b], rank.lower[b]);
         if (within_ == 0) {
           assignments[i] = winner;
         }
@@ -323,13 +377,13 @@ class Level3Policy final : public detail::LevelPolicy {
   const std::size_t j_begin_;  ///< this CG's centroid slice [j_begin, j_end)
   const std::size_t j_end_;
   const std::size_t span_samples_;  ///< tiles per deferred combine x tile
-  simarch::CollectiveCharge group_charge_;
-  double group_combine_time_ = 0;
   SpanSlot slots_[2];
+  std::vector<swmpi::MinLoc2> group_scores_;  ///< one group's records
   std::vector<std::uint32_t> local_assign_;  ///< from rank.bound_base
   detail::StreamRuns runs_;  ///< this CG's sample-stream descriptors
 
   // The current iteration.
+  std::size_t records_ = 1;  ///< combine records per swept sample
   std::uint64_t count_ = 0;
   std::uint64_t unresolved_ = 0;
   std::uint64_t owned_resolved_ = 0;

@@ -313,6 +313,7 @@ Feasibility try_level3(const ProblemShape& shape,
     plan->num_flow_units = machine.num_cgs() / mprime_group;
     plan->k_local = k_local;
     plan->d_local = d_local;
+    plan->bound_groups = std::min(kLevel3BoundGroups, shape.k);
     plan->ldm = *layout;
   }
   return ok();

@@ -65,6 +65,12 @@ struct LdmLayout {
 /// Level 2's lower bounds per sample: one per contiguous centroid group.
 inline constexpr std::size_t kLevel2BoundGroups = 8;
 
+/// Level 3's lower bounds per sample. A Level 3 survivor scores every
+/// group (no one-byte survivor mask caps the count, as at Level 2), and
+/// each group costs 24 B per swept sample on the latency-bound group
+/// combine and 16 B per gated sample on the bound stream. DESIGN.md §7.
+inline constexpr std::size_t kLevel3BoundGroups = 16;
+
 /// A fully resolved partition: which level, how centroids and dimensions
 /// are split, and what each simulated CPE must hold.
 struct PartitionPlan {
@@ -88,8 +94,9 @@ struct PartitionPlan {
   /// Dimensions per CPE: d for L1/L2, ceil(d/cpes_per_cg) for L3.
   std::size_t d_local = 0;
   /// Centroid groups the bound gate keeps a lower bound for, per sample:
-  /// min(kLevel2BoundGroups, k) contiguous groups at Level 2, one (the
-  /// Hamerly bound) at Levels 1/3. DESIGN.md §7.
+  /// min(kLevel2BoundGroups, k) contiguous groups at Level 2,
+  /// min(kLevel3BoundGroups, k) at Level 3, one (the Hamerly bound) at
+  /// Level 1. DESIGN.md §7.
   std::size_t bound_groups = 1;
 
   LdmLayout ldm;

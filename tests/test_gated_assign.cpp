@@ -394,11 +394,11 @@ TEST(GatedAssign, EngineDistancesAtMostSerialHamerly) {
 
 TEST(GatedAssign, Level3ChargesCompactedCollectiveVolumes) {
   // Cost-model check: the Level 3 argmin collective is charged per
-  // *unresolved* sample at 24 bytes across the slice group. The
-  // per-iteration accumulator/publish charges are constant, so the
-  // net-byte drop from iteration 0 must equal exactly
-  // pruned * 24 * (p - 1) * p (every one of the group's p ranks skips the
-  // record exchange with its p-1 peers).
+  // *unresolved* sample at 24 bytes per bound group across the slice
+  // group. The per-iteration accumulator/publish charges are constant, so
+  // the net-byte drop from iteration 0 must equal exactly
+  // pruned * 24 * G * (p - 1) * p (every one of the group's p ranks skips
+  // the record exchange with its p-1 peers).
   const MachineConfig machine = MachineConfig::tiny(2, 4, 8192);
   const std::size_t p = 2;
   const data::Dataset ds = data::make_blobs(300, 8, 4, 23);
@@ -410,6 +410,7 @@ TEST(GatedAssign, Level3ChargesCompactedCollectiveVolumes) {
                                        0, p);
   ASSERT_EQ(gated.gated_iterations, gated.iterations - 1);
   ASSERT_GT(gated.history.size(), 1u);
+  ASSERT_EQ(gated.bound_groups, config.k);
 
   double total_rate = 0;
   for (std::size_t t = 1; t < gated.history.size(); ++t) {
@@ -417,12 +418,17 @@ TEST(GatedAssign, Level3ChargesCompactedCollectiveVolumes) {
     const auto pruned = static_cast<std::uint64_t>(
         std::llround(it.prune_rate * static_cast<double>(ds.n())));
     EXPECT_EQ(gated.history[0].net_bytes - it.net_bytes,
-              pruned * sizeof(swmpi::MinLoc2) * (p - 1) * p)
+              pruned * sizeof(swmpi::MinLoc2) * gated.bound_groups *
+                  (p - 1) * p)
         << "iteration " << t;
-    // DMA shrinks with the gate too (resolved samples stream once, into
-    // their owner, instead of into every rank of the group).
+    // The sample stream shrinks with the gate too (resolved samples
+    // stream once, into their owner, instead of into every rank of the
+    // group); on top of it every rank of the group reads and writes each
+    // sample's bounds, 2 x G x 8 B.
+    const std::uint64_t bound_bytes =
+        ds.n() * p * 2 * gated.bound_groups * sizeof(double);
     if (pruned > 0) {
-      EXPECT_LT(it.dma_bytes, gated.history[0].dma_bytes)
+      EXPECT_LT(it.dma_bytes - bound_bytes, gated.history[0].dma_bytes)
           << "iteration " << t;
     }
     total_rate += it.prune_rate;
@@ -449,7 +455,7 @@ TEST(GatedAssign, Level3GatesPixelsWithoutARadiusPass) {
                          std::size_t leg) {
     expect_bit_identical(got, ref, where.c_str());
     EXPECT_FALSE(got.radius_pass) << where;
-    EXPECT_EQ(got.bound_groups, 1u) << where;
+    EXPECT_EQ(got.bound_groups, kLevel3BoundGroups) << where;
     EXPECT_EQ(got.accel.centroid_distance_computations, 0u) << where;
     ASSERT_EQ(got.history.size(), config.max_iterations) << where;
     EXPECT_TRUE(got.history[1].gated) << where;
@@ -497,8 +503,9 @@ TEST(GatedAssign, Level3GatedIterationWithoutPruningPricesTheSweepAndBounds) {
   // seeding picks it) and copies at +8 along the second axis: every
   // centroid moves by 8 * copies / (copies + 1), more than the gaps left
   // by the bounds, so gated iteration 1 resolves no sample. Its assign
-  // phase is then iteration 0's sweep plus each gated sample's bound
-  // traffic on the CG's sample stream (2 x 8 B), and nothing else: no
+  // phase is then iteration 0's sweep (whose combine already carries one
+  // record per bound group) plus each gated sample's bound traffic on the
+  // CG's sample stream (2 x G x 8 B, G = k here), and nothing else: no
   // safe-radius pass, no other charge.
   const std::size_t k = 6;
   const std::size_t copies = 7;
@@ -530,7 +537,8 @@ TEST(GatedAssign, Level3GatedIterationWithoutPruningPricesTheSweepAndBounds) {
     // Every CG gates its group's whole block; the blocks split n evenly.
     const std::size_t groups = machine.num_cgs() / mprime;
     ASSERT_EQ(ds.n() % groups, 0u) << where;
-    const std::uint64_t bound_bytes = 2 * sizeof(double);
+    ASSERT_EQ(r.bound_groups, k) << where;
+    const std::uint64_t bound_bytes = 2 * k * sizeof(double);
     const double bound_s =
         static_cast<double>(ds.n() / groups * bound_bytes) /
         machine.dma_bandwidth;
@@ -1188,8 +1196,9 @@ TEST(GroupGate, GroupCountFollowsTheLevelAndK) {
       }
     }
   }
-  // Level 2 keeps min(8, k) groups, Levels 1/3 one; k not a multiple of 8
-  // and k < 8 stay serial Lloyd bit for bit.
+  // Level 2 keeps min(8, k) groups, Level 3 min(16, k), Level 1 one; k
+  // not a multiple of the group count and k below it stay serial Lloyd
+  // bit for bit.
   const MachineConfig machine = MachineConfig::tiny(2, 4, 8192);
   const data::Dataset ds = data::make_blobs(480, 6, 7, 5, 3.0);
   for (const std::size_t k : {3u, 5u, 7u, 8u, 13u, 21u}) {
@@ -1202,9 +1211,11 @@ TEST(GroupGate, GroupCountFollowsTheLevelAndK) {
       const std::string where =
           std::string(level_name(level)) + ", k " + std::to_string(k);
       const KmeansResult got = run_level(level, ds, config, machine);
-      EXPECT_EQ(got.bound_groups,
-                level == Level::kLevel2 ? std::min<std::size_t>(8, k) : 1u)
-          << where;
+      const std::size_t groups =
+          level == Level::kLevel2   ? std::min<std::size_t>(8, k)
+          : level == Level::kLevel3 ? std::min<std::size_t>(16, k)
+                                    : 1u;
+      EXPECT_EQ(got.bound_groups, groups) << where;
       expect_bit_identical(got, ref, where.c_str());
     }
   }
