@@ -151,9 +151,9 @@ std::vector<LedgerCell> ledger_cells() {
        0x2b95b988},
       {Level::kLevel3,
        "L3",
-       {0xc8a96743, 0xb7901665},
-       {0x396e27bb, 0x98495d68},
-       0x67defc8a},
+       {0xfbb4771a, 0x3414fbb8},
+       {0x64c93aa8, 0x5b29fdeb},
+       0x4c90a955},
   };
   for (const LevelPins& p : pins) {
     const std::size_t mprime = p.level == Level::kLevel3 ? 2 : 0;
@@ -189,7 +189,7 @@ std::vector<LedgerCell> ledger_cells() {
     KmeansConfig config = base_config();
     config.k = 64;
     cells.push_back({"L3_boundsOff", Level::kLevel3, one_supernode, config, 2,
-                     data::make_blobs(160, 12, 5, 17), 0x5cc0003du});
+                     data::make_blobs(160, 12, 5, 17), 0x55339354u});
   }
   for (const std::size_t sstep : {1u, 4u}) {
     KmeansConfig config = base_config();
@@ -197,7 +197,7 @@ std::vector<LedgerCell> ledger_cells() {
     config.sstep_tiles = sstep;
     cells.push_back({"L3_sstep" + std::to_string(sstep), Level::kLevel3,
                      one_supernode, config, 2, blobs,
-                     sstep == 1 ? 0x0c8bd64fu : 0x20d1a78cu});
+                     sstep == 1 ? 0x4c4443aau : 0x90d9e0abu});
   }
   return cells;
 }
