@@ -498,6 +498,33 @@ TEST(GatedAssign, Level3GatesPixelsWithoutARadiusPass) {
   check(got, "recovery", faulty.checkpoint_every);
 }
 
+TEST(GatedAssign, Level3GroupBoundsPruneMoreThanOneBound) {
+  // The same pixels as above. Every survivor refreshes all of its group
+  // bounds exactly, and each group decays only by its own fastest mover,
+  // so the sixteen groups resolve far more samples than one Hamerly bound
+  // would: on this data one bound sums its prune rates over the run to
+  // 2.57 (iterations 1-7: 0.05, 0.34, 0.18, 0.57, 0.37, 0.67, 0.40), and
+  // collapsing every group bound to their minimum after each refresh
+  // sums to 2.70. The groups reach 3.87.
+  const MachineConfig machine = MachineConfig::tiny(2, 4, 8192);
+  const data::Dataset ds = data::make_ilsvrc_like(384, 8, 1);
+  KmeansConfig config;
+  config.k = 32;
+  config.max_iterations = 8;
+  config.tolerance = -1;
+  config.init = InitMethod::kPlusPlus;
+  config.tile_samples = 8;
+  const KmeansResult got =
+      run_level(Level::kLevel3, ds, config, machine, 0, 2);
+  ASSERT_EQ(got.bound_groups, 16u);
+  ASSERT_EQ(got.gated_iterations, config.max_iterations - 1);
+  double total_rate = 0;
+  for (const IterationStats& it : got.history) {
+    total_rate += it.prune_rate;
+  }
+  EXPECT_GT(total_rate, 3.5);
+}
+
 TEST(GatedAssign, Level3GatedIterationWithoutPruningPricesTheSweepAndBounds) {
   // k clusters, each its centre (one of the first k rows, so first-k
   // seeding picks it) and copies at +8 along the second axis: every
