@@ -201,46 +201,36 @@ class Level3Policy final : public detail::LevelPolicy {
     Combine dc;
   };
 
-  /// Score centroids [j0, j1) of this CG's slice for the samples `ids`
-  /// into `scores` (one record per sample).
-  void score_range(const detail::EngineRank& rank,
-                   std::span<const std::uint32_t> ids, std::size_t j0,
-                   std::size_t j1, std::span<swmpi::MinLoc2> scores) const {
-    detail::clear_scores(scores);
-    const detail::EngineRun& run = rank.run;
-    if (j0 >= j1) {
-      return;
-    }
-    if (run.gemm) {
-      detail::score_tile_ids_gemm(run.dataset, ids, run.centroids, rank.norms,
-                                  j0, j1, scores, rank.gemm_hooks);
-    } else {
-      detail::score_tile_ids(run.dataset, ids, run.centroids, j0, j1, scores);
-    }
-  }
-
   /// Score this CG's slice for the samples `ids` into `scores`, records_
   /// records per sample (scores[t * records_ + g]): record g covers the
-  /// centroids of bound group g inside the slice (cleared when the slice
-  /// holds none of them), and the group combine's exact selection merges
-  /// the slices' partial records into group g's top two.
+  /// centroids of group g of GroupSplit{k, records_} inside the slice
+  /// (cleared when the slice holds none of them), and the group combine's
+  /// exact selection merges the slices' partial records into group g's
+  /// top two. One record covers the whole slice.
   void score_ids(const detail::EngineRank& rank,
                  std::span<const std::uint32_t> ids,
                  std::span<swmpi::MinLoc2> scores) {
-    if (records_ == 1) {
-      score_range(rank, ids, j_begin_, j_end_, scores);
-      return;
-    }
+    const detail::EngineRun& run = rank.run;
+    const detail::GroupSplit split{run.config.k, records_};
     detail::clear_scores(scores);
     group_scores_.resize(ids.size());
     for (std::size_t g = 0; g < records_; ++g) {
-      const auto [gb, ge] = rank.split.range(g);
+      const auto [gb, ge] = split.range(g);
       const std::size_t j0 = std::max(gb, j_begin_);
       const std::size_t j1 = std::min(ge, j_end_);
       if (j0 >= j1) {
         continue;
       }
-      score_range(rank, ids, j0, j1, group_scores_);
+      detail::clear_scores(std::span<swmpi::MinLoc2>(group_scores_));
+      if (run.gemm) {
+        detail::score_tile_ids_gemm(run.dataset, ids, run.centroids,
+                                    rank.norms, j0, j1,
+                                    std::span<swmpi::MinLoc2>(group_scores_),
+                                    rank.gemm_hooks);
+      } else {
+        detail::score_tile_ids(run.dataset, ids, run.centroids, j0, j1,
+                               std::span<swmpi::MinLoc2>(group_scores_));
+      }
       for (std::size_t t = 0; t < ids.size(); ++t) {
         scores[t * records_ + g] = group_scores_[t];
       }
