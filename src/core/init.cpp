@@ -70,6 +70,29 @@ std::size_t sweep_threads(std::size_t n, std::size_t d) {
   return std::clamp<std::size_t>(n * d / kSweepGrain, 1, std::min(hw, n));
 }
 
+/// Rows per block of the weighted pick: each team member sums its slice of
+/// nearest[] in blocks of this many rows as it sweeps them, and the pick
+/// scans at most one block row by row.
+constexpr std::size_t kPickBlock = 2048;
+
+/// One block's weight sum in eight interleaved chains: the pick's rounding
+/// bound holds for any summation order (DESIGN.md §15), and one chain of
+/// 2048 dependent adds would cost about as much as the block's sweep.
+double block_sum(const double* w, std::size_t count) {
+  double lanes[8] = {};
+  std::size_t i = 0;
+  for (; i + 8 <= count; i += 8) {
+    for (std::size_t l = 0; l < 8; ++l) {
+      lanes[l] += w[i + l];
+    }
+  }
+  for (; i < count; ++i) {
+    lanes[0] += w[i];
+  }
+  return ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) +
+         ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
+}
+
 /// The sweep team's once-per-pick handoff: every member arrives after its
 /// slice, the last to arrive runs `step` alone, and the step's writes are
 /// published to all members as they are released. Waiting members yield
@@ -106,22 +129,112 @@ class Handoff {
 
 namespace detail {
 
-void require_finite(const data::Dataset& dataset) {
-  for (std::size_t i = 0; i < dataset.n(); ++i) {
-    const auto x = dataset.sample(i);
-    bool finite = true;
-    for (const float v : x) {
-      finite &= std::isfinite(v);
+void require_finite(const data::Dataset& dataset, std::size_t threads) {
+  // Each slice keeps its first non-finite row (n when it has none), so the
+  // lowest bad row is named whatever the split.
+  const std::size_t n = dataset.n();
+  std::vector<std::size_t> first_bad(threads, n);
+  const auto scan = [&](std::size_t t) {
+    const auto [begin, end] = block_range(n, threads, t);
+    for (std::size_t i = begin; i < end; ++i) {
+      bool finite = true;
+      for (const float v : dataset.sample(i)) {
+        finite &= std::isfinite(v);
+      }
+      if (!finite) {
+        first_bad[t] = i;
+        return;
+      }
     }
-    if (!finite) {
-      const auto bad = std::find_if(
-          x.begin(), x.end(), [](float v) { return !std::isfinite(v); });
-      throw InvalidArgument(
-          "sample row " + std::to_string(i) + " column " +
-          std::to_string(bad - x.begin()) + " is not finite (" +
-          std::to_string(*bad) + "); clustering needs finite samples");
+  };
+  {
+    std::vector<std::jthread> workers;
+    workers.reserve(threads - 1);
+    std::size_t t = 1;
+    try {
+      for (; t < threads; ++t) {
+        workers.emplace_back(scan, t);
+      }
+    } catch (const std::system_error&) {
+      // The calling thread scans the slices no worker took.
+    }
+    for (; t < threads; ++t) {
+      scan(t);
+    }
+    scan(0);
+  }
+  const std::size_t row = std::ranges::min(first_bad);
+  if (row < n) {
+    const auto x = dataset.sample(row);
+    const auto bad =
+        std::find_if(x.begin(), x.end(), [](float v) { return !std::isfinite(v); });
+    throw InvalidArgument(
+        "sample row " + std::to_string(row) + " column " +
+        std::to_string(bad - x.begin()) + " is not finite (" +
+        std::to_string(*bad) + "); clustering needs finite samples");
+  }
+}
+
+WeightedPick weighted_pick(std::span<const double> weights,
+                           std::span<const char> taken,
+                           std::span<const WeightBlock> blocks, double u) {
+  const std::size_t n = weights.size();
+  double total = 0;
+  for (const WeightBlock& block : blocks) {
+    total += block.sum;
+  }
+  // Within this range every sum, the goal and the margin are normal
+  // doubles, so each rounding is relative: the proof of DESIGN.md §15.
+  if (total >= 0x1p-900 && total <= 0x1p900) {
+    const double goal = u * total;
+    const double margin = 0x1p-49 * static_cast<double>(n + 2) * total;
+    // `before` is the prefix through the previous untaken row.
+    double before = 0;
+    std::size_t b = 0;
+    std::size_t begin = 0;
+    while (b + 1 < blocks.size() && before + blocks[b].sum < goal) {
+      before += blocks[b].sum;
+      begin = blocks[b].end;
+      ++b;
+    }
+    for (std::size_t i = begin; i < blocks[b].end; ++i) {
+      if (taken[i]) {
+        continue;
+      }
+      const double at = before + weights[i];
+      if (at >= goal) {
+        if (goal - before > margin && at - goal > margin) {
+          return {i, false};
+        }
+        break;
+      }
+      before = at;
     }
   }
+  // The serial scan. Already-chosen rows have zero selection weight, but FP
+  // edge cases (target exactly 0, or rounding leaving target positive after
+  // the full scan) could still land on one — so skip taken rows and keep
+  // the last untaken row as the rounding fallback.
+  double serial_total = 0;
+  for (const double w : weights) {
+    serial_total += w;
+  }
+  double target = u * serial_total;
+  std::size_t chosen = n - 1;
+  while (chosen > 0 && taken[chosen]) {
+    --chosen;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (taken[i]) {
+      continue;
+    }
+    target -= weights[i];
+    if (target <= 0) {
+      chosen = i;
+      break;
+    }
+  }
+  return {chosen, true};
 }
 
 util::Matrix init_plus_plus(const data::Dataset& dataset, std::size_t k,
@@ -133,15 +246,9 @@ util::Matrix init_plus_plus(const data::Dataset& dataset, std::size_t k,
   std::vector<std::size_t> rows;
   rows.reserve(k);
   std::vector<char> taken(n, 0);
-  // Last untaken row, the selection scan's rounding fallback; it only
-  // ever moves down, so keeping it current costs O(n) over the whole run.
-  std::size_t fallback = n - 1;
   const auto take = [&](std::size_t row) {
     rows.push_back(row);
     taken[row] = 1;
-    while (fallback > 0 && taken[fallback]) {
-      --fallback;
-    }
   };
   take(rng.below(n));
   std::vector<double> nearest(n, std::numeric_limits<double>::max());
@@ -165,9 +272,16 @@ util::Matrix init_plus_plus(const data::Dataset& dataset, std::size_t k,
   std::vector<std::size_t> skipped(threads, 0);
   SeedingStats tally;
 
-  // Serial step between sweeps: the total and the weighted pick run in
-  // index order exactly as a one-thread loop would, so the RNG draws and
-  // the chosen rows do not depend on how the sweep was split or pruned.
+  // Each member's slice of nearest[] in blocks of kPickBlock rows (the
+  // last one of a slice may be short), summed by the member as it sweeps
+  // them; no block straddles two members.
+  std::vector<WeightBlock> blocks;
+  std::vector<std::size_t> first_block;
+
+  // Serial step between sweeps: the pick certifies the serial scan's row
+  // from the block sums and one block's rows (weighted_pick), so the RNG
+  // draws and the chosen rows do not depend on how the sweep was split or
+  // pruned.
   const auto pick = [&] {
     std::size_t skips = 0;
     for (const std::size_t s : skipped) {
@@ -180,11 +294,8 @@ util::Matrix init_plus_plus(const data::Dataset& dataset, std::size_t k,
       const std::size_t seeds = rows.size() - 1;
       paying = skips * d > n * kSkipTestCost + seeds * d;
     }
-    double total = 0;
-    for (const double w : nearest) {
-      total += w;
-    }
-    if (total <= 0) {
+    if (std::ranges::all_of(blocks,
+                            [](const WeightBlock& b) { return b.sum == 0; })) {
       // Degenerate data (every point coincides with some seed): fall back
       // to a row not already chosen, so the k seeds are k distinct rows —
       // the same guarantee init_random gives — instead of possibly
@@ -195,24 +306,10 @@ util::Matrix init_plus_plus(const data::Dataset& dataset, std::size_t k,
       }
       take(row);
     } else {
-      // Already-chosen rows have nearest == 0 and thus zero selection
-      // weight, but FP edge cases (target exactly 0, or rounding leaving
-      // target positive after the full scan) could still land on one — so
-      // skip taken rows during the scan and keep the last untaken row as
-      // the rounding fallback.
-      double target = rng.uniform() * total;
-      std::size_t chosen = fallback;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (taken[i]) {
-          continue;
-        }
-        target -= nearest[i];
-        if (target <= 0) {
-          chosen = i;
-          break;
-        }
-      }
-      take(chosen);
+      const WeightedPick chosen =
+          weighted_pick(nearest, taken, blocks, rng.uniform());
+      tally.pick_fallbacks += chosen.fell_back ? 1 : 0;
+      take(chosen.row);
     }
     latest = dataset.sample(rows.back());
     done = rows.size() == k;
@@ -222,34 +319,42 @@ util::Matrix init_plus_plus(const data::Dataset& dataset, std::size_t k,
 
   // The sweep team: the calling thread and threads - 1 workers each own a
   // contiguous slice of nearest[]. One handoff per pick — every member
-  // sweeps its slice against `latest` and arrives, the last arrival runs
-  // `pick`, and the release publishes the new `latest`. A pruned pick
-  // first fills cc[] in blocks, one per member, and a second handoff with
-  // nothing to do publishes it before any member reads it.
+  // sweeps its slice against `latest` a block at a time, sums each block
+  // while it is hot, and arrives; the last arrival runs `pick`, and the
+  // handoff publishes the block sums to it and the new `latest` back. A
+  // pruned pick first fills cc[] in blocks, one per member, and a second
+  // handoff with nothing to do publishes it before any member reads it.
   std::optional<Handoff<decltype(pick)>> sync;
   const auto nothing = [] {};
   std::optional<Handoff<decltype(nothing)>> publish_cc;
   std::size_t team = 1;
   std::latch ready(1);
   const auto member = [&](std::size_t t) {
-    const auto [begin, end] = block_range(n, team, t);
-    const float* x = dataset.samples().data() + begin * d;
     while (!done) {
-      if (!track) {
-        nearest_sweep(x, end - begin, d, latest, nearest.data() + begin);
-      } else {
-        SweepPick sweep{latest, static_cast<std::uint32_t>(rows.size() - 1)};
-        if (prune) {
-          const auto [jb, je] = block_range(sweep.id, team, t);
-          for (std::size_t j = jb; j < je; ++j) {
-            cc[j] = squared_distance(dataset.sample(rows[j]), latest);
-          }
-          publish_cc->arrive_and_wait();
-          sweep.cc = cc.data();
+      SweepPick sweep{latest, static_cast<std::uint32_t>(rows.size() - 1)};
+      if (prune) {
+        const auto [jb, je] = block_range(sweep.id, team, t);
+        for (std::size_t j = jb; j < je; ++j) {
+          cc[j] = squared_distance(dataset.sample(rows[j]), latest);
         }
-        skipped[t] = pruned_sweep(x, end - begin, d, sweep,
-                                  nearest.data() + begin, owner.data() + begin);
+        publish_cc->arrive_and_wait();
+        sweep.cc = cc.data();
       }
+      std::size_t begin = block_range(n, team, t).first;
+      std::size_t skips = 0;
+      for (std::size_t b = first_block[t]; b < first_block[t + 1]; ++b) {
+        const std::size_t count = blocks[b].end - begin;
+        const float* x = dataset.samples().data() + begin * d;
+        if (!track) {
+          nearest_sweep(x, count, d, latest, nearest.data() + begin);
+        } else {
+          skips += pruned_sweep(x, count, d, sweep, nearest.data() + begin,
+                                owner.data() + begin);
+        }
+        blocks[b].sum = block_sum(nearest.data() + begin, count);
+        begin = blocks[b].end;
+      }
+      skipped[t] = skips;
       sync->arrive_and_wait();
     }
   };
@@ -267,6 +372,14 @@ util::Matrix init_plus_plus(const data::Dataset& dataset, std::size_t k,
     // on the team size.
   }
   team = workers.size() + 1;
+  first_block.push_back(0);
+  for (std::size_t t = 0; t < team; ++t) {
+    const auto [begin, end] = block_range(n, team, t);
+    for (std::size_t b = begin; b < end; b += kPickBlock) {
+      blocks.push_back({std::min(b + kPickBlock, end), 0.0});
+    }
+    first_block.push_back(blocks.size());
+  }
   sync.emplace(team, pick);
   publish_cc.emplace(team, nothing);
   ready.count_down();
@@ -284,7 +397,7 @@ util::Matrix init_centroids(const data::Dataset& dataset,
   SWHKM_REQUIRE(config.k > 0, "k must be positive");
   SWHKM_REQUIRE(config.k <= dataset.n(),
                 "cannot seed more centroids than samples");
-  detail::require_finite(dataset);
+  detail::require_finite(dataset, sweep_threads(dataset.n(), dataset.d()));
   switch (config.init) {
     case InitMethod::kFirstK:
       return init_first_k(dataset, config.k);
@@ -301,6 +414,7 @@ util::Matrix init_centroids(const data::Dataset& dataset,
         host.counter("init.sweep.distances").add(stats.distances);
         host.counter("init.sweep.skipped").add(stats.skipped);
         host.counter("init.sweep.pruned_picks").add(stats.pruned_picks);
+        host.counter("init.pick.fallbacks").add(stats.pick_fallbacks);
       }
       return centroids;
     }

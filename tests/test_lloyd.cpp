@@ -406,6 +406,251 @@ TEST(Init, SweepKernelsMatchSquaredDistance) {
   }
 }
 
+TEST(Init, PlusPlusMatchesFrozenSerialAcrossBlockLayouts) {
+  // n = 70001 gives every member of a 1-8 thread team several 2048-row
+  // pick blocks and a short last one, so the block sums the pick starts
+  // from differ with the team size while the chosen rows must not. d = 2
+  // runs the plain sweep, d = 16 the pruned one. No pick may need the
+  // serial scan: the blocked selection is what runs.
+  struct Case {
+    std::string what;
+    data::Dataset ds;
+    bool prunes;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"plain sweep d=2", data::make_uniform(70001, 2, 12), false});
+  cases.push_back({"pruned sweep d=16",
+                   data::make_blobs(70001, 16, 8, 13, 6.0, 0.5), true});
+  const std::size_t k = 20;
+  for (const Case& c : cases) {
+    for (std::uint64_t seed : {1u, 2u}) {
+      const util::Matrix want = frozen_plus_plus(c.ds, k, seed);
+      for (std::size_t threads = 1; threads <= 8; ++threads) {
+        detail::SeedingStats stats;
+        EXPECT_TRUE(same_bytes(
+            detail::init_plus_plus(c.ds, k, seed, threads, &stats), want))
+            << c.what << ", seed " << seed << ", " << threads << " threads";
+        EXPECT_EQ(stats.pick_fallbacks, 0u) << c.what << ", seed " << seed;
+        EXPECT_EQ(stats.pruned_picks > 0, c.prunes) << c.what;
+      }
+    }
+  }
+}
+
+/// The selection step of frozen_plus_plus for draw `u`, and whether
+/// rounding left the target positive after the last row.
+std::pair<std::size_t, bool> frozen_scan(const std::vector<double>& weights,
+                                         const std::vector<char>& taken,
+                                         double u) {
+  double total = 0;
+  std::size_t fallback = 0;
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    total += weights[i];
+    if (!taken[i]) {
+      fallback = i;
+    }
+  }
+  double target = u * total;
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    if (taken[i]) {
+      continue;
+    }
+    target -= weights[i];
+    if (target <= 0) {
+      return {i, false};
+    }
+  }
+  return {fallback, true};
+}
+
+/// Blocks ending at `ends` (the last must be weights.size()), each summed
+/// in index order.
+std::vector<detail::WeightBlock> blocks_at(const std::vector<double>& weights,
+                                           const std::vector<std::size_t>& ends) {
+  std::vector<detail::WeightBlock> blocks;
+  std::size_t begin = 0;
+  for (const std::size_t end : ends) {
+    double sum = 0;
+    for (std::size_t i = begin; i < end; ++i) {
+      sum += weights[i];
+    }
+    blocks.push_back({end, sum});
+    begin = end;
+  }
+  return blocks;
+}
+
+std::vector<detail::WeightBlock> blocks_of(const std::vector<double>& weights,
+                                           std::size_t rows) {
+  std::vector<std::size_t> ends;
+  for (std::size_t b = rows; b < weights.size() + rows; b += rows) {
+    ends.push_back(std::min(b, weights.size()));
+  }
+  return blocks_at(weights, ends);
+}
+
+TEST(Init, WeightedPickCertifiesCrossingsOnBlockEdges) {
+  // Unit weights: the goal u * 4096 crosses at row floor(goal), half a
+  // weight from both prefixes, on the last row of one block and the first
+  // of the next, for aligned and ragged layouts.
+  const std::vector<double> weights(4096, 1.0);
+  const std::vector<char> taken(weights.size(), 0);
+  for (const auto& blocks :
+       {blocks_of(weights, 2048), blocks_at(weights, {1000, 2048, 2049, 4096}),
+        blocks_at(weights, {2047, 4096})}) {
+    for (const double goal : {2046.5, 2047.5, 2048.5, 999.5, 0.5, 4095.5}) {
+      const double u = goal / 4096;
+      const detail::WeightedPick got =
+          detail::weighted_pick(weights, taken, blocks, u);
+      EXPECT_EQ(got.row, frozen_scan(weights, taken, u).first) << goal;
+      EXPECT_EQ(got.row, static_cast<std::size_t>(goal)) << goal;
+      EXPECT_FALSE(got.fell_back) << goal;
+    }
+  }
+}
+
+TEST(Init, WeightedPickFallsBackWithinTheMargin) {
+  // A goal exactly on a prefix, or 2^-28 past one (under the margin of
+  // about 2^-25 at n = 4096 and total 4096), cannot be certified: the pick
+  // runs the serial scan and still returns its row.
+  const std::vector<double> weights(4096, 1.0);
+  const std::vector<char> taken(weights.size(), 0);
+  const auto blocks = blocks_of(weights, 2048);
+  for (const double goal : {2048.0, 2048.0 + 0x1p-28, 2048.0 - 0x1p-28, 17.0,
+                            1.0 + 0x1p-30}) {
+    const double u = goal / 4096;
+    const detail::WeightedPick got =
+        detail::weighted_pick(weights, taken, blocks, u);
+    EXPECT_EQ(got.row, frozen_scan(weights, taken, u).first) << goal;
+    EXPECT_TRUE(got.fell_back) << goal;
+  }
+  // Rounded prefixes running ahead of the serial chain: 1, then sixteen
+  // weights of 1.75 ulp(1), each added as 2 ulp. Goal 1 + 21 ulp falls
+  // between the prefixes of rows 10 and 11, one ulp from each, while the
+  // serial chain, subtracting 1.75 ulp exactly, first reaches 0 at row 12.
+  std::vector<double> ahead(17, 1.75 * 0x1p-52);
+  ahead[0] = 1.0;
+  const std::vector<char> none(ahead.size(), 0);
+  const double u = 1.0 - 11 * 0x1p-52;
+  const detail::WeightedPick got =
+      detail::weighted_pick(ahead, none, blocks_of(ahead, 2048), u);
+  EXPECT_EQ(frozen_scan(ahead, none, u).first, 12u);
+  EXPECT_EQ(got.row, 12u);
+  EXPECT_TRUE(got.fell_back);
+}
+
+TEST(Init, WeightedPickSkipsTakenRowsAroundTheCrossing) {
+  // Taken rows just before and at the crossing, weighing zero (as seeds do)
+  // or, inside the walked block, not: the pick skips them as the serial
+  // scan does, whether it certifies the row or falls back.
+  for (const double taken_weight : {0.0, 1.0}) {
+    for (const std::vector<std::size_t>& marked :
+         {std::vector<std::size_t>{999}, {1000}, {999, 1000}, {1000, 1001},
+          {2046, 2047}}) {
+      std::vector<double> weights(4096, 1.0);
+      std::vector<char> taken(weights.size(), 0);
+      for (const std::size_t i : marked) {
+        taken[i] = 1;
+        weights[i] = taken_weight;
+      }
+      const auto blocks = blocks_of(weights, 2048);
+      double total = 0;
+      for (const double w : weights) {
+        total += w;
+      }
+      for (const double goal : {999.5, 1000.5, 1001.5, 2045.5, 2046.5}) {
+        const double u = goal / total;
+        EXPECT_EQ(detail::weighted_pick(weights, taken, blocks, u).row,
+                  frozen_scan(weights, taken, u).first)
+            << "taken weight " << taken_weight << ", first taken row "
+            << marked[0] << ", goal " << goal;
+      }
+    }
+  }
+}
+
+TEST(Init, WeightedPickZeroDrawAndZeroWeights) {
+  // u = 0 (goal 0) and all-zero weights (total 0) cannot be certified; the
+  // serial scan takes the first untaken row.
+  util::Xoshiro256 rng(41);
+  std::vector<double> weights(3000);
+  for (double& w : weights) {
+    w = rng.uniform(0.5, 2.0);
+  }
+  std::vector<char> taken(weights.size(), 0);
+  taken[0] = 1;
+  taken[1] = 1;
+  weights[0] = 0;
+  weights[1] = 0;
+  const auto blocks = blocks_of(weights, 2048);
+  detail::WeightedPick got = detail::weighted_pick(weights, taken, blocks, 0.0);
+  EXPECT_EQ(got.row, 2u);
+  EXPECT_EQ(got.row, frozen_scan(weights, taken, 0.0).first);
+  EXPECT_TRUE(got.fell_back);
+
+  const std::vector<double> zeros(weights.size(), 0.0);
+  for (const double u : {0.0, 0.5}) {
+    got = detail::weighted_pick(zeros, taken, blocks_of(zeros, 2048), u);
+    EXPECT_EQ(got.row, 2u);
+    EXPECT_EQ(got.row, frozen_scan(zeros, taken, u).first);
+    EXPECT_TRUE(got.fell_back);
+  }
+}
+
+TEST(Init, WeightedPickMatchesTheSerialScanOnWideRangeWeights) {
+  // Weights from 2^-40 to 2^40 (every sum rounds), taken rows at zero
+  // weight, three layouts and 300 draws each: every row is the serial
+  // scan's, and the blocked selection certifies almost all of them.
+  util::Xoshiro256 rng(43);
+  std::vector<double> weights(10007);
+  std::vector<char> taken(weights.size(), 0);
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    weights[i] = std::ldexp(rng.uniform(0.5, 1.0),
+                            static_cast<int>(rng.below(81)) - 40);
+    if (rng.below(50) == 0) {
+      taken[i] = 1;
+      weights[i] = 0;
+    }
+  }
+  for (const auto& blocks :
+       {blocks_of(weights, 2048), blocks_of(weights, 700),
+        blocks_at(weights, {1, 5000, 5001, 10007})}) {
+    std::size_t fell_back = 0;
+    for (int draw = 0; draw < 300; ++draw) {
+      const double u = rng.uniform();
+      const detail::WeightedPick got =
+          detail::weighted_pick(weights, taken, blocks, u);
+      EXPECT_EQ(got.row, frozen_scan(weights, taken, u).first) << u;
+      fell_back += got.fell_back ? 1 : 0;
+    }
+    EXPECT_LE(fell_back, 3u);
+  }
+}
+
+TEST(Init, WeightedPickKeepsTheRoundingFallbackRow) {
+  // 1 then eight weights of 0.75 ulp(1): each add rounds the total up by a
+  // quarter ulp, so at u = 1 - 2^-53 the serial target outlasts every
+  // subtraction and the scan returns the last untaken row.
+  std::vector<double> weights(9, 0.75 * 0x1p-52);
+  weights[0] = 1.0;
+  const double u = 1.0 - 0x1p-53;
+  for (const bool last_taken : {false, true}) {
+    std::vector<char> taken(weights.size(), 0);
+    std::vector<double> w = weights;
+    if (last_taken) {
+      taken.push_back(1);
+      w.push_back(0.0);
+    }
+    const auto [want, ran_off] = frozen_scan(w, taken, u);
+    ASSERT_TRUE(ran_off);
+    EXPECT_EQ(want, 8u);
+    const detail::WeightedPick got =
+        detail::weighted_pick(w, taken, blocks_of(w, 2048), u);
+    EXPECT_EQ(got.row, want);
+    EXPECT_TRUE(got.fell_back);
+  }
+}
+
 TEST(Init, NonFiniteSampleRejectedWithRowAndColumn) {
   const float bad_values[] = {std::numeric_limits<float>::quiet_NaN(),
                               std::numeric_limits<float>::infinity(),
@@ -433,6 +678,26 @@ TEST(Init, NonFiniteSampleRejectedWithRowAndColumn) {
       }
     }
   }
+}
+
+TEST(Init, RequireFiniteNamesTheLowestBadRowOnAnyTeam) {
+  // Bad rows in several slices of a split scan: the lowest is named, at
+  // every team size, including teams larger than n.
+  data::Dataset ds = data::make_uniform(37, 5, 3);
+  ds.samples().at(30, 1) = std::numeric_limits<float>::infinity();
+  ds.samples().at(9, 4) = std::numeric_limits<float>::quiet_NaN();
+  ds.samples().at(21, 0) = -std::numeric_limits<float>::infinity();
+  for (std::size_t threads = 1; threads <= 40; threads += 3) {
+    try {
+      detail::require_finite(ds, threads);
+      ADD_FAILURE() << "accepted with " << threads << " threads";
+    } catch (const swhkm::InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("row 9 column 4"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_NO_THROW(detail::require_finite(data::make_uniform(37, 5, 3), 4));
 }
 
 TEST(Init, KLargerThanNRejected) {

@@ -548,8 +548,8 @@ TEST(Telemetry, ResultsAreBitIdenticalWithTelemetryOnAndOff) {
 }
 
 TEST(Telemetry, SeedingCountersLandInTheRunReport) {
-  // k-means++ seeding reports its sweep counts on the host shard, and
-  // observing them changes no result byte.
+  // k-means++ seeding reports its sweep and pick counts on the host shard,
+  // and observing them changes no result byte.
   const auto machine = simarch::MachineConfig::tiny(2, 4, 8192);
   const data::Dataset ds = data::make_blobs(480, 24, 6, 19, 8.0, 0.5);
   core::KmeansConfig off;
@@ -586,7 +586,7 @@ TEST(Telemetry, SeedingCountersLandInTheRunReport) {
   report.write_json(out);
   for (const char* key :
        {"\"init.sweep.distances\"", "\"init.sweep.skipped\"",
-        "\"init.sweep.pruned_picks\""}) {
+        "\"init.sweep.pruned_picks\"", "\"init.pick.fallbacks\""}) {
     EXPECT_NE(out.str().find(key), std::string::npos) << key;
   }
 }
