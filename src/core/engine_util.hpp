@@ -509,10 +509,14 @@ inline constexpr auto gather_chains = &gather_chains_generic;
 /// `groups` blocks (block_range), each with its own record per sample at
 /// scores[g * count + t], and per sample a mask of the groups it scores
 /// (bit g of scan[t]; an empty `scan` scores every group). The default is
-/// one group: one record per sample over the whole range.
+/// one group: one record per sample over the whole range. With `k` set,
+/// group g is instead the bound gate's group g of all k centroids
+/// (GroupSplit{k, groups}) clipped to the range, possibly empty: a slice
+/// of the centroids scores the part of every group it holds.
 struct TileGroups {
   std::size_t groups = 1;
   std::span<const std::uint8_t> scan = {};
+  std::size_t k = 0;
 
   bool scores(std::size_t t, std::size_t g) const {
     return scan.empty() || (scan[t] >> g & 1u) != 0;
@@ -520,6 +524,11 @@ struct TileGroups {
   std::pair<std::size_t, std::size_t> range(std::size_t j_begin,
                                             std::size_t j_end,
                                             std::size_t g) const {
+    if (k != 0) {
+      const auto [b, e] = block_range(k, groups, g);
+      const std::size_t lo = std::clamp(b, j_begin, j_end);
+      return {lo, std::clamp(e, lo, j_end)};
+    }
     const auto [b, e] = block_range(j_end - j_begin, groups, g);
     return {j_begin + b, j_begin + e};
   }

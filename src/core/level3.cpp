@@ -206,33 +206,28 @@ class Level3Policy final : public detail::LevelPolicy {
   /// centroids of group g of GroupSplit{k, records_} inside the slice
   /// (cleared when the slice holds none of them), and the group combine's
   /// exact selection merges the slices' partial records into group g's
-  /// top two. One record covers the whole slice.
+  /// top two. One record covers the whole slice. All groups score in one
+  /// call, whose records land group-major (TileGroups) and are transposed.
   void score_ids(const detail::EngineRank& rank,
                  std::span<const std::uint32_t> ids,
                  std::span<swmpi::MinLoc2> scores) {
     const detail::EngineRun& run = rank.run;
-    const detail::GroupSplit split{run.config.k, records_};
-    detail::clear_scores(scores);
-    group_scores_.resize(ids.size());
-    for (std::size_t g = 0; g < records_; ++g) {
-      const auto [gb, ge] = split.range(g);
-      const std::size_t j0 = std::max(gb, j_begin_);
-      const std::size_t j1 = std::min(ge, j_end_);
-      if (j0 >= j1) {
-        continue;
-      }
-      detail::clear_scores(std::span<swmpi::MinLoc2>(group_scores_));
-      if (run.gemm) {
-        detail::score_tile_ids_gemm(run.dataset, ids, run.centroids,
-                                    rank.norms, j0, j1,
-                                    std::span<swmpi::MinLoc2>(group_scores_),
-                                    rank.gemm_hooks);
-      } else {
-        detail::score_tile_ids(run.dataset, ids, run.centroids, j0, j1,
-                               std::span<swmpi::MinLoc2>(group_scores_));
-      }
-      for (std::size_t t = 0; t < ids.size(); ++t) {
-        scores[t * records_ + g] = group_scores_[t];
+    const detail::TileGroups groups{records_, {}, run.config.k};
+    const std::size_t count = ids.size();
+    group_scores_.resize(count * records_);
+    const std::span<swmpi::MinLoc2> grouped(group_scores_);
+    detail::clear_scores(grouped);
+    if (run.gemm) {
+      detail::score_tile_ids_gemm(run.dataset, ids, run.centroids, rank.norms,
+                                  j_begin_, j_end_, grouped, rank.gemm_hooks,
+                                  groups);
+    } else {
+      detail::score_tile_ids(run.dataset, ids, run.centroids, j_begin_,
+                             j_end_, grouped, groups);
+    }
+    for (std::size_t t = 0; t < count; ++t) {
+      for (std::size_t g = 0; g < records_; ++g) {
+        scores[t * records_ + g] = grouped[g * count + t];
       }
     }
   }
@@ -368,7 +363,7 @@ class Level3Policy final : public detail::LevelPolicy {
   const std::size_t j_end_;
   const std::size_t span_samples_;  ///< tiles per deferred combine x tile
   SpanSlot slots_[2];
-  std::vector<swmpi::MinLoc2> group_scores_;  ///< one group's records
+  std::vector<swmpi::MinLoc2> group_scores_;  ///< all groups, group-major
   std::vector<std::uint32_t> local_assign_;  ///< from rank.bound_base
   detail::StreamRuns runs_;  ///< this CG's sample-stream descriptors
 
