@@ -166,8 +166,8 @@ void require_finite(const data::Dataset& dataset, std::size_t threads) {
   const std::size_t row = std::ranges::min(first_bad);
   if (row < n) {
     const auto x = dataset.sample(row);
-    const auto bad =
-        std::find_if(x.begin(), x.end(), [](float v) { return !std::isfinite(v); });
+    const auto bad = std::find_if(
+        x.begin(), x.end(), [](float v) { return !std::isfinite(v); });
     throw InvalidArgument(
         "sample row " + std::to_string(row) + " column " +
         std::to_string(bad - x.begin()) + " is not finite (" +

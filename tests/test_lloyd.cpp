@@ -465,8 +465,8 @@ std::pair<std::size_t, bool> frozen_scan(const std::vector<double>& weights,
 
 /// Blocks ending at `ends` (the last must be weights.size()), each summed
 /// in index order.
-std::vector<detail::WeightBlock> blocks_at(const std::vector<double>& weights,
-                                           const std::vector<std::size_t>& ends) {
+std::vector<detail::WeightBlock> blocks_at(
+    const std::vector<double>& weights, const std::vector<std::size_t>& ends) {
   std::vector<detail::WeightBlock> blocks;
   std::size_t begin = 0;
   for (const std::size_t end : ends) {
