@@ -279,8 +279,8 @@ KmeansResult run_engine(Level level, const char* name,
                 "plan shape does not match the dataset/config");
   require_valid_centroids(initial_centroids, config.k, dataset.d());
   // A non-finite sample would keep its record's sentinel index and
-  // overrun the accumulator.
-  require_finite(dataset);
+  // overrun the accumulator. The scan splits like the seeding team's.
+  require_finite(dataset, sweep_threads(dataset.n(), dataset.d()));
 
   const std::size_t num_cgs = machine.num_cgs();
   const std::size_t k = config.k;

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -299,6 +300,97 @@ struct SweepChainsAvx2 {
 };
 #endif
 
+/// The sweep's fp32 distance bound: out[s] = the squared distance from
+/// rows[s] to c summed in fp32, one fp32 difference per element, squared
+/// and added (fused where the build has FMA) in any order the build likes.
+/// Every term is non-negative, so where fp32_bound_certified holds the
+/// bound is within a factor 1 -+ seeding_bound_slack(d) of squared_distance
+/// (DESIGN.md §15). It only decides which exact distances can be left out;
+/// it is never used as a distance.
+struct SweepBoundsGeneric {
+  template <typename Rows>
+  void operator()(const Rows& rows, std::size_t d, const float* c,
+                  float* out) const {
+    float acc[kSweepChains] = {};
+    for (std::size_t u = 0; u < d; ++u) {
+      for (std::size_t s = 0; s < kSweepChains; ++s) {
+        const float diff = rows[s][u] - c[u];
+        acc[s] += diff * diff;
+      }
+    }
+    std::copy(acc, acc + kSweepChains, out);
+  }
+};
+
+#if defined(SWHKM_KERNEL_DISPATCH)
+/// AVX2 + FMA build of the bound: row s accumulates eight u-lanes with
+/// fused multiply-adds (the last d % 8 columns through masked loads, whose
+/// spare lanes add 0), and the lanes are added pairwise. FMA is allowed
+/// here because only the bound's error is certified, never its bits. It
+/// lives in its own avx2,fma function, called out of line from the
+/// avx2-only sweep: the exact chains must stay where there is no FMA to
+/// contract them into.
+template <typename Rows>
+__attribute__((target("avx2,fma"))) void sweep_bounds_avx2_fma(
+    const Rows& rows, std::size_t d, const float* c, float* out) {
+  static_assert(kSweepChains == 8, "one 8-wide lane sum per row");
+  const std::size_t d8 = d - d % 8;
+  __m256 acc[kSweepChains];
+  for (std::size_t s = 0; s < kSweepChains; ++s) {
+    acc[s] = _mm256_setzero_ps();
+  }
+  for (std::size_t u = 0; u < d8; u += 8) {
+    const __m256 cu = _mm256_loadu_ps(c + u);
+    for (std::size_t s = 0; s < kSweepChains; ++s) {
+      const __m256 diff = _mm256_sub_ps(_mm256_loadu_ps(rows[s] + u), cu);
+      acc[s] = _mm256_fmadd_ps(diff, diff, acc[s]);
+    }
+  }
+  if (d8 < d) {
+    const __m256i mask = _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(static_cast<int>(d - d8)),
+        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    const __m256 cu = _mm256_maskload_ps(c + d8, mask);
+    for (std::size_t s = 0; s < kSweepChains; ++s) {
+      const __m256 diff =
+          _mm256_sub_ps(_mm256_maskload_ps(rows[s] + d8, mask), cu);
+      acc[s] = _mm256_fmadd_ps(diff, diff, acc[s]);
+    }
+  }
+  // q0 = {lanes 0-3 of rows 0..3 | lanes 4-7 of rows 0..3}, q1 likewise
+  // for rows 4..7; the two 128-bit halves then add to one sum per row.
+  const __m256 q0 = _mm256_hadd_ps(_mm256_hadd_ps(acc[0], acc[1]),
+                                   _mm256_hadd_ps(acc[2], acc[3]));
+  const __m256 q1 = _mm256_hadd_ps(_mm256_hadd_ps(acc[4], acc[5]),
+                                   _mm256_hadd_ps(acc[6], acc[7]));
+  _mm256_storeu_ps(out, _mm256_add_ps(_mm256_permute2f128_ps(q0, q1, 0x20),
+                                      _mm256_permute2f128_ps(q0, q1, 0x31)));
+}
+
+struct SweepBoundsAvx2Fma {
+  template <typename Rows>
+  void operator()(const Rows& rows, std::size_t d, const float* c,
+                  float* out) const {
+    sweep_bounds_avx2_fma(rows, d, c, out);
+  }
+};
+#endif
+
+/// Slack tau of the fp32 bound b of a squared distance at dimension d:
+/// where fp32_bound_certified(v, d) holds, b >= (1 + tau) * v proves that
+/// squared_distance >= v, and where fp32_bound_certified(b, d) holds,
+/// b * (1 - tau) <= squared_distance (DESIGN.md §15).
+inline double seeding_bound_slack(std::size_t d) {
+  return 0x1p-23 * static_cast<double>(d + 8);
+}
+
+/// The range the fp32 bound is certified on: far from fp32's subnormals
+/// and overflow, at d small enough that tau < 1/8. Values outside it take
+/// the exact path.
+inline bool fp32_bound_certified(double v, std::size_t d) {
+  return v >= 0x1p-100 && v <= 0x1p100 && d <= (std::size_t{1} << 20);
+}
+
 /// The k-means++ distance sweep: for `count` contiguous row-major samples
 /// `x` (d floats each), nearest[i] = min(nearest[i], squared_distance(x_i,
 /// c)). Samples go kSweepChains at a time through `chains`; the ragged
@@ -335,64 +427,144 @@ inline double seeding_skip_scale(std::size_t d) {
 struct SweepPick {
   std::span<const float> c;  ///< the new seed
   std::uint32_t id = 0;      ///< its index among the seeds
-  /// cc[j] = squared_distance(seed j, c) for every j < id; null runs the
-  /// skip test on no sample.
+  /// cc[j] <= squared_distance(seed j, c) for every j < id (a lower bound
+  /// is enough, see distance_lower_bounds); null runs the skip test on no
+  /// sample.
   const double* cc = nullptr;
 };
 
+/// The samples one pruned sweep did not compute exactly.
+struct SweepCounts {
+  std::size_t skipped = 0;   ///< ruled out by the triangle inequality
+  std::size_t filtered = 0;  ///< ruled out by the fp32 bound
+};
+
 /// nearest_sweep that also keeps owner[i], the index of the first seed
-/// whose computed distance equals nearest[i], and skips every sample the
-/// triangle inequality rules out: cc[owner[i]] >= seeding_skip_scale(d) *
-/// nearest[i] proves that c cannot lower nearest[i] (DESIGN.md §15).
-/// Returns the number of samples skipped.
+/// whose computed distance equals nearest[i], and leaves out every exact
+/// distance that provably cannot lower nearest[i] (DESIGN.md §15):
+/// - the triangle test: cc[owner[i]] >= seeding_skip_scale(d) * nearest[i]
+///   skips the sample;
+/// - the fp32 bound, for the samples that pass it: a bound b >= (1 +
+///   seeding_bound_slack(d)) * nearest[i], with nearest[i] in the bound's
+///   certified range, filters it.
 ///
 /// nearest[] and owner[] move only on a strict `<`, through a branchless
-/// epilogue. A block of kSweepChains samples that keeps every sample runs
-/// the chain kernel on the contiguous rows; the survivors of partly
-/// skipped blocks are gathered kSweepChains row pointers at a time into
-/// the same kernel, and the last fewer than kSweepChains go through
-/// squared_distance. Every computed distance is therefore squared_distance's
-/// bits, as in nearest_sweep.
-template <typename Chains>
-inline std::size_t pruned_sweep_with(Chains chains,
+/// epilogue. A block of kSweepChains samples that the triangle test keeps
+/// whole runs the bound and then, for whatever the bound keeps, the chain
+/// kernel on its contiguous rows (gathering the survivors when the bound
+/// filters some). The survivors of partly skipped blocks are gathered
+/// kSweepChains row pointers at a time into the bound and then into the
+/// chain kernel; a short last call repeats its first row in the spare
+/// chains. Every computed distance is therefore squared_distance's bits,
+/// as in nearest_sweep.
+template <typename Chains, typename Bounds>
+inline SweepCounts pruned_sweep_with(Chains chains, Bounds bounds,
                                      const float* __restrict__ x,
                                      std::size_t count, std::size_t d,
                                      const SweepPick& pick,
                                      double* __restrict__ nearest,
                                      std::uint32_t* __restrict__ owner) {
+  constexpr unsigned kAll = (1u << kSweepChains) - 1;
   const double scale = seeding_skip_scale(d);
+  const double loose = 1.0 + seeding_bound_slack(d);
   const auto skip = [&](std::size_t i) {
     return pick.cc != nullptr && pick.cc[owner[i]] >= scale * nearest[i];
+  };
+  const auto in_range = [&](std::size_t i) {
+    return fp32_bound_certified(nearest[i], d);
+  };
+  const auto rules_out = [&](std::size_t i, float bound) {
+    return bound >= loose * nearest[i];
   };
   const auto settle = [&](std::size_t i, double dist) {
     const bool closer = dist < nearest[i];
     nearest[i] = closer ? dist : nearest[i];
     owner[i] = closer ? pick.id : owner[i];
   };
-  const float* gathered[kSweepChains];
-  std::size_t at[kSweepChains];
-  std::size_t held = 0;
+  SweepCounts counts;
   double dist[kSweepChains];
-  const auto hold = [&](std::size_t i) {
-    gathered[held] = x + i * d;
-    at[held] = i;
-    if (++held == kSweepChains) {
-      chains(gathered, d, pick.c.data(), dist);
-      for (std::size_t q = 0; q < kSweepChains; ++q) {
-        settle(at[q], dist[q]);
-      }
-      held = 0;
+  float bound[kSweepChains];
+
+  // The exact stage: rows the bound could not rule out.
+  const float* exact_rows[kSweepChains];
+  std::size_t exact_at[kSweepChains];
+  std::size_t exact_held = 0;
+  const auto run_exact = [&] {
+    std::fill(exact_rows + exact_held, exact_rows + kSweepChains,
+              exact_rows[0]);
+    chains(exact_rows, d, pick.c.data(), dist);
+    for (std::size_t q = 0; q < exact_held; ++q) {
+      settle(exact_at[q], dist[q]);
+    }
+    exact_held = 0;
+  };
+  const auto exact = [&](std::size_t i) {
+    exact_rows[exact_held] = x + i * d;
+    exact_at[exact_held] = i;
+    if (++exact_held == kSweepChains) {
+      run_exact();
     }
   };
-  std::size_t skipped = 0;
+  // The bound stage: gathered survivors of the triangle test.
+  const float* bound_rows[kSweepChains];
+  std::size_t bound_at[kSweepChains];
+  std::size_t bound_held = 0;
+  const auto run_bounds = [&] {
+    std::fill(bound_rows + bound_held, bound_rows + kSweepChains,
+              bound_rows[0]);
+    bounds(bound_rows, d, pick.c.data(), bound);
+    for (std::size_t q = 0; q < bound_held; ++q) {
+      if (rules_out(bound_at[q], bound[q])) {
+        ++counts.filtered;
+      } else {
+        exact(bound_at[q]);
+      }
+    }
+    bound_held = 0;
+  };
+  const auto screen = [&](std::size_t i) {
+    if (!in_range(i)) {
+      exact(i);
+      return;
+    }
+    bound_rows[bound_held] = x + i * d;
+    bound_at[bound_held] = i;
+    if (++bound_held == kSweepChains) {
+      run_bounds();
+    }
+  };
+
   std::size_t i = 0;
   for (; i + kSweepChains <= count; i += kSweepChains) {
     unsigned keep = 0;
     for (std::size_t s = 0; s < kSweepChains; ++s) {
       keep |= static_cast<unsigned>(!skip(i + s)) << s;
     }
-    if (keep == (1u << kSweepChains) - 1) {
-      chains(BlockRows{x + i * d, d}, d, pick.c.data(), dist);
+    counts.skipped += kSweepChains - std::popcount(keep);
+    if (keep != kAll) {
+      for (std::size_t s = 0; s < kSweepChains; ++s) {
+        if ((keep >> s) & 1u) {
+          screen(i + s);
+        }
+      }
+      continue;
+    }
+    const BlockRows rows{x + i * d, d};
+    unsigned screened = 0;
+    for (std::size_t s = 0; s < kSweepChains; ++s) {
+      screened |= static_cast<unsigned>(in_range(i + s)) << s;
+    }
+    if (screened != 0) {
+      bounds(rows, d, pick.c.data(), bound);
+      for (std::size_t s = 0; s < kSweepChains; ++s) {
+        if (((screened >> s) & 1u) && rules_out(i + s, bound[s])) {
+          keep &= ~(1u << s);
+        }
+      }
+      counts.filtered += kSweepChains - std::popcount(keep);
+    }
+    if (keep == kAll) {
+      chains(rows, d, pick.c.data(), dist);
       for (std::size_t s = 0; s < kSweepChains; ++s) {
         settle(i + s, dist[s]);
       }
@@ -400,23 +572,52 @@ inline std::size_t pruned_sweep_with(Chains chains,
     }
     for (std::size_t s = 0; s < kSweepChains; ++s) {
       if ((keep >> s) & 1u) {
-        hold(i + s);
-      } else {
-        ++skipped;
+        exact(i + s);
       }
     }
   }
   for (; i < count; ++i) {
     if (skip(i)) {
-      ++skipped;
+      ++counts.skipped;
     } else {
-      hold(i);
+      screen(i);
     }
   }
-  for (std::size_t q = 0; q < held; ++q) {
-    settle(at[q], squared_distance({gathered[q], d}, pick.c));
+  if (bound_held > 0) {
+    run_bounds();
   }
-  return skipped;
+  if (exact_held > 0) {
+    run_exact();
+  }
+  return counts;
+}
+
+/// cc for the k-means++ skip test: out[j] <= squared_distance(rows[j], c)
+/// for `count` gathered rows, through `bounds` kSweepChains rows at a time
+/// (a short last call repeats its last row). A bound b in the certified
+/// range gives b * (1 - seeding_bound_slack(d)); any other row takes
+/// squared_distance itself.
+template <typename Bounds>
+inline void distance_lower_bounds_with(Bounds bounds,
+                                       const float* const* rows,
+                                       std::size_t count, std::size_t d,
+                                       std::span<const float> c,
+                                       double* out) {
+  const double tight = 1.0 - seeding_bound_slack(d);
+  for (std::size_t j = 0; j < count; j += kSweepChains) {
+    const std::size_t held = std::min(kSweepChains, count - j);
+    const float* chunk[kSweepChains];
+    for (std::size_t q = 0; q < kSweepChains; ++q) {
+      chunk[q] = rows[j + std::min(q, held - 1)];
+    }
+    float bound[kSweepChains];
+    bounds(chunk, d, c.data(), bound);
+    for (std::size_t q = 0; q < held; ++q) {
+      out[j + q] = fp32_bound_certified(bound[q], d)
+                       ? bound[q] * tight
+                       : squared_distance({chunk[q], d}, c);
+    }
+  }
 }
 
 inline void nearest_sweep_generic(const float* x, std::size_t count,
@@ -425,37 +626,59 @@ inline void nearest_sweep_generic(const float* x, std::size_t count,
   nearest_sweep_with(SweepChainsGeneric{}, x, count, d, c, nearest);
 }
 
-inline std::size_t pruned_sweep_generic(const float* x, std::size_t count,
+inline SweepCounts pruned_sweep_generic(const float* x, std::size_t count,
                                         std::size_t d, const SweepPick& pick,
                                         double* nearest,
                                         std::uint32_t* owner) {
-  return pruned_sweep_with(SweepChainsGeneric{}, x, count, d, pick, nearest,
-                           owner);
+  return pruned_sweep_with(SweepChainsGeneric{}, SweepBoundsGeneric{}, x,
+                           count, d, pick, nearest, owner);
+}
+
+inline void distance_lower_bounds_generic(const float* const* rows,
+                                          std::size_t count, std::size_t d,
+                                          std::span<const float> c,
+                                          double* out) {
+  distance_lower_bounds_with(SweepBoundsGeneric{}, rows, count, d, c, out);
 }
 
 #if defined(SWHKM_KERNEL_DISPATCH)
 // `flatten` inlines the shared sweep loops and the AVX2 chain kernel into
 // these avx2-target entry points (a default-target loop could not inline
-// an avx2 kernel), so each compiles to one loop as if hand-written.
+// an avx2 kernel), so each compiles to one loop as if hand-written. The
+// avx2,fma bound kernel cannot be inlined into an avx2-only function, so
+// it stays an out-of-line call and no FMA reaches the exact chains.
 __attribute__((target("avx2"), flatten)) inline void nearest_sweep_avx2(
     const float* x, std::size_t count, std::size_t d,
     std::span<const float> c, double* nearest) {
   nearest_sweep_with(SweepChainsAvx2{}, x, count, d, c, nearest);
 }
 
-__attribute__((target("avx2"), flatten)) inline std::size_t
+__attribute__((target("avx2"), flatten)) inline SweepCounts
 pruned_sweep_avx2(const float* x, std::size_t count, std::size_t d,
                   const SweepPick& pick, double* nearest,
                   std::uint32_t* owner) {
-  return pruned_sweep_with(SweepChainsAvx2{}, x, count, d, pick, nearest,
-                           owner);
+  return pruned_sweep_with(SweepChainsAvx2{}, SweepBoundsAvx2Fma{}, x, count,
+                           d, pick, nearest, owner);
+}
+
+inline void distance_lower_bounds_avx2(const float* const* rows,
+                                       std::size_t count, std::size_t d,
+                                       std::span<const float> c,
+                                       double* out) {
+  distance_lower_bounds_with(SweepBoundsAvx2Fma{}, rows, count, d, c, out);
 }
 
 using SweepFn = void (*)(const float*, std::size_t, std::size_t,
                          std::span<const float>, double*);
-using PrunedSweepFn = std::size_t (*)(const float*, std::size_t, std::size_t,
+using PrunedSweepFn = SweepCounts (*)(const float*, std::size_t, std::size_t,
                                       const SweepPick&, double*,
                                       std::uint32_t*);
+using LowerBoundsFn = void (*)(const float* const*, std::size_t, std::size_t,
+                               std::span<const float>, double*);
+/// The fp32 bound's build needs FMA as well as AVX2.
+inline bool has_avx2_fma() {
+  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+}
 inline SweepFn resolve_nearest_sweep() {
   if (__builtin_cpu_supports("avx2")) {
     return &nearest_sweep_avx2;
@@ -463,17 +686,27 @@ inline SweepFn resolve_nearest_sweep() {
   return &nearest_sweep_generic;
 }
 inline PrunedSweepFn resolve_pruned_sweep() {
-  if (__builtin_cpu_supports("avx2")) {
+  if (has_avx2_fma()) {
     return &pruned_sweep_avx2;
   }
   return &pruned_sweep_generic;
 }
-/// Resolved once per process; both candidates of each are bit-identical.
+inline LowerBoundsFn resolve_distance_lower_bounds() {
+  if (has_avx2_fma()) {
+    return &distance_lower_bounds_avx2;
+  }
+  return &distance_lower_bounds_generic;
+}
+/// Resolved once per process. The sweeps of each pair leave bit-identical
+/// nearest[] and owner[]; the builds' bounds and filter counts may differ.
 inline const SweepFn nearest_sweep = resolve_nearest_sweep();
 inline const PrunedSweepFn pruned_sweep = resolve_pruned_sweep();
+inline const LowerBoundsFn distance_lower_bounds =
+    resolve_distance_lower_bounds();
 #else
 inline constexpr auto nearest_sweep = &nearest_sweep_generic;
 inline constexpr auto pruned_sweep = &pruned_sweep_generic;
+inline constexpr auto distance_lower_bounds = &distance_lower_bounds_generic;
 #endif
 
 /// Exact squared distances of one sample to kSweepChains gathered rows:

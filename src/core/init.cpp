@@ -65,11 +65,6 @@ constexpr std::size_t kSkipTestCost = 8;
 /// of one sweep is too small to pay for its handoff.
 constexpr std::size_t kSweepGrain = std::size_t{1} << 16;
 
-std::size_t sweep_threads(std::size_t n, std::size_t d) {
-  const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
-  return std::clamp<std::size_t>(n * d / kSweepGrain, 1, std::min(hw, n));
-}
-
 /// Rows per block of the weighted pick: each team member sums its slice of
 /// nearest[] in blocks of this many rows as it sweeps them, and the pick
 /// scans at most one block row by row.
@@ -128,6 +123,11 @@ class Handoff {
 }  // namespace
 
 namespace detail {
+
+std::size_t sweep_threads(std::size_t n, std::size_t d) {
+  const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
+  return std::clamp<std::size_t>(n * d / kSweepGrain, 1, std::min(hw, n));
+}
 
 void require_finite(const data::Dataset& dataset, std::size_t threads) {
   // Each slice keeps its first non-finite row (n when it has none), so the
@@ -245,9 +245,12 @@ util::Matrix init_plus_plus(const data::Dataset& dataset, std::size_t k,
   util::Xoshiro256 rng(seed);
   std::vector<std::size_t> rows;
   rows.reserve(k);
+  std::vector<const float*> seed_rows;
+  seed_rows.reserve(k);
   std::vector<char> taken(n, 0);
   const auto take = [&](std::size_t row) {
     rows.push_back(row);
+    seed_rows.push_back(dataset.sample(row).data());
     taken[row] = 1;
   };
   take(rng.below(n));
@@ -256,9 +259,11 @@ util::Matrix init_plus_plus(const data::Dataset& dataset, std::size_t k,
   bool done = rows.size() == k;
 
   // Triangle-inequality pruning (DESIGN.md §15) needs owner[i], the seed
-  // each nearest[i] came from, and cc[j], the distance from seed j to the
-  // latest. A skip test costs about kSkipTestCost distance elements, so at
-  // d <= kSkipTestCost it can never pay and the plain sweep runs alone.
+  // each nearest[i] came from, and cc[j], a lower bound of the distance
+  // from seed j to the latest. A skip test costs about kSkipTestCost
+  // distance elements, so at d <= kSkipTestCost it can never pay and the
+  // plain sweep runs alone (it is memory-bound there, so the fp32 bound
+  // that screens the tracked sweeps would not pay either).
   const bool track = d > kSkipTestCost;
   std::vector<std::uint32_t> owner(track ? n : 0, 0);
   std::vector<double> cc(track ? k : 0);
@@ -269,7 +274,7 @@ util::Matrix init_plus_plus(const data::Dataset& dataset, std::size_t k,
   // power of two, so at most log2 k probes fail to pay.
   bool prune = false;
   bool paying = false;
-  std::vector<std::size_t> skipped(threads, 0);
+  std::vector<SweepCounts> left_out(threads);
   SeedingStats tally;
 
   // Each member's slice of nearest[] in blocks of kPickBlock rows (the
@@ -283,12 +288,17 @@ util::Matrix init_plus_plus(const data::Dataset& dataset, std::size_t k,
   // draws and the chosen rows do not depend on how the sweep was split or
   // pruned.
   const auto pick = [&] {
+    // The ledger counts triangle skips only: a filtered sample still pays
+    // for its bound, so counting it would keep unpaying pruning on.
     std::size_t skips = 0;
-    for (const std::size_t s : skipped) {
-      skips += s;
+    std::size_t filters = 0;
+    for (const SweepCounts& counts : left_out) {
+      skips += counts.skipped;
+      filters += counts.filtered;
     }
-    tally.distances += n - skips;
+    tally.distances += n - skips - filters;
     tally.skipped += skips;
+    tally.filtered += filters;
     if (prune) {
       ++tally.pruned_picks;
       const std::size_t seeds = rows.size() - 1;
@@ -322,8 +332,9 @@ util::Matrix init_plus_plus(const data::Dataset& dataset, std::size_t k,
   // sweeps its slice against `latest` a block at a time, sums each block
   // while it is hot, and arrives; the last arrival runs `pick`, and the
   // handoff publishes the block sums to it and the new `latest` back. A
-  // pruned pick first fills cc[] in blocks, one per member, and a second
-  // handoff with nothing to do publishes it before any member reads it.
+  // pruned pick first fills cc[] with fp32 lower bounds in blocks, one per
+  // member, and a second handoff with nothing to do publishes it before
+  // any member reads it.
   std::optional<Handoff<decltype(pick)>> sync;
   const auto nothing = [] {};
   std::optional<Handoff<decltype(nothing)>> publish_cc;
@@ -334,27 +345,28 @@ util::Matrix init_plus_plus(const data::Dataset& dataset, std::size_t k,
       SweepPick sweep{latest, static_cast<std::uint32_t>(rows.size() - 1)};
       if (prune) {
         const auto [jb, je] = block_range(sweep.id, team, t);
-        for (std::size_t j = jb; j < je; ++j) {
-          cc[j] = squared_distance(dataset.sample(rows[j]), latest);
-        }
+        distance_lower_bounds(seed_rows.data() + jb, je - jb, d, latest,
+                              cc.data() + jb);
         publish_cc->arrive_and_wait();
         sweep.cc = cc.data();
       }
       std::size_t begin = block_range(n, team, t).first;
-      std::size_t skips = 0;
+      SweepCounts counts;
       for (std::size_t b = first_block[t]; b < first_block[t + 1]; ++b) {
         const std::size_t count = blocks[b].end - begin;
         const float* x = dataset.samples().data() + begin * d;
         if (!track) {
           nearest_sweep(x, count, d, latest, nearest.data() + begin);
         } else {
-          skips += pruned_sweep(x, count, d, sweep, nearest.data() + begin,
-                                owner.data() + begin);
+          const SweepCounts block = pruned_sweep(
+              x, count, d, sweep, nearest.data() + begin, owner.data() + begin);
+          counts.skipped += block.skipped;
+          counts.filtered += block.filtered;
         }
         blocks[b].sum = block_sum(nearest.data() + begin, count);
         begin = blocks[b].end;
       }
-      skipped[t] = skips;
+      left_out[t] = counts;
       sync->arrive_and_wait();
     }
   };
@@ -397,7 +409,8 @@ util::Matrix init_centroids(const data::Dataset& dataset,
   SWHKM_REQUIRE(config.k > 0, "k must be positive");
   SWHKM_REQUIRE(config.k <= dataset.n(),
                 "cannot seed more centroids than samples");
-  detail::require_finite(dataset, sweep_threads(dataset.n(), dataset.d()));
+  detail::require_finite(dataset,
+                         detail::sweep_threads(dataset.n(), dataset.d()));
   switch (config.init) {
     case InitMethod::kFirstK:
       return init_first_k(dataset, config.k);
@@ -407,12 +420,13 @@ util::Matrix init_centroids(const data::Dataset& dataset,
       detail::SeedingStats stats;
       util::Matrix centroids = detail::init_plus_plus(
           dataset, config.k, config.seed,
-          sweep_threads(dataset.n(), dataset.d()), &stats);
+          detail::sweep_threads(dataset.n(), dataset.d()), &stats);
       if (config.telemetry != nullptr) {
         telemetry::MetricsShard& host =
             config.telemetry->metrics().host_shard();
         host.counter("init.sweep.distances").add(stats.distances);
         host.counter("init.sweep.skipped").add(stats.skipped);
+        host.counter("init.sweep.filtered").add(stats.filtered);
         host.counter("init.sweep.pruned_picks").add(stats.pruned_picks);
         host.counter("init.pick.fallbacks").add(stats.pick_fallbacks);
       }

@@ -20,6 +20,11 @@ util::Matrix init_centroids(const data::Dataset& dataset,
 
 namespace detail {
 
+/// Threads of the seeding team for n samples of d elements: one per 2^16
+/// sample elements, at least 1 and at most min(hardware threads, n). The
+/// finite-sample checks at seeding and at engine entry split on it too.
+std::size_t sweep_threads(std::size_t n, std::size_t d);
+
 /// Throws InvalidArgument naming the row and column of the first NaN or
 /// infinity among the samples. Seeding needs it (a non-finite sample's
 /// D^2 weight is NaN or inf, and the weighted pick then lands on it almost
@@ -29,10 +34,11 @@ namespace detail {
 void require_finite(const data::Dataset& dataset, std::size_t threads = 1);
 
 /// What the k-means++ sweeps of one init_plus_plus call did. Over the k - 1
-/// sweeps, distances + skipped = n * (k - 1).
+/// sweeps, distances + skipped + filtered = n * (k - 1).
 struct SeedingStats {
   std::uint64_t distances = 0;     ///< sample-to-seed distances computed
   std::uint64_t skipped = 0;       ///< ruled out by the triangle inequality
+  std::uint64_t filtered = 0;      ///< ruled out by the fp32 bound
   std::uint64_t pruned_picks = 0;  ///< sweeps that ran the skip test
   std::uint64_t pick_fallbacks = 0;  ///< picks that ran the serial scan
 };

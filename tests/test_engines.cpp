@@ -252,6 +252,36 @@ TEST_P(EngineLevelTest, NonFiniteSamplesRejectedAtEntry) {
   }
 }
 
+TEST_P(EngineLevelTest, NonFiniteLateRowsNamedLowestFirstAtEntry) {
+  // 2^16 samples of 4 elements split the entry scan over several threads
+  // (detail::sweep_threads); the bad rows sit late, in different slices,
+  // and the lowest is the one named, as a one-thread scan names it.
+  const MachineConfig machine = MachineConfig::tiny(1, 4, 8192);
+  const std::size_t n = std::size_t{1} << 16;
+  KmeansConfig config;
+  config.k = 4;
+  const PartitionPlan plan =
+      make_plan(GetParam(), ProblemShape{n, 4, 4}, machine);
+  util::Matrix samples = data::make_uniform(n, 4, 5).samples();
+  samples.row(40000)[1] = std::numeric_limits<float>::quiet_NaN();
+  samples.row(50000)[0] = std::numeric_limits<float>::infinity();
+  samples.row(n - 1)[3] = std::numeric_limits<float>::quiet_NaN();
+  const data::Dataset ds("late non-finite", std::move(samples));
+  util::Matrix centroids(4, 4);
+  for (std::size_t j = 0; j < 4; ++j) {
+    centroids.row(j)[0] = static_cast<float>(j);
+  }
+  try {
+    (void)run_with_centroids(GetParam(), ds, config, machine, plan,
+                             std::move(centroids));
+    ADD_FAILURE() << "accepted non-finite samples";
+  } catch (const swhkm::InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("row 40000 column 1 is not finite"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllLevels, EngineLevelTest,
                          ::testing::Values(Level::kLevel1, Level::kLevel2,
                                            Level::kLevel3),

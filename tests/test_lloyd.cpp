@@ -308,7 +308,9 @@ TEST(Init, PrunedSweepMatchesFrozenSerial) {
         EXPECT_TRUE(same_bytes(
             detail::init_plus_plus(c.ds, c.k, seed, threads, &stats), want))
             << c.what << ", seed " << seed << ", " << threads << " threads";
-        EXPECT_EQ(stats.distances + stats.skipped, n * (c.k - 1)) << c.what;
+        EXPECT_EQ(stats.distances + stats.skipped + stats.filtered,
+                  n * (c.k - 1))
+            << c.what;
         if (c.prunes) {
           EXPECT_GT(stats.pruned_picks, 0u) << c.what;
           EXPECT_GT(stats.skipped, 0u) << c.what;
@@ -364,11 +366,164 @@ TEST(Init, PrunedSweepKernelsSkipOnlyWhatCannotMove) {
         std::vector<double> got = start;
         std::vector<std::uint32_t> got_owner = start_owner;
         EXPECT_EQ(sweep(ds.samples().data(), count, d, pick, got.data(),
-                        got_owner.data()),
+                        got_owner.data())
+                      .skipped,
                   want_skipped)
             << "d " << d << ", count " << count;
         EXPECT_EQ(got, want) << "d " << d << ", count " << count;
         EXPECT_EQ(got_owner, want_owner) << "d " << d << ", count " << count;
+      }
+    }
+  }
+}
+
+/// Rows of `d` values drawn from one magnitude family: `exponent` scales
+/// uniform values in [-1, 1) by 2^exponent, and exponent 0 with
+/// `integers` gives small integers, whose squared distances are exact in
+/// fp32 and in double.
+data::Dataset magnitude_rows(std::size_t n, std::size_t d, int exponent,
+                             bool integers, std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  util::Matrix m(n, d);
+  for (float& v : m.flat()) {
+    v = integers ? static_cast<float>(static_cast<int>(rng.below(17)) - 8)
+                 : static_cast<float>(
+                       std::ldexp(rng.uniform(-1.0, 1.0), exponent));
+  }
+  return data::Dataset("magnitudes", std::move(m));
+}
+
+TEST(Init, Fp32BoundSkipsOnlyWhatCannotMove) {
+  // Both pruned-sweep builds against a direct evaluation of the exact
+  // sweep: the fp32 bound may leave a distance out only when the exact
+  // distance could not have moved nearest[] or owner[]. The starting
+  // nearest[i] sits at the exact distance E to the new seed (a tie with
+  // the owner seed), one ulp above it (E wins on a strict `<`), one ulp
+  // below it, at DBL_MAX (the first pick), or far above or below. The
+  // families reach fp32 subnormal squares (2^-70) and squares that
+  // overflow fp32 but not double (2^64); both lie outside the bound's
+  // certified range and must take the exact path.
+  struct Family {
+    const char* what;
+    int exponent;
+    bool integers;
+    bool certified;
+  };
+  const Family families[] = {{"integers", 0, true, true},
+                             {"2^-70", -70, false, false},
+                             {"2^-20", -20, false, true},
+                             {"unit", 0, false, true},
+                             {"2^20", 20, false, true},
+                             {"2^64", 64, false, false}};
+  const std::vector<double> cc = {1e300, 0.0, 1e-300};
+  for (const std::size_t d : {9u, 67u, 3072u}) {
+    std::size_t filtered[2] = {0, 0};
+    for (const Family& family : families) {
+      const data::Dataset ds =
+          magnitude_rows(41, d, family.exponent, family.integers, d);
+      const auto c = ds.sample(40);
+      const std::size_t count = 39;  // four full blocks and a ragged tail
+      std::vector<double> start(count);
+      std::vector<std::uint32_t> start_owner(count);
+      for (std::size_t i = 0; i < count; ++i) {
+        const double e = detail::squared_distance(ds.sample(i), c);
+        const double starts[] = {e,
+                                 std::nextafter(e, HUGE_VAL),
+                                 std::nextafter(e, 0.0),
+                                 std::numeric_limits<double>::max(),
+                                 e * 0.25,
+                                 e * 4.0};
+        start[i] = starts[i % 6];
+        start_owner[i] = static_cast<std::uint32_t>(i % 7 % 3);
+      }
+      for (const bool triangle : {false, true}) {
+        const detail::SweepPick pick{c, 3, triangle ? cc.data() : nullptr};
+        const double scale = detail::seeding_skip_scale(d);
+        std::vector<double> want = start;
+        std::vector<std::uint32_t> want_owner = start_owner;
+        std::size_t want_skipped = 0;
+        for (std::size_t i = 0; i < count; ++i) {
+          if (triangle && cc[start_owner[i]] >= scale * start[i]) {
+            ++want_skipped;
+            continue;
+          }
+          const double dist = detail::squared_distance(ds.sample(i), c);
+          if (dist < want[i]) {
+            want[i] = dist;
+            want_owner[i] = pick.id;
+          }
+        }
+        std::size_t build = 0;
+        for (const auto sweep :
+             {detail::pruned_sweep, &detail::pruned_sweep_generic}) {
+          std::vector<double> got = start;
+          std::vector<std::uint32_t> got_owner = start_owner;
+          const detail::SweepCounts counts =
+              sweep(ds.samples().data(), count, d, pick, got.data(),
+                    got_owner.data());
+          const std::string where = std::string(family.what) + ", d " +
+                                    std::to_string(d) +
+                                    (triangle ? ", triangle" : ", plain") +
+                                    ", build " + std::to_string(build);
+          EXPECT_EQ(counts.skipped, want_skipped) << where;
+          EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                count * sizeof(double)),
+                    0)
+              << where;
+          EXPECT_EQ(got_owner, want_owner) << where;
+          if (!family.certified) {
+            EXPECT_EQ(counts.filtered, 0u) << where;
+          }
+          filtered[build++] += counts.filtered;
+        }
+      }
+    }
+    // The bound really screens: the starts far below E are filtered.
+    EXPECT_GT(filtered[0], 0u) << "d " << d;
+    EXPECT_GT(filtered[1], 0u) << "d " << d;
+  }
+}
+
+TEST(Init, Fp32LowerBoundsStayBelowTheExactDistance) {
+  // cc[] for the skip test: both builds give at most the exact distance
+  // of every row, within 2 tau of it where the bound is certified, and
+  // the exact distance itself outside that range (fp32 subnormal squares,
+  // fp32 overflow, a row equal to the seed).
+  const struct {
+    int exponent;
+    bool integers;
+    bool certified;
+  } families[] = {{0, true, true},   {-70, false, false}, {-20, false, true},
+                  {0, false, true},  {20, false, true},   {64, false, false}};
+  for (const std::size_t d : {9u, 67u, 3072u}) {
+    const double tau = detail::seeding_bound_slack(d);
+    for (const auto& family : families) {
+      const data::Dataset ds =
+          magnitude_rows(19, d, family.exponent, family.integers, d + 1);
+      const auto c = ds.sample(18);
+      std::vector<const float*> rows;
+      for (std::size_t j = 0; j < 19; ++j) {
+        rows.push_back(ds.sample(j).data());
+      }
+      for (std::size_t count = 1; count <= 19; count += 6) {
+        for (const auto lower : {detail::distance_lower_bounds,
+                                 &detail::distance_lower_bounds_generic}) {
+          std::vector<double> got(count);
+          lower(rows.data(), count, d, c, got.data());
+          for (std::size_t j = 0; j < count; ++j) {
+            const double exact = detail::squared_distance(ds.sample(j), c);
+            const std::string where = "exponent " +
+                                      std::to_string(family.exponent) +
+                                      ", d " + std::to_string(d) + ", row " +
+                                      std::to_string(j);
+            EXPECT_LE(got[j], exact) << where;
+            if (j == 18 || !family.certified) {
+              EXPECT_EQ(got[j], exact) << where;
+            } else {
+              EXPECT_GE(got[j], exact * (1 - 2 * tau)) << where;
+            }
+          }
+        }
       }
     }
   }

@@ -579,14 +579,18 @@ TEST(Telemetry, SeedingCountersLandInTheRunReport) {
       report.metrics.counter_or_zero("init.sweep.distances");
   const std::uint64_t skipped =
       report.metrics.counter_or_zero("init.sweep.skipped");
-  EXPECT_EQ(distances + skipped, ds.n() * (on.k - 1));
+  const std::uint64_t filtered =
+      report.metrics.counter_or_zero("init.sweep.filtered");
+  EXPECT_EQ(distances + skipped + filtered, ds.n() * (on.k - 1));
   EXPECT_GT(skipped, 0u);
+  EXPECT_GT(filtered, 0u);
   EXPECT_GT(report.metrics.counter_or_zero("init.sweep.pruned_picks"), 0u);
   std::ostringstream out;
   report.write_json(out);
   for (const char* key :
        {"\"init.sweep.distances\"", "\"init.sweep.skipped\"",
-        "\"init.sweep.pruned_picks\"", "\"init.pick.fallbacks\""}) {
+        "\"init.sweep.filtered\"", "\"init.sweep.pruned_picks\"",
+        "\"init.pick.fallbacks\""}) {
     EXPECT_NE(out.str().find(key), std::string::npos) << key;
   }
 }
