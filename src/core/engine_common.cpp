@@ -57,10 +57,22 @@ simarch::CostTally combine_tallies(swmpi::Comm& comm,
 
 namespace {
 
-/// One rank's update partials, shared by address. Valid because swmpi
-/// ranks are threads of one process (runtime.hpp): the pointers published
-/// by the entry allgather dereference directly on every rank.
+/// One rank's update partials, shared by address, with the centroid rows
+/// [row_begin, row_end) they hold. Valid because swmpi ranks are threads
+/// of one process (runtime.hpp): the pointers published by the entry
+/// allgather dereference directly on every rank.
 struct PartialsRef {
+  const double* sums;
+  const double* counts;
+  std::size_t row_begin;
+  std::size_t row_end;
+};
+
+/// One piece of a rank's shard: rows [begin, end), held by the same ranks
+/// throughout, and where their folded sums and counts live.
+struct ShardPiece {
+  std::size_t begin;
+  std::size_t end;
   const double* sums;
   const double* counts;
 };
@@ -96,30 +108,82 @@ UpdateOutcome reduce_and_update(swmpi::Comm& comm, util::Matrix& centroids,
   // address. The allgather is the happens-before edge from every rank's
   // assign-phase accumulation to every rank's fold below — nobody reads a
   // peer's partials before that peer has finished writing them. On the
-  // thread-backed runtime this replaces moving the k*(d+1) payload through
-  // the mailbox with direct loads from shared memory; the simulated
-  // machine still pays the distributed reduce_scatter (charged by the
-  // engines via the topology model).
+  // thread-backed runtime this replaces moving the partials through the
+  // mailbox with direct loads from shared memory; the simulated machine
+  // still pays the distributed exchange (charged by the engines via the
+  // topology model).
   const std::vector<PartialsRef> refs = swmpi::allgather(
-      comm, PartialsRef{acc.sums.data(), acc.counts.data()});
+      comm, PartialsRef{acc.sums.data(), acc.counts.data(), acc.row_begin(),
+                        acc.row_end()});
 
-  // Fold this rank's shard — the contiguous sums rows and counts of
-  // block_range(k, size, r) — in the root-0 binomial association, reading
-  // the peers' partials in place. The fold order lives in one shared,
-  // tested helper (swmpi::fold_binomial_slices) also used by the
-  // hierarchical collectives' intra-supernode stage, so the association
-  // the summed bits depend on exists in exactly one place.
+  // This rank's shard is the contiguous rows block_range(k, size, r). Cut
+  // it wherever some rank's held range starts or ends, so that inside a
+  // piece every rank holds either all rows or none (a Level 3 shard can
+  // straddle slice edges).
   const auto [j_begin, j_end] =
       block_range(k, static_cast<std::size_t>(size), rank);
   const std::size_t rows = j_end - j_begin;
-  std::vector<double> shard(rows * d + rows);
+  std::vector<std::size_t> cuts{j_begin, j_end};
+  for (const PartialsRef& ref : refs) {
+    for (const std::size_t edge : {ref.row_begin, ref.row_end}) {
+      if (edge > j_begin && edge < j_end) {
+        cuts.push_back(edge);
+      }
+    }
+  }
+  std::sort(cuts.begin(), cuts.end());
+  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+
+  // Fold each piece in the root-0 binomial association, reading the
+  // holders' partials in place. A rank that does not hold a row counts as
+  // the +0.0 a full-size accumulator would hold there, and no partial is
+  // ever -0.0 (every sum starts at +0.0, and a round-to-nearest sum is
+  // -0.0 only when both operands are), so pruning the non-holders from the
+  // tree cannot move a bit. The fold order lives in one shared, tested
+  // helper (swmpi::fold_binomial_present), also behind the hierarchical
+  // collectives' intra-supernode stage. A piece with a single holder is
+  // that holder's partials: no copy, no scratch.
+  std::vector<double> folded;  // (sums rows, then counts) of the shard
   std::vector<std::vector<double>> scratch(static_cast<std::size_t>(size));
-  swmpi::fold_binomial_slices(
-      shard.data(), rows * d, size, scratch,
-      [&](int r) { return refs[r].sums + j_begin * d; }, swmpi::ops::Plus{});
-  swmpi::fold_binomial_slices(
-      shard.data() + rows * d, rows, size, scratch,
-      [&](int r) { return refs[r].counts + j_begin; }, swmpi::ops::Plus{});
+  std::vector<ShardPiece> pieces;
+  for (std::size_t c = 0; c + 1 < cuts.size(); ++c) {
+    const std::size_t a = cuts[c];
+    const std::size_t b = cuts[c + 1];
+    const auto holds = [&](int r) {
+      const PartialsRef& ref = refs[static_cast<std::size_t>(r)];
+      return ref.row_begin <= a && b <= ref.row_end;
+    };
+    int holders = 0;
+    for (int r = 0; r < size; ++r) {
+      holders += holds(r) ? 1 : 0;
+    }
+    SWHKM_REQUIRE(holders > 0, "a centroid row is held by no rank");
+    if (holders > 1 && folded.empty()) {
+      folded.resize(rows * d + rows);
+    }
+    const std::size_t off = a - j_begin;
+    const std::size_t len = b - a;
+    // A single holder never writes `out`; an unsized `folded` has none.
+    double* const sums_out = folded.empty() ? nullptr : folded.data() + off * d;
+    double* const counts_out =
+        folded.empty() ? nullptr : folded.data() + rows * d + off;
+    ShardPiece piece{a, b, nullptr, nullptr};
+    piece.sums = swmpi::fold_binomial_present(
+        sums_out, len * d, size, scratch,
+        [&](int r) -> const double* {
+          const PartialsRef& ref = refs[static_cast<std::size_t>(r)];
+          return holds(r) ? ref.sums + (a - ref.row_begin) * d : nullptr;
+        },
+        swmpi::ops::Plus{});
+    piece.counts = swmpi::fold_binomial_present(
+        counts_out, len, size, scratch,
+        [&](int r) -> const double* {
+          const PartialsRef& ref = refs[static_cast<std::size_t>(r)];
+          return holds(r) ? ref.counts + (a - ref.row_begin) : nullptr;
+        },
+        swmpi::ops::Plus{});
+    pieces.push_back(piece);
+  }
 
   // Counts-conservation invariant: every sample lands in exactly one
   // cluster, so after the fold the machine-wide Σcounts must equal n
@@ -131,8 +195,10 @@ UpdateOutcome reduce_and_update(swmpi::Comm& comm, util::Matrix& centroids,
   // config-derived constant, identical on every rank.
   if (sdc_expect_count > 0) {
     double total = 0;
-    for (std::size_t j = 0; j < rows; ++j) {
-      total += shard[rows * d + j];
+    for (const ShardPiece& piece : pieces) {
+      for (std::size_t j = 0; j < piece.end - piece.begin; ++j) {
+        total += piece.counts[j];
+      }
     }
     swmpi::allreduce(comm, std::span<double>(&total, 1), swmpi::ops::Plus{});
     if (total != static_cast<double>(sdc_expect_count)) {
@@ -147,13 +213,21 @@ UpdateOutcome reduce_and_update(swmpi::Comm& comm, util::Matrix& centroids,
 
   // Parallel apply: every rank rewrites only its own rows of the shared
   // snapshot — writes are disjoint by construction. The per-row drift (if
-  // requested) falls out of the same pass.
+  // requested) falls out of the same pass. max and sqrt commute, so the
+  // pieces' shifts combine to the one-pass shift bit for bit.
   std::vector<double> shard_drift(drift_out.empty() ? 0 : rows);
-  const UpdateOutcome mine = apply_update_rows(
-      centroids, j_begin, j_end,
-      std::span<const double>(shard.data(), rows * d),
-      std::span<const double>(shard.data() + rows * d, rows),
-      drift_out.empty() ? nullptr : shard_drift.data());
+  UpdateOutcome mine;
+  for (const ShardPiece& piece : pieces) {
+    const std::size_t len = piece.end - piece.begin;
+    const UpdateOutcome part = apply_update_rows(
+        centroids, piece.begin, piece.end,
+        std::span<const double>(piece.sums, len * d),
+        std::span<const double>(piece.counts, len),
+        drift_out.empty() ? nullptr
+                          : shard_drift.data() + (piece.begin - j_begin));
+    mine.shift = std::max(mine.shift, part.shift);
+    mine.empty_clusters += part.empty_clusters;
+  }
 
   // Assemble the full drift vector on every rank: each shard owner is the
   // single writer of its rows' drifts, so the allgatherv hands all ranks

@@ -33,8 +33,15 @@ simarch::CostTally combine_tallies(swmpi::Comm& comm,
 /// Shape: a reduce_scatter of the fused (sums, counts) partials hands rank
 /// r the contiguous centroid-row shard block_range(k, size, r); each rank
 /// applies apply_update_rows to its own rows of the shared snapshot in
-/// parallel; one collective publishes the refreshed rows and the (max
-/// shift, summed empty-cluster) stats.
+/// parallel; one collective publishes the stats (and the drift).
+///
+/// Held rows: each accumulator holds the rows [row_begin, row_end) of k
+/// (UpdateAccumulator; all k at Levels 1/2, the CG's slice at Level 3).
+/// A shard row folds over the ranks that hold it; a rank that does not
+/// counts as the +0.0 its full-size accumulator would hold there. The
+/// shard is cut at every held-range edge inside it (a Level 3 shard can
+/// straddle slice edges), and a piece with a single holder is applied
+/// from that holder's partials in place, with no copy and no scratch.
 ///
 /// Realization on the thread-backed runtime: ranks are threads, so the
 /// reduce_scatter is a zero-copy binomial fold — an allgather publishes
@@ -42,14 +49,17 @@ simarch::CostTally combine_tallies(swmpi::Comm& comm,
 /// the peers' partials in place (the same shared-memory idiom the engines
 /// use for the centroid snapshot). swmpi has no message-passing
 /// reduce_scatter: the runtime never moves the partials through the
-/// mailbox, and the engines charge the distributed reduce_scatter +
-/// allgather through the topology model instead.
+/// mailbox, and the engines charge the distributed exchange through the
+/// topology model instead.
 ///
 /// Bit-deterministic AND bit-identical to the former root-serialized
 /// update: the fold combines per element in the root-0 binomial
 /// association — the exact tree the old two-reduce path used — sharding
 /// cannot change any element's association, each row's division is
-/// rank-independent, and max/sqrt commute for the shift.
+/// rank-independent, and max/sqrt commute for the shift. Pruning the
+/// non-holders moves no bit either: no partial is ever -0.0 (sums start
+/// at +0.0, and a round-to-nearest sum is -0.0 only when both operands
+/// are), and x + (+0.0) == x for every other x.
 ///
 /// Publication: rank r writes only its own rows, so the writes are
 /// disjoint; the entry allgather orders every assign-phase write before

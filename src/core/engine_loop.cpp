@@ -98,7 +98,9 @@ EngineRank::EngineRank(const EngineRun& run_, swmpi::Comm& world_)
       radius_work(safe_radius_work(
           run_.config.k, run_.machine.cpes_per_cg,
           safe_radius_block_rows(run_.machine, run_.dataset.d()))),
-      acc(run_.config.k, run_.dataset.d()) {
+      acc(run_.config.k, run_.dataset.d(),
+          held_centroid_rows(run_.plan, cg).first,
+          held_centroid_rows(run_.plan, cg).second) {
   if (run.config.sdc_checks) {
     gemm_sdc.check = true;
     gemm_sdc.flip = [this](std::span<std::byte> bytes) {
@@ -150,11 +152,13 @@ void EngineRank::charge_gate_and_sdc(std::uint64_t unresolved,
   }
   // Charged only when the defense is armed, so defense-off model numbers
   // stay pinned.
+  // The scrub reads the shared snapshot and this rank's accumulator: all
+  // k rows at Levels 1/2, the CG's slice at Level 3.
   const std::size_t k = run.config.k;
   const std::size_t d = run.dataset.d();
   const simarch::MachineConfig& machine = run.machine;
   const std::size_t eb = machine.elem_bytes;
-  const std::size_t accum_bytes = (k * d + k) * eb;
+  const std::size_t accum_bytes = (acc.rows() * d + acc.rows()) * eb;
   tally.compute_s += static_cast<double>(unresolved) * sweep_row_s * 0.125;
   tally.compute_s +=
       static_cast<double>(k * d * eb + accum_bytes) / machine.dma_bandwidth;
@@ -226,41 +230,101 @@ void scrub_accumulator(EngineRank& rank) {
   }
 }
 
-/// Update-phase network charge: the machine-wide sharded phase —
-/// reduce_scatter of the fused accumulator, every CG applying its own
-/// shard of rows, then one allgather publishing the refreshed rows with
-/// the (shift, empties) stats riding as a 16-byte per-rank header and the
-/// k-double drift vector. With the SDC defense armed the scrub verdicts
-/// and the counts-conservation word lengthen that header.
+/// Refresh the norm cache where the rows are held and return its modeled
+/// seconds. The refresh follows the holder: a Level 1 CG refreshes all k
+/// rows at gemm_row_seconds(d); a Level 2 CG's members refresh their own
+/// k_local rows in parallel, so the busiest member's count is charged; a
+/// Level 3 CG refreshes only its slice, its CPEs' d_local-wide partial
+/// norms riding the mesh reduce of distance partials, at
+/// gemm_row_seconds(d_local). A Level 3 CG never reads another slice's
+/// norm.
+double refresh_norms(EngineRank& rank) {
+  const EngineRun& run = rank.run;
+  const PartitionPlan& plan = run.plan;
+  const auto [j_begin, j_end] = held_centroid_rows(plan, rank.cg);
+  const std::size_t holder_rows =
+      plan.level == Level::kLevel2 ? plan.k_local : j_end - j_begin;
+  std::size_t busiest = 0;
+  for (std::size_t b = j_begin; b < j_end; b += holder_rows) {
+    const std::size_t e = std::min(j_end, b + holder_rows);
+    busiest = std::max(
+        busiest,
+        rank.gating
+            ? rank.norm_cache.refresh_from_drift(run.centroids, rank.drift, b,
+                                                 e)
+            : rank.norm_cache.refresh_full(run.centroids, b, e));
+  }
+  const std::size_t row_dims =
+      plan.level == Level::kLevel3 ? plan.d_local : run.dataset.d();
+  return static_cast<double>(busiest) * run.machine.gemm_row_seconds(row_dims);
+}
+
+/// Update-phase network charge. Levels 1/2: the machine-wide sharded
+/// phase — reduce_scatter of the fused accumulator, every CG applying its
+/// own shard of rows, then one allgather publishing the refreshed rows
+/// with the (shift, empties) stats riding as a 16-byte per-rank header and
+/// the k-double drift vector. Level 3: the CG's slice accumulator reduced
+/// across the same-slice CGs (model_level3's term, zero when one CG group
+/// spans the machine), then one allgather of the drift and the header
+/// with no rows (update_publish_bytes). With the SDC defense armed the
+/// scrub verdicts and the counts-conservation word lengthen that header.
 void charge_update_collectives(EngineRank& rank) {
   const EngineRun& run = rank.run;
-  const std::size_t k = run.config.k;
+  const PartitionPlan& plan = run.plan;
   const std::size_t d = run.dataset.d();
   const std::size_t num_cgs = run.machine.num_cgs();
   const std::size_t eb = run.machine.elem_bytes;
-  const std::size_t accum_bytes = (k * d + k) * eb;
   const std::size_t publish_bytes =
-      update_publish_bytes(run.plan.shape, run.machine) +
+      update_publish_bytes(plan, run.machine) +
       (run.config.sdc_checks ? sdc_verdict_bytes(run.machine) : 0);
+  const bool hier = run.config.hier_collectives;
   simarch::CostTally& tally = rank.tally;
-  if (run.config.hier_collectives) {
-    const simarch::CollectiveCharge rs = run.topo.hier_reduce_scatter_charge(
-        accum_bytes, 0, num_cgs, run.xover);
+  // The reduce term's and the allgather's seconds are summed before they
+  // reach the tally, one addition as the ledger pins.
+  double reduce_s = 0;
+  if (plan.level == Level::kLevel3) {
+    if (plan.num_flow_units > 1) {
+      const std::size_t slice_bytes = (plan.k_local * d + plan.k_local) * eb;
+      const AllreduceModel slice = cross_group_allreduce(
+          run.topo, slice_bytes, plan.num_flow_units, plan.mprime_group,
+          Placement::kPacked, hier, run.xover);
+      reduce_s = slice.seconds;
+      // Each rank books its own slice's exchange; the total covers all
+      // m'_group slices.
+      tally.net_crossing_bytes += slice.crossing_bytes / plan.mprime_group;
+      tally.net_bytes += slice_bytes;
+      tally.net_rounds += 1;
+    }
+  } else {
+    const std::size_t accum_bytes = (plan.shape.k * d + plan.shape.k) * eb;
+    if (hier) {
+      const simarch::CollectiveCharge rs = run.topo.hier_reduce_scatter_charge(
+          accum_bytes, 0, num_cgs, run.xover);
+      reduce_s = rs.seconds;
+      tally.net_crossing_bytes += rs.crossing_bytes;
+      if (rank.cg == 0) {
+        tick_collective_charge(rank.tshard, "sim.collective.update_rs", rs);
+      }
+    } else {
+      reduce_s = run.topo.reduce_scatter_time(accum_bytes, 0, num_cgs);
+    }
+    tally.net_bytes += accum_bytes;
+    tally.net_rounds += 1;
+  }
+  if (hier) {
     const simarch::CollectiveCharge ag =
         run.topo.hier_allgather_charge(publish_bytes, 0, num_cgs);
-    tally.net_comm_s += rs.seconds + ag.seconds;
-    tally.net_crossing_bytes += rs.crossing_bytes + ag.crossing_bytes;
+    tally.net_comm_s += reduce_s + ag.seconds;
+    tally.net_crossing_bytes += ag.crossing_bytes;
     if (rank.cg == 0) {
-      tick_collective_charge(rank.tshard, "sim.collective.update_rs", rs);
       tick_collective_charge(rank.tshard, "sim.collective.update_ag", ag);
     }
   } else {
     tally.net_comm_s +=
-        run.topo.reduce_scatter_time(accum_bytes, 0, num_cgs) +
-        run.topo.allgather_time(publish_bytes, 0, num_cgs);
+        reduce_s + run.topo.allgather_time(publish_bytes, 0, num_cgs);
   }
-  tally.net_bytes += accum_bytes + publish_bytes;
-  tally.net_rounds += 2;  // reduce_scatter + allgather
+  tally.net_bytes += publish_bytes;
+  tally.net_rounds += 1;
 }
 
 }  // namespace
@@ -401,14 +465,9 @@ KmeansResult run_engine(Level level, const char* name,
         // Gated iterations refresh only the rows the published drift marks
         // moved — an unmoved row's stored float bits are unchanged, so its
         // cached norm is still bit-exact. Iteration 0 and bounds-off runs
-        // recompute all k rows, so a bounds-off iteration prices exactly
-        // the sweep the bounds decision weighed.
-        const std::size_t norm_rows =
-            rank.gating
-                ? rank.norm_cache.refresh_from_drift(centroids, rank.drift)
-                : rank.norm_cache.refresh_full(centroids);
-        rank.tally.compute_s +=
-            static_cast<double>(norm_rows) * machine.gemm_row_seconds(d);
+        // recompute every held row, so a bounds-off iteration prices
+        // exactly the sweep the bounds decision weighed.
+        rank.tally.compute_s += refresh_norms(rank);
         // Norm refresh seconds are charged above, but its O(k d) products
         // stay out of `flops`, which keeps its exact 2nkd distance-work
         // meaning (FlopAccountingMatches2nkd) and prices the FLOP *rate*

@@ -901,31 +901,46 @@ inline double row_squared_norm(std::span<const float> c) {
 /// are the same +0.0 — and the cached norm is still bit-exact. Gated
 /// iterations therefore refresh only the drifted rows; iteration 0 and
 /// bounds-off runs recompute every norm.
+///
+/// Holders: both refreshes take the row range [j_begin, j_end) a holder
+/// keeps (a Level 3 CG's slice, a Level 2 member's k_local rows; all k by
+/// default) and touch no other row. The cache is indexed by centroid and
+/// sized k either way. A cold cache refreshes only the range it is given,
+/// so a caller that covers [0, k) in several ranges warms each of them
+/// with refresh_full first.
 struct CentroidNormCache {
   std::vector<double> norms;
   bool valid = false;
 
-  /// Full recompute; returns the number of rows refreshed.
-  std::size_t refresh_full(const util::Matrix& centroids) {
+  /// Full recompute of rows [j_begin, j_end) (clamped to the matrix);
+  /// returns the number of rows refreshed.
+  std::size_t refresh_full(const util::Matrix& centroids,
+                           std::size_t j_begin = 0,
+                           std::size_t j_end = static_cast<std::size_t>(-1)) {
+    j_end = std::min(j_end, centroids.rows());
     norms.resize(centroids.rows());
-    for (std::size_t j = 0; j < centroids.rows(); ++j) {
+    for (std::size_t j = j_begin; j < j_end; ++j) {
       norms[j] = row_squared_norm(centroids.row(j));
     }
     valid = true;
-    return centroids.rows();
+    return j_end > j_begin ? j_end - j_begin : 0;
   }
 
-  /// Refresh only the rows whose published drift is nonzero (plus a full
-  /// recompute when the cache is cold or the shape moved). Returns the
-  /// number of rows refreshed — what the engines charge to the cost model.
-  std::size_t refresh_from_drift(const util::Matrix& centroids,
-                                 std::span<const double> drift) {
+  /// Refresh only the rows of [j_begin, j_end) whose published drift is
+  /// nonzero (plus a full recompute of the range when the cache is cold
+  /// or the shape moved). Returns the number of rows refreshed — what the
+  /// engines charge to the cost model.
+  std::size_t refresh_from_drift(
+      const util::Matrix& centroids, std::span<const double> drift,
+      std::size_t j_begin = 0,
+      std::size_t j_end = static_cast<std::size_t>(-1)) {
     if (!valid || norms.size() != centroids.rows() ||
         drift.size() != centroids.rows()) {
-      return refresh_full(centroids);
+      return refresh_full(centroids, j_begin, j_end);
     }
+    j_end = std::min(j_end, centroids.rows());
     std::size_t refreshed = 0;
-    for (std::size_t j = 0; j < centroids.rows(); ++j) {
+    for (std::size_t j = j_begin; j < j_end; ++j) {
       if (drift[j] > 0) {
         norms[j] = row_squared_norm(centroids.row(j));
         ++refreshed;
@@ -1647,26 +1662,31 @@ inline void refresh_bounds(const MinLocT& rec, double& upper, double& lower) {
                                upper, &lower);
 }
 
-/// Flat k x d accumulator plus per-centroid counts, in double.
+/// Update accumulator in double: sums and counts for the centroid rows
+/// [row_begin, row_end) of k, stored from row_begin (rows() x d sums,
+/// rows() counts). All k rows by default; a Level 3 CG keeps only its
+/// slice. A row it does not hold is one whose partials are +0.0 on this
+/// rank, which is how reduce_and_update folds it.
 struct UpdateAccumulator {
   explicit UpdateAccumulator(std::size_t k, std::size_t d)
-      : k_(k), d_(d), sums(k * d, 0.0), counts(k, 0.0) {}
+      : UpdateAccumulator(k, d, 0, k) {}
+  UpdateAccumulator(std::size_t k, std::size_t d, std::size_t row_begin,
+                    std::size_t row_end)
+      : k_(k),
+        d_(d),
+        row_begin_(row_begin),
+        row_end_(row_end),
+        sums((row_end - row_begin) * d, 0.0),
+        counts(row_end - row_begin, 0.0) {}
 
+  /// Add sample x to centroid j, which must lie in [row_begin, row_end).
   void add_sample(std::uint32_t j, std::span<const float> x) {
-    double* row = sums.data() + static_cast<std::size_t>(j) * d_;
+    const std::size_t r = j - row_begin_;
+    double* row = sums.data() + r * d_;
     for (std::size_t u = 0; u < d_; ++u) {
       row[u] += static_cast<double>(x[u]);
     }
-    counts[j] += 1.0;
-  }
-
-  /// Add only the [u_begin, u_end) dimension slice (Level 3 owner CPEs).
-  void add_sample_slice(std::uint32_t j, std::span<const float> x,
-                        std::size_t u_begin, std::size_t u_end) {
-    double* row = sums.data() + static_cast<std::size_t>(j) * d_;
-    for (std::size_t u = u_begin; u < u_end; ++u) {
-      row[u] += static_cast<double>(x[u]);
-    }
+    counts[r] += 1.0;
   }
 
   void reset() {
@@ -1676,9 +1696,14 @@ struct UpdateAccumulator {
 
   std::size_t k() const { return k_; }
   std::size_t d() const { return d_; }
+  std::size_t row_begin() const { return row_begin_; }
+  std::size_t row_end() const { return row_end_; }
+  std::size_t rows() const { return row_end_ - row_begin_; }
 
   std::size_t k_;
   std::size_t d_;
+  std::size_t row_begin_;
+  std::size_t row_end_;
   std::vector<double> sums;
   std::vector<double> counts;
 };

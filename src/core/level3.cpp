@@ -36,8 +36,8 @@ class Level3Policy final : public detail::LevelPolicy {
         within_(rank.cg % p_),
         group_comm_(rank.world.split(static_cast<int>(group_),
                                      static_cast<int>(within_))),
-        j_begin_(std::min(within_ * rank.run.plan.k_local, rank.run.config.k)),
-        j_end_(std::min(rank.run.config.k, j_begin_ + rank.run.plan.k_local)),
+        j_begin_(rank.acc.row_begin()),
+        j_end_(rank.acc.row_end()),
         span_samples_(rank.run.tile_samples * rank.run.config.sstep_tiles),
         runs_(1, rank.run.sample_batch) {
     for (SpanSlot& s : slots_) {
@@ -359,7 +359,9 @@ class Level3Policy final : public detail::LevelPolicy {
   const std::size_t group_;   ///< this CG's group (flow unit)
   const std::size_t within_;  ///< slice holder index inside the group
   swmpi::Comm group_comm_;
-  const std::size_t j_begin_;  ///< this CG's centroid slice [j_begin, j_end)
+  /// This CG's centroid slice [j_begin, j_end): held_centroid_rows, the
+  /// rows its accumulator and norm refresh hold.
+  const std::size_t j_begin_;
   const std::size_t j_end_;
   const std::size_t span_samples_;  ///< tiles per deferred combine x tile
   SpanSlot slots_[2];

@@ -342,6 +342,17 @@ std::size_t auto_mprime_group(const ProblemShape& shape,
 
 }  // namespace
 
+std::pair<std::size_t, std::size_t> held_centroid_rows(
+    const PartitionPlan& plan, std::size_t cg) {
+  const std::size_t k = plan.shape.k;
+  if (plan.level != Level::kLevel3) {
+    return {0, k};
+  }
+  const std::size_t begin =
+      std::min(cg % plan.mprime_group * plan.k_local, k);
+  return {begin, std::min(k, begin + plan.k_local)};
+}
+
 std::vector<std::size_t> candidate_m_groups(
     const simarch::MachineConfig& machine) {
   return divisors(machine.cpes_per_cg);

@@ -2,6 +2,7 @@
 
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/kmeans.hpp"
@@ -120,6 +121,14 @@ Feasibility check_level(Level level, const ProblemShape& shape,
 PartitionPlan make_plan(Level level, const ProblemShape& shape,
                         const simarch::MachineConfig& machine,
                         std::size_t m_group = 0, std::size_t mprime_group = 0);
+
+/// The centroid rows CG `cg` holds through the update phase: all of
+/// [0, k) at Levels 1 and 2, and at Level 3 the slice
+/// [w k_local, (w + 1) k_local) clamped to k, with w = cg mod m'_group —
+/// empty when w k_local >= k (k < m'_group). The CG's update accumulator
+/// and its norm refresh cover exactly these rows.
+std::pair<std::size_t, std::size_t> held_centroid_rows(
+    const PartitionPlan& plan, std::size_t cg);
 
 /// Group sizes worth considering on this machine: divisors of cpes_per_cg
 /// for m_group, divisors of num_cgs for m'_group.

@@ -37,15 +37,9 @@ double streamed_centroid_bytes(std::uint64_t samples, std::uint64_t k_local,
   return std::min(per_sample, tiled);
 }
 
-/// One rank-set AllReduce under the selected schedule: seconds plus the
-/// supernode-crossing bytes that schedule moves (the flat baseline's
-/// crossing comes from Topology::flat_allreduce_crossing_bytes, so both
-/// sides of the A/B report a comparable crossing ledger).
-struct AllreduceModel {
-  double seconds = 0;
-  std::uint64_t crossing_bytes = 0;
-};
-
+/// One rank-set AllReduce under the selected schedule (the flat
+/// baseline's crossing comes from Topology::flat_allreduce_crossing_bytes,
+/// so both sides of the A/B report a comparable crossing ledger).
 AllreduceModel ranks_allreduce(const Topology& topo, std::size_t bytes,
                                const std::vector<std::size_t>& ranks,
                                bool hier, std::size_t xover) {
@@ -88,10 +82,8 @@ AllreduceModel worst_group_allreduce(const Topology& topo, std::size_t bytes,
   return out;
 }
 
-/// AllReduce across the same-slice holders (one rank out of each group):
-/// ranks {j, j + group_size, ...} packed, or {j*num_groups ...} scattered.
-/// Crossing bytes scale the sampled slice owners up to all group_size of
-/// them (the pattern repeats).
+}  // namespace
+
 AllreduceModel cross_group_allreduce(const Topology& topo, std::size_t bytes,
                                      std::size_t num_groups,
                                      std::size_t group_size,
@@ -119,6 +111,8 @@ AllreduceModel cross_group_allreduce(const Topology& topo, std::size_t bytes,
   }
   return out;
 }
+
+namespace {
 
 CostTally model_level1(const PartitionPlan& plan, const MachineConfig& mc,
                        bool hier) {
@@ -313,10 +307,12 @@ CostTally model_iteration(const PartitionPlan& plan,
   throw InvalidArgument("unknown level");
 }
 
-std::size_t update_publish_bytes(const ProblemShape& shape,
+std::size_t update_publish_bytes(const PartitionPlan& plan,
                                  const MachineConfig& machine) {
-  return shape.k * shape.d * machine.elem_bytes + 16 * machine.num_cgs() +
-         shape.k * sizeof(double);
+  const ProblemShape& shape = plan.shape;
+  const std::size_t rows =
+      plan.level == Level::kLevel3 ? 0 : shape.k * shape.d * machine.elem_bytes;
+  return rows + 16 * machine.num_cgs() + shape.k * sizeof(double);
 }
 
 std::size_t sdc_verdict_bytes(const MachineConfig& machine) {
@@ -371,7 +367,7 @@ CostTally sdc_defense_overhead(const PartitionPlan& plan,
   // counts-conservation word ride the update allgather's header: extra
   // bytes on a round the iteration already pays, no extra round.
   const std::size_t num_cgs = machine.num_cgs();
-  const std::size_t publish_bytes = update_publish_bytes(s, machine);
+  const std::size_t publish_bytes = update_publish_bytes(plan, machine);
   const std::size_t sdc_net = sdc_verdict_bytes(machine);
   t.net_comm_s += topo.allgather_time(publish_bytes + sdc_net, 0, num_cgs) -
                   topo.allgather_time(publish_bytes, 0, num_cgs);

@@ -1,8 +1,14 @@
 #pragma once
 
+#include <cstdint>
+
 #include "core/partition.hpp"
 #include "simarch/cost.hpp"
 #include "simarch/machine_config.hpp"
+
+namespace swhkm::simarch {
+class Topology;
+}
 
 namespace swhkm::core {
 
@@ -49,9 +55,33 @@ simarch::CostTally model_iteration(const PartitionPlan& plan,
                                    Placement placement = Placement::kPacked,
                                    bool hier_collectives = true);
 
-/// Bytes of the update phase's publish allgather: the k refreshed rows, a
-/// 16-byte (shift, empties) header per CG and the k-double drift vector.
-std::size_t update_publish_bytes(const ProblemShape& shape,
+/// One modeled AllReduce: seconds under the chosen schedule plus the
+/// supernode-crossing bytes it moves.
+struct AllreduceModel {
+  double seconds = 0;
+  std::uint64_t crossing_bytes = 0;
+};
+
+/// AllReduce of `bytes` across the same-slice holders, one rank out of
+/// each of `num_groups` groups of `group_size`: ranks {j, j + group_size,
+/// ...} packed, or {j num_groups, ...} scattered. Seconds are the slowest
+/// slice's; crossing bytes scale the sampled slice holders up to all
+/// group_size of them (the pattern repeats). Zero for one group. This is
+/// Level 3's update exchange, priced here for both model_level3 and the
+/// engine's update charge.
+AllreduceModel cross_group_allreduce(const simarch::Topology& topo,
+                                     std::size_t bytes,
+                                     std::size_t num_groups,
+                                     std::size_t group_size,
+                                     Placement placement, bool hier,
+                                     std::size_t xover);
+
+/// Bytes of the update phase's publish allgather: a 16-byte (shift,
+/// empties) header per CG and the k-double drift vector, plus the k
+/// refreshed rows at Levels 1 and 2. A Level 3 CG scores, gates and
+/// refreshes norms on its own slice, which the same-slice AllReduce
+/// already updated on every holder, so no rows are published.
+std::size_t update_publish_bytes(const PartitionPlan& plan,
                                  const simarch::MachineConfig& machine);
 
 /// Bytes the armed SDC defense adds to that allgather's header: a 16-byte

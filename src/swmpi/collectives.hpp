@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <exception>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "swmpi/comm.hpp"
@@ -167,46 +168,74 @@ struct CombineMinLoc2 {
 /// `out` may alias peer_slice(0): the first combine of stream 0 reads both
 /// operands before writing each element. `scratch` must hold at least
 /// `size` vectors; entries are resized as interior partials need them.
+///
+/// fold_binomial_present is the same fold over streams some of which are
+/// absent: `peer_slice(r)` returns nullptr for a stream that holds the
+/// op's identity (a rank holding none of the folded rows). The present
+/// streams combine in the same tree with the absent leaves pruned, which
+/// is the full tree's result bit for bit whenever op(x, identity) == x for
+/// every partial — for a sum, whenever no partial is -0.0. Returns where
+/// the result lives: `out`, or the one present stream itself when only
+/// one is (read in place, never copied), or nullptr when none is.
 template <typename T, typename Op, typename PeerSlice>
-void fold_binomial_slices(T* out, std::size_t len, int size,
-                          std::vector<std::vector<T>>& scratch,
-                          PeerSlice&& peer_slice, Op op) {
-  if (size == 1) {
-    const T* own = peer_slice(0);
-    if (own != out) {
-      std::copy(own, own + len, out);
-    }
-    return;
-  }
+const T* fold_binomial_present(T* out, std::size_t len, int size,
+                               std::vector<std::vector<T>>& scratch,
+                               PeerSlice&& peer_slice, Op op) {
   SWHKM_REQUIRE(scratch.size() >= static_cast<std::size_t>(size),
-                "fold_binomial_slices needs one scratch slot per stream");
-  // cur[r] points at the partial currently folded into stream r, or null
-  // while the stream is still untouched (first combine reads the source
-  // buffer directly and materialises the partial).
-  std::vector<const T*> cur(static_cast<std::size_t>(size), nullptr);
+                "fold_binomial_present needs one scratch slot per stream");
+  // cur[r] points at the partial of stream r's subtree (null while the
+  // subtree holds no present stream); owned[r] says whether that partial
+  // is materialised in out / scratch[r] or read in place from a stream.
+  std::vector<const T*> cur(static_cast<std::size_t>(size));
+  std::vector<char> owned(static_cast<std::size_t>(size), 0);
+  for (int r = 0; r < size; ++r) {
+    cur[static_cast<std::size_t>(r)] = peer_slice(r);
+  }
   for (int s = 1; s < size; s <<= 1) {
     for (int r = 0; r + s < size; r += 2 * s) {
-      const T* b = cur[r + s] != nullptr ? cur[r + s] : peer_slice(r + s);
-      if (cur[r] == nullptr) {
-        T* target = out;
-        if (r != 0) {
-          scratch[r].resize(len);
-          target = scratch[r].data();
+      const T* b = cur[static_cast<std::size_t>(r + s)];
+      if (b == nullptr) {
+        continue;
+      }
+      const T* a = cur[static_cast<std::size_t>(r)];
+      if (a == nullptr) {
+        cur[static_cast<std::size_t>(r)] = b;  // borrowed, not copied
+        continue;
+      }
+      T* target = out;
+      if (r != 0) {
+        scratch[static_cast<std::size_t>(r)].resize(len);
+        target = scratch[static_cast<std::size_t>(r)].data();
+      }
+      if (owned[static_cast<std::size_t>(r)] != 0) {
+        for (std::size_t i = 0; i < len; ++i) {
+          op(target[i], b[i]);
         }
-        const T* a = peer_slice(r);
+      } else {
         for (std::size_t i = 0; i < len; ++i) {
           T v = a[i];
           op(v, b[i]);
           target[i] = v;
         }
-        cur[r] = target;
-      } else {
-        T* target = r == 0 ? out : scratch[r].data();
-        for (std::size_t i = 0; i < len; ++i) {
-          op(target[i], b[i]);
-        }
+        cur[static_cast<std::size_t>(r)] = target;
+        owned[static_cast<std::size_t>(r)] = 1;
       }
     }
+  }
+  return cur[0];
+}
+
+template <typename T, typename Op, typename PeerSlice>
+void fold_binomial_slices(T* out, std::size_t len, int size,
+                          std::vector<std::vector<T>>& scratch,
+                          PeerSlice&& peer_slice, Op op) {
+  const T* result = peer_slice(0);
+  if (size > 1) {
+    result = fold_binomial_present(out, len, size, scratch,
+                                   std::forward<PeerSlice>(peer_slice), op);
+  }
+  if (result != out) {
+    std::copy(result, result + len, out);
   }
 }
 

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/engine_common.hpp"
+#include "core/engine_loop.hpp"
 #include "core/engine_util.hpp"
 #include "core/hkmeans.hpp"
 #include "data/synthetic.hpp"
@@ -141,6 +142,244 @@ TEST(ShardedUpdate, FewerClustersThanRanks) {
 
 TEST(ShardedUpdate, SingleRankFallThrough) {
   expect_matches_root_serialized(1, 7, 3);
+}
+
+/// A Level 3 plan as far as held_centroid_rows reads it: k rows in slices
+/// of ceil(k / m'_group).
+PartitionPlan slice_plan(std::size_t k, std::size_t mprime) {
+  PartitionPlan plan;
+  plan.level = Level::kLevel3;
+  plan.shape.k = k;
+  plan.mprime_group = mprime;
+  plan.k_local = (k + mprime - 1) / mprime;
+  return plan;
+}
+
+/// One update over `size` ranks whose accumulators hold `plan`'s rows,
+/// either as row-range accumulators or as full-size ones that hold +0.0
+/// outside the range. Both add the same samples in the same order, some
+/// of them -0.0 and some rows all -0.0.
+struct FoldRun {
+  util::Matrix centroids;
+  std::vector<double> drift;
+  detail::UpdateOutcome outcome;
+  bool negative_zero_partial = false;
+};
+
+FoldRun fold_with(const PartitionPlan& plan, int size, std::size_t d,
+                  bool row_range) {
+  const std::size_t k = plan.shape.k;
+  FoldRun run{util::Matrix(k, d), std::vector<double>(k, -1.0), {}, false};
+  for (std::size_t j = 0; j < k; ++j) {
+    for (std::size_t u = 0; u < d; ++u) {
+      run.centroids.at(j, u) = static_cast<float>((j * 5 + u) % 9) - 4.0f;
+    }
+  }
+  // Samples rank r adds: (j + r) % 3 of them to each row it holds, so some
+  // rows are empty on a holder, and some on every holder.
+  const auto samples_of = [&](std::size_t r, std::size_t j) {
+    return (j + r) % 3;
+  };
+  std::uint64_t total = 0;
+  for (int r = 0; r < size; ++r) {
+    const auto [b, e] = held_centroid_rows(plan, static_cast<std::size_t>(r));
+    for (std::size_t j = b; j < e; ++j) {
+      total += samples_of(static_cast<std::size_t>(r), j);
+    }
+  }
+  std::vector<detail::UpdateOutcome> outcomes(static_cast<std::size_t>(size));
+  std::vector<char> negative_zero(static_cast<std::size_t>(size), 0);
+  swmpi::run_spmd(size, [&](swmpi::Comm& comm) {
+    const auto rank = static_cast<std::size_t>(comm.rank());
+    const auto [b, e] = held_centroid_rows(plan, rank);
+    detail::UpdateAccumulator acc =
+        row_range ? detail::UpdateAccumulator(k, d, b, e)
+                  : detail::UpdateAccumulator(k, d);
+    std::vector<float> x(d);
+    for (std::size_t j = b; j < e; ++j) {
+      for (std::size_t s = 0; s < samples_of(rank, j); ++s) {
+        for (std::size_t u = 0; u < d; ++u) {
+          const bool neg_zero = j % 7 == 0 || (j + u + rank + s) % 4 == 0;
+          x[u] = neg_zero ? -0.0f
+                          : static_cast<float>(spread_value(
+                                rank, (j * d + u) * 3 + s));
+        }
+        acc.add_sample(static_cast<std::uint32_t>(j), x);
+      }
+    }
+    for (const double v : acc.sums) {
+      if (v == 0.0 && std::signbit(v)) {
+        negative_zero[rank] = 1;
+      }
+    }
+    std::vector<double> drift(k);
+    outcomes[rank] =
+        detail::reduce_and_update(comm, run.centroids, acc, drift, total);
+    if (rank == 0) {
+      run.drift = drift;
+    }
+  });
+  for (int r = 1; r < size; ++r) {
+    EXPECT_EQ(bits(outcomes[static_cast<std::size_t>(r)].shift),
+              bits(outcomes[0].shift));
+    EXPECT_EQ(outcomes[static_cast<std::size_t>(r)].empty_clusters,
+              outcomes[0].empty_clusters);
+  }
+  run.outcome = outcomes[0];
+  for (const char z : negative_zero) {
+    run.negative_zero_partial = run.negative_zero_partial || z != 0;
+  }
+  return run;
+}
+
+/// The Level 3 accumulators hold only their slice's rows. Folding them
+/// must give the bits of today's full-size accumulators, which hold +0.0
+/// in every row outside the slice: for 1-8 ranks, shards that straddle
+/// slice edges (k = 100 on 8 ranks at m' = 4 cuts shards of 13 rows
+/// across slices of 25), empty slices (k < m') and -0.0 samples.
+TEST(ShardedUpdate, RowRangeAccumulatorsFoldLikeZeroPaddedOnes) {
+  const std::size_t d = 3;
+  for (int size = 1; size <= 8; ++size) {
+    for (const std::size_t mprime : {1u, 2u, 4u, 8u}) {
+      if (static_cast<std::size_t>(size) % mprime != 0) {
+        continue;
+      }
+      for (const std::size_t k : {3u, 13u, 100u}) {
+        SCOPED_TRACE("size=" + std::to_string(size) + " m'=" +
+                     std::to_string(mprime) + " k=" + std::to_string(k));
+        const PartitionPlan plan = slice_plan(k, mprime);
+        const FoldRun sliced = fold_with(plan, size, d, true);
+        const FoldRun padded = fold_with(plan, size, d, false);
+        EXPECT_FALSE(sliced.negative_zero_partial);
+        EXPECT_FALSE(padded.negative_zero_partial);
+        EXPECT_EQ(bits(sliced.outcome.shift), bits(padded.outcome.shift));
+        EXPECT_EQ(sliced.outcome.empty_clusters,
+                  padded.outcome.empty_clusters);
+        EXPECT_EQ(std::memcmp(sliced.centroids.data(),
+                              padded.centroids.data(),
+                              k * d * sizeof(float)),
+                  0);
+        EXPECT_EQ(std::memcmp(sliced.drift.data(), padded.drift.data(),
+                              k * sizeof(double)),
+                  0);
+      }
+    }
+  }
+}
+
+/// held_centroid_rows is the one map from (plan, CG) to the rows a CG's
+/// update accumulator holds, and every Level 3 rank's accumulator is
+/// sized by it: k_local x d for a full slice, the remainder for the last
+/// one, zero rows for an empty slice. Levels 1 and 2 hold all k.
+TEST(ShardedUpdate, Level3AccumulatorsHoldOnlyTheirSlice) {
+  const PartitionPlan straddle = slice_plan(100, 4);
+  for (std::size_t cg = 0; cg < 8; ++cg) {
+    const std::size_t w = cg % 4;
+    EXPECT_EQ(held_centroid_rows(straddle, cg),
+              (std::pair<std::size_t, std::size_t>{25 * w, 25 * w + 25}));
+  }
+  const PartitionPlan ragged = slice_plan(10, 4);  // slices 3, 3, 3, 1
+  EXPECT_EQ(held_centroid_rows(ragged, 3),
+            (std::pair<std::size_t, std::size_t>{9, 10}));
+  const PartitionPlan sparse = slice_plan(3, 4);  // k < m'
+  EXPECT_EQ(held_centroid_rows(sparse, 2),
+            (std::pair<std::size_t, std::size_t>{2, 3}));
+  EXPECT_EQ(held_centroid_rows(sparse, 3),
+            (std::pair<std::size_t, std::size_t>{3, 3}));
+  PartitionPlan level2 = slice_plan(100, 4);
+  level2.level = Level::kLevel2;
+  EXPECT_EQ(held_centroid_rows(level2, 3),
+            (std::pair<std::size_t, std::size_t>{0, 100}));
+
+  // The engine's accumulators, read through a policy that sweeps nothing:
+  // k = 3 over m' = 4 leaves each group's last CG an empty slice.
+  const data::Dataset ds = data::make_blobs(64, 5, 3, 29);
+  const simarch::MachineConfig machine =
+      simarch::MachineConfig::tiny(4, 4, 8192);
+  for (const std::size_t k : {3u, 10u}) {
+    KmeansConfig config;
+    config.k = k;
+    config.max_iterations = 1;
+    const PartitionPlan plan =
+        make_plan(Level::kLevel3, {ds.n(), k, ds.d()}, machine, 0, 4);
+    std::vector<std::pair<std::size_t, std::size_t>> rows(machine.num_cgs());
+    std::vector<std::size_t> sums(machine.num_cgs());
+    struct Idle final : detail::LevelPolicy {
+      detail::AssignSweep sweep(detail::EngineRank&) override { return {}; }
+      void charge(detail::EngineRank&) override {}
+    };
+    (void)detail::run_engine(
+        Level::kLevel3, "level3", ds, config, machine, plan,
+        init_centroids(ds, config), [&](detail::EngineRank& rank) {
+          rows[rank.cg] = {rank.acc.row_begin(), rank.acc.row_end()};
+          sums[rank.cg] = rank.acc.sums.size();
+          return std::make_unique<Idle>();
+        });
+    for (std::size_t cg = 0; cg < machine.num_cgs(); ++cg) {
+      const auto [b, e] = held_centroid_rows(plan, cg);
+      EXPECT_EQ(rows[cg], held_centroid_rows(plan, cg)) << "k=" << k;
+      EXPECT_EQ(sums[cg], (e - b) * ds.d()) << "k=" << k << " cg=" << cg;
+      EXPECT_LE(e - b, plan.k_local);
+    }
+    // CG 3 holds the last slice: empty at k = 3, one row at k = 10.
+    EXPECT_EQ(sums[3], k == 3 ? 0u : ds.d()) << "k=" << k;
+  }
+}
+
+/// Level 3 across two CG groups of four (tiny(4, 4, 512): eight CGs,
+/// k = 100, d = 96, so the planner itself picks m' = 4): every update
+/// shard straddles a slice edge and each row folds over two holders. The
+/// fit must be byte-equal to lloyd_serial with the SDC defense off and
+/// on, and under RecoveryDriver with one crash. tiny(2, 4, 512) runs the
+/// same shape as one group of four, where every row has one holder.
+TEST(ShardedUpdate, Level3MultiGroupFitMatchesSerialLloyd) {
+  const data::Dataset ds = data::make_blobs(600, 96, 40, 4711);
+  KmeansConfig config;
+  config.k = 100;
+  config.max_iterations = 8;
+  config.tolerance = -1;  // all eight iterations: the crash lands inside
+  config.tile_samples = 16;
+  config.checkpoint_every = 2;
+  const KmeansResult ref = lloyd_serial(ds, config);
+  const std::size_t bytes = ref.centroids.size() * sizeof(float);
+  const auto expect_serial = [&](const KmeansResult& got) {
+    EXPECT_EQ(got.iterations, ref.iterations);
+    EXPECT_EQ(got.assignments, ref.assignments);
+    EXPECT_EQ(got.empty_clusters, ref.empty_clusters);
+    ASSERT_EQ(got.centroids.size(), ref.centroids.size());
+    EXPECT_EQ(std::memcmp(got.centroids.data(), ref.centroids.data(), bytes),
+              0);
+  };
+  for (const std::size_t nodes : {2u, 4u}) {
+    SCOPED_TRACE("nodes=" + std::to_string(nodes));
+    const simarch::MachineConfig machine =
+        simarch::MachineConfig::tiny(nodes, 4, 512);
+    const auto choice = best_plan_for_level(
+        Level::kLevel3, {ds.n(), config.k, ds.d()}, machine);
+    ASSERT_TRUE(choice.has_value());
+    ASSERT_EQ(choice->plan.mprime_group, 4u);
+    ASSERT_EQ(choice->plan.num_flow_units, machine.num_cgs() / 4);
+    for (const bool sdc : {false, true}) {
+      SCOPED_TRACE(sdc ? "sdc on" : "sdc off");
+      KmeansConfig cfg = config;
+      cfg.sdc_checks = sdc;
+      expect_serial(run_level(Level::kLevel3, ds, cfg, machine, 0, 4));
+    }
+    swmpi::FaultPlan plan;
+    plan.crash(static_cast<int>(machine.num_cgs()) - 1, /*iteration=*/3,
+               swmpi::FaultSite::kUpdate);
+    KmeansConfig faulty = config;
+    faulty.fault_plan = &plan;
+    RecoveryOptions options;
+    options.checkpoint_path = ::testing::TempDir() +
+                              "/swhkm_sharded_l3_" + std::to_string(nodes) +
+                              ".ckpt";
+    RecoveryDriver driver(machine, options);
+    expect_serial(driver.run(Level::kLevel3, ds, faulty));
+    EXPECT_EQ(plan.fired_crashes(), 1u);
+    EXPECT_EQ(driver.report().faults, 1u);
+    EXPECT_FALSE(driver.report().degraded);
+  }
 }
 
 /// Integer-valued samples make every accumulator sum exact in double
