@@ -151,9 +151,8 @@ void EngineRank::charge_gate_and_sdc(std::uint64_t unresolved,
     return;
   }
   // Charged only when the defense is armed, so defense-off model numbers
-  // stay pinned.
-  // The scrub reads the shared snapshot and this rank's accumulator: all
-  // k rows at Levels 1/2, the CG's slice at Level 3.
+  // stay pinned. The scrub reads the shared snapshot and this rank's
+  // accumulator: all k rows at Levels 1/2, the CG's slice at Level 3.
   const std::size_t k = run.config.k;
   const std::size_t d = run.dataset.d();
   const simarch::MachineConfig& machine = run.machine;

@@ -181,45 +181,47 @@ template <typename T, typename Op, typename PeerSlice>
 const T* fold_binomial_present(T* out, std::size_t len, int size,
                                std::vector<std::vector<T>>& scratch,
                                PeerSlice&& peer_slice, Op op) {
-  SWHKM_REQUIRE(scratch.size() >= static_cast<std::size_t>(size),
+  const auto streams = static_cast<std::size_t>(size);
+  SWHKM_REQUIRE(scratch.size() >= streams,
                 "fold_binomial_present needs one scratch slot per stream");
   // cur[r] points at the partial of stream r's subtree (null while the
   // subtree holds no present stream); owned[r] says whether that partial
   // is materialised in out / scratch[r] or read in place from a stream.
-  std::vector<const T*> cur(static_cast<std::size_t>(size));
-  std::vector<char> owned(static_cast<std::size_t>(size), 0);
-  for (int r = 0; r < size; ++r) {
-    cur[static_cast<std::size_t>(r)] = peer_slice(r);
+  std::vector<const T*> cur(streams);
+  std::vector<char> owned(streams, 0);
+  for (std::size_t r = 0; r < streams; ++r) {
+    cur[r] = peer_slice(static_cast<int>(r));
   }
-  for (int s = 1; s < size; s <<= 1) {
-    for (int r = 0; r + s < size; r += 2 * s) {
-      const T* b = cur[static_cast<std::size_t>(r + s)];
+  for (std::size_t s = 1; s < streams; s <<= 1) {
+    for (std::size_t r = 0; r + s < streams; r += 2 * s) {
+      const T* b = cur[r + s];
       if (b == nullptr) {
         continue;
       }
-      const T* a = cur[static_cast<std::size_t>(r)];
-      if (a == nullptr) {
-        cur[static_cast<std::size_t>(r)] = b;  // borrowed, not copied
+      if (cur[r] == nullptr) {
+        cur[r] = b;  // borrowed, not copied
+        continue;
+      }
+      if (owned[r] != 0) {
+        T* target = r == 0 ? out : scratch[r].data();
+        for (std::size_t i = 0; i < len; ++i) {
+          op(target[i], b[i]);
+        }
         continue;
       }
       T* target = out;
       if (r != 0) {
-        scratch[static_cast<std::size_t>(r)].resize(len);
-        target = scratch[static_cast<std::size_t>(r)].data();
+        scratch[r].resize(len);
+        target = scratch[r].data();
       }
-      if (owned[static_cast<std::size_t>(r)] != 0) {
-        for (std::size_t i = 0; i < len; ++i) {
-          op(target[i], b[i]);
-        }
-      } else {
-        for (std::size_t i = 0; i < len; ++i) {
-          T v = a[i];
-          op(v, b[i]);
-          target[i] = v;
-        }
-        cur[static_cast<std::size_t>(r)] = target;
-        owned[static_cast<std::size_t>(r)] = 1;
+      const T* a = cur[r];
+      for (std::size_t i = 0; i < len; ++i) {
+        T v = a[i];
+        op(v, b[i]);
+        target[i] = v;
       }
+      cur[r] = target;
+      owned[r] = 1;
     }
   }
   return cur[0];
@@ -229,11 +231,8 @@ template <typename T, typename Op, typename PeerSlice>
 void fold_binomial_slices(T* out, std::size_t len, int size,
                           std::vector<std::vector<T>>& scratch,
                           PeerSlice&& peer_slice, Op op) {
-  const T* result = peer_slice(0);
-  if (size > 1) {
-    result = fold_binomial_present(out, len, size, scratch,
-                                   std::forward<PeerSlice>(peer_slice), op);
-  }
+  const T* result = fold_binomial_present(
+      out, len, size, scratch, std::forward<PeerSlice>(peer_slice), op);
   if (result != out) {
     std::copy(result, result + len, out);
   }

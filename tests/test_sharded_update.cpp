@@ -4,6 +4,9 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/engine_common.hpp"
@@ -233,8 +236,8 @@ FoldRun fold_with(const PartitionPlan& plan, int size, std::size_t d,
 }
 
 /// The Level 3 accumulators hold only their slice's rows. Folding them
-/// must give the bits of today's full-size accumulators, which hold +0.0
-/// in every row outside the slice: for 1-8 ranks, shards that straddle
+/// must give the bits of full-size accumulators, which hold +0.0 in every
+/// row outside the slice: for 1-8 ranks, shards that straddle
 /// slice edges (k = 100 on 8 ranks at m' = 4 cuts shards of 13 rows
 /// across slices of 25), empty slices (k < m') and -0.0 samples.
 TEST(ShardedUpdate, RowRangeAccumulatorsFoldLikeZeroPaddedOnes) {
