@@ -353,18 +353,17 @@ KmeansResult run_engine(Level level, const char* name,
   // for the candidate/norm scratch downgrades the kernel instead of
   // rejecting a tile that fits without it; record-footprint overflow still
   // throws through resolve_tile_samples.
-  const bool gemm = gemm_scratch_fits(config.tile_samples, plan, machine,
-                                      config.sstep_tiles);
-  const std::size_t tile_samples = resolve_tile_samples(
-      config.tile_samples, plan, machine, config.sstep_tiles, gemm);
+  const bool gemm = gemm_scratch_fits(config.tile_samples, plan, machine);
+  const std::size_t tile_samples =
+      resolve_tile_samples(config.tile_samples, plan, machine, gemm);
   if (!gemm) {
     SWHKM_WARN << name << ": GEMM scratch for tile_samples="
                << config.tile_samples
                << " overflows LDM; using the chain kernel (bit-identical)";
   }
-  const std::size_t batch = std::min(
-      plan.ldm.sample_batch,
-      sample_batch(plan, machine, tile_samples, config.sstep_tiles, gemm));
+  const std::size_t batch =
+      std::min(plan.ldm.sample_batch,
+               sample_batch(plan, machine, tile_samples, gemm));
   validate_ldm_layout(plan, machine, batch);
   const simarch::Topology topo(machine);
   // Hierarchical-collective schedule: one supernode's CGs form an intra

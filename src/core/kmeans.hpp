@@ -63,15 +63,6 @@ struct KmeansConfig {
   /// machine by the planner (resolve_tile_samples); serial baselines keep
   /// the static kAssignTileSamples default and ignore this field.
   std::size_t tile_samples = 256;
-  /// s-step deferred reduction (Level 3 only — the other levels resolve
-  /// tiles on the register bus, not the network): fold this many
-  /// consecutive tiles' MinLoc2 partials locally and ride them on
-  /// one split-phase combine, cutting per-iteration collective *rounds* by
-  /// the same factor while bytes stay put. Any value is bit-identical (the
-  /// combine stays element-wise over disjoint sample ranges); the record
-  /// buffer footprint scales with it and is validated at config time by
-  /// resolve_tile_samples. 1 reproduces the per-tile combine.
-  std::size_t sstep_tiles = 1;
   /// Which modeled charge the collectives pay: on, the topology model's
   /// hierarchical costs (intra-supernode fold into per-supernode leaders,
   /// size-adaptive inter-supernode stage, crossover derived from
@@ -134,8 +125,7 @@ struct IterationStats {
   /// tracks.
   std::uint64_t flops = 0;
   /// Critical-path network collective rounds this iteration (the busiest
-  /// rank's count — see CostTally::net_rounds). What the s-step deferred
-  /// reduction cuts.
+  /// rank's count — see CostTally::net_rounds).
   std::uint64_t net_rounds = 0;
   /// Fault bookkeeping, stamped by the RecoveryDriver onto the first
   /// iteration of a leg that followed a failure: how many attempts the

@@ -15,12 +15,12 @@ static_assert(kLevel3BoundGroups < 32, "merge_group_records' scan mask");
 
 /// Level 3 policy: every CG of a CG group reads each unresolved sample
 /// (its CPEs taking d_local dims each) and scores its own centroid slice,
-/// a span of `sstep_tiles` tiles at a time; one batched argmin combine
-/// across the group then resolves the whole compacted span, and a
-/// fully-gated span skips the collective outright (every rank computed the
-/// same empty compaction, so the collective discipline holds). The
-/// simulated cost still prices the paper's per-sample combine; only the
-/// wall-clock synchronisation is batched. The winner's slice owner
+/// a tile at a time; one batched argmin combine across the group then
+/// resolves the whole compacted tile, and a fully-gated tile skips the
+/// collective outright (every rank computed the same empty compaction, so
+/// the collective discipline holds). The simulated cost still prices the
+/// paper's per-sample combine; only the wall-clock synchronisation is
+/// batched. The winner's slice owner
 /// accumulates, in ascending-i order — resolved samples under their
 /// stored assignment — so the fused sums keep the exact summation order
 /// of a full sweep. The gate keeps one lower bound per centroid group
@@ -38,11 +38,11 @@ class Level3Policy final : public detail::LevelPolicy {
                                      static_cast<int>(within_))),
         j_begin_(rank.acc.row_begin()),
         j_end_(rank.acc.row_end()),
-        span_samples_(rank.run.tile_samples * rank.run.config.sstep_tiles),
         runs_(1, rank.run.sample_batch) {
-    for (SpanSlot& s : slots_) {
-      s.dc.reserve(span_samples_ * rank.split.groups);
-      s.ids.reserve(span_samples_);
+    const std::size_t tile = rank.run.tile_samples;
+    for (TileSlot& s : slots_) {
+      s.recs.reserve(tile * rank.split.groups);
+      s.ids.reserve(tile);
     }
     // Every rank of the group keeps a *private* replica of the group's
     // assignments for the gate: its inputs (combined MinLoc2 records,
@@ -66,13 +66,14 @@ class Level3Policy final : public detail::LevelPolicy {
     runs_.reset();
     drain_first_us_ = -1.0;
     drain_wall_us_ = 0.0;
-    // Span t-1 retires only after span t is staged: its combine kept
-    // draining under this span's gate + sweep, and this span's combine is
+    // Tile t-1 retires only after tile t is staged: its combine kept
+    // draining under this tile's gate + sweep, and this tile's combine is
     // already in flight before we block.
+    const std::size_t tile = rank.run.tile_samples;
     int cur = 0;
-    for (std::size_t t0 = begin; t0 < end; t0 += span_samples_) {
-      stage(rank, slots_[cur], t0, std::min(end, t0 + span_samples_));
-      SpanSlot& prev = slots_[cur ^ 1];
+    for (std::size_t t0 = begin; t0 < end; t0 += tile) {
+      stage(rank, slots_[cur], t0, std::min(end, t0 + tile));
+      TileSlot& prev = slots_[cur ^ 1];
       if (prev.valid) {
         retire(rank, prev);
       }
@@ -163,18 +164,19 @@ class Level3Policy final : public detail::LevelPolicy {
       }
     }
 
-    // Tile pipeline overlap: all but the first span's combine drain (and
-    // centroid reload) issue under another span's distance sweep, so up to
+    // Tile pipeline overlap: all but the first tile's combine drain (and
+    // centroid reload) issue under another tile's distance sweep, so up to
     // a (T-1)/T share of the sweep hides that traffic. The combine is
     // hidden first (it is the phase the split-phase start/finish really
     // overlaps); leftover window hides the modelled centroid re-stream.
     // Hidden seconds move into the overlapped_* ledgers — total_s()
     // shrinks by exactly what the pipeline bought.
-    if (count_ > span_samples_) {
-      const std::size_t nspans = (count_ + span_samples_ - 1) / span_samples_;
+    const std::size_t tile = run.tile_samples;
+    if (count_ > tile) {
+      const std::size_t ntiles = (count_ + tile - 1) / tile;
       const double window = sweep_compute_s *
-                            static_cast<double>(nspans - 1) /
-                            static_cast<double>(nspans);
+                            static_cast<double>(ntiles - 1) /
+                            static_cast<double>(ntiles);
       const double hide_net = std::min(tile_net_s, window);
       const double hide_dma = std::min(tile_dma_s, window - hide_net);
       tally.net_comm_s -= hide_net;
@@ -188,61 +190,58 @@ class Level3Policy final : public detail::LevelPolicy {
   }
 
  private:
-  /// Double-buffered span slots: span t+1 is gated and scored (one
-  /// deferred-combine launch) while span t's combine drains. Two slots is
-  /// exactly the depth the overlap needs.
-  using Combine =
-      swmpi::DeferredCombine<swmpi::MinLoc2, swmpi::CombineMinLoc2>;
-  struct SpanSlot {
+  /// Double-buffered tile slots: tile t+1 is gated and scored (one
+  /// combine launch) while tile t's combine drains. Two slots is exactly
+  /// the depth the overlap needs.
+  struct TileSlot {
     std::size_t t0 = 0;
     std::size_t t1 = 0;
     bool valid = false;
-    std::vector<std::uint32_t> ids;
-    Combine dc;
+    std::vector<std::uint32_t> ids;  ///< the tile's survivors, ascending
+    /// Group-major records: group g's record of the p-th survivor at
+    /// recs[g * ids.size() + p]. The combine is element-wise and every
+    /// rank of the group builds the same compaction, so the layout
+    /// matches across the group.
+    std::vector<swmpi::MinLoc2> recs;
+    swmpi::SplitAllreduce<swmpi::MinLoc2, swmpi::CombineMinLoc2> combine;
   };
 
-  /// Score this CG's slice for the samples `ids` into `scores`, records_
-  /// records per sample (scores[t * records_ + g]): record g covers the
-  /// centroids of group g of GroupSplit{k, records_} inside the slice
-  /// (cleared when the slice holds none of them), and the group combine's
-  /// exact selection merges the slices' partial records into group g's
-  /// top two. One record covers the whole slice. All groups score in one
-  /// call, whose records land group-major (TileGroups) and are transposed.
-  void score_ids(const detail::EngineRank& rank,
-                 std::span<const std::uint32_t> ids,
-                 std::span<swmpi::MinLoc2> scores) {
+  /// Score this CG's slice for the slot's survivors into its records,
+  /// records_ per survivor: record g covers the centroids of group g of
+  /// GroupSplit{k, records_} inside the slice (cleared when the slice
+  /// holds none of them), and the group combine's exact selection merges
+  /// the slices' partial records into group g's top two. One record
+  /// covers the whole slice. All groups score in one call.
+  void score_ids(const detail::EngineRank& rank, TileSlot& s) {
     const detail::EngineRun& run = rank.run;
     const detail::TileGroups groups{records_, {}, run.config.k};
-    const std::size_t count = ids.size();
-    group_scores_.resize(count * records_);
-    const std::span<swmpi::MinLoc2> grouped(group_scores_);
-    detail::clear_scores(grouped);
+    const std::span<const std::uint32_t> ids(s.ids);
+    s.recs.resize(ids.size() * records_);
+    const std::span<swmpi::MinLoc2> recs(s.recs);
+    detail::clear_scores(recs);
     if (run.gemm) {
       detail::score_tile_ids_gemm(run.dataset, ids, run.centroids, rank.norms,
-                                  j_begin_, j_end_, grouped, rank.gemm_hooks,
+                                  j_begin_, j_end_, recs, rank.gemm_hooks,
                                   groups);
     } else {
       detail::score_tile_ids(run.dataset, ids, run.centroids, j_begin_,
-                             j_end_, grouped, groups);
-    }
-    for (std::size_t t = 0; t < count; ++t) {
-      for (std::size_t g = 0; g < records_; ++g) {
-        scores[t * records_ + g] = grouped[g * count + t];
-      }
+                             j_end_, recs, groups);
     }
   }
 
-  /// A swept sample's winner from its combined records; while the bounds
-  /// are on, also its exact upper and per-group lower bounds (every group
-  /// was scored, so the merge reads no stored assignment or distance).
-  std::uint32_t merge(detail::EngineRank& rank,
-                      std::span<const swmpi::MinLoc2> recs, std::size_t b) {
+  /// The p-th survivor's winner from its combined records; while the
+  /// bounds are on, also its exact upper and per-group lower bounds (every
+  /// group was scored, so the merge reads no stored assignment or
+  /// distance).
+  std::uint32_t merge(detail::EngineRank& rank, const TileSlot& s,
+                      std::size_t p, std::size_t b) {
     if (!rank.bounds) {
-      return static_cast<std::uint32_t>(recs[0].index);
+      return static_cast<std::uint32_t>(s.recs[p].index);
     }
+    const std::size_t count = s.ids.size();
     const swmpi::MinLoc2* ptrs[kLevel3BoundGroups] = {};
     for (std::size_t g = 0; g < records_; ++g) {
-      ptrs[g] = &recs[g];
+      ptrs[g] = &s.recs[g * count + p];
     }
     return detail::merge_group_records<swmpi::MinLoc2>(
         std::span<const swmpi::MinLoc2* const>(ptrs, records_),
@@ -251,65 +250,53 @@ class Level3Policy final : public detail::LevelPolicy {
         rank.upper[b], rank.lower.data() + b * records_);
   }
 
-  /// Stage span [t0, t1): gate + score each of its sub-tiles into the
-  /// slot's deferred-combine store, then *launch* the span's single argmin
-  /// combine (the binomial up-phase send posts without waiting) so the
-  /// drain can overlap the next span's sweep. Sub-tiles claim records in
-  /// ascending order, so the combined store maps 1:1 onto the span's
-  /// survivors in ascending i.
-  void stage(detail::EngineRank& rank, SpanSlot& s, std::size_t t0,
+  /// Stage tile [t0, t1): gate it, score its survivors, then *launch* its
+  /// argmin combine (the binomial up-phase send posts without waiting) so
+  /// the drain can overlap the next tile's sweep.
+  void stage(detail::EngineRank& rank, TileSlot& s, std::size_t t0,
              std::size_t t1) {
-    const std::size_t tile = rank.run.tile_samples;
     s.t0 = t0;
     s.t1 = t1;
     s.valid = true;
     rank.record_tile(telemetry::FlightEventKind::kTileStart, t0, t1);
     s.ids.clear();
-    s.dc.reset();
-    for (std::size_t sub0 = t0; sub0 < t1; sub0 += tile) {
-      const std::size_t sub1 = std::min(t1, sub0 + tile);
-      const std::size_t before = s.ids.size();
-      if (!rank.gating) {
-        for (std::size_t i = sub0; i < sub1; ++i) {
-          s.ids.push_back(static_cast<std::uint32_t>(i));
-        }
-      } else {
-        // No tightening at this level: the assigned centroid's row is
-        // dimension-split across the group's CPEs and slice-split across
-        // its CGs, so one exact distance would cost the combine the gate
-        // exists to skip. No safe radii either (rank.safe stays empty):
-        // the group bounds alone decide, and no group is skipped.
-        detail::gate_groups(rank.run.dataset, rank.run.centroids, sub0, sub1,
-                            local_assign_, rank.drift, rank.split,
-                            rank.digests, rank.safe, rank.bound_base,
-                            rank.upper, rank.lower, /*tighten=*/false,
-                            detail::GateSurvivors{s.ids});
+    if (!rank.gating) {
+      for (std::size_t i = t0; i < t1; ++i) {
+        s.ids.push_back(static_cast<std::uint32_t>(i));
       }
-      const std::size_t fresh = s.ids.size() - before;
-      if (rank.survivor_hist != nullptr && rank.gating) {
-        rank.survivor_hist->observe(static_cast<double>(fresh));
+    } else {
+      // No tightening at this level: the assigned centroid's row is
+      // dimension-split across the group's CPEs and slice-split across its
+      // CGs, so one exact distance would cost the combine the gate exists
+      // to skip. No safe radii either (rank.safe stays empty): the group
+      // bounds alone decide, and no group is skipped.
+      detail::gate_groups(rank.run.dataset, rank.run.centroids, t0, t1,
+                          local_assign_, rank.drift, rank.split, rank.digests,
+                          rank.safe, rank.bound_base, rank.upper, rank.lower,
+                          /*tighten=*/false, detail::GateSurvivors{s.ids});
+      if (rank.survivor_hist != nullptr) {
+        rank.survivor_hist->observe(static_cast<double>(s.ids.size()));
       }
-      if (fresh == 0) {
-        continue;
-      }
-      score_ids(rank,
-                std::span<const std::uint32_t>(s.ids.data() + before, fresh),
-                s.dc.claim(fresh * records_));
     }
-    // A fully-gated span claimed nothing: launch() skips the collective
-    // and no round is charged.
-    if (s.dc.launch(group_comm_, swmpi::CombineMinLoc2{}) && p_ > 1) {
+    // A fully-gated tile launches no collective and is charged no round.
+    if (s.ids.empty()) {
+      return;
+    }
+    score_ids(rank, s);
+    s.combine.start(group_comm_, std::span<swmpi::MinLoc2>(s.recs),
+                    swmpi::CombineMinLoc2{});
+    if (p_ > 1) {
       rank.tally.net_rounds += 1;
     }
   }
 
-  /// Drain a span's combine, timing the wait for the combine_drain span.
-  void drain(const detail::EngineRank& rank, Combine& dc) {
-    if (!dc.active()) {
+  /// Drain a tile's combine, timing the wait for the combine_drain span.
+  void drain(const detail::EngineRank& rank, TileSlot& s) {
+    if (!s.combine.active()) {
       return;
     }
     const double t_us = rank.spans_on ? rank.tel->now_us() : 0.0;
-    dc.finish();
+    s.combine.finish();
     if (rank.spans_on) {
       if (drain_first_us_ < 0) {
         drain_first_us_ = t_us;
@@ -318,21 +305,20 @@ class Level3Policy final : public detail::LevelPolicy {
     }
   }
 
-  /// Retire span [s.t0, s.t1): drain its combine, then merge the resolved
+  /// Retire tile [s.t0, s.t1): drain its combine, then merge the resolved
   /// winners in ascending-i order (the bit-identity invariant), counting
   /// the stream runs of the samples this CG reads: the survivors and the
   /// resolved samples its slice owns.
-  void retire(detail::EngineRank& rank, SpanSlot& s) {
+  void retire(detail::EngineRank& rank, TileSlot& s) {
     const data::Dataset& dataset = rank.run.dataset;
     std::vector<std::uint32_t>& assignments = rank.run.assignments;
-    drain(rank, s.dc);
-    const std::span<const swmpi::MinLoc2> scores = s.dc.records();
+    drain(rank, s);
     std::size_t pos = 0;
     for (std::size_t i = s.t0; i < s.t1; ++i) {
       const std::size_t b = i - rank.bound_base;
       std::uint32_t winner;
       if (pos < s.ids.size() && s.ids[pos] == i) {
-        winner = merge(rank, scores.subspan(pos * records_, records_), b);
+        winner = merge(rank, s, pos, b);
         local_assign_[b] = winner;
         if (within_ == 0) {
           assignments[i] = winner;
@@ -363,9 +349,7 @@ class Level3Policy final : public detail::LevelPolicy {
   /// rows its accumulator and norm refresh hold.
   const std::size_t j_begin_;
   const std::size_t j_end_;
-  const std::size_t span_samples_;  ///< tiles per deferred combine x tile
-  SpanSlot slots_[2];
-  std::vector<swmpi::MinLoc2> group_scores_;  ///< all groups, group-major
+  TileSlot slots_[2];
   std::vector<std::uint32_t> local_assign_;  ///< from rank.bound_base
   detail::StreamRuns runs_;  ///< this CG's sample-stream descriptors
 

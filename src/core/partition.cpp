@@ -449,8 +449,8 @@ PartitionPlan make_plan(Level level, const ProblemShape& shape,
   // The batch the model charges: the default tile, on the kernel the
   // engines would pick for it.
   const std::size_t tile = KmeansConfig{}.tile_samples;
-  plan.ldm.sample_batch = sample_batch(
-      plan, machine, tile, 1, gemm_scratch_fits(tile, plan, machine, 1));
+  plan.ldm.sample_batch =
+      sample_batch(plan, machine, tile, gemm_scratch_fits(tile, plan, machine));
   return plan;
 }
 
@@ -477,18 +477,13 @@ std::string PartitionPlan::describe() const {
 
 namespace {
 
-/// Bytes of a CG's aggregate LDM one assign tile takes: the live tiles'
-/// argmin records plus, with `gemm`, the GEMM sweep's per-sample scratch
-/// and the k_local-double norm cache.
+/// Bytes of a CG's aggregate LDM one assign tile takes: the tile's argmin
+/// records plus, with `gemm`, the GEMM sweep's per-sample scratch and the
+/// k_local-double norm cache.
 std::size_t tile_scratch_bytes(std::size_t tile_samples,
-                               const PartitionPlan& plan,
-                               std::size_t sstep_tiles, bool gemm) {
+                               const PartitionPlan& plan, bool gemm) {
   constexpr std::size_t kScoreBytes = 24;  // sizeof(swmpi::MinLoc2)
-  // Only Level 3 defers combines, so only there do sstep_tiles tiles'
-  // records stay live at once.
-  const std::size_t live_tiles =
-      plan.level == Level::kLevel3 ? sstep_tiles : 1;
-  const std::size_t record_bytes = tile_samples * kScoreBytes * live_tiles;
+  const std::size_t record_bytes = tile_samples * kScoreBytes;
   const std::size_t gemm_bytes =
       gemm ? tile_samples * kGemmSampleScratchBytes +
                  static_cast<std::size_t>(plan.k_local) * sizeof(double)
@@ -501,25 +496,15 @@ std::size_t tile_scratch_bytes(std::size_t tile_samples,
 std::size_t resolve_tile_samples(std::size_t requested,
                                  const PartitionPlan& plan,
                                  const simarch::MachineConfig& machine,
-                                 std::size_t sstep_tiles, bool gemm) {
-  if (sstep_tiles == 0) {
-    throw InfeasibleError(
-        "sstep_tiles=0: the s-step deferred reduction must fold at least "
-        "one tile per combine (1 reproduces the per-tile combine)");
-  }
-  const std::size_t record_bytes = tile_scratch_bytes(
-      requested, plan, sstep_tiles, false);
-  const std::size_t need = tile_scratch_bytes(requested, plan, sstep_tiles,
-                                              gemm);
+                                 bool gemm) {
+  const std::size_t record_bytes = tile_scratch_bytes(requested, plan, false);
+  const std::size_t need = tile_scratch_bytes(requested, plan, gemm);
   const std::size_t gemm_bytes = need - record_bytes;
   const std::size_t budget = plan.cpes_per_cg * machine.ldm_bytes;
   if (requested == 0 || need > budget) {
-    const std::size_t live_tiles =
-        plan.level == Level::kLevel3 ? sstep_tiles : 1;
     throw InfeasibleError(
         "tile_samples=" + std::to_string(requested) + " needs " +
-        std::to_string(record_bytes) + " bytes of argmin records (" +
-        std::to_string(live_tiles) + " live tile(s))" +
+        std::to_string(record_bytes) + " bytes of argmin records" +
         (gemm_bytes > 0 ? " + " + std::to_string(gemm_bytes) +
                               " bytes of GEMM candidate/norm scratch"
                         : std::string()) +
@@ -532,12 +517,10 @@ std::size_t resolve_tile_samples(std::size_t requested,
 
 std::size_t sample_batch(const PartitionPlan& plan,
                          const simarch::MachineConfig& machine,
-                         std::size_t tile_samples, std::size_t sstep_tiles,
-                         bool gemm) {
+                         std::size_t tile_samples, bool gemm) {
   const std::size_t eb = machine.elem_bytes;
   const std::size_t share_elems = ceil_div(
-      ceil_div(tile_scratch_bytes(tile_samples, plan, sstep_tiles, gemm),
-               plan.cpes_per_cg),
+      ceil_div(tile_scratch_bytes(tile_samples, plan, gemm), plan.cpes_per_cg),
       eb);
   const std::size_t used = plan.ldm.total_elems + share_elems;
   const std::size_t ldm = machine.ldm_elems();
@@ -548,10 +531,9 @@ std::size_t sample_batch(const PartitionPlan& plan,
 }
 
 bool gemm_scratch_fits(std::size_t tile_samples, const PartitionPlan& plan,
-                       const simarch::MachineConfig& machine,
-                       std::size_t sstep_tiles) {
+                       const simarch::MachineConfig& machine) {
   try {
-    resolve_tile_samples(tile_samples, plan, machine, sstep_tiles, true);
+    resolve_tile_samples(tile_samples, plan, machine, true);
     return true;
   } catch (const InfeasibleError&) {
     return false;

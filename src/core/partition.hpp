@@ -147,16 +147,13 @@ inline constexpr std::size_t kGemmSampleScratchBytes = 60;
 /// tile's argmin records (24 bytes each — the top-two MinLoc2 width, the
 /// larger of the two record kinds the engines batch) must fit the CG's
 /// aggregate scratchpad, where they time-share with the plan's per-CPE
-/// stream buffers. Level 3's s-step deferred reduction holds `sstep_tiles`
-/// consecutive tiles' records live at once, and the GEMM sweep adds its
-/// per-sample scratch plus the plan's local slice of the centroid-norm
-/// cache (k_local doubles). Throws InfeasibleError (the planner's
+/// stream buffers. The GEMM sweep adds its per-sample scratch plus the
+/// plan's local slice of the centroid-norm cache (k_local doubles). Throws InfeasibleError (the planner's
 /// rejection path — callers get a diagnosable error, not an assert) for
 /// zero or oversized requests; returns the validated value otherwise.
 std::size_t resolve_tile_samples(std::size_t requested,
                                  const PartitionPlan& plan,
                                  const simarch::MachineConfig& machine,
-                                 std::size_t sstep_tiles = 1,
                                  bool gemm = true);
 
 /// Samples per sample-stream DMA descriptor: the largest B whose double
@@ -169,8 +166,7 @@ std::size_t resolve_tile_samples(std::size_t requested,
 /// the smaller of the two.
 std::size_t sample_batch(const PartitionPlan& plan,
                          const simarch::MachineConfig& machine,
-                         std::size_t tile_samples, std::size_t sstep_tiles,
-                         bool gemm);
+                         std::size_t tile_samples, bool gemm);
 
 /// Whether the GEMM sweep's candidate/norm scratch fits in LDM alongside
 /// the tile's records. The GEMM kernel is an optimisation with
@@ -178,8 +174,7 @@ std::size_t sample_batch(const PartitionPlan& plan,
 /// multi-chain kernel — instead of rejecting a configuration that is
 /// feasible without the scratch — when it returns false.
 bool gemm_scratch_fits(std::size_t tile_samples, const PartitionPlan& plan,
-                       const simarch::MachineConfig& machine,
-                       std::size_t sstep_tiles = 1);
+                       const simarch::MachineConfig& machine);
 
 /// Largest k (resp. d) the level can handle on `machine` with the other
 /// two shape parameters fixed — powers Table I and the capability bench.

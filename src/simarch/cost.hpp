@@ -43,9 +43,9 @@ struct CostTally {
   std::uint64_t pruned_samples = 0;
   /// Network collective *rounds* this rank entered (per-tile argmin
   /// combines plus the update phase's reduce_scatter + allgather). Rounds
-  /// are the latency-side currency the s-step deferred reduction spends
-  /// less of — bytes can stay constant while rounds drop by the fold
-  /// factor. Combined across ranks as a max (concurrent groups' rounds
+  /// are the latency-side currency a larger tile spends less of — bytes
+  /// stay constant while rounds drop with the tile count. Combined across
+  /// ranks as a max (concurrent groups' rounds
   /// overlap; the busiest rank is the critical path) and summed across
   /// iterations like the time fields.
   std::uint64_t net_rounds = 0;

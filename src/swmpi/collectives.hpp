@@ -723,82 +723,6 @@ inline void allreduce_minloc2(Comm& comm, std::span<MinLoc2> buf) {
   allreduce(comm, buf, CombineMinLoc2{});
 }
 
-/// s-step deferred reduction: accumulate several tiles' combine records in
-/// one store and ride them on a single SplitAllreduce, cutting collective
-/// *rounds* by the fold factor while moving the same bytes. The combine
-/// stays element-wise over the concatenated records — each element is still
-/// folded in the root-0 binomial association — so deferring is bit-identical
-/// to per-tile combines for any fold factor.
-///
-/// Protocol per span: reset(); then for each sub-tile claim(count) and fill
-/// the returned span; launch(comm, op) once; overlap compute; finish();
-/// read records(). claim() is only legal between reset() and launch() —
-/// the store may reallocate while claiming, so spans from earlier claims
-/// are invalidated by later ones (fill each claim before the next); once
-/// launch() posts the buffer to the collective no further growth is
-/// allowed. A span with zero claimed records skips the collective:
-/// launch() is a no-op and launched() stays false, so callers can charge
-/// rounds only for combines that actually hit the network.
-template <typename T, typename Op>
-class DeferredCombine {
- public:
-  DeferredCombine() = default;
-  DeferredCombine(const DeferredCombine&) = delete;
-  DeferredCombine& operator=(const DeferredCombine&) = delete;
-
-  /// Grow the backing store up front (records survive reset()) so claims
-  /// inside the hot loop never pay a reallocation.
-  void reserve(std::size_t records) { store_.reserve(records); }
-
-  void reset() {
-    SWHKM_REQUIRE(!active(), "DeferredCombine::reset while an op is in flight");
-    store_.clear();
-    launched_ = false;
-  }
-
-  /// Append `count` uninitialised record slots and return them for the
-  /// caller to fill (the engines clear_scores + score into the claim).
-  std::span<T> claim(std::size_t count) {
-    SWHKM_REQUIRE(!active() && !launched_,
-                  "DeferredCombine::claim after launch");
-    const std::size_t begin = store_.size();
-    store_.resize(begin + count);
-    return std::span<T>(store_.data() + begin, count);
-  }
-
-  std::size_t size() const { return store_.size(); }
-  bool active() const { return combine_.active(); }
-  bool launched() const { return launched_; }
-
-  /// Post the span's single collective. No-op when nothing was claimed;
-  /// returns whether a collective actually launched.
-  bool launch(Comm& comm, Op op) {
-    SWHKM_REQUIRE(!active(), "DeferredCombine::launch while an op is in flight");
-    launched_ = true;
-    if (store_.empty()) {
-      return false;
-    }
-    combine_.start(comm, std::span<T>(store_.data(), store_.size()), op);
-    return true;
-  }
-
-  void finish() {
-    if (combine_.active()) {
-      combine_.finish();
-    }
-  }
-
-  /// The combined records after finish(), in claim order.
-  std::span<const T> records() const {
-    return std::span<const T>(store_.data(), store_.size());
-  }
-
- private:
-  std::vector<T> store_;
-  SplitAllreduce<T, Op> combine_;
-  bool launched_ = false;
-};
-
 /// Gather one value per rank; every rank receives the vector indexed by
 /// rank. Linear gather through rank 0 plus broadcast — collectives at this
 /// granularity run once per engine setup, not per sample.

@@ -24,7 +24,7 @@ namespace swhkm::swmpi {
 inline constexpr int kReservedTagBase = 1 << 24;
 
 /// Which schedule the reduction-shaped collectives (allreduce and its
-/// MinLoc2 wrapper, allgatherv, SplitAllreduce/DeferredCombine) run. Both
+/// MinLoc2 wrapper, allgatherv, SplitAllreduce) run. Both
 /// run the one two-level code path: kFlat is its one-rank-per-group layout
 /// (every rank is a leader and the inter stage is always the binomial
 /// tree), which sends exactly the whole-world root-0 binomial pattern;

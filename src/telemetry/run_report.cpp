@@ -53,7 +53,6 @@ void RunReport::write_json(std::ostream& out) const {
   w.kv("init", init_name(config.init));
   w.kv("seed", config.seed);
   w.kv("tile_samples", static_cast<std::uint64_t>(config.tile_samples));
-  w.kv("sstep_tiles", static_cast<std::uint64_t>(config.sstep_tiles));
   w.kv("hier_collectives", config.hier_collectives);
   w.kv("sdc_checks", config.sdc_checks);
   w.kv("assign_kernel", std::string_view(assign_kernel));

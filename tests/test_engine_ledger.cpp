@@ -191,13 +191,11 @@ std::vector<LedgerCell> ledger_cells() {
     cells.push_back({"L3_boundsOff", Level::kLevel3, one_supernode, config, 2,
                      data::make_blobs(160, 12, 5, 17), 0xe34e325cu});
   }
-  for (const std::size_t sstep : {1u, 4u}) {
+  {
     KmeansConfig config = base_config();
     config.tile_samples = 8;
-    config.sstep_tiles = sstep;
-    cells.push_back({"L3_sstep" + std::to_string(sstep), Level::kLevel3,
-                     one_supernode, config, 2, blobs,
-                     sstep == 1 ? 0x595cd779u : 0x661128a0u});
+    cells.push_back({"L3_tile8", Level::kLevel3, one_supernode, config, 2,
+                     blobs, 0x595cd779u});
   }
   return cells;
 }

@@ -440,7 +440,7 @@ TEST(GatedAssign, Level3GatesPixelsWithoutARadiusPass) {
   // ILSVRC-like pixels, the data Level 3 exists for. With no safe-radius
   // pass to price, iteration 1 gates, no centroid pair is ever scored and
   // the savings ledger keeps the bounds on (the gate resolves up to 2/3 of
-  // the samples); every CG-group size, both s-step depths and a
+  // the samples); every CG-group size, tiles of 8 and 32 samples and a
   // RecoveryDriver run with a crash stay serial Lloyd bit for bit.
   const MachineConfig machine = MachineConfig::tiny(2, 4, 8192);
   const data::Dataset ds = data::make_ilsvrc_like(384, 8, 1);
@@ -475,11 +475,11 @@ TEST(GatedAssign, Level3GatesPixelsWithoutARadiusPass) {
     EXPECT_EQ(got.gated_iterations, gated) << where;
   };
   for (const std::size_t mprime : {1u, 2u, 4u}) {
-    for (const std::size_t sstep : {1u, 4u}) {
+    for (const std::size_t tile : {8u, 32u}) {
       KmeansConfig c = config;
-      c.sstep_tiles = sstep;
+      c.tile_samples = tile;
       const std::string where = "m'_group " + std::to_string(mprime) +
-                                ", sstep " + std::to_string(sstep);
+                                ", tile " + std::to_string(tile);
       check(run_level(Level::kLevel3, ds, c, machine, 0, mprime), where,
             c.max_iterations);
     }
@@ -642,9 +642,9 @@ TEST(GatedAssign, ResolveTileSamplesValidatesAgainstLdm) {
   const MachineConfig machine = MachineConfig::tiny(1, 4, 2048);
   const PartitionPlan plan =
       make_plan(Level::kLevel1, ProblemShape{256, 2, 4}, machine);
-  EXPECT_EQ(resolve_tile_samples(256, plan, machine, 1, false), 256u);
-  EXPECT_EQ(resolve_tile_samples(341, plan, machine, 1, false), 341u);
-  EXPECT_THROW(resolve_tile_samples(342, plan, machine, 1, false),
+  EXPECT_EQ(resolve_tile_samples(256, plan, machine, false), 256u);
+  EXPECT_EQ(resolve_tile_samples(341, plan, machine, false), 341u);
+  EXPECT_THROW(resolve_tile_samples(342, plan, machine, false),
                InfeasibleError);
   EXPECT_THROW(resolve_tile_samples(0, plan, machine), InfeasibleError);
 
@@ -654,16 +654,12 @@ TEST(GatedAssign, ResolveTileSamplesValidatesAgainstLdm) {
   EXPECT_EQ(resolve_tile_samples(97, plan, machine), 97u);
   EXPECT_THROW(resolve_tile_samples(98, plan, machine), InfeasibleError);
 
-  // s-step folding multiplies the live record footprint on Level 3 only
-  // (the other levels retire each tile's records on the register bus).
+  // Level 3 budgets the same one tile of 24-byte records.
   const MachineConfig l3_machine = MachineConfig::tiny(2, 4, 2048);
   const PartitionPlan l3_plan =
       make_plan(Level::kLevel3, ProblemShape{256, 4, 4}, l3_machine, 0, 2);
-  EXPECT_EQ(resolve_tile_samples(85, l3_plan, l3_machine, 4, false), 85u);
-  EXPECT_THROW(resolve_tile_samples(86, l3_plan, l3_machine, 4, false),
-               InfeasibleError);
-  EXPECT_EQ(resolve_tile_samples(341, plan, machine, 4, false), 341u);
-  EXPECT_THROW(resolve_tile_samples(64, plan, machine, 0, false),
+  EXPECT_EQ(resolve_tile_samples(341, l3_plan, l3_machine, false), 341u);
+  EXPECT_THROW(resolve_tile_samples(342, l3_plan, l3_machine, false),
                InfeasibleError);
 
   // The engines reject through the same path.

@@ -349,12 +349,11 @@ void expect_bit_identical(const KmeansResult& got, const KmeansResult& ref,
 
 class GemmEngineTest : public ::testing::TestWithParam<Level> {};
 
-TEST_P(GemmEngineTest, BitIdenticalToSerialAcrossSstep) {
-  // The acceptance matrix: each engine level, s-step fold factors 1/2/4
-  // (a Level 3 knob the other levels must ignore), all landing
-  // byte-identical to serial Lloyd. d = 13 keeps every panel unaligned;
-  // k = 17 leaves a one-row partial centroid block; tile 48 leaves a
-  // ragged final tile per rank.
+TEST_P(GemmEngineTest, BitIdenticalToSerialAcrossTileSizes) {
+  // The acceptance matrix: each engine level at tiles of 48, 96 and 192
+  // samples, all landing byte-identical to serial Lloyd. d = 13 keeps
+  // every panel unaligned; k = 17 leaves a one-row partial centroid
+  // block; tile 48 leaves a ragged final tile per rank.
   const Level level = GetParam();
   const data::Dataset ds = data::make_blobs(420, 13, 6, 77);
   KmeansConfig config;
@@ -362,16 +361,15 @@ TEST_P(GemmEngineTest, BitIdenticalToSerialAcrossSstep) {
   config.max_iterations = 14;
   const KmeansResult ref = lloyd_serial(ds, config);
   const MachineConfig machine = MachineConfig::tiny(2, 4, 8192);
-  for (const std::size_t sstep : {1u, 2u, 4u}) {
+  for (const std::size_t tile : {48u, 96u, 192u}) {
     KmeansConfig cfg = config;
-    cfg.sstep_tiles = sstep;
-    cfg.tile_samples = 48;
+    cfg.tile_samples = tile;
     const std::size_t mprime = level == Level::kLevel3 ? 2 : 0;
     const KmeansResult got = run_level(level, ds, cfg, machine, 0, mprime);
     EXPECT_EQ(got.assign_kernel, "gemm");
     expect_bit_identical(got, ref,
                          std::string(level_name(level)) +
-                             " sstep=" + std::to_string(sstep));
+                             " tile=" + std::to_string(tile));
   }
 }
 
@@ -439,34 +437,62 @@ INSTANTIATE_TEST_SUITE_P(AllLevels, GemmEngineTest,
                                   std::to_string(static_cast<int>(info.param));
                          });
 
-TEST(GemmEngine, SstepCutsCollectiveRoundsByTheFoldFactor) {
+TEST(GemmEngine, LargerTileCutsCollectiveRoundsByTheTileRatio) {
   // Fixed-iteration Level 3 runs: iteration 0 sweeps every sample and
-  // posts one combine per span, so s = 4 must cut its assign-phase rounds
-  // by exactly 4 while the runs stay byte-identical. tiny(2, 4) has 8
-  // CGs; p = 2 makes 4 slice groups of 256 samples each -> 4 tiles of 64
-  // per iteration, folding into exactly 1 span at s = 4. (Later
-  // iterations gate, and a fully gated span posts no combine.)
+  // posts one combine per tile, so tile 256 must cut its assign-phase
+  // rounds by exactly 4 against tile 64 while the runs stay byte-identical.
+  // tiny(2, 4) has 4 CGs; p = 2 makes 2 slice groups of 512 samples each
+  // -> 8 tiles of 64 per iteration, or exactly 2 of 256.
   const data::Dataset ds = data::make_blobs(1024, 8, 4, 31);
   const MachineConfig machine = MachineConfig::tiny(2, 4, 8192);
   KmeansConfig base;
   base.k = 6;
   base.max_iterations = 5;
   base.tolerance = -1;  // fixed length
-  base.tile_samples = 64;
-  KmeansConfig s1 = base;
-  s1.sstep_tiles = 1;
-  KmeansConfig s4 = base;
-  s4.sstep_tiles = 4;
-  const KmeansResult r1 = run_level(Level::kLevel3, ds, s1, machine, 0, 2);
-  const KmeansResult r4 = run_level(Level::kLevel3, ds, s4, machine, 0, 2);
-  expect_bit_identical(r4, r1, "sstep4 vs sstep1");
-  ASSERT_EQ(r1.history.size(), r4.history.size());
-  // 2 update rounds + assign rounds; the assign part folds by exactly 4
-  // (256 samples/rank / 64 per tile = 4 tiles).
-  const std::uint64_t assign1 = r1.history[0].net_rounds - 2;
-  const std::uint64_t assign4 = r4.history[0].net_rounds - 2;
-  EXPECT_EQ(assign1, 4u * assign4);
-  EXPECT_GT(assign4, 0u);
+  KmeansConfig t64 = base;
+  t64.tile_samples = 64;
+  KmeansConfig t256 = base;
+  t256.tile_samples = 256;
+  const KmeansResult r64 = run_level(Level::kLevel3, ds, t64, machine, 0, 2);
+  const KmeansResult r256 =
+      run_level(Level::kLevel3, ds, t256, machine, 0, 2);
+  expect_bit_identical(r256, r64, "tile 256 vs tile 64");
+  ASSERT_EQ(r64.history.size(), r256.history.size());
+  // 2 update rounds + assign rounds; the assign part shrinks by exactly 4
+  // (512 samples/rank: 8 tiles of 64, 2 of 256).
+  const std::uint64_t assign64 = r64.history[0].net_rounds - 2;
+  const std::uint64_t assign256 = r256.history[0].net_rounds - 2;
+  EXPECT_EQ(assign64, 4u * assign256);
+  EXPECT_GT(assign256, 0u);
+}
+
+TEST(GemmEngine, FullyGatedTileChargesNoRound) {
+  // One-sample Level 3 tiles on one CG group spanning all 4 CGs of
+  // tiny(2, 4): a tile posts its combine only if its sample survives the
+  // gate, so every iteration's assign rounds equal its swept samples. A
+  // tile whose sample the gate resolves skips the collective and must
+  // not be charged a round.
+  const data::Dataset ds = data::make_blobs(256, 8, 4, 31);
+  const MachineConfig machine = MachineConfig::tiny(2, 4, 8192);
+  KmeansConfig config;
+  config.k = 16;
+  config.max_iterations = 6;
+  config.tolerance = -1;  // fixed length
+  config.tile_samples = 1;
+  const KmeansResult r = run_level(Level::kLevel3, ds, config, machine, 0, 4);
+  ASSERT_EQ(r.history.size(), config.max_iterations);
+  // Iteration 0 sweeps every sample: one round per sample plus the
+  // update's.
+  ASSERT_GT(r.history[0].net_rounds, ds.n());
+  const std::uint64_t update_rounds = r.history[0].net_rounds - ds.n();
+  std::uint64_t pruned = 0;
+  for (const IterationStats& it : r.history) {
+    const auto resolved = static_cast<std::uint64_t>(
+        std::llround(it.prune_rate * static_cast<double>(ds.n())));
+    EXPECT_EQ(it.net_rounds, update_rounds + ds.n() - resolved);
+    pruned += resolved;
+  }
+  EXPECT_GT(pruned, 0u);
 }
 
 }  // namespace

@@ -322,11 +322,11 @@ TEST(SampleBatch, FillsTheLdmTheLayoutAndTileScratchLeaveFree) {
   EXPECT_EQ(plan.ldm.total_elems, 580u);
   EXPECT_EQ(plan.ldm.sample_batch, (kLdm - 580 - 86) / (2 * 4));
   EXPECT_EQ(plan.ldm.sample_batch,
-            sample_batch(plan, machine, KmeansConfig{}.tile_samples, 1, true));
+            sample_batch(plan, machine, KmeansConfig{}.tile_samples, true));
   // More tile scratch leaves a smaller batch; the chain kernel's lighter
   // scratch leaves a larger one.
-  EXPECT_LT(sample_batch(plan, machine, 1024, 1, true), plan.ldm.sample_batch);
-  EXPECT_GT(sample_batch(plan, machine, 256, 1, false), plan.ldm.sample_batch);
+  EXPECT_LT(sample_batch(plan, machine, 1024, true), plan.ldm.sample_batch);
+  EXPECT_GT(sample_batch(plan, machine, 256, false), plan.ldm.sample_batch);
 }
 
 TEST(SampleBatch, FullLayoutStreamsOneSampleADescriptor) {
@@ -351,8 +351,8 @@ TEST(SampleBatch, Level3BatchesDimensionSlices) {
       make_plan(Level::kLevel3, {2048, 256, 3072}, machine, 0, 4);
   EXPECT_EQ(plan.ldm.sample_elems, 48u);
   EXPECT_EQ(plan.ldm.sample_batch, (kLdm - 6256 - 86) / (2 * 48));
-  // Four live s-step tiles of records leave less room.
-  EXPECT_LT(sample_batch(plan, machine, 256, 4, true), plan.ldm.sample_batch);
+  // A four times larger tile leaves less room.
+  EXPECT_LT(sample_batch(plan, machine, 1024, true), plan.ldm.sample_batch);
 }
 
 TEST(SampleBatch, DescribeNamesTheBatch) {

@@ -482,15 +482,14 @@ TEST(ShardedUpdate, HierCollectivesBitIdenticalAcrossSupernodes) {
   }
 
   // Level 3 with a multi-CG group (m' = 4, so every tile runs an assign
-  // combine), gate and GEMM on, and s-step spans of two tiles draining
-  // through the hierarchical SplitAllreduce, run to convergence.
+  // combine), gate and GEMM on, and 128-sample tiles draining through
+  // the hierarchical SplitAllreduce, run to convergence.
   const data::Dataset blobs = data::make_blobs(2048, 16, 12, 717);
   KmeansConfig l3_cfg;
   l3_cfg.k = 24;
   l3_cfg.max_iterations = 30;
   l3_cfg.tolerance = 0;
-  l3_cfg.sstep_tiles = 2;
-  l3_cfg.tile_samples = 64;
+  l3_cfg.tile_samples = 128;
   constexpr std::size_t kMprime = 4;
   const KmeansResult l3_ref = lloyd_serial(blobs, l3_cfg);
   l3_cfg.hier_collectives = true;

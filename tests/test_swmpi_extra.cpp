@@ -232,97 +232,6 @@ TEST_P(SplitAllreduceTest, TwoOutstandingOpsRetireInOrder) {
 INSTANTIATE_TEST_SUITE_P(Sizes, SplitAllreduceTest,
                          ::testing::Values(1, 2, 3, 4, 5, 7, 8));
 
-// -------------------------------------------------- deferred combine
-
-class DeferredCombineTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(DeferredCombineTest, FoldedSpanMatchesPerTileCombinesBitForBit) {
-  // The s-step contract: claiming several tiles' records into one store
-  // and launching a single collective must produce exactly the records
-  // that per-tile allreduces would — element-wise, in claim order.
-  const int size = GetParam();
-  run_spmd(size, [&](Comm& comm) {
-    const std::size_t tiles[] = {3, 1, 4};
-    std::vector<MinLoc2> ref;
-    DeferredCombine<MinLoc2, CombineMinLoc2> dc;
-    dc.reserve(8);
-    dc.reset();
-    std::size_t sample = 0;
-    for (const std::size_t count : tiles) {
-      std::span<MinLoc2> claim = dc.claim(count);
-      std::vector<MinLoc2> tile(count);
-      for (std::size_t t = 0; t < count; ++t, ++sample) {
-        // Rank-dependent values with deliberate cross-rank ties so the
-        // index tie-break matters.
-        const double v =
-            static_cast<double>((comm.rank() + sample) % 2) + 0.25;
-        tile[t] = {v, static_cast<std::uint64_t>(comm.rank() * 100 + sample),
-                   std::numeric_limits<double>::max()};
-        claim[t] = tile[t];
-      }
-      // Reference: a blocking per-tile combine of the same records.
-      allreduce(comm, std::span<MinLoc2>(tile), CombineMinLoc2{});
-      ref.insert(ref.end(), tile.begin(), tile.end());
-    }
-    EXPECT_EQ(dc.size(), 8u);
-    EXPECT_FALSE(dc.launched());
-    EXPECT_TRUE(dc.launch(comm, CombineMinLoc2{}));
-    EXPECT_TRUE(dc.launched());
-    dc.finish();
-    EXPECT_FALSE(dc.active());
-    const std::span<const MinLoc2> got = dc.records();
-    ASSERT_EQ(got.size(), ref.size());
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-      EXPECT_EQ(got[i].value, ref[i].value) << "record " << i;
-      EXPECT_EQ(got[i].index, ref[i].index) << "record " << i;
-      EXPECT_EQ(got[i].second, ref[i].second) << "record " << i;
-    }
-
-    // reset() recycles the store for the next span.
-    dc.reset();
-    EXPECT_EQ(dc.size(), 0u);
-    EXPECT_FALSE(dc.launched());
-  });
-}
-
-TEST_P(DeferredCombineTest, EmptySpanSkipsTheCollective) {
-  // A fully-gated span claims nothing; launch() must not touch the
-  // network (every rank skips symmetrically) and finish() must be a
-  // harmless no-op — this is what lets the engines charge zero rounds.
-  const int size = GetParam();
-  run_spmd(size, [&](Comm& comm) {
-    DeferredCombine<MinLoc, ops::Min> dc;
-    dc.reset();
-    EXPECT_FALSE(dc.launch(comm, ops::Min{}));
-    EXPECT_TRUE(dc.launched());
-    EXPECT_FALSE(dc.active());
-    dc.finish();
-    EXPECT_TRUE(dc.records().empty());
-    // The comm stays in sync: a normal collective right after agrees.
-    std::vector<int> buf{1};
-    allreduce_sum(comm, std::span<int>(buf));
-    EXPECT_EQ(buf[0], size);
-  });
-}
-
-TEST(DeferredCombine, ClaimAfterLaunchRejected) {
-  run_spmd(1, [](Comm& comm) {
-    DeferredCombine<MinLoc, ops::Min> dc;
-    dc.reset();
-    dc.claim(2);
-    dc.launch(comm, ops::Min{});
-    EXPECT_THROW(dc.claim(1), swhkm::Error);
-    dc.finish();
-    dc.reset();  // legal again after finish
-    dc.claim(1);
-    dc.launch(comm, ops::Min{});
-    dc.finish();
-  });
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, DeferredCombineTest,
-                         ::testing::Values(1, 2, 3, 5, 8));
-
 // ------------------------------- hierarchical schedule property suite
 
 /// Association-sensitive deterministic value: magnitudes spread over ~12
@@ -470,33 +379,6 @@ TEST_P(HierScheduleTest, SplitAllreduceMatchesFlat) {
         return to_bytes(buf);
       },
       "split_allreduce");
-}
-
-TEST_P(HierScheduleTest, DeferredCombineMatchesFlat) {
-  expect_hier_matches_flat(
-      [](Comm& comm) {
-        DeferredCombine<MinLoc2, CombineMinLoc2> dc;
-        dc.reserve(6);
-        dc.reset();
-        std::size_t sample = 0;
-        for (const std::size_t count :
-             {std::size_t{2}, std::size_t{1}, std::size_t{3}}) {
-          std::span<MinLoc2> claim = dc.claim(count);
-          for (std::size_t t = 0; t < count; ++t, ++sample) {
-            claim[t] = {
-                static_cast<double>(
-                    (static_cast<std::size_t>(comm.rank()) + sample) % 2) +
-                    0.25,
-                static_cast<std::uint64_t>(comm.rank()) * 100 + sample,
-                std::numeric_limits<double>::max()};
-          }
-        }
-        dc.launch(comm, CombineMinLoc2{});
-        dc.finish();
-        const std::span<const MinLoc2> got = dc.records();
-        return to_bytes(std::vector<MinLoc2>(got.begin(), got.end()));
-      },
-      "deferred_combine");
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, HierScheduleTest,
