@@ -267,6 +267,8 @@ double refresh_norms(EngineRank& rank) {
 /// spans the machine), then one allgather of the drift and the header
 /// with no rows (update_publish_bytes). With the SDC defense armed the
 /// scrub verdicts and the counts-conservation word lengthen that header.
+/// Each charge's crossing_bytes covers its whole collective, and
+/// combine_tallies sums the counter over ranks, so CG 0 alone books it.
 void charge_update_collectives(EngineRank& rank) {
   const EngineRun& run = rank.run;
   const PartitionPlan& plan = run.plan;
@@ -277,6 +279,7 @@ void charge_update_collectives(EngineRank& rank) {
       update_publish_bytes(plan, run.machine) +
       (run.config.sdc_checks ? sdc_verdict_bytes(run.machine) : 0);
   const bool hier = run.config.hier_collectives;
+  const bool books_crossing = rank.cg == 0;
   simarch::CostTally& tally = rank.tally;
   // The reduce term's and the allgather's seconds are summed before they
   // reach the tally, one addition as the ledger pins.
@@ -288,9 +291,10 @@ void charge_update_collectives(EngineRank& rank) {
           run.topo, slice_bytes, plan.num_flow_units, plan.mprime_group,
           Placement::kPacked, hier, run.xover);
       reduce_s = slice.seconds;
-      // Each rank books its own slice's exchange; the total covers all
-      // m'_group slices.
-      tally.net_crossing_bytes += slice.crossing_bytes / plan.mprime_group;
+      // The total covers all m'_group slices' exchanges.
+      if (books_crossing) {
+        tally.net_crossing_bytes += slice.crossing_bytes;
+      }
       tally.net_bytes += slice_bytes;
       tally.net_rounds += 1;
     }
@@ -300,8 +304,8 @@ void charge_update_collectives(EngineRank& rank) {
       const simarch::CollectiveCharge rs = run.topo.hier_reduce_scatter_charge(
           accum_bytes, 0, num_cgs, run.xover);
       reduce_s = rs.seconds;
-      tally.net_crossing_bytes += rs.crossing_bytes;
-      if (rank.cg == 0) {
+      if (books_crossing) {
+        tally.net_crossing_bytes += rs.crossing_bytes;
         tick_collective_charge(rank.tshard, "sim.collective.update_rs", rs);
       }
     } else {
@@ -314,8 +318,8 @@ void charge_update_collectives(EngineRank& rank) {
     const simarch::CollectiveCharge ag =
         run.topo.hier_allgather_charge(publish_bytes, 0, num_cgs);
     tally.net_comm_s += reduce_s + ag.seconds;
-    tally.net_crossing_bytes += ag.crossing_bytes;
-    if (rank.cg == 0) {
+    if (books_crossing) {
+      tally.net_crossing_bytes += ag.crossing_bytes;
       tick_collective_charge(rank.tshard, "sim.collective.update_ag", ag);
     }
   } else {

@@ -157,7 +157,12 @@ class Level3Policy final : public detail::LevelPolicy {
     tally.net_comm_s += tile_net_s;
     tally.net_bytes += unresolved_ * record_bytes * (p_ - 1);
     if (run.config.hier_collectives) {
-      tally.net_crossing_bytes += unresolved_ * group_charge.crossing_bytes;
+      // The charge covers the group's whole combine; every CG of the group
+      // enters it, so the slice-0 CG alone books its crossing bytes.
+      if (within_ == 0) {
+        tally.net_crossing_bytes +=
+            unresolved_ * group_charge.crossing_bytes;
+      }
       if (rank.cg == 0 && p_ > 1 && unresolved_ > 0) {
         detail::tick_collective_charge(
             rank.tshard, "sim.collective.group_argmin", group_charge);

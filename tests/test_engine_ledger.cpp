@@ -142,17 +142,17 @@ std::vector<LedgerCell> ledger_cells() {
       {Level::kLevel1,
        "L1",
        {0x2f8faa12, 0xbb21f39a},
-       {0xd03d5cef, 0xbf0f3c87},
+       {0xd03d5cef, 0xd9c61641},
        0xd035cd8a},
       {Level::kLevel2,
        "L2",
        {0x92ea8e2d, 0xadce34d5},
-       {0xba0b549c, 0x69a34c66},
+       {0xba0b549c, 0x4c3ad1b3},
        0x2b95b988},
       {Level::kLevel3,
        "L3",
        {0x631cfd5e, 0xaf9869d2},
-       {0xfa6c3b52, 0x39127b7b},
+       {0xfa6c3b52, 0xfd98630f},
        0x63ed36c8},
   };
   for (const LevelPins& p : pins) {

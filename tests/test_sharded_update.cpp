@@ -522,6 +522,76 @@ TEST(ShardedUpdate, HierCollectivesBitIdenticalAcrossSupernodes) {
             0);
 }
 
+/// Each collective's supernode-crossing bytes are booked once, not once per
+/// CG that enters it. tiny(8, 4, ...) spans two supernodes: one Level 1
+/// iteration crosses exactly the update's reduce_scatter and allgather; one
+/// Level 3 iteration with a machine-wide CG group crosses one group argmin
+/// per sample (iteration 0 sweeps them all) plus the allgather; and with
+/// one CG group per supernode only the same-slice update exchange and the
+/// allgather cross.
+TEST(ShardedUpdate, CrossingBytesCountEachCollectiveOnce) {
+  const simarch::MachineConfig machine =
+      simarch::MachineConfig::tiny(8, 4, 8192);
+  const simarch::Topology topo(machine);
+  const std::size_t num_cgs = machine.num_cgs();
+  const std::size_t xover = machine.collective_crossover_bytes();
+  const data::Dataset blobs = data::make_blobs(640, 12, 5, 17);
+  KmeansConfig config;
+  config.k = 6;
+  config.max_iterations = 1;
+  const ProblemShape shape{blobs.n(), config.k, blobs.d()};
+
+  const PartitionPlan l1 = make_plan(Level::kLevel1, shape, machine);
+  const KmeansResult r1 = run_level(Level::kLevel1, blobs, config, machine);
+  ASSERT_EQ(r1.history.size(), 1u);
+  const std::size_t accum_bytes =
+      (config.k * blobs.d() + config.k) * machine.elem_bytes;
+  const std::uint64_t rs =
+      topo.hier_reduce_scatter_charge(accum_bytes, 0, num_cgs, xover)
+          .crossing_bytes;
+  const std::uint64_t l1_ag =
+      topo.hier_allgather_charge(update_publish_bytes(l1, machine), 0,
+                                 num_cgs)
+          .crossing_bytes;
+  ASSERT_GT(rs, 0u);
+  ASSERT_GT(l1_ag, 0u);
+  EXPECT_EQ(r1.history[0].net_crossing_bytes, rs + l1_ag);
+
+  const PartitionPlan l3 = make_plan(Level::kLevel3, shape, machine, 0, num_cgs);
+  const KmeansResult r3 =
+      run_level(Level::kLevel3, blobs, config, machine, 0, num_cgs);
+  ASSERT_EQ(r3.history.size(), 1u);
+  const std::uint64_t argmin =
+      topo.hier_allreduce_charge(r3.bound_groups * sizeof(swmpi::MinLoc2), 0,
+                                 num_cgs, xover)
+          .crossing_bytes;
+  const std::uint64_t l3_ag =
+      topo.hier_allgather_charge(update_publish_bytes(l3, machine), 0,
+                                 num_cgs)
+          .crossing_bytes;
+  ASSERT_GT(argmin, 0u);
+  EXPECT_EQ(r3.history[0].net_crossing_bytes, blobs.n() * argmin + l3_ag);
+
+  const std::size_t half = num_cgs / 2;
+  const PartitionPlan split = make_plan(Level::kLevel3, shape, machine, 0, half);
+  ASSERT_EQ(split.num_flow_units, 2u);
+  const KmeansResult r3s =
+      run_level(Level::kLevel3, blobs, config, machine, 0, half);
+  ASSERT_EQ(r3s.history.size(), 1u);
+  const std::size_t slice_bytes =
+      (split.k_local * blobs.d() + split.k_local) * machine.elem_bytes;
+  const std::uint64_t slices =
+      cross_group_allreduce(topo, slice_bytes, 2, half, Placement::kPacked,
+                            /*hier=*/true, xover)
+          .crossing_bytes;
+  const std::uint64_t split_ag =
+      topo.hier_allgather_charge(update_publish_bytes(split, machine), 0,
+                                 num_cgs)
+          .crossing_bytes;
+  ASSERT_GT(slices, 0u);
+  EXPECT_EQ(r3s.history[0].net_crossing_bytes, slices + split_ag);
+}
+
 /// Duplicate first-k seeds leave the duplicate centroids with no members:
 /// serial Lloyd and all three engines must report the same (nonzero)
 /// empty-cluster count instead of silently freezing them.
