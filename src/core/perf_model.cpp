@@ -319,62 +319,6 @@ std::size_t sdc_verdict_bytes(const MachineConfig& machine) {
   return 16 * 2 * machine.num_cgs() + sizeof(double);
 }
 
-CostTally sdc_defense_overhead(const PartitionPlan& plan,
-                               const MachineConfig& machine) {
-  machine.validate();
-  SWHKM_REQUIRE(plan.num_cgs == machine.num_cgs() &&
-                    plan.cpes_per_cg == machine.cpes_per_cg,
-                "plan was made for a different machine");
-  CostTally t;
-  Topology topo(machine);
-  const auto& s = plan.shape;
-  const std::size_t eb = machine.elem_bytes;
-
-  // ABFT checksum chains: 1/8 of the level's assign-sweep compute, and the
-  // per-rank scrub footprint (the full snapshot plus this rank's (sums,
-  // counts) accumulator) streamed once — the same shapes the engines
-  // charge, with a full sweep of every sample standing in for the
-  // engines' per-iteration unresolved count.
-  double sweep_s = 0;
-  std::size_t accum_bytes = 0;
-  switch (plan.level) {
-    case Level::kLevel1: {
-      const std::uint64_t n_cpe = ceil_div(s.n, machine.total_cpes());
-      sweep_s = dbl(n_cpe) * dbl(s.k) * machine.assign_row_seconds(s.d);
-      accum_bytes = (s.k * s.d + s.k) * eb;
-      break;
-    }
-    case Level::kLevel2: {
-      const std::uint64_t n_grp = ceil_div(s.n, plan.num_flow_units);
-      sweep_s =
-          dbl(n_grp) * dbl(plan.k_local) * machine.assign_row_seconds(s.d);
-      accum_bytes = (plan.k_local * s.d + plan.k_local) * eb;
-      break;
-    }
-    case Level::kLevel3: {
-      const std::uint64_t n_cgg = ceil_div(s.n, plan.num_flow_units);
-      sweep_s = dbl(n_cgg) * dbl(plan.k_local) *
-                machine.assign_row_seconds(plan.d_local);
-      accum_bytes = (plan.k_local * s.d + plan.k_local) * eb;
-      break;
-    }
-  }
-  t.compute_s += sweep_s * 0.125;
-  t.compute_s +=
-      dbl(s.k * s.d * eb + accum_bytes) / machine.dma_bandwidth;
-
-  // The scrub verdicts (16 B CRC pair per CG per scrub) and the
-  // counts-conservation word ride the update allgather's header: extra
-  // bytes on a round the iteration already pays, no extra round.
-  const std::size_t num_cgs = machine.num_cgs();
-  const std::size_t publish_bytes = update_publish_bytes(plan, machine);
-  const std::size_t sdc_net = sdc_verdict_bytes(machine);
-  t.net_comm_s += topo.allgather_time(publish_bytes + sdc_net, 0, num_cgs) -
-                  topo.allgather_time(publish_bytes, 0, num_cgs);
-  t.net_bytes += sdc_net;
-  return t;
-}
-
 PaperFormulaTimes paper_formula_times(const PartitionPlan& plan,
                                       const MachineConfig& machine) {
   PaperFormulaTimes out;

@@ -89,18 +89,6 @@ std::size_t update_publish_bytes(const PartitionPlan& plan,
 /// counts-conservation word. They ride the existing round.
 std::size_t sdc_verdict_bytes(const simarch::MachineConfig& machine);
 
-/// Analytic per-iteration cost of arming the SDC defense (DESIGN.md §13),
-/// mirroring exactly what the engines charge when `sdc_checks` is on: the
-/// ABFT checksum chains add two extra dot evaluations per 16-row panel
-/// (1/8 of the assign sweep's modeled compute), the snapshot + accumulator
-/// CRC scrubs stream their bytes once at DMA bandwidth, and the scrub
-/// verdicts plus the counts-conservation word lengthen the update
-/// allgather (sdc_verdict_bytes) without adding a round. Additive on top
-/// of model_iteration — defense-off model numbers stay pinned because
-/// model_iteration never includes it.
-simarch::CostTally sdc_defense_overhead(const PartitionPlan& plan,
-                                        const simarch::MachineConfig& machine);
-
 /// The paper's own closed-form estimates (Section III analysis): T_read and
 /// T_comm for the plan's level, transcribed literally. Used by the ablation
 /// bench to show where the published algebra and the mechanistic model

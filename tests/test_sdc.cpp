@@ -372,9 +372,11 @@ TEST_P(SdcEngineMatrix, DefenseOnCleanRunIsBitIdenticalToDefenseOff) {
 }
 
 TEST(SdcEngine, ArmedDefenseModeledOverheadIsBounded) {
-  // A clean Level 3 run with the defense armed vs off: the scrub and ABFT
-  // charges must land in the cost model (overhead above zero) and stay
-  // cheap enough to always arm (below 15%). Its own shape: on the 160-
+  // A clean run of each level with the defense armed vs off: the scrub and
+  // ABFT charges must land in the cost model (overhead above zero) and
+  // stay cheap enough to always arm (below 15%). The scrub verdicts and
+  // the counts-conservation word ride the update allgather's header:
+  // more bytes on the network, no extra round. Its own shape: on the 160-
   // sample run of DefenseOnCleanRunIsBitIdenticalToDefenseOff the fixed
   // per-iteration scrub charges dominate and the overhead reads 0.31.
   const MachineConfig machine = MachineConfig::tiny(2, 4, 8192);
@@ -386,14 +388,19 @@ TEST(SdcEngine, ArmedDefenseModeledOverheadIsBounded) {
   off.checkpoint_every = 4;
   KmeansConfig on = off;
   on.sdc_checks = true;
-  const KmeansResult ref =
-      core::HierarchicalKmeans(machine).fit_level(Level::kLevel3, ds, off);
-  const KmeansResult armed =
-      core::HierarchicalKmeans(machine).fit_level(Level::kLevel3, ds, on);
-  ASSERT_GT(ref.cost.total_s(), 0.0);
-  const double overhead = armed.cost.total_s() / ref.cost.total_s() - 1.0;
-  EXPECT_GT(overhead, 0.0);
-  EXPECT_LT(overhead, 0.15);
+  for (const Level level : {Level::kLevel1, Level::kLevel2, Level::kLevel3}) {
+    const std::string where = core::level_name(level);
+    const KmeansResult ref =
+        core::HierarchicalKmeans(machine).fit_level(level, ds, off);
+    const KmeansResult armed =
+        core::HierarchicalKmeans(machine).fit_level(level, ds, on);
+    ASSERT_GT(ref.cost.total_s(), 0.0) << where;
+    const double overhead = armed.cost.total_s() / ref.cost.total_s() - 1.0;
+    EXPECT_GT(overhead, 0.0) << where;
+    EXPECT_LT(overhead, 0.15) << where;
+    EXPECT_EQ(armed.cost.net_rounds, ref.cost.net_rounds) << where;
+    EXPECT_GT(armed.cost.net_bytes, ref.cost.net_bytes) << where;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllLevels, SdcEngineMatrix,
