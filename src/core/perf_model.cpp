@@ -114,6 +114,25 @@ AllreduceModel cross_group_allreduce(const Topology& topo, std::size_t bytes,
 
 namespace {
 
+/// The machine-wide AllReduce of the fused (sums, counts) accumulator that
+/// closes a Level 1/2 iteration: its seconds and crossing bytes (the
+/// network phase's first charges) and every CG's payload.
+void charge_machine_allreduce(CostTally& t, const Topology& topo,
+                              const MachineConfig& mc,
+                              std::size_t accum_bytes, bool hier) {
+  if (hier) {
+    const simarch::CollectiveCharge charge = topo.hier_allreduce_charge(
+        accum_bytes, 0, mc.num_cgs(), mc.collective_crossover_bytes());
+    t.net_comm_s = charge.seconds;
+    t.net_crossing_bytes = charge.crossing_bytes;
+  } else {
+    t.net_comm_s = topo.allreduce_time(accum_bytes, 0, mc.num_cgs());
+    t.net_crossing_bytes =
+        topo.flat_allreduce_crossing_bytes(accum_bytes, 0, mc.num_cgs());
+  }
+  t.net_bytes += accum_bytes * mc.num_cgs();
+}
+
 CostTally model_level1(const PartitionPlan& plan, const MachineConfig& mc,
                        bool hier) {
   CostTally t;
@@ -141,17 +160,7 @@ CostTally model_level1(const PartitionPlan& plan, const MachineConfig& mc,
   // Update: intra-CG accumulator reduction, then machine-wide AllReduce.
   const std::size_t accum_bytes = (s.k * s.d + s.k) * eb;
   t.mesh_comm_s = reg.allreduce_time(accum_bytes, mc.cpes_per_cg);
-  if (hier) {
-    const simarch::CollectiveCharge charge = topo.hier_allreduce_charge(
-        accum_bytes, 0, mc.num_cgs(), mc.collective_crossover_bytes());
-    t.net_comm_s = charge.seconds;
-    t.net_crossing_bytes = charge.crossing_bytes;
-  } else {
-    t.net_comm_s = topo.allreduce_time(accum_bytes, 0, mc.num_cgs());
-    t.net_crossing_bytes =
-        topo.flat_allreduce_crossing_bytes(accum_bytes, 0, mc.num_cgs());
-  }
-  t.net_bytes += accum_bytes * mc.num_cgs();
+  charge_machine_allreduce(t, topo, mc, accum_bytes, hier);
   t.update_s = dbl(s.k) * dbl(s.d) * 2.0 /
                    (mc.cg_flops() * mc.compute_efficiency) +
                dbl(s.k * s.d * eb) / mc.dma_bandwidth;
@@ -203,18 +212,7 @@ CostTally model_level2(const PartitionPlan& plan, const MachineConfig& mc,
   t.mesh_comm_s = dbl(n_grp) * reg.allreduce_time(kMinLocBytes, g) +
                   reg.allreduce_time(plan.k_local * s.d * eb,
                                      mc.cpes_per_cg / g);
-  const std::size_t accum_bytes = (s.k * s.d + s.k) * eb;
-  if (hier) {
-    const simarch::CollectiveCharge charge = topo.hier_allreduce_charge(
-        accum_bytes, 0, mc.num_cgs(), mc.collective_crossover_bytes());
-    t.net_comm_s = charge.seconds;
-    t.net_crossing_bytes = charge.crossing_bytes;
-  } else {
-    t.net_comm_s = topo.allreduce_time(accum_bytes, 0, mc.num_cgs());
-    t.net_crossing_bytes =
-        topo.flat_allreduce_crossing_bytes(accum_bytes, 0, mc.num_cgs());
-  }
-  t.net_bytes += accum_bytes * mc.num_cgs();
+  charge_machine_allreduce(t, topo, mc, (s.k * s.d + s.k) * eb, hier);
   t.update_s = dbl(plan.k_local) * dbl(s.d) * 2.0 / eff_flops +
                dbl(s.k * s.d * eb) / mc.dma_bandwidth;
   return t;
