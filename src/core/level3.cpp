@@ -20,14 +20,14 @@ static_assert(kLevel3BoundGroups < 32, "merge_group_records' scan mask");
 /// collective outright (every rank computed the same empty compaction, so
 /// the collective discipline holds). The simulated cost still prices the
 /// paper's per-sample combine; only the wall-clock synchronisation is
-/// batched. The winner's slice owner
-/// accumulates, in ascending-i order — resolved samples under their
-/// stored assignment — so the fused sums keep the exact summation order
-/// of a full sweep. The gate keeps one lower bound per centroid group
-/// (plan.bound_groups) and runs no safe-radius pass: a sample is resolved
-/// iff upper < min_g lower_g. A survivor scores every group of the slice,
-/// and its combine carries one top-two record per group, so every CG of
-/// the group refreshes all of the sample's bounds exactly.
+/// batched. The winner's slice owner accumulates, in ascending-i order —
+/// resolved samples under their stored assignment — so the fused sums
+/// keep the exact summation order of a full sweep. The gate keeps one
+/// lower bound per centroid group (plan.bound_groups) and runs no
+/// safe-radius pass: a sample is resolved iff upper < min_g lower_g. A
+/// survivor scores every group of the slice, and its combine carries one
+/// top-two record per group, so every CG of the group refreshes all of
+/// the sample's bounds exactly.
 class Level3Policy final : public detail::LevelPolicy {
  public:
   explicit Level3Policy(detail::EngineRank& rank)

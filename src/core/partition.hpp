@@ -148,9 +148,10 @@ inline constexpr std::size_t kGemmSampleScratchBytes = 60;
 /// larger of the two record kinds the engines batch) must fit the CG's
 /// aggregate scratchpad, where they time-share with the plan's per-CPE
 /// stream buffers. The GEMM sweep adds its per-sample scratch plus the
-/// plan's local slice of the centroid-norm cache (k_local doubles). Throws InfeasibleError (the planner's
-/// rejection path — callers get a diagnosable error, not an assert) for
-/// zero or oversized requests; returns the validated value otherwise.
+/// plan's local slice of the centroid-norm cache (k_local doubles).
+/// Throws InfeasibleError (the planner's rejection path — callers get a
+/// diagnosable error, not an assert) for zero or oversized requests;
+/// returns the validated value otherwise.
 std::size_t resolve_tile_samples(std::size_t requested,
                                  const PartitionPlan& plan,
                                  const simarch::MachineConfig& machine,

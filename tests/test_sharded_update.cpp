@@ -557,7 +557,8 @@ TEST(ShardedUpdate, CrossingBytesCountEachCollectiveOnce) {
   ASSERT_GT(l1_ag, 0u);
   EXPECT_EQ(r1.history[0].net_crossing_bytes, rs + l1_ag);
 
-  const PartitionPlan l3 = make_plan(Level::kLevel3, shape, machine, 0, num_cgs);
+  const PartitionPlan l3 =
+      make_plan(Level::kLevel3, shape, machine, 0, num_cgs);
   const KmeansResult r3 =
       run_level(Level::kLevel3, blobs, config, machine, 0, num_cgs);
   ASSERT_EQ(r3.history.size(), 1u);
@@ -573,7 +574,8 @@ TEST(ShardedUpdate, CrossingBytesCountEachCollectiveOnce) {
   EXPECT_EQ(r3.history[0].net_crossing_bytes, blobs.n() * argmin + l3_ag);
 
   const std::size_t half = num_cgs / 2;
-  const PartitionPlan split = make_plan(Level::kLevel3, shape, machine, 0, half);
+  const PartitionPlan split =
+      make_plan(Level::kLevel3, shape, machine, 0, half);
   ASSERT_EQ(split.num_flow_units, 2u);
   const KmeansResult r3s =
       run_level(Level::kLevel3, blobs, config, machine, 0, half);
