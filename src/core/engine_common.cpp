@@ -259,16 +259,6 @@ UpdateOutcome reduce_and_update(swmpi::Comm& comm, util::Matrix& centroids,
   return {stats.shift, static_cast<std::size_t>(stats.empty)};
 }
 
-void charge_sample_stream(simarch::CostTally& tally,
-                          const simarch::MachineConfig& machine,
-                          std::uint64_t bytes,
-                          std::uint64_t critical_transfers) {
-  tally.sample_read_s += static_cast<double>(bytes) / machine.dma_bandwidth +
-                         static_cast<double>(critical_transfers) *
-                             machine.dma_latency;
-  tally.dma_bytes += bytes;
-}
-
 StreamRuns::StreamRuns(std::size_t readers, std::size_t batch)
     : batch_(std::max<std::size_t>(batch, 1)), readers_(readers) {}
 
@@ -312,38 +302,6 @@ std::uint64_t StreamRuns::critical() const {
     out = std::max(out, r.descriptors);
   }
   return out;
-}
-
-void charge_centroid_traffic(simarch::CostTally& tally,
-                             const simarch::MachineConfig& machine,
-                             const PartitionPlan& plan,
-                             std::uint64_t samples_through_cg) {
-  const std::size_t eb = machine.elem_bytes;
-  // Level 2: every CPE of the CG keeps its own slice copy (k_local rows of
-  // d). Level 3: the CG's CPEs jointly hold k_local rows of d (d_local
-  // columns each), so traffic per CG is one slice.
-  const std::uint64_t holders_per_cg =
-      plan.level == Level::kLevel2 ? machine.cpes_per_cg : 1;
-  const std::uint64_t row_elems = plan.shape.d;
-  const std::uint64_t slice_bytes = static_cast<std::uint64_t>(plan.k_local) *
-                                    row_elems * eb * holders_per_cg;
-  std::uint64_t bytes = 0;
-  if (plan.ldm.resident) {
-    bytes = slice_bytes;  // one (re)load per iteration
-  } else {
-    const std::uint64_t per_sample =
-        samples_through_cg * plan.k_local * row_elems * eb * holders_per_cg;
-    const std::uint64_t passes =
-        (plan.k_local + plan.ldm.tile_rows - 1) / plan.ldm.tile_rows;
-    const std::uint64_t tiled =
-        passes * samples_through_cg * plan.shape.d * eb *
-            (plan.level == Level::kLevel2 ? machine.cpes_per_cg : 1) +
-        slice_bytes;
-    bytes = std::min(per_sample, tiled);
-  }
-  tally.centroid_stream_s +=
-      static_cast<double>(bytes) / machine.dma_bandwidth;
-  tally.dma_bytes += bytes;
 }
 
 void validate_ldm_layout(const PartitionPlan& plan,

@@ -88,14 +88,6 @@ UpdateOutcome reduce_and_update(swmpi::Comm& comm, util::Matrix& centroids,
                                 std::span<double> drift_out = {},
                                 std::uint64_t sdc_expect_count = 0);
 
-/// Charge a per-CG sample stream: `bytes` through the CG's DMA at
-/// bandwidth B, plus `critical_transfers` issue overheads (descriptors on
-/// the busiest reader's chain; issue overlaps across readers).
-void charge_sample_stream(simarch::CostTally& tally,
-                          const simarch::MachineConfig& machine,
-                          std::uint64_t bytes,
-                          std::uint64_t critical_transfers);
-
 /// Sample-stream DMA descriptors of one block's readers (the CPEs of a
 /// Level 2 group, or a single CPE or CG). Each reader pulls some of the
 /// block's samples in ascending order and pays one descriptor per run of
@@ -124,15 +116,6 @@ class StreamRuns {
   std::uint64_t batch_;
   std::vector<Reader> readers_;
 };
-
-/// Charge centroid traffic for one iteration on one CG under `plan`:
-/// a single slice (re)load when resident, otherwise the cheaper of
-/// per-sample re-streaming and tiled sample passes (mirrors the perf
-/// model's streamed_centroid_bytes policy).
-void charge_centroid_traffic(simarch::CostTally& tally,
-                             const simarch::MachineConfig& machine,
-                             const PartitionPlan& plan,
-                             std::uint64_t samples_through_cg);
 
 /// Export one modeled hierarchical-collective charge through telemetry:
 /// under `prefix` (e.g. "sim.collective.update_rs") ticks the chosen

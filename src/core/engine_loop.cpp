@@ -798,26 +798,4 @@ void TileSweep::retire(EngineRank& rank, Slot& s, Block& block) {
   rank.record_tile(telemetry::FlightEventKind::kTileEnd, s.t0, s.t1);
 }
 
-void TileSweep::hide_tile_dma(EngineRank& rank,
-                              std::uint64_t max_block_samples,
-                              double sweep_compute_s, double sample_dma_s,
-                              double centroid_dma_s) {
-  const std::size_t tile = rank.run.tile_samples;
-  const double tile_dma_s = sample_dma_s + centroid_dma_s;
-  if (max_block_samples <= tile || tile_dma_s <= 0) {
-    return;
-  }
-  const std::size_t ntiles = (max_block_samples + tile - 1) / tile;
-  const double window = sweep_compute_s * static_cast<double>(ntiles - 1) /
-                        static_cast<double>(ntiles);
-  const double hidden = std::min(tile_dma_s, window);
-  const double f = hidden / tile_dma_s;
-  rank.tally.sample_read_s -= f * sample_dma_s;
-  rank.tally.centroid_stream_s -= f * centroid_dma_s;
-  rank.tally.overlapped_dma_s += hidden;
-  if (rank.overlap_hist != nullptr) {
-    rank.overlap_hist->observe(hidden);
-  }
-}
-
 }  // namespace swhkm::core::detail

@@ -82,8 +82,8 @@ struct EngineRank {
   /// overhead (defense armed): ABFT checksum chains for `unresolved`
   /// swept rows at 1/8 of `sweep_row_s` and one streaming pass for the
   /// snapshot + accumulator scrubs (the verdicts ride the update
-  /// allgather). Each policy calls it once, at the point its own charge
-  /// order puts it (floating-point sums are order-sensitive).
+  /// allgather). Each policy calls it once, after its level's charge
+  /// function (floating-point sums are order-sensitive).
   void charge_gate_and_sdc(std::uint64_t unresolved, double sweep_row_s);
 
   const EngineRun& run;
@@ -152,8 +152,10 @@ class LevelPolicy {
   /// Gate, score and merge this rank's samples: winners go to
   /// run.assignments, fused sums to rank.acc, in ascending sample order.
   virtual AssignSweep sweep(EngineRank& rank) = 0;
-  /// Charge the swept iteration's assign phase to rank.tally, including
-  /// one call to rank.charge_gate_and_sdc.
+  /// Charge the swept iteration's assign phase to rank.tally: fill the
+  /// AssignWork record from the executed counts and price it through the
+  /// level's charge function (perf_model.hpp), then keep the distance
+  /// ledgers and call rank.charge_gate_and_sdc once.
   virtual void charge(EngineRank& rank) = 0;
 };
 
@@ -201,15 +203,6 @@ class TileSweep {
   /// consecutive centroids: a swept sample streams to every reader, a
   /// gated one only to its assigned centroid's owner.
   Block sweep(EngineRank& rank, std::size_t begin, std::size_t end);
-
-  /// Tile pipeline overlap: tile t+1's sample and centroid DMA land under
-  /// tile t's sweep, hiding up to a (T-1)/T share of it (T tiles in the
-  /// busiest block). Hidden seconds come proportionally out of the two
-  /// DMA phases and move into overlapped_dma_s, so total_s() shrinks by
-  /// exactly what the pipeline bought.
-  static void hide_tile_dma(EngineRank& rank, std::uint64_t max_block_samples,
-                            double sweep_compute_s, double sample_dma_s,
-                            double centroid_dma_s);
 
  private:
   struct Slot {

@@ -4,7 +4,7 @@
 #include <limits>
 
 #include "core/engine_loop.hpp"
-#include "simarch/regcomm.hpp"
+#include "core/perf_model.hpp"
 #include "swmpi/collectives.hpp"
 
 namespace swhkm::core {
@@ -95,103 +95,66 @@ class Level3Policy final : public detail::LevelPolicy {
     const detail::EngineRun& run = rank.run;
     const simarch::MachineConfig& machine = run.machine;
     const std::size_t d = run.dataset.d();
-    const std::size_t eb = machine.elem_bytes;
     const std::size_t k_local = run.plan.k_local;
     const std::size_t d_local = run.plan.d_local;
-    simarch::CostTally& tally = rank.tally;
     // DMA: unresolved samples stream into every CG of the group; a
     // resolved sample is read only by the CG owning its assigned slice
     // (for the accumulator). Each run of them is one strided descriptor
     // over the CG's d_local slices. Every CG of the group gates the whole
     // block, so each also reads and writes every sample's bounds.
-    const std::uint64_t streamed = unresolved_ + owned_resolved_;
-    detail::charge_sample_stream(
-        tally, machine, streamed * d * eb + rank.bound_bytes(count_),
-        runs_.critical());
-    const double centroid_stream_before = tally.centroid_stream_s;
-    if (unresolved_ > 0) {
-      detail::charge_centroid_traffic(tally, machine, run.plan, unresolved_);
+    const double sweep_row_s = run.gemm ? machine.gemm_row_seconds(d_local)
+                                        : machine.assign_row_seconds(d_local);
+    AssignWork w;
+    w.stream_bytes = (unresolved_ + owned_resolved_) * d * machine.elem_bytes +
+                     rank.bound_bytes(count_);
+    w.descriptors = runs_.critical();
+    w.centroid_samples = unresolved_;
+    w.sweep_s = static_cast<double>(unresolved_) *
+                static_cast<double>(k_local) * sweep_row_s;
+    w.combined = unresolved_;
+    w.block_samples = count_;
+    w.tile_samples = run.tile_samples;
+    // The group combine carries one MinLoc2 per bound group (8 bytes per
+    // record more than a plain argmin: the exact runner-up distance the
+    // group's lower bound needs). Tiny payloads, so the hierarchical
+    // charge's size-adaptive stage always lands on the binomial tree (and
+    // degenerates to the exact flat charge whenever the group sits inside
+    // one supernode — every group at paper placements). The charge covers
+    // the group's whole combine; every CG of the group enters it, so the
+    // slice-0 CG alone books its crossing bytes.
+    const bool hier = run.config.hier_collectives;
+    const std::size_t record_bytes = records_ * sizeof(swmpi::MinLoc2);
+    const simarch::CollectiveCharge group_charge =
+        run.topo.hier_allreduce_charge(record_bytes, group_ * p_, p_,
+                                       run.xover);
+    w.group_combine.seconds =
+        hier ? group_charge.seconds
+             : run.topo.allreduce_time(record_bytes, group_ * p_, p_);
+    w.group_combine.crossing_bytes =
+        hier && within_ == 0 ? group_charge.crossing_bytes : 0;
+    const std::optional<double> hidden =
+        charge_level3_assign(rank.tally, w, run.plan, machine);
+    if (hidden && rank.overlap_hist != nullptr) {
+      rank.overlap_hist->observe(*hidden);
     }
-    const double tile_dma_s =
-        tally.centroid_stream_s - centroid_stream_before;
-    const double sweep_row_s = run.gemm
-                                   ? machine.gemm_row_seconds(d_local)
-                                   : machine.assign_row_seconds(d_local);
-    const double sweep_compute_s = static_cast<double>(unresolved_) *
-                                   static_cast<double>(k_local) * sweep_row_s;
-    tally.compute_s += sweep_compute_s;
+    if (hier && rank.cg == 0 && p_ > 1 && unresolved_ > 0) {
+      detail::tick_collective_charge(rank.tshard, "sim.collective.group_argmin",
+                                     group_charge);
+    }
+    rank.tally.net_bytes += unresolved_ * record_bytes * (p_ - 1);
+
     const std::size_t slice = j_end_ - j_begin_;
-    tally.flops += unresolved_ * 2 * slice * d;
+    rank.tally.flops += unresolved_ * 2 * slice * d;
     // The group's ranks gate the same samples, so only the slice-0 rank
     // reports the prune count (volume counters sum across ranks).
     if (within_ == 0) {
-      tally.pruned_samples += count_ - unresolved_;
+      rank.tally.pruned_samples += count_ - unresolved_;
     }
     // Slice widths tile [0, k) within each group, so the machine-wide sums
     // are exactly swept-samples x k.
     rank.distance_comps += unresolved_ * slice;
     rank.lloyd_equivalent += count_ * slice;
     rank.charge_gate_and_sdc(unresolved_, sweep_row_s);
-
-    // Per-sample mesh reduce of the CPEs' distance partials, then the
-    // per-sample network argmin across the CG group — both compacted to
-    // the unresolved samples. The argmin carries one MinLoc2 per bound
-    // group (8 bytes per record more than a plain argmin: the exact
-    // runner-up distance the group's lower bound needs). Tiny payloads,
-    // so the hierarchical charge's size-adaptive stage always lands on
-    // the binomial tree (and degenerates to the exact flat charge whenever
-    // the group sits inside one supernode — every group at paper
-    // placements).
-    simarch::RegComm reg(machine, tally);
-    reg.account_allreduce(k_local * eb, machine.cpes_per_cg, unresolved_);
-    const std::size_t record_bytes = records_ * sizeof(swmpi::MinLoc2);
-    const simarch::CollectiveCharge group_charge =
-        run.topo.hier_allreduce_charge(record_bytes, group_ * p_, p_,
-                                       run.xover);
-    const double group_combine_time =
-        run.config.hier_collectives
-            ? group_charge.seconds
-            : run.topo.allreduce_time(record_bytes, group_ * p_, p_);
-    const double tile_net_s =
-        static_cast<double>(unresolved_) * group_combine_time;
-    tally.net_comm_s += tile_net_s;
-    tally.net_bytes += unresolved_ * record_bytes * (p_ - 1);
-    if (run.config.hier_collectives) {
-      // The charge covers the group's whole combine; every CG of the group
-      // enters it, so the slice-0 CG alone books its crossing bytes.
-      if (within_ == 0) {
-        tally.net_crossing_bytes +=
-            unresolved_ * group_charge.crossing_bytes;
-      }
-      if (rank.cg == 0 && p_ > 1 && unresolved_ > 0) {
-        detail::tick_collective_charge(
-            rank.tshard, "sim.collective.group_argmin", group_charge);
-      }
-    }
-
-    // Tile pipeline overlap: all but the first tile's combine drain (and
-    // centroid reload) issue under another tile's distance sweep, so up to
-    // a (T-1)/T share of the sweep hides that traffic. The combine is
-    // hidden first (it is the phase the split-phase start/finish really
-    // overlaps); leftover window hides the modelled centroid re-stream.
-    // Hidden seconds move into the overlapped_* ledgers — total_s()
-    // shrinks by exactly what the pipeline bought.
-    const std::size_t tile = run.tile_samples;
-    if (count_ > tile) {
-      const std::size_t ntiles = (count_ + tile - 1) / tile;
-      const double window = sweep_compute_s *
-                            static_cast<double>(ntiles - 1) /
-                            static_cast<double>(ntiles);
-      const double hide_net = std::min(tile_net_s, window);
-      const double hide_dma = std::min(tile_dma_s, window - hide_net);
-      tally.net_comm_s -= hide_net;
-      tally.overlapped_net_s += hide_net;
-      tally.centroid_stream_s -= hide_dma;
-      tally.overlapped_dma_s += hide_dma;
-      if (rank.overlap_hist != nullptr) {
-        rank.overlap_hist->observe(hide_net + hide_dma);
-      }
-    }
   }
 
  private:

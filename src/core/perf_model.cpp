@@ -21,20 +21,67 @@ constexpr std::size_t kMinLocBytes = 16;  // (double, uint64) argmin payload
 
 double dbl(std::uint64_t v) { return static_cast<double>(v); }
 
-/// Centroid traffic per flow unit and iteration, in bytes *per holder CG*,
-/// for a non-resident slice: the cheaper of per-sample re-streaming and
-/// tiled passes over the sample block (see header).
-double streamed_centroid_bytes(std::uint64_t samples, std::uint64_t k_local,
-                               std::uint64_t slice_row_elems,
-                               std::uint64_t sample_row_elems,
-                               std::size_t tile_rows, std::size_t elem_bytes) {
-  const double per_sample =
-      dbl(samples) * dbl(k_local) * dbl(slice_row_elems) * elem_bytes;
-  const std::uint64_t passes = ceil_div(k_local, tile_rows);
-  const double tiled =
-      dbl(passes) * dbl(samples) * dbl(sample_row_elems) * elem_bytes +
-      dbl(k_local) * dbl(slice_row_elems) * elem_bytes;
-  return std::min(per_sample, tiled);
+/// `bytes` through the CG's DMA at bandwidth B, plus one issue overhead per
+/// descriptor on the busiest reader's chain (issue overlaps across
+/// readers). Returns the seconds charged.
+double charge_sample_stream(CostTally& t, const MachineConfig& mc,
+                            std::uint64_t bytes, std::uint64_t descriptors) {
+  const double s =
+      dbl(bytes) / mc.dma_bandwidth + dbl(descriptors) * mc.dma_latency;
+  t.sample_read_s += s;
+  t.dma_bytes += bytes;
+  return s;
+}
+
+/// Centroid traffic of one CG: a single slice (re)load when resident,
+/// otherwise the cheaper of re-streaming the slice for every sample and
+/// tiled passes over the sample block. Level 2's CPEs each keep their own
+/// slice copy; Level 3's CPEs jointly hold one (d_local columns each).
+/// Returns the seconds charged.
+double charge_centroid_traffic(CostTally& t, const MachineConfig& mc,
+                               const PartitionPlan& plan,
+                               std::uint64_t samples) {
+  const double eb = dbl(mc.elem_bytes);
+  const double d = dbl(plan.shape.d);
+  const double slice = dbl(plan.k_local) * d * eb;
+  double per_holder = slice;
+  if (!plan.ldm.resident) {
+    const double per_sample = dbl(samples) * dbl(plan.k_local) * d * eb;
+    const double tiled =
+        dbl(ceil_div(plan.k_local, plan.ldm.tile_rows)) * dbl(samples) * d *
+            eb +
+        slice;
+    per_holder = std::min(per_sample, tiled);
+  }
+  const double holders =
+      plan.level == Level::kLevel2 ? dbl(mc.cpes_per_cg) : 1.0;
+  const double bytes = holders * per_holder;
+  const double s = bytes / mc.dma_bandwidth;
+  t.centroid_stream_s += s;
+  t.dma_bytes += static_cast<std::uint64_t>(bytes);
+  return s;
+}
+
+/// Levels 1/2 tile pipeline: tile t+1's sample and centroid DMA land under
+/// tile t's sweep, hiding up to a (T-1)/T share of it (T tiles in the
+/// busiest block). Hidden seconds come proportionally out of the two DMA
+/// phases and move into overlapped_dma_s, so total_s() shrinks by exactly
+/// what the pipeline bought.
+std::optional<double> hide_tile_dma(CostTally& t, const AssignWork& w,
+                                    double sample_dma_s,
+                                    double centroid_dma_s) {
+  const double tile_dma_s = sample_dma_s + centroid_dma_s;
+  if (w.block_samples <= w.tile_samples || tile_dma_s <= 0) {
+    return std::nullopt;
+  }
+  const std::uint64_t ntiles = ceil_div(w.block_samples, w.tile_samples);
+  const double window = w.sweep_s * dbl(ntiles - 1) / dbl(ntiles);
+  const double hidden = std::min(tile_dma_s, window);
+  const double f = hidden / tile_dma_s;
+  t.sample_read_s -= f * sample_dma_s;
+  t.centroid_stream_s -= f * centroid_dma_s;
+  t.overlapped_dma_s += hidden;
+  return hidden;
 }
 
 /// One rank-set AllReduce under the selected schedule (the flat
@@ -112,6 +159,85 @@ AllreduceModel cross_group_allreduce(const Topology& topo, std::size_t bytes,
   return out;
 }
 
+std::optional<double> charge_level1_assign(CostTally& t, const AssignWork& w,
+                                           const PartitionPlan& plan,
+                                           const MachineConfig& mc) {
+  const std::size_t k = plan.shape.k;
+  const std::size_t d = plan.shape.d;
+  const std::size_t eb = mc.elem_bytes;
+  const std::uint64_t centroid_bytes = w.loading_cpes * k * d * eb;
+  const double centroid_dma_s = dbl(centroid_bytes) / mc.dma_bandwidth;
+  t.centroid_stream_s += centroid_dma_s;
+  t.dma_bytes += centroid_bytes;
+  const double sample_dma_s =
+      charge_sample_stream(t, mc, w.stream_bytes, w.descriptors);
+  t.compute_s += w.sweep_s;
+  const std::optional<double> hidden =
+      hide_tile_dma(t, w, sample_dma_s, centroid_dma_s);
+  RegComm(mc, t).account_allreduce((k * d + k) * eb, mc.cpes_per_cg);
+  return hidden;
+}
+
+std::optional<double> charge_level2_assign(CostTally& t, const AssignWork& w,
+                                           const PartitionPlan& plan,
+                                           const MachineConfig& mc) {
+  const std::size_t g = plan.m_group;
+  const double sample_dma_s =
+      charge_sample_stream(t, mc, w.stream_bytes, w.descriptors);
+  const double centroid_dma_s =
+      !w.gated || w.centroid_samples > 0
+          ? charge_centroid_traffic(t, mc, plan, w.centroid_samples)
+          : 0.0;
+  t.compute_s += w.sweep_s;
+  const std::optional<double> hidden =
+      hide_tile_dma(t, w, sample_dma_s, centroid_dma_s);
+  // The group's combine records and tighten distances (one double from
+  // the slice owner each) on the register bus, then the same-slice CPEs'
+  // accumulator reduce across the CG's groups.
+  RegComm reg(mc, t);
+  reg.account_allreduce(w.record_bytes, g, w.combined);
+  reg.account_allreduce(sizeof(double), g, w.tightened);
+  reg.account_allreduce(plan.k_local * plan.shape.d * mc.elem_bytes,
+                        mc.cpes_per_cg / g);
+  return hidden;
+}
+
+std::optional<double> charge_level3_assign(CostTally& t, const AssignWork& w,
+                                           const PartitionPlan& plan,
+                                           const MachineConfig& mc) {
+  charge_sample_stream(t, mc, w.stream_bytes, w.descriptors);
+  const double tile_dma_s =
+      w.centroid_samples > 0
+          ? charge_centroid_traffic(t, mc, plan, w.centroid_samples)
+          : 0.0;
+  t.compute_s += w.sweep_s;
+  RegComm(mc, t).account_allreduce(plan.k_local * mc.elem_bytes,
+                                   mc.cpes_per_cg, w.combined);
+  const double tile_net_s = dbl(w.combined) * w.group_combine.seconds;
+  t.net_comm_s += tile_net_s;
+  t.net_crossing_bytes += w.combined * w.group_combine.crossing_bytes;
+
+  // Tile pipeline: all but the first tile's combine drain (and centroid
+  // reload) issue under another tile's sweep, so up to a (T-1)/T share of
+  // the sweep hides that traffic. The combine is hidden first (it is the
+  // phase the split-phase start/finish really overlaps); leftover window
+  // hides the centroid re-stream. Hidden seconds move into the
+  // overlapped_* ledgers, so total_s() shrinks by exactly what the
+  // pipeline bought.
+  if (w.block_samples <= w.tile_samples) {
+    return std::nullopt;
+  }
+  const std::uint64_t ntiles = ceil_div(w.block_samples, w.tile_samples);
+  const double window = w.sweep_s * dbl(ntiles - 1) / dbl(ntiles);
+  const double hide_net = std::min(tile_net_s, window);
+  const double hide_dma = std::min(tile_dma_s, window - hide_net);
+  t.net_comm_s -= hide_net;
+  t.overlapped_net_s += hide_net;
+  t.centroid_stream_s -= hide_dma;
+  t.overlapped_dma_s += hide_dma;
+  return hide_net + hide_dma;
+}
+
 namespace {
 
 /// The machine-wide AllReduce of the fused (sums, counts) accumulator that
@@ -133,34 +259,33 @@ void charge_machine_allreduce(CostTally& t, const Topology& topo,
   t.net_bytes += accum_bytes * mc.num_cgs();
 }
 
+/// Every CG runs the same full sweep, so the machine's assign-phase
+/// volumes are one CG's times the CG count (the group combine's crossing
+/// bytes already cover every group).
+void scale_to_machine(CostTally& t, const MachineConfig& mc) {
+  t.dma_bytes *= mc.num_cgs();
+  t.reg_bytes *= mc.num_cgs();
+}
+
 CostTally model_level1(const PartitionPlan& plan, const MachineConfig& mc,
                        bool hier) {
-  CostTally t;
-  RegComm reg(mc, t);
-  Topology topo(mc);
   const auto& s = plan.shape;
   const std::size_t eb = mc.elem_bytes;
   const std::uint64_t n_cpe = ceil_div(s.n, mc.total_cpes());
-
-  // Per-CG DMA: every CPE streams its samples, one descriptor per batch,
-  // and (re)loads all centroids.
-  const double sample_bytes = dbl(mc.cpes_per_cg) * dbl(n_cpe) * dbl(s.d) * eb;
-  t.sample_read_s = sample_bytes / mc.dma_bandwidth +
-                    dbl(ceil_div(n_cpe, plan.ldm.sample_batch)) *
-                        mc.dma_latency;
-  const double centroid_bytes = dbl(mc.cpes_per_cg) * dbl(s.k) * dbl(s.d) * eb;
-  t.centroid_stream_s = centroid_bytes / mc.dma_bandwidth;
-  t.dma_bytes += static_cast<std::uint64_t>(
-      (sample_bytes + centroid_bytes) * mc.num_cgs());
-
-  // Assign: each CPE scores k full-width rows per sample.
-  t.compute_s = dbl(n_cpe) * dbl(s.k) * mc.assign_row_seconds(s.d);
+  // Every CPE streams its samples and scores all k centroids per sample.
+  AssignWork w;
+  w.stream_bytes = mc.cpes_per_cg * n_cpe * s.d * eb;
+  w.descriptors = ceil_div(n_cpe, plan.ldm.sample_batch);
+  w.loading_cpes = mc.cpes_per_cg;
+  w.sweep_s = dbl(n_cpe) * dbl(s.k) * mc.assign_row_seconds(s.d);
+  w.block_samples = w.tile_samples = n_cpe;
+  CostTally t;
+  charge_level1_assign(t, w, plan, mc);
+  scale_to_machine(t, mc);
   t.flops = s.n * s.k * s.d * 2;
 
-  // Update: intra-CG accumulator reduction, then machine-wide AllReduce.
-  const std::size_t accum_bytes = (s.k * s.d + s.k) * eb;
-  t.mesh_comm_s = reg.allreduce_time(accum_bytes, mc.cpes_per_cg);
-  charge_machine_allreduce(t, topo, mc, accum_bytes, hier);
+  // Update: the machine-wide AllReduce, then every CG recomputes all k.
+  charge_machine_allreduce(t, Topology(mc), mc, (s.k * s.d + s.k) * eb, hier);
   t.update_s = dbl(s.k) * dbl(s.d) * 2.0 /
                    (mc.cg_flops() * mc.compute_efficiency) +
                dbl(s.k * s.d * eb) / mc.dma_bandwidth;
@@ -169,50 +294,28 @@ CostTally model_level1(const PartitionPlan& plan, const MachineConfig& mc,
 
 CostTally model_level2(const PartitionPlan& plan, const MachineConfig& mc,
                        bool hier) {
-  CostTally t;
-  RegComm reg(mc, t);
-  Topology topo(mc);
   const auto& s = plan.shape;
   const std::size_t eb = mc.elem_bytes;
-  const std::size_t g = plan.m_group;
   const std::uint64_t n_grp = ceil_div(s.n, plan.num_flow_units);
   const double eff_flops = mc.cpe_flops() * mc.compute_efficiency;
-
   // Each sample is replicated to the m_group CPEs of its group; a CG hosts
   // cpes_per_cg/g groups, so per-CG sample traffic is cpes_per_cg * n_grp
-  // rows regardless of g — but issue overhead is per batch per CPE.
-  const double sample_bytes =
-      dbl(mc.cpes_per_cg) * dbl(n_grp) * dbl(s.d) * eb;
-  t.sample_read_s = sample_bytes / mc.dma_bandwidth +
-                    dbl(ceil_div(n_grp, plan.ldm.sample_batch)) *
-                        mc.dma_latency;
-  t.dma_bytes += static_cast<std::uint64_t>(sample_bytes * mc.num_cgs());
-
-  if (plan.ldm.resident) {
-    const double slice_bytes =
-        dbl(mc.cpes_per_cg) * dbl(plan.k_local) * dbl(s.d) * eb;
-    t.centroid_stream_s = slice_bytes / mc.dma_bandwidth;
-    t.dma_bytes += static_cast<std::uint64_t>(slice_bytes * mc.num_cgs());
-  } else {
-    const double per_cpe_bytes = streamed_centroid_bytes(
-        n_grp, plan.k_local, s.d, s.d, plan.ldm.tile_rows, eb);
-    t.centroid_stream_s =
-        dbl(mc.cpes_per_cg) * per_cpe_bytes / mc.dma_bandwidth;
-    t.dma_bytes += static_cast<std::uint64_t>(
-        dbl(mc.cpes_per_cg) * per_cpe_bytes * mc.num_cgs());
-  }
-
-  // Every CPE scores its slice against each of its group's samples.
-  t.compute_s = dbl(n_grp) * dbl(plan.k_local) * mc.assign_row_seconds(s.d);
+  // rows regardless of g, and every CPE scores its slice against each of
+  // its group's samples.
+  AssignWork w;
+  w.stream_bytes = mc.cpes_per_cg * n_grp * s.d * eb;
+  w.descriptors = ceil_div(n_grp, plan.ldm.sample_batch);
+  w.centroid_samples = n_grp;
+  w.sweep_s = dbl(n_grp) * dbl(plan.k_local) * mc.assign_row_seconds(s.d);
+  w.combined = n_grp;
+  w.record_bytes = kMinLocBytes;
+  w.block_samples = w.tile_samples = n_grp;
+  CostTally t;
+  charge_level2_assign(t, w, plan, mc);
+  scale_to_machine(t, mc);
   t.flops = s.n * s.k * s.d * 2;
 
-  // Per-sample argmin combine across the group's CPEs (register buses,
-  // groups operate in parallel), plus the update-phase reductions: same-
-  // slice CPEs across the CG's groups, then the machine-wide AllReduce.
-  t.mesh_comm_s = dbl(n_grp) * reg.allreduce_time(kMinLocBytes, g) +
-                  reg.allreduce_time(plan.k_local * s.d * eb,
-                                     mc.cpes_per_cg / g);
-  charge_machine_allreduce(t, topo, mc, (s.k * s.d + s.k) * eb, hier);
+  charge_machine_allreduce(t, Topology(mc), mc, (s.k * s.d + s.k) * eb, hier);
   t.update_s = dbl(plan.k_local) * dbl(s.d) * 2.0 / eff_flops +
                dbl(s.k * s.d * eb) / mc.dma_bandwidth;
   return t;
@@ -220,56 +323,34 @@ CostTally model_level2(const PartitionPlan& plan, const MachineConfig& mc,
 
 CostTally model_level3(const PartitionPlan& plan, const MachineConfig& mc,
                        Placement placement, bool hier) {
-  CostTally t;
-  RegComm reg(mc, t);
-  Topology topo(mc);
+  const Topology topo(mc);
   const auto& s = plan.shape;
   const std::size_t eb = mc.elem_bytes;
   const std::size_t p = plan.mprime_group;
   const std::size_t cg_groups = plan.num_flow_units;
   const std::uint64_t n_cgg = ceil_div(s.n, cg_groups);
   const double eff_flops = mc.cpe_flops() * mc.compute_efficiency;
-
-  // Each CG of a group reads the full sample, its 64 CPEs taking d_local
-  // each; per-CG traffic is n_cgg rows of d elements, one strided
-  // descriptor per batch.
-  const double sample_bytes = dbl(n_cgg) * dbl(s.d) * eb;
-  t.sample_read_s = sample_bytes / mc.dma_bandwidth +
-                    dbl(ceil_div(n_cgg, plan.ldm.sample_batch)) *
-                        mc.dma_latency;
-  t.dma_bytes += static_cast<std::uint64_t>(sample_bytes * mc.num_cgs());
-
-  if (plan.ldm.resident) {
-    const double slice_bytes = dbl(plan.k_local) * dbl(s.d) * eb;
-    t.centroid_stream_s = slice_bytes / mc.dma_bandwidth;
-    t.dma_bytes += static_cast<std::uint64_t>(slice_bytes * mc.num_cgs());
-  } else {
-    // Per CG: its 64 CPEs stream d_local-wide rows; aggregate row width d.
-    const double per_cg_bytes = streamed_centroid_bytes(
-        n_cgg, plan.k_local, s.d, s.d, plan.ldm.tile_rows, eb);
-    t.centroid_stream_s = per_cg_bytes / mc.dma_bandwidth;
-    t.dma_bytes +=
-        static_cast<std::uint64_t>(per_cg_bytes * mc.num_cgs());
-  }
-
-  // Each CPE scores k_local rows of its narrow d_local slice per sample —
-  // the per-row overhead barely amortises at small d, which is Level 3's
-  // handicap left of the Fig. 7 crossover.
-  t.compute_s =
-      dbl(n_cgg) * dbl(plan.k_local) * mc.assign_row_seconds(plan.d_local);
-  t.flops = s.n * s.k * s.d * 2;
-
-  // Per sample: reduce k_local distance partials across the CG mesh, then
-  // an argmin combine across the group's m'_group CGs over the network —
-  // the d-independent cost floor that lets Level 2 win at small d.
-  t.mesh_comm_s =
-      dbl(n_cgg) * reg.allreduce_time(plan.k_local * eb, mc.cpes_per_cg) +
-      reg.allreduce_time(plan.k_local * plan.d_local * eb, 1);
   const std::size_t xover = mc.collective_crossover_bytes();
-  const AllreduceModel assign_combine = worst_group_allreduce(
-      topo, kMinLocBytes, cg_groups, p, placement, hier, xover);
-  t.net_comm_s = dbl(n_cgg) * assign_combine.seconds;
-  t.net_crossing_bytes += n_cgg * assign_combine.crossing_bytes;
+  // Each CG of a group reads the full sample, its 64 CPEs taking d_local
+  // each, and scores k_local rows of its narrow d_local slice per sample;
+  // the per-row overhead barely amortises at small d, and the per-sample
+  // group combine is the d-independent cost floor that lets Level 2 win.
+  AssignWork w;
+  w.stream_bytes = n_cgg * s.d * eb;
+  w.descriptors = ceil_div(n_cgg, plan.ldm.sample_batch);
+  w.centroid_samples = n_cgg;
+  w.sweep_s =
+      dbl(n_cgg) * dbl(plan.k_local) * mc.assign_row_seconds(plan.d_local);
+  w.combined = n_cgg;
+  w.group_combine = worst_group_allreduce(topo, kMinLocBytes, cg_groups, p,
+                                          placement, hier, xover);
+  w.block_samples = w.tile_samples = n_cgg;
+  CostTally t;
+  charge_level3_assign(t, w, plan, mc);
+  scale_to_machine(t, mc);
+  t.flops = s.n * s.k * s.d * 2;
+  // Every CG sends one record per sample (the engine books the p - 1
+  // records each CG receives).
   t.net_bytes += static_cast<std::uint64_t>(dbl(n_cgg) * kMinLocBytes *
                                             dbl(p) * dbl(cg_groups));
 

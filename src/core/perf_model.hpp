@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 
 #include "core/partition.hpp"
 #include "simarch/cost.hpp"
@@ -19,8 +20,10 @@ enum class Placement { kPacked, kScattered };
 
 /// Analytic cost of ONE k-means iteration under `plan` — the model that
 /// regenerates the paper's figures at paper scale, where the functional
-/// engines cannot run. Mechanics (all derived from the plan, none fitted
-/// per-figure):
+/// engines cannot run. Its assign phase is the engines' per-level charge
+/// (charge_level{1,2,3}_assign below) over a full chain-kernel sweep; only
+/// the update terms are its own. Mechanics (all derived from the plan,
+/// none fitted per-figure):
 ///
 ///  sample_read      — every flow unit DMA-streams its sample block; Level 2
 ///                     replicates each sample across the m_group CPEs of a
@@ -75,6 +78,66 @@ AllreduceModel cross_group_allreduce(const simarch::Topology& topo,
                                      std::size_t group_size,
                                      Placement placement, bool hier,
                                      std::size_t xover);
+
+/// One CG's assign-phase work in one iteration: the input of the per-level
+/// charge functions below. A LevelPolicy fills it from the counts its
+/// sweep executed; model_iteration fills it with a full chain-kernel sweep
+/// (16-byte combine records, the worst group's combine, one tile per
+/// block). Fields a level does not read stay zero.
+struct AssignWork {
+  /// Sample-stream bytes into the CG, the gate's bound bytes included.
+  std::uint64_t stream_bytes = 0;
+  /// Stream descriptors on the busiest reader's chain.
+  std::uint64_t descriptors = 0;
+  /// Level 1: CPEs that (re)load all k centroids.
+  std::uint64_t loading_cpes = 0;
+  /// Levels 2/3: samples that drive centroid traffic (the busiest group's
+  /// at Level 2, the CG's at Level 3).
+  std::uint64_t centroid_samples = 0;
+  /// Level 2: the iteration ran the bound gate, so a CG with no swept
+  /// sample loads no centroids.
+  bool gated = false;
+  /// The busiest CPE's sweep seconds, at the caller's resolved kernel.
+  double sweep_s = 0;
+  /// Levels 2/3: samples through the per-sample combine; Level 2 also
+  /// broadcasts `tightened` gate distances over the group's bus.
+  std::uint64_t combined = 0;
+  std::uint64_t tightened = 0;
+  /// Level 2: bytes of one combine record on the register bus.
+  std::size_t record_bytes = 0;
+  /// Level 3: one sample's argmin combine across the CG group.
+  AllreduceModel group_combine;
+  /// Tile pipeline: the busiest block's samples against the tile; a block
+  /// of at most one tile hides nothing.
+  std::uint64_t block_samples = 0;
+  std::uint64_t tile_samples = 0;
+};
+
+/// The assign phase of one CG for one iteration, added to `t` in the
+/// level's own charge order: sample stream, centroid traffic, the busiest
+/// CPE's sweep, the register-mesh combines, Level 3's group combine, and
+/// the tile pipeline's hiding. Volumes are the CG's own. Each returns the
+/// seconds the pipeline hid, or nullopt when it did not engage.
+///
+/// Level 1: every loading CPE streams all k centroids; the fused
+/// accumulator is reduced over the CG's mesh. The pipeline hides sample
+/// and centroid DMA in proportion.
+std::optional<double> charge_level1_assign(
+    simarch::CostTally& t, const AssignWork& w, const PartitionPlan& plan,
+    const simarch::MachineConfig& machine);
+/// Level 2: each CPE keeps its own slice copy; the group's argmin records
+/// and tighten distances cross the register bus, then the same-slice CPEs
+/// reduce their accumulators. Hiding as at Level 1.
+std::optional<double> charge_level2_assign(
+    simarch::CostTally& t, const AssignWork& w, const PartitionPlan& plan,
+    const simarch::MachineConfig& machine);
+/// Level 3: the CG's CPEs jointly hold one slice; each combined sample
+/// reduces k_local distance partials over the mesh and pays the group
+/// combine. The pipeline hides the combine's seconds first, then the
+/// centroid re-stream.
+std::optional<double> charge_level3_assign(
+    simarch::CostTally& t, const AssignWork& w, const PartitionPlan& plan,
+    const simarch::MachineConfig& machine);
 
 /// Bytes of the update phase's publish allgather: a 16-byte (shift,
 /// empties) header per CG and the k-double drift vector, plus the k

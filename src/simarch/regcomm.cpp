@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/error.hpp"
-
 namespace swhkm::simarch {
 
 std::size_t RegComm::mesh_hops(std::size_t participants) const {
@@ -28,57 +26,6 @@ double RegComm::allreduce_time(std::size_t bytes,
   return 2.0 * (hop_lat + wire);
 }
 
-double RegComm::broadcast_time(std::size_t bytes,
-                               std::size_t participants) const {
-  if (participants <= 1) {
-    return 0.0;
-  }
-  return static_cast<double>(mesh_hops(participants)) *
-             config_->reg_hop_latency +
-         static_cast<double>(bytes) / config_->reg_bandwidth;
-}
-
-void RegComm::allreduce_sum(std::span<const std::span<double>> bufs) {
-  if (bufs.size() <= 1) {
-    return;
-  }
-  const std::size_t extent = bufs.front().size();
-  for (const auto& buf : bufs) {
-    SWHKM_REQUIRE(buf.size() == extent, "allreduce buffers must match");
-  }
-  // Functional: accumulate into the first buffer in fixed CPE order (the
-  // mesh reduction is deterministic on hardware too), then copy back out.
-  std::span<double> acc = bufs.front();
-  for (std::size_t p = 1; p < bufs.size(); ++p) {
-    const std::span<double> src = bufs[p];
-    for (std::size_t i = 0; i < extent; ++i) {
-      acc[i] += src[i];
-    }
-  }
-  for (std::size_t p = 1; p < bufs.size(); ++p) {
-    std::copy(acc.begin(), acc.end(), bufs[p].begin());
-  }
-  const std::size_t bytes = extent * sizeof(double);
-  tally_->reg_bytes += bytes * (bufs.size() - 1);
-  tally_->mesh_comm_s += allreduce_time(bytes, bufs.size());
-}
-
-std::pair<double, std::uint64_t> RegComm::allreduce_min_pair(
-    std::span<const std::pair<double, std::uint64_t>> contributions) {
-  SWHKM_REQUIRE(!contributions.empty(), "min-pair needs contributions");
-  std::pair<double, std::uint64_t> best = contributions.front();
-  for (const auto& candidate : contributions.subspan(1)) {
-    if (candidate.first < best.first ||
-        (candidate.first == best.first && candidate.second < best.second)) {
-      best = candidate;
-    }
-  }
-  const std::size_t bytes = sizeof(double) + sizeof(std::uint64_t);
-  tally_->reg_bytes += bytes * (contributions.size() - 1);
-  tally_->mesh_comm_s += allreduce_time(bytes, contributions.size());
-  return best;
-}
-
 void RegComm::account_allreduce(std::size_t bytes, std::size_t participants,
                                 std::size_t times) {
   if (participants <= 1 || times == 0) {
@@ -87,14 +34,6 @@ void RegComm::account_allreduce(std::size_t bytes, std::size_t participants,
   tally_->reg_bytes += bytes * (participants - 1) * times;
   tally_->mesh_comm_s +=
       allreduce_time(bytes, participants) * static_cast<double>(times);
-}
-
-void RegComm::account_broadcast(std::size_t bytes, std::size_t participants) {
-  if (participants <= 1) {
-    return;
-  }
-  tally_->reg_bytes += bytes * (participants - 1);
-  tally_->mesh_comm_s += broadcast_time(bytes, participants);
 }
 
 }  // namespace swhkm::simarch

@@ -1,10 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <span>
-#include <utility>
-#include <vector>
 
 #include "simarch/cost.hpp"
 #include "simarch/machine_config.hpp"
@@ -15,9 +11,9 @@ namespace swhkm::simarch {
 ///
 /// The SW26010 exposes row and column buses that let CPEs exchange register
 /// payloads without touching memory; the paper leans on them for intra-CG
-/// AllReduce (quoted 3-4x faster than DMA/MPI paths). This class provides
-/// the collective patterns the k-means engines need, functionally (over the
-/// per-CPE buffers the engine owns) plus simulated-time accounting.
+/// AllReduce (quoted 3-4x faster than DMA/MPI paths). The engines keep
+/// every CPE's data in one address space, so this class only prices the
+/// mesh collectives they would run.
 ///
 /// Cost model for a mesh collective over p CPEs on an r x c mesh:
 ///   row phase then column phase => (r-1)+(c-1) hop latencies each way,
@@ -28,22 +24,6 @@ class RegComm {
   RegComm(const MachineConfig& config, CostTally& tally)
       : config_(&config), tally_(&tally) {}
 
-  /// Element-wise sum across per-CPE buffers; afterwards every buffer holds
-  /// the total. All buffers must have the same extent. `bufs` holds one
-  /// span per participating CPE (a whole CG or an m_group slice of it).
-  void allreduce_sum(std::span<const std::span<double>> bufs);
-
-  /// Combine (value, index) contributions, one per CPE; returns the pair
-  /// with minimal value, ties broken toward the smaller index (this is what
-  /// makes partitioned argmin agree with the serial scan).
-  std::pair<double, std::uint64_t> allreduce_min_pair(
-      std::span<const std::pair<double, std::uint64_t>> contributions);
-
-  /// Charge the time of broadcasting `bytes` from one CPE to `participants`
-  /// mesh neighbours (data is assumed already shared in the functional
-  /// engine's address space).
-  void account_broadcast(std::size_t bytes, std::size_t participants);
-
   /// Charge an allreduce of `bytes` over `participants` CPEs, `times` times
   /// (data already shared in the functional engine's address space).
   void account_allreduce(std::size_t bytes, std::size_t participants,
@@ -51,9 +31,6 @@ class RegComm {
 
   /// Model: seconds for an allreduce of `bytes` over `participants` CPEs.
   double allreduce_time(std::size_t bytes, std::size_t participants) const;
-
-  /// Model: seconds for a one-to-all broadcast of `bytes`.
-  double broadcast_time(std::size_t bytes, std::size_t participants) const;
 
  private:
   /// Hop count of the two-phase (row, then column) pattern for p CPEs.

@@ -164,34 +164,6 @@ double Topology::allgather_time(std::size_t bytes, std::size_t first_cg,
   return total;
 }
 
-double Topology::broadcast_time(std::size_t bytes, std::size_t first_cg,
-                                std::size_t count) const {
-  SWHKM_REQUIRE(first_cg + count <= num_cgs(), "CG range out of machine");
-  if (count <= 1) {
-    return 0.0;
-  }
-  // Binomial tree from rank 0 of the range: stage s doubles the reached
-  // prefix; stage cost is its worst link.
-  double total = 0.0;
-  for (std::size_t reached = 1; reached < count; reached *= 2) {
-    double worst = 0.0;
-    const std::size_t senders = std::min(reached, count - reached);
-    for (std::size_t s = 0; s < senders; ++s) {
-      worst = std::max(
-          worst, message_time(bytes, first_cg + s, first_cg + s + reached));
-    }
-    total += worst;
-  }
-  return total;
-}
-
-double Topology::min_combine_time(std::size_t first_cg,
-                                  std::size_t count) const {
-  // (double, uint64) payload: 16 bytes — pure latency in practice.
-  return allreduce_time(sizeof(double) + sizeof(std::uint64_t), first_cg,
-                        count);
-}
-
 const char* to_string(CollectiveAlgo algo) {
   switch (algo) {
     case CollectiveAlgo::kFlat:
@@ -243,9 +215,8 @@ std::vector<std::vector<std::size_t>> Topology::segments_by_supernode(
 double Topology::binomial_tree_time(std::size_t bytes,
                                     const std::vector<std::size_t>& cgs)
     const {
-  // Binomial tree over list indices; stage cost is its worst link — the
-  // list-set mirror of broadcast_time (a reduce is the same stage
-  // structure run in reverse).
+  // Binomial tree over list indices; stage cost is its worst link (a
+  // reduce is the same stage structure run in reverse).
   const std::size_t count = cgs.size();
   double total = 0.0;
   for (std::size_t reached = 1; reached < count; reached *= 2) {

@@ -99,15 +99,6 @@ class Topology {
   double allgather_time(std::size_t bytes, std::size_t first_cg,
                         std::size_t count) const;
 
-  /// Seconds for a one-to-all broadcast over the same range (binomial tree;
-  /// log2(count) stages of the full payload).
-  double broadcast_time(std::size_t bytes, std::size_t first_cg,
-                        std::size_t count) const;
-
-  /// Seconds for an argmin-style combine of a tiny (value,index) payload
-  /// over the range — latency dominated; used per-sample by Level 3.
-  double min_combine_time(std::size_t first_cg, std::size_t count) const;
-
   /// Two-level allreduce charge over the rank set: binomial fold inside
   /// each supernode's segment, a size-adaptive stage among the supernode
   /// leaders (binomial tree at or below `crossover_bytes`, recursive

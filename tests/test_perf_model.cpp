@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "core/hkmeans.hpp"
 #include "core/partition.hpp"
 #include "core/perf_model.hpp"
 #include "core/planner.hpp"
@@ -167,6 +168,34 @@ TEST(PerfModel, MismatchedMachineRejected) {
   const MachineConfig m16 = MachineConfig::sw26010(16);
   const PartitionPlan plan = make_plan(Level::kLevel1, {1000, 4, 8}, m8);
   EXPECT_THROW(model_iteration(plan, m16), swhkm::InvalidArgument);
+}
+
+TEST(PerfModel, EngineMatchesModelOnAFullChainSweep) {
+  // The engines and model_iteration price the assign phase through the
+  // same per-level function. On one ungated iteration with 256-sample
+  // tiles the LDM downgrades every level to the chain kernel and no block
+  // spans two tiles, so the engine's work record is the model's full
+  // sweep: the shared terms must agree bit for bit. Level 1 also shares
+  // its mesh term; Levels 2/3 differ there by record width (24-byte
+  // top-two records against the model's 16) and group combine.
+  const MachineConfig machine = MachineConfig::tiny(2, 4, 2048);
+  const data::Dataset dataset = data::make_blobs(1024, 12, 5, 17);
+  KmeansConfig config;
+  config.k = 6;
+  config.max_iterations = 1;
+  config.tile_samples = 256;
+  for (Level level : {Level::kLevel1, Level::kLevel2, Level::kLevel3}) {
+    const CostTally engine =
+        run_level(level, dataset, config, machine).last_iteration_cost;
+    const CostTally model = model_for(level, {1024, 6, 12}, machine);
+    EXPECT_EQ(engine.sample_read_s, model.sample_read_s) << level_name(level);
+    EXPECT_EQ(engine.centroid_stream_s, model.centroid_stream_s)
+        << level_name(level);
+    EXPECT_EQ(engine.compute_s, model.compute_s) << level_name(level);
+    if (level == Level::kLevel1) {
+      EXPECT_EQ(engine.mesh_comm_s, model.mesh_comm_s);
+    }
+  }
 }
 
 TEST(PaperFormulas, Level1MatchesClosedForm) {

@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <vector>
+#include <string>
 
 #include "simarch/regcomm.hpp"
 
@@ -12,55 +12,6 @@ class RegCommTest : public ::testing::Test {
   MachineConfig config_;
   CostTally tally_;
 };
-
-TEST_F(RegCommTest, AllreduceSumCombinesBuffers) {
-  RegComm reg(config_, tally_);
-  std::vector<double> a{1, 2, 3};
-  std::vector<double> b{10, 20, 30};
-  std::vector<double> c{100, 200, 300};
-  std::vector<std::span<double>> bufs{std::span(a), std::span(b),
-                                      std::span(c)};
-  reg.allreduce_sum(bufs);
-  const std::vector<double> expected{111, 222, 333};
-  EXPECT_EQ(a, expected);
-  EXPECT_EQ(b, expected);
-  EXPECT_EQ(c, expected);
-}
-
-TEST_F(RegCommTest, AllreduceSumSingleBufferIsNoop) {
-  RegComm reg(config_, tally_);
-  std::vector<double> a{1, 2};
-  std::vector<std::span<double>> bufs{std::span(a)};
-  reg.allreduce_sum(bufs);
-  EXPECT_EQ(a, (std::vector<double>{1, 2}));
-  EXPECT_EQ(tally_.mesh_comm_s, 0.0);
-}
-
-TEST_F(RegCommTest, AllreduceSumChargesTimeAndBytes) {
-  RegComm reg(config_, tally_);
-  std::vector<double> a{1};
-  std::vector<double> b{2};
-  std::vector<std::span<double>> bufs{std::span(a), std::span(b)};
-  reg.allreduce_sum(bufs);
-  EXPECT_GT(tally_.mesh_comm_s, 0.0);
-  EXPECT_EQ(tally_.reg_bytes, sizeof(double));
-}
-
-TEST_F(RegCommTest, MinPairPicksSmallestValue) {
-  RegComm reg(config_, tally_);
-  std::vector<std::pair<double, std::uint64_t>> contributions{
-      {3.0, 1}, {1.0, 2}, {2.0, 3}};
-  const auto best = reg.allreduce_min_pair(contributions);
-  EXPECT_DOUBLE_EQ(best.first, 1.0);
-  EXPECT_EQ(best.second, 2u);
-}
-
-TEST_F(RegCommTest, MinPairBreaksTiesTowardLowerIndex) {
-  RegComm reg(config_, tally_);
-  std::vector<std::pair<double, std::uint64_t>> contributions{
-      {1.0, 7}, {1.0, 3}, {1.0, 9}};
-  EXPECT_EQ(reg.allreduce_min_pair(contributions).second, 3u);
-}
 
 TEST_F(RegCommTest, AllreduceTimeGrowsWithPayload) {
   RegComm reg(config_, tally_);
@@ -78,19 +29,6 @@ TEST_F(RegCommTest, FullMeshUsesFourteenHops) {
   RegComm reg(config_, tally_);
   const double t = reg.allreduce_time(0, 64);
   EXPECT_NEAR(t, 2 * 14 * config_.reg_hop_latency, 1e-15);
-}
-
-TEST_F(RegCommTest, BroadcastIsHalfAnAllreduce) {
-  RegComm reg(config_, tally_);
-  EXPECT_NEAR(reg.broadcast_time(4096, 64) * 2, reg.allreduce_time(4096, 64),
-              1e-12);
-}
-
-TEST_F(RegCommTest, AccountBroadcastCharges) {
-  RegComm reg(config_, tally_);
-  reg.account_broadcast(512, 8);
-  EXPECT_GT(tally_.mesh_comm_s, 0.0);
-  EXPECT_EQ(tally_.reg_bytes, 512u * 7);
 }
 
 TEST_F(RegCommTest, AccountAllreduceMultipliesTimes) {
@@ -118,6 +56,50 @@ TEST_F(RegCommTest, PaperClaimRegisterCommBeatsDma) {
       2.0 * static_cast<double>(bytes) / config_.dma_bandwidth +
       2 * config_.dma_latency;
   EXPECT_LT(reg_time, dma_equiv);
+}
+
+TEST(CostTally, TotalSumsComponents) {
+  CostTally t;
+  t.sample_read_s = 1;
+  t.centroid_stream_s = 2;
+  t.compute_s = 3;
+  t.mesh_comm_s = 4;
+  t.net_comm_s = 5;
+  t.update_s = 6;
+  EXPECT_DOUBLE_EQ(t.total_s(), 21.0);
+}
+
+TEST(CostTally, PlusEqualsAddsEverything) {
+  CostTally a;
+  a.compute_s = 1;
+  a.dma_bytes = 10;
+  CostTally b;
+  b.compute_s = 2;
+  b.dma_bytes = 20;
+  a += b;
+  EXPECT_DOUBLE_EQ(a.compute_s, 3.0);
+  EXPECT_EQ(a.dma_bytes, 30u);
+}
+
+TEST(CostTally, MaxInPlaceTakesCriticalPathAndSumsVolumes) {
+  CostTally a;
+  a.compute_s = 1;
+  a.net_comm_s = 9;
+  a.net_bytes = 5;
+  CostTally b;
+  b.compute_s = 4;
+  b.net_comm_s = 2;
+  b.net_bytes = 7;
+  a.max_in_place(b);
+  EXPECT_DOUBLE_EQ(a.compute_s, 4.0);
+  EXPECT_DOUBLE_EQ(a.net_comm_s, 9.0);
+  EXPECT_EQ(a.net_bytes, 12u);
+}
+
+TEST(CostTally, SummaryMentionsTotal) {
+  CostTally t;
+  t.compute_s = 1.5;
+  EXPECT_NE(t.summary().find("total 1.500 s"), std::string::npos);
 }
 
 }  // namespace

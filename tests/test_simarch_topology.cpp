@@ -101,22 +101,6 @@ TEST(Topology, StridedOverloadMatchesContiguous) {
                    topo.allreduce_time(4096, contiguous));
 }
 
-TEST(Topology, BroadcastCheaperThanAllreduce) {
-  const MachineConfig config = MachineConfig::sw26010(32);
-  const Topology topo(config);
-  EXPECT_LE(topo.broadcast_time(1 << 20, 0, 128),
-            topo.allreduce_time(1 << 20, 0, 128));
-}
-
-TEST(Topology, MinCombineIsLatencyBound) {
-  const MachineConfig config = MachineConfig::sw26010(512);
-  const Topology topo(config);
-  const double t = topo.min_combine_time(0, 16);
-  // 16 bytes over 4 stages: essentially stage latencies only.
-  EXPECT_GT(t, 0.0);
-  EXPECT_LT(t, 1e-3);
-}
-
 TEST(Topology, SupernodeCrossingRaisesGroupCombine) {
   // A 16-CG group fully inside supernode 0 vs one straddling the boundary.
   const MachineConfig config = MachineConfig::sw26010(512);
