@@ -13,6 +13,7 @@
 #include "swmpi/runtime.hpp"
 #include "util/crc32.hpp"
 #include "util/error.hpp"
+#include "util/units.hpp"
 
 namespace swhkm::core::detail {
 
@@ -368,7 +369,10 @@ KmeansResult run_engine(Level level, const char* name,
   const std::size_t batch =
       std::min(plan.ldm.sample_batch,
                sample_batch(plan, machine, tile_samples, gemm));
-  validate_ldm_layout(plan, machine, batch);
+  const std::size_t combine =
+      std::min({plan.ldm.combine_batch,
+                combine_batch(plan, machine, tile_samples, gemm), batch});
+  validate_ldm_layout(plan, machine, batch, combine);
   const simarch::Topology topo(machine);
   // Hierarchical-collective schedule: one supernode's CGs form an intra
   // group, the crossover is derived from the machine's inter-supernode
@@ -395,6 +399,7 @@ KmeansResult run_engine(Level level, const char* name,
                       .tile_samples = tile_samples,
                       .gemm = gemm,
                       .sample_batch = batch,
+                      .combine_batch = combine,
                       .xover = xover,
                       .centroids = centroids,
                       .assignments = result.assignments};
@@ -605,6 +610,8 @@ KmeansResult run_engine(Level level, const char* name,
       result.radius_pass ? gated_iterations * config.k * (config.k - 1) / 2
                          : 0;
   result.assign_kernel = gemm ? "gemm" : "chain";
+  result.sample_batch = batch;
+  result.combine_batch = combine;
   result.bound_groups = plan.bound_groups;
   result.gated_iterations = gated_iterations;
   result.empty_clusters = empty_clusters;
@@ -705,6 +712,7 @@ void TileSweep::stage(EngineRank& rank, Slot& s, std::size_t t0,
     for (std::uint64_t& scans : group_scans_) {
       scans += t1 - t0;
     }
+    block.launches += util::ceil_div(t1 - t0, run.combine_batch);
     return;
   }
   s.ids.clear();
@@ -714,7 +722,7 @@ void TileSweep::stage(EngineRank& rank, Slot& s, std::size_t t0,
   // group and the assigned centroid's full row lives in one member's
   // slice; the verdict rides the register bus.
   const bool grouped = split.groups > 1;
-  block.tightened += gate_groups(
+  const std::size_t tightened = gate_groups(
       run.dataset, run.centroids, t0, t1,
       std::span<const std::uint32_t>(run.assignments).subspan(rank.bound_base),
       rank.drift, split, rank.digests, rank.safe, rank.bound_base, rank.upper,
@@ -722,6 +730,9 @@ void TileSweep::stage(EngineRank& rank, Slot& s, std::size_t t0,
       /*tighten=*/true,
       GateSurvivors{s.ids, grouped ? &s.scan : nullptr,
                     grouped ? &s.assigned_sq : nullptr, tightened_at_});
+  block.tightened += tightened;
+  block.launches +=
+      util::ceil_div(std::max(s.ids.size(), tightened), run.combine_batch);
   if (rank.survivor_hist != nullptr) {
     rank.survivor_hist->observe(static_cast<double>(s.ids.size()));
   }

@@ -37,6 +37,9 @@ struct EngineRun {
   /// Samples per sample-stream descriptor: the layout's batch, shrunk if
   /// this run's tile scratch needs its LDM.
   std::size_t sample_batch;
+  /// Samples per register-mesh combine launch (Levels 2/3): the layout's
+  /// combine batch, shrunk the same way and never above sample_batch.
+  std::size_t combine_batch;
   std::size_t xover;         ///< hierarchical-collective crossover bytes
   util::Matrix& centroids;   ///< the one shared centroid snapshot
   std::vector<std::uint32_t>& assignments;  ///< KmeansResult::assignments
@@ -191,6 +194,10 @@ class TileSweep {
     std::uint64_t tightened = 0;   ///< one-row gate tightenings
     /// Sample-stream descriptors of the block's busiest reader.
     std::uint64_t descriptors = 0;
+    /// The group's register-bus rounds: per tile, one per combine batch
+    /// of its survivors, or of its tightened samples when there are more
+    /// (their distances ride the same rounds).
+    std::uint64_t launches = 0;
     /// Centroid rows scored: each survivor times its scanned groups' sizes.
     std::uint64_t scanned_rows = 0;
     /// Per member CPE (m_group entries): the scanned rows in its centroid

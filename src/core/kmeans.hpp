@@ -192,6 +192,13 @@ struct KmeansResult {
   /// (DESIGN.md §7). The RecoveryDriver sums it over its legs.
   std::string assign_kernel;
   std::size_t gated_iterations = 0;
+  /// Samples per sample-stream DMA descriptor and per register-mesh
+  /// combine launch the engine resolved (LdmLayout::sample_batch and
+  /// combine_batch, shrunk for the run's tile; 0 for the serial
+  /// baselines). A combine batch of 1 means the plan combines sample by
+  /// sample, where batching would not pay (DESIGN.md §10).
+  std::size_t sample_batch = 0;
+  std::size_t combine_batch = 0;
   /// Lower bounds per sample the bound gate kept (PartitionPlan::
   /// bound_groups): 1 at Level 1, min(8, k) at Level 2, min(16, k) at
   /// Level 3.

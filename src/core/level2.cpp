@@ -71,6 +71,7 @@ class Level2Policy final : public detail::LevelPolicy {
       work_.block_samples = std::max(work_.block_samples, count);
       work_.descriptors = std::max(work_.descriptors, block.descriptors);
       work_.combined = std::max(work_.combined, block.unresolved);
+      work_.launches = std::max(work_.launches, block.launches);
       work_.tightened = std::max(work_.tightened, block.tightened);
       for (std::size_t m = 0; m < g; ++m) {
         work_.sweep_s = std::max(

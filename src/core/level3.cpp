@@ -6,6 +6,7 @@
 #include "core/engine_loop.hpp"
 #include "core/perf_model.hpp"
 #include "swmpi/collectives.hpp"
+#include "util/units.hpp"
 
 namespace swhkm::core {
 
@@ -19,8 +20,9 @@ static_assert(kLevel3BoundGroups < 32, "merge_group_records' scan mask");
 /// resolves the whole compacted tile, and a fully-gated tile skips the
 /// collective outright (every rank computed the same empty compaction, so
 /// the collective discipline holds). The simulated cost still prices the
-/// paper's per-sample combine; only the wall-clock synchronisation is
-/// batched. The winner's slice owner accumulates, in ascending-i order —
+/// paper's per-sample group combine on the network; the mesh reduction of
+/// the distance partials is priced per combine batch of survivors. The
+/// winner's slice owner accumulates, in ascending-i order —
 /// resolved samples under their stored assignment — so the fused sums
 /// keep the exact summation order of a full sweep. The gate keeps one
 /// lower bound per centroid group (plan.bound_groups) and runs no
@@ -63,6 +65,7 @@ class Level3Policy final : public detail::LevelPolicy {
     count_ = end - begin;
     unresolved_ = 0;
     owned_resolved_ = 0;
+    launches_ = 0;
     runs_.reset();
     drain_first_us_ = -1.0;
     drain_wall_us_ = 0.0;
@@ -112,6 +115,7 @@ class Level3Policy final : public detail::LevelPolicy {
     w.sweep_s = static_cast<double>(unresolved_) *
                 static_cast<double>(k_local) * sweep_row_s;
     w.combined = unresolved_;
+    w.launches = launches_;
     w.block_samples = count_;
     w.tile_samples = run.tile_samples;
     // The group combine carries one MinLoc2 per bound group (8 bytes per
@@ -141,7 +145,11 @@ class Level3Policy final : public detail::LevelPolicy {
       detail::tick_collective_charge(rank.tshard, "sim.collective.group_argmin",
                                      group_charge);
     }
-    rank.tally.net_bytes += unresolved_ * record_bytes * (p_ - 1);
+    // One record per CG of the group for each combined sample, booked
+    // once per group (model_level3's rule).
+    if (within_ == 0 && p_ > 1) {
+      rank.tally.net_bytes += unresolved_ * record_bytes * p_;
+    }
 
     const std::size_t slice = j_end_ - j_begin_;
     rank.tally.flops += unresolved_ * 2 * slice * d;
@@ -251,6 +259,7 @@ class Level3Policy final : public detail::LevelPolicy {
       return;
     }
     score_ids(rank, s);
+    launches_ += util::ceil_div(s.ids.size(), rank.run.combine_batch);
     s.combine.start(group_comm_, std::span<swmpi::MinLoc2>(s.recs),
                     swmpi::CombineMinLoc2{});
     if (p_ > 1) {
@@ -326,6 +335,7 @@ class Level3Policy final : public detail::LevelPolicy {
   std::uint64_t count_ = 0;
   std::uint64_t unresolved_ = 0;
   std::uint64_t owned_resolved_ = 0;
+  std::uint64_t launches_ = 0;  ///< mesh combine launches of the survivors
   double drain_first_us_ = -1.0;
   double drain_wall_us_ = 0.0;
 };

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "core/engine_loop.hpp"
+#include "simarch/regcomm.hpp"
 #include "util/error.hpp"
 #include "util/units.hpp"
 
@@ -449,8 +450,9 @@ PartitionPlan make_plan(Level level, const ProblemShape& shape,
   // The batch the model charges: the default tile, on the kernel the
   // engines would pick for it.
   const std::size_t tile = KmeansConfig{}.tile_samples;
-  plan.ldm.sample_batch =
-      sample_batch(plan, machine, tile, gemm_scratch_fits(tile, plan, machine));
+  const bool gemm = gemm_scratch_fits(tile, plan, machine);
+  plan.ldm.sample_batch = sample_batch(plan, machine, tile, gemm);
+  plan.ldm.combine_batch = combine_batch(plan, machine, tile, gemm);
   return plan;
 }
 
@@ -471,7 +473,8 @@ std::string PartitionPlan::describe() const {
                        : ", centroids streamed (tile_rows=" +
                              std::to_string(ldm.tile_rows) + ")")
       << ", LDM peak " << ldm.total_elems << " elems"
-      << ", sample batch " << ldm.sample_batch;
+      << ", sample batch " << ldm.sample_batch << ", combine batch "
+      << ldm.combine_batch;
   return out.str();
 }
 
@@ -515,9 +518,30 @@ std::size_t resolve_tile_samples(std::size_t requested,
   return requested;
 }
 
-std::size_t sample_batch(const PartitionPlan& plan,
-                         const simarch::MachineConfig& machine,
-                         std::size_t tile_samples, bool gemm) {
+std::size_t combine_elems(const PartitionPlan& plan,
+                          const simarch::MachineConfig& machine) {
+  constexpr std::size_t kRecordBytes = 24;  // sizeof(swmpi::MinLoc2)
+  switch (plan.level) {
+    case Level::kLevel1:
+      return 0;
+    case Level::kLevel2:
+      return plan.m_group > 1 ? ceil_div(kRecordBytes, machine.elem_bytes) : 0;
+    case Level::kLevel3:
+      return plan.cpes_per_cg > 1 ? plan.k_local : 0;
+  }
+  return 0;
+}
+
+namespace {
+
+struct Batches {
+  std::size_t samples = 1;
+  std::size_t combine = 1;
+};
+
+Batches resolve_batches(const PartitionPlan& plan,
+                        const simarch::MachineConfig& machine,
+                        std::size_t tile_samples, bool gemm) {
   const std::size_t eb = machine.elem_bytes;
   const std::size_t share_elems = ceil_div(
       ceil_div(tile_scratch_bytes(tile_samples, plan, gemm), plan.cpes_per_cg),
@@ -525,9 +549,46 @@ std::size_t sample_batch(const PartitionPlan& plan,
   const std::size_t used = plan.ldm.total_elems + share_elems;
   const std::size_t ldm = machine.ldm_elems();
   if (used >= ldm) {
-    return 1;
+    return {};
   }
-  return std::max<std::size_t>(1, (ldm - used) / (2 * plan.ldm.sample_elems));
+  const std::size_t free = ldm - used;
+  const std::size_t sample = 2 * plan.ldm.sample_elems;
+  const Batches single{std::max<std::size_t>(1, free / sample), 1};
+  const std::size_t combine = combine_elems(plan, machine);
+  if (combine == 0) {
+    return single;
+  }
+  const std::size_t b = free / (sample + combine);
+  if (b < 2) {
+    return single;
+  }
+  // Price a flow unit's full sweep both ways, as model_iteration does:
+  // descriptor issue latencies plus the combine launches' hop latency
+  // (the combine's wire time does not depend on the batch).
+  const std::uint64_t n = ceil_div(plan.shape.n, plan.num_flow_units);
+  simarch::CostTally unused;
+  const double launch_s = simarch::RegComm(machine, unused).allreduce_time(
+      0, plan.level == Level::kLevel2 ? plan.m_group : plan.cpes_per_cg);
+  const auto dbl = [](std::uint64_t v) { return static_cast<double>(v); };
+  const double batched_s =
+      dbl(ceil_div(n, b)) * machine.dma_latency + dbl(ceil_div(n, b)) * launch_s;
+  const double single_s =
+      dbl(ceil_div(n, single.samples)) * machine.dma_latency + dbl(n) * launch_s;
+  return batched_s < single_s ? Batches{b, b} : single;
+}
+
+}  // namespace
+
+std::size_t sample_batch(const PartitionPlan& plan,
+                         const simarch::MachineConfig& machine,
+                         std::size_t tile_samples, bool gemm) {
+  return resolve_batches(plan, machine, tile_samples, gemm).samples;
+}
+
+std::size_t combine_batch(const PartitionPlan& plan,
+                          const simarch::MachineConfig& machine,
+                          std::size_t tile_samples, bool gemm) {
+  return resolve_batches(plan, machine, tile_samples, gemm).combine;
 }
 
 bool gemm_scratch_fits(std::size_t tile_samples, const PartitionPlan& plan,

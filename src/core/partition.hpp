@@ -51,6 +51,9 @@ bool c3_l3(const ProblemShape& shape, std::size_t ldm_elems,
 /// while the CPE scores the other half. The buffers live in the LDM the
 /// rest of the layout leaves free (sample_batch()), so they never change a
 /// plan's feasibility; a batch of one is the layout's own sample buffer.
+/// A batch is also the unit of the register-mesh combine at Levels 2 and
+/// 3: the CPE keeps each batched sample's combine scratch (combine_elems)
+/// until one launch reduces the whole batch (`combine_batch`).
 struct LdmLayout {
   bool resident = false;
   std::size_t tile_rows = 0;      ///< centroid rows per streamed tile
@@ -61,6 +64,10 @@ struct LdmLayout {
   /// Samples per sample-stream DMA descriptor at the default tile size
   /// (KmeansConfig{}.tile_samples) — what the performance model charges.
   std::size_t sample_batch = 1;
+  /// Samples per register-mesh combine launch at the default tile size:
+  /// sample_batch when the batch's combine scratch is budgeted, 1 when the
+  /// plan combines sample by sample (combine_batch()).
+  std::size_t combine_batch = 1;
 };
 
 /// Level 2's lower bounds per sample: one per contiguous centroid group.
@@ -157,17 +164,39 @@ std::size_t resolve_tile_samples(std::size_t requested,
                                  const simarch::MachineConfig& machine,
                                  bool gemm = true);
 
-/// Samples per sample-stream DMA descriptor: the largest B whose double
-/// buffer (2 x B x sample_elems) fits in the LDM the plan's layout leaves
-/// free once the CPE's share of what resolve_tile_samples budgets for the
-/// tile (argmin records, GEMM scratch) is taken out, and at least 1 (a
-/// batch of one is the layout's own sample buffer). make_plan stores the
-/// default tile's value in LdmLayout::sample_batch, which the performance
-/// model charges; the engines call this with their resolved tile and keep
-/// the smaller of the two.
+/// LDM elements one batched sample keeps for the register-mesh combine:
+/// its k_local distance partials at Level 3, one 24-byte argmin record at
+/// Level 2, none where no mesh combine runs (Level 1, a Level 2 group of
+/// one CPE, a one-CPE core group). A batch of one combines from the
+/// layout's own scratch and registers. A streamed layout never batches:
+/// its centroid tiles leave less than three samples of LDM free.
+std::size_t combine_elems(const PartitionPlan& plan,
+                          const simarch::MachineConfig& machine);
+
+/// Samples per sample-stream DMA descriptor. The LDM the plan's layout
+/// leaves free, once the CPE's share of what resolve_tile_samples budgets
+/// for the tile (argmin records, GEMM scratch) is taken out, holds one of
+/// two batches:
+///  - batched combine: the largest B whose double buffer and combine
+///    scratch (B x (2 x sample_elems + combine_elems)) fit, one mesh
+///    combine launch per batch;
+///  - per-sample combine: the largest B whose double buffer alone fits,
+///    one launch per sample.
+/// The plan takes the batched one only when it prices a flow unit's
+/// full sweep (its descriptors plus its combine launches' hop latency)
+/// strictly cheaper, so the batch never makes a plan dearer. B is at
+/// least 1 (a batch of one is the layout's own sample buffer). make_plan
+/// stores the default tile's values in LdmLayout::sample_batch and
+/// combine_batch, which the performance model charges; the engines call
+/// these with their resolved tile and keep the smaller values.
 std::size_t sample_batch(const PartitionPlan& plan,
                          const simarch::MachineConfig& machine,
                          std::size_t tile_samples, bool gemm);
+/// Samples per register-mesh combine launch under the same choice:
+/// sample_batch() when the batched combine wins, 1 otherwise.
+std::size_t combine_batch(const PartitionPlan& plan,
+                          const simarch::MachineConfig& machine,
+                          std::size_t tile_samples, bool gemm);
 
 /// Whether the GEMM sweep's candidate/norm scratch fits in LDM alongside
 /// the tile's records. The GEMM kernel is an optimisation with

@@ -192,11 +192,14 @@ std::optional<double> charge_level2_assign(CostTally& t, const AssignWork& w,
   const std::optional<double> hidden =
       hide_tile_dma(t, w, sample_dma_s, centroid_dma_s);
   // The group's combine records and tighten distances (one double from
-  // the slice owner each) on the register bus, then the same-slice CPEs'
-  // accumulator reduce across the CG's groups.
+  // the slice owner each) on the register bus, a round per batch: rounds
+  // beyond the records' carry tighten distances only. Then the same-slice
+  // CPEs' accumulator reduce across the CG's groups.
+  const std::uint64_t record_launches = std::min(w.launches, w.combined);
   RegComm reg(mc, t);
-  reg.account_allreduce(w.record_bytes, g, w.combined);
-  reg.account_allreduce(sizeof(double), g, w.tightened);
+  reg.account_allreduce(w.record_bytes, g, w.combined, record_launches);
+  reg.account_allreduce(sizeof(double), g, w.tightened,
+                        w.launches - record_launches);
   reg.account_allreduce(plan.k_local * plan.shape.d * mc.elem_bytes,
                         mc.cpes_per_cg / g);
   return hidden;
@@ -212,7 +215,7 @@ std::optional<double> charge_level3_assign(CostTally& t, const AssignWork& w,
           : 0.0;
   t.compute_s += w.sweep_s;
   RegComm(mc, t).account_allreduce(plan.k_local * mc.elem_bytes,
-                                   mc.cpes_per_cg, w.combined);
+                                   mc.cpes_per_cg, w.combined, w.launches);
   const double tile_net_s = dbl(w.combined) * w.group_combine.seconds;
   t.net_comm_s += tile_net_s;
   t.net_crossing_bytes += w.combined * w.group_combine.crossing_bytes;
@@ -308,6 +311,7 @@ CostTally model_level2(const PartitionPlan& plan, const MachineConfig& mc,
   w.centroid_samples = n_grp;
   w.sweep_s = dbl(n_grp) * dbl(plan.k_local) * mc.assign_row_seconds(s.d);
   w.combined = n_grp;
+  w.launches = ceil_div(n_grp, plan.ldm.combine_batch);
   w.record_bytes = kMinLocBytes;
   w.block_samples = w.tile_samples = n_grp;
   CostTally t;
@@ -342,6 +346,7 @@ CostTally model_level3(const PartitionPlan& plan, const MachineConfig& mc,
   w.sweep_s =
       dbl(n_cgg) * dbl(plan.k_local) * mc.assign_row_seconds(plan.d_local);
   w.combined = n_cgg;
+  w.launches = ceil_div(n_cgg, plan.ldm.combine_batch);
   w.group_combine = worst_group_allreduce(topo, kMinLocBytes, cg_groups, p,
                                           placement, hier, xover);
   w.block_samples = w.tile_samples = n_cgg;
@@ -349,10 +354,12 @@ CostTally model_level3(const PartitionPlan& plan, const MachineConfig& mc,
   charge_level3_assign(t, w, plan, mc);
   scale_to_machine(t, mc);
   t.flops = s.n * s.k * s.d * 2;
-  // Every CG sends one record per sample (the engine books the p - 1
-  // records each CG receives).
-  t.net_bytes += static_cast<std::uint64_t>(dbl(n_cgg) * kMinLocBytes *
-                                            dbl(p) * dbl(cg_groups));
+  // Each group combine carries one record per CG of the group, booked
+  // once per combine (the engines' slice-0 CG books its group's).
+  if (p > 1) {
+    t.net_bytes += static_cast<std::uint64_t>(dbl(n_cgg) * kMinLocBytes *
+                                              dbl(p) * dbl(cg_groups));
+  }
 
   // Update: AllReduce the slice accumulators across same-slice CGs.
   const std::size_t accum_bytes = (plan.k_local * s.d + plan.k_local) * eb;

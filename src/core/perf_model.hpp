@@ -36,8 +36,11 @@ enum class Placement { kPacked, kScattered };
 ///                     produces the stepwise jumps in the Fig. 7 curves.
 ///  compute          — 2*k_local*d_local flops per sample per holder at
 ///                     compute_efficiency * peak.
-///  mesh_comm        — per-sample register-communication combines inside a
-///                     CG (argmin for L2, distance partials for L3) plus
+///  mesh_comm        — register-communication combines inside a CG
+///                     (argmin records for L2, distance partials for L3),
+///                     one launch per combine batch of samples
+///                     (plan.ldm.combine_batch): each launch pays the hop
+///                     latency once and each sample its wire time; plus
 ///                     the intra-CG accumulator reduction.
 ///  net_comm         — per-sample inter-CG argmin combine (Level 3 only;
 ///                     this latency floor is why Level 2 wins at small d)
@@ -99,10 +102,15 @@ struct AssignWork {
   bool gated = false;
   /// The busiest CPE's sweep seconds, at the caller's resolved kernel.
   double sweep_s = 0;
-  /// Levels 2/3: samples through the per-sample combine; Level 2 also
+  /// Levels 2/3: samples through the register-mesh combine; Level 2 also
   /// broadcasts `tightened` gate distances over the group's bus.
   std::uint64_t combined = 0;
   std::uint64_t tightened = 0;
+  /// Levels 2/3: mesh combine launches, one per combine batch of a tile's
+  /// samples on the mesh: Σ over tiles of ⌈survivors / combine batch⌉
+  /// (Level 2 counts a tile's tightened samples when there are more of
+  /// them; its distances ride the same rounds).
+  std::uint64_t launches = 0;
   /// Level 2: bytes of one combine record on the register bus.
   std::size_t record_bytes = 0;
   /// Level 3: one sample's argmin combine across the CG group.
@@ -126,14 +134,15 @@ std::optional<double> charge_level1_assign(
     simarch::CostTally& t, const AssignWork& w, const PartitionPlan& plan,
     const simarch::MachineConfig& machine);
 /// Level 2: each CPE keeps its own slice copy; the group's argmin records
-/// and tighten distances cross the register bus, then the same-slice CPEs
-/// reduce their accumulators. Hiding as at Level 1.
+/// and tighten distances cross the register bus in `launches` rounds,
+/// then the same-slice CPEs reduce their accumulators. Hiding as at
+/// Level 1.
 std::optional<double> charge_level2_assign(
     simarch::CostTally& t, const AssignWork& w, const PartitionPlan& plan,
     const simarch::MachineConfig& machine);
 /// Level 3: the CG's CPEs jointly hold one slice; each combined sample
-/// reduces k_local distance partials over the mesh and pays the group
-/// combine. The pipeline hides the combine's seconds first, then the
+/// reduces k_local distance partials over the mesh (`launches` batched
+/// allreduces) and pays the group combine. The pipeline hides the combine's seconds first, then the
 /// centroid re-stream.
 std::optional<double> charge_level3_assign(
     simarch::CostTally& t, const AssignWork& w, const PartitionPlan& plan,

@@ -29,6 +29,8 @@ void RunReport::set_result(const core::KmeansResult& result) {
   inertia = result.inertia;
   history = result.history;
   assign_kernel = result.assign_kernel;
+  sample_batch = result.sample_batch;
+  combine_batch = result.combine_batch;
   bound_groups = result.bound_groups;
   radius_pass = result.radius_pass;
   gated_iterations = result.gated_iterations;
@@ -56,6 +58,8 @@ void RunReport::write_json(std::ostream& out) const {
   w.kv("hier_collectives", config.hier_collectives);
   w.kv("sdc_checks", config.sdc_checks);
   w.kv("assign_kernel", std::string_view(assign_kernel));
+  w.kv("sample_batch", static_cast<std::uint64_t>(sample_batch));
+  w.kv("combine_batch", static_cast<std::uint64_t>(combine_batch));
   w.kv("bound_groups", static_cast<std::uint64_t>(bound_groups));
   w.kv("radius_pass", radius_pass);
   w.kv("iteration_base", static_cast<std::uint64_t>(config.iteration_base));

@@ -30,6 +30,11 @@ struct RunReport {
   /// The kernel the engine resolved (KmeansResult::assign_kernel),
   /// written into the "config" section next to the requested fields.
   std::string assign_kernel;
+  /// Samples per sample-stream descriptor and per register-mesh combine
+  /// launch the engine resolved (KmeansResult::sample_batch and
+  /// combine_batch), written into the "config" section too.
+  std::size_t sample_batch = 0;
+  std::size_t combine_batch = 0;
   /// Lower bounds per sample the gate kept (KmeansResult::bound_groups),
   /// written into the "config" section too.
   std::size_t bound_groups = 0;

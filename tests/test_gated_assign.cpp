@@ -397,43 +397,53 @@ TEST(GatedAssign, Level3ChargesCompactedCollectiveVolumes) {
   // *unresolved* sample at 24 bytes per bound group across the slice
   // group. The per-iteration accumulator/publish charges are constant, so
   // the net-byte drop from iteration 0 must equal exactly
-  // pruned * 24 * G * (p - 1) * p (every one of the group's p ranks skips
-  // the record exchange with its p-1 peers).
-  const MachineConfig machine = MachineConfig::tiny(2, 4, 8192);
-  const std::size_t p = 2;
+  // pruned * 24 * G * p: each group combine carries one record per CG of
+  // the group and is booked once (on the group's slice-0 CG), however
+  // large the group.
+  struct Case {
+    MachineConfig machine;
+    std::size_t p;
+  };
+  const Case cases[] = {{MachineConfig::tiny(2, 4, 8192), 2},
+                        {MachineConfig::tiny(2, 4, 8192), 4},
+                        {MachineConfig::tiny(8, 4, 8192), 16}};
   const data::Dataset ds = data::make_blobs(300, 8, 4, 23);
   KmeansConfig config;
   config.k = 4;
   config.max_iterations = 8;
   config.tolerance = -1;
-  const KmeansResult gated = run_level(Level::kLevel3, ds, config, machine,
-                                       0, p);
-  ASSERT_EQ(gated.gated_iterations, gated.iterations - 1);
-  ASSERT_GT(gated.history.size(), 1u);
-  ASSERT_EQ(gated.bound_groups, config.k);
+  for (const Case& c : cases) {
+    const std::size_t p = c.p;
+    const std::string where = "m'_group " + std::to_string(p);
+    const KmeansResult gated =
+        run_level(Level::kLevel3, ds, config, c.machine, 0, p);
+    ASSERT_EQ(gated.gated_iterations, gated.iterations - 1) << where;
+    ASSERT_GT(gated.history.size(), 1u) << where;
+    ASSERT_EQ(gated.bound_groups, config.k) << where;
 
-  double total_rate = 0;
-  for (std::size_t t = 1; t < gated.history.size(); ++t) {
-    const IterationStats& it = gated.history[t];
-    const auto pruned = static_cast<std::uint64_t>(
-        std::llround(it.prune_rate * static_cast<double>(ds.n())));
-    EXPECT_EQ(gated.history[0].net_bytes - it.net_bytes,
-              pruned * sizeof(swmpi::MinLoc2) * gated.bound_groups *
-                  (p - 1) * p)
-        << "iteration " << t;
-    // The sample stream shrinks with the gate too (resolved samples
-    // stream once, into their owner, instead of into every rank of the
-    // group); on top of it every rank of the group reads and writes each
-    // sample's bounds, 2 x G x 8 B.
-    const std::uint64_t bound_bytes =
-        ds.n() * p * 2 * gated.bound_groups * sizeof(double);
-    if (pruned > 0) {
-      EXPECT_LT(it.dma_bytes - bound_bytes, gated.history[0].dma_bytes)
-          << "iteration " << t;
+    double total_rate = 0;
+    for (std::size_t t = 1; t < gated.history.size(); ++t) {
+      const IterationStats& it = gated.history[t];
+      const auto pruned = static_cast<std::uint64_t>(
+          std::llround(it.prune_rate * static_cast<double>(ds.n())));
+      EXPECT_EQ(gated.history[0].net_bytes - it.net_bytes,
+                pruned * sizeof(swmpi::MinLoc2) * gated.bound_groups * p)
+          << where << ", iteration " << t;
+      // The sample stream shrinks with the gate too (resolved samples
+      // stream once, into their owner, instead of into every rank of the
+      // group); on top of it every rank of the group reads and writes
+      // each sample's bounds, 2 x G x 8 B.
+      const std::uint64_t bound_bytes =
+          ds.n() * p * 2 * gated.bound_groups * sizeof(double);
+      if (pruned > 0) {
+        EXPECT_LT(it.dma_bytes - bound_bytes, gated.history[0].dma_bytes)
+            << where << ", iteration " << t;
+      }
+      total_rate += it.prune_rate;
     }
-    total_rate += it.prune_rate;
+    ASSERT_GT(total_rate, 0.0)
+        << where << ": workload never pruned; test is vacuous";
   }
-  ASSERT_GT(total_rate, 0.0) << "workload never pruned; test is vacuous";
 }
 
 TEST(GatedAssign, Level3GatesPixelsWithoutARadiusPass) {

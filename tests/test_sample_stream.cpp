@@ -7,10 +7,13 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/engine_loop.hpp"
 #include "core/hkmeans.hpp"
+#include "simarch/regcomm.hpp"
+#include "swmpi/collectives.hpp"
 #include "util/error.hpp"
 
 namespace swhkm::core {
@@ -79,6 +82,73 @@ TEST(SampleBatch, ValidateLdmLayoutAllocatesTheBatchBuffers) {
   EXPECT_NO_THROW(detail::validate_ldm_layout(plan, machine, widest));
   EXPECT_THROW(detail::validate_ldm_layout(plan, machine, widest + 1),
                CapacityError);
+}
+
+TEST(SampleBatch, ValidateLdmLayoutNamesTheCombineScratch) {
+  // The batch's combine scratch is its own named allocation: the widest
+  // batch whose double buffer and scratch fit passes, one sample more
+  // overflows on that buffer. Level 3 keeps k_local distance partials per
+  // sample, Level 2 one 24-byte argmin record.
+  const MachineConfig machine = MachineConfig::sw26010(1);
+  struct Case {
+    PartitionPlan plan;
+    const char* buffer;
+  };
+  const Case cases[] = {
+      {make_plan(Level::kLevel3, {2048, 256, 3072}, machine, 0, 4),
+       "combine distance partials"},
+      {make_plan(Level::kLevel2, {16384, 512, 64}, machine, 8),
+       "combine argmin records"},
+  };
+  for (const Case& c : cases) {
+    const PartitionPlan& plan = c.plan;
+    const std::size_t per_sample =
+        2 * plan.ldm.sample_elems + combine_elems(plan, machine);
+    ASSERT_GT(combine_elems(plan, machine), 0u);
+    ASSERT_GT(plan.ldm.combine_batch, 1u);
+    ASSERT_EQ(plan.ldm.combine_batch, plan.ldm.sample_batch);
+    EXPECT_NO_THROW(detail::validate_ldm_layout(plan, machine,
+                                                plan.ldm.sample_batch,
+                                                plan.ldm.combine_batch));
+    const std::size_t widest =
+        (machine.ldm_elems() - plan.ldm.total_elems) / per_sample;
+    EXPECT_NO_THROW(
+        detail::validate_ldm_layout(plan, machine, widest, widest));
+    try {
+      detail::validate_ldm_layout(plan, machine, widest + 1, widest + 1);
+      ADD_FAILURE() << c.buffer << ": one sample past the widest batch fit";
+    } catch (const CapacityError& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("allocating '") +
+                                           c.buffer + "'"),
+                std::string::npos)
+          << e.what();
+    }
+    // Without the batched combine the same batch's sample buffers fit.
+    EXPECT_NO_THROW(
+        detail::validate_ldm_layout(plan, machine, widest + 1, 1));
+  }
+}
+
+TEST(SampleBatch, CombinesSampleBySampleWhereBatchingWouldCostMore) {
+  // Level 2 at d = 1 with m_group 2: a batched sample takes 2 elements of
+  // double buffer and 6 of record, so the scratch cuts the batch fourfold,
+  // while a launch saves only one hop (2 x 20 ns) against the 200 ns a
+  // descriptor costs. Tile 16 on the chain kernel takes 24 elements.
+  const MachineConfig machine = MachineConfig::tiny(2, 4, 8192);
+  PartitionPlan plan = make_plan(Level::kLevel2, {1u << 20, 4, 1}, machine, 2);
+  ASSERT_EQ(combine_elems(plan, machine), 6u);
+  const auto with_free = [&](std::size_t free_elems) {
+    plan.ldm.total_elems = machine.ldm_elems() - 24 - free_elems;
+    return std::pair{sample_batch(plan, machine, 16, false),
+                     combine_batch(plan, machine, 16, false)};
+  };
+  // 36 free elements: 4 batched samples at (200 + 40) / 4 = 60 ns each,
+  // or 18 at 200 / 18 + 40 = 51.1 ns with one launch per sample.
+  EXPECT_EQ(with_free(36), (std::pair<std::size_t, std::size_t>{18, 1}));
+  // 800 free: 100 batched samples at 2.4 ns, or 400 at 40.5 ns.
+  EXPECT_EQ(with_free(800), (std::pair<std::size_t, std::size_t>{100, 100}));
+  // Too little room for two batched samples: the per-sample batch.
+  EXPECT_EQ(with_free(15), (std::pair<std::size_t, std::size_t>{7, 1}));
 }
 
 /// Stream descriptors of `assign`'s samples in [begin, end) that satisfy
@@ -238,9 +308,60 @@ TEST_P(StreamDescriptorTest, FullyGatedIterationChargesTheOwnersRuns) {
   EXPECT_DOUBLE_EQ(last.sample_read_s, expected);
 }
 
+/// Levels 2 and 3, the levels with a per-sample register-mesh combine.
+class CombineLaunchTest : public StreamDescriptorTest {};
+
+TEST_P(CombineLaunchTest, FullSweepLaunchesOneCombinePerBatchOfATile) {
+  // Iteration 0 sweeps every sample, so each tile puts all its samples on
+  // the mesh: Σ over tiles of ⌈tile / combine batch⌉ launches per block
+  // (Level 3's CG, Level 2's group), not one per sample and not one per
+  // batch of the whole block. The converged last iteration resolves every
+  // sample and launches nothing.
+  const PartitionPlan p = plan();
+  KmeansConfig cfg = config();
+  cfg.tile_samples = GetParam() == Level::kLevel3 ? 250 : 50;
+  const KmeansResult r = run_plan(p, ds, cfg, machine);
+  const std::size_t batch = r.combine_batch;
+  ASSERT_GT(batch, 1u);
+  ASSERT_LT(batch, cfg.tile_samples);
+  const std::uint64_t block = reader_samples(p);
+  std::uint64_t launches = 0;
+  for (std::uint64_t t0 = 0; t0 < block; t0 += cfg.tile_samples) {
+    const std::uint64_t tile = std::min<std::uint64_t>(cfg.tile_samples,
+                                                       block - t0);
+    launches += (tile + batch - 1) / batch;
+  }
+  ASSERT_NE(launches, (block + batch - 1) / batch);
+
+  simarch::CostTally expected;
+  simarch::RegComm reg(machine, expected);
+  if (GetParam() == Level::kLevel3) {
+    reg.account_allreduce(p.k_local * machine.elem_bytes, machine.cpes_per_cg,
+                          block, launches);
+  } else {
+    reg.account_allreduce(sizeof(swmpi::MinLoc2), p.m_group, block,
+                          launches);
+    reg.account_allreduce(p.k_local * ds.d() * machine.elem_bytes,
+                          machine.cpes_per_cg / p.m_group);
+  }
+  EXPECT_EQ(r.history[0].mesh_comm_s, expected.mesh_comm_s);
+  const IterationStats& last = r.history.back();
+  ASSERT_EQ(last.prune_rate, 1.0);
+  if (GetParam() == Level::kLevel3) {
+    EXPECT_EQ(last.mesh_comm_s, 0.0);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllLevels, StreamDescriptorTest,
                          ::testing::Values(Level::kLevel1, Level::kLevel2,
                                            Level::kLevel3),
+                         [](const auto& info) {
+                           return std::string("Level") +
+                                  std::to_string(static_cast<int>(info.param));
+                         });
+
+INSTANTIATE_TEST_SUITE_P(CombiningLevels, CombineLaunchTest,
+                         ::testing::Values(Level::kLevel2, Level::kLevel3),
                          [](const auto& info) {
                            return std::string("Level") +
                                   std::to_string(static_cast<int>(info.param));

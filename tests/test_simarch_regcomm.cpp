@@ -31,12 +31,45 @@ TEST_F(RegCommTest, FullMeshUsesFourteenHops) {
   EXPECT_NEAR(t, 2 * 14 * config_.reg_hop_latency, 1e-15);
 }
 
-TEST_F(RegCommTest, AccountAllreduceMultipliesTimes) {
+TEST_F(RegCommTest, OneLaunchPerItemIsThePerItemCharge) {
+  // A batch of one: `items` launches of one payload each charge exactly
+  // what `items` separate allreduces did, bit for bit — the per-item
+  // form the batched charge replaced, 2 (hops x latency + bytes / R)
+  // seconds times the count.
+  struct Case {
+    std::size_t bytes;
+    std::size_t participants;
+    std::size_t hops;
+    std::uint64_t items;
+  };
+  for (const Case& c : {Case{256, 64, 14, 2048}, Case{24, 8, 7, 16384},
+                        Case{8, 2, 1, 3}, Case{16, 8, 7, 1}}) {
+    CostTally t;
+    RegComm(config_, t).account_allreduce(c.bytes, c.participants, c.items,
+                                          c.items);
+    const double per_item =
+        2.0 * (static_cast<double>(c.hops) * config_.reg_hop_latency +
+               static_cast<double>(c.bytes) / config_.reg_bandwidth);
+    EXPECT_EQ(t.mesh_comm_s, per_item * static_cast<double>(c.items))
+        << c.bytes << " B x " << c.items;
+    EXPECT_EQ(t.reg_bytes, c.bytes * (c.participants - 1) * c.items);
+  }
+}
+
+TEST_F(RegCommTest, BatchedLaunchPaysTheHopLatencyOnce) {
+  // 100 payloads of 256 B over the full mesh in 2 launches: two whole
+  // allreduces plus the other 98 payloads' wire time, both phases.
   RegComm reg(config_, tally_);
-  reg.account_allreduce(16, 8, 1);
-  const double one = tally_.mesh_comm_s;
-  reg.account_allreduce(16, 8, 9);
-  EXPECT_NEAR(tally_.mesh_comm_s, 10 * one, 1e-12);
+  reg.account_allreduce(256, 64, 100, 2);
+  const double wire = 256.0 / config_.reg_bandwidth;
+  EXPECT_NEAR(tally_.mesh_comm_s,
+              2 * reg.allreduce_time(256, 64) + 98 * 2 * wire, 1e-18);
+  // The same bytes cross the mesh as in 100 single launches.
+  CostTally single;
+  RegComm(config_, single).account_allreduce(256, 64, 100, 100);
+  EXPECT_EQ(tally_.reg_bytes, single.reg_bytes);
+  EXPECT_NEAR(single.mesh_comm_s - tally_.mesh_comm_s,
+              98 * 2 * 14 * config_.reg_hop_latency, 1e-18);
 }
 
 TEST_F(RegCommTest, AccountAllreduceSingleParticipantFree) {
