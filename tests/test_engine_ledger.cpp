@@ -106,6 +106,7 @@ struct LedgerCell {
   std::size_t mprime_group;  ///< Level 3 CG-group size (0 = smallest)
   data::Dataset dataset;
   std::uint32_t pinned_crc;
+  std::size_t m_group = 0;  ///< Level 2 CPE-group size (0 = smallest)
 };
 
 /// Shared workload: converging blobs, small tiles so every worker runs
@@ -151,9 +152,9 @@ std::vector<LedgerCell> ledger_cells() {
        0x2b95b988},
       {Level::kLevel3,
        "L3",
-       {0x631cfd5e, 0xaf9869d2},
-       {0xfa6c3b52, 0xfd98630f},
-       0x63ed36c8},
+       {0xef819b53, 0xc2ccb947},
+       {0x85cb2585, 0x59fafa00},
+       0x8af5b850},
   };
   for (const LevelPins& p : pins) {
     const std::size_t mprime = p.level == Level::kLevel3 ? 2 : 0;
@@ -189,13 +190,19 @@ std::vector<LedgerCell> ledger_cells() {
     KmeansConfig config = base_config();
     config.k = 64;
     cells.push_back({"L3_boundsOff", Level::kLevel3, one_supernode, config, 2,
-                     data::make_blobs(160, 12, 5, 17), 0xe34e325cu});
+                     data::make_blobs(160, 12, 5, 17), 0xdf3fdb4du});
   }
   {
     KmeansConfig config = base_config();
     config.tile_samples = 8;
     cells.push_back({"L3_tile8", Level::kLevel3, one_supernode, config, 2,
-                     blobs, 0x595cd779u});
+                     blobs, 0xe66d229du});
+  }
+  {
+    // CPE groups of two: the group's argmin records and tighten distances
+    // cross the register bus, one round per combine batch of a tile.
+    cells.push_back({"L2_mGroup2", Level::kLevel2, one_supernode,
+                     base_config(), 0, blobs, 0x917e86f4u, 2});
   }
   return cells;
 }
@@ -206,8 +213,9 @@ class EngineLedgerTest : public ::testing::TestWithParam<LedgerCell> {};
 
 TEST_P(EngineLedgerTest, ModeledLedgerIsPinned) {
   const LedgerCell& cell = GetParam();
-  const KmeansResult r = run_level(cell.level, cell.dataset, cell.config,
-                                   cell.machine, 0, cell.mprime_group);
+  const KmeansResult r =
+      run_level(cell.level, cell.dataset, cell.config, cell.machine,
+                cell.m_group, cell.mprime_group);
   const std::string text = ledger_text(r);
   const std::uint32_t crc = text_crc(text);
   char hex[16];

@@ -332,7 +332,8 @@ TEST(SampleBatch, FillsTheLdmTheLayoutAndTileScratchLeaveFree) {
 TEST(SampleBatch, FullLayoutStreamsOneSampleADescriptor) {
   // (16384, 512, 64) on one node: at m_group 2 the streamed centroid
   // tiles take the whole LDM, so the batch is the one sample buffer; at
-  // m_group 8 the resident slice leaves room for 62 samples.
+  // m_group 8 the resident slice leaves room for 59 samples, each with its
+  // double buffer and one 24-byte (6-element) combine record.
   const MachineConfig machine = MachineConfig::sw26010(1);
   const ProblemShape shape{16384, 512, 64};
   const PartitionPlan streamed = make_plan(Level::kLevel2, shape, machine, 2);
@@ -341,16 +342,21 @@ TEST(SampleBatch, FullLayoutStreamsOneSampleADescriptor) {
   EXPECT_EQ(streamed.ldm.sample_batch, 1u);
   const PartitionPlan resident = make_plan(Level::kLevel2, shape, machine, 8);
   EXPECT_TRUE(resident.ldm.resident);
-  EXPECT_EQ(resident.ldm.sample_batch, (kLdm - 8320 - 86) / (2 * 64));
+  EXPECT_EQ(resident.ldm.sample_batch, (kLdm - 8320 - 86) / (2 * 64 + 6));
+  EXPECT_EQ(resident.ldm.combine_batch, resident.ldm.sample_batch);
+  EXPECT_EQ(streamed.ldm.combine_batch, 1u);
 }
 
 TEST(SampleBatch, Level3BatchesDimensionSlices) {
-  // d=3072 over 64 CPEs: each batched sample is a 48-element slice.
+  // d=3072 over 64 CPEs: each batched sample is a 48-element slice, and
+  // keeps its k_local = 64 distance partials for the batch's one mesh
+  // combine.
   const MachineConfig machine = MachineConfig::sw26010(1);
   const PartitionPlan plan =
       make_plan(Level::kLevel3, {2048, 256, 3072}, machine, 0, 4);
   EXPECT_EQ(plan.ldm.sample_elems, 48u);
-  EXPECT_EQ(plan.ldm.sample_batch, (kLdm - 6256 - 86) / (2 * 48));
+  EXPECT_EQ(plan.ldm.sample_batch, (kLdm - 6256 - 86) / (2 * 48 + 64));
+  EXPECT_EQ(plan.ldm.combine_batch, plan.ldm.sample_batch);
   // A four times larger tile leaves less room.
   EXPECT_LT(sample_batch(plan, machine, 1024, true), plan.ldm.sample_batch);
 }
