@@ -480,13 +480,16 @@ std::string PartitionPlan::describe() const {
 
 namespace {
 
+/// One argmin record, sizeof(swmpi::MinLoc2): the top-two record the
+/// engines score into and combine.
+constexpr std::size_t kRecordBytes = 24;
+
 /// Bytes of a CG's aggregate LDM one assign tile takes: the tile's argmin
 /// records plus, with `gemm`, the GEMM sweep's per-sample scratch and the
 /// k_local-double norm cache.
 std::size_t tile_scratch_bytes(std::size_t tile_samples,
                                const PartitionPlan& plan, bool gemm) {
-  constexpr std::size_t kScoreBytes = 24;  // sizeof(swmpi::MinLoc2)
-  const std::size_t record_bytes = tile_samples * kScoreBytes;
+  const std::size_t record_bytes = tile_samples * kRecordBytes;
   const std::size_t gemm_bytes =
       gemm ? tile_samples * kGemmSampleScratchBytes +
                  static_cast<std::size_t>(plan.k_local) * sizeof(double)
@@ -520,7 +523,6 @@ std::size_t resolve_tile_samples(std::size_t requested,
 
 std::size_t combine_elems(const PartitionPlan& plan,
                           const simarch::MachineConfig& machine) {
-  constexpr std::size_t kRecordBytes = 24;  // sizeof(swmpi::MinLoc2)
   switch (plan.level) {
     case Level::kLevel1:
       return 0;
