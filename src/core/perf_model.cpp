@@ -194,14 +194,16 @@ std::optional<double> charge_level2_assign(CostTally& t, const AssignWork& w,
   // The group's combine records and tighten distances (one double from
   // the slice owner each) on the register bus, a round per batch: rounds
   // beyond the records' carry tighten distances only. Then the same-slice
-  // CPEs' accumulator reduce across the CG's groups.
+  // CPEs' accumulator reduce across the CG's groups: k_local sum rows and
+  // their counters, as Level 1 reduces all k.
   const std::uint64_t record_launches = std::min(w.launches, w.combined);
   RegComm reg(mc, t);
   reg.account_allreduce(w.record_bytes, g, w.combined, record_launches);
   reg.account_allreduce(sizeof(double), g, w.tightened,
                         w.launches - record_launches);
-  reg.account_allreduce(plan.k_local * plan.shape.d * mc.elem_bytes,
-                        mc.cpes_per_cg / g);
+  reg.account_allreduce(
+      (plan.k_local * plan.shape.d + plan.k_local) * mc.elem_bytes,
+      mc.cpes_per_cg / g);
   return hidden;
 }
 

@@ -147,9 +147,9 @@ std::vector<LedgerCell> ledger_cells() {
        0xd035cd8a},
       {Level::kLevel2,
        "L2",
-       {0x92ea8e2d, 0xadce34d5},
-       {0xba0b549c, 0x4c3ad1b3},
-       0x2b95b988},
+       {0x9a03ea7c, 0x12a2741c},
+       {0xe738e970, 0x7daaaced},
+       0x13b686ef},
       {Level::kLevel3,
        "L3",
        {0xef819b53, 0xc2ccb947},
@@ -202,7 +202,7 @@ std::vector<LedgerCell> ledger_cells() {
     // CPE groups of two: the group's argmin records and tighten distances
     // cross the register bus, one round per combine batch of a tile.
     cells.push_back({"L2_mGroup2", Level::kLevel2, one_supernode,
-                     base_config(), 0, blobs, 0x917e86f4u, 2});
+                     base_config(), 0, blobs, 0x4301bb09u, 2});
   }
   return cells;
 }

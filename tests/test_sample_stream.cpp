@@ -341,7 +341,8 @@ TEST_P(CombineLaunchTest, FullSweepLaunchesOneCombinePerBatchOfATile) {
   } else {
     reg.account_allreduce(sizeof(swmpi::MinLoc2), p.m_group, block,
                           launches);
-    reg.account_allreduce(p.k_local * ds.d() * machine.elem_bytes,
+    reg.account_allreduce((p.k_local * ds.d() + p.k_local) *
+                              machine.elem_bytes,
                           machine.cpes_per_cg / p.m_group);
   }
   EXPECT_EQ(r.history[0].mesh_comm_s, expected.mesh_comm_s);
