@@ -163,7 +163,7 @@ void EngineRank::charge_gate_and_sdc(std::uint64_t unresolved,
   tally.compute_s +=
       static_cast<double>(k * d * eb + accum_bytes) / machine.dma_bandwidth;
   // The scrub verdicts and the counts-conservation word ride the update
-  // allgather's header (charge_update_collectives).
+  // allgather's header (charge_update).
   tally.sdc_recomputed += gemm_sdc.recomputed - abft_recomputed_before;
   if (tshard != nullptr && gemm_sdc.recomputed != abft_recomputed_before) {
     tshard->counter("sdc.abft.detected")
@@ -259,78 +259,6 @@ double refresh_norms(EngineRank& rank) {
   return static_cast<double>(busiest) * run.machine.gemm_row_seconds(row_dims);
 }
 
-/// Update-phase network charge. Levels 1/2: the machine-wide sharded
-/// phase — reduce_scatter of the fused accumulator, every CG applying its
-/// own shard of rows, then one allgather publishing the refreshed rows
-/// with the (shift, empties) stats riding as a 16-byte per-rank header and
-/// the k-double drift vector. Level 3: the CG's slice accumulator reduced
-/// across the same-slice CGs (model_level3's term, zero when one CG group
-/// spans the machine), then one allgather of the drift and the header
-/// with no rows (update_publish_bytes). With the SDC defense armed the
-/// scrub verdicts and the counts-conservation word lengthen that header.
-/// Each charge's crossing_bytes covers its whole collective, and
-/// combine_tallies sums the counter over ranks, so CG 0 alone books it.
-void charge_update_collectives(EngineRank& rank) {
-  const EngineRun& run = rank.run;
-  const PartitionPlan& plan = run.plan;
-  const std::size_t d = run.dataset.d();
-  const std::size_t num_cgs = run.machine.num_cgs();
-  const std::size_t eb = run.machine.elem_bytes;
-  const std::size_t publish_bytes =
-      update_publish_bytes(plan, run.machine) +
-      (run.config.sdc_checks ? sdc_verdict_bytes(run.machine) : 0);
-  const bool hier = run.config.hier_collectives;
-  const bool books_crossing = rank.cg == 0;
-  simarch::CostTally& tally = rank.tally;
-  // The reduce term's and the allgather's seconds are summed before they
-  // reach the tally, one addition as the ledger pins.
-  double reduce_s = 0;
-  if (plan.level == Level::kLevel3) {
-    if (plan.num_flow_units > 1) {
-      const std::size_t slice_bytes = (plan.k_local * d + plan.k_local) * eb;
-      const AllreduceModel slice = cross_group_allreduce(
-          run.topo, slice_bytes, plan.num_flow_units, plan.mprime_group,
-          Placement::kPacked, hier, run.xover);
-      reduce_s = slice.seconds;
-      // The total covers all m'_group slices' exchanges.
-      if (books_crossing) {
-        tally.net_crossing_bytes += slice.crossing_bytes;
-      }
-      tally.net_bytes += slice_bytes;
-      tally.net_rounds += 1;
-    }
-  } else {
-    const std::size_t accum_bytes = (plan.shape.k * d + plan.shape.k) * eb;
-    if (hier) {
-      const simarch::CollectiveCharge rs = run.topo.hier_reduce_scatter_charge(
-          accum_bytes, 0, num_cgs, run.xover);
-      reduce_s = rs.seconds;
-      if (books_crossing) {
-        tally.net_crossing_bytes += rs.crossing_bytes;
-        tick_collective_charge(rank.tshard, "sim.collective.update_rs", rs);
-      }
-    } else {
-      reduce_s = run.topo.reduce_scatter_time(accum_bytes, 0, num_cgs);
-    }
-    tally.net_bytes += accum_bytes;
-    tally.net_rounds += 1;
-  }
-  if (hier) {
-    const simarch::CollectiveCharge ag =
-        run.topo.hier_allgather_charge(publish_bytes, 0, num_cgs);
-    tally.net_comm_s += reduce_s + ag.seconds;
-    if (books_crossing) {
-      tally.net_crossing_bytes += ag.crossing_bytes;
-      tick_collective_charge(rank.tshard, "sim.collective.update_ag", ag);
-    }
-  } else {
-    tally.net_comm_s +=
-        reduce_s + run.topo.allgather_time(publish_bytes, 0, num_cgs);
-  }
-  tally.net_bytes += publish_bytes;
-  tally.net_rounds += 1;
-}
-
 }  // namespace
 
 KmeansResult run_engine(Level level, const char* name,
@@ -351,9 +279,6 @@ KmeansResult run_engine(Level level, const char* name,
   require_finite(dataset, sweep_threads(dataset.n(), dataset.d()));
 
   const std::size_t num_cgs = machine.num_cgs();
-  const std::size_t k = config.k;
-  const std::size_t d = dataset.d();
-  const std::size_t eb = machine.elem_bytes;
   // GEMM output is byte-identical to the chain kernel, so an LDM too small
   // for the candidate/norm scratch downgrades the kernel instead of
   // rejecting a tile that fits without it; record-footprint overflow still
@@ -495,9 +420,21 @@ KmeansResult run_engine(Level level, const char* name,
       }
       policy->charge(rank);
 
-      // Update: reduce_scatter + allgather charged to net_comm_s; update_s
-      // only covers this CG's shard.
-      charge_update_collectives(rank);
+      // Update: the shared charge (perf_model.hpp); each collective's
+      // telemetry ticks on CG 0, which books its crossing bytes.
+      const UpdateCollectives update = charge_update(
+          rank.tally, plan, machine, run.topo, cg, Placement::kPacked,
+          config.hier_collectives, sdc);
+      if (cg == 0) {
+        if (update.reduce_scatter) {
+          tick_collective_charge(tshard, "sim.collective.update_rs",
+                                 *update.reduce_scatter);
+        }
+        if (update.allgather) {
+          tick_collective_charge(tshard, "sim.collective.update_ag",
+                                 *update.allgather);
+        }
+      }
       world.fault_point(swmpi::FaultSite::kUpdate, global_iter);
       if (sdc) {
         scrub_accumulator(rank);
@@ -519,12 +456,6 @@ KmeansResult run_engine(Level level, const char* name,
                             update_start_us, tel->now_us() - update_start_us);
       }
       const double shift = outcome.shift;
-      const auto [u_begin, u_end] = block_range(k, num_cgs, cg);
-      const std::size_t shard_rows = u_end - u_begin;
-      rank.tally.update_s +=
-          static_cast<double>(2 * shard_rows * d) /
-              (machine.cg_flops() * machine.compute_efficiency) +
-          static_cast<double>(shard_rows * d * eb) / machine.dma_bandwidth;
 
       if (config.trace != nullptr) {
         config.trace->record_iteration(static_cast<std::uint32_t>(cg),

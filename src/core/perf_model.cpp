@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/engine_util.hpp"
 #include "simarch/regcomm.hpp"
 #include "simarch/topology.hpp"
 #include "util/error.hpp"
@@ -15,6 +16,7 @@ using simarch::CostTally;
 using simarch::MachineConfig;
 using simarch::RegComm;
 using simarch::Topology;
+using detail::block_range;
 using util::ceil_div;
 
 constexpr std::size_t kMinLocBytes = 16;  // (double, uint64) argmin payload
@@ -243,139 +245,69 @@ std::optional<double> charge_level3_assign(CostTally& t, const AssignWork& w,
   return hide_net + hide_dma;
 }
 
-namespace {
-
-/// The machine-wide AllReduce of the fused (sums, counts) accumulator that
-/// closes a Level 1/2 iteration: its seconds and crossing bytes (the
-/// network phase's first charges) and every CG's payload.
-void charge_machine_allreduce(CostTally& t, const Topology& topo,
-                              const MachineConfig& mc,
-                              std::size_t accum_bytes, bool hier) {
-  if (hier) {
-    const simarch::CollectiveCharge charge = topo.hier_allreduce_charge(
-        accum_bytes, 0, mc.num_cgs(), mc.collective_crossover_bytes());
-    t.net_comm_s = charge.seconds;
-    t.net_crossing_bytes = charge.crossing_bytes;
-  } else {
-    t.net_comm_s = topo.allreduce_time(accum_bytes, 0, mc.num_cgs());
-    t.net_crossing_bytes =
-        topo.flat_allreduce_crossing_bytes(accum_bytes, 0, mc.num_cgs());
-  }
-  t.net_bytes += accum_bytes * mc.num_cgs();
-}
-
-/// Every CG runs the same full sweep, so the machine's assign-phase
-/// volumes are one CG's times the CG count (the group combine's crossing
-/// bytes already cover every group).
-void scale_to_machine(CostTally& t, const MachineConfig& mc) {
-  t.dma_bytes *= mc.num_cgs();
-  t.reg_bytes *= mc.num_cgs();
-}
-
-CostTally model_level1(const PartitionPlan& plan, const MachineConfig& mc,
-                       bool hier) {
-  const auto& s = plan.shape;
+UpdateCollectives charge_update(CostTally& t, const PartitionPlan& plan,
+                                const MachineConfig& mc, const Topology& topo,
+                                std::size_t cg, Placement placement,
+                                bool hier, bool sdc_checks) {
+  const std::size_t k = plan.shape.k;
+  const std::size_t d = plan.shape.d;
+  const std::size_t num_cgs = mc.num_cgs();
   const std::size_t eb = mc.elem_bytes;
-  const std::uint64_t n_cpe = ceil_div(s.n, mc.total_cpes());
-  // Every CPE streams its samples and scores all k centroids per sample.
-  AssignWork w;
-  w.stream_bytes = mc.cpes_per_cg * n_cpe * s.d * eb;
-  w.descriptors = ceil_div(n_cpe, plan.ldm.sample_batch);
-  w.loading_cpes = mc.cpes_per_cg;
-  w.sweep_s = dbl(n_cpe) * dbl(s.k) * mc.assign_row_seconds(s.d);
-  w.block_samples = w.tile_samples = n_cpe;
-  CostTally t;
-  charge_level1_assign(t, w, plan, mc);
-  scale_to_machine(t, mc);
-  t.flops = s.n * s.k * s.d * 2;
-
-  // Update: the machine-wide AllReduce, then every CG recomputes all k.
-  charge_machine_allreduce(t, Topology(mc), mc, (s.k * s.d + s.k) * eb, hier);
-  t.update_s = dbl(s.k) * dbl(s.d) * 2.0 /
-                   (mc.cg_flops() * mc.compute_efficiency) +
-               dbl(s.k * s.d * eb) / mc.dma_bandwidth;
-  return t;
-}
-
-CostTally model_level2(const PartitionPlan& plan, const MachineConfig& mc,
-                       bool hier) {
-  const auto& s = plan.shape;
-  const std::size_t eb = mc.elem_bytes;
-  const std::uint64_t n_grp = ceil_div(s.n, plan.num_flow_units);
-  const double eff_flops = mc.cpe_flops() * mc.compute_efficiency;
-  // Each sample is replicated to the m_group CPEs of its group; a CG hosts
-  // cpes_per_cg/g groups, so per-CG sample traffic is cpes_per_cg * n_grp
-  // rows regardless of g, and every CPE scores its slice against each of
-  // its group's samples.
-  AssignWork w;
-  w.stream_bytes = mc.cpes_per_cg * n_grp * s.d * eb;
-  w.descriptors = ceil_div(n_grp, plan.ldm.sample_batch);
-  w.centroid_samples = n_grp;
-  w.sweep_s = dbl(n_grp) * dbl(plan.k_local) * mc.assign_row_seconds(s.d);
-  w.combined = n_grp;
-  w.launches = ceil_div(n_grp, plan.ldm.combine_batch);
-  w.record_bytes = kMinLocBytes;
-  w.block_samples = w.tile_samples = n_grp;
-  CostTally t;
-  charge_level2_assign(t, w, plan, mc);
-  scale_to_machine(t, mc);
-  t.flops = s.n * s.k * s.d * 2;
-
-  charge_machine_allreduce(t, Topology(mc), mc, (s.k * s.d + s.k) * eb, hier);
-  t.update_s = dbl(plan.k_local) * dbl(s.d) * 2.0 / eff_flops +
-               dbl(s.k * s.d * eb) / mc.dma_bandwidth;
-  return t;
-}
-
-CostTally model_level3(const PartitionPlan& plan, const MachineConfig& mc,
-                       Placement placement, bool hier) {
-  const Topology topo(mc);
-  const auto& s = plan.shape;
-  const std::size_t eb = mc.elem_bytes;
-  const std::size_t p = plan.mprime_group;
-  const std::size_t cg_groups = plan.num_flow_units;
-  const std::uint64_t n_cgg = ceil_div(s.n, cg_groups);
-  const double eff_flops = mc.cpe_flops() * mc.compute_efficiency;
   const std::size_t xover = mc.collective_crossover_bytes();
-  // Each CG of a group reads the full sample, its 64 CPEs taking d_local
-  // each, and scores k_local rows of its narrow d_local slice per sample;
-  // the per-row overhead barely amortises at small d, and the per-sample
-  // group combine is the d-independent cost floor that lets Level 2 win.
-  AssignWork w;
-  w.stream_bytes = n_cgg * s.d * eb;
-  w.descriptors = ceil_div(n_cgg, plan.ldm.sample_batch);
-  w.centroid_samples = n_cgg;
-  w.sweep_s =
-      dbl(n_cgg) * dbl(plan.k_local) * mc.assign_row_seconds(plan.d_local);
-  w.combined = n_cgg;
-  w.launches = ceil_div(n_cgg, plan.ldm.combine_batch);
-  w.group_combine = worst_group_allreduce(topo, kMinLocBytes, cg_groups, p,
-                                          placement, hier, xover);
-  w.block_samples = w.tile_samples = n_cgg;
-  CostTally t;
-  charge_level3_assign(t, w, plan, mc);
-  scale_to_machine(t, mc);
-  t.flops = s.n * s.k * s.d * 2;
-  // Each group combine carries one record per CG of the group, booked
-  // once per combine (the engines' slice-0 CG books its group's).
-  if (p > 1) {
-    t.net_bytes += static_cast<std::uint64_t>(dbl(n_cgg) * kMinLocBytes *
-                                              dbl(p) * dbl(cg_groups));
+  const std::size_t publish_bytes =
+      update_publish_bytes(plan, mc) + (sdc_checks ? sdc_verdict_bytes(mc) : 0);
+  const bool books_crossing = cg == 0;
+  UpdateCollectives out;
+  // The reduce term's and the allgather's seconds are summed before they
+  // reach the tally, one addition as the ledger pins.
+  double reduce_s = 0;
+  if (plan.level == Level::kLevel3) {
+    if (plan.num_flow_units > 1) {
+      const std::size_t slice_bytes = (plan.k_local * d + plan.k_local) * eb;
+      const AllreduceModel slice =
+          cross_group_allreduce(topo, slice_bytes, plan.num_flow_units,
+                                plan.mprime_group, placement, hier, xover);
+      reduce_s = slice.seconds;
+      // The total covers all m'_group slices' exchanges.
+      if (books_crossing) {
+        t.net_crossing_bytes += slice.crossing_bytes;
+      }
+      t.net_bytes += slice_bytes;
+      t.net_rounds += 1;
+    }
+  } else {
+    const std::size_t accum_bytes = (k * d + k) * eb;
+    if (hier) {
+      out.reduce_scatter =
+          topo.hier_reduce_scatter_charge(accum_bytes, 0, num_cgs, xover);
+      reduce_s = out.reduce_scatter->seconds;
+      if (books_crossing) {
+        t.net_crossing_bytes += out.reduce_scatter->crossing_bytes;
+      }
+    } else {
+      reduce_s = topo.reduce_scatter_time(accum_bytes, 0, num_cgs);
+    }
+    t.net_bytes += accum_bytes;
+    t.net_rounds += 1;
   }
+  if (hier) {
+    out.allgather = topo.hier_allgather_charge(publish_bytes, 0, num_cgs);
+    t.net_comm_s += reduce_s + out.allgather->seconds;
+    if (books_crossing) {
+      t.net_crossing_bytes += out.allgather->crossing_bytes;
+    }
+  } else {
+    t.net_comm_s += reduce_s + topo.allgather_time(publish_bytes, 0, num_cgs);
+  }
+  t.net_bytes += publish_bytes;
+  t.net_rounds += 1;
 
-  // Update: AllReduce the slice accumulators across same-slice CGs.
-  const std::size_t accum_bytes = (plan.k_local * s.d + plan.k_local) * eb;
-  const AllreduceModel update_combine = cross_group_allreduce(
-      topo, accum_bytes, cg_groups, p, placement, hier, xover);
-  t.net_comm_s += update_combine.seconds;
-  t.net_crossing_bytes += update_combine.crossing_bytes;
-  t.net_bytes += accum_bytes * mc.num_cgs();
-  t.update_s = dbl(plan.k_local) * dbl(plan.d_local) * 2.0 / eff_flops +
-               dbl(plan.k_local * s.d * eb) / mc.dma_bandwidth;
-  return t;
+  const auto [u_begin, u_end] = block_range(k, num_cgs, cg);
+  const std::size_t shard_rows = u_end - u_begin;
+  t.update_s += dbl(2 * shard_rows * d) / (mc.cg_flops() * mc.compute_efficiency) +
+                dbl(shard_rows * d * eb) / mc.dma_bandwidth;
+  return out;
 }
-
-}  // namespace
 
 CostTally model_iteration(const PartitionPlan& plan,
                           const MachineConfig& machine, Placement placement,
@@ -384,15 +316,73 @@ CostTally model_iteration(const PartitionPlan& plan,
   SWHKM_REQUIRE(plan.num_cgs == machine.num_cgs() &&
                     plan.cpes_per_cg == machine.cpes_per_cg,
                 "plan was made for a different machine");
+  const Topology topo(machine);
+  const ProblemShape& s = plan.shape;
+  const std::size_t eb = machine.elem_bytes;
+  // One flow unit's full chain-kernel sweep: every sample of the unit is
+  // streamed, scored and combined, one tile per block.
+  const std::uint64_t n_unit = ceil_div(s.n, plan.num_flow_units);
+  AssignWork w;
+  w.descriptors = ceil_div(n_unit, plan.ldm.sample_batch);
+  w.block_samples = w.tile_samples = n_unit;
+  CostTally t;
   switch (plan.level) {
     case Level::kLevel1:
-      return model_level1(plan, machine, hier_collectives);
+      // Every CPE streams its samples and scores all k centroids per
+      // sample.
+      w.stream_bytes = machine.cpes_per_cg * n_unit * s.d * eb;
+      w.loading_cpes = machine.cpes_per_cg;
+      w.sweep_s = dbl(n_unit) * dbl(s.k) * machine.assign_row_seconds(s.d);
+      charge_level1_assign(t, w, plan, machine);
+      break;
     case Level::kLevel2:
-      return model_level2(plan, machine, hier_collectives);
+      // Each sample is replicated to the m_group CPEs of its group; a CG
+      // hosts cpes_per_cg / m_group groups, so per-CG sample traffic is
+      // cpes_per_cg * n_unit rows regardless of m_group, and every CPE
+      // scores its slice against each of its group's samples.
+      w.stream_bytes = machine.cpes_per_cg * n_unit * s.d * eb;
+      w.centroid_samples = n_unit;
+      w.sweep_s =
+          dbl(n_unit) * dbl(plan.k_local) * machine.assign_row_seconds(s.d);
+      w.combined = n_unit;
+      w.launches = ceil_div(n_unit, plan.ldm.combine_batch);
+      w.record_bytes = kMinLocBytes;
+      charge_level2_assign(t, w, plan, machine);
+      break;
     case Level::kLevel3:
-      return model_level3(plan, machine, placement, hier_collectives);
+      // Each CG of a group reads the full sample, its CPEs taking d_local
+      // each, and scores k_local rows of its narrow d_local slice per
+      // sample; the per-row overhead barely amortises at small d, and the
+      // per-sample group combine is the d-independent cost floor that
+      // lets Level 2 win.
+      w.stream_bytes = n_unit * s.d * eb;
+      w.centroid_samples = n_unit;
+      w.sweep_s = dbl(n_unit) * dbl(plan.k_local) *
+                  machine.assign_row_seconds(plan.d_local);
+      w.combined = n_unit;
+      w.launches = ceil_div(n_unit, plan.ldm.combine_batch);
+      w.group_combine = worst_group_allreduce(
+          topo, kMinLocBytes, plan.num_flow_units, plan.mprime_group,
+          placement, hier_collectives, machine.collective_crossover_bytes());
+      charge_level3_assign(t, w, plan, machine);
+      // Each group combine carries one record per CG of the group, booked
+      // once per combine (the engines' slice-0 CG books its group's): one
+      // record per combined sample per CG on average.
+      if (plan.mprime_group > 1) {
+        t.net_bytes += n_unit * kMinLocBytes;
+      }
+      break;
   }
-  throw InvalidArgument("unknown level");
+  charge_update(t, plan, machine, topo, 0, placement, hier_collectives,
+                false);
+  // Every CG runs the same sweep and update (CG 0's shard is the largest),
+  // so the machine's volumes are one CG's times the CG count; the crossing
+  // bytes already cover every collective.
+  t.dma_bytes *= machine.num_cgs();
+  t.reg_bytes *= machine.num_cgs();
+  t.net_bytes *= machine.num_cgs();
+  t.flops = s.n * s.k * s.d * 2;
+  return t;
 }
 
 std::size_t update_publish_bytes(const PartitionPlan& plan,

@@ -6,10 +6,7 @@
 #include "core/partition.hpp"
 #include "simarch/cost.hpp"
 #include "simarch/machine_config.hpp"
-
-namespace swhkm::simarch {
-class Topology;
-}
+#include "simarch/topology.hpp"
 
 namespace swhkm::core {
 
@@ -20,10 +17,11 @@ enum class Placement { kPacked, kScattered };
 
 /// Analytic cost of ONE k-means iteration under `plan` — the model that
 /// regenerates the paper's figures at paper scale, where the functional
-/// engines cannot run. Its assign phase is the engines' per-level charge
-/// (charge_level{1,2,3}_assign below) over a full chain-kernel sweep; only
-/// the update terms are its own. Mechanics (all derived from the plan,
-/// none fitted per-figure):
+/// engines cannot run. It is the engines' own charge over a full
+/// chain-kernel sweep: the level's assign charge (charge_level{1,2,3}_assign
+/// below) on one CG's full-sweep AssignWork, then charge_update for CG 0
+/// (the largest update shard), with the volumes scaled to the machine.
+/// Mechanics (all derived from the plan, none fitted per-figure):
 ///
 ///  sample_read      — every flow unit DMA-streams its sample block; Level 2
 ///                     replicates each sample across the m_group CPEs of a
@@ -44,8 +42,11 @@ enum class Placement { kPacked, kScattered };
 ///                     the intra-CG accumulator reduction.
 ///  net_comm         — per-sample inter-CG argmin combine (Level 3 only;
 ///                     this latency floor is why Level 2 wins at small d)
-///                     plus the end-of-iteration accumulator AllReduce.
-///  update           — centroid recomputation and writeback.
+///                     plus the update's accumulator exchange (Levels 1/2:
+///                     a machine-wide reduce-scatter; Level 3: the
+///                     same-slice AllReduce) and the publish allgather.
+///  update           — one CG's shard of the centroid recomputation and
+///                     writeback (ceil(k / CGs) rows).
 ///
 /// `hier_collectives` mirrors KmeansConfig::hier_collectives: when true
 /// (the engines' default) the network collectives are priced through the
@@ -73,8 +74,7 @@ struct AllreduceModel {
 /// ...} packed, or {j num_groups, ...} scattered. Seconds are the slowest
 /// slice's; crossing bytes scale the sampled slice holders up to all
 /// group_size of them (the pattern repeats). Zero for one group. This is
-/// Level 3's update exchange, priced here for both model_level3 and the
-/// engine's update charge.
+/// Level 3's update exchange in charge_update.
 AllreduceModel cross_group_allreduce(const simarch::Topology& topo,
                                      std::size_t bytes,
                                      std::size_t num_groups,
@@ -160,6 +160,35 @@ std::size_t update_publish_bytes(const PartitionPlan& plan,
 /// CRC pair per CG for each of the two scrubs, plus the
 /// counts-conservation word. They ride the existing round.
 std::size_t sdc_verdict_bytes(const simarch::MachineConfig& machine);
+
+/// The update phase's hierarchical collectives, returned so the engines
+/// can export them through telemetry: Levels 1/2's reduce-scatter and the
+/// publish allgather. Empty under the flat schedule; Level 3 runs no
+/// reduce-scatter.
+struct UpdateCollectives {
+  std::optional<simarch::CollectiveCharge> reduce_scatter;
+  std::optional<simarch::CollectiveCharge> allgather;
+};
+
+/// The update phase of CG `cg` for one iteration, added to `t`. Levels
+/// 1/2: the machine-wide sharded phase — reduce-scatter of the fused
+/// (k·d + k)-element accumulator, then one allgather publishing the
+/// refreshed rows with a 16-byte (shift, empties) header per CG and the
+/// k-double drift vector. Level 3: the CG's (k_local·d + k_local)-element
+/// slice accumulator reduced across the same-slice CGs
+/// (cross_group_allreduce under `placement`; nothing when one CG group
+/// spans the machine), then the allgather with no rows
+/// (update_publish_bytes). With `sdc_checks` the scrub verdicts lengthen
+/// the header (sdc_verdict_bytes). Each collective's crossing bytes cover
+/// the whole collective, so only CG 0 books them; `net_bytes` and
+/// `net_rounds` are the CG's own. `update_s` prices the CG's shard of
+/// rows, block_range(k, CGs, cg).
+UpdateCollectives charge_update(simarch::CostTally& t,
+                                const PartitionPlan& plan,
+                                const simarch::MachineConfig& machine,
+                                const simarch::Topology& topo, std::size_t cg,
+                                Placement placement, bool hier,
+                                bool sdc_checks);
 
 /// The paper's own closed-form estimates (Section III analysis): T_read and
 /// T_comm for the plan's level, transcribed literally. Used by the ablation

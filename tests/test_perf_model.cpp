@@ -172,12 +172,17 @@ TEST(PerfModel, MismatchedMachineRejected) {
 
 TEST(PerfModel, EngineMatchesModelOnAFullChainSweep) {
   // The engines and model_iteration price the assign phase through the
-  // same per-level function. On one ungated iteration with 256-sample
-  // tiles the LDM downgrades every level to the chain kernel and no block
-  // spans two tiles, so the engine's work record is the model's full
-  // sweep: the shared terms must agree bit for bit. Level 1 also shares
-  // its mesh term; Levels 2/3 differ there by record width (24-byte
-  // top-two records against the model's 16) and group combine.
+  // same per-level function and the update phase through charge_update.
+  // On one ungated iteration with 256-sample tiles the LDM downgrades
+  // every level to the chain kernel and no block spans two tiles, so the
+  // engine's work record is the model's full sweep: the shared terms must
+  // agree bit for bit. Level 1 also shares its mesh term; Levels 2/3
+  // differ there by record width (24-byte top-two records against the
+  // model's 16) and group combine. Every level shares the update shard's
+  // seconds; Levels 1/2, whose assign phase has no network term, also
+  // share the update's network seconds and bytes. Level 3's network
+  // ledger carries the per-tile group combine, which the engine prices
+  // per tile and the model per full sweep.
   const MachineConfig machine = MachineConfig::tiny(2, 4, 2048);
   const data::Dataset dataset = data::make_blobs(1024, 12, 5, 17);
   KmeansConfig config;
@@ -192,9 +197,45 @@ TEST(PerfModel, EngineMatchesModelOnAFullChainSweep) {
     EXPECT_EQ(engine.centroid_stream_s, model.centroid_stream_s)
         << level_name(level);
     EXPECT_EQ(engine.compute_s, model.compute_s) << level_name(level);
+    EXPECT_EQ(engine.update_s, model.update_s) << level_name(level);
     if (level == Level::kLevel1) {
       EXPECT_EQ(engine.mesh_comm_s, model.mesh_comm_s);
     }
+    if (level != Level::kLevel3) {
+      EXPECT_EQ(engine.net_comm_s, model.net_comm_s) << level_name(level);
+      EXPECT_EQ(engine.net_bytes, model.net_bytes) << level_name(level);
+      EXPECT_EQ(engine.net_crossing_bytes, model.net_crossing_bytes)
+          << level_name(level);
+    }
+  }
+}
+
+TEST(PerfModel, Level1IsLevel2AtOneCpeGroup) {
+  // Level 2 with one CPE per group is Level 1's partition: every CPE holds
+  // all k centroids and owns its own samples. The two charges must then
+  // price the same iteration, field for field.
+  const ProblemShape shape{20000, 16, 8};
+  for (const MachineConfig& machine :
+       {MachineConfig::sw26010(1), MachineConfig::tiny(8, 4, 8192)}) {
+    const CostTally l1 = model_for(Level::kLevel1, shape, machine);
+    const CostTally l2 = model_for(Level::kLevel2, shape, machine, 1);
+    EXPECT_GT(l1.update_s, 0.0);
+    EXPECT_EQ(l1.sample_read_s, l2.sample_read_s);
+    EXPECT_EQ(l1.centroid_stream_s, l2.centroid_stream_s);
+    EXPECT_EQ(l1.compute_s, l2.compute_s);
+    EXPECT_EQ(l1.mesh_comm_s, l2.mesh_comm_s);
+    EXPECT_EQ(l1.net_comm_s, l2.net_comm_s);
+    EXPECT_EQ(l1.update_s, l2.update_s);
+    EXPECT_EQ(l1.overlapped_dma_s, l2.overlapped_dma_s);
+    EXPECT_EQ(l1.overlapped_net_s, l2.overlapped_net_s);
+    EXPECT_EQ(l1.dma_bytes, l2.dma_bytes);
+    EXPECT_EQ(l1.reg_bytes, l2.reg_bytes);
+    EXPECT_EQ(l1.net_bytes, l2.net_bytes);
+    EXPECT_EQ(l1.flops, l2.flops);
+    EXPECT_EQ(l1.pruned_samples, l2.pruned_samples);
+    EXPECT_EQ(l1.net_rounds, l2.net_rounds);
+    EXPECT_EQ(l1.net_crossing_bytes, l2.net_crossing_bytes);
+    EXPECT_EQ(l1.sdc_recomputed, l2.sdc_recomputed);
   }
 }
 
