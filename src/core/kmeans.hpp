@@ -60,8 +60,9 @@ struct KmeansConfig {
   /// Samples per assign-phase tile in the engines (the unit one batched
   /// collective resolves). Any value is bit-identical; it trades LDM
   /// footprint against synchronisation amortisation. Validated against the
-  /// machine by the planner (resolve_tile_samples); serial baselines keep
-  /// the static kAssignTileSamples default and ignore this field.
+  /// machine by each engine run (run_engine calls resolve_tile_samples);
+  /// serial baselines keep the static kAssignTileSamples default and
+  /// ignore this field.
   std::size_t tile_samples = 256;
   /// Which modeled charge the collectives pay: on, the topology model's
   /// hierarchical costs (intra-supernode fold into per-supernode leaders,
@@ -155,8 +156,9 @@ struct IterationStats {
   double mesh_comm_s = 0;
   double net_comm_s = 0;
   double update_s = 0;
-  /// Whether this iteration ran the Hamerly bounds (the engines' gated
-  /// assign; DESIGN.md §7). False for every first iteration, for every
+  /// Whether this iteration ran the bound gate (the engines' gated
+  /// assign: Level 1's Hamerly bounds, Levels 2/3's group bounds;
+  /// DESIGN.md §7). False for every first iteration, for every
   /// iteration after the engine turned the bounds off, and for the serial
   /// baselines.
   bool gated = false;
@@ -187,7 +189,7 @@ struct KmeansResult {
   /// What the engine resolved (empty / zero for the serial baselines):
   /// the assign kernel that ran, "gemm" or "chain" (the chain kernel when
   /// the GEMM scratch does not fit the LDM), and how many iterations ran
-  /// the Hamerly bounds — the engine keeps them on only while the gated
+  /// the bound gate — the engine keeps it on only while the gated
   /// iterations, summed, cost less than iteration 0's bounds-off price
   /// (DESIGN.md §7). The RecoveryDriver sums it over its legs.
   std::string assign_kernel;

@@ -146,7 +146,7 @@ class Level3Policy final : public detail::LevelPolicy {
                                      group_charge);
     }
     // One record per CG of the group for each combined sample, booked
-    // once per group (model_level3's rule).
+    // once per group (model_iteration's rule).
     if (within_ == 0 && p_ > 1) {
       rank.tally.net_bytes += unresolved_ * record_bytes * p_;
     }

@@ -304,8 +304,9 @@ UpdateCollectives charge_update(CostTally& t, const PartitionPlan& plan,
 
   const auto [u_begin, u_end] = block_range(k, num_cgs, cg);
   const std::size_t shard_rows = u_end - u_begin;
-  t.update_s += dbl(2 * shard_rows * d) / (mc.cg_flops() * mc.compute_efficiency) +
-                dbl(shard_rows * d * eb) / mc.dma_bandwidth;
+  t.update_s +=
+      dbl(2 * shard_rows * d) / (mc.cg_flops() * mc.compute_efficiency) +
+      dbl(shard_rows * d * eb) / mc.dma_bandwidth;
   return out;
 }
 
