@@ -82,8 +82,7 @@ def summarise(old_text, new_text):
             x, y = _number(old), _number(new)
             if x is None or y is None or "group" in column:
                 lines.append(f"  row {r} ({_row_label(old_row, new_row)}) "
-                             f"{column}: "
-                             f"{old} -> {new}")
+                             f"{column}: {old} -> {new}")
                 continue
             move = _relative(x, y)
             if largest is None or abs(move) > largest[0]:
