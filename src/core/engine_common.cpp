@@ -304,28 +304,4 @@ std::uint64_t StreamRuns::critical() const {
   return out;
 }
 
-void validate_ldm_layout(const PartitionPlan& plan,
-                         const simarch::MachineConfig& machine,
-                         std::size_t sample_batch, std::size_t combine_batch) {
-  simarch::LdmAllocator ldm(machine.ldm_bytes);
-  const std::size_t eb = machine.elem_bytes;
-  ldm.alloc("sample", plan.ldm.sample_elems * eb);
-  if (plan.ldm.slice_elems > 0) {
-    ldm.alloc(plan.ldm.resident ? "centroid slice + accumulators"
-                                : "centroid stream buffers",
-              plan.ldm.slice_elems * eb);
-  }
-  ldm.alloc("scratch", plan.ldm.scratch_elems * eb);
-  if (sample_batch > 1) {
-    ldm.alloc("sample batch buffers",
-              2 * sample_batch * plan.ldm.sample_elems * eb);
-  }
-  if (combine_batch > 1 && combine_elems(plan, machine) > 0) {
-    ldm.alloc(plan.level == Level::kLevel3 ? "combine distance partials"
-                                           : "combine argmin records",
-              combine_batch * combine_elems(plan, machine) * eb);
-  }
-  // Destructor discards; reaching here means the layout fits.
-}
-
 }  // namespace swhkm::core::detail

@@ -8,7 +8,6 @@
 #include "core/partition.hpp"
 #include "data/dataset.hpp"
 #include "simarch/cost.hpp"
-#include "simarch/ldm.hpp"
 #include "simarch/topology.hpp"
 #include "swmpi/comm.hpp"
 #include "util/matrix.hpp"
@@ -132,16 +131,5 @@ void tick_collective_charge(telemetry::MetricsShard* shard,
 /// construction — report.json surfaces them per iteration and the
 /// critical-path analyzer cross-checks them against the Trace.
 void fill_phase_stats(IterationStats& stats, const simarch::CostTally& combined);
-
-/// Validate that the plan's LDM layout actually fits by allocating it
-/// through the scratchpad allocator, with the double-buffered sample
-/// batch of `sample_batch` samples (none extra for a batch of one) and,
-/// for a `combine_batch` above one, the batch's register-mesh combine
-/// scratch (combine_elems per sample, named after what it holds) —
-/// throws CapacityError on a planner bug rather than silently pretending.
-void validate_ldm_layout(const PartitionPlan& plan,
-                         const simarch::MachineConfig& machine,
-                         std::size_t sample_batch,
-                         std::size_t combine_batch = 1);
 
 }  // namespace swhkm::core::detail

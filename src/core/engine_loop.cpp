@@ -68,12 +68,6 @@ bool runs_radius_pass(const PartitionPlan& plan) {
   return plan.level == Level::kLevel1;
 }
 
-std::size_t safe_radius_block_rows(const simarch::MachineConfig& machine,
-                                   std::size_t d) {
-  return std::max<std::size_t>(
-      1, machine.ldm_bytes / 2 / (d * machine.elem_bytes));
-}
-
 EngineRank::EngineRank(const EngineRun& run_, swmpi::Comm& world_)
     : run(run_),
       world(world_),
@@ -96,9 +90,10 @@ EngineRank::EngineRank(const EngineRun& run_, swmpi::Comm& world_)
       lower(upper.size() * split.groups, 0.0),
       drift(run_.config.k, 0.0),
       digests(split.groups),
-      radius_work(safe_radius_work(
-          run_.config.k, run_.machine.cpes_per_cg,
-          safe_radius_block_rows(run_.machine, run_.dataset.d()))),
+      radius_work(radius_pass ? safe_radius_work(run_.config.k,
+                                                 run_.machine.cpes_per_cg,
+                                                 run_.ldm.radius_block_rows)
+                              : SafeRadiusWork{}),
       acc(run_.config.k, run_.dataset.d(),
           held_centroid_rows(run_.plan, cg).first,
           held_centroid_rows(run_.plan, cg).second) {
@@ -279,25 +274,21 @@ KmeansResult run_engine(Level level, const char* name,
   require_finite(dataset, sweep_threads(dataset.n(), dataset.d()));
 
   const std::size_t num_cgs = machine.num_cgs();
-  // GEMM output is byte-identical to the chain kernel, so an LDM too small
-  // for the candidate/norm scratch downgrades the kernel instead of
-  // rejecting a tile that fits without it; record-footprint overflow still
-  // throws through resolve_tile_samples.
-  const bool gemm = gemm_scratch_fits(config.tile_samples, plan, machine);
-  const std::size_t tile_samples =
-      resolve_tile_samples(config.tile_samples, plan, machine, gemm);
-  if (!gemm) {
-    SWHKM_WARN << name << ": GEMM scratch for tile_samples="
-               << config.tile_samples
-               << " overflows LDM; using the chain kernel (bit-identical)";
+  // Both fallbacks are bit-identical: the chain kernel computes what the
+  // GEMM kernel does, and any tile size gives the same result.
+  const LdmBudget ldm = allocate_ldm(plan, machine, config.tile_samples);
+  if (ldm.tile_samples == 0) {
+    throw InfeasibleError(
+        std::string(name) + ": no assign tile fits: the plan's layout leaves "
+        "no LDM for one sample's argmin record\n" + plan.describe());
   }
-  const std::size_t batch =
-      std::min(plan.ldm.sample_batch,
-               sample_batch(plan, machine, tile_samples, gemm));
-  const std::size_t combine =
-      std::min({plan.ldm.combine_batch,
-                combine_batch(plan, machine, tile_samples, gemm), batch});
-  validate_ldm_layout(plan, machine, batch, combine);
+  if (!ldm.gemm) {
+    SWHKM_WARN << name << ": tile_samples=" << config.tile_samples
+               << " overflows LDM with the GEMM scratch; using "
+               << ldm.tile_samples << " on the chain kernel (bit-identical)";
+  }
+  PartitionPlan run_plan = plan;
+  run_plan.ldm = ldm.layout;
   const simarch::Topology topo(machine);
   // Hierarchical-collective schedule: one supernode's CGs form an intra
   // group, the crossover is derived from the machine's inter-supernode
@@ -319,12 +310,9 @@ KmeansResult run_engine(Level level, const char* name,
   const EngineRun run{.dataset = dataset,
                       .config = config,
                       .machine = machine,
-                      .plan = plan,
+                      .plan = run_plan,
                       .topo = topo,
-                      .tile_samples = tile_samples,
-                      .gemm = gemm,
-                      .sample_batch = batch,
-                      .combine_batch = combine,
+                      .ldm = ldm,
                       .xover = xover,
                       .centroids = centroids,
                       .assignments = result.assignments};
@@ -393,7 +381,7 @@ KmeansResult run_engine(Level level, const char* name,
       if (rank.gating && rank.radius_pass) {
         compute_safe_radii(centroids, rank.safe);
       }
-      if (gemm) {
+      if (ldm.gemm) {
         // Gated iterations refresh only the rows the published drift marks
         // moved — an unmoved row's stored float bits are unchanged, so its
         // cached norm is still bit-exact. Iteration 0 and bounds-off runs
@@ -540,9 +528,11 @@ KmeansResult run_engine(Level level, const char* name,
   result.accel.centroid_distance_computations =
       result.radius_pass ? gated_iterations * config.k * (config.k - 1) / 2
                          : 0;
-  result.assign_kernel = gemm ? "gemm" : "chain";
-  result.sample_batch = batch;
-  result.combine_batch = combine;
+  result.assign_kernel = ldm.gemm ? "gemm" : "chain";
+  result.tile_samples = ldm.tile_samples;
+  result.sample_batch = ldm.layout.sample_batch;
+  result.combine_batch = ldm.layout.combine_batch;
+  result.ldm = ldm.footprint;
   result.bound_groups = plan.bound_groups;
   result.gated_iterations = gated_iterations;
   result.empty_clusters = empty_clusters;
@@ -556,10 +546,10 @@ KmeansResult run_engine(Level level, const char* name,
 // ------------------------------------------------------------- TileSweep
 
 TileSweep::TileSweep(const EngineRank& rank)
-    : runs_(rank.run.plan.m_group, rank.run.sample_batch),
+    : runs_(rank.run.plan.m_group, rank.run.plan.ldm.sample_batch),
       group_scans_(rank.split.groups, 0),
       tightened_at_(rank.run.config.k, 0) {
-  const std::size_t tile = rank.run.tile_samples;
+  const std::size_t tile = rank.run.ldm.tile_samples;
   const std::size_t groups = rank.split.groups;
   for (Slot& s : slots_) {
     s.scores.resize(tile * groups);
@@ -577,7 +567,7 @@ TileSweep::Block TileSweep::sweep(EngineRank& rank, std::size_t begin,
   runs_.reset();
   std::fill(group_scans_.begin(), group_scans_.end(), 0);
   std::fill(tightened_at_.begin(), tightened_at_.end(), 0);
-  const std::size_t tile = rank.run.tile_samples;
+  const std::size_t tile = rank.run.ldm.tile_samples;
   int cur = 0;
   for (std::size_t t0 = begin; t0 < end; t0 += tile) {
     stage(rank, slots_[cur], t0, std::min(end, t0 + tile), block);
@@ -634,7 +624,7 @@ void TileSweep::stage(EngineRank& rank, Slot& s, std::size_t t0,
     // group record is needed: one record over all k.
     const TileGroups groups{rank.bounds ? split.groups : 1};
     const std::span<TileScore2> scores = records(t1 - t0, groups.groups);
-    if (run.gemm) {
+    if (run.ldm.gemm) {
       score_tile_gemm(run.dataset, t0, t1, run.centroids, rank.norms, 0, k,
                       scores, rank.gemm_hooks, groups);
     } else {
@@ -643,7 +633,7 @@ void TileSweep::stage(EngineRank& rank, Slot& s, std::size_t t0,
     for (std::uint64_t& scans : group_scans_) {
       scans += t1 - t0;
     }
-    block.launches += util::ceil_div(t1 - t0, run.combine_batch);
+    block.launches += util::ceil_div(t1 - t0, run.plan.ldm.combine_batch);
     return;
   }
   s.ids.clear();
@@ -663,7 +653,8 @@ void TileSweep::stage(EngineRank& rank, Slot& s, std::size_t t0,
                     grouped ? &s.assigned_sq : nullptr, tightened_at_});
   block.tightened += tightened;
   block.launches +=
-      util::ceil_div(std::max(s.ids.size(), tightened), run.combine_batch);
+      util::ceil_div(std::max(s.ids.size(), tightened),
+                     run.plan.ldm.combine_batch);
   if (rank.survivor_hist != nullptr) {
     rank.survivor_hist->observe(static_cast<double>(s.ids.size()));
   }
@@ -674,7 +665,7 @@ void TileSweep::stage(EngineRank& rank, Slot& s, std::size_t t0,
   const TileGroups groups{split.groups, s.scan};
   const std::span<const std::uint32_t> ids(s.ids.data(), s.ids.size());
   const std::span<TileScore2> scores = records(ids.size(), split.groups);
-  if (run.gemm) {
+  if (run.ldm.gemm) {
     score_tile_ids_gemm(run.dataset, ids, run.centroids, rank.norms, 0, k,
                         scores, rank.gemm_hooks, groups);
   } else {

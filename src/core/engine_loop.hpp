@@ -30,16 +30,14 @@ struct EngineRun {
   const data::Dataset& dataset;
   const KmeansConfig& config;
   const simarch::MachineConfig& machine;
+  /// The caller's plan with this run's LDM layout (LdmBudget::layout): its
+  /// stream rows and batches fit the run's tile.
   const PartitionPlan& plan;
   const simarch::Topology& topo;
-  std::size_t tile_samples;  ///< resolve_tile_samples' validated value
-  bool gemm;                 ///< GEMM kernel (chain when its scratch overflows)
-  /// Samples per sample-stream descriptor: the layout's batch, shrunk if
-  /// this run's tile scratch needs its LDM.
-  std::size_t sample_batch;
-  /// Samples per register-mesh combine launch (Levels 2/3): the layout's
-  /// combine batch, shrunk the same way and never above sample_batch.
-  std::size_t combine_batch;
+  /// The run's per-CPE LDM budget (allocate_ldm for config.tile_samples):
+  /// the tile, the kernel and the safe-radius block; plan.ldm holds its
+  /// sample and combine batches.
+  const LdmBudget& ldm;
   std::size_t xover;         ///< hierarchical-collective crossover bytes
   util::Matrix& centroids;   ///< the one shared centroid snapshot
   std::vector<std::uint32_t>& assignments;  ///< KmeansResult::assignments
@@ -50,14 +48,6 @@ struct EngineRun {
 /// iteration-0 check always passes and the savings ledger alone decides
 /// (DESIGN.md §7).
 bool runs_radius_pass(const PartitionPlan& plan);
-
-/// Own rows a CPE keeps in half its LDM during the safe-radius pass; the
-/// other half takes the rows it streams past them. A row wider than half
-/// the LDM streams in chunks: the row's chunk, then the matching chunk of
-/// each partner, every chain advancing in ascending u. That reads the same
-/// rows as a block of one.
-std::size_t safe_radius_block_rows(const simarch::MachineConfig& machine,
-                                   std::size_t d);
 
 /// One rank's engine state. The loop fills the per-iteration fields
 /// before calling the policy; the policy charges `tally` and adds to the

@@ -7,6 +7,7 @@
 #include "core/accel_stats.hpp"
 #include "data/dataset.hpp"
 #include "simarch/cost.hpp"
+#include "simarch/ldm.hpp"
 #include "simarch/machine_config.hpp"
 #include "util/matrix.hpp"
 
@@ -58,11 +59,11 @@ struct KmeansConfig {
   InitMethod init = InitMethod::kFirstK;
   std::uint64_t seed = 1;
   /// Samples per assign-phase tile in the engines (the unit one batched
-  /// collective resolves). Any value is bit-identical; it trades LDM
-  /// footprint against synchronisation amortisation. Validated against the
-  /// machine by each engine run (run_engine calls resolve_tile_samples);
-  /// serial baselines keep the static kAssignTileSamples default and
-  /// ignore this field.
+  /// collective resolves): an upper bound. Any value is bit-identical; it
+  /// trades LDM footprint against synchronisation amortisation. Each engine
+  /// run fits it to one CPE's LDM budget (allocate_ldm): a tile that does
+  /// not fit drops the GEMM scratch, then shrinks to the widest that fits,
+  /// with a warning; 0 throws. Serial baselines ignore it.
   std::size_t tile_samples = 256;
   /// Which modeled charge the collectives pay: on, the topology model's
   /// hierarchical costs (intra-supernode fold into per-supernode leaders,
@@ -194,6 +195,8 @@ struct KmeansResult {
   /// (DESIGN.md §7). The RecoveryDriver sums it over its legs.
   std::string assign_kernel;
   std::size_t gated_iterations = 0;
+  /// The assign tile the engine ran (0 for the serial baselines).
+  std::size_t tile_samples = 0;
   /// Samples per sample-stream DMA descriptor and per register-mesh
   /// combine launch the engine resolved (LdmLayout::sample_batch and
   /// combine_batch, shrunk for the run's tile; 0 for the serial
@@ -201,6 +204,9 @@ struct KmeansResult {
   /// sample, where batching would not pay (DESIGN.md §10).
   std::size_t sample_batch = 0;
   std::size_t combine_batch = 0;
+  /// One CPE's LDM under the run's budget: capacity, high-water and every
+  /// named buffer (empty for the serial baselines).
+  simarch::LdmFootprint ldm;
   /// Lower bounds per sample the bound gate kept (PartitionPlan::
   /// bound_groups): 1 at Level 1, min(8, k) at Level 2, min(16, k) at
   /// Level 3.

@@ -23,11 +23,11 @@ class Level1Policy final : public detail::LevelPolicy {
     const std::size_t d = run.dataset.d();
     // Swept survivor rows run at the active kernel's rate; the gate's
     // tighten rows are always single-row exact distances (multi-chain).
-    sweep_row_s_ = run.gemm ? run.machine.gemm_row_seconds(d)
-                            : run.machine.assign_row_seconds(d);
+    sweep_row_s_ = run.ldm.gemm ? run.machine.gemm_row_seconds(d)
+                                : run.machine.assign_row_seconds(d);
     const double tighten_row_s = run.machine.assign_row_seconds(d);
     work_ = AssignWork{};
-    work_.tile_samples = run.tile_samples;
+    work_.tile_samples = run.ldm.tile_samples;
     samples_ = 0;
     unresolved_ = 0;
     tightened_ = 0;

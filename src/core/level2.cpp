@@ -32,8 +32,8 @@ class Level2Policy final : public detail::LevelPolicy {
     const std::size_t eb = run.machine.elem_bytes;
     // Survivor slice-rows run at the active kernel's rate; tighten rows
     // are always single-row exact distances (multi-chain).
-    sweep_row_s_ = run.gemm ? run.machine.gemm_row_seconds(d)
-                            : run.machine.assign_row_seconds(d);
+    sweep_row_s_ = run.ldm.gemm ? run.machine.gemm_row_seconds(d)
+                                : run.machine.assign_row_seconds(d);
     const double tighten_row_s = run.machine.assign_row_seconds(d);
     // The group's argmin combine carries the 24-byte top-two record; each
     // member then refreshes the bounds of the centroid groups in its slice
@@ -41,7 +41,7 @@ class Level2Policy final : public detail::LevelPolicy {
     work_ = AssignWork{};
     work_.gated = rank.gating;
     work_.record_bytes = 24;
-    work_.tile_samples = run.tile_samples;
+    work_.tile_samples = run.ldm.tile_samples;
     samples_ = 0;
     unresolved_ = 0;
     tightened_ = 0;

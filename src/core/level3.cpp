@@ -40,8 +40,8 @@ class Level3Policy final : public detail::LevelPolicy {
                                      static_cast<int>(within_))),
         j_begin_(rank.acc.row_begin()),
         j_end_(rank.acc.row_end()),
-        runs_(1, rank.run.sample_batch) {
-    const std::size_t tile = rank.run.tile_samples;
+        runs_(1, rank.run.plan.ldm.sample_batch) {
+    const std::size_t tile = rank.run.ldm.tile_samples;
     for (TileSlot& s : slots_) {
       s.recs.reserve(tile * rank.split.groups);
       s.ids.reserve(tile);
@@ -72,7 +72,7 @@ class Level3Policy final : public detail::LevelPolicy {
     // Tile t-1 retires only after tile t is staged: its combine kept
     // draining under this tile's gate + sweep, and this tile's combine is
     // already in flight before we block.
-    const std::size_t tile = rank.run.tile_samples;
+    const std::size_t tile = rank.run.ldm.tile_samples;
     int cur = 0;
     for (std::size_t t0 = begin; t0 < end; t0 += tile) {
       stage(rank, slots_[cur], t0, std::min(end, t0 + tile));
@@ -105,8 +105,9 @@ class Level3Policy final : public detail::LevelPolicy {
     // (for the accumulator). Each run of them is one strided descriptor
     // over the CG's d_local slices. Every CG of the group gates the whole
     // block, so each also reads and writes every sample's bounds.
-    const double sweep_row_s = run.gemm ? machine.gemm_row_seconds(d_local)
-                                        : machine.assign_row_seconds(d_local);
+    const double sweep_row_s = run.ldm.gemm
+                                   ? machine.gemm_row_seconds(d_local)
+                                   : machine.assign_row_seconds(d_local);
     AssignWork w;
     w.stream_bytes = (unresolved_ + owned_resolved_) * d * machine.elem_bytes +
                      rank.bound_bytes(count_);
@@ -117,7 +118,7 @@ class Level3Policy final : public detail::LevelPolicy {
     w.combined = unresolved_;
     w.launches = launches_;
     w.block_samples = count_;
-    w.tile_samples = run.tile_samples;
+    w.tile_samples = run.ldm.tile_samples;
     // The group combine carries one MinLoc2 per bound group (8 bytes per
     // record more than a plain argmin: the exact runner-up distance the
     // group's lower bound needs). Tiny payloads, so the hierarchical
@@ -195,7 +196,7 @@ class Level3Policy final : public detail::LevelPolicy {
     s.recs.resize(ids.size() * records_);
     const std::span<swmpi::MinLoc2> recs(s.recs);
     detail::clear_scores(recs);
-    if (run.gemm) {
+    if (run.ldm.gemm) {
       detail::score_tile_ids_gemm(run.dataset, ids, run.centroids, rank.norms,
                                   j_begin_, j_end_, recs, rank.gemm_hooks,
                                   groups);
@@ -259,7 +260,7 @@ class Level3Policy final : public detail::LevelPolicy {
       return;
     }
     score_ids(rank, s);
-    launches_ += util::ceil_div(s.ids.size(), rank.run.combine_batch);
+    launches_ += util::ceil_div(s.ids.size(), rank.run.plan.ldm.combine_batch);
     s.combine.start(group_comm_, std::span<swmpi::MinLoc2>(s.recs),
                     swmpi::CombineMinLoc2{});
     if (p_ > 1) {

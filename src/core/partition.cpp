@@ -1,6 +1,7 @@
 #include "core/partition.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 
 #include "core/engine_loop.hpp"
@@ -68,23 +69,26 @@ bool c3_l3(const ProblemShape& shape, std::size_t ldm_elems,
 
 namespace {
 
+/// Batches no wider than the LDM holds: try_level*'s layouts leave both
+/// to allocate_ldm.
+constexpr std::size_t kUnsized = std::numeric_limits<std::size_t>::max();
+
 /// Resident layout: sample + centroid slice + accumulator slice + counters.
 /// Returns nullopt when it does not fit.
 std::optional<LdmLayout> resident_layout(std::size_t sample_elems,
                                          std::size_t k_local,
                                          std::size_t ldm_elems) {
-  LdmLayout layout;
-  layout.resident = true;
-  layout.sample_elems = sample_elems;
-  layout.slice_elems = 2 * k_local * sample_elems;  // slice + accumulators
-  layout.scratch_elems = k_local;
-  layout.total_elems =
-      layout.sample_elems + layout.slice_elems + layout.scratch_elems;
-  if (layout.total_elems > ldm_elems) {
+  const std::size_t slice_elems = 2 * k_local * sample_elems;
+  if (sample_elems + slice_elems + k_local > ldm_elems) {
     return std::nullopt;
   }
-  layout.tile_rows = k_local;
-  return layout;
+  return LdmLayout{.resident = true,
+                   .tile_rows = k_local,
+                   .sample_elems = sample_elems,
+                   .slice_elems = slice_elems,
+                   .scratch_elems = k_local,
+                   .sample_batch = kUnsized,
+                   .combine_batch = kUnsized};
 }
 
 /// Streaming layout: sample + three stream buffers (active tile, prefetch,
@@ -92,29 +96,22 @@ std::optional<LdmLayout> resident_layout(std::size_t sample_elems,
 /// `scratch_elems` of resident bookkeeping (Level 3 keeps its k_local
 /// distance partials in LDM to reduce them over the mesh; Level 2 keeps
 /// its running argmin in registers and counters in main memory, so 0).
-/// tile_rows is maximised; nullopt when even one row does not fit.
+/// nullopt when even one row does not fit; allocate_ldm resolves how many
+/// of the k_local rows do.
 std::optional<LdmLayout> streaming_layout(std::size_t sample_elems,
                                           std::size_t k_local,
                                           std::size_t scratch_elems,
                                           std::size_t ldm_elems) {
-  LdmLayout layout;
-  layout.resident = false;
-  layout.sample_elems = sample_elems;
-  layout.scratch_elems = scratch_elems;
-  if (layout.sample_elems + layout.scratch_elems >= ldm_elems) {
+  if (4 * sample_elems + scratch_elems > ldm_elems) {
     return std::nullopt;
   }
-  const std::size_t stream_budget =
-      ldm_elems - layout.sample_elems - layout.scratch_elems;
-  const std::size_t tile_rows = stream_budget / (3 * sample_elems);
-  if (tile_rows == 0) {
-    return std::nullopt;
-  }
-  layout.tile_rows = std::min(std::max<std::size_t>(tile_rows, 1), k_local);
-  layout.slice_elems = 3 * layout.tile_rows * sample_elems;
-  layout.total_elems =
-      layout.sample_elems + layout.slice_elems + layout.scratch_elems;
-  return layout;
+  return LdmLayout{.resident = false,
+                   .tile_rows = k_local,
+                   .sample_elems = sample_elems,
+                   .slice_elems = 3 * k_local * sample_elems,
+                   .scratch_elems = scratch_elems,
+                   .sample_batch = kUnsized,
+                   .combine_batch = kUnsized};
 }
 
 /// Main-memory budget per node: the node's share of the dataset (stored
@@ -447,12 +444,7 @@ PartitionPlan make_plan(Level level, const ProblemShape& shape,
     throw InfeasibleError(std::string(level_name(level)) + " cannot run " +
                           shape_string(shape) + ": " + result.reason);
   }
-  // The batch the model charges: the default tile, on the kernel the
-  // engines would pick for it.
-  const std::size_t tile = KmeansConfig{}.tile_samples;
-  const bool gemm = gemm_scratch_fits(tile, plan, machine);
-  plan.ldm.sample_batch = sample_batch(plan, machine, tile, gemm);
-  plan.ldm.combine_batch = combine_batch(plan, machine, tile, gemm);
+  plan.ldm = allocate_ldm(plan, machine, KmeansConfig{}.tile_samples).layout;
   return plan;
 }
 
@@ -472,7 +464,7 @@ std::string PartitionPlan::describe() const {
       << (ldm.resident ? ", centroids resident"
                        : ", centroids streamed (tile_rows=" +
                              std::to_string(ldm.tile_rows) + ")")
-      << ", LDM peak " << ldm.total_elems << " elems"
+      << ", LDM high-water " << ldm.high_water_bytes << " B"
       << ", sample batch " << ldm.sample_batch << ", combine batch "
       << ldm.combine_batch;
   return out.str();
@@ -484,76 +476,17 @@ namespace {
 /// engines score into and combine.
 constexpr std::size_t kRecordBytes = 24;
 
-/// Bytes of a CG's aggregate LDM one assign tile takes: the tile's argmin
-/// records plus, with `gemm`, the GEMM sweep's per-sample scratch and the
-/// k_local-double norm cache.
-std::size_t tile_scratch_bytes(std::size_t tile_samples,
-                               const PartitionPlan& plan, bool gemm) {
-  const std::size_t record_bytes = tile_samples * kRecordBytes;
-  const std::size_t gemm_bytes =
-      gemm ? tile_samples * kGemmSampleScratchBytes +
-                 static_cast<std::size_t>(plan.k_local) * sizeof(double)
-           : 0;
-  return record_bytes + gemm_bytes;
-}
-
-}  // namespace
-
-std::size_t resolve_tile_samples(std::size_t requested,
-                                 const PartitionPlan& plan,
-                                 const simarch::MachineConfig& machine,
-                                 bool gemm) {
-  const std::size_t record_bytes = tile_scratch_bytes(requested, plan, false);
-  const std::size_t need = tile_scratch_bytes(requested, plan, gemm);
-  const std::size_t gemm_bytes = need - record_bytes;
-  const std::size_t budget = plan.cpes_per_cg * machine.ldm_bytes;
-  if (requested == 0 || need > budget) {
-    throw InfeasibleError(
-        "tile_samples=" + std::to_string(requested) + " needs " +
-        std::to_string(record_bytes) + " bytes of argmin records" +
-        (gemm_bytes > 0 ? " + " + std::to_string(gemm_bytes) +
-                              " bytes of GEMM candidate/norm scratch"
-                        : std::string()) +
-        ", but the CG's aggregate LDM holds " + std::to_string(budget) +
-        " bytes (" + std::to_string(plan.cpes_per_cg) + " CPE x " +
-        std::to_string(machine.ldm_bytes) + "); request a smaller tile");
-  }
-  return requested;
-}
-
-std::size_t combine_elems(const PartitionPlan& plan,
-                          const simarch::MachineConfig& machine) {
-  switch (plan.level) {
-    case Level::kLevel1:
-      return 0;
-    case Level::kLevel2:
-      return plan.m_group > 1 ? ceil_div(kRecordBytes, machine.elem_bytes) : 0;
-    case Level::kLevel3:
-      return plan.cpes_per_cg > 1 ? plan.k_local : 0;
-  }
-  return 0;
-}
-
-namespace {
-
 struct Batches {
   std::size_t samples = 1;
   std::size_t combine = 1;
 };
 
-Batches resolve_batches(const PartitionPlan& plan,
-                        const simarch::MachineConfig& machine,
-                        std::size_t tile_samples, bool gemm) {
-  const std::size_t eb = machine.elem_bytes;
-  const std::size_t share_elems = ceil_div(
-      ceil_div(tile_scratch_bytes(tile_samples, plan, gemm), plan.cpes_per_cg),
-      eb);
-  const std::size_t used = plan.ldm.total_elems + share_elems;
-  const std::size_t ldm = machine.ldm_elems();
-  if (used >= ldm) {
-    return {};
-  }
-  const std::size_t free = ldm - used;
+/// The batches `free` LDM elements hold: the batched combine where it
+/// prices a flow unit's full sweep strictly cheaper, else the widest
+/// scratch-free batch with one launch per sample.
+Batches price_batches(const PartitionPlan& plan,
+                      const simarch::MachineConfig& machine,
+                      std::size_t free) {
   const std::size_t sample = 2 * plan.ldm.sample_elems;
   const Batches single{std::max<std::size_t>(1, free / sample), 1};
   const std::size_t combine = combine_elems(plan, machine);
@@ -581,26 +514,112 @@ Batches resolve_batches(const PartitionPlan& plan,
 
 }  // namespace
 
-std::size_t sample_batch(const PartitionPlan& plan,
-                         const simarch::MachineConfig& machine,
-                         std::size_t tile_samples, bool gemm) {
-  return resolve_batches(plan, machine, tile_samples, gemm).samples;
-}
-
-std::size_t combine_batch(const PartitionPlan& plan,
-                          const simarch::MachineConfig& machine,
-                          std::size_t tile_samples, bool gemm) {
-  return resolve_batches(plan, machine, tile_samples, gemm).combine;
-}
-
-bool gemm_scratch_fits(std::size_t tile_samples, const PartitionPlan& plan,
-                       const simarch::MachineConfig& machine) {
-  try {
-    resolve_tile_samples(tile_samples, plan, machine, true);
-    return true;
-  } catch (const InfeasibleError&) {
-    return false;
+std::size_t combine_elems(const PartitionPlan& plan,
+                          const simarch::MachineConfig& machine) {
+  switch (plan.level) {
+    case Level::kLevel1:
+      return 0;
+    case Level::kLevel2:
+      return plan.m_group > 1 ? ceil_div(kRecordBytes, machine.elem_bytes) : 0;
+    case Level::kLevel3:
+      return plan.cpes_per_cg > 1 ? plan.k_local : 0;
   }
+  return 0;
+}
+
+LdmBudget allocate_ldm(const PartitionPlan& plan,
+                       const simarch::MachineConfig& machine,
+                       std::size_t tile_samples) {
+  if (tile_samples == 0) {
+    throw InfeasibleError("tile_samples=0: a tile holds at least one sample");
+  }
+  const LdmLayout& widest = plan.ldm;
+  const std::size_t eb = machine.elem_bytes;
+  simarch::LdmAllocator ldm(machine.ldm_bytes);
+  const auto alloc = [&](const char* name, std::size_t elems) {
+    if (elems > 0) {
+      ldm.alloc(name, elems * eb);
+    }
+  };
+  const auto free_elems = [&] { return ldm.remaining() / eb; };
+  LdmBudget out;
+  out.layout = widest;
+
+  // 1. The fixed buffers; a streamed layout needs at least one row.
+  const std::size_t row_elems = 3 * widest.sample_elems;
+  alloc("sample", widest.sample_elems);
+  if (widest.resident) {
+    alloc("centroid slice + accumulators", widest.slice_elems);
+  } else {
+    alloc("centroid stream row", row_elems);
+  }
+  alloc(widest.resident ? "centroid counters" : "distance partials",
+        widest.scratch_elems);
+
+  // 2. The CPE's share of the tile scratch, in whole elements. A share of
+  // F elements holds F * eb * cpes_per_cg bytes of the CG's tile scratch,
+  // so the widest tile on each kernel is closed-form.
+  const std::size_t cpes = plan.cpes_per_cg;
+  const std::size_t norm_bytes = plan.k_local * sizeof(double);
+  const std::size_t room = free_elems() * eb * cpes;
+  const std::size_t gemm_tile =
+      room < norm_bytes
+          ? 0
+          : (room - norm_bytes) / (kRecordBytes + kGemmSampleScratchBytes);
+  out.gemm = tile_samples <= gemm_tile;
+  out.tile_samples =
+      out.gemm ? tile_samples : std::min(tile_samples, room / kRecordBytes);
+  const auto share = [&](std::size_t bytes) {
+    return ceil_div(ceil_div(bytes, cpes), eb);
+  };
+  const std::size_t record_elems = share(out.tile_samples * kRecordBytes);
+  alloc("tile argmin records", record_elems);
+  if (out.gemm) {
+    alloc("GEMM candidates + norms",
+          share(out.tile_samples * (kRecordBytes + kGemmSampleScratchBytes) +
+                norm_bytes) -
+              record_elems);
+  }
+
+  // 3. The streamed layout's other rows.
+  if (!widest.resident) {
+    const std::size_t more =
+        std::min(widest.tile_rows - 1, free_elems() / row_elems);
+    alloc("centroid stream rows", more * row_elems);
+    out.layout.tile_rows = 1 + more;
+    out.layout.slice_elems = out.layout.tile_rows * row_elems;
+  }
+
+  // 4. The sample batch's double buffer and its combine scratch.
+  Batches b = price_batches(plan, machine, free_elems());
+  b.samples = std::min(b.samples, widest.sample_batch);
+  b.combine = std::min({b.combine, widest.combine_batch, b.samples});
+  if (b.samples > 1) {
+    alloc("sample batch buffers", 2 * b.samples * widest.sample_elems);
+  }
+  if (b.combine > 1) {
+    alloc(plan.level == Level::kLevel3 ? "combine distance partials"
+                                       : "combine argmin records",
+          b.combine * combine_elems(plan, machine));
+  }
+  out.layout.sample_batch = b.samples;
+  out.layout.combine_batch = b.combine;
+
+  // Level 1's safe-radius pass runs before the sweep, in the whole LDM:
+  // half holds its own rows, the other half streams partner rows past
+  // them. A row wider than half streams in half-LDM chunks.
+  if (detail::runs_radius_pass(plan)) {
+    ldm.reset();
+    const std::size_t half = ldm.capacity() / 2;
+    const std::size_t row_bytes = plan.shape.d * eb;
+    out.radius_block_rows = std::max<std::size_t>(1, half / row_bytes);
+    ldm.alloc("radius own rows",
+              std::min(out.radius_block_rows * row_bytes, half));
+    ldm.alloc("radius partner row", std::min(row_bytes, ldm.capacity() - half));
+  }
+  out.footprint = ldm.footprint();
+  out.layout.high_water_bytes = out.footprint.high_water_bytes;
+  return out;
 }
 
 std::uint64_t max_k_for_level(Level level, std::uint64_t d,

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/kmeans.hpp"
+#include "simarch/ldm.hpp"
 #include "simarch/machine_config.hpp"
 
 namespace swhkm::core {
@@ -48,26 +49,27 @@ bool c3_l3(const ProblemShape& shape, std::size_t ldm_elems,
 ///
 /// Samples stream in batches: one DMA descriptor moves a run of up to
 /// `sample_batch` consecutive samples into one half of a double buffer
-/// while the CPE scores the other half. The buffers live in the LDM the
-/// rest of the layout leaves free (sample_batch()), so they never change a
-/// plan's feasibility; a batch of one is the layout's own sample buffer.
-/// A batch is also the unit of the register-mesh combine at Levels 2 and
-/// 3: the CPE keeps each batched sample's combine scratch (combine_elems)
-/// until one launch reduces the whole batch (`combine_batch`).
+/// while the CPE scores the other half. A batch is also the unit of the
+/// register-mesh combine at Levels 2 and 3: the CPE keeps each batched
+/// sample's combine scratch (combine_elems) until one launch reduces the
+/// whole batch (`combine_batch`). allocate_ldm sizes the stream rows and
+/// both batches from the LDM the fixed buffers and the tile leave, so they
+/// never change a plan's feasibility.
 struct LdmLayout {
   bool resident = false;
   std::size_t tile_rows = 0;      ///< centroid rows per streamed tile
   std::size_t sample_elems = 0;   ///< sample buffer (d, or d_local for L3)
-  std::size_t slice_elems = 0;    ///< resident centroid slice, 0 if streamed
+  std::size_t slice_elems = 0;    ///< resident slice, or the stream buffers
   std::size_t scratch_elems = 0;  ///< counters / distance partials
-  std::size_t total_elems = 0;    ///< peak LDM demand in elements
   /// Samples per sample-stream DMA descriptor at the default tile size
   /// (KmeansConfig{}.tile_samples) — what the performance model charges.
   std::size_t sample_batch = 1;
   /// Samples per register-mesh combine launch at the default tile size:
   /// sample_batch when the batch's combine scratch is budgeted, 1 when the
-  /// plan combines sample by sample (combine_batch()).
+  /// plan combines sample by sample.
   std::size_t combine_batch = 1;
+  /// Peak bytes live at once in the budget that sized it (allocate_ldm).
+  std::size_t high_water_bytes = 0;
 };
 
 /// Level 2's lower bounds per sample: one per contiguous centroid group.
@@ -150,61 +152,54 @@ std::vector<std::size_t> candidate_mprime_groups(
 /// the candidate count.
 inline constexpr std::size_t kGemmSampleScratchBytes = 60;
 
-/// Validate a requested assign-phase tile size against the machine: a
-/// tile's argmin records (24 bytes each — the top-two MinLoc2 width, the
-/// larger of the two record kinds the engines batch) must fit the CG's
-/// aggregate scratchpad, where they time-share with the plan's per-CPE
-/// stream buffers. The GEMM sweep adds its per-sample scratch plus the
-/// plan's local slice of the centroid-norm cache (k_local doubles).
-/// Throws InfeasibleError (the planner's rejection path — callers get a
-/// diagnosable error, not an assert) for zero or oversized requests;
-/// returns the validated value otherwise.
-std::size_t resolve_tile_samples(std::size_t requested,
-                                 const PartitionPlan& plan,
-                                 const simarch::MachineConfig& machine,
-                                 bool gemm = true);
-
 /// LDM elements one batched sample keeps for the register-mesh combine:
 /// its k_local distance partials at Level 3, one 24-byte argmin record at
 /// Level 2, none where no mesh combine runs (Level 1, a Level 2 group of
 /// one CPE, a one-CPE core group). A batch of one combines from the
-/// layout's own scratch and registers. A streamed layout never batches:
-/// its centroid tiles leave less than three samples of LDM free.
+/// layout's own scratch and registers.
 std::size_t combine_elems(const PartitionPlan& plan,
                           const simarch::MachineConfig& machine);
 
-/// Samples per sample-stream DMA descriptor. The LDM the plan's layout
-/// leaves free, once the CPE's share of what resolve_tile_samples budgets
-/// for the tile (argmin records, GEMM scratch) is taken out, holds one of
-/// two batches:
-///  - batched combine: the largest B whose double buffer and combine
-///    scratch (B x (2 x sample_elems + combine_elems)) fit, one mesh
-///    combine launch per batch;
-///  - per-sample combine: the largest B whose double buffer alone fits,
-///    one launch per sample.
-/// The plan takes the batched one only when it prices a flow unit's
-/// full sweep (its descriptors plus its combine launches' hop latency)
-/// strictly cheaper, so the batch never makes a plan dearer. B is at
-/// least 1 (a batch of one is the layout's own sample buffer). make_plan
-/// stores the default tile's values in LdmLayout::sample_batch and
-/// combine_batch, which the performance model charges; the engines call
-/// these with their resolved tile and keep the smaller values.
-std::size_t sample_batch(const PartitionPlan& plan,
-                         const simarch::MachineConfig& machine,
-                         std::size_t tile_samples, bool gemm);
-/// Samples per register-mesh combine launch under the same choice:
-/// sample_batch() when the batched combine wins, 1 otherwise.
-std::size_t combine_batch(const PartitionPlan& plan,
-                          const simarch::MachineConfig& machine,
-                          std::size_t tile_samples, bool gemm);
+/// One CPE's scratchpad under a plan and an assign tile, as allocate_ldm
+/// resolved it.
+struct LdmBudget {
+  LdmLayout layout;  ///< the plan's, with rows and batches fit to the tile
+  bool gemm = true;  ///< GEMM kernel; false: the chain kernel
+  std::size_t tile_samples = 0;  ///< the request, or the widest that fits
+  std::size_t radius_block_rows = 0;  ///< Level 1's own rows per radius block
+  simarch::LdmFootprint footprint;    ///< named buffers, high-water, capacity
+};
 
-/// Whether the GEMM sweep's candidate/norm scratch fits in LDM alongside
-/// the tile's records. The GEMM kernel is an optimisation with
-/// byte-identical output, so the engines consult this and fall back to the
-/// multi-chain kernel — instead of rejecting a configuration that is
-/// feasible without the scratch — when it returns false.
-bool gemm_scratch_fits(std::size_t tile_samples, const PartitionPlan& plan,
-                       const simarch::MachineConfig& machine);
+/// Allocates one CPE's buffers by name through simarch::LdmAllocator —
+/// the one check of the scratchpad — and resolves the kernel, the tile,
+/// the stream rows and the batches from what each step leaves:
+///  1. the fixed buffers: the sample buffer, then the resident slice with
+///     its accumulators, or one centroid-stream row, then the scratch;
+///  2. the CPE's share of the tile scratch (over cpes_per_cg): one 24-byte
+///     argmin record per tile sample, and on the GEMM kernel
+///     kGemmSampleScratchBytes per sample plus k_local norms. A tile that
+///     does not fit with the GEMM scratch takes the chain kernel; one that
+///     still does not fit shrinks to the largest that does;
+///  3. a streamed layout's other centroid-stream rows;
+///  4. the sample batch's double buffer and the batch's combine scratch
+///     (B x (2 sample_elems + combine_elems)), kept only where it prices a
+///     flow unit's full sweep (its descriptors plus its combine launches'
+///     hop latency) strictly cheaper than the per-sample combine with the
+///     widest scratch-free B. A batch of one is the layout's own buffer.
+/// At Level 1 the safe-radius pass is a second phase of the same LDM: its
+/// own rows take half, one streamed partner row the other half.
+///
+/// No step grows past what `plan.ldm` already holds (its stream rows,
+/// sample batch and combine batch), so a run never batches wider than the
+/// plan the model charges. make_plan sizes its plan with the default tile.
+/// A layout that leaves no room for one sample's record resolves a tile of
+/// 0, which no engine runs (the planner's feasibility is the layout's
+/// alone). Throws InfeasibleError when the requested tile is 0, and
+/// CapacityError when the fixed buffers overflow (a plan made for a larger
+/// LDM).
+LdmBudget allocate_ldm(const PartitionPlan& plan,
+                       const simarch::MachineConfig& machine,
+                       std::size_t tile_samples);
 
 /// Largest k (resp. d) the level can handle on `machine` with the other
 /// two shape parameters fixed — powers Table I and the capability bench.

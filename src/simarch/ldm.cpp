@@ -25,6 +25,7 @@ void LdmAllocator::alloc(const std::string& name, std::size_t bytes) {
     throw CapacityError(msg.str());
   }
   blocks_.push_back({name, bytes});
+  allocated_.push_back({name, bytes});
   used_ += bytes;
   if (used_ > high_water_) {
     high_water_ = used_;
@@ -47,6 +48,10 @@ void LdmAllocator::free(const std::string& name) {
 void LdmAllocator::reset() {
   blocks_.clear();
   used_ = 0;
+}
+
+LdmFootprint LdmAllocator::footprint() const {
+  return {capacity_, high_water_, allocated_};
 }
 
 std::string LdmAllocator::layout() const {

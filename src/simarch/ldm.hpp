@@ -6,13 +6,27 @@
 
 namespace swhkm::simarch {
 
+/// One named scratchpad buffer and its size.
+struct LdmBuffer {
+  std::string name;
+  std::size_t bytes = 0;
+};
+
+/// What one CPE's scratchpad held: its capacity, the peak of what was live
+/// at once, and every buffer allocated, in allocation order.
+struct LdmFootprint {
+  std::size_t capacity_bytes = 0;
+  std::size_t high_water_bytes = 0;
+  std::vector<LdmBuffer> buffers;
+};
+
 /// Simulated Local Directive Memory (scratchpad) of one CPE.
 ///
 /// The real SW26010 gives each CPE 64 KiB of software-managed memory and no
 /// data cache: anything a kernel touches must have been explicitly placed.
-/// The engines in core/ allocate every LDM-resident buffer through this
-/// class, so exceeding the paper's constraints (C1..C3'') is a hard runtime
-/// error (CapacityError) rather than a silent fiction.
+/// core::allocate_ldm sizes every LDM-resident buffer of an engine run
+/// through this class, so exceeding the paper's constraints (C1..C3'') is
+/// a hard runtime error (CapacityError) rather than a silent fiction.
 ///
 /// Allocation is a bump pointer with named blocks; free() only releases the
 /// most recent block(s) (stack discipline), which matches how scratchpad
@@ -30,7 +44,7 @@ class LdmAllocator {
   /// (stack discipline guard). Throws RuntimeFault on mismatch.
   void free(const std::string& name);
 
-  /// Release everything.
+  /// Release every live block (footprint() still lists them).
   void reset();
 
   std::size_t capacity() const { return capacity_; }
@@ -42,33 +56,15 @@ class LdmAllocator {
   /// Human-readable listing of live blocks, for diagnostics.
   std::string layout() const;
 
- private:
-  struct Block {
-    std::string name;
-    std::size_t bytes;
-  };
+  /// Capacity, high-water and every allocation made so far, freed or not.
+  LdmFootprint footprint() const;
 
+ private:
   std::size_t capacity_;
   std::size_t used_ = 0;
   std::size_t high_water_ = 0;
-  std::vector<Block> blocks_;
-};
-
-/// RAII helper: allocates on construction, frees on destruction. Use for
-/// per-phase buffers inside engine loops.
-class LdmBlock {
- public:
-  LdmBlock(LdmAllocator& ldm, std::string name, std::size_t bytes)
-      : ldm_(ldm), name_(std::move(name)) {
-    ldm_.alloc(name_, bytes);
-  }
-  LdmBlock(const LdmBlock&) = delete;
-  LdmBlock& operator=(const LdmBlock&) = delete;
-  ~LdmBlock() { ldm_.free(name_); }
-
- private:
-  LdmAllocator& ldm_;
-  std::string name_;
+  std::vector<LdmBuffer> blocks_;
+  std::vector<LdmBuffer> allocated_;
 };
 
 }  // namespace swhkm::simarch

@@ -29,8 +29,10 @@ void RunReport::set_result(const core::KmeansResult& result) {
   inertia = result.inertia;
   history = result.history;
   assign_kernel = result.assign_kernel;
+  tile_samples = result.tile_samples;
   sample_batch = result.sample_batch;
   combine_batch = result.combine_batch;
+  ldm = result.ldm;
   bound_groups = result.bound_groups;
   radius_pass = result.radius_pass;
   gated_iterations = result.gated_iterations;
@@ -54,12 +56,24 @@ void RunReport::write_json(std::ostream& out) const {
   w.kv("tolerance", config.tolerance);
   w.kv("init", init_name(config.init));
   w.kv("seed", config.seed);
-  w.kv("tile_samples", static_cast<std::uint64_t>(config.tile_samples));
+  w.kv("tile_samples", static_cast<std::uint64_t>(tile_samples));
   w.kv("hier_collectives", config.hier_collectives);
   w.kv("sdc_checks", config.sdc_checks);
   w.kv("assign_kernel", std::string_view(assign_kernel));
   w.kv("sample_batch", static_cast<std::uint64_t>(sample_batch));
   w.kv("combine_batch", static_cast<std::uint64_t>(combine_batch));
+  w.key("ldm").begin_object();
+  w.kv("capacity_bytes", static_cast<std::uint64_t>(ldm.capacity_bytes));
+  w.kv("high_water_bytes", static_cast<std::uint64_t>(ldm.high_water_bytes));
+  w.key("buffers").begin_array();
+  for (const simarch::LdmBuffer& buffer : ldm.buffers) {
+    w.begin_object();
+    w.kv("name", std::string_view(buffer.name));
+    w.kv("bytes", static_cast<std::uint64_t>(buffer.bytes));
+    w.end_object();
+  }
+  w.end_array();
+  w.end_object();
   w.kv("bound_groups", static_cast<std::uint64_t>(bound_groups));
   w.kv("radius_pass", radius_pass);
   w.kv("iteration_base", static_cast<std::uint64_t>(config.iteration_base));

@@ -30,11 +30,15 @@ struct RunReport {
   /// The kernel the engine resolved (KmeansResult::assign_kernel),
   /// written into the "config" section next to the requested fields.
   std::string assign_kernel;
-  /// Samples per sample-stream descriptor and per register-mesh combine
-  /// launch the engine resolved (KmeansResult::sample_batch and
-  /// combine_batch), written into the "config" section too.
+  /// The assign tile, the samples per sample-stream descriptor and per
+  /// register-mesh combine launch the engine resolved
+  /// (KmeansResult::tile_samples, sample_batch and combine_batch), and one
+  /// CPE's LDM footprint (KmeansResult::ldm), written into the "config"
+  /// section too; "tile_samples" there is the resolved tile.
+  std::size_t tile_samples = 0;
   std::size_t sample_batch = 0;
   std::size_t combine_batch = 0;
+  simarch::LdmFootprint ldm;
   /// Lower bounds per sample the gate kept (KmeansResult::bound_groups),
   /// written into the "config" section too.
   std::size_t bound_groups = 0;

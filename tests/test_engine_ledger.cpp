@@ -126,8 +126,12 @@ std::vector<LedgerCell> ledger_cells() {
   // tiny() puts 4 nodes in a supernode, so 8 nodes span two of them and
   // the hierarchical charges have crossing traffic to price.
   const MachineConfig two_supernodes = MachineConfig::tiny(8, 4, 8192);
-  // 4 CPEs x 2 KiB: 256-sample tiles fit their argmin records but not the
-  // GEMM candidate scratch, so every level downgrades to the chain kernel.
+  // 4 CPEs x 2 KiB: beside each level's layout, one CPE's LDM has no room
+  // for its share of a 256-sample tile's GEMM scratch, so every level falls
+  // back to the chain kernel. The Level 1 and 2 layouts (162 of 512
+  // elements) leave too little for the tile's argmin records as well, so
+  // their tile shrinks to 233 samples; 20-sample blocks run one tile
+  // either way.
   const MachineConfig small_ldm = MachineConfig::tiny(2, 4, 2048);
 
   struct LevelPins {

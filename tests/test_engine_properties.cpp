@@ -186,7 +186,7 @@ TEST(FeasibilityProperty, CheckAndMakeAgree) {
       const Feasibility verdict = check_level(level, shape, machine);
       if (verdict.ok) {
         const PartitionPlan plan = make_plan(level, shape, machine);
-        EXPECT_LE(plan.ldm.total_elems, machine.ldm_elems());
+        EXPECT_LE(plan.ldm.high_water_bytes, machine.ldm_bytes);
         EXPECT_GE(plan.num_flow_units, 1u);
         EXPECT_GE(plan.k_local, 1u);
         EXPECT_GE(plan.d_local, 1u);

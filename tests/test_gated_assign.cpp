@@ -136,13 +136,17 @@ TEST_P(GatedLevelTest, BoundsOffWhenTheRadiusPassCostsMoreThanTheSweep) {
   // iteration 0's whole sweep, so the engine runs every iteration without
   // bounds. Such a run is still serial Lloyd bit for bit, prunes nothing,
   // never runs the pass, and so prices every iteration exactly like
-  // iteration 0.
+  // iteration 0. The sweep runs the GEMM kernel: a 64-sample tile's
+  // scratch (368 elements a CPE) fits beside the Level 1 layout's 1612 of
+  // 2048, where the default 256-sample tile's would fall back to the
+  // dearer chain kernel and let the bounds pay.
   const MachineConfig machine = MachineConfig::tiny(2, 4, 8192);
   const data::Dataset ds = data::make_blobs(160, 12, 5, 17);
   KmeansConfig config;
   config.k = 64;
   config.max_iterations = 6;
   config.tolerance = -1;
+  config.tile_samples = 64;
   const KmeansResult ref = lloyd_serial(ds, config);
   const KmeansResult got = run_level(GetParam(), ds, config, machine);
   if (GetParam() != Level::kLevel1) {
@@ -158,6 +162,7 @@ TEST_P(GatedLevelTest, BoundsOffWhenTheRadiusPassCostsMoreThanTheSweep) {
     EXPECT_EQ(got.accel.centroid_distance_computations, 0u);
     return;
   }
+  EXPECT_EQ(got.assign_kernel, "gemm");
   EXPECT_EQ(got.gated_iterations, 0u);
   expect_bit_identical(got, ref, level_name(GetParam()));
   ASSERT_EQ(got.history.size(), 6u);
@@ -645,39 +650,51 @@ TEST(GatedAssign, OneLegRecoveryRunGatesLikeTheEngine) {
   }
 }
 
-TEST(GatedAssign, ResolveTileSamplesValidatesAgainstLdm) {
-  // tiny(1, 4, 2048): 4 CPEs x 2 KiB LDM = 8192 bytes of aggregate
-  // scratchpad; with the GEMM sweep off, a 24-byte record caps the tile at
-  // 341 samples.
+TEST(GatedAssign, LdmBudgetResolvesTheTile) {
+  // tiny(1, 4, 2048): the Level 1 layout of (256, 2, 4) takes 22 of each
+  // CPE's 512 elements, so the CG's four CPEs share 4 x 490 x 4 = 7840
+  // bytes of tile scratch. A 24-byte record per sample caps the chain
+  // kernel's tile at 326; the GEMM sweep's 60 bytes per sample and the
+  // k_local-double norm cache cap the GEMM tile at (7840 - 16) / 84 = 93.
   const MachineConfig machine = MachineConfig::tiny(1, 4, 2048);
   const PartitionPlan plan =
       make_plan(Level::kLevel1, ProblemShape{256, 2, 4}, machine);
-  EXPECT_EQ(resolve_tile_samples(256, plan, machine, false), 256u);
-  EXPECT_EQ(resolve_tile_samples(341, plan, machine, false), 341u);
-  EXPECT_THROW(resolve_tile_samples(342, plan, machine, false),
-               InfeasibleError);
-  EXPECT_THROW(resolve_tile_samples(0, plan, machine), InfeasibleError);
+  const auto resolved = [&](std::size_t tile) {
+    const LdmBudget budget = allocate_ldm(plan, machine, tile);
+    return std::pair{budget.tile_samples, budget.gemm};
+  };
+  EXPECT_EQ(resolved(93), std::pair(std::size_t{93}, true));
+  // Past the GEMM scratch the kernel falls back to the chain first ...
+  EXPECT_EQ(resolved(94), std::pair(std::size_t{94}, false));
+  EXPECT_EQ(resolved(326), std::pair(std::size_t{326}, false));
+  // ... then the tile shrinks to the largest that fits.
+  EXPECT_EQ(resolved(327), std::pair(std::size_t{326}, false));
+  EXPECT_EQ(resolved(100000), std::pair(std::size_t{326}, false));
+  EXPECT_THROW(allocate_ldm(plan, machine, 0), InfeasibleError);
 
-  // The GEMM sweep's per-sample candidate scratch (60 bytes) + the
-  // k_local-double norm cache ride on top: 84 bytes/sample + 16 caps the
-  // default-config tile at 97 samples on the same machine.
-  EXPECT_EQ(resolve_tile_samples(97, plan, machine), 97u);
-  EXPECT_THROW(resolve_tile_samples(98, plan, machine), InfeasibleError);
-
-  // Level 3 budgets the same one tile of 24-byte records.
+  // Level 3 budgets the same records against its own layout: 7 elements
+  // leave 4 x 505 x 4 = 8080 bytes, 336 records.
   const MachineConfig l3_machine = MachineConfig::tiny(2, 4, 2048);
   const PartitionPlan l3_plan =
       make_plan(Level::kLevel3, ProblemShape{256, 4, 4}, l3_machine, 0, 2);
-  EXPECT_EQ(resolve_tile_samples(341, l3_plan, l3_machine, false), 341u);
-  EXPECT_THROW(resolve_tile_samples(342, l3_plan, l3_machine, false),
-               InfeasibleError);
+  EXPECT_EQ(allocate_ldm(l3_plan, l3_machine, 336).tile_samples, 336u);
+  EXPECT_EQ(allocate_ldm(l3_plan, l3_machine, 337).tile_samples, 336u);
 
-  // The engines reject through the same path.
+  // The engines run the budget's tile, bit-identical to any other, and
+  // reject a tile of 0 through the same path.
   const data::Dataset ds = data::make_blobs(64, 4, 2, 9);
   KmeansConfig config;
   config.k = 2;
   config.max_iterations = 2;
   config.tile_samples = 100000;
+  const KmeansResult shrunk = run_level(Level::kLevel1, ds, config, machine);
+  EXPECT_EQ(shrunk.tile_samples, 326u);
+  EXPECT_EQ(shrunk.assign_kernel, "chain");
+  config.tile_samples = 16;
+  const KmeansResult small = run_level(Level::kLevel1, ds, config, machine);
+  EXPECT_EQ(small.tile_samples, 16u);
+  expect_bit_identical(shrunk, small, "tile 326 vs 16");
+  config.tile_samples = 0;
   EXPECT_THROW(run_level(Level::kLevel1, ds, config, machine),
                InfeasibleError);
 }
@@ -903,7 +920,10 @@ TEST(SafeRadii, GatedIterationChargesTheExecutedCounts) {
       ASSERT_EQ(it.prune_rate, 1.0) << where;
 
       const detail::SafeRadiusWork work = detail::safe_radius_work(
-          k, machine.cpes_per_cg, detail::safe_radius_block_rows(machine, d));
+          k, machine.cpes_per_cg,
+          allocate_ldm(make_plan(Level::kLevel1, {ds.n(), k, d}, machine),
+                       machine, config.tile_samples)
+              .radius_block_rows);
       EXPECT_EQ(it.compute_s, static_cast<double>(work.max_cpe_pairs()) *
                                   machine.assign_row_seconds(d))
           << where;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/partition.hpp"
 #include "util/error.hpp"
 
@@ -278,7 +280,7 @@ TEST(Capability, Level1MaxKdProductBounded) {
 TEST(Layout, ResidentPlanFitsLdm) {
   const MachineConfig machine = MachineConfig::sw26010(1);
   const PartitionPlan plan = make_plan(Level::kLevel1, {1000, 10, 100}, machine);
-  EXPECT_LE(plan.ldm.total_elems, machine.ldm_elems());
+  EXPECT_LE(plan.ldm.high_water_bytes, machine.ldm_bytes);
   EXPECT_TRUE(plan.ldm.resident);
 }
 
@@ -288,7 +290,7 @@ TEST(Layout, StreamedPlanHasTiles) {
       make_plan(Level::kLevel2, {1265723, 2000, 4096}, machine, 64);
   EXPECT_FALSE(plan.ldm.resident);
   EXPECT_GE(plan.ldm.tile_rows, 1u);
-  EXPECT_LE(plan.ldm.total_elems, machine.ldm_elems());
+  EXPECT_LE(plan.ldm.high_water_bytes, machine.ldm_bytes);
 }
 
 TEST(Layout, OurResidencyImpliesPaperC1Prime) {
@@ -319,26 +321,34 @@ TEST(SampleBatch, FillsTheLdmTheLayoutAndTileScratchLeaveFree) {
   const MachineConfig machine = MachineConfig::sw26010(1);
   const PartitionPlan plan =
       make_plan(Level::kLevel1, {1u << 20, 64, 4}, machine);
-  EXPECT_EQ(plan.ldm.total_elems, 580u);
+  EXPECT_EQ(plan.ldm.sample_elems + plan.ldm.slice_elems +
+                plan.ldm.scratch_elems,
+            580u);
   EXPECT_EQ(plan.ldm.sample_batch, (kLdm - 580 - 86) / (2 * 4));
-  EXPECT_EQ(plan.ldm.sample_batch,
-            sample_batch(plan, machine, KmeansConfig{}.tile_samples, true));
-  // More tile scratch leaves a smaller batch; the chain kernel's lighter
-  // scratch leaves a larger one.
-  EXPECT_LT(sample_batch(plan, machine, 1024, true), plan.ldm.sample_batch);
-  EXPECT_GT(sample_batch(plan, machine, 256, false), plan.ldm.sample_batch);
+  const auto batch = [&](std::size_t tile) {
+    return allocate_ldm(plan, machine, tile).layout.sample_batch;
+  };
+  EXPECT_EQ(batch(KmeansConfig{}.tile_samples), plan.ldm.sample_batch);
+  // More tile scratch leaves a smaller batch; less never batches wider
+  // than the plan the model charges.
+  EXPECT_LT(batch(1024), plan.ldm.sample_batch);
+  EXPECT_EQ(batch(16), plan.ldm.sample_batch);
 }
 
 TEST(SampleBatch, FullLayoutStreamsOneSampleADescriptor) {
-  // (16384, 512, 64) on one node: at m_group 2 the streamed centroid
-  // tiles take the whole LDM, so the batch is the one sample buffer; at
-  // m_group 8 the resident slice leaves room for 59 samples, each with its
-  // double buffer and one 24-byte (6-element) combine record.
+  // (16384, 512, 64) on one node: at m_group 2 the sample (64 elements),
+  // one 192-element centroid-stream row and the default tile's 92-element
+  // share leave room for 83 more rows and 100 elements, too few for a
+  // batch of two, so the batch is the one sample buffer; at m_group 8 the
+  // resident slice leaves room for 59 samples, each with its double buffer
+  // and one 24-byte (6-element) combine record.
   const MachineConfig machine = MachineConfig::sw26010(1);
   const ProblemShape shape{16384, 512, 64};
   const PartitionPlan streamed = make_plan(Level::kLevel2, shape, machine, 2);
   EXPECT_FALSE(streamed.ldm.resident);
-  EXPECT_EQ(streamed.ldm.total_elems, kLdm);
+  EXPECT_EQ(streamed.ldm.tile_rows, 84u);
+  EXPECT_EQ(streamed.ldm.slice_elems, 84u * 192);
+  EXPECT_EQ(streamed.ldm.high_water_bytes, (kLdm - 100) * 4);
   EXPECT_EQ(streamed.ldm.sample_batch, 1u);
   const PartitionPlan resident = make_plan(Level::kLevel2, shape, machine, 8);
   EXPECT_TRUE(resident.ldm.resident);
@@ -358,7 +368,8 @@ TEST(SampleBatch, Level3BatchesDimensionSlices) {
   EXPECT_EQ(plan.ldm.sample_batch, (kLdm - 6256 - 86) / (2 * 48 + 64));
   EXPECT_EQ(plan.ldm.combine_batch, plan.ldm.sample_batch);
   // A four times larger tile leaves less room.
-  EXPECT_LT(sample_batch(plan, machine, 1024, true), plan.ldm.sample_batch);
+  EXPECT_LT(allocate_ldm(plan, machine, 1024).layout.sample_batch,
+            plan.ldm.sample_batch);
 }
 
 TEST(SampleBatch, DescribeNamesTheBatch) {
@@ -385,6 +396,86 @@ TEST(SampleBatch, FeasibilityAndCapabilityAreUnchanged) {
   const MachineConfig many = MachineConfig::sw26010(128);
   EXPECT_EQ(max_k_for_level(Level::kLevel3, 64, many), 8386560u);
   EXPECT_EQ(max_d_for_level(Level::kLevel3, 64, many), 349504u);
+}
+
+// ------------------------------------------------------------ LDM budget
+
+/// Every buffer the budget keeps live at once fits the CPE's LDM: the
+/// allocator's high-water, and the sum of the assign-phase buffers
+/// recounted apart from it.
+void expect_budget_fits(const LdmBudget& budget,
+                        const MachineConfig& machine, std::size_t tile,
+                        const std::string& where) {
+  EXPECT_EQ(budget.footprint.capacity_bytes, machine.ldm_bytes) << where;
+  EXPECT_LE(budget.footprint.high_water_bytes, machine.ldm_bytes) << where;
+  std::size_t assign_bytes = 0;
+  for (const simarch::LdmBuffer& buffer : budget.footprint.buffers) {
+    if (buffer.name.rfind("radius", 0) != 0) {
+      assign_bytes += buffer.bytes;
+    }
+  }
+  EXPECT_LE(assign_bytes, budget.footprint.high_water_bytes) << where;
+  EXPECT_GE(budget.tile_samples, 1u) << where;
+  EXPECT_LE(budget.tile_samples, tile) << where;
+}
+
+TEST(LdmBudget, HighWaterFitsEveryLevelMachineAndTile) {
+  // The ledger's blobs shape: on tiny(2, 4, 2048) the Level 1 layout takes
+  // 162 of 512 elements, so a 256-sample tile's records (385 elements a
+  // CPE) must drop the GEMM scratch or shrink, never overlap the layout.
+  const ProblemShape shape{640, 6, 12};
+  for (const MachineConfig& machine :
+       {MachineConfig::tiny(2, 4, 2048), MachineConfig::tiny(2, 4, 8192),
+        MachineConfig::sw26010(1)}) {
+    for (Level level : {Level::kLevel1, Level::kLevel2, Level::kLevel3}) {
+      const PartitionPlan plan = make_plan(level, shape, machine, 0,
+                                           level == Level::kLevel3 ? 2 : 0);
+      for (std::size_t tile : {1u, 4u, 256u, 1024u}) {
+        expect_budget_fits(allocate_ldm(plan, machine, tile), machine, tile,
+                           plan.describe() + " tile " + std::to_string(tile));
+      }
+    }
+  }
+  const MachineConfig machine = MachineConfig::sw26010(1);
+  const PartitionPlan streamed =
+      make_plan(Level::kLevel2, {434874, 100000, 4}, machine);
+  ASSERT_FALSE(streamed.ldm.resident);
+  expect_budget_fits(allocate_ldm(streamed, machine, 256), machine, 256,
+                     streamed.describe());
+}
+
+TEST(LdmBudget, StreamedRowsYieldToTheTile) {
+  // A streamed plan's rows fill what the tile leaves: a wider tile takes
+  // rows away, a narrower one never adds rows past the plan's.
+  const MachineConfig machine = MachineConfig::sw26010(1);
+  const PartitionPlan plan =
+      make_plan(Level::kLevel2, {16384, 512, 64}, machine, 2);
+  ASSERT_FALSE(plan.ldm.resident);
+  EXPECT_LT(allocate_ldm(plan, machine, 4096).layout.tile_rows,
+            plan.ldm.tile_rows);
+  EXPECT_EQ(allocate_ldm(plan, machine, 1).layout.tile_rows,
+            plan.ldm.tile_rows);
+}
+
+TEST(LdmBudget, RadiusPassIsASecondPhase) {
+  // Level 1's safe-radius pass reuses the whole LDM after the sweep's
+  // buffers: half holds its own rows, one partner row streams past them.
+  const MachineConfig machine = MachineConfig::sw26010(1);
+  const PartitionPlan plan =
+      make_plan(Level::kLevel1, {1u << 20, 64, 4}, machine);
+  const LdmBudget budget = allocate_ldm(plan, machine, 256);
+  EXPECT_EQ(budget.radius_block_rows, 64u * 1024 / 2 / 16);
+  ASSERT_GE(budget.footprint.buffers.size(), 2u);
+  const auto& buffers = budget.footprint.buffers;
+  EXPECT_EQ(buffers[buffers.size() - 2].name, "radius own rows");
+  EXPECT_EQ(buffers[buffers.size() - 2].bytes, 64u * 1024 / 2);
+  EXPECT_EQ(buffers.back().name, "radius partner row");
+  EXPECT_EQ(buffers.back().bytes, 16u);
+  // Levels 2 and 3 run no radius pass.
+  EXPECT_EQ(allocate_ldm(make_plan(Level::kLevel2, {1u << 20, 64, 4}, machine),
+                         machine, 256)
+                .radius_block_rows,
+            0u);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -69,26 +70,40 @@ TEST(StreamRuns, GatedLevel2TileChargesTheBusiestMembersRuns) {
   EXPECT_EQ(cg.critical(), 4u);
 }
 
-TEST(SampleBatch, ValidateLdmLayoutAllocatesTheBatchBuffers) {
-  const MachineConfig machine = MachineConfig::tiny(2, 4, 8192);
-  const PartitionPlan plan = make_plan(Level::kLevel1, {1600, 6, 8}, machine);
-  ASSERT_GT(plan.ldm.sample_batch, 1u);
-  EXPECT_NO_THROW(
-      detail::validate_ldm_layout(plan, machine, plan.ldm.sample_batch));
-  // The batch buffers are real allocations: the largest batch the free
-  // LDM holds passes, one sample more overflows.
-  const std::size_t free_elems = machine.ldm_elems() - plan.ldm.total_elems;
-  const std::size_t widest = free_elems / (2 * plan.ldm.sample_elems);
-  EXPECT_NO_THROW(detail::validate_ldm_layout(plan, machine, widest));
-  EXPECT_THROW(detail::validate_ldm_layout(plan, machine, widest + 1),
-               CapacityError);
+/// Bytes of the budget's buffer named `name` (0 when it has none).
+std::size_t buffer_bytes(const LdmBudget& budget, const std::string& name) {
+  for (const simarch::LdmBuffer& buffer : budget.footprint.buffers) {
+    if (buffer.name == name) {
+      return buffer.bytes;
+    }
+  }
+  return 0;
 }
 
-TEST(SampleBatch, ValidateLdmLayoutNamesTheCombineScratch) {
-  // The batch's combine scratch is its own named allocation: the widest
-  // batch whose double buffer and scratch fit passes, one sample more
-  // overflows on that buffer. Level 3 keeps k_local distance partials per
-  // sample, Level 2 one 24-byte argmin record.
+TEST(SampleBatch, BudgetAllocatesTheBatchBuffers) {
+  const MachineConfig machine = MachineConfig::tiny(2, 4, 8192);
+  const PartitionPlan plan = make_plan(Level::kLevel1, {1600, 6, 8}, machine);
+  const LdmBudget budget =
+      allocate_ldm(plan, machine, KmeansConfig{}.tile_samples);
+  const std::size_t batch = budget.layout.sample_batch;
+  ASSERT_GT(batch, 1u);
+  EXPECT_EQ(batch, plan.ldm.sample_batch);
+  // The batch buffers are a real allocation, and the widest the free LDM
+  // holds: one sample more's double buffer would overflow.
+  const std::size_t sample_bytes = plan.ldm.sample_elems * machine.elem_bytes;
+  EXPECT_EQ(buffer_bytes(budget, "sample batch buffers"),
+            2 * batch * sample_bytes);
+  EXPECT_LE(budget.footprint.high_water_bytes, machine.ldm_bytes);
+  EXPECT_LT(machine.ldm_bytes - budget.footprint.high_water_bytes,
+            2 * sample_bytes);
+}
+
+TEST(SampleBatch, BudgetNamesTheCombineScratch) {
+  // The batch's combine scratch is its own named allocation, and the
+  // batch is the widest whose double buffer and scratch fit: replaying
+  // the budget's buffers and one more batched sample overflows. Level 3
+  // keeps k_local distance partials per sample, Level 2 one 24-byte argmin
+  // record.
   const MachineConfig machine = MachineConfig::sw26010(1);
   struct Case {
     PartitionPlan plan;
@@ -102,45 +117,82 @@ TEST(SampleBatch, ValidateLdmLayoutNamesTheCombineScratch) {
   };
   for (const Case& c : cases) {
     const PartitionPlan& plan = c.plan;
-    const std::size_t per_sample =
-        2 * plan.ldm.sample_elems + combine_elems(plan, machine);
+    const LdmBudget budget =
+        allocate_ldm(plan, machine, KmeansConfig{}.tile_samples);
+    const std::size_t eb = machine.elem_bytes;
+    const std::size_t batch = budget.layout.combine_batch;
     ASSERT_GT(combine_elems(plan, machine), 0u);
-    ASSERT_GT(plan.ldm.combine_batch, 1u);
-    ASSERT_EQ(plan.ldm.combine_batch, plan.ldm.sample_batch);
-    EXPECT_NO_THROW(detail::validate_ldm_layout(plan, machine,
-                                                plan.ldm.sample_batch,
-                                                plan.ldm.combine_batch));
-    const std::size_t widest =
-        (machine.ldm_elems() - plan.ldm.total_elems) / per_sample;
-    EXPECT_NO_THROW(
-        detail::validate_ldm_layout(plan, machine, widest, widest));
-    try {
-      detail::validate_ldm_layout(plan, machine, widest + 1, widest + 1);
-      ADD_FAILURE() << c.buffer << ": one sample past the widest batch fit";
-    } catch (const CapacityError& e) {
-      EXPECT_NE(std::string(e.what()).find(std::string("allocating '") +
-                                           c.buffer + "'"),
-                std::string::npos)
-          << e.what();
+    ASSERT_GT(batch, 1u);
+    ASSERT_EQ(batch, budget.layout.sample_batch);
+    EXPECT_EQ(buffer_bytes(budget, c.buffer),
+              batch * combine_elems(plan, machine) * eb);
+    simarch::LdmAllocator replay(machine.ldm_bytes);
+    for (const simarch::LdmBuffer& buffer : budget.footprint.buffers) {
+      replay.alloc(buffer.name, buffer.bytes);
     }
-    // Without the batched combine the same batch's sample buffers fit.
-    EXPECT_NO_THROW(
-        detail::validate_ldm_layout(plan, machine, widest + 1, 1));
+    EXPECT_THROW(replay.alloc("one more batched sample",
+                              (2 * plan.ldm.sample_elems +
+                               combine_elems(plan, machine)) *
+                                  eb),
+                 CapacityError)
+        << c.buffer;
   }
+}
+
+TEST(SampleBatch, PixelsPlanFitsBatch62Not63) {
+  // pixels_l3's plan: d = 3072 over 64 CPEs is a 48-element slice with
+  // k_local = 64 partials. The layout (6256 elements) and the default
+  // tile's share (86) leave 10,042 elements: 62 batched samples of
+  // 2 x 48 + 64 = 160 elements, and 122 over. B = combine = 63 needs 160
+  // more, so it must overflow.
+  const MachineConfig machine = MachineConfig::sw26010(1);
+  const PartitionPlan plan =
+      make_plan(Level::kLevel3, {2048, 256, 3072}, machine, 0, 4);
+  const LdmBudget budget =
+      allocate_ldm(plan, machine, KmeansConfig{}.tile_samples);
+  EXPECT_EQ(budget.layout.sample_batch, 62u);
+  EXPECT_EQ(budget.layout.combine_batch, 62u);
+  EXPECT_EQ(machine.ldm_bytes - budget.footprint.high_water_bytes, 122u * 4);
+  // The budget's other buffers, then both batch buffers at `batch`.
+  const auto fits = [&](std::size_t batch) {
+    simarch::LdmAllocator ldm(machine.ldm_bytes);
+    for (const simarch::LdmBuffer& buffer : budget.footprint.buffers) {
+      if (buffer.name != "sample batch buffers" &&
+          buffer.name != "combine distance partials") {
+        ldm.alloc(buffer.name, buffer.bytes);
+      }
+    }
+    try {
+      ldm.alloc("sample batch buffers", batch * 2 * 48 * 4);
+      ldm.alloc("combine distance partials", batch * 64 * 4);
+    } catch (const CapacityError&) {
+      return false;
+    }
+    return true;
+  };
+  EXPECT_TRUE(fits(62));
+  EXPECT_FALSE(fits(63));
 }
 
 TEST(SampleBatch, CombinesSampleBySampleWhereBatchingWouldCostMore) {
   // Level 2 at d = 1 with m_group 2: a batched sample takes 2 elements of
   // double buffer and 6 of record, so the scratch cuts the batch fourfold,
   // while a launch saves only one hop (2 x 20 ns) against the 200 ns a
-  // descriptor costs. Tile 16 on the chain kernel takes 24 elements.
+  // descriptor costs. Tile 16 on the GEMM kernel takes 85 elements
+  // (16 x 84 + 2 x 8 bytes over 4 CPEs); the layout's scratch is set so
+  // that `free_elems` are left after it.
   const MachineConfig machine = MachineConfig::tiny(2, 4, 8192);
   PartitionPlan plan = make_plan(Level::kLevel2, {1u << 20, 4, 1}, machine, 2);
   ASSERT_EQ(combine_elems(plan, machine), 6u);
+  ASSERT_TRUE(plan.ldm.resident);
+  plan.ldm.sample_batch = plan.ldm.combine_batch =
+      std::numeric_limits<std::size_t>::max();
   const auto with_free = [&](std::size_t free_elems) {
-    plan.ldm.total_elems = machine.ldm_elems() - 24 - free_elems;
-    return std::pair{sample_batch(plan, machine, 16, false),
-                     combine_batch(plan, machine, 16, false)};
+    plan.ldm.scratch_elems = machine.ldm_elems() - plan.ldm.sample_elems -
+                             plan.ldm.slice_elems - 85 - free_elems;
+    const LdmBudget budget = allocate_ldm(plan, machine, 16);
+    EXPECT_TRUE(budget.gemm);
+    return std::pair{budget.layout.sample_batch, budget.layout.combine_batch};
   };
   // 36 free elements: 4 batched samples at (200 + 40) / 4 = 60 ns each,
   // or 18 at 200 / 18 + 40 = 51.1 ns with one launch per sample.

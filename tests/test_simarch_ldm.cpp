@@ -99,28 +99,6 @@ TEST(Ldm, LayoutListsBlocks) {
   EXPECT_NE(layout.find("1.00 KiB"), std::string::npos);
 }
 
-TEST(LdmBlock, RaiiFreesOnScopeExit) {
-  LdmAllocator ldm(256);
-  {
-    LdmBlock block(ldm, "scoped", 128);
-    EXPECT_EQ(ldm.used(), 128u);
-  }
-  EXPECT_EQ(ldm.used(), 0u);
-}
-
-TEST(LdmBlock, NestedScopesUnwindInOrder) {
-  LdmAllocator ldm(256);
-  {
-    LdmBlock outer(ldm, "outer", 64);
-    {
-      LdmBlock inner(ldm, "inner", 64);
-      EXPECT_EQ(ldm.used(), 128u);
-    }
-    EXPECT_EQ(ldm.used(), 64u);
-  }
-  EXPECT_EQ(ldm.used(), 0u);
-}
-
 TEST(Ldm, SixtyFourKiBMatchesSw26010) {
   // The paper's LDM in elements: 64 KiB / 4 B = 16384 — the constant every
   // constraint in Section III is written against.
